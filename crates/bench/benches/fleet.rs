@@ -1,11 +1,12 @@
-//! Fleet benchmarks: the worker-count sweep over the batch path, the
-//! streaming ingest pipeline (submit → fair dispatch → sequence-numbered
-//! merge), and the auditing and metrics stages on top of a fixed batch.
+//! Fleet benchmarks: the worker-count sweep over the batch path
+//! (`FleetService::process`), the streaming ingest pipeline (submit →
+//! fair dispatch → sequence-numbered merge), and the auditing and metrics
+//! stages on top of a fixed batch.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use trustmeter_fleet::{
     AttackSpec, BackpressurePolicy, Fleet, FleetConfig, FleetIngest, FleetService, IngestConfig,
-    JobSpec, Journal, RateCard, SamplingPolicy, Tenant, TenantId,
+    JobSpec, Journal, SamplingPolicy, TenantId,
 };
 use trustmeter_workloads::Workload;
 
@@ -31,21 +32,24 @@ fn bench_fleet(c: &mut Criterion) {
 
     let jobs = batch(32);
     for shards in [1usize, 2, 4, 8] {
-        let fleet = Fleet::new(FleetConfig::new(shards, 0xf1ee7));
-        group.bench_function(&format!("run_32_jobs_{shards}_shards"), |b| {
-            b.iter(|| fleet.run(&jobs))
+        group.bench_function(&format!("process_32_jobs_{shards}_shards"), |b| {
+            b.iter(|| {
+                let mut service = FleetService::new(FleetConfig::new(shards, 0xf1ee7));
+                service.process(&jobs).verdicts.len()
+            })
         });
     }
 
-    // The streaming pipeline end to end: spawn the pool, submit the batch
-    // job by job, drain, merge. Measures pool spin-up plus queue overhead
-    // relative to the plain `Fleet::run` above.
+    // The bare ingest pipeline: spawn the pool, submit the batch job by
+    // job, drain, merge — the sweep above minus ledger, audit and metrics
+    // posting.
     for workers in [1usize, 4] {
         group.bench_function(&format!("ingest_32_jobs_{workers}_workers"), |b| {
             b.iter(|| {
-                let ingest = FleetIngest::start(
-                    FleetConfig::new(workers, 0xf1ee7),
+                let ingest = FleetIngest::new(
+                    Fleet::new(FleetConfig::new(workers, 0xf1ee7)),
                     IngestConfig::new(workers).with_capacity(jobs.len()),
+                    None,
                 );
                 for job in &jobs {
                     ingest.submit(job.clone()).expect("queue fits batch");
@@ -111,21 +115,6 @@ fn bench_fleet(c: &mut Criterion) {
             }
             let report = stream.finish();
             report.verdicts.len()
-        })
-    });
-
-    group.bench_function("service_process_32_jobs_4_shards", |b| {
-        b.iter(|| {
-            let mut service = FleetService::new(FleetConfig::new(4, 0xf1ee7));
-            for id in 1..=4u32 {
-                service.register(Tenant::new(
-                    TenantId(id),
-                    format!("t{id}"),
-                    RateCard::per_cpu_hour(0.10),
-                ));
-            }
-            let report = service.process(&jobs);
-            (report.verdicts.len(), service.metrics_text().len())
         })
     });
 

@@ -1,18 +1,18 @@
 //! `trustmeter-bench` — the fleet perf harness.
 //!
 //! Streams a fixed audited batch through a [`FleetService`] worker pool
-//! three times — journaling **off**, write-ahead journaling to the legacy
-//! flush-per-append **file** sink, and to the **segmented** group-commit
-//! sink (rotation, fsync policy, inline checkpoint cadence) — and writes
-//! a JSON report (`BENCH_fleet.json` by default) with wall clock,
-//! jobs/sec, the auditor's replay counters and the journal
+//! twice — journaling **off**, and write-ahead journaling to the
+//! **segmented** group-commit sink (rotation, fsync policy, inline
+//! checkpoint cadence) — and writes a JSON report (`BENCH_fleet.json` by
+//! default) with wall clock, jobs/sec, the auditor's replay counters and
+//! the journal
 //! append/commit/rotation/fsync counters, so both the performance
 //! trajectory of the audited streaming path *and* the cost of each
-//! durability mode are tracked from run to run. A fourth **sealed** mode
+//! durability mode are tracked from run to run. A third **sealed** mode
 //! runs the same segmented configuration with the evidence ledger on
 //! (hash-chained lines, signed block headers on rotation), so the
 //! chain+seal overhead vs plain group commit is tracked from run to run.
-//! With `--faults` a fifth **faulted** mode repeats the sealed
+//! With `--faults` a fourth **faulted** mode repeats the sealed
 //! configuration with the journal sink wrapped in a
 //! [`FaultInjectingSink`] carrying an *empty* schedule and the ingest
 //! [`RetryPolicy`] armed: no fault ever fires, so the delta vs `sealed`
@@ -44,8 +44,8 @@
 //! peak, autoscale trace, buffer-pool recycling, per-tenant shares) lands
 //! in the output JSON under `open_loop`.
 //!
-//! Modes are measured in interleaved rounds (off, file, segmented, off,
-//! file, …) and the reported run per mode is the **median** by wall
+//! Modes are measured in interleaved rounds (off, segmented, sealed, off,
+//! segmented, …) and the reported run per mode is the **median** by wall
 //! clock, so slow-machine drift hits every mode evenly instead of
 //! whichever ran last. Every mode additionally runs each round **with a
 //! pipeline tracer attached**: the report carries per-stage latency
@@ -55,7 +55,7 @@
 //! tracing-off wall-clock delta — the meter metering itself.
 //!
 //! `--smoke` shrinks the batch to a few jobs for CI: it proves the harness
-//! (including all three durability modes and the recovery check) runs end
+//! (including every durability mode and the recovery check) runs end
 //! to end without spending CI minutes on a real measurement.
 
 use std::collections::BTreeMap;
@@ -80,13 +80,10 @@ const SEED: u64 = 0xf1ee7;
 enum JournalMode {
     /// In-memory ledgers only.
     Off,
-    /// The PR-4 sink: one append-only file, flush per entry.
-    LegacyFile,
     /// Segmented group-commit sink with an inline checkpoint cadence.
-    /// `label` distinguishes the flush-only run (`segmented`, the same
-    /// process-death durability level as the legacy file sink) from the
-    /// fsync-policy run (`segmented-fsync`, power-loss durability — a
-    /// level the legacy sink never offered).
+    /// `label` distinguishes the flush-only run (`segmented`, survives a
+    /// process death) from the fsync-policy run (`segmented-fsync`,
+    /// survives power loss).
     Segmented {
         label: &'static str,
         config: SegmentConfig,
@@ -107,20 +104,19 @@ impl JournalMode {
     fn label(&self) -> &'static str {
         match self {
             JournalMode::Off => "off",
-            JournalMode::LegacyFile => "file",
             JournalMode::Segmented { label, .. } => label,
             JournalMode::Faulted { .. } => "faulted",
         }
     }
 
     /// The segment configuration to reopen for the post-run recovery
-    /// check (`None` for the unsegmented modes).
+    /// check (`None` with journaling off).
     fn segment_config(&self) -> Option<SegmentConfig> {
         match self {
             JournalMode::Segmented { config, .. } | JournalMode::Faulted { config, .. } => {
                 Some(*config)
             }
-            _ => None,
+            JournalMode::Off => None,
         }
     }
 }
@@ -147,8 +143,7 @@ struct StageLatency {
 struct BenchReport {
     /// Harness identifier.
     bench: &'static str,
-    /// Durability mode: `off`, `file` (legacy flush-per-append),
-    /// `segmented` (group-commit pipeline), `sealed` (group commit plus
+    /// Durability mode: `off`, `segmented` (group-commit pipeline), `sealed` (group commit plus
     /// the hash-chained, block-sealed evidence ledger), `faulted` (the
     /// sealed configuration behind a no-op fault wrapper with the retry
     /// policy armed, `--faults` only) or `segmented-fsync` (group
@@ -201,9 +196,8 @@ struct BenchReport {
     /// journal was reopened (0 outside sealed mode).
     seals_verified: u64,
     /// Whether a post-run recovery from the journal reproduced the live
-    /// ledger and metering exposition bit for bit. `null` for the modes
-    /// that have nothing to recover from (`off`, and `file` — the legacy
-    /// sink has no recovery check wired); a boolean only where the check
+    /// ledger and metering exposition bit for bit. `null` with journaling
+    /// `off` (nothing to recover from); a boolean only where the check
     /// actually ran, so "did not run" can never read as "failed".
     recovery_bit_identical: Option<bool>,
     /// End-to-end wall clock of the median tracing-**on** round, in
@@ -273,11 +267,6 @@ fn run(jobs: u64, workers: usize, mode: JournalMode, traced: bool) -> BenchRepor
     }
     let (fsync, segment_bytes, checkpoint_every, retry) = match mode {
         JournalMode::Off => (None, 0, 0, None),
-        JournalMode::LegacyFile => {
-            let journal = Journal::file(scratch.join("journal.jsonl")).expect("open bench journal");
-            service = service.with_journal(journal);
-            (None, 0, 0, None)
-        }
         JournalMode::Segmented {
             config,
             checkpoint_every,
@@ -604,7 +593,7 @@ struct OpenLoopReport {
 /// ran one (`null` otherwise).
 #[derive(Debug, Serialize)]
 struct BenchFile {
-    /// Closed-loop mode reports (off, file, segmented, sealed, …).
+    /// Closed-loop mode reports (off, segmented, sealed, …).
     modes: Vec<BenchReport>,
     /// Open-loop sustained-load report (`--arrival-rate` only).
     open_loop: Option<OpenLoopReport>,
@@ -901,9 +890,7 @@ fn main() {
         .with_fsync(fsync);
     let mut modes = vec![
         JournalMode::Off,
-        JournalMode::LegacyFile,
-        // Same durability level as the legacy file sink (flush to the OS,
-        // no fsync): the apples-to-apples group-commit comparison.
+        // Flush to the OS, no fsync: survives a process death.
         JournalMode::Segmented {
             label: "segmented",
             config: segment_config.with_fsync(FsyncPolicy::Never),

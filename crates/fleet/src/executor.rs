@@ -1,18 +1,16 @@
-//! The sharded fleet executor: many metered scenarios, many worker
-//! threads, bit-identical results.
+//! The fleet executor: many metered scenarios, many worker threads,
+//! bit-identical results.
 //!
 //! A [`JobSpec`] names one metered run — tenant, workload, optional
-//! [`AttackSpec`], scale, nice value. The [`Fleet`] executes a batch of jobs
-//! across `shards` worker threads. Determinism across shard counts comes
-//! from two rules:
+//! [`AttackSpec`], scale, nice value. [`Fleet::run_one`] executes one job
+//! in the calling thread; batches and streams run on the worker pool of
+//! [`crate::ingest::FleetIngest`] (`shards` workers under
+//! [`crate::FleetService::process`]). Determinism across worker counts
+//! comes from two rules:
 //!
 //! 1. every job's kernel seed is derived from the fleet seed and the job id
-//!    alone (never from which shard or thread runs it), and
-//! 2. results are merged back in job-submission order.
-//!
-//! Shard assignment is round-robin over the submission order, so the same
-//! batch splits the same way on every machine with the same shard count —
-//! and produces the same records under any shard count.
+//!    alone (never from which worker runs it), and
+//! 2. results are released in job-submission order.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -288,9 +286,9 @@ pub struct Fleet {
     /// derived from the fleet seed) that signs per-run usage quotes.
     attestation: AttestationKey,
     /// When attached, every [`Fleet::run_one`] records an execution span
-    /// (and batch runs thread the tracer through their internal ingest
-    /// pool for queue-wait spans). Pure observation: results are
-    /// bit-identical with or without it.
+    /// (and an ingest pool over this fleet records queue-wait and
+    /// journal-commit spans). Pure observation: results are bit-identical
+    /// with or without it.
     tracer: Option<PipelineTracer>,
 }
 
@@ -310,7 +308,7 @@ impl Fleet {
     }
 
     /// Attaches a [`PipelineTracer`]: every executed job records an
-    /// [`Stage::Execute`] span, and batch runs trace queue waits too.
+    /// [`Stage::Execute`] span, and ingest pools trace queue waits too.
     pub fn with_tracer(mut self, tracer: PipelineTracer) -> Fleet {
         self.tracer = Some(tracer);
         self
@@ -343,33 +341,6 @@ impl Fleet {
     /// the job id only, so results do not depend on shard assignment.
     pub fn job_seed(&self, job: JobId) -> u64 {
         SimRng::seed_from(self.config.seed ^ job.0.wrapping_mul(0x9E37_79B9_7F4A_7C15)).next_u64()
-    }
-
-    /// Executes a batch and returns the records in submission order,
-    /// bit-identical for any shard count.
-    ///
-    /// This is a convenience wrapper over the streaming pipeline: the batch
-    /// is submitted to a [`crate::ingest::FleetIngest`] worker pool of
-    /// `shards` workers sized to never exert backpressure, then drained.
-    /// Determinism holds because every job's seed is derived from the fleet
-    /// seed and job id alone, and the completion log merges by submission
-    /// sequence number.
-    pub fn run(&self, jobs: &[JobSpec]) -> Vec<RunRecord> {
-        let workers = self.config.shards.min(jobs.len()).max(1);
-        if workers == 1 {
-            // Fast path: no threads for a sequential run.
-            return jobs.iter().map(|job| self.run_one(job)).collect();
-        }
-        let ingest = crate::ingest::FleetIngest::over_traced(
-            self.clone(),
-            crate::ingest::IngestConfig::new(workers).with_capacity(jobs.len()),
-            None,
-            self.tracer.clone(),
-        );
-        ingest
-            .submit_all(jobs)
-            .expect("batch queue sized for the whole batch");
-        ingest.finish().records
     }
 
     /// Verifies a completed record's attestation quote against the
@@ -463,43 +434,12 @@ impl Fleet {
 mod tests {
     use super::*;
 
-    fn small_batch(n: u64) -> Vec<JobSpec> {
-        (0..n)
-            .map(|i| {
-                let workload = Workload::ALL[(i % 4) as usize];
-                let tenant = TenantId((i % 3) as u32);
-                if i % 5 == 0 {
-                    JobSpec::attacked(i, tenant, workload, 0.001, AttackSpec::Shell)
-                } else {
-                    JobSpec::clean(i, tenant, workload, 0.001)
-                }
-            })
-            .collect()
-    }
-
-    #[test]
-    fn results_arrive_in_submission_order() {
-        let fleet = Fleet::new(FleetConfig::new(3, 42));
-        let jobs = small_batch(7);
-        let records = fleet.run(&jobs);
-        let ids: Vec<u64> = records.iter().map(|r| r.job.id.0).collect();
-        assert_eq!(ids, (0..7).collect::<Vec<_>>());
-    }
-
     #[test]
     fn job_seed_ignores_shard_count() {
         let a = Fleet::new(FleetConfig::new(1, 99));
         let b = Fleet::new(FleetConfig::new(8, 99));
         assert_eq!(a.job_seed(JobId(5)), b.job_seed(JobId(5)));
         assert_ne!(a.job_seed(JobId(5)), a.job_seed(JobId(6)));
-    }
-
-    #[test]
-    fn shard_counts_agree_bit_for_bit() {
-        let jobs = small_batch(10);
-        let single = Fleet::new(FleetConfig::new(1, 7)).run(&jobs);
-        let quad = Fleet::new(FleetConfig::new(4, 7)).run(&jobs);
-        assert_eq!(single, quad);
     }
 
     #[test]

@@ -46,19 +46,22 @@
 //!   terminated) tail.
 //!
 //! ```
-//! use trustmeter_fleet::journal::{Journal, JournalSink, MemorySink};
+//! use trustmeter_fleet::journal::{Journal, MemorySink};
 //! use trustmeter_fleet::faults::{FaultInjectingSink, FaultSchedule};
+//! use trustmeter_fleet::{JobSpec, JournalEntry, TenantId};
+//! use trustmeter_workloads::Workload;
 //!
 //! // Fail the second line twice, then let it through.
 //! let schedule = FaultSchedule::none().transient_at(1, 2);
 //! let (sink, probe) = FaultInjectingSink::wrap(Box::new(MemorySink::new()), schedule);
 //! let journal = Journal::with_sink(Box::new(sink)).unwrap();
 //!
-//! let entry = trustmeter_fleet::JournalEntry::checkpoint(Default::default());
-//! journal.append(&entry).unwrap(); // line 0: clean
-//! assert!(journal.append(&entry).is_err()); // line 1: injected EIO
-//! assert!(journal.append(&entry).is_err()); // retry 1: injected EIO
-//! journal.append(&entry).unwrap(); // retry 2: fault exhausted
+//! let spec = JobSpec::clean(0, TenantId(1), Workload::LoopO, 0.001);
+//! let entry = [JournalEntry::Accepted(spec)];
+//! journal.append_batch(&entry).unwrap(); // line 0: clean
+//! assert!(journal.append_batch(&entry).is_err()); // line 1: injected EIO
+//! assert!(journal.append_batch(&entry).is_err()); // retry 1: injected EIO
+//! journal.append_batch(&entry).unwrap(); // retry 2: fault exhausted
 //! assert_eq!(probe.stats().injected_transient, 2);
 //! assert!(!probe.is_dead());
 //! ```
@@ -457,10 +460,6 @@ impl FaultInjectingSink {
 }
 
 impl JournalSink for FaultInjectingSink {
-    fn append_line(&mut self, line: &str) -> Result<(), JournalError> {
-        self.commit(&[line])
-    }
-
     fn append_lines(&mut self, lines: &[&str]) -> Result<(), JournalError> {
         if lines.is_empty() {
             return Ok(());
@@ -861,10 +860,18 @@ impl RetryPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::JobSpec;
     use crate::journal::{Journal, JournalEntry, MemorySink};
+    use crate::tenant::TenantId;
+    use trustmeter_workloads::Workload;
 
-    fn checkpoint_entry() -> JournalEntry {
-        JournalEntry::checkpoint(Default::default())
+    /// Appends one small entry as its own commit (one line).
+    fn append(journal: &Journal) -> Result<(), JournalError> {
+        journal.append_batch(&[entry()])
+    }
+
+    fn entry() -> JournalEntry {
+        JournalEntry::Accepted(JobSpec::clean(0, TenantId(1), Workload::LoopO, 0.001))
     }
 
     #[test]
@@ -873,7 +880,7 @@ mod tests {
             FaultInjectingSink::wrap(Box::new(MemorySink::new()), FaultSchedule::none());
         let journal = Journal::with_sink(Box::new(sink)).unwrap();
         for _ in 0..5 {
-            journal.append(&checkpoint_entry()).unwrap();
+            append(&journal).unwrap();
         }
         let stats = probe.stats();
         assert_eq!(stats.injected_total(), 0);
@@ -886,10 +893,10 @@ mod tests {
         let schedule = FaultSchedule::none().transient_at(1, 2);
         let (sink, probe) = FaultInjectingSink::wrap(Box::new(MemorySink::new()), schedule);
         let journal = Journal::with_sink(Box::new(sink)).unwrap();
-        journal.append(&checkpoint_entry()).unwrap();
-        assert!(journal.append(&checkpoint_entry()).is_err());
-        assert!(journal.append(&checkpoint_entry()).is_err());
-        journal.append(&checkpoint_entry()).unwrap();
+        append(&journal).unwrap();
+        assert!(append(&journal).is_err());
+        assert!(append(&journal).is_err());
+        append(&journal).unwrap();
         assert_eq!(probe.stats().injected_transient, 2);
         assert!(!probe.is_dead());
         // The chain survived the retries: nothing was written on the
@@ -902,11 +909,11 @@ mod tests {
         let schedule = FaultSchedule::none().disk_full_at(1);
         let (sink, probe) = FaultInjectingSink::wrap(Box::new(MemorySink::new()), schedule);
         let journal = Journal::with_sink(Box::new(sink)).unwrap();
-        journal.append(&checkpoint_entry()).unwrap();
-        let err = journal.append(&checkpoint_entry()).unwrap_err();
+        append(&journal).unwrap();
+        let err = append(&journal).unwrap_err();
         assert!(err.to_string().contains("disk-full"), "{err}");
         // Dead: every further write fails…
-        assert!(journal.append(&checkpoint_entry()).is_err());
+        assert!(append(&journal).is_err());
         assert!(probe.is_dead());
         assert_eq!(probe.stats().rejected_dead, 1);
         // …but the committed prefix is still readable.
@@ -918,8 +925,8 @@ mod tests {
         let schedule = FaultSchedule::none().torn_at(1, 10);
         let (sink, probe) = FaultInjectingSink::wrap(Box::new(MemorySink::new()), schedule);
         let journal = Journal::with_sink(Box::new(sink)).unwrap();
-        journal.append(&checkpoint_entry()).unwrap();
-        assert!(journal.append(&checkpoint_entry()).is_err());
+        append(&journal).unwrap();
+        assert!(append(&journal).is_err());
         assert!(probe.is_dead());
         assert_eq!(probe.stats().injected_torn, 1);
         // Exactly 10 bytes of line 1 landed, with no newline: the parse
@@ -934,7 +941,7 @@ mod tests {
         let schedule = FaultSchedule::none().torn_at(2, 4);
         let (sink, probe) = FaultInjectingSink::wrap(Box::new(MemorySink::new()), schedule);
         let journal = Journal::with_sink(Box::new(sink)).unwrap();
-        let batch = vec![checkpoint_entry(); 4];
+        let batch = vec![entry(); 4];
         assert!(journal.append_batch(&batch).is_err());
         // Lines 0 and 1 committed whole; line 2 tore; line 3 never landed.
         assert_eq!(probe.lines_committed(), 2);
@@ -953,9 +960,9 @@ mod tests {
             *seen_in_hook.lock().unwrap() = Some(committed);
         });
         let journal = Journal::with_sink(Box::new(sink)).unwrap();
-        journal.append(&checkpoint_entry()).unwrap();
-        journal.append(&checkpoint_entry()).unwrap();
-        assert!(journal.append(&checkpoint_entry()).is_err());
+        append(&journal).unwrap();
+        append(&journal).unwrap();
+        assert!(append(&journal).is_err());
         assert_eq!(*seen.lock().unwrap(), Some(2));
         assert!(probe.is_dead());
         let (entries, tail) = journal.entries().unwrap();

@@ -29,8 +29,8 @@
 //!   consumer, so total pipeline memory is bounded by
 //!   `capacity + watermark`.
 //!
-//! With a [`crate::Journal`] attached
-//! ([`FleetIngest::over_journaled`]), every record is appended to the
+//! With a [`crate::Journal`] attached (the last argument of
+//! [`FleetIngest::new`]), every record is appended to the
 //! write-ahead log *before* it is released to the consumer — the
 //! durability boundary of the [`crate::journal`] layer. Those appends are
 //! also the *evidence* boundary: each journaled record becomes a
@@ -101,10 +101,10 @@
 //!   keeps flowing.
 //!
 //! ```
-//! use trustmeter_fleet::{FleetConfig, FleetIngest, IngestConfig, JobSpec, TenantId};
+//! use trustmeter_fleet::{Fleet, FleetConfig, FleetIngest, IngestConfig, JobSpec, TenantId};
 //! use trustmeter_workloads::Workload;
 //!
-//! let ingest = FleetIngest::start(FleetConfig::new(2, 42), IngestConfig::new(2));
+//! let ingest = FleetIngest::new(Fleet::new(FleetConfig::new(2, 42)), IngestConfig::new(2), None);
 //! for id in 0..4 {
 //!     let job = JobSpec::clean(id, TenantId((id % 2) as u32), Workload::LoopO, 0.001);
 //!     ingest.submit(job).unwrap();
@@ -124,9 +124,9 @@ use std::thread::JoinHandle;
 
 use serde::{Deserialize, Serialize};
 
-use crate::executor::{Fleet, FleetConfig, JobId, JobSpec, RunRecord};
+use crate::executor::{Fleet, JobId, JobSpec, RunRecord};
 use crate::faults::{RetryPolicy, SupervisorPolicy, WorkerFaultKind, WorkerFaultSchedule};
-use crate::journal::{Journal, JournalError, JournalSink, PoisonNotice};
+use crate::journal::{Journal, JournalEntry, JournalError, JournalSink, PoisonNotice};
 use crate::pool::{BufferPool, PoolStats};
 use crate::queue::FairQueue;
 use crate::tenant::TenantId;
@@ -237,13 +237,11 @@ pub struct IngestConfig {
     /// workers (see [`SupervisorPolicy`]).
     pub supervisor: SupervisorPolicy,
     /// The seeded worker fault schedule to inject (empty = healthy pool).
-    pub worker_faults: WorkerFaultSchedule,
-    /// Whether completions are checked with [`Fleet::verify_record`]
-    /// before entering the completion log (the wrong-result defense).
-    /// `None` (the default) enables verification exactly when a fault
-    /// schedule is installed, keeping the healthy hot path free of quote
+    /// A non-empty schedule also checks every completion with
+    /// [`Fleet::verify_record`] before it enters the completion log (the
+    /// wrong-result defense); the healthy hot path skips that quote
     /// recomputation.
-    pub verify_completions: Option<bool>,
+    pub worker_faults: WorkerFaultSchedule,
 }
 
 impl IngestConfig {
@@ -267,7 +265,6 @@ impl IngestConfig {
             job_deadline: None,
             supervisor: SupervisorPolicy::default(),
             worker_faults: WorkerFaultSchedule::none(),
-            verify_completions: None,
         }
     }
 
@@ -338,18 +335,10 @@ impl IngestConfig {
         self
     }
 
-    /// Installs a [`WorkerFaultSchedule`] to inject into the pool. Also
-    /// enables completion verification unless
-    /// [`IngestConfig::with_completion_verification`] overrode it.
+    /// Installs a [`WorkerFaultSchedule`] to inject into the pool, and
+    /// with it completion verification (see [`IngestConfig::worker_faults`]).
     pub fn with_worker_faults(mut self, faults: WorkerFaultSchedule) -> IngestConfig {
         self.worker_faults = faults;
-        self
-    }
-
-    /// Forces completion verification on or off (see
-    /// [`IngestConfig::verify_completions`]).
-    pub fn with_completion_verification(mut self, verify: bool) -> IngestConfig {
-        self.verify_completions = Some(verify);
         self
     }
 }
@@ -457,6 +446,9 @@ pub struct IngestOutcome {
     /// release order (tenant-visible; each was also journaled as a
     /// [`crate::JournalEntry::Poisoned`] chained entry).
     pub poisoned: Vec<PoisonNotice>,
+    /// Final durability and supervision health (why a quarantined drain
+    /// released nothing).
+    pub health: FleetHealth,
 }
 
 /// The tenant-visible outcome of one submitted job.
@@ -673,11 +665,10 @@ struct Shared {
     supervisor: SupervisorPolicy,
     /// Per-job deadline grace in virtual ticks (`None` = no watchdog).
     deadline_grace: Option<u64>,
-    /// The installed worker fault schedule (empty = healthy pool).
+    /// The installed worker fault schedule (empty = healthy pool; a
+    /// non-empty one also runs [`Fleet::verify_record`] on every
+    /// completion before it enters the completion log).
     worker_faults: WorkerFaultSchedule,
-    /// Whether completions run [`Fleet::verify_record`] before entering
-    /// the completion log.
-    verify_completions: bool,
     /// The executor, held here so the supervisor can respawn workers
     /// from any thread (including a panicking worker's unwind guard).
     fleet: Fleet,
@@ -698,80 +689,11 @@ impl Shared {
         condvar.wait(guard).unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn submit(&self, job: JobSpec) -> Result<u64, SubmitError> {
-        // One submitter at a time: the Accepted write-ahead append below
-        // happens outside the state lock, and this guard is what keeps
-        // (a) the journal's Accepted order equal to the sequence order
-        // and (b) the admission decision valid across the append.
-        let _submit = self
-            .submit_guard
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        {
-            let mut state = self.lock();
-            loop {
-                if state.shutting_down {
-                    return Err(SubmitError::ShutDown);
-                }
-                if state.quarantined {
-                    return Err(SubmitError::Quarantined);
-                }
-                if !state.queue.is_full() {
-                    break;
-                }
-                match self.policy {
-                    BackpressurePolicy::Reject => {
-                        state.rejected += 1;
-                        return Err(SubmitError::QueueFull);
-                    }
-                    BackpressurePolicy::Block => {
-                        state = self.wait(&self.slot_free, state);
-                    }
-                }
-            }
-        }
-        // The submission-side write-ahead point: the accepted spec is
-        // durable *before* the job becomes visible to any worker, so a
-        // crash between acceptance and release can no longer silently
-        // lose it — recovery reports it for resubmission. Rejected
-        // submissions never reach this point and are never journaled.
-        if let Some(journal) = &self.journal {
-            if let Err(e) =
-                self.commit_with_retry(job.id, job.tenant, || journal.append_accepted(&job))
-            {
-                self.enter_quarantine(e, Vec::new());
-                return Err(SubmitError::Quarantined);
-            }
-        }
-        let mut state = self.lock();
-        if state.shutting_down {
-            // Shutdown raced the acceptance append. The orphan Accepted
-            // entry is harmless by design: recovery reports the job as
-            // unreleased and resubmitting it is the correct replay.
-            return Err(SubmitError::ShutDown);
-        }
-        let seq = state.next_seq;
-        state.next_seq += 1;
-        state.submitted += 1;
-        if self.journal.is_some() {
-            state.accepted.insert(seq, job.clone());
-        }
-        // Stamp the queue-wait clock only when someone will read it.
-        let submitted_at = self.tracer.as_ref().map(|_| std::time::Instant::now());
-        state
-            .queue
-            .push_at(seq, job, submitted_at)
-            .expect("queue had a free slot under the submit guard");
-        drop(state);
-        self.job_ready.notify_one();
-        Ok(seq)
-    }
-
-    /// Batched [`Shared::submit`]: admits `jobs` in capacity-sized slices,
-    /// paying the submit guard once for the whole batch and, per slice, one
-    /// grouped `Accepted` journal commit, one state-lock hold (sequence
-    /// assignment plus a bulk queue push) and one condvar wake — instead of
-    /// one of each per job.
+    /// The one submission path (a single `submit` is a one-job slice):
+    /// admits `jobs` in capacity-sized slices, paying the submit guard once
+    /// for the whole batch and, per slice, one grouped `Accepted` journal
+    /// commit, one state-lock hold (sequence assignment plus a bulk queue
+    /// push) and one condvar wake.
     fn submit_all(&self, jobs: &[JobSpec]) -> Result<Vec<u64>, BatchSubmitError> {
         if jobs.is_empty() {
             return Ok(Vec::new());
@@ -781,6 +703,10 @@ impl Shared {
             error,
         };
         let mut seqs = Vec::with_capacity(jobs.len());
+        // One submitter at a time: the Accepted write-ahead append below
+        // happens outside the state lock, and this guard is what keeps
+        // (a) the journal's Accepted order equal to the sequence order
+        // and (b) the admission decision valid across the append.
         let _submit = self
             .submit_guard
             .lock()
@@ -824,8 +750,10 @@ impl Shared {
             // prefix was accepted — those jobs are journaled and will run;
             // the slice and everything after it were refused.
             if let Some(journal) = &self.journal {
+                let accepted: Vec<JournalEntry> =
+                    slice.iter().cloned().map(JournalEntry::Accepted).collect();
                 if let Err(e) = self.commit_with_retry(slice[0].id, slice[0].tenant, || {
-                    journal.append_accepted_batch(slice)
+                    journal.append_batch(&accepted)
                 }) {
                     self.enter_quarantine(e, Vec::new());
                     return Err(fail(seqs, SubmitError::Quarantined));
@@ -972,11 +900,16 @@ impl Shared {
         let Some(journal) = &self.journal else {
             return Ok(());
         };
-        let specs: Vec<JobSpec> = {
+        let accepted: Vec<JournalEntry> = {
             let state = self.lock();
-            state.accepted.values().cloned().collect()
+            state
+                .accepted
+                .values()
+                .cloned()
+                .map(JournalEntry::Accepted)
+                .collect()
         };
-        journal.append_accepted_batch(&specs)?;
+        journal.append_batch(&accepted)?;
         let mut state = self.lock();
         if state.workers_dead {
             // A dead worker pool is not a journal problem: the sink swap
@@ -1211,10 +1144,8 @@ impl Shared {
         record: RunRecord,
         fleet: &Fleet,
     ) -> CompletionOutcome {
-        if self.verify_completions {
-            if let Err(_reason) = fleet.verify_record(&record) {
-                return CompletionOutcome::Rejected;
-            }
+        if !self.worker_faults.is_empty() && fleet.verify_record(&record).is_err() {
+            return CompletionOutcome::Rejected;
         }
         let mut state = self.lock();
         let live = !state.dead_workers.contains(&gen)
@@ -1534,9 +1465,11 @@ impl Shared {
                         // The batch is durable before the cursor advances.
                         let commit_started =
                             self.tracer.as_ref().map(|_| std::time::Instant::now());
+                        let runs: Vec<JournalEntry> =
+                            ready.iter().cloned().map(JournalEntry::run).collect();
                         if let Err(e) =
                             self.commit_with_retry(ready[0].job.id, ready[0].job.tenant, || {
-                                journal.append_runs(&ready)
+                                journal.append_batch(&runs)
                             })
                         {
                             // Retry policy exhausted: park the batch
@@ -1580,9 +1513,10 @@ impl Shared {
                     // chained Poisoned entry is the tenant-auditable
                     // outcome; there is no record to hand out.
                     if let Some(journal) = &self.journal {
+                        let entry = [JournalEntry::poisoned(notice.clone())];
                         if let Err(e) =
                             self.commit_with_retry(notice.spec.id, notice.spec.tenant, || {
-                                journal.append_poisoned(&notice)
+                                journal.append_batch(&entry)
                             })
                         {
                             // Put the tombstone back; the cursor has not
@@ -1668,7 +1602,9 @@ impl IngestHandle {
     /// a full queue; [`SubmitError::ShutDown`] once the pipeline is
     /// finishing.
     pub fn submit(&self, job: JobSpec) -> Result<u64, SubmitError> {
-        self.shared.submit(job)
+        self.submit_all(std::slice::from_ref(&job))
+            .map(|seqs| seqs[0])
+            .map_err(|e| e.error)
     }
 
     /// Submits a batch of jobs; see [`FleetIngest::submit_all`].
@@ -1687,56 +1623,20 @@ impl IngestHandle {
 }
 
 impl FleetIngest {
-    /// Spawns the worker pool for a fleet built from `fleet_config`.
-    pub fn start(fleet_config: FleetConfig, config: IngestConfig) -> FleetIngest {
-        FleetIngest::over(Fleet::new(fleet_config), config)
-    }
-
-    /// Spawns the worker pool over an existing executor.
+    /// Spawns `config.workers` workers over `fleet`, write-ahead
+    /// journaling every accepted spec and released record into `journal`
+    /// when one is given (see the [`crate::journal`] module docs). The
+    /// fleet's tracer, if any, also records the pipeline's queue-wait and
+    /// journal-commit spans.
     ///
     /// # Panics
     /// Panics if `config.workers` is zero.
-    pub fn over(fleet: Fleet, config: IngestConfig) -> FleetIngest {
-        FleetIngest::over_journaled(fleet, config, None)
-    }
-
-    /// Spawns the worker pool over an existing executor, write-ahead
-    /// journaling every released record into `journal` (see
-    /// [`crate::Journal`] and the [`crate::journal`] module docs).
-    ///
-    /// # Panics
-    /// Panics if `config.workers` is zero.
-    pub fn over_journaled(
-        fleet: Fleet,
-        config: IngestConfig,
-        journal: Option<Journal>,
-    ) -> FleetIngest {
-        let tracer = fleet.tracer().cloned();
-        FleetIngest::over_traced(fleet, config, journal, tracer)
-    }
-
-    /// Spawns the worker pool over an existing executor with an optional
-    /// journal and an optional [`PipelineTracer`] recording queue-wait
-    /// and journal-commit spans (the executor's own tracer, if any, keeps
-    /// recording execution spans independently).
-    ///
-    /// # Panics
-    /// Panics if `config.workers` is zero.
-    pub fn over_traced(
-        fleet: Fleet,
-        config: IngestConfig,
-        journal: Option<Journal>,
-        tracer: Option<PipelineTracer>,
-    ) -> FleetIngest {
+    pub fn new(fleet: Fleet, config: IngestConfig, journal: Option<Journal>) -> FleetIngest {
         assert!(
             config.workers > 0,
             "an ingest pipeline needs at least one worker"
         );
-        // Auto-verification: a fleet with injected executor faults checks
-        // every completion against its quote unless told otherwise.
-        let verify_completions = config
-            .verify_completions
-            .unwrap_or(!config.worker_faults.is_empty());
+        let tracer = fleet.tracer().cloned();
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 queue: FairQueue::new(config.capacity),
@@ -1787,7 +1687,6 @@ impl FleetIngest {
             supervisor: config.supervisor,
             deadline_grace: config.job_deadline,
             worker_faults: config.worker_faults,
-            verify_completions,
             fleet,
             respawned: Mutex::new(Vec::new()),
         });
@@ -1854,7 +1753,9 @@ impl FleetIngest {
     /// a full queue; [`SubmitError::ShutDown`] once the pipeline is
     /// finishing.
     pub fn submit(&self, job: JobSpec) -> Result<u64, SubmitError> {
-        self.shared.submit(job)
+        self.submit_all(std::slice::from_ref(&job))
+            .map(|seqs| seqs[0])
+            .map_err(|e| e.error)
     }
 
     /// Submits a batch of jobs, paying the submission-path synchronization
@@ -2045,6 +1946,7 @@ impl FleetIngest {
             dispatch_log: self.dispatch_log(),
             stats,
             poisoned,
+            health: self.shared.health(),
         }
     }
 }
@@ -2088,6 +1990,7 @@ impl Drop for FleetIngest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::FleetConfig;
     use trustmeter_workloads::Workload;
 
     const SCALE: f64 = 0.001;
@@ -2098,7 +2001,11 @@ mod tests {
 
     #[test]
     fn streamed_records_arrive_in_submission_order() {
-        let ingest = FleetIngest::start(FleetConfig::new(4, 7), IngestConfig::new(4));
+        let ingest = FleetIngest::new(
+            Fleet::new(FleetConfig::new(4, 7)),
+            IngestConfig::new(4),
+            None,
+        );
         for id in 0..12 {
             ingest.submit(job(id, (id % 3) as u32)).unwrap();
         }
@@ -2109,7 +2016,11 @@ mod tests {
 
     #[test]
     fn recycled_buffers_feed_the_next_release() {
-        let ingest = FleetIngest::start(FleetConfig::new(1, 7), IngestConfig::new(1));
+        let ingest = FleetIngest::new(
+            Fleet::new(FleetConfig::new(1, 7)),
+            IngestConfig::new(1),
+            None,
+        );
         let mut taken = 0;
         for round in 0..3 {
             for id in 0..4 {
@@ -2139,7 +2050,7 @@ mod tests {
             .with_capacity(2)
             .with_backpressure(BackpressurePolicy::Reject)
             .paused();
-        let ingest = FleetIngest::start(FleetConfig::new(1, 7), config);
+        let ingest = FleetIngest::new(Fleet::new(FleetConfig::new(1, 7)), config, None);
         ingest.submit(job(0, 1)).unwrap();
         ingest.submit(job(1, 1)).unwrap();
         assert_eq!(ingest.submit(job(2, 1)), Err(SubmitError::QueueFull));
@@ -2155,7 +2066,7 @@ mod tests {
     #[test]
     fn blocked_submitters_ride_out_backpressure() {
         let config = IngestConfig::new(2).with_capacity(1);
-        let ingest = FleetIngest::start(FleetConfig::new(2, 3), config);
+        let ingest = FleetIngest::new(Fleet::new(FleetConfig::new(2, 3)), config, None);
         let handle = ingest.handle();
         let submitter = std::thread::spawn(move || {
             for id in 0..10 {
@@ -2173,7 +2084,7 @@ mod tests {
     fn dispatch_log_round_robins_a_staged_backlog() {
         // Stage a backlog while paused so the dispatch order is exact.
         let config = IngestConfig::new(1).with_capacity(0).paused();
-        let ingest = FleetIngest::start(FleetConfig::new(1, 5), config);
+        let ingest = FleetIngest::new(Fleet::new(FleetConfig::new(1, 5)), config, None);
         for id in 0..6 {
             ingest.submit(job(id, 1)).unwrap(); // greedy tenant
         }
@@ -2193,7 +2104,7 @@ mod tests {
     #[test]
     fn dropping_without_finish_discards_backlog_and_joins_workers() {
         let config = IngestConfig::new(2).paused();
-        let ingest = FleetIngest::start(FleetConfig::new(2, 11), config);
+        let ingest = FleetIngest::new(Fleet::new(FleetConfig::new(2, 11)), config, None);
         let handle = ingest.handle();
         for id in 0..4 {
             ingest.submit(job(id, 1)).unwrap();
@@ -2207,7 +2118,11 @@ mod tests {
 
     #[test]
     fn submit_after_finish_is_rejected() {
-        let ingest = FleetIngest::start(FleetConfig::new(1, 1), IngestConfig::new(1));
+        let ingest = FleetIngest::new(
+            Fleet::new(FleetConfig::new(1, 1)),
+            IngestConfig::new(1),
+            None,
+        );
         let handle = ingest.handle();
         ingest.submit(job(0, 1)).unwrap();
         ingest.finish();
@@ -2217,7 +2132,7 @@ mod tests {
     #[test]
     fn completion_watermark_stalls_workers_until_consumed() {
         let config = IngestConfig::new(2).with_completion_watermark(1);
-        let ingest = FleetIngest::start(FleetConfig::new(2, 13), config);
+        let ingest = FleetIngest::new(Fleet::new(FleetConfig::new(2, 13)), config, None);
         for id in 0..5 {
             ingest.submit(job(id, 1)).unwrap();
         }
@@ -2248,7 +2163,7 @@ mod tests {
     #[test]
     fn journal_receives_released_records_in_submission_order() {
         let journal = crate::journal::Journal::in_memory();
-        let ingest = FleetIngest::over_journaled(
+        let ingest = FleetIngest::new(
             Fleet::new(FleetConfig::new(4, 21)),
             IngestConfig::new(4),
             Some(journal.clone()),
@@ -2284,7 +2199,7 @@ mod tests {
     fn unreleased_records_are_never_journaled() {
         let journal = crate::journal::Journal::in_memory();
         let config = IngestConfig::new(1).paused();
-        let ingest = FleetIngest::over_journaled(
+        let ingest = FleetIngest::new(
             Fleet::new(FleetConfig::new(1, 17)),
             config,
             Some(journal.clone()),
@@ -2310,7 +2225,7 @@ mod tests {
         let schedule = FaultSchedule::none().transient_at(1, 2);
         let (sink, probe) = FaultInjectingSink::wrap(Box::new(MemorySink::new()), schedule);
         let journal = Journal::with_sink(Box::new(sink)).unwrap();
-        let ingest = FleetIngest::over_journaled(
+        let ingest = FleetIngest::new(
             Fleet::new(FleetConfig::new(1, 23)),
             IngestConfig::new(1),
             Some(journal.clone()),
@@ -2340,7 +2255,7 @@ mod tests {
         let (sink, _probe) = FaultInjectingSink::wrap(Box::new(MemorySink::new()), schedule);
         let journal = Journal::with_sink(Box::new(sink)).unwrap();
         let config = IngestConfig::new(1).with_retry_policy(RetryPolicy::new(2));
-        let ingest = FleetIngest::over_journaled(
+        let ingest = FleetIngest::new(
             Fleet::new(FleetConfig::new(1, 29)),
             config,
             Some(journal.clone()),
@@ -2379,7 +2294,7 @@ mod tests {
         let (sink, _probe) = FaultInjectingSink::wrap(Box::new(MemorySink::new()), schedule);
         let journal = Journal::with_sink(Box::new(sink)).unwrap();
         let config = IngestConfig::new(1).with_retry_policy(RetryPolicy::none());
-        let ingest = FleetIngest::over_journaled(
+        let ingest = FleetIngest::new(
             Fleet::new(FleetConfig::new(1, 31)),
             config,
             Some(journal.clone()),
@@ -2419,7 +2334,7 @@ mod tests {
     #[test]
     fn submit_all_slices_through_a_bounded_queue() {
         let config = IngestConfig::new(2).with_capacity(3);
-        let ingest = FleetIngest::start(FleetConfig::new(2, 7), config);
+        let ingest = FleetIngest::new(Fleet::new(FleetConfig::new(2, 7)), config, None);
         let jobs: Vec<JobSpec> = (0..10).map(|id| job(id, (id % 3) as u32)).collect();
         let seqs = ingest.submit_all(&jobs).unwrap();
         assert_eq!(seqs, (0..10).collect::<Vec<_>>());
@@ -2435,7 +2350,7 @@ mod tests {
         let run = |batched: bool| {
             let journal = Journal::in_memory();
             let config = IngestConfig::new(1).paused();
-            let ingest = FleetIngest::over_journaled(
+            let ingest = FleetIngest::new(
                 Fleet::new(FleetConfig::new(1, 41)),
                 config,
                 Some(journal.clone()),
@@ -2474,7 +2389,7 @@ mod tests {
         let config = IngestConfig::new(1)
             .with_capacity(2)
             .with_retry_policy(RetryPolicy::none());
-        let ingest = FleetIngest::over_journaled(
+        let ingest = FleetIngest::new(
             Fleet::new(FleetConfig::new(1, 43)),
             config,
             Some(journal.clone()),
@@ -2495,7 +2410,11 @@ mod tests {
 
     #[test]
     fn scale_to_grows_and_shrinks_the_pool() {
-        let mut ingest = FleetIngest::start(FleetConfig::new(2, 7), IngestConfig::new(2));
+        let mut ingest = FleetIngest::new(
+            Fleet::new(FleetConfig::new(2, 7)),
+            IngestConfig::new(2),
+            None,
+        );
         assert_eq!(ingest.stats().workers, 2);
         ingest.scale_to(4);
         assert_eq!(ingest.stats().workers, 4);
@@ -2515,7 +2434,7 @@ mod tests {
     #[test]
     fn take_ready_holds_back_gaps() {
         let config = IngestConfig::new(1).paused();
-        let ingest = FleetIngest::start(FleetConfig::new(1, 9), config);
+        let ingest = FleetIngest::new(Fleet::new(FleetConfig::new(1, 9)), config, None);
         ingest.submit(job(0, 1)).unwrap();
         ingest.submit(job(1, 1)).unwrap();
         // Nothing completed yet: nothing to take.

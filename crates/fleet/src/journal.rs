@@ -11,7 +11,7 @@
 //! [`crate::Ledger`]/[`crate::TenantAuditSummary`]/metrics state with
 //! [`crate::FleetService::recover`].
 //!
-//! Five typed entries ([`JournalEntry`]):
+//! Six typed entries ([`JournalEntry`]):
 //!
 //! * **`Accepted`** — a [`JobSpec`] the ingest pipeline admitted,
 //!   appended at `submit` time *before* the job becomes visible to any
@@ -34,14 +34,17 @@
 //!   so a journal whose receipts were tampered with after the fact is
 //!   detected (see [`RecoveryReport::mismatches`]).
 //! * **`Checkpoint`** — a folded prefix: ledger, audit summaries and
-//!   metrics as of some run count, produced by [`compact`] so long-running
-//!   fleets do not replay from genesis.
+//!   metrics as of some run count, produced by [`compact`] or inline by a
+//!   [`CheckpointCadence`] so long-running fleets do not replay from
+//!   genesis.
+//! * **`Poisoned`** — a [`PoisonNotice`]: the verdict for a job the
+//!   supervisor retired, journaled where its `Run` would have been.
 //!
 //! A truncated tail — the partial, newline-less last line a crash
 //! mid-append leaves behind — is detected at parse time and dropped
-//! ([`TailStatus`]), and [`FileSink::open`] repairs it before appending
-//! so a restarted process never merges new entries into the torn
-//! fragment. Any unparseable line that *is* newline-terminated was fully
+//! ([`TailStatus`]), and [`SegmentedFileSink::open`] repairs it before
+//! appending so a restarted process never merges new entries into the
+//! torn fragment. Any unparseable line that *is* newline-terminated was fully
 //! written and later damaged, so it is an error ([`JournalError::Corrupt`]),
 //! wherever it sits.
 //!
@@ -65,23 +68,21 @@
 //! ## The group-commit write path
 //!
 //! The write-ahead point must be cheap enough to run always-on, so the
-//! journal batches. Producers hand the journal *groups* of entries —
-//! the ingest pipeline's whole ready prefix ([`Journal::append_runs`]),
-//! a posting's Run/Invoice/Verdict triple ([`Journal::append_posting`]),
-//! a pump's receipt batch ([`Journal::append_receipts`]) — which are
-//! serialized back to back into one reused buffer (via the vendored
-//! `serde_json`'s buffer-reusing [`serde_json::Serializer`]) and
-//! committed with a single [`JournalSink::append_lines`] call: one
-//! write, one flush/fsync decision, zero per-entry allocation.
+//! journal batches. [`Journal::append_batch`] is its one write method:
+//! producers hand it *groups* of entries — a submitted slice's
+//! `Accepted` specs, the ingest pipeline's whole ready prefix of `Run`s,
+//! a pump's Invoice/Verdict receipts — which are serialized back to back
+//! into one reused buffer (via the vendored `serde_json`'s
+//! buffer-reusing [`serde_json::Serializer`]) and committed with a
+//! single [`JournalSink::append_lines`] call: one write, one flush/fsync
+//! decision.
 //!
-//! [`SegmentedFileSink`] is the production file sink: `BufWriter`-backed
-//! segment files rotated at a size threshold ([`SegmentConfig`]), an
+//! [`SegmentedFileSink`] is the file sink: `BufWriter`-backed segment
+//! files rotated at a size threshold ([`SegmentConfig`]), an
 //! [`FsyncPolicy`] (never / every append / group commit), and retirement
 //! of segments older than the latest [`JournalEntry::Checkpoint`] —
 //! written automatically by a [`CheckpointCadence`]-configured service —
 //! so the journal's disk footprint and recovery cost are both bounded.
-//! The PR-4 [`FileSink`] (one flush per entry, one ever-growing file) is
-//! retained as the legacy comparison point.
 //!
 //! ```
 //! use trustmeter_fleet::{FleetConfig, FleetService, JobSpec, Journal, TenantId};
@@ -91,8 +92,8 @@
 //! let mut service = FleetService::new(FleetConfig::new(1, 42)).with_journal(journal.clone());
 //! service.process(&[JobSpec::clean(0, TenantId(1), Workload::LoopO, 0.001)]);
 //!
-//! // The journal now holds Run + Invoice + Verdict for the job; a fresh
-//! // service replays it into bit-identical state.
+//! // The journal now holds Accepted + Run + Invoice + Verdict for the
+//! // job; a fresh service replays it into bit-identical state.
 //! let (entries, _tail) = journal.entries().unwrap();
 //! let mut restarted = FleetService::new(FleetConfig::new(1, 42));
 //! let report = restarted.recover(&entries).unwrap();
@@ -363,7 +364,7 @@ pub struct SinkStats {
 /// what an OS crash or power loss can take with it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum FsyncPolicy {
-    /// Never `fsync` — the legacy [`FileSink`] durability level. Power
+    /// Never `fsync`: a process crash loses nothing committed, but power
     /// loss can lose anything not yet written back by the OS.
     #[default]
     Never,
@@ -442,9 +443,10 @@ impl Default for SegmentConfig {
 /// an offline [`compact`] pass.
 ///
 /// Checkpoints are written at *safe points* — moments when every
-/// journaled `Run` has been posted (after a batch posting, or at the end
-/// of a stream pump) — so the checkpoint folds everything before it and
-/// recovery can start from the latest one ([`recovery_window`]). On a
+/// journaled `Run` has been posted (the end of a stream pump, and so the
+/// end of every `process` batch) — so the checkpoint folds everything
+/// before it and recovery can start from the latest one
+/// ([`recovery_window`]). On a
 /// [`SegmentedFileSink`] each checkpoint also starts a fresh segment and
 /// retires the segments it supersedes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
@@ -480,29 +482,18 @@ impl CheckpointCadence {
 /// durable before returning: the pipeline releases a record to consumers
 /// only after its `Run` entry has been accepted.
 pub trait JournalSink: Send {
-    /// Appends one serialized entry (`line` has no trailing newline; the
-    /// sink must write it as its own line).
-    fn append_line(&mut self, line: &str) -> Result<(), JournalError>;
-
-    /// Group commit: appends every line (each as its own newline-
-    /// terminated line) and makes the whole batch durable together —
-    /// ideally one buffered write and one flush/fsync decision. The
-    /// default loops [`JournalSink::append_line`], which keeps legacy
-    /// sinks correct (and keeps [`FileSink`] honestly flush-per-append
-    /// for the benchmark comparison).
-    fn append_lines(&mut self, lines: &[&str]) -> Result<(), JournalError> {
-        for line in lines {
-            self.append_line(line)?;
-        }
-        Ok(())
-    }
+    /// Group commit: appends every serialized entry (no line carries a
+    /// newline; the sink writes each as its own newline-terminated line)
+    /// and makes the whole batch durable together — ideally one buffered
+    /// write and one flush/fsync decision.
+    fn append_lines(&mut self, lines: &[&str]) -> Result<(), JournalError>;
 
     /// Writes `fragment` **without a terminating newline** — the exact
     /// artifact a crash mid-write leaves behind. This exists for the
     /// fault-injection harness ([`crate::faults::FaultInjectingSink`]
     /// manufactures torn tails through it) and must never be called on
-    /// the healthy write path: a later [`JournalSink::append_line`] would
-    /// merge into the fragment. Default: refuses with
+    /// the healthy write path: a later append would merge into the
+    /// fragment. Default: refuses with
     /// [`JournalError::Io`], which keeps sinks that cannot represent a
     /// torn tail honest.
     fn append_torn(&mut self, fragment: &str) -> Result<(), JournalError> {
@@ -523,7 +514,7 @@ pub trait JournalSink: Send {
         let _ = head;
     }
 
-    /// Called just before a [`JournalEntry::Checkpoint`] line is
+    /// Called just before a lone [`JournalEntry::Checkpoint`] batch is
     /// appended: segmented sinks rotate so the checkpoint leads a fresh
     /// segment. Default: no-op.
     fn begin_checkpoint(&mut self) -> Result<(), JournalError> {
@@ -599,9 +590,11 @@ impl MemorySink {
 }
 
 impl JournalSink for MemorySink {
-    fn append_line(&mut self, line: &str) -> Result<(), JournalError> {
-        self.buffer.push_str(line);
-        self.buffer.push('\n');
+    fn append_lines(&mut self, lines: &[&str]) -> Result<(), JournalError> {
+        for line in lines {
+            self.buffer.push_str(line);
+            self.buffer.push('\n');
+        }
         Ok(())
     }
 
@@ -613,21 +606,6 @@ impl JournalSink for MemorySink {
     fn contents(&self) -> Result<String, JournalError> {
         Ok(self.buffer.clone())
     }
-}
-
-/// A file-backed sink: one JSON line per entry, flushed per append so the
-/// write-ahead guarantee holds across a process kill. (Flush pushes the
-/// line to the OS; an `fsync` per append — surviving power loss, not just
-/// process death — is a deliberate non-goal of the simulation-scale
-/// journal and is noted in `docs/ARCHITECTURE.md`.)
-#[derive(Debug)]
-pub struct FileSink {
-    path: PathBuf,
-    file: File,
-    /// Reused line buffer: the line and its newline still land in one
-    /// `write_all` (the torn-tail invariant depends on that), but the
-    /// buffer is allocated once, not per append.
-    buf: Vec<u8>,
 }
 
 /// Opens (creating if absent) a journal file in append mode and repairs a
@@ -678,59 +656,7 @@ fn repair_torn_tail(file: &File) -> Result<(), JournalError> {
     Ok(())
 }
 
-impl FileSink {
-    /// Opens (creating if absent) the journal file at `path` in append
-    /// mode, so reopening after a crash continues the same journal.
-    ///
-    /// A crash mid-append leaves a partial final line with no newline;
-    /// appending after it would merge the next entry into the torn
-    /// fragment and corrupt the journal mid-file. Opening therefore
-    /// *repairs* the file first: a non-newline-terminated tail is
-    /// truncated away (the same tail [`parse_journal`] would drop).
-    pub fn open(path: impl AsRef<Path>) -> Result<FileSink, JournalError> {
-        let path = path.as_ref().to_path_buf();
-        let file = open_repaired(&path)?;
-        Ok(FileSink {
-            path,
-            file,
-            buf: Vec::new(),
-        })
-    }
-
-    /// The journal file path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-}
-
-impl JournalSink for FileSink {
-    fn append_line(&mut self, line: &str) -> Result<(), JournalError> {
-        self.buf.clear();
-        self.buf.extend_from_slice(line.as_bytes());
-        self.buf.push(b'\n');
-        self.file.write_all(&self.buf)?;
-        self.file.flush()?;
-        Ok(())
-    }
-
-    // `append_lines` deliberately stays the flush-per-append default:
-    // `FileSink` is the legacy comparison point for the benchmark, and
-    // batching belongs to `SegmentedFileSink`.
-
-    fn append_torn(&mut self, fragment: &str) -> Result<(), JournalError> {
-        self.file.write_all(fragment.as_bytes())?;
-        self.file.flush()?;
-        Ok(())
-    }
-
-    fn contents(&self) -> Result<String, JournalError> {
-        let mut text = String::new();
-        File::open(&self.path)?.read_to_string(&mut text)?;
-        Ok(text)
-    }
-}
-
-/// The production file sink: `BufWriter`-backed segment files
+/// The file sink: `BufWriter`-backed segment files
 /// (`segment-00000001.jsonl`, `segment-00000002.jsonl`, …) in one
 /// directory, rotated at [`SegmentConfig::segment_bytes`], fsynced per
 /// [`FsyncPolicy`], and retired (deleted) once a
@@ -794,10 +720,12 @@ impl SegmentedFileSink {
 
     /// Opens (creating if absent) a segment directory at `dir`. Existing
     /// segments are kept — reopening after a crash continues the same
-    /// journal — and the *last* segment's torn tail, if any, is repaired
-    /// exactly like [`FileSink::open`] does. A torn tail in an earlier
-    /// segment is never repaired: sealed segments cannot legally be torn,
-    /// so that damage must surface as corruption, not be papered over.
+    /// journal — and the *last* segment's torn tail, if any, is truncated
+    /// away (the same tail [`parse_journal`] would drop), so the next
+    /// entry never merges into the torn fragment. A torn tail in an
+    /// earlier segment is never repaired: sealed segments cannot legally
+    /// be torn, so that damage must surface as corruption, not be papered
+    /// over.
     pub fn open(
         dir: impl AsRef<Path>,
         config: SegmentConfig,
@@ -1047,10 +975,6 @@ impl SegmentedFileSink {
 }
 
 impl JournalSink for SegmentedFileSink {
-    fn append_line(&mut self, line: &str) -> Result<(), JournalError> {
-        self.commit(&[line])
-    }
-
     fn append_lines(&mut self, lines: &[&str]) -> Result<(), JournalError> {
         if lines.is_empty() {
             return Ok(());
@@ -1285,29 +1209,8 @@ struct JournalInner {
     line_ends: Vec<usize>,
 }
 
-/// Serializes `value` framed as one chained journal line,
-/// `{"prev":"<hex>","entry":{"<variant>":<value>}}` — byte-identical to
-/// serializing the corresponding [`JournalEntry`] inside the same
-/// envelope, without building one.
-fn frame_variant<T: Serialize>(
-    out: &mut String,
-    prev: &ChainDigest,
-    variant: &str,
-    value: &T,
-) -> Result<(), JournalError> {
-    out.push_str("{\"prev\":\"");
-    out.push_str(&evidence::encode_hex(prev));
-    out.push_str("\",\"entry\":{\"");
-    out.push_str(variant);
-    out.push_str("\":");
-    serde_json::Serializer::new(out)
-        .serialize(value)
-        .map_err(|e| JournalError::Io(format!("serialize journal entry: {e}")))?;
-    out.push_str("}}");
-    Ok(())
-}
-
-/// Serializes a whole [`JournalEntry`] inside the chained envelope.
+/// Serializes a [`JournalEntry`] inside the chained envelope,
+/// `{"prev":"<hex>","entry":{"<variant>":<value>}}`.
 fn frame_entry(
     out: &mut String,
     prev: &ChainDigest,
@@ -1357,9 +1260,20 @@ fn chain_head_of(text: &str) -> ChainDigest {
     link
 }
 
-/// Commits the lines staged in `scratch`/`line_ends` as ONE sink-level
-/// group commit and rolls the handle counters forward.
-fn commit_scratch(inner: &mut JournalInner) -> Result<(), JournalError> {
+/// Serializes `entries` into the reused buffer, each chained onto the
+/// line before it, and commits them as ONE sink-level group commit. The
+/// chain head and the handle counters advance only if the sink accepts
+/// the batch, so a retry continues the chain exactly where it stood.
+fn commit(inner: &mut JournalInner, entries: &[JournalEntry]) -> Result<(), JournalError> {
+    inner.scratch.clear();
+    inner.line_ends.clear();
+    let mut link = inner.link;
+    for entry in entries {
+        let start = inner.scratch.len();
+        frame_entry(&mut inner.scratch, &link, entry)?;
+        link = evidence::chain_link(&link, &inner.scratch.as_bytes()[start..]);
+        inner.line_ends.push(inner.scratch.len());
+    }
     let mut lines = Vec::with_capacity(inner.line_ends.len());
     let mut start = 0usize;
     for &end in &inner.line_ends {
@@ -1367,6 +1281,7 @@ fn commit_scratch(inner: &mut JournalInner) -> Result<(), JournalError> {
         start = end;
     }
     inner.sink.append_lines(&lines)?;
+    inner.link = link;
     inner.stats.appends += lines.len() as u64;
     inner.stats.bytes += inner.scratch.len() as u64 + lines.len() as u64;
     inner.stats.group_commits += 1;
@@ -1420,17 +1335,6 @@ impl Journal {
             .expect("an empty in-memory journal cannot fail to open")
     }
 
-    /// A file-backed journal at `path` (created if absent, appended to if
-    /// present — reopening after a crash continues the same journal).
-    /// This is the *legacy* flush-per-append sink; production services
-    /// should prefer [`Journal::segmented`].
-    ///
-    /// # Errors
-    /// [`JournalError::Io`] if the file cannot be opened.
-    pub fn file(path: impl AsRef<Path>) -> Result<Journal, JournalError> {
-        Journal::with_sink(Box::new(FileSink::open(path)?))
-    }
-
     /// A journal over a [`SegmentedFileSink`] at directory `dir` (created
     /// if absent; existing segments are continued — reopening after a
     /// crash repairs the last segment's torn tail first).
@@ -1449,46 +1353,13 @@ impl Journal {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Serializes and appends one entry as a JSON line, durable before
-    /// return.
-    ///
-    /// # Errors
-    /// [`JournalError::Io`] if the sink rejects the line.
-    pub fn append(&self, entry: &JournalEntry) -> Result<(), JournalError> {
-        let mut guard = self.lock();
-        let inner = &mut *guard;
-        inner.scratch.clear();
-        let prev = inner.link;
-        frame_entry(&mut inner.scratch, &prev, entry)?;
-        inner.sink.append_line(&inner.scratch)?;
-        inner.link = evidence::chain_link(&prev, inner.scratch.as_bytes());
-        inner.stats.appends += 1;
-        inner.stats.bytes += inner.scratch.len() as u64 + 1;
-        Ok(())
-    }
-
-    /// Appends a [`JournalEntry::Run`] serialized straight from a borrowed
-    /// record — byte-identical to `append(&JournalEntry::run(...))`
-    /// without cloning the (large) record into the entry first.
-    ///
-    /// # Errors
-    /// [`JournalError::Io`] if the sink rejects the line.
-    pub fn append_run(&self, record: &RunRecord) -> Result<(), JournalError> {
-        let mut guard = self.lock();
-        let inner = &mut *guard;
-        inner.scratch.clear();
-        let prev = inner.link;
-        frame_variant(&mut inner.scratch, &prev, "Run", record)?;
-        inner.sink.append_line(&inner.scratch)?;
-        inner.link = evidence::chain_link(&prev, inner.scratch.as_bytes());
-        inner.stats.appends += 1;
-        inner.stats.bytes += inner.scratch.len() as u64 + 1;
-        Ok(())
-    }
-
-    /// Group commit of a whole batch of entries: serialized back to back
-    /// into the journal's reused buffer and handed to the sink as one
-    /// [`JournalSink::append_lines`] call.
+    /// The journal's one write method: serializes `entries` back to back
+    /// into the reused buffer, each in its chained envelope, and commits
+    /// them as one [`JournalSink::append_lines`] group commit, durable
+    /// before return. A batch holding a lone [`JournalEntry::Checkpoint`]
+    /// is bracketed by the sink's checkpoint hooks: a segmented sink
+    /// rotates first (the checkpoint leads a fresh segment) and retires
+    /// the superseded segments after.
     ///
     /// # Errors
     /// [`JournalError::Io`] if serialization or the sink fails.
@@ -1498,206 +1369,22 @@ impl Journal {
         }
         let mut guard = self.lock();
         let inner = &mut *guard;
-        inner.scratch.clear();
-        inner.line_ends.clear();
-        let mut link = inner.link;
-        for entry in entries {
-            let start = inner.scratch.len();
-            frame_entry(&mut inner.scratch, &link, entry)?;
-            link = evidence::chain_link(&link, &inner.scratch.as_bytes()[start..]);
-            inner.line_ends.push(inner.scratch.len());
+        let checkpoint = matches!(entries, [JournalEntry::Checkpoint(_)]);
+        if checkpoint {
+            inner.sink.begin_checkpoint()?;
         }
-        commit_scratch(inner)?;
-        inner.link = link;
-        Ok(())
-    }
-
-    /// Group commit of [`JournalEntry::Run`] entries serialized straight
-    /// from borrowed records — the ingest pipeline's release path commits
-    /// its whole ready prefix through this, one sink write for the batch
-    /// and no per-record allocation.
-    ///
-    /// # Errors
-    /// [`JournalError::Io`] if serialization or the sink fails.
-    pub fn append_runs(&self, records: &[RunRecord]) -> Result<(), JournalError> {
-        if records.is_empty() {
-            return Ok(());
-        }
-        let mut guard = self.lock();
-        let inner = &mut *guard;
-        inner.scratch.clear();
-        inner.line_ends.clear();
-        let mut link = inner.link;
-        for record in records {
-            let start = inner.scratch.len();
-            frame_variant(&mut inner.scratch, &link, "Run", record)?;
-            link = evidence::chain_link(&link, &inner.scratch.as_bytes()[start..]);
-            inner.line_ends.push(inner.scratch.len());
-        }
-        commit_scratch(inner)?;
-        inner.link = link;
-        Ok(())
-    }
-
-    /// Appends a [`JournalEntry::Accepted`] serialized straight from a
-    /// borrowed spec — the ingest pipeline's submission-side write-ahead
-    /// point: the spec is durable before the job becomes visible to any
-    /// worker.
-    ///
-    /// # Errors
-    /// [`JournalError::Io`] if serialization or the sink fails.
-    pub fn append_accepted(&self, spec: &JobSpec) -> Result<(), JournalError> {
-        let mut guard = self.lock();
-        let inner = &mut *guard;
-        inner.scratch.clear();
-        let prev = inner.link;
-        frame_variant(&mut inner.scratch, &prev, "Accepted", spec)?;
-        inner.sink.append_line(&inner.scratch)?;
-        inner.link = evidence::chain_link(&prev, inner.scratch.as_bytes());
-        inner.stats.appends += 1;
-        inner.stats.bytes += inner.scratch.len() as u64 + 1;
-        Ok(())
-    }
-
-    /// Group commit of [`JournalEntry::Accepted`] entries serialized
-    /// straight from borrowed specs — failover re-journals the pending
-    /// accepted set into the fresh sink through this, one sink write for
-    /// the batch.
-    ///
-    /// # Errors
-    /// [`JournalError::Io`] if serialization or the sink fails.
-    pub fn append_accepted_batch(&self, specs: &[JobSpec]) -> Result<(), JournalError> {
-        if specs.is_empty() {
-            return Ok(());
-        }
-        let mut guard = self.lock();
-        let inner = &mut *guard;
-        inner.scratch.clear();
-        inner.line_ends.clear();
-        let mut link = inner.link;
-        for spec in specs {
-            let start = inner.scratch.len();
-            frame_variant(&mut inner.scratch, &link, "Accepted", spec)?;
-            link = evidence::chain_link(&link, &inner.scratch.as_bytes()[start..]);
-            inner.line_ends.push(inner.scratch.len());
-        }
-        commit_scratch(inner)?;
-        inner.link = link;
-        Ok(())
-    }
-
-    /// Appends a [`JournalEntry::Poisoned`] serialized straight from a
-    /// borrowed notice — the release path journals a poison job's
-    /// verdict at exactly the chain position its `Run` entry would have
-    /// taken, so the release order stays reconstructible from the
-    /// journal alone.
-    ///
-    /// # Errors
-    /// [`JournalError::Io`] if serialization or the sink fails.
-    pub fn append_poisoned(&self, notice: &PoisonNotice) -> Result<(), JournalError> {
-        let mut guard = self.lock();
-        let inner = &mut *guard;
-        inner.scratch.clear();
-        let prev = inner.link;
-        frame_variant(&mut inner.scratch, &prev, "Poisoned", notice)?;
-        inner.sink.append_line(&inner.scratch)?;
-        inner.link = evidence::chain_link(&prev, inner.scratch.as_bytes());
-        inner.stats.appends += 1;
-        inner.stats.bytes += inner.scratch.len() as u64 + 1;
-        Ok(())
-    }
-
-    /// Group commit of one posting's Run/Invoice/Verdict triple — the
-    /// batch path journals each posted record through this, one sink
-    /// write for the three lines.
-    ///
-    /// # Errors
-    /// [`JournalError::Io`] if serialization or the sink fails.
-    pub fn append_posting(
-        &self,
-        record: &RunRecord,
-        invoice: &InvoicePosting,
-        verdict: &AuditVerdict,
-    ) -> Result<(), JournalError> {
-        let mut guard = self.lock();
-        let inner = &mut *guard;
-        inner.scratch.clear();
-        inner.line_ends.clear();
-        let mut link = inner.link;
-        let mut start = 0usize;
-        frame_variant(&mut inner.scratch, &link, "Run", record)?;
-        link = evidence::chain_link(&link, &inner.scratch.as_bytes()[start..]);
-        inner.line_ends.push(inner.scratch.len());
-        start = inner.scratch.len();
-        frame_variant(&mut inner.scratch, &link, "Invoice", invoice)?;
-        link = evidence::chain_link(&link, &inner.scratch.as_bytes()[start..]);
-        inner.line_ends.push(inner.scratch.len());
-        start = inner.scratch.len();
-        frame_variant(&mut inner.scratch, &link, "Verdict", verdict)?;
-        link = evidence::chain_link(&link, &inner.scratch.as_bytes()[start..]);
-        inner.line_ends.push(inner.scratch.len());
-        commit_scratch(inner)?;
-        inner.link = link;
-        Ok(())
-    }
-
-    /// Group commit of Invoice/Verdict receipt pairs — a stream pump
-    /// journals the receipts of everything it posted through this.
-    ///
-    /// # Errors
-    /// [`JournalError::Io`] if serialization or the sink fails.
-    pub fn append_receipts(
-        &self,
-        receipts: &[(InvoicePosting, AuditVerdict)],
-    ) -> Result<(), JournalError> {
-        if receipts.is_empty() {
-            return Ok(());
-        }
-        let mut guard = self.lock();
-        let inner = &mut *guard;
-        inner.scratch.clear();
-        inner.line_ends.clear();
-        let mut link = inner.link;
-        for (invoice, verdict) in receipts {
-            let mut start = inner.scratch.len();
-            frame_variant(&mut inner.scratch, &link, "Invoice", invoice)?;
-            link = evidence::chain_link(&link, &inner.scratch.as_bytes()[start..]);
-            inner.line_ends.push(inner.scratch.len());
-            start = inner.scratch.len();
-            frame_variant(&mut inner.scratch, &link, "Verdict", verdict)?;
-            link = evidence::chain_link(&link, &inner.scratch.as_bytes()[start..]);
-            inner.line_ends.push(inner.scratch.len());
-        }
-        commit_scratch(inner)?;
-        inner.link = link;
-        Ok(())
-    }
-
-    /// Appends a [`JournalEntry::Checkpoint`], bracketed by the sink's
-    /// checkpoint hooks: a segmented sink rotates first (the checkpoint
-    /// leads a fresh segment) and retires the superseded segments after.
-    ///
-    /// # Errors
-    /// [`JournalError::Io`] if serialization or the sink fails.
-    pub fn append_checkpoint(&self, checkpoint: &Checkpoint) -> Result<(), JournalError> {
-        let mut guard = self.lock();
-        let inner = &mut *guard;
-        inner.sink.begin_checkpoint()?;
-        inner.scratch.clear();
-        let prev = inner.link;
-        let appended = frame_variant(&mut inner.scratch, &prev, "Checkpoint", checkpoint)
-            .and_then(|()| inner.sink.append_line(&inner.scratch));
-        if let Err(e) = appended {
-            // Leave the bracket cleanly: nothing was superseded, and the
-            // sink must not stay in checkpoint mode (that would suppress
-            // rotation forever).
-            inner.sink.abort_checkpoint();
+        if let Err(e) = commit(inner, entries) {
+            if checkpoint {
+                // Leave the bracket cleanly: nothing was superseded, and
+                // the sink must not stay in checkpoint mode (that would
+                // suppress rotation forever).
+                inner.sink.abort_checkpoint();
+            }
             return Err(e);
         }
-        inner.link = evidence::chain_link(&prev, inner.scratch.as_bytes());
-        inner.stats.appends += 1;
-        inner.stats.bytes += inner.scratch.len() as u64 + 1;
-        inner.sink.finish_checkpoint()?;
+        if checkpoint {
+            inner.sink.finish_checkpoint()?;
+        }
         Ok(())
     }
 
@@ -1722,40 +1409,6 @@ impl Journal {
         inner.sink = sink;
         let link = inner.link;
         inner.sink.anchor_chain(link);
-    }
-
-    // The journal deliberately keeps exactly ONE `*_or_die` wrapper —
-    // for the batch service's posting path, where the record has already
-    // been posted to the in-memory ledger and the batch API offers no
-    // error channel: a metering service whose billed state can no longer
-    // be made durable must not keep billing. Every other write path is
-    // fallible: the *streaming* release path — where the write-ahead
-    // contract lets us hold the records back — uses `append_runs` under a
-    // retry policy and degrades to quarantine (see `crate::ingest`), and
-    // receipt/checkpoint commits degrade by counting a failure (receipts
-    // are re-derived on recovery; a skipped checkpoint is retried at the
-    // next safe point).
-
-    /// [`Journal::append_posting`] with failure fatal.
-    ///
-    /// Used by the batch posting path ([`crate::FleetService::process`]),
-    /// where the posting has already mutated the in-memory ledger before
-    /// the journal write and the batch API has no error channel to
-    /// withhold it through — persisting a half-posted state would be
-    /// worse than stopping. The streaming path never calls this; it
-    /// retries and quarantines instead.
-    ///
-    /// # Panics
-    /// Panics if the sink rejects the batch.
-    pub fn append_posting_or_die(
-        &self,
-        record: &RunRecord,
-        invoice: &InvoicePosting,
-        verdict: &AuditVerdict,
-    ) {
-        if let Err(e) = self.append_posting(record, invoice, verdict) {
-            panic!("journal group commit failed (posting triple): {e}");
-        }
     }
 
     /// Append/byte/commit counters for this handle, merged with the
@@ -1941,13 +1594,6 @@ pub fn strip_families(exposition: &str, families: &[&str]) -> String {
         .collect()
 }
 
-/// Strips the [`SELF_ACCOUNTING_FAMILIES`] series from a metrics
-/// exposition, leaving the metering series — the part of the exposition
-/// the recovery contract guarantees byte-identical.
-pub fn strip_self_accounting(exposition: &str) -> String {
-    strip_families(exposition, &SELF_ACCOUNTING_FAMILIES)
-}
-
 /// The metering exposition: everything except the journal's
 /// self-accounting counters and the live-pipeline gauges — the series
 /// the recovery contract guarantees byte-identical **whatever process**
@@ -2073,8 +1719,8 @@ pub fn parse_journal(text: &str) -> Result<(Vec<JournalEntry>, TailStatus), Jour
 ///
 /// A retired [`SegmentedFileSink`] directory already starts at its
 /// latest checkpoint; this helper makes recovery cost bounded for
-/// unretired journals (e.g. a [`CheckpointCadence`] service over a plain
-/// file sink) too. See [`crate::FleetService::recover_latest`].
+/// unretired journals (e.g. a [`CheckpointCadence`] service over a
+/// [`MemorySink`]) too. See [`crate::FleetService::recover_latest`].
 pub fn recovery_window(entries: &[JournalEntry]) -> &[JournalEntry] {
     match entries
         .iter()
@@ -2262,7 +1908,7 @@ mod tests {
     fn entries_round_trip_through_json_lines() {
         let journal = Journal::in_memory();
         let run = JournalEntry::run(record());
-        journal.append(&run).unwrap();
+        journal.append_batch(std::slice::from_ref(&run)).unwrap();
         let (entries, tail) = journal.entries().unwrap();
         assert_eq!(tail, TailStatus::Clean);
         assert_eq!(entries, vec![run]);
@@ -2274,7 +1920,9 @@ mod tests {
     #[test]
     fn truncated_tail_is_dropped() {
         let journal = Journal::in_memory();
-        journal.append(&JournalEntry::run(record())).unwrap();
+        journal
+            .append_batch(&[JournalEntry::run(record())])
+            .unwrap();
         let text = journal.lock().sink.contents().unwrap();
         // A crash mid-append leaves a partial final line.
         let torn = format!("{text}{}", &text[..text.len() / 2]);
@@ -2286,8 +1934,12 @@ mod tests {
     #[test]
     fn unterminated_final_line_is_dropped_even_if_parseable() {
         let journal = Journal::in_memory();
-        journal.append(&JournalEntry::run(record())).unwrap();
-        journal.append(&JournalEntry::run(record())).unwrap();
+        journal
+            .append_batch(&[JournalEntry::run(record())])
+            .unwrap();
+        journal
+            .append_batch(&[JournalEntry::run(record())])
+            .unwrap();
         let text = journal.lock().sink.contents().unwrap();
         // Strip the final newline: the last line parses but is torn.
         let torn = &text[..text.len() - 1];
@@ -2302,7 +1954,9 @@ mod tests {
         // write can never be newline-terminated: a terminated line that
         // fails to parse was damaged after the fact.
         let journal = Journal::in_memory();
-        journal.append(&JournalEntry::run(record())).unwrap();
+        journal
+            .append_batch(&[JournalEntry::run(record())])
+            .unwrap();
         let text = journal.lock().sink.contents().unwrap();
         let damaged = format!("{text}{{\"Run\":garbage}}\n");
         match parse_journal(&damaged) {
@@ -2312,52 +1966,11 @@ mod tests {
     }
 
     #[test]
-    fn append_run_is_byte_identical_to_the_enum_path() {
-        let record = record();
-        let via_borrow = Journal::in_memory();
-        via_borrow.append_run(&record).unwrap();
-        let via_enum = Journal::in_memory();
-        via_enum.append(&JournalEntry::run(record.clone())).unwrap();
-        assert_eq!(
-            via_borrow.lock().sink.contents().unwrap(),
-            via_enum.lock().sink.contents().unwrap()
-        );
-        assert_eq!(via_borrow.stats(), via_enum.stats());
-        let (entries, _) = via_borrow.entries().unwrap();
-        assert_eq!(entries, vec![JournalEntry::run(record)]);
-    }
-
-    #[test]
-    fn reopening_a_torn_file_repairs_the_tail_before_appending() {
-        let path = std::env::temp_dir().join(format!(
-            "trustmeter-journal-torn-{}.jsonl",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&path);
-        {
-            let journal = Journal::file(&path).unwrap();
-            journal.append(&JournalEntry::run(record())).unwrap();
-        }
-        // A crash mid-append leaves an unterminated fragment.
-        {
-            use std::io::Write as _;
-            let mut file = OpenOptions::new().append(true).open(&path).unwrap();
-            file.write_all(br#"{"Run":{"job":{"id":7"#).unwrap();
-        }
-        // Reopening truncates the fragment, so the next append starts a
-        // fresh line instead of merging into the torn one.
-        let reopened = Journal::file(&path).unwrap();
-        reopened.append(&JournalEntry::run(record())).unwrap();
-        let (entries, tail) = reopened.entries().unwrap();
-        assert_eq!(tail, TailStatus::Clean, "repair removed the torn tail");
-        assert_eq!(entries.len(), 2);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
     fn corruption_before_the_tail_is_an_error() {
         let journal = Journal::in_memory();
-        journal.append(&JournalEntry::run(record())).unwrap();
+        journal
+            .append_batch(&[JournalEntry::run(record())])
+            .unwrap();
         let text = journal.lock().sink.contents().unwrap();
         let corrupted = format!("not json\n{text}");
         match parse_journal(&corrupted) {
@@ -2369,34 +1982,14 @@ mod tests {
     #[test]
     fn blank_lines_are_skipped() {
         let journal = Journal::in_memory();
-        journal.append(&JournalEntry::run(record())).unwrap();
+        journal
+            .append_batch(&[JournalEntry::run(record())])
+            .unwrap();
         let text = journal.lock().sink.contents().unwrap();
         let padded = format!("\n{text}\n\n");
         let (entries, tail) = parse_journal(&padded).unwrap();
         assert_eq!(entries.len(), 1);
         assert_eq!(tail, TailStatus::Clean);
-    }
-
-    #[test]
-    fn file_sink_persists_across_reopen() {
-        let path = std::env::temp_dir().join(format!(
-            "trustmeter-journal-test-{}.jsonl",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&path);
-        {
-            let journal = Journal::file(&path).unwrap();
-            journal.append(&JournalEntry::run(record())).unwrap();
-        }
-        // A fresh handle (a restarted process) reads the same entries and
-        // appends after them.
-        let reopened = Journal::file(&path).unwrap();
-        assert_eq!(reopened.stats().appends, 0, "stats are per handle");
-        reopened.append(&JournalEntry::run(record())).unwrap();
-        let (entries, tail) = reopened.entries().unwrap();
-        assert_eq!(entries.len(), 2);
-        assert_eq!(tail, TailStatus::Clean);
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -2421,32 +2014,21 @@ mod tests {
 
     #[test]
     fn batched_appends_are_byte_identical_to_per_entry_appends() {
-        let rec = record();
-        let entries = vec![
-            JournalEntry::run(rec.clone()),
-            JournalEntry::run(rec.clone()),
-        ];
+        let entries = vec![JournalEntry::run(record()), JournalEntry::run(record())];
         let one_by_one = Journal::in_memory();
         for entry in &entries {
-            one_by_one.append(entry).unwrap();
+            one_by_one
+                .append_batch(std::slice::from_ref(entry))
+                .unwrap();
         }
         let batched = Journal::in_memory();
         batched.append_batch(&entries).unwrap();
-        assert_eq!(
-            batched.lock().sink.contents().unwrap(),
-            one_by_one.lock().sink.contents().unwrap()
-        );
-        let runs = Journal::in_memory();
-        runs.append_runs(&[rec.clone(), rec.clone()]).unwrap();
-        assert_eq!(
-            runs.lock().sink.contents().unwrap(),
-            one_by_one.lock().sink.contents().unwrap()
-        );
+        assert_eq!(batched.text().unwrap(), one_by_one.text().unwrap());
         // Counters: same appends/bytes, but one commit for the batch.
-        assert_eq!(runs.stats().appends, 2);
-        assert_eq!(runs.stats().bytes, one_by_one.stats().bytes);
-        assert_eq!(runs.stats().group_commits, 1);
-        assert_eq!(one_by_one.stats().group_commits, 0);
+        assert_eq!(batched.stats().appends, 2);
+        assert_eq!(batched.stats().bytes, one_by_one.stats().bytes);
+        assert_eq!(batched.stats().group_commits, 1);
+        assert_eq!(one_by_one.stats().group_commits, 2);
     }
 
     #[test]
@@ -2454,7 +2036,9 @@ mod tests {
         let dir = scratch_dir("rotate");
         let journal = tiny_segments(&dir);
         for _ in 0..3 {
-            journal.append(&JournalEntry::run(record())).unwrap();
+            journal
+                .append_batch(&[JournalEntry::run(record())])
+                .unwrap();
         }
         let stats = journal.stats();
         assert!(stats.rotations >= 2, "stats: {stats:?}");
@@ -2473,7 +2057,9 @@ mod tests {
         {
             let journal = tiny_segments(&dir);
             for _ in 0..2 {
-                journal.append(&JournalEntry::run(record())).unwrap();
+                journal
+                    .append_batch(&[JournalEntry::run(record())])
+                    .unwrap();
             }
         }
         // Tear the LAST segment's tail, as a crash mid-append would.
@@ -2492,7 +2078,9 @@ mod tests {
         }
         // Reopening repairs the torn tail and continues the journal.
         let reopened = tiny_segments(&dir);
-        reopened.append(&JournalEntry::run(record())).unwrap();
+        reopened
+            .append_batch(&[JournalEntry::run(record())])
+            .unwrap();
         let (entries, tail) = reopened.entries().unwrap();
         assert_eq!(tail, TailStatus::Clean, "reopen repaired the torn tail");
         assert_eq!(entries.len(), 3);
@@ -2505,7 +2093,9 @@ mod tests {
         {
             let journal = tiny_segments(&dir);
             for _ in 0..2 {
-                journal.append(&JournalEntry::run(record())).unwrap();
+                journal
+                    .append_batch(&[JournalEntry::run(record())])
+                    .unwrap();
             }
         }
         let mut segments: Vec<_> = std::fs::read_dir(&dir)
@@ -2533,7 +2123,9 @@ mod tests {
         let dir = scratch_dir("checkpoint");
         let journal = tiny_segments(&dir);
         for _ in 0..3 {
-            journal.append(&JournalEntry::run(record())).unwrap();
+            journal
+                .append_batch(&[JournalEntry::run(record())])
+                .unwrap();
         }
         let before = std::fs::read_dir(&dir).unwrap().count();
         assert!(before >= 3);
@@ -2545,7 +2137,9 @@ mod tests {
             audit: AuditorState::default(),
             metrics: MetricsRegistry::new(),
         };
-        journal.append_checkpoint(&checkpoint).unwrap();
+        journal
+            .append_batch(&[JournalEntry::checkpoint(checkpoint)])
+            .unwrap();
         let stats = journal.stats();
         assert!(
             stats.segments_retired >= before as u64 - 1,
@@ -2555,7 +2149,9 @@ mod tests {
         assert_eq!(entries[0].label(), "checkpoint", "checkpoint leads");
         assert_eq!(entries.len(), 1, "history was retired");
         // Appends continue after the checkpoint.
-        journal.append(&JournalEntry::run(record())).unwrap();
+        journal
+            .append_batch(&[JournalEntry::run(record())])
+            .unwrap();
         let (entries, _) = journal.entries().unwrap();
         assert_eq!(entries.len(), 2);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -2569,11 +2165,17 @@ mod tests {
             max_bytes: 1024 * 1024,
         });
         let journal = Journal::segmented(&dir, config).unwrap();
-        journal.append(&JournalEntry::run(record())).unwrap();
+        journal
+            .append_batch(&[JournalEntry::run(record())])
+            .unwrap();
         assert_eq!(journal.stats().fsyncs, 0, "below both thresholds");
-        journal.append(&JournalEntry::run(record())).unwrap();
+        journal
+            .append_batch(&[JournalEntry::run(record())])
+            .unwrap();
         assert_eq!(journal.stats().fsyncs, 1, "entry threshold reached");
-        journal.append(&JournalEntry::run(record())).unwrap();
+        journal
+            .append_batch(&[JournalEntry::run(record())])
+            .unwrap();
         assert_eq!(journal.stats().fsyncs, 1, "window restarts after a sync");
         std::fs::remove_dir_all(&dir).unwrap();
 
@@ -2583,7 +2185,9 @@ mod tests {
             SegmentConfig::default().with_fsync(FsyncPolicy::EveryAppend),
         )
         .unwrap();
-        journal.append_runs(&[record(), record()]).unwrap();
+        journal
+            .append_batch(&[JournalEntry::run(record()), JournalEntry::run(record())])
+            .unwrap();
         assert_eq!(journal.stats().fsyncs, 1, "one sync per group commit");
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -2619,7 +2223,9 @@ mod tests {
     fn chained_lines_carry_prev_links_and_reject_reordering() {
         let journal = Journal::in_memory();
         for _ in 0..3 {
-            journal.append(&JournalEntry::run(record())).unwrap();
+            journal
+                .append_batch(&[JournalEntry::run(record())])
+                .unwrap();
         }
         let text = journal.text().unwrap();
         assert_eq!(
@@ -2647,7 +2253,9 @@ mod tests {
         let dir = scratch_dir("seal-roundtrip");
         let config = SegmentConfig::default().with_seal(42);
         let journal = Journal::segmented(&dir, config).unwrap();
-        journal.append(&JournalEntry::run(record())).unwrap();
+        journal
+            .append_batch(&[JournalEntry::run(record())])
+            .unwrap();
         assert!(
             journal.sealed_headers().unwrap().is_empty(),
             "head unsealed"
@@ -2674,13 +2282,17 @@ mod tests {
         let dir = scratch_dir("seal-reopen");
         let config = SegmentConfig::default().with_seal(42);
         let journal = Journal::segmented(&dir, config).unwrap();
-        journal.append(&JournalEntry::run(record())).unwrap();
+        journal
+            .append_batch(&[JournalEntry::run(record())])
+            .unwrap();
         journal.seal().unwrap();
         drop(journal);
 
         // The reopened handle rescans the chain head and keeps linking.
         let journal = Journal::segmented(&dir, config).unwrap();
-        journal.append(&JournalEntry::run(record())).unwrap();
+        journal
+            .append_batch(&[JournalEntry::run(record())])
+            .unwrap();
         journal.seal().unwrap();
         let (entries, tail) = journal.entries().unwrap();
         assert_eq!(tail, TailStatus::Clean);

@@ -75,10 +75,10 @@ pub use ingest::{
 };
 pub use journal::{
     compact, excluded_metric_families, metering_exposition, parse_journal, recovery_window,
-    strip_families, strip_self_accounting, Checkpoint, CheckpointCadence, FileSink, FsyncPolicy,
-    InvoicePosting, Journal, JournalEntry, JournalError, JournalSink, JournalStats,
-    LedgerVerification, MemorySink, PoisonNotice, RecoveryError, RecoveryReport, SegmentConfig,
-    SegmentedFileSink, SinkStats, TailStatus, LIVE_PIPELINE_FAMILIES, SELF_ACCOUNTING_FAMILIES,
+    strip_families, Checkpoint, CheckpointCadence, FsyncPolicy, InvoicePosting, Journal,
+    JournalEntry, JournalError, JournalSink, JournalStats, LedgerVerification, MemorySink,
+    PoisonNotice, RecoveryError, RecoveryReport, SegmentConfig, SegmentedFileSink, SinkStats,
+    TailStatus, LIVE_PIPELINE_FAMILIES, SELF_ACCOUNTING_FAMILIES,
 };
 pub use metrics::{CounterCell, MetricKind, MetricsRegistry};
 pub use pool::{BufferPool, PoolStats};
@@ -391,13 +391,13 @@ impl FleetService {
     /// Enables automatic inline checkpoints: once at least `n` runs (for
     /// [`CheckpointCadence::every_n_runs`]) were posted since the last
     /// checkpoint, the service writes a [`Checkpoint`] entry at the next
-    /// *safe point* — after a batch posting or at the end of a stream
-    /// pump, when every journaled run has been posted — so recovery cost
-    /// stays bounded without an offline [`journal::compact`] pass. On a
-    /// segmented journal each checkpoint starts a fresh segment and
-    /// retires the segments it supersedes; on other sinks, recover with
-    /// [`FleetService::recover_latest`], which seeks to the newest
-    /// checkpoint first.
+    /// *safe point* — the end of a stream pump (so once per
+    /// [`FleetService::process`] batch), when every journaled run has been
+    /// posted — so recovery cost stays bounded without an offline
+    /// [`journal::compact`] pass. On a segmented journal each checkpoint
+    /// starts a fresh segment and retires the segments it supersedes; on
+    /// other sinks, recover with [`FleetService::recover_latest`], which
+    /// seeks to the newest checkpoint first.
     pub fn with_checkpoint_cadence(mut self, cadence: CheckpointCadence) -> FleetService {
         self.cadence = cadence;
         self
@@ -438,53 +438,43 @@ impl FleetService {
         &self.auditor
     }
 
-    /// Executes, bills, audits and meters one batch of jobs. With a
-    /// journal attached, each posted record's Run/Invoice/Verdict triple
-    /// is coalesced into **one** journal group commit (one sink write,
-    /// one flush/fsync decision) before the next record posts — the
-    /// batch-path analogue of the streaming release point. A crash
-    /// before the commit loses only in-memory state that was never
-    /// returned to the caller: never journaled ⇒ never released.
+    /// Executes, bills, audits and meters one batch of jobs as one stream
+    /// session — the batch takes exactly the streaming path: a paused
+    /// pool of `shards` workers (at most one per job) over a queue sized
+    /// for the batch, [`FleetStream::submit_all`], then
+    /// [`FleetStream::finish`]. With a journal attached every spec is
+    /// journaled `Accepted` before any worker sees it, the `Run`s are
+    /// group-committed before anything posts, then the receipts and, if
+    /// the cadence is due, one checkpoint: never journaled ⇒ never billed.
+    ///
+    /// # Panics
+    /// Panics with the journal error if the batch does not fully release
+    /// (the journal quarantined the session, or a job was poisoned). The
+    /// batch API has no error channel, and nothing unreleased was posted;
+    /// use [`FleetService::stream`] to ride out journal faults with
+    /// retry, quarantine and failover instead.
     pub fn process(&mut self, jobs: &[JobSpec]) -> FleetReport {
-        let records = self.fleet.run(jobs);
-        let mut verdicts = Vec::with_capacity(records.len());
-        for record in &records {
-            let post_started = self.tracer.as_ref().map(|_| std::time::Instant::now());
-            let (verdict, posting) = self.post_record_core(record);
-            if let (Some(tracer), Some(started)) = (&self.tracer, post_started) {
-                tracer.record(
-                    Stage::Post,
-                    record.job.id,
-                    record.job.tenant,
-                    started.elapsed(),
-                );
-            }
-            if let Some(journal) = &self.journal {
-                let commit_started = self.tracer.as_ref().map(|_| std::time::Instant::now());
-                journal.append_posting_or_die(record, &posting, &verdict);
-                if let (Some(tracer), Some(started)) = (&self.tracer, commit_started) {
-                    tracer.record_aggregate(
-                        Stage::JournalCommit,
-                        record.job.id,
-                        record.job.tenant,
-                        started.elapsed(),
-                    );
-                }
-            }
-            verdicts.push(verdict);
-            self.runs_since_checkpoint += 1;
-            // Each record is journaled and posted in step, so every point
-            // between records is a safe checkpoint boundary.
-            self.maybe_checkpoint();
+        let workers = self.fleet.config().shards.min(jobs.len()).max(1);
+        let stream = self.stream(
+            IngestConfig::new(workers)
+                .with_capacity(jobs.len())
+                .paused(),
+        );
+        // A refused submission quarantines the session; the drain below
+        // reports the cause.
+        let _ = stream.submit_all(jobs);
+        let (report, health) = stream.drain();
+        if report.records.len() < jobs.len() {
+            let cause = health
+                .last_error
+                .unwrap_or_else(|| format!("{} job(s) poisoned", health.poisoned));
+            panic!(
+                "batch released {} of {} jobs: {cause}",
+                report.records.len(),
+                jobs.len()
+            );
         }
-        self.export_gauges();
-        self.export_journal_metrics();
-        self.export_observer_metrics();
-        FleetReport {
-            records,
-            verdicts,
-            ledger: self.ledger.clone(),
-        }
+        report
     }
 
     /// Opens a streaming session: a live [`FleetIngest`] worker pool whose
@@ -509,7 +499,7 @@ impl FleetService {
     /// assert_eq!(report.ledger.account(TenantId(1)).unwrap().runs, 4);
     /// ```
     pub fn stream(&mut self, config: IngestConfig) -> FleetStream<'_> {
-        let ingest = FleetIngest::over_journaled(self.fleet.clone(), config, self.journal.clone());
+        let ingest = FleetIngest::new(self.fleet.clone(), config, self.journal.clone());
         FleetStream {
             service: self,
             ingest,
@@ -540,7 +530,10 @@ impl FleetService {
         if posted == 0 {
             return 0;
         }
-        let mut receipts = self.journal.is_some().then(|| Vec::with_capacity(posted));
+        let mut receipts = self
+            .journal
+            .is_some()
+            .then(|| Vec::with_capacity(2 * posted));
         let mut first_posted: Option<(JobId, TenantId)> = None;
         for record in ready.drain(..) {
             let post_started = self.tracer.as_ref().map(|_| std::time::Instant::now());
@@ -555,7 +548,8 @@ impl FleetService {
             }
             first_posted.get_or_insert((record.job.id, record.job.tenant));
             if let Some(receipts) = &mut receipts {
-                receipts.push((posting, verdict.clone()));
+                receipts.push(JournalEntry::Invoice(posting));
+                receipts.push(JournalEntry::Verdict(verdict.clone()));
             }
             records.push(record);
             verdicts.push(verdict);
@@ -573,7 +567,7 @@ impl FleetService {
                 .journal
                 .as_ref()
                 .expect("receipts collected only with a journal")
-                .append_receipts(&receipts);
+                .append_batch(&receipts);
             if committed.is_err() {
                 self.metrics
                     .counter_add(JOURNAL_FAILURES_METRIC, JOURNAL_FAILURES_HELP, &[], 1.0);
@@ -609,7 +603,7 @@ impl FleetService {
             .journal
             .as_ref()
             .expect("journal checked above")
-            .append_checkpoint(&checkpoint)
+            .append_batch(&[JournalEntry::checkpoint(checkpoint)])
         {
             Ok(()) => self.runs_since_checkpoint = 0,
             Err(_) => {
@@ -620,9 +614,9 @@ impl FleetService {
     }
 
     /// Bills, audits and meters one completed run (the shared core of the
-    /// batch, streaming and recovery paths). Journaling is the caller's
-    /// job: live paths coalesce the receipts into group commits, recovery
-    /// replays must not re-journal at all.
+    /// live and recovery paths). Journaling is the caller's job: a pump
+    /// coalesces the receipts into one group commit, recovery replays must
+    /// not re-journal at all.
     fn post_record_core(&mut self, record: &RunRecord) -> (AuditVerdict, InvoicePosting) {
         let freq = self.fleet.config().machine.frequency;
         let card = self
@@ -1462,7 +1456,7 @@ impl DisputeResolution {
 /// session's worker pool; [`FleetStream::pump`] posts completed records to
 /// the service's ledger, auditor and metrics **in submission order**, and
 /// [`FleetStream::finish`] drains the pipeline and returns the same
-/// [`FleetReport`] the batch path would have produced — bit-identical for
+/// [`FleetReport`] [`FleetService::process`] produces — bit-identical for
 /// any worker count, because seeds derive from job ids and the completion
 /// log merges by submission sequence.
 #[derive(Debug)]
@@ -1579,8 +1573,7 @@ impl FleetStream<'_> {
             ));
         };
         journal.fail_over(sink);
-        let checkpoint = self.service.checkpoint();
-        journal.append_checkpoint(&checkpoint)?;
+        journal.append_batch(&[JournalEntry::checkpoint(self.service.checkpoint())])?;
         self.service.runs_since_checkpoint = 0;
         self.ingest.resume_after_failover()?;
         self.pump();
@@ -1663,7 +1656,13 @@ impl FleetStream<'_> {
     /// runs), posts the remaining records, and returns the cumulative
     /// report — bit-identical to [`FleetService::process`] over the same
     /// jobs for any worker count.
-    pub fn finish(mut self) -> FleetReport {
+    pub fn finish(self) -> FleetReport {
+        self.drain().0
+    }
+
+    /// [`FleetStream::finish`], also returning the drained pipeline's
+    /// final [`FleetHealth`].
+    fn drain(mut self) -> (FleetReport, FleetHealth) {
         self.pump();
         let FleetStream {
             service,
@@ -1701,11 +1700,12 @@ impl FleetStream<'_> {
         service.export_journal_metrics();
         service.export_observer_metrics();
         service.export_gauges();
-        FleetReport {
+        let report = FleetReport {
             records,
             verdicts,
             ledger: service.ledger.clone(),
-        }
+        };
+        (report, outcome.health)
     }
 }
 

@@ -210,7 +210,7 @@ fn main() {
     let config = IngestConfig::new(1)
         .with_supervisor(SupervisorPolicy::default().with_max_restarts(0))
         .with_worker_faults(WorkerFaultSchedule::none().panic_on(JobId(0)));
-    let mut ingest = FleetIngest::start(FleetConfig::new(1, SEED), config);
+    let mut ingest = FleetIngest::new(Fleet::new(FleetConfig::new(1, SEED)), config, None);
     for job in jobs().into_iter().take(3) {
         ingest.submit(job).expect("queue sized for the batch");
     }

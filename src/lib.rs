@@ -76,20 +76,19 @@ pub mod prelude {
     };
     pub use trustmeter_fleet::{
         compact, excluded_metric_families, metering_exposition, parse_journal, quote_nonce,
-        recovery_window, span_id, strip_families, strip_self_accounting, Anomaly, AttackSpec,
-        AuditVerdict, Auditor, AuditorState, BackpressurePolicy, BatchSubmitError, BlockHeader,
-        BufferPool, Checkpoint, CheckpointCadence, CounterCell, DisputeError, DisputeResolution,
-        FairQueue, FaultInjectingSink, FaultKind, FaultProbe, FaultSchedule, FaultStats, FileSink,
-        Fleet, FleetConfig, FleetHealth, FleetIngest, FleetReport, FleetService, FleetStream,
-        FsyncPolicy, InclusionProof, IngestConfig, IngestHandle, IngestOutcome, IngestStats,
-        InvoicePosting, JobId, JobSpec, JobVerdict, Journal, JournalEntry, JournalError,
-        JournalSink, JournalStats, Ledger, LedgerVerification, MemorySink, MetricsRegistry,
-        PipelineTracer, PlannedFault, PlannedWorkerFault, PoisonNotice, PoolStats, ProofError,
-        ProofStep, RecoveryError, RecoveryReport, ReferenceOutcome, RetryPolicy, RunRecord,
-        SamplingPolicy, SealKey, SegmentConfig, SegmentedFileSink, SinkStats, Span, SpanWall,
-        Stage, StageObservation, SubmitError, SupervisorPolicy, TailStatus, Tenant,
-        TenantAuditSummary, TenantDirectory, TenantId, TenantLedger, TracerStats, WorkerFaultKind,
-        WorkerFaultSchedule,
+        recovery_window, span_id, strip_families, Anomaly, AttackSpec, AuditVerdict, Auditor,
+        AuditorState, BackpressurePolicy, BatchSubmitError, BlockHeader, BufferPool, Checkpoint,
+        CheckpointCadence, CounterCell, DisputeError, DisputeResolution, FairQueue,
+        FaultInjectingSink, FaultKind, FaultProbe, FaultSchedule, FaultStats, Fleet, FleetConfig,
+        FleetHealth, FleetIngest, FleetReport, FleetService, FleetStream, FsyncPolicy,
+        InclusionProof, IngestConfig, IngestHandle, IngestOutcome, IngestStats, InvoicePosting,
+        JobId, JobSpec, JobVerdict, Journal, JournalEntry, JournalError, JournalSink, JournalStats,
+        Ledger, LedgerVerification, MemorySink, MetricsRegistry, PipelineTracer, PlannedFault,
+        PlannedWorkerFault, PoisonNotice, PoolStats, ProofError, ProofStep, RecoveryError,
+        RecoveryReport, ReferenceOutcome, RetryPolicy, RunRecord, SamplingPolicy, SealKey,
+        SegmentConfig, SegmentedFileSink, SinkStats, Span, SpanWall, Stage, StageObservation,
+        SubmitError, SupervisorPolicy, TailStatus, Tenant, TenantAuditSummary, TenantDirectory,
+        TenantId, TenantLedger, TracerStats, WorkerFaultKind, WorkerFaultSchedule,
     };
     pub use trustmeter_kernel::{
         Kernel, KernelConfig, NicFlood, Op, OpOutcome, OpsProgram, Program, RunResult,

@@ -143,6 +143,37 @@ fn quarantine_is_observable_and_releases_nothing_unjournaled() {
     assert!(entries.iter().all(|e| e.label() == "accepted"));
 }
 
+#[test]
+fn failed_batch_commit_panics_without_billing_and_keeps_the_accepted_lines() {
+    let jobs = batch(6);
+    // `process` journals the 6 Accepted lines first; the Run group commit
+    // starts at line 6 and hits a device that never comes back.
+    let (journal, probe) = faulty_journal(FaultSchedule::none().permanent_at(jobs.len() as u64));
+    let mut service = service77(2, Some(journal.clone()));
+    let processed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        service.process(&jobs);
+    }));
+    assert!(processed.is_err(), "an unjournaled batch must not return");
+    assert!(probe.is_dead());
+    assert!(
+        service.ledger().iter().next().is_none(),
+        "nothing was billed"
+    );
+
+    // The submission side was write-ahead: every job is on the journal as
+    // Accepted, and recovery hands all of them back for resubmission.
+    let (entries, tail) = journal.entries().unwrap();
+    assert_eq!(tail, TailStatus::Clean);
+    assert_eq!(entries.len(), jobs.len());
+    assert_eq!(count_entries(&entries, "accepted"), jobs.len());
+    let mut recovered = service77(2, None);
+    let recovery = recovered
+        .recover(&entries)
+        .expect("replay the accepted lines");
+    assert_eq!(recovery.runs_replayed, 0);
+    assert_eq!(recovery.unreleased, jobs);
+}
+
 // ---------------------------------------------------------------------------
 // Failover: drain the stalled prefix, recover bit-identically
 // ---------------------------------------------------------------------------
@@ -409,7 +440,7 @@ proptest! {
         let journal = Journal::with_sink(Box::new(sink)).expect("fresh sink opens");
 
         // A small pool of real run records to append.
-        let records = Fleet::new(FleetConfig::new(1, 77)).run(&batch(3));
+        let records = service77(1, None).process(&batch(3)).records;
 
         // Expected parseable lines: appends since the last successful
         // checkpoint (checkpoints retire the segments before them), plus
@@ -419,18 +450,19 @@ proptest! {
             match op % 4 {
                 0 => {
                     let spec = JobSpec::clean(1000 + i as u64, TenantId(1), Workload::LoopO, SCALE);
-                    if journal.append_accepted(&spec).is_ok() {
+                    if journal.append_batch(&[JournalEntry::accepted(spec)]).is_ok() {
                         expected_lines += 1;
                     }
                 }
                 1 => {
-                    if journal.append_run(&records[i % records.len()]).is_ok() {
+                    let record = records[i % records.len()].clone();
+                    if journal.append_batch(&[JournalEntry::run(record)]).is_ok() {
                         expected_lines += 1;
                     }
                 }
                 2 => {
                     if journal
-                        .append_checkpoint(&Checkpoint::default())
+                        .append_batch(&[JournalEntry::checkpoint(Checkpoint::default())])
                         .is_ok()
                     {
                         expected_lines = 1;

@@ -75,7 +75,11 @@ fn hundred_jobs_across_four_shards_bill_and_audit() {
 #[test]
 fn shard_count_does_not_change_results() {
     let jobs = batch(24);
-    let run = |shards: usize| Fleet::new(FleetConfig::new(shards, 123)).run(&jobs);
+    let run = |shards: usize| {
+        FleetService::new(FleetConfig::new(shards, 123))
+            .process(&jobs)
+            .records
+    };
     let one = run(1);
     let two = run(2);
     let eight = run(8);
@@ -306,7 +310,9 @@ fn precomputed_reference_verdicts_match_inline_replays() {
     let machine = FleetConfig::new(1, 77).machine;
 
     // The ground truth: every record audited via an inline replay.
-    let reference_records = Fleet::new(FleetConfig::new(4, 77)).run(&jobs);
+    let reference_records = FleetService::new(FleetConfig::new(4, 77))
+        .process(&jobs)
+        .records;
     assert!(
         reference_records.iter().all(|r| r.reference.is_some()),
         "the Always policy precomputes a reference for every job"
@@ -553,8 +559,8 @@ fn journal_recovery_is_bit_identical_across_1_2_8_workers() {
         assert_eq!(audit_summaries(&recovered), audit_summaries(&baseline));
         let recovered_metrics = recovered.metrics_text();
         assert_eq!(
-            strip_self_accounting(&recovered_metrics),
-            strip_self_accounting(&baseline_metrics),
+            metering_exposition(&recovered_metrics),
+            metering_exposition(&baseline_metrics),
             "metering exposition must be byte-identical after recovery"
         );
         assert!(recovered_metrics.contains("fleet_recoveries_total 1"));
@@ -568,14 +574,10 @@ fn journal_recovery_is_bit_identical_across_1_2_8_workers() {
 
 #[test]
 fn killed_stream_recovers_the_released_prefix() {
-    let path = std::env::temp_dir().join(format!(
-        "trustmeter-fleet-test-kill-{}.jsonl",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_file(&path);
+    let dir = segment_dir("kill");
     let jobs = batch(24);
     {
-        let journal = Journal::file(&path).unwrap();
+        let journal = Journal::segmented(&dir, SegmentConfig::default()).unwrap();
         let mut service = service77(2, Some(journal));
         let mut stream = service.stream(IngestConfig::new(2));
         for job in &jobs {
@@ -591,7 +593,7 @@ fn killed_stream_recovers_the_released_prefix() {
         drop(stream);
     }
 
-    let journal = Journal::file(&path).unwrap();
+    let journal = Journal::segmented(&dir, SegmentConfig::default()).unwrap();
     let (entries, tail) = journal.entries().unwrap();
     assert_eq!(tail, TailStatus::Clean, "line appends are atomic");
     let released = count_entries(&entries, "run");
@@ -609,8 +611,8 @@ fn killed_stream_recovers_the_released_prefix() {
     assert_eq!(recovered.ledger(), &baseline_report.ledger);
     assert_eq!(audit_summaries(&recovered), audit_summaries(&baseline));
     assert_eq!(
-        strip_self_accounting(&recovered.metrics_text()),
-        strip_self_accounting(&baseline.metrics_text())
+        metering_exposition(&recovered.metrics_text()),
+        metering_exposition(&baseline.metrics_text())
     );
 
     // A harsher crash: the last record's receipts never hit the disk (and
@@ -626,10 +628,10 @@ fn killed_stream_recovers_the_released_prefix() {
     assert!(report.is_consistent());
     assert_eq!(recovered_torn.ledger(), &baseline_report.ledger);
     assert_eq!(
-        strip_self_accounting(&recovered_torn.metrics_text()),
-        strip_self_accounting(&baseline.metrics_text())
+        metering_exposition(&recovered_torn.metrics_text()),
+        metering_exposition(&baseline.metrics_text())
     );
-    std::fs::remove_file(&path).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -639,7 +641,7 @@ fn truncated_and_corrupt_tails_are_dropped_mid_file_corruption_is_not() {
     service.process(&batch(4));
     let (entries, tail) = journal.entries().unwrap();
     assert_eq!(tail, TailStatus::Clean);
-    assert_eq!(entries.len(), 12);
+    assert_eq!(entries.len(), 16);
 
     // Take the canonical chained bytes and tear the tail mid-line, as a
     // crash mid-append would.
@@ -655,7 +657,7 @@ fn truncated_and_corrupt_tails_are_dropped_mid_file_corruption_is_not() {
     let corrupt_tail = format!("{text}{{\"Run\":garbage}}\n");
     assert!(matches!(
         parse_journal(&corrupt_tail),
-        Err(JournalError::Corrupt { line: 13, .. })
+        Err(JournalError::Corrupt { line: 17, .. })
     ));
 
     // Corruption before the tail is likewise an error.
@@ -754,8 +756,10 @@ fn tampered_journal_receipts_and_outcomes_are_detected() {
     // Tamper with a run's reported outcome: the attestation quote no
     // longer matches, the replayed verdict gains a quote-mismatch anomaly,
     // and the journaled (clean) verdict receipt disagrees with the replay.
+    // The batch journals its six Accepted lines first, so job 0's Run is
+    // entry 6.
     let mut doctored = entries.clone();
-    let job = match &mut doctored[0] {
+    let job = match &mut doctored[6] {
         JournalEntry::Run(record) => {
             record.outcome.victim_billed.utime =
                 Cycles(record.outcome.victim_billed.utime.as_u64() * 3);
@@ -784,7 +788,7 @@ fn tampered_journal_receipts_and_outcomes_are_detected() {
     // inline, and the overbilling survives — plus the verdict receipt
     // disagrees.
     let mut doctored = entries.clone();
-    let job = match &mut doctored[0] {
+    let job = match &mut doctored[6] {
         JournalEntry::Run(record) => {
             let reference = record.reference.as_mut().unwrap();
             reference.victim_truth = record.outcome.victim_billed;
@@ -897,16 +901,18 @@ fn same_id_runs_released_back_to_back_pair_receipts_in_fifo_order() {
     let labels: Vec<&str> = entries.iter().map(|e| e.label()).collect();
     assert_eq!(
         labels,
-        ["run", "invoice", "verdict", "run", "invoice", "verdict"]
+        ["accepted", "run", "invoice", "verdict", "accepted", "run", "invoice", "verdict"]
     );
     // Reorder into the release-both-then-post pattern.
     let stream_order = vec![
         entries[0].clone(),
-        entries[3].clone(),
-        entries[1].clone(),
-        entries[2].clone(),
         entries[4].clone(),
+        entries[1].clone(),
         entries[5].clone(),
+        entries[2].clone(),
+        entries[3].clone(),
+        entries[6].clone(),
+        entries[7].clone(),
     ];
     // Strict recovery refuses the reused id outright — from evidence
     // alone a resubmission is indistinguishable from double billing, so
@@ -1024,7 +1030,16 @@ fn cadence_checkpoints_bound_recovery_on_any_sink() {
     let mut service = service77(2, Some(journal.clone()))
         .with_checkpoint_cadence(CheckpointCadence::every_n_runs(10));
     let jobs = batch(24);
-    service.process(&jobs);
+    let mut stream = service.stream(IngestConfig::new(2));
+    for job in &jobs {
+        // One job in flight at a time: every pump that posts posts exactly
+        // one run, so the cadence fires after runs 10 and 20.
+        stream.submit(job.clone()).expect("queue sized for batch");
+        while stream.pump() == 0 {
+            std::thread::yield_now();
+        }
+    }
+    stream.finish();
     let (entries, _) = journal.entries().unwrap();
     let checkpoints = count_entries(&entries, "checkpoint");
     assert_eq!(checkpoints, 2, "cadence wrote inline checkpoints at 10, 20");
@@ -1142,12 +1157,23 @@ fn journal_fixture() -> &'static JournalFixture {
         let mut service = service77(2, Some(journal.clone()));
         service.process(&jobs);
         let (entries, _) = journal.entries().unwrap();
-        // The batch path journals Run, Invoice, Verdict per job, in order.
-        assert_eq!(entries.len(), 24);
-        let groups: Vec<Vec<JournalEntry>> = entries.chunks(3).map(<[_]>::to_vec).collect();
+        // The batch path journals every Accepted line, then every Run, then
+        // the Invoice/Verdict receipts job by job; regroup them per job.
+        assert_eq!(entries.len(), 32);
+        let groups: Vec<Vec<JournalEntry>> = (0..jobs.len())
+            .map(|i| {
+                let receipts = 2 * jobs.len() + 2 * i;
+                vec![
+                    entries[i].clone(),
+                    entries[jobs.len() + i].clone(),
+                    entries[receipts].clone(),
+                    entries[receipts + 1].clone(),
+                ]
+            })
+            .collect();
         for group in &groups {
             let labels: Vec<&str> = group.iter().map(|e| e.label()).collect();
-            assert_eq!(labels, ["run", "invoice", "verdict"]);
+            assert_eq!(labels, ["accepted", "run", "invoice", "verdict"]);
         }
         let mut prefix_ledgers = Vec::new();
         let mut prefix_summaries = Vec::new();
@@ -1199,7 +1225,8 @@ proptest! {
                     let (entries, _) = journal.entries().unwrap();
                     let mut scratch = service77(2, None);
                     scratch.recover_latest(&entries).unwrap();
-                    journal.append_checkpoint(&scratch.checkpoint()).unwrap();
+                    let checkpoint = JournalEntry::checkpoint(scratch.checkpoint());
+                    journal.append_batch(&[checkpoint]).unwrap();
                 }
                 2 => {
                     // The restarted process: reopen the directory from disk.

@@ -369,8 +369,8 @@ proptest! {
                     service.process(&jobs);
                 }
                 LedgerOp::Checkpoint => {
-                    let checkpoint = service.checkpoint();
-                    journal.append_checkpoint(&checkpoint).unwrap();
+                    let checkpoint = JournalEntry::checkpoint(service.checkpoint());
+                    journal.append_batch(&[checkpoint]).unwrap();
                     live_jobs.clear();
                 }
                 LedgerOp::Seal => journal.seal().unwrap(),

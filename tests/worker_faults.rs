@@ -357,7 +357,7 @@ fn poison_verdict_is_queryable_on_the_ingest_outcome() {
     let config = IngestConfig::new(1)
         .with_supervisor(SupervisorPolicy::default().with_max_job_attempts(3))
         .with_worker_faults(WorkerFaultSchedule::none().poison_on(poison));
-    let ingest = FleetIngest::start(FleetConfig::new(1, 77), config);
+    let ingest = FleetIngest::new(Fleet::new(FleetConfig::new(1, 77)), config, None);
     for job in batch(4) {
         ingest.submit(job).expect("queue sized for batch");
     }
@@ -384,7 +384,7 @@ fn spent_restart_budget_quarantines_the_dead_pool_and_scale_to_revives_it() {
     let config = IngestConfig::new(1)
         .with_supervisor(SupervisorPolicy::default().with_max_restarts(0))
         .with_worker_faults(WorkerFaultSchedule::none().panic_on(JobId(0)));
-    let mut ingest = FleetIngest::start(FleetConfig::new(1, 77), config);
+    let mut ingest = FleetIngest::new(Fleet::new(FleetConfig::new(1, 77)), config, None);
     for job in batch(3) {
         ingest.submit(job).expect("queue sized for batch");
     }
@@ -437,7 +437,7 @@ fn submit_all_journals_accepted_lines_only_for_the_admitted_prefix() {
         .with_capacity(4)
         .with_backpressure(BackpressurePolicy::Reject)
         .paused();
-    let ingest = FleetIngest::over_journaled(
+    let ingest = FleetIngest::new(
         Fleet::new(FleetConfig::new(1, 77)),
         config,
         Some(journal.clone()),
@@ -472,7 +472,7 @@ fn submit_all_exactly_at_capacity_is_fully_admitted() {
         .with_capacity(4)
         .with_backpressure(BackpressurePolicy::Reject)
         .paused();
-    let ingest = FleetIngest::over_journaled(
+    let ingest = FleetIngest::new(
         Fleet::new(FleetConfig::new(1, 77)),
         config,
         Some(journal.clone()),
