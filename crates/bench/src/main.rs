@@ -63,9 +63,9 @@ use std::time::Instant;
 
 use serde::Serialize;
 use trustmeter_fleet::{
-    metering_exposition, AttackSpec, BackpressurePolicy, CheckpointCadence, FaultInjectingSink,
-    FaultSchedule, FleetConfig, FleetService, FsyncPolicy, IngestConfig, JobSpec, Journal,
-    JournalStats, PipelineTracer, PoolStats, RateCard, RetryPolicy, SamplingPolicy, SegmentConfig,
+    AttackSpec, BackpressurePolicy, CheckpointCadence, FaultInjectingSink, FaultSchedule,
+    FleetConfig, FleetService, FsyncPolicy, IngestConfig, JobSpec, Journal, JournalStats,
+    PipelineTracer, PoolStats, RateCard, RetryPolicy, SamplingPolicy, SegmentConfig,
     SegmentedFileSink, Stage, SubmitError, Tenant, TenantId,
 };
 use trustmeter_workloads::Workload;
@@ -358,8 +358,8 @@ fn run(jobs: u64, workers: usize, mode: JournalMode, traced: bool) -> BenchRepor
             "recovered ledger == live ledger"
         );
         assert_eq!(
-            metering_exposition(&recovered.metrics_text()),
-            metering_exposition(&service.metrics_text()),
+            recovered.metering().render(),
+            service.metering().render(),
             "recovered metering exposition == live exposition"
         );
         if config.seal.is_some() {

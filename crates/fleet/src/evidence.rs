@@ -22,10 +22,9 @@
 //!    the same `prev` with no chain gap.
 //! 2. **Sealed block headers.** When a segment rotates (including the
 //!    forced rotation before a checkpoint), the sink writes a
-//!    [`BlockHeader`] beside it: a Merkle root over the segment's lines,
-//!    the chain values at the segment's boundaries, the checkpoint
-//!    metric-family exclusion list, all signed with an HMAC under a
-//!    [`SealKey`] derived from the fleet seed. A flipped byte, a spliced
+//!    [`BlockHeader`] beside it: a Merkle root over the segment's lines
+//!    and the chain values at the segment's boundaries, signed with an
+//!    HMAC under a [`SealKey`] derived from the fleet seed. A flipped byte, a spliced
 //!    segment from another fleet, or a rewritten history now has to forge
 //!    the seal, not just rewrite JSON.
 //! 3. **Inclusion proofs.** An [`InclusionProof`] carries one line, its
@@ -232,10 +231,8 @@ impl SealKey {
 }
 
 /// The sealed header of one finished journal segment: what the segment
-/// contained (Merkle root over its lines), where it sat in the chain
-/// (boundary links), what the checkpoint policy was when it was written
-/// (the metric-family exclusion list), all signed under the fleet's
-/// [`SealKey`].
+/// contained (Merkle root over its lines) and where it sat in the chain
+/// (boundary links), signed under the fleet's [`SealKey`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BlockHeader {
     /// Header format version.
@@ -250,18 +247,18 @@ pub struct BlockHeader {
     pub chain_head: String,
     /// Merkle root over the segment's line leaves (hex).
     pub merkle_root: String,
-    /// The metric families checkpoints exclude from their snapshot,
-    /// committed into the sealed evidence so the exclusion policy itself
-    /// cannot be rewritten after settlement.
-    pub excluded_families: Vec<String>,
     /// HMAC-SHA-256 over the canonical header bytes (with this field
     /// empty), under the fleet's [`SealKey`] (hex).
     pub seal: String,
 }
 
 impl BlockHeader {
-    /// The current header format version.
-    pub const VERSION: u32 = 1;
+    /// The current header format version. Version 1 headers also carried
+    /// the checkpoint metric-family exclusion list; readers reject every
+    /// version but this one by name
+    /// ([`crate::JournalError::UnsupportedHeader`],
+    /// [`ProofError::UnsupportedHeader`]).
+    pub const VERSION: u32 = 2;
 
     /// The canonical bytes the seal signs: this header serialized with an
     /// empty `seal` field.
@@ -309,6 +306,14 @@ pub enum ProofError {
         /// The parser's message.
         message: String,
     },
+    /// The proof's block header is in a format this build does not read:
+    /// its `version` is not [`BlockHeader::VERSION`].
+    UnsupportedHeader {
+        /// The segment whose header was rejected.
+        segment: u64,
+        /// The version the header declares.
+        version: u32,
+    },
 }
 
 impl std::fmt::Display for ProofError {
@@ -324,6 +329,11 @@ impl std::fmt::Display for ProofError {
             ProofError::MalformedEvidence { message } => {
                 write!(f, "proof line is not a chained journal line: {message}")
             }
+            ProofError::UnsupportedHeader { segment, version } => write!(
+                f,
+                "segment {segment} block header is version {version}; this build reads version {}",
+                BlockHeader::VERSION
+            ),
         }
     }
 }
@@ -348,12 +358,19 @@ pub struct InclusionProof {
 
 impl InclusionProof {
     /// Verifies the proof against `key` and returns the proven entry:
-    /// the header's seal must verify, and the line's leaf must fold up
-    /// the path to the sealed Merkle root.
+    /// the header must be [`BlockHeader::VERSION`], its seal must verify,
+    /// and the line's leaf must fold up the path to the sealed Merkle
+    /// root.
     ///
     /// # Errors
     /// [`ProofError`] describing the first check that failed.
     pub fn verify(&self, key: &SealKey) -> Result<JournalEntry, ProofError> {
+        if self.header.version != BlockHeader::VERSION {
+            return Err(ProofError::UnsupportedHeader {
+                segment: self.header.segment,
+                version: self.header.version,
+            });
+        }
         if !self.header.verify_seal(key) {
             return Err(ProofError::SealForged {
                 segment: self.header.segment,
@@ -460,7 +477,6 @@ mod tests {
             chain_prev: encode_hex(&genesis()),
             chain_head: encode_hex(&Sha256::digest(b"head")),
             merkle_root: encode_hex(&merkle_root(&leaves(2))),
-            excluded_families: vec!["fleet_recoveries_total".into()],
             seal: String::new(),
         };
         header.sign(&key);
@@ -470,9 +486,9 @@ mod tests {
         let mut doctored = header.clone();
         doctored.entries = 3;
         assert!(!doctored.verify_seal(&key));
-        let mut stripped = header.clone();
-        stripped.excluded_families.clear();
-        assert!(!stripped.verify_seal(&key));
+        let mut downgraded = header.clone();
+        downgraded.version = 1;
+        assert!(!downgraded.verify_seal(&key));
     }
 
     #[test]

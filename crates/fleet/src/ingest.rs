@@ -71,16 +71,16 @@
 //! pool, and the supervisor machinery proves the pipeline's outputs stay
 //! bit-identical to an unfaulted run:
 //!
-//! * **Detection is deterministic.** Time is a virtual tick counter that
-//!   only injected faults advance — a healthy run never touches it. A
-//!   hanging or slowed worker spins the clock and re-runs the watchdog
-//!   each tick, so the moment its job's deadline
+//! * **Detection is deterministic.** Time is virtual ticks that only
+//!   injected faults spend — a healthy run never spends any. A hanging or
+//!   slowed worker charges each tick it spins to its own job, so the
+//!   moment that job's spent ticks pass its budget
 //!   ([`IngestConfig::with_job_deadline`], grace plus the job's declared
-//!   workload length in ticks) passes, it is reaped — in ticks, never
-//!   wall clock. Panics are caught by a reap-on-unwind guard; no panic
-//!   escapes the pool. Corrupted records are rejected at completion by
-//!   the same quote machinery the auditor uses
-//!   ([`Fleet::verify_record`]).
+//!   workload length in ticks) it is reaped — in ticks, never wall clock,
+//!   and never because some *other* worker spun. Panics are caught by a
+//!   reap-on-unwind guard; no panic escapes the pool. Corrupted records
+//!   are rejected at completion by the same quote machinery the auditor
+//!   uses ([`Fleet::verify_record`]).
 //! * **Recovery is bounded.** A reaped worker's in-flight batch is
 //!   reclaimed and requeued at the *same* sequence numbers (release
 //!   order, and therefore every downstream artifact, is unchanged —
@@ -227,11 +227,11 @@ pub struct IngestConfig {
     /// pipeline instead of panicking. Irrelevant without a journal.
     pub retry: RetryPolicy,
     /// Per-job execution deadline grace, in virtual ticks (`None` = no
-    /// watchdog). A job's deadline is this grace plus its declared
-    /// workload length in ticks, measured from the moment a worker
-    /// *starts* it; the virtual clock only advances when injected faults
-    /// spin it, so healthy runs never trip a deadline and detection is
-    /// deterministic. See [`IngestConfig::with_job_deadline`].
+    /// watchdog). A job's budget is this grace plus its declared workload
+    /// length in ticks, counted in the ticks its own worker spins on it;
+    /// only injected faults spin, so healthy runs never trip a deadline
+    /// and detection is deterministic. See
+    /// [`IngestConfig::with_job_deadline`].
     pub job_deadline: Option<u64>,
     /// The supervisor's bounded recovery ladder for dead, hung and lying
     /// workers (see [`SupervisorPolicy`]).
@@ -315,14 +315,15 @@ impl IngestConfig {
         self
     }
 
-    /// Arms the per-worker watchdog with a per-job deadline of
+    /// Arms the per-worker watchdog with a per-job budget of
     /// `grace_ticks` plus the job's declared workload length in virtual
-    /// ticks (one tick per simulated millisecond, at least one),
-    /// measured from execution start. Detection is deterministic: the
-    /// virtual clock advances only when injected faults spin it, so a
-    /// healthy run can never expire a deadline. A worker whose running
-    /// job outlives its deadline is reaped — its batch reassigned, a
-    /// replacement respawned under the [`SupervisorPolicy`].
+    /// ticks (one tick per simulated millisecond, at least one), counted
+    /// in the ticks the job's own worker spins on it. Detection is
+    /// deterministic: only injected faults spin, so a healthy run can
+    /// never expire a deadline, and a worker spinning beside a hang is
+    /// charged nothing for it. A worker whose running job overspends its
+    /// budget is reaped — its batch reassigned, a replacement respawned
+    /// under the [`SupervisorPolicy`].
     pub fn with_job_deadline(mut self, grace_ticks: u64) -> IngestConfig {
         self.job_deadline = Some(grace_ticks);
         self
@@ -511,12 +512,12 @@ struct Assignment {
     attempt: u32,
     /// Whether the worker has actually begun executing it. Batch-mates
     /// behind the running job sit dispatched-but-unstarted: they consume
-    /// no attempt (and hold no deadline) if their worker dies.
+    /// no attempt (and spend no ticks) if their worker dies.
     started: bool,
-    /// Absolute virtual-tick deadline, stamped when execution starts:
-    /// `clock + grace + cost_ticks(job)`. `None` when no deadline is
-    /// configured or the job has not started.
-    deadline: Option<u64>,
+    /// Virtual ticks the holding worker has spun on this job. Only that
+    /// worker's own spin loop charges it, so a fault elsewhere in the pool
+    /// never counts against this job's deadline.
+    spent: u64,
     /// Wall-clock dispatch stamp for the [`Stage::Reassign`] span;
     /// stamped only when tracing.
     dispatched_at: Option<std::time::Instant>,
@@ -587,8 +588,8 @@ struct State {
     worker_target: usize,
     /// Workers currently alive (spawned minus exited minus reaped).
     active_workers: usize,
-    /// In-flight dispatches keyed by sequence number — what the watchdog
-    /// scans and a reap reclaims.
+    /// In-flight dispatches keyed by sequence number — what spinning
+    /// workers charge and a reap reclaims.
     assignments: BTreeMap<u64, Assignment>,
     /// Generations of reaped workers. Any thread still running one of
     /// these is a zombie: its completions are discarded and it exits at
@@ -655,10 +656,10 @@ struct Shared {
     /// [`FleetIngest::recycle`]. Leaf lock — only ever taken while holding
     /// nothing or the state lock, never the other way around.
     pool: BufferPool<RunRecord>,
-    /// The virtual clock deadlines are measured against. Advanced only
-    /// by injected faults' spin loops — a healthy pipeline never pays
-    /// for it and never trips a deadline, which is what makes detection
-    /// deterministic.
+    /// The shared virtual clock the restart window is measured against.
+    /// Advanced only by injected faults' spin loops — a healthy pipeline
+    /// never pays for it. Deadlines do not read it: each spun tick is
+    /// also charged to the spinning worker's own [`Assignment`].
     clock: AtomicU64,
     /// The supervisor's recovery ladder (restart budget, degradation,
     /// poison threshold).
@@ -934,8 +935,8 @@ impl Shared {
 
     /// The virtual-tick execution budget for a job: its declared workload
     /// length (user seconds at the job's scale) at one tick per simulated
-    /// millisecond, at least one tick. The per-job deadline is this plus
-    /// the configured grace, measured from execution start.
+    /// millisecond, at least one tick. The job's worker may spin this plus
+    /// the configured grace before it is reaped.
     fn cost_ticks(job: &JobSpec) -> u64 {
         let user_secs = job.workload.spec(job.scale).user_secs;
         (user_secs * 1000.0).ceil().max(1.0) as u64
@@ -1011,7 +1012,6 @@ impl Shared {
                     let share = state.queue.len().div_ceil(state.active_workers.max(1));
                     let max = Self::MAX_PULL.min(budget).min(share).max(1);
                     let dispatch_stamp = shared.tracer.as_ref().map(|_| std::time::Instant::now());
-                    let now = shared.clock.load(Ordering::Relaxed);
                     while batch.len() < max {
                         let Some(queued) = state.queue.pop() else {
                             break;
@@ -1019,25 +1019,15 @@ impl Shared {
                         state.dispatch_log.push((queued.job.id, queued.job.tenant));
                         *state.inflight.entry(queued.job.tenant).or_insert(0) += 1;
                         // The first batch item starts executing right away;
-                        // the rest open their execution (and deadline)
-                        // windows as their predecessors complete.
-                        let started = batch.is_empty();
-                        let deadline = if started {
-                            shared.deadline_grace.map(|grace| {
-                                now.saturating_add(grace)
-                                    .saturating_add(Self::cost_ticks(&queued.job))
-                            })
-                        } else {
-                            None
-                        };
+                        // the rest start as their predecessors complete.
                         state.assignments.insert(
                             queued.seq,
                             Assignment {
                                 job: queued.job.clone(),
                                 worker: gen,
                                 attempt: queued.attempt,
-                                started,
-                                deadline,
+                                started: batch.is_empty(),
+                                spent: 0,
                                 dispatched_at: dispatch_stamp,
                             },
                         );
@@ -1077,7 +1067,7 @@ impl Shared {
                         queued.job.id.0, queued.attempt
                     ),
                     Some(WorkerFaultKind::Hang { ticks }) => {
-                        if !Shared::spin_ticks(shared, gen, ticks) {
+                        if !Shared::spin_ticks(shared, gen, queued.seq, ticks) {
                             abandoned = true;
                             break;
                         }
@@ -1086,7 +1076,7 @@ impl Shared {
                     Some(WorkerFaultKind::SlowDown { factor }) => {
                         let extra =
                             Self::cost_ticks(&queued.job).saturating_mul(factor.saturating_sub(1));
-                        if !Shared::spin_ticks(shared, gen, extra) {
+                        if !Shared::spin_ticks(shared, gen, queued.seq, extra) {
                             abandoned = true;
                             break;
                         }
@@ -1134,8 +1124,7 @@ impl Shared {
     /// zombies: the record is accepted only if this worker's generation
     /// still owns the live assignment for `seq` — a reaped worker
     /// finishing late can never double-release or burn a chain link. On
-    /// acceptance, the next batch item's execution window (and deadline)
-    /// opens under the same lock hold.
+    /// acceptance, the next batch item starts under the same lock hold.
     fn complete(
         &self,
         gen: u64,
@@ -1172,16 +1161,9 @@ impl Shared {
             .completed
             .insert(seq, Completion::Record(Box::new(record)));
         state.completed_count += 1;
-        if let Some(next) = next_seq {
-            let now = self.clock.load(Ordering::Relaxed);
-            if let Some(assignment) = state.assignments.get_mut(&next) {
-                if assignment.worker == gen {
-                    let cost = Self::cost_ticks(&assignment.job);
-                    assignment.started = true;
-                    assignment.deadline = self
-                        .deadline_grace
-                        .map(|grace| now.saturating_add(grace).saturating_add(cost));
-                }
+        if let Some(next) = next_seq.and_then(|next| state.assignments.get_mut(&next)) {
+            if next.worker == gen {
+                next.started = true;
             }
         }
         drop(state);
@@ -1189,18 +1171,19 @@ impl Shared {
         CompletionOutcome::Accepted
     }
 
-    /// Burns `ticks` virtual ticks: each iteration advances the shared
-    /// clock by one and re-runs the watchdog, so a hanging or slowed
-    /// worker deterministically reaps *itself* the tick its job's
-    /// deadline passes — detection is in ticks, not wall clock, and a
-    /// healthy pipeline (no injected faults) never advances the clock at
-    /// all. Returns `false` if this worker was reaped mid-spin or the
-    /// pipeline began discarding (the caller abandons its batch).
-    fn spin_ticks(shared: &Arc<Shared>, gen: u64, ticks: u64) -> bool {
+    /// Burns `ticks` virtual ticks on the job at `seq`: each tick advances
+    /// the shared clock (which only the restart window reads) and is
+    /// charged to this worker's own assignment, so a hanging or slowed
+    /// worker deterministically reaps *itself* the tick its job's spent
+    /// ticks pass `grace + cost_ticks(job)` — detection is in ticks, not
+    /// wall clock, a healthy pipeline (no injected faults) never spends
+    /// any, and one worker's spinning never expires another's job.
+    /// Returns `false` if this worker was reaped or the pipeline began
+    /// discarding (the caller abandons its batch).
+    fn spin_ticks(shared: &Arc<Shared>, gen: u64, seq: u64, ticks: u64) -> bool {
         for _ in 0..ticks {
             shared.clock.fetch_add(1, Ordering::Relaxed);
-            Shared::supervise(shared);
-            {
+            let overdue = {
                 let mut state = shared.lock();
                 if state.dead_workers.contains(&gen) {
                     return false;
@@ -1209,40 +1192,24 @@ impl Shared {
                     state.active_workers = state.active_workers.saturating_sub(1);
                     return false;
                 }
+                state.assignments.get_mut(&seq).is_some_and(|running| {
+                    running.spent += 1;
+                    shared.deadline_grace.is_some_and(|grace| {
+                        running.spent > grace.saturating_add(Self::cost_ticks(&running.job))
+                    })
+                })
+            };
+            if overdue {
+                Shared::reap(
+                    shared,
+                    gen,
+                    "job deadline expired (hung or pathologically slow worker)",
+                );
+                return false;
             }
             std::thread::yield_now();
         }
         true
-    }
-
-    /// The virtual-tick watchdog: reaps every worker whose *running*
-    /// assignment has outlived its deadline. Deterministic — the clock
-    /// only advances when injected faults spin it. Any thread may run
-    /// the watchdog; hanging workers drive it from their own spin loops
-    /// (reaping themselves), and consumers drive it from `take_ready` as
-    /// a backstop.
-    fn supervise(shared: &Arc<Shared>) {
-        if shared.deadline_grace.is_none() {
-            return;
-        }
-        let now = shared.clock.load(Ordering::Relaxed);
-        let expired: Vec<u64> = {
-            let state = shared.lock();
-            state
-                .assignments
-                .values()
-                .filter(|a| a.started && !state.dead_workers.contains(&a.worker))
-                .filter(|a| a.deadline.is_some_and(|deadline| now > deadline))
-                .map(|a| a.worker)
-                .collect()
-        };
-        for gen in expired {
-            Shared::reap(
-                shared,
-                gen,
-                "job deadline expired (hung or pathologically slow worker)",
-            );
-        }
     }
 
     /// Reaps a worker: marks its generation dead (anything it still runs
@@ -1253,7 +1220,7 @@ impl Shared {
     /// — and respawns a replacement under the restart budget. Budget
     /// dry → the pool degrades; last worker dead → the fleet
     /// quarantines. Called from the unwind guard (panicked worker), the
-    /// watchdog (expired worker) and the completion verifier (lying
+    /// spin loop (overdue worker) and the completion verifier (lying
     /// worker); it must never panic — it runs during unwinds.
     fn reap(shared: &Arc<Shared>, gen: u64, reason: &str) {
         let mut respawn_gen = None;
@@ -1854,12 +1821,7 @@ impl FleetIngest {
     /// verdicts release in the same order (their journaled `Poisoned`
     /// entry is the release) but yield no record — read them from
     /// [`FleetIngest::poisoned`] or [`IngestOutcome::poisoned`].
-    ///
-    /// Also runs the watchdog as a belt-and-braces backstop: a consumer
-    /// pumping the stream re-checks every running job's virtual-tick
-    /// deadline even if the hung worker's own spin loop has not.
     pub fn take_ready(&self) -> Vec<RunRecord> {
-        Shared::supervise(&self.shared);
         self.shared.take_ready()
     }
 

@@ -59,10 +59,9 @@
 //! sealing [`SegmentedFileSink`] ([`SegmentConfig::with_seal`])
 //! additionally signs every rotated-away segment into a
 //! [`BlockHeader`] sidecar — Merkle root over the segment's lines, chain
-//! bounds, the checkpoint metric-family exclusion list, HMAC under the
-//! fleet seed's [`SealKey`] — and can hand out per-entry
-//! [`InclusionProof`]s ([`Journal::prove`]) that verify against the seal
-//! key alone, no replay required (the substrate of
+//! bounds, HMAC under the fleet seed's [`SealKey`] — and can hand out
+//! per-entry [`InclusionProof`]s ([`Journal::prove`]) that verify against
+//! the seal key alone, no replay required (the substrate of
 //! [`crate::FleetService::dispute`]).
 //!
 //! ## The group-commit write path
@@ -231,8 +230,9 @@ pub struct Checkpoint {
     pub ledger: Ledger,
     /// The auditor's summaries and cost counters after those runs.
     pub audit: AuditorState,
-    /// The full metrics registry after those runs (the exposition is part
-    /// of the recovery contract).
+    /// The service's metering registry after those runs (see
+    /// [`crate::FleetService::metering`]; the exposition is part of the
+    /// recovery contract).
     pub metrics: MetricsRegistry,
 }
 
@@ -270,6 +270,14 @@ pub enum JournalError {
         /// What broke.
         message: String,
     },
+    /// A sealed segment's block header is in a format this build does not
+    /// read: its `version` is not [`BlockHeader::VERSION`].
+    UnsupportedHeader {
+        /// The segment whose header was rejected.
+        segment: u64,
+        /// The version the header declares.
+        version: u32,
+    },
 }
 
 impl fmt::Display for JournalError {
@@ -285,6 +293,11 @@ impl fmt::Display for JournalError {
             JournalError::SealViolation { segment, message } => {
                 write!(f, "journal seal violation at segment {segment}: {message}")
             }
+            JournalError::UnsupportedHeader { segment, version } => write!(
+                f,
+                "segment {segment} block header is version {version}; this build reads version {}",
+                BlockHeader::VERSION
+            ),
         }
     }
 }
@@ -394,9 +407,9 @@ pub struct SegmentConfig {
     pub fsync: FsyncPolicy,
     /// When `Some(seed)`, the sink seals every rotated-away segment into
     /// a signed [`BlockHeader`] (a `segment-NNNNNNNN.seal` sidecar): a
-    /// Merkle root over the segment's lines, the hash-chain bounds, the
-    /// checkpoint metric-family exclusion list, all HMAC-signed under
-    /// [`SealKey::from_seed`]. `None` keeps PR-5 behaviour (no sidecars).
+    /// Merkle root over the segment's lines and the hash-chain bounds,
+    /// HMAC-signed under [`SealKey::from_seed`]. `None` keeps PR-5
+    /// behaviour (no sidecars).
     pub seal: Option<u64>,
 }
 
@@ -818,6 +831,8 @@ impl SegmentedFileSink {
 
     /// Reads segment `index`'s sealed block header; `None` if the segment
     /// was never sealed (the in-progress head, or a pre-sealing journal).
+    /// A header of any version but [`BlockHeader::VERSION`] is rejected
+    /// here, before anything reads its other fields.
     fn read_header(&self, index: u64) -> Result<Option<BlockHeader>, JournalError> {
         let path = self.dir.join(Self::seal_name(index));
         let text = match std::fs::read_to_string(&path) {
@@ -830,6 +845,12 @@ impl SegmentedFileSink {
                 segment: index,
                 message: format!("unparseable block header: {e}"),
             })?;
+        if header.version != BlockHeader::VERSION {
+            return Err(JournalError::UnsupportedHeader {
+                segment: index,
+                version: header.version,
+            });
+        }
         Ok(Some(header))
     }
 
@@ -847,7 +868,6 @@ impl SegmentedFileSink {
             chain_prev: evidence::encode_hex(&self.segment_chain_prev),
             chain_head: evidence::encode_hex(&self.chain),
             merkle_root: evidence::encode_hex(&evidence::merkle_root(&self.leaves)),
-            excluded_families: excluded_metric_families(),
             seal: String::new(),
         };
         header.sign(key);
@@ -1465,7 +1485,9 @@ impl Journal {
     ///
     /// # Errors
     /// [`JournalError::Io`] if a header cannot be read;
-    /// [`JournalError::SealViolation`] if one does not parse.
+    /// [`JournalError::SealViolation`] if one does not parse;
+    /// [`JournalError::UnsupportedHeader`] if one is not
+    /// [`BlockHeader::VERSION`].
     pub fn sealed_headers(&self) -> Result<Vec<BlockHeader>, JournalError> {
         self.lock().sink.sealed_headers()
     }
@@ -1479,7 +1501,8 @@ impl Journal {
     /// # Errors
     /// [`JournalError::Io`] if a segment cannot be read;
     /// [`JournalError::SealViolation`] if a sealed segment holds an
-    /// unparseable line.
+    /// unparseable line; [`JournalError::UnsupportedHeader`] as for
+    /// [`Journal::sealed_headers`].
     pub fn prove(&self, job: JobId) -> Result<Vec<InclusionProof>, JournalError> {
         self.lock().sink.prove(job)
     }
@@ -1489,12 +1512,13 @@ impl Journal {
     /// edits surface as [`JournalError::ChainViolation`] naming the first
     /// bad entry — then re-verifies every sealed block header under the
     /// fleet `seed`'s [`SealKey`] (forged, altered or foreign-fleet seals
-    /// surface as [`JournalError::SealViolation`]).
+    /// surface as [`JournalError::SealViolation`], headers of another
+    /// format version as [`JournalError::UnsupportedHeader`]).
     ///
     /// # Errors
     /// [`JournalError::Io`], [`JournalError::Corrupt`],
-    /// [`JournalError::ChainViolation`] or [`JournalError::SealViolation`]
-    /// as above.
+    /// [`JournalError::ChainViolation`], [`JournalError::SealViolation`]
+    /// or [`JournalError::UnsupportedHeader`] as above.
     pub fn verify(&self, seed: u64) -> Result<LedgerVerification, JournalError> {
         let guard = self.lock();
         let text = guard.sink.contents()?;
@@ -1517,94 +1541,6 @@ pub struct LedgerVerification {
     pub tail: TailStatus,
     /// Sealed block headers that verified under the seed's key.
     pub seals_verified: u64,
-}
-
-/// The journal layer's self-accounting metric families: they describe
-/// this *process* (its own appends, commits, rotations, syncs and
-/// recoveries), not the metered workload, so a recovered service
-/// legitimately reads `fleet_recoveries_total 1` where the uninterrupted
-/// original reads 0.
-pub const SELF_ACCOUNTING_FAMILIES: [&str; 15] = [
-    "fleet_journal_appends_total",
-    "fleet_journal_bytes_total",
-    "fleet_journal_group_commits_total",
-    "fleet_journal_rotations_total",
-    "fleet_journal_fsyncs_total",
-    "fleet_journal_segments_retired_total",
-    "fleet_journal_retries_total",
-    "fleet_journal_failures_total",
-    "fleet_ledger_seals_total",
-    "fleet_proofs_emitted_total",
-    "fleet_chain_violations_total",
-    "fleet_recoveries_total",
-    "fleet_observer_spans_total",
-    "fleet_observer_spans_dropped_total",
-    "fleet_observer_overhead_seconds_total",
-];
-
-/// The live-pipeline metric families: queue/inflight gauges, the
-/// rejected-submissions counter and the worker-supervision families
-/// describe the running ingest pipeline at a moment in time, not the
-/// metered workload, and are timing-dependent while the pipeline is
-/// live — so checkpoints exclude them (see
-/// [`crate::FleetService::checkpoint`]).
-pub const LIVE_PIPELINE_FAMILIES: [&str; 11] = [
-    "fleet_queue_depth",
-    "fleet_inflight",
-    "fleet_submissions_rejected",
-    "fleet_quarantined",
-    "fleet_stage_seconds",
-    "fleet_stage_seconds_by_tenant",
-    "fleet_pool_buffers",
-    "fleet_worker_restarts_total",
-    "fleet_jobs_reassigned_total",
-    "fleet_poison_jobs_total",
-    "fleet_workers_live",
-];
-
-/// The metric families a checkpoint excludes from its snapshot —
-/// [`SELF_ACCOUNTING_FAMILIES`] plus [`LIVE_PIPELINE_FAMILIES`] —
-/// committed inside every sealed [`BlockHeader`] so the exclusion policy
-/// itself is part of the signed evidence.
-pub fn excluded_metric_families() -> Vec<String> {
-    SELF_ACCOUNTING_FAMILIES
-        .iter()
-        .chain(LIVE_PIPELINE_FAMILIES.iter())
-        .map(|family| (*family).to_string())
-        .collect()
-}
-
-/// Strips the named families' series (and their `HELP`/`TYPE` headers)
-/// from a metrics exposition. Histogram families render their series
-/// under derived `_bucket`/`_sum`/`_count` names, so those are stripped
-/// alongside the bare family name.
-pub fn strip_families(exposition: &str, families: &[&str]) -> String {
-    exposition
-        .lines()
-        .filter(|line| {
-            !families.iter().any(|family| {
-                ["", "_bucket", "_sum", "_count"].iter().any(|suffix| {
-                    line.starts_with(&format!("{family}{suffix} "))
-                        || line.starts_with(&format!("{family}{suffix}{{"))
-                }) || line.starts_with(&format!("# HELP {family} "))
-                    || line.starts_with(&format!("# TYPE {family} "))
-            })
-        })
-        .map(|line| format!("{line}\n"))
-        .collect()
-}
-
-/// The metering exposition: everything except the journal's
-/// self-accounting counters and the live-pipeline gauges — the series
-/// the recovery contract guarantees byte-identical **whatever process**
-/// produced them (streamed or batch, original or recovered).
-pub fn metering_exposition(exposition: &str) -> String {
-    let families: Vec<&str> = SELF_ACCOUNTING_FAMILIES
-        .iter()
-        .chain(LIVE_PIPELINE_FAMILIES.iter())
-        .copied()
-        .collect();
-    strip_families(exposition, &families)
 }
 
 /// Parses JSON-lines journal text **and walks its hash chain**. A final
@@ -2266,7 +2202,7 @@ mod tests {
         let headers = journal.sealed_headers().unwrap();
         assert_eq!(headers.len(), 1);
         assert_eq!(headers[0].entries, 1);
-        assert_eq!(headers[0].excluded_families, excluded_metric_families());
+        assert_eq!(headers[0].version, BlockHeader::VERSION);
         assert!(headers[0].verify_seal(&SealKey::from_seed(42)));
         assert!(!headers[0].verify_seal(&SealKey::from_seed(43)));
 

@@ -14,7 +14,7 @@
 //! | [`tenant::Ledger`] | aggregates per-run [`trustmeter_core::Invoice`]s and CPU time (billed vs TSC ground truth) into per-tenant accounts |
 //! | [`auditor::Auditor`] | streams run records through the §VI trust workflow and raises per-tenant [`auditor::Anomaly`] verdicts |
 //! | [`journal::Journal`] | append-only JSON-lines write-ahead log: runs, billing/audit receipts, checkpoints; crash recovery via [`FleetService::recover`] |
-//! | [`metrics::MetricsRegistry`] | Prometheus-style text exposition of usage and anomaly counters |
+//! | [`metrics::MetricsRegistry`] | Prometheus-style text exposition; a service keeps two: billing-grade [`FleetService::metering`] (checkpointed) and operational [`FleetService::metrics`] (never checkpointed) |
 //! | [`FleetService`] | wires it all together: submit → execute → bill → audit → journal → export |
 //!
 //! ## Example
@@ -74,11 +74,10 @@ pub use ingest::{
     IngestOutcome, IngestStats, JobVerdict, SubmitError,
 };
 pub use journal::{
-    compact, excluded_metric_families, metering_exposition, parse_journal, recovery_window,
-    strip_families, Checkpoint, CheckpointCadence, FsyncPolicy, InvoicePosting, Journal,
-    JournalEntry, JournalError, JournalSink, JournalStats, LedgerVerification, MemorySink,
-    PoisonNotice, RecoveryError, RecoveryReport, SegmentConfig, SegmentedFileSink, SinkStats,
-    TailStatus, LIVE_PIPELINE_FAMILIES, SELF_ACCOUNTING_FAMILIES,
+    compact, parse_journal, recovery_window, Checkpoint, CheckpointCadence, FsyncPolicy,
+    InvoicePosting, Journal, JournalEntry, JournalError, JournalSink, JournalStats,
+    LedgerVerification, MemorySink, PoisonNotice, RecoveryError, RecoveryReport, SegmentConfig,
+    SegmentedFileSink, SinkStats, TailStatus,
 };
 pub use metrics::{CounterCell, MetricKind, MetricsRegistry};
 pub use pool::{BufferPool, PoolStats};
@@ -90,136 +89,239 @@ pub use trace::{span_id, PipelineTracer, Span, SpanWall, Stage, StageObservation
 pub use trustmeter_core::RateCard;
 
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 const AUDIT_REPLAYS_METRIC: &str = "fleet_audit_replays_total";
 const AUDIT_REPLAYS_HELP: &str = "Inline clean-reference replays the auditor performed";
 const AUDIT_REF_HITS_METRIC: &str = "fleet_audit_reference_hits_total";
 const AUDIT_REF_HITS_HELP: &str = "Runs audited with a worker-precomputed reference";
-const JOURNAL_APPENDS_METRIC: &str = "fleet_journal_appends_total";
-const JOURNAL_APPENDS_HELP: &str = "Entries appended to the durability journal";
-const JOURNAL_BYTES_METRIC: &str = "fleet_journal_bytes_total";
-const JOURNAL_BYTES_HELP: &str = "Bytes appended to the durability journal (JSON lines)";
-const JOURNAL_GROUP_COMMITS_METRIC: &str = "fleet_journal_group_commits_total";
-const JOURNAL_GROUP_COMMITS_HELP: &str =
-    "Batched journal commits (entry groups committed with one sink write)";
-const JOURNAL_ROTATIONS_METRIC: &str = "fleet_journal_rotations_total";
-const JOURNAL_ROTATIONS_HELP: &str = "Journal segment rotations";
-const JOURNAL_FSYNCS_METRIC: &str = "fleet_journal_fsyncs_total";
-const JOURNAL_FSYNCS_HELP: &str = "fsync calls issued by the journal sink";
-const JOURNAL_RETIRED_METRIC: &str = "fleet_journal_segments_retired_total";
-const JOURNAL_RETIRED_HELP: &str = "Journal segments retired as superseded by a checkpoint";
-const JOURNAL_RETRIES_METRIC: &str = "fleet_journal_retries_total";
-const JOURNAL_RETRIES_HELP: &str =
-    "Failed journal commit attempts absorbed by the retry policy (transient I/O errors)";
-const JOURNAL_FAILURES_METRIC: &str = "fleet_journal_failures_total";
-const JOURNAL_FAILURES_HELP: &str =
-    "Journal commits that exhausted the retry policy and quarantined the pipeline";
-const QUARANTINED_METRIC: &str = "fleet_quarantined";
-const QUARANTINED_HELP: &str =
-    "Whether the ingest pipeline is quarantined after an unrecoverable journal failure (0/1)";
-const LEDGER_SEALS_METRIC: &str = "fleet_ledger_seals_total";
-const LEDGER_SEALS_HELP: &str = "Signed block headers sealed over rotated journal segments";
-const PROOFS_EMITTED_METRIC: &str = "fleet_proofs_emitted_total";
-const PROOFS_EMITTED_HELP: &str = "Inclusion proofs emitted by dispute resolution";
-const CHAIN_VIOLATIONS_METRIC: &str = "fleet_chain_violations_total";
-const CHAIN_VIOLATIONS_HELP: &str =
-    "Evidence chain or seal violations detected during recovery or dispute";
-const RECOVERIES_METRIC: &str = "fleet_recoveries_total";
-const RECOVERIES_HELP: &str = "Journal recoveries performed by this service";
-const STAGE_SECONDS_METRIC: &str = "fleet_stage_seconds";
-const STAGE_SECONDS_HELP: &str = "Pipeline stage latency distribution, by stage";
-const STAGE_SECONDS_BY_TENANT_METRIC: &str = "fleet_stage_seconds_by_tenant";
-const STAGE_SECONDS_BY_TENANT_HELP: &str =
-    "Pipeline stage latency distribution, by stage and tenant";
-const OBSERVER_SPANS_METRIC: &str = "fleet_observer_spans_total";
-const OBSERVER_SPANS_HELP: &str = "Spans recorded by the pipeline tracer";
-const OBSERVER_DROPPED_METRIC: &str = "fleet_observer_spans_dropped_total";
-const OBSERVER_DROPPED_HELP: &str = "Spans evicted from the tracer's full ring buffer";
-const OBSERVER_OVERHEAD_METRIC: &str = "fleet_observer_overhead_seconds_total";
-const OBSERVER_OVERHEAD_HELP: &str =
-    "Time spent inside the observability layer itself (the cost of observing)";
-const WORKER_RESTARTS_METRIC: &str = "fleet_worker_restarts_total";
-const WORKER_RESTARTS_HELP: &str = "Workers respawned by the supervisor after a reap";
-const JOBS_REASSIGNED_METRIC: &str = "fleet_jobs_reassigned_total";
-const JOBS_REASSIGNED_HELP: &str =
-    "Jobs reclaimed from dead, hung or lying workers and requeued for re-execution";
-const POISON_JOBS_METRIC: &str = "fleet_poison_jobs_total";
-const POISON_JOBS_HELP: &str = "Jobs retired as poison after killing the configured run of workers";
-const WORKERS_LIVE_METRIC: &str = "fleet_workers_live";
-const WORKERS_LIVE_HELP: &str = "Workers currently alive in the ingest pool";
 
-/// Pre-registers the journal layer's self-accounting counters at zero
-/// (existing values are kept — `counter_add` with a zero delta only
-/// creates missing series), so the exposition is stable before the first
-/// append and after a checkpoint restore strips them.
-fn register_journal_metrics(metrics: &mut MetricsRegistry) {
-    for (name, help) in [
-        (JOURNAL_APPENDS_METRIC, JOURNAL_APPENDS_HELP),
-        (JOURNAL_BYTES_METRIC, JOURNAL_BYTES_HELP),
-        (JOURNAL_GROUP_COMMITS_METRIC, JOURNAL_GROUP_COMMITS_HELP),
-        (JOURNAL_ROTATIONS_METRIC, JOURNAL_ROTATIONS_HELP),
-        (JOURNAL_FSYNCS_METRIC, JOURNAL_FSYNCS_HELP),
-        (JOURNAL_RETIRED_METRIC, JOURNAL_RETIRED_HELP),
-        (JOURNAL_RETRIES_METRIC, JOURNAL_RETRIES_HELP),
-        (JOURNAL_FAILURES_METRIC, JOURNAL_FAILURES_HELP),
-        (LEDGER_SEALS_METRIC, LEDGER_SEALS_HELP),
-        (PROOFS_EMITTED_METRIC, PROOFS_EMITTED_HELP),
-        (CHAIN_VIOLATIONS_METRIC, CHAIN_VIOLATIONS_HELP),
-        (RECOVERIES_METRIC, RECOVERIES_HELP),
-    ] {
-        metrics.counter_add(name, help, &[], 0.0);
-    }
-    // The quarantine flag is a gauge, pre-set healthy so "never
-    // quarantined" and "series never existed" stay distinguishable.
-    metrics.gauge_set(QUARANTINED_METRIC, QUARANTINED_HELP, &[], 0.0);
+/// Reads one field of a component's stats snapshot as a metric value.
+type Read<S> = fn(&S) -> f64;
+
+/// Where an unlabeled ops family's value comes from.
+enum Feed {
+    /// Counter: growth of a [`JournalStats`] field since the last export.
+    Journal(Read<JournalStats>),
+    /// Counter: growth of a [`TracerStats`] field since the last export.
+    Tracer(Read<TracerStats>),
+    /// Counter: growth of an [`IngestStats`] field since the last export.
+    Ingest(Read<IngestStats>),
+    /// Gauge: an [`IngestStats`] field as of the last export.
+    IngestGauge(Read<IngestStats>),
+    /// Counter: bumped by the service on the event it names.
+    Event,
 }
 
-/// Pre-registers the observability families at zero: the per-stage
-/// latency histograms (one zeroed series per [`Stage`]), the per-tenant
-/// variant family (series appear as tenants send traffic), and the
-/// tracer's self-accounting counters — so the exposition is stable with
-/// tracing on or off, before any span is recorded, and after a
-/// checkpoint restore strips them.
-fn register_observability_metrics(metrics: &mut MetricsRegistry) {
+/// The unlabeled families of the ops registry ([`FleetService::metrics`]):
+/// name, help and feed. With [`STAGE_SECONDS`],
+/// [`STAGE_SECONDS_BY_TENANT`], [`INFLIGHT`] and [`POOL_BUFFERS`] this is
+/// every ops family; everything else a service exports is metering.
+const OPS: [(&str, &str, Feed); 22] = [
+    (
+        "fleet_journal_appends_total",
+        "Entries appended to the durability journal",
+        Feed::Journal(|s| s.appends as f64),
+    ),
+    (
+        "fleet_journal_bytes_total",
+        "Bytes appended to the durability journal (JSON lines)",
+        Feed::Journal(|s| s.bytes as f64),
+    ),
+    (
+        "fleet_journal_group_commits_total",
+        "Batched journal commits (entry groups committed with one sink write)",
+        Feed::Journal(|s| s.group_commits as f64),
+    ),
+    (
+        "fleet_journal_rotations_total",
+        "Journal segment rotations",
+        Feed::Journal(|s| s.rotations as f64),
+    ),
+    (
+        "fleet_journal_fsyncs_total",
+        "fsync calls issued by the journal sink",
+        Feed::Journal(|s| s.fsyncs as f64),
+    ),
+    (
+        "fleet_journal_segments_retired_total",
+        "Journal segments retired as superseded by a checkpoint",
+        Feed::Journal(|s| s.segments_retired as f64),
+    ),
+    (
+        "fleet_ledger_seals_total",
+        "Signed block headers sealed over rotated journal segments",
+        Feed::Journal(|s| s.seals as f64),
+    ),
+    (
+        "fleet_journal_retries_total",
+        "Failed journal commit attempts absorbed by the retry policy (transient I/O errors)",
+        Feed::Ingest(|s| s.retries as f64),
+    ),
+    (
+        "fleet_journal_failures_total",
+        "Journal commits that exhausted the retry policy and quarantined the pipeline",
+        Feed::Ingest(|s| s.journal_failures as f64),
+    ),
+    (
+        "fleet_submissions_rejected",
+        "Submissions rejected because the queue was full",
+        Feed::Ingest(|s| s.rejected as f64),
+    ),
+    (
+        "fleet_worker_restarts_total",
+        "Workers respawned by the supervisor after a reap",
+        Feed::Ingest(|s| s.worker_restarts as f64),
+    ),
+    (
+        "fleet_jobs_reassigned_total",
+        "Jobs reclaimed from dead, hung or lying workers and requeued for re-execution",
+        Feed::Ingest(|s| s.reassigned as f64),
+    ),
+    (
+        "fleet_poison_jobs_total",
+        "Jobs retired as poison after killing the configured run of workers",
+        Feed::Ingest(|s| s.poisoned as f64),
+    ),
+    (
+        "fleet_queue_depth",
+        "Jobs queued and not yet dispatched to a worker",
+        Feed::IngestGauge(|s| s.queued as f64),
+    ),
+    (
+        "fleet_quarantined",
+        "Whether the ingest pipeline is quarantined after an unrecoverable journal failure (0/1)",
+        Feed::IngestGauge(|s| f64::from(u8::from(s.quarantined))),
+    ),
+    (
+        "fleet_workers_live",
+        "Workers currently alive in the ingest pool",
+        Feed::IngestGauge(|s| s.workers as f64),
+    ),
+    (
+        "fleet_observer_spans_total",
+        "Spans recorded by the pipeline tracer",
+        Feed::Tracer(|s| s.spans_recorded as f64),
+    ),
+    (
+        "fleet_observer_spans_dropped_total",
+        "Spans evicted from the tracer's full ring buffer",
+        Feed::Tracer(|s| s.spans_dropped as f64),
+    ),
+    (
+        "fleet_observer_overhead_seconds_total",
+        "Time spent inside the observability layer itself (the cost of observing)",
+        Feed::Tracer(|s| s.overhead_nanos as f64 / 1e9),
+    ),
+    (
+        "fleet_proofs_emitted_total",
+        "Inclusion proofs emitted by dispute resolution",
+        Feed::Event,
+    ),
+    (
+        "fleet_chain_violations_total",
+        "Evidence chain or seal violations detected during recovery or dispute",
+        Feed::Event,
+    ),
+    (
+        "fleet_recoveries_total",
+        "Journal recoveries performed by this service",
+        Feed::Event,
+    ),
+];
+
+/// Stage latency histograms, one series per [`Stage`].
+const STAGE_SECONDS: (&str, &str) = (
+    "fleet_stage_seconds",
+    "Pipeline stage latency distribution, by stage",
+);
+/// Stage latency histograms per tenant; series appear with traffic.
+const STAGE_SECONDS_BY_TENANT: (&str, &str) = (
+    "fleet_stage_seconds_by_tenant",
+    "Pipeline stage latency distribution, by stage and tenant",
+);
+/// Inflight gauges, one series per tenant that has had a job in flight.
+const INFLIGHT: (&str, &str) = ("fleet_inflight", "Jobs currently executing, per tenant");
+/// Release-path buffer pool gauges, one series per [`POOL_EVENTS`] entry.
+const POOL_BUFFERS: (&str, &str) = (
+    "fleet_pool_buffers",
+    "Release-path record buffer pool, by event (idle_capacity counts elements, the rest buffers)",
+);
+const POOL_EVENTS: [(&str, Read<PoolStats>); 5] = [
+    ("acquired", |p| p.acquired as f64),
+    ("reused", |p| p.reused as f64),
+    ("returned", |p| p.returned as f64),
+    ("idle", |p| p.idle as f64),
+    ("idle_capacity", |p| p.idle_capacity as f64),
+];
+
+/// A fresh ops registry with every declared family registered at zero, so
+/// the exposition has the same families before the first pump, with
+/// tracing on or off, and in a recovered service.
+fn ops_registry() -> MetricsRegistry {
+    let mut ops = MetricsRegistry::new();
+    for (name, help, feed) in OPS {
+        match feed {
+            Feed::IngestGauge(_) => ops.gauge_set(name, help, &[], 0.0),
+            _ => ops.counter_add(name, help, &[], 0.0),
+        }
+    }
+    let (name, help) = STAGE_SECONDS;
     for stage in Stage::ALL {
-        metrics.histogram_zero(
-            STAGE_SECONDS_METRIC,
-            STAGE_SECONDS_HELP,
+        ops.histogram_zero(
+            name,
+            help,
             &metrics::LATENCY_BUCKETS,
             &[("stage", stage.label())],
         );
     }
-    metrics.histogram_family(
-        STAGE_SECONDS_BY_TENANT_METRIC,
-        STAGE_SECONDS_BY_TENANT_HELP,
-        &metrics::LATENCY_BUCKETS,
-    );
-    for (name, help) in [
-        (OBSERVER_SPANS_METRIC, OBSERVER_SPANS_HELP),
-        (OBSERVER_DROPPED_METRIC, OBSERVER_DROPPED_HELP),
-        (OBSERVER_OVERHEAD_METRIC, OBSERVER_OVERHEAD_HELP),
-    ] {
-        metrics.counter_add(name, help, &[], 0.0);
+    let (name, help) = STAGE_SECONDS_BY_TENANT;
+    ops.declare(name, help, MetricKind::Histogram, &metrics::LATENCY_BUCKETS);
+    let (name, help) = INFLIGHT;
+    ops.declare(name, help, MetricKind::Gauge, &[]);
+    let (name, help) = POOL_BUFFERS;
+    for (event, _) in POOL_EVENTS {
+        ops.gauge_set(name, help, &[("event", event)], 0.0);
     }
-    register_supervision_metrics(metrics);
+    ops
 }
 
-/// Pre-registers the worker-supervision families at zero: the restart,
-/// reassignment and poison-job counters plus the live-worker gauge — so
-/// a fleet that never loses a worker still exposes the families an
-/// operator's alerts watch, and the exposition is stable after a
-/// checkpoint restore strips them (they are [`LIVE_PIPELINE_FAMILIES`]).
-fn register_supervision_metrics(metrics: &mut MetricsRegistry) {
-    for (name, help) in [
-        (WORKER_RESTARTS_METRIC, WORKER_RESTARTS_HELP),
-        (JOBS_REASSIGNED_METRIC, JOBS_REASSIGNED_HELP),
-        (POISON_JOBS_METRIC, POISON_JOBS_HELP),
-    ] {
-        metrics.counter_add(name, help, &[], 0.0);
+/// A mirrored counter's growth between two snapshots of its source. A
+/// journal failover swaps in a sink whose counters restart at zero, so a
+/// shrinking field adds nothing.
+fn growth<S>(read: Read<S>, now: &S, before: &S) -> f64 {
+    (read(now) - read(before)).max(0.0)
+}
+
+/// The metering part of a [`FleetService::metrics_text`] dump: every line
+/// that does not belong to an ops family, which is exactly
+/// [`FleetService::metering`]'s render. Tests compare
+/// `metering().render()` directly; this is for callers that only hold the
+/// text.
+pub fn metering_exposition(exposition: &str) -> String {
+    let ops = ops_registry();
+    let mut names = BTreeSet::new();
+    for (family, _, kind) in ops.family_info() {
+        names.insert(family.to_string());
+        if kind == MetricKind::Histogram {
+            for suffix in ["_bucket", "_sum", "_count"] {
+                names.insert(format!("{family}{suffix}"));
+            }
+        }
     }
-    metrics.gauge_set(WORKERS_LIVE_METRIC, WORKERS_LIVE_HELP, &[], 0.0);
+    exposition
+        .lines()
+        .filter(|line| {
+            let series = line
+                .strip_prefix("# HELP ")
+                .or_else(|| line.strip_prefix("# TYPE "))
+                .unwrap_or(line);
+            let name = series.split([' ', '{']).next().unwrap_or_default();
+            !names.contains(name)
+        })
+        .flat_map(|line| [line, "\n"])
+        .collect()
 }
 
 /// Everything one processed batch produced.
@@ -266,21 +368,27 @@ pub struct FleetService {
     directory: TenantDirectory,
     auditor: Auditor,
     ledger: Ledger,
-    metrics: MetricsRegistry,
+    /// Billing-grade metering: usage, jobs, anomalies, audit cost, tenants
+    /// and charges. The only metrics state a [`Checkpoint`] carries.
+    metering: MetricsRegistry,
+    /// Operational telemetry ([`OPS`] and the labeled ops families): it
+    /// describes this process and its timing, so it is never checkpointed
+    /// or restored.
+    ops: MetricsRegistry,
     /// Pricing applied to tenants that were never registered.
     default_rate_card: RateCard,
     /// The durability journal, when attached: runs, invoices and verdicts
     /// are appended write-ahead so the accounting state can be rebuilt
     /// with [`FleetService::recover`].
     journal: Option<Journal>,
-    /// Journal counters already folded into the metrics exposition.
+    /// Journal counters already folded into the ops registry.
     journal_exported: JournalStats,
     /// The pipeline tracer, when attached (see
     /// [`FleetService::with_tracer`]): the service times its audit/post
     /// stages into it and drains its histogram cells into the
     /// `fleet_stage_seconds*` metrics.
     tracer: Option<PipelineTracer>,
-    /// Tracer counters already folded into the metrics exposition.
+    /// Tracer counters already folded into the ops registry.
     observer_exported: TracerStats,
     /// How often inline checkpoints are written (see
     /// [`FleetService::with_checkpoint_cadence`]).
@@ -289,9 +397,9 @@ pub struct FleetService {
     runs_since_checkpoint: u64,
     /// Pre-resolved atomic counter handles for the per-record posting hot
     /// path (see [`MetricsRegistry::counter_cell`]). A process-local cache
-    /// only — cleared whenever `metrics` is replaced wholesale (checkpoint
-    /// restore), since handles are only meaningful on the registry that
-    /// issued them.
+    /// only — cleared whenever `metering` is replaced wholesale
+    /// (checkpoint restore), since handles are only meaningful on the
+    /// registry that issued them.
     cells: ServiceCells,
 }
 
@@ -325,23 +433,18 @@ impl FleetService {
         let auditor = Auditor::new(config.machine.clone())
             .with_sampling(config.sampling, config.seed)
             .demand_quotes(config.seed);
-        let mut metrics = MetricsRegistry::new();
+        let mut metering = MetricsRegistry::new();
         // Pre-register the audit cost counters at zero so the exposition
         // shows the replay cost even before (or without) any audits.
-        metrics.counter_add(AUDIT_REPLAYS_METRIC, AUDIT_REPLAYS_HELP, &[], 0.0);
-        metrics.counter_add(AUDIT_REF_HITS_METRIC, AUDIT_REF_HITS_HELP, &[], 0.0);
-        // Likewise the journal/recovery series, so the exposition is
-        // stable before the first append or recovery.
-        register_journal_metrics(&mut metrics);
-        // And the stage-latency histograms and observer self-accounting
-        // counters, so tracing on/off never changes which series exist.
-        register_observability_metrics(&mut metrics);
+        metering.counter_add(AUDIT_REPLAYS_METRIC, AUDIT_REPLAYS_HELP, &[], 0.0);
+        metering.counter_add(AUDIT_REF_HITS_METRIC, AUDIT_REF_HITS_HELP, &[], 0.0);
         FleetService {
             fleet: Fleet::new(config),
             directory: TenantDirectory::new(),
             auditor,
             ledger: Ledger::new(),
-            metrics,
+            metering,
+            ops: ops_registry(),
             default_rate_card: RateCard::per_cpu_hour(0.10),
             journal: None,
             journal_exported: JournalStats::default(),
@@ -505,11 +608,7 @@ impl FleetService {
             ingest,
             records: Vec::new(),
             verdicts: Vec::new(),
-            inflight_exported: Vec::new(),
-            rejected_exported: 0,
-            retries_exported: 0,
-            failures_exported: 0,
-            supervision_exported: (0, 0, 0),
+            exported: IngestStats::default(),
         }
     }
 
@@ -569,8 +668,7 @@ impl FleetService {
                 .expect("receipts collected only with a journal")
                 .append_batch(&receipts);
             if committed.is_err() {
-                self.metrics
-                    .counter_add(JOURNAL_FAILURES_METRIC, JOURNAL_FAILURES_HELP, &[], 1.0);
+                self.count("fleet_journal_failures_total", 1.0);
             }
             if let (Some(tracer), Some(started), Some((job, tenant))) =
                 (&self.tracer, commit_started, first_posted)
@@ -606,11 +704,19 @@ impl FleetService {
             .append_batch(&[JournalEntry::checkpoint(checkpoint)])
         {
             Ok(()) => self.runs_since_checkpoint = 0,
-            Err(_) => {
-                self.metrics
-                    .counter_add(JOURNAL_FAILURES_METRIC, JOURNAL_FAILURES_HELP, &[], 1.0);
-            }
+            Err(_) => self.count("fleet_journal_failures_total", 1.0),
         }
+    }
+
+    /// Adds `n` to the unlabeled ops counter `name`, as declared in
+    /// [`OPS`].
+    fn count(&mut self, name: &str, n: f64) {
+        let help = OPS
+            .iter()
+            .find(|(declared, ..)| *declared == name)
+            .map(|(_, help, _)| *help)
+            .expect("ops counter is declared in OPS");
+        self.ops.counter_add(name, help, &[], n);
     }
 
     /// Bills, audits and meters one completed run (the shared core of the
@@ -650,20 +756,20 @@ impl FleetService {
             Some(cells) => cells,
             None => {
                 let cells = (
-                    self.metrics
+                    self.metering
                         .counter_cell(AUDIT_REPLAYS_METRIC, AUDIT_REPLAYS_HELP, &[]),
-                    self.metrics
+                    self.metering
                         .counter_cell(AUDIT_REF_HITS_METRIC, AUDIT_REF_HITS_HELP, &[]),
                 );
                 self.cells.audit = Some(cells);
                 cells
             }
         };
-        self.metrics.cell_add(
+        self.metering.cell_add(
             replay_cell,
             (self.auditor.replay_count() - replays_before) as f64,
         );
-        self.metrics.cell_add(
+        self.metering.cell_add(
             hit_cell,
             (self.auditor.reference_hit_count() - hits_before) as f64,
         );
@@ -690,7 +796,7 @@ impl FleetService {
             return *cells;
         }
         let label = tenant.to_string();
-        let jobs = self.metrics.counter_cell(
+        let jobs = self.metering.counter_cell(
             "fleet_jobs",
             "Jobs executed by the fleet",
             &[("tenant", &label)],
@@ -703,7 +809,7 @@ impl FleetService {
             ("system", "truth"),
         ]
         .map(|(state, source)| {
-            self.metrics.counter_cell(
+            self.metering.counter_cell(
                 "cpu_usage",
                 usage_help,
                 &[("tenant", &label), ("state", state), ("source", source)],
@@ -711,7 +817,7 @@ impl FleetService {
         });
         let anomaly_help = "Audit anomalies raised, by kind";
         let anomalies = Anomaly::KINDS.map(|kind| {
-            self.metrics.counter_cell(
+            self.metering.counter_cell(
                 "fleet_anomalies",
                 anomaly_help,
                 &[("tenant", &label), ("kind", kind)],
@@ -729,26 +835,26 @@ impl FleetService {
     fn export_record(&mut self, record: &RunRecord, verdict: &AuditVerdict) {
         let outcome = &record.outcome;
         let cells = self.tenant_cells(record.job.tenant);
-        self.metrics.cell_add(cells.jobs, 1.0);
+        self.metering.cell_add(cells.jobs, 1.0);
         for (cell, secs) in cells.cpu.iter().zip([
             outcome.billed_utime_secs(),
             outcome.billed_stime_secs(),
             outcome.truth_total_secs() - outcome.truth_stime_secs(),
             outcome.truth_stime_secs(),
         ]) {
-            self.metrics.cell_add(*cell, secs);
+            self.metering.cell_add(*cell, secs);
         }
         for anomaly in &verdict.anomalies {
             let slot = Anomaly::KINDS
                 .iter()
                 .position(|kind| *kind == anomaly.kind())
                 .expect("anomaly kind listed in Anomaly::KINDS");
-            self.metrics.cell_add(cells.anomalies[slot], 1.0);
+            self.metering.cell_add(cells.anomalies[slot], 1.0);
         }
     }
 
     fn export_gauges(&mut self) {
-        self.metrics.gauge_set(
+        self.metering.gauge_set(
             "fleet_tenants",
             "Tenants with at least one posted run",
             &[],
@@ -760,13 +866,13 @@ impl FleetService {
             .map(|a| (a.tenant.to_string(), a.billed_charge, a.truth_charge))
             .collect();
         for (tenant, billed, truth) in ledgers {
-            self.metrics.gauge_set(
+            self.metering.gauge_set(
                 "tenant_charge",
                 "Cumulative charge per tenant, by source",
                 &[("tenant", &tenant), ("source", "billed")],
                 billed,
             );
-            self.metrics.gauge_set(
+            self.metering.gauge_set(
                 "tenant_charge",
                 "Cumulative charge per tenant, by source",
                 &[("tenant", &tenant), ("source", "truth")],
@@ -775,100 +881,83 @@ impl FleetService {
         }
     }
 
-    /// The Prometheus-style text dump of every metric.
+    /// The Prometheus-style text dump of both registries: the metering
+    /// families first, then the ops families.
     pub fn metrics_text(&self) -> String {
-        self.metrics.render()
+        let mut text = self.metering.render();
+        text.push_str(&self.ops.render());
+        text
     }
 
-    /// The metrics registry itself, for quantile and counter queries
-    /// (e.g. [`MetricsRegistry::histogram_quantile`] over the
-    /// `fleet_stage_seconds` series).
+    /// The billing-grade metering registry: per-tenant CPU usage, jobs,
+    /// anomalies, audit cost, tenants and charges. It is the only metrics
+    /// state a [`Checkpoint`] carries, so it is bit-identical for a fixed
+    /// seed whatever the worker count, batching, tracing, injected faults
+    /// or recovery.
+    pub fn metering(&self) -> &MetricsRegistry {
+        &self.metering
+    }
+
+    /// The operational-telemetry registry: journal, evidence, recovery,
+    /// stage-latency, observer, pipeline and supervision families, for
+    /// quantile and counter queries (e.g.
+    /// [`MetricsRegistry::histogram_quantile`] over the
+    /// `fleet_stage_seconds` series). It describes this process and its
+    /// timing, so checkpoints never carry it and recovery never restores
+    /// it.
     pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
+        &self.ops
     }
 
     /// Drains the tracer's aggregated histogram cells into the
-    /// `fleet_stage_seconds*` metrics and folds its span/overhead
-    /// counters into the exposition (delta since the last export). A
-    /// no-op without a tracer — the zero-registered families stay zero,
-    /// so tracing on/off never changes which series exist.
+    /// `fleet_stage_seconds*` histograms and adds its span/overhead
+    /// counters' growth since the last export. A no-op without a tracer —
+    /// the zero-registered families stay zero, so tracing on/off never
+    /// changes which series exist.
     fn export_observer_metrics(&mut self) {
         let Some(tracer) = &self.tracer else { return };
         for observation in tracer.take_observations() {
             let stage = observation.stage.label();
-            match observation.tenant {
-                None => self.metrics.histogram_add(
-                    STAGE_SECONDS_METRIC,
-                    STAGE_SECONDS_HELP,
-                    &metrics::LATENCY_BUCKETS,
-                    &[("stage", stage)],
-                    &observation.counts,
-                    observation.sum_secs,
-                    observation.count,
+            let tenant = observation.tenant.map(|tenant| tenant.to_string());
+            let ((name, help), labels): (_, &[(&str, &str)]) = match &tenant {
+                None => (STAGE_SECONDS, &[("stage", stage)]),
+                Some(tenant) => (
+                    STAGE_SECONDS_BY_TENANT,
+                    &[("stage", stage), ("tenant", tenant)],
                 ),
-                Some(tenant) => self.metrics.histogram_add(
-                    STAGE_SECONDS_BY_TENANT_METRIC,
-                    STAGE_SECONDS_BY_TENANT_HELP,
-                    &metrics::LATENCY_BUCKETS,
-                    &[("stage", stage), ("tenant", &tenant.to_string())],
-                    &observation.counts,
-                    observation.sum_secs,
-                    observation.count,
-                ),
-            }
+            };
+            self.ops.histogram_add(
+                name,
+                help,
+                &metrics::LATENCY_BUCKETS,
+                labels,
+                &observation.counts,
+                observation.sum_secs,
+                observation.count,
+            );
         }
         let stats = tracer.stats();
-        let exported = self.observer_exported;
-        for (name, help, now, before) in [
-            (
-                OBSERVER_SPANS_METRIC,
-                OBSERVER_SPANS_HELP,
-                stats.spans_recorded,
-                exported.spans_recorded,
-            ),
-            (
-                OBSERVER_DROPPED_METRIC,
-                OBSERVER_DROPPED_HELP,
-                stats.spans_dropped,
-                exported.spans_dropped,
-            ),
-        ] {
-            self.metrics
-                .counter_add(name, help, &[], now.saturating_sub(before) as f64);
+        for (name, help, feed) in OPS {
+            if let Feed::Tracer(read) = feed {
+                let delta = growth(read, &stats, &self.observer_exported);
+                self.ops.counter_add(name, help, &[], delta);
+            }
         }
-        self.metrics.counter_add(
-            OBSERVER_OVERHEAD_METRIC,
-            OBSERVER_OVERHEAD_HELP,
-            &[],
-            stats.overhead_nanos.saturating_sub(exported.overhead_nanos) as f64 / 1e9,
-        );
         self.observer_exported = stats;
     }
 
     /// A snapshot of the service's accounting state — ledger, audit
-    /// summaries and cost counters, metering metrics — as a journal
-    /// [`Checkpoint`] entry. [`journal::compact`] folds a journal prefix
-    /// into one of these so recovery does not replay from genesis, and a
-    /// [`CheckpointCadence`] writes them inline.
-    ///
-    /// The metrics snapshot carries the *metering* families only: the
-    /// journal's self-accounting counters and the live ingest
-    /// gauges/counters ([`SELF_ACCOUNTING_FAMILIES`],
-    /// [`LIVE_PIPELINE_FAMILIES`]) describe the process that wrote the
-    /// checkpoint — a restarted process starts both at zero, and the
-    /// live-pipeline series are timing-dependent, which would poison the
-    /// bit-identical recovery contract.
+    /// summaries and cost counters, and the metering registry — as a
+    /// journal [`Checkpoint`] entry. [`journal::compact`] folds a journal
+    /// prefix into one of these so recovery does not replay from genesis,
+    /// and a [`CheckpointCadence`] writes them inline. The ops registry
+    /// describes the process that wrote the checkpoint, so it stays out.
     pub fn checkpoint(&self) -> Checkpoint {
-        let excluded: Vec<&str> = SELF_ACCOUNTING_FAMILIES
-            .iter()
-            .chain(LIVE_PIPELINE_FAMILIES.iter())
-            .copied()
-            .collect();
         Checkpoint {
             runs: self.ledger.iter().map(|a| a.runs).sum(),
             ledger: self.ledger.clone(),
             audit: self.auditor.state(),
-            metrics: self.metrics.without_families(&excluded),
+            metrics: self.metering.clone(),
         }
     }
 
@@ -904,12 +993,10 @@ impl FleetService {
     pub fn recover(&mut self, entries: &[JournalEntry]) -> Result<RecoveryReport, RecoveryError> {
         let result = self.replay_with(entries, true);
         if matches!(result, Err(RecoveryError::ChainViolation(_))) {
-            self.metrics
-                .counter_add(CHAIN_VIOLATIONS_METRIC, CHAIN_VIOLATIONS_HELP, &[], 1.0);
+            self.count("fleet_chain_violations_total", 1.0);
         }
         let report = result?;
-        self.metrics
-            .counter_add(RECOVERIES_METRIC, RECOVERIES_HELP, &[], 1.0);
+        self.count("fleet_recoveries_total", 1.0);
         Ok(report)
     }
 
@@ -928,8 +1015,7 @@ impl FleetService {
         entries: &[JournalEntry],
     ) -> Result<RecoveryReport, RecoveryError> {
         let report = self.replay_with(entries, false)?;
-        self.metrics
-            .counter_add(RECOVERIES_METRIC, RECOVERIES_HELP, &[], 1.0);
+        self.count("fleet_recoveries_total", 1.0);
         Ok(report)
     }
 
@@ -996,22 +1082,12 @@ impl FleetService {
                 // job the fleet retired: nothing billed, nothing owed.
                 Ok(JournalEntry::Poisoned(_)) => {}
                 Err(e) => {
-                    self.metrics.counter_add(
-                        CHAIN_VIOLATIONS_METRIC,
-                        CHAIN_VIOLATIONS_HELP,
-                        &[],
-                        1.0,
-                    );
+                    self.count("fleet_chain_violations_total", 1.0);
                     return Err(DisputeError::Proof(e));
                 }
             }
         }
-        self.metrics.counter_add(
-            PROOFS_EMITTED_METRIC,
-            PROOFS_EMITTED_HELP,
-            &[],
-            proofs.len() as f64,
-        );
+        self.count("fleet_proofs_emitted_total", proofs.len() as f64);
         // Sealing the head may have rotated a segment; fold the new seal
         // count into the exposition.
         self.export_journal_metrics();
@@ -1091,16 +1167,10 @@ impl FleetService {
                     }
                     self.ledger = checkpoint.ledger.clone();
                     self.auditor.restore(checkpoint.audit.clone());
-                    self.metrics = checkpoint.metrics.clone();
+                    self.metering = checkpoint.metrics.clone();
                     // The replaced registry invalidates every cached cell
                     // handle; the posting path re-resolves on next use.
                     self.cells = ServiceCells::default();
-                    // Checkpoints exclude the self-accounting and
-                    // observability families (they described the dead
-                    // process); re-register them at zero so the
-                    // exposition stays stable.
-                    register_journal_metrics(&mut self.metrics);
-                    register_observability_metrics(&mut self.metrics);
                     report.checkpoint_runs = checkpoint.runs;
                     posted = self
                         .ledger
@@ -1207,167 +1277,49 @@ impl FleetService {
         Ok(report)
     }
 
-    /// Folds the attached journal's append/byte/commit/rotation/fsync
-    /// counters into the metrics exposition (delta since the last
-    /// export).
+    /// Adds the attached journal's counter growth since the last export
+    /// to the ops registry.
     fn export_journal_metrics(&mut self) {
         let Some(journal) = &self.journal else { return };
         let stats = journal.stats();
-        let exported = self.journal_exported;
-        for (name, help, now, before) in [
-            (
-                JOURNAL_APPENDS_METRIC,
-                JOURNAL_APPENDS_HELP,
-                stats.appends,
-                exported.appends,
-            ),
-            (
-                JOURNAL_BYTES_METRIC,
-                JOURNAL_BYTES_HELP,
-                stats.bytes,
-                exported.bytes,
-            ),
-            (
-                JOURNAL_GROUP_COMMITS_METRIC,
-                JOURNAL_GROUP_COMMITS_HELP,
-                stats.group_commits,
-                exported.group_commits,
-            ),
-            (
-                JOURNAL_ROTATIONS_METRIC,
-                JOURNAL_ROTATIONS_HELP,
-                stats.rotations,
-                exported.rotations,
-            ),
-            (
-                JOURNAL_FSYNCS_METRIC,
-                JOURNAL_FSYNCS_HELP,
-                stats.fsyncs,
-                exported.fsyncs,
-            ),
-            (
-                JOURNAL_RETIRED_METRIC,
-                JOURNAL_RETIRED_HELP,
-                stats.segments_retired,
-                exported.segments_retired,
-            ),
-            (
-                LEDGER_SEALS_METRIC,
-                LEDGER_SEALS_HELP,
-                stats.seals,
-                exported.seals,
-            ),
-        ] {
-            self.metrics
-                .counter_add(name, help, &[], now.saturating_sub(before) as f64);
+        for (name, help, feed) in OPS {
+            if let Feed::Journal(read) = feed {
+                let delta = growth(read, &stats, &self.journal_exported);
+                self.ops.counter_add(name, help, &[], delta);
+            }
         }
         self.journal_exported = stats;
     }
 
-    /// Exports the live ingest gauges and the rejected-submissions counter
-    /// delta (shared by mid-stream pumps and the final drain). `stale`
-    /// lists tenants whose inflight series were previously exported and
-    /// must be zeroed if absent from the current snapshot (gauge series
-    /// persist once created).
-    fn export_ingest_metrics(
-        &mut self,
-        stats: &IngestStats,
-        stale: &[TenantId],
-        rejected_delta: u64,
-        retries_delta: u64,
-        failures_delta: u64,
-        supervision_deltas: (u64, u64, u64),
-    ) {
-        let (restarts_delta, reassigned_delta, poisoned_delta) = supervision_deltas;
-        self.metrics.gauge_set(
-            "fleet_queue_depth",
-            "Jobs queued and not yet dispatched to a worker",
-            &[],
-            stats.queued as f64,
-        );
-        let inflight_help = "Jobs currently executing, per tenant";
-        for tenant in stale {
-            if !stats.inflight.contains_key(tenant) {
-                self.metrics.gauge_set(
-                    "fleet_inflight",
-                    inflight_help,
-                    &[("tenant", &tenant.to_string())],
-                    0.0,
-                );
+    /// Folds a stream's latest ingest snapshot into the ops registry —
+    /// counter growth since `before`, the gauges as of `stats`, a zero for
+    /// every tenant inflight in `before` but not in `stats` (gauge series
+    /// persist once created) — then the journal's and the tracer's growth
+    /// since their last export.
+    fn export_ops(&mut self, stats: &IngestStats, before: &IngestStats) {
+        for (name, help, feed) in OPS {
+            match feed {
+                Feed::Ingest(read) => {
+                    self.ops
+                        .counter_add(name, help, &[], growth(read, stats, before));
+                }
+                Feed::IngestGauge(read) => self.ops.gauge_set(name, help, &[], read(stats)),
+                _ => {}
             }
         }
-        for (tenant, count) in &stats.inflight {
-            self.metrics.gauge_set(
-                "fleet_inflight",
-                inflight_help,
-                &[("tenant", &tenant.to_string())],
-                *count as f64,
-            );
+        let (name, help) = INFLIGHT;
+        for tenant in before.inflight.keys().chain(stats.inflight.keys()) {
+            let count = stats.inflight.get(tenant).copied().unwrap_or(0);
+            self.ops
+                .gauge_set(name, help, &[("tenant", &tenant.to_string())], count as f64);
         }
-        self.metrics.counter_add(
-            "fleet_submissions_rejected",
-            "Submissions rejected because the queue was full",
-            &[],
-            rejected_delta as f64,
-        );
-        self.metrics.gauge_set(
-            QUARANTINED_METRIC,
-            QUARANTINED_HELP,
-            &[],
-            if stats.quarantined { 1.0 } else { 0.0 },
-        );
-        self.metrics.counter_add(
-            JOURNAL_RETRIES_METRIC,
-            JOURNAL_RETRIES_HELP,
-            &[],
-            retries_delta as f64,
-        );
-        self.metrics.counter_add(
-            JOURNAL_FAILURES_METRIC,
-            JOURNAL_FAILURES_HELP,
-            &[],
-            failures_delta as f64,
-        );
-        self.metrics.counter_add(
-            WORKER_RESTARTS_METRIC,
-            WORKER_RESTARTS_HELP,
-            &[],
-            restarts_delta as f64,
-        );
-        self.metrics.counter_add(
-            JOBS_REASSIGNED_METRIC,
-            JOBS_REASSIGNED_HELP,
-            &[],
-            reassigned_delta as f64,
-        );
-        self.metrics.counter_add(
-            POISON_JOBS_METRIC,
-            POISON_JOBS_HELP,
-            &[],
-            poisoned_delta as f64,
-        );
-        self.metrics.gauge_set(
-            WORKERS_LIVE_METRIC,
-            WORKERS_LIVE_HELP,
-            &[],
-            stats.workers as f64,
-        );
-        let pool_help = "Release-path record buffer pool, by event \
-                         (idle_capacity counts elements, the rest buffers)";
-        for (event, value) in [
-            ("acquired", stats.pool.acquired),
-            ("reused", stats.pool.reused),
-            ("returned", stats.pool.returned),
-            ("idle", stats.pool.idle),
-            ("idle_capacity", stats.pool.idle_capacity),
-        ] {
-            self.metrics.gauge_set(
-                "fleet_pool_buffers",
-                pool_help,
-                &[("event", event)],
-                value as f64,
-            );
+        let (name, help) = POOL_BUFFERS;
+        for (event, read) in POOL_EVENTS {
+            self.ops
+                .gauge_set(name, help, &[("event", event)], read(&stats.pool));
         }
+        self.export_journal_metrics();
+        self.export_observer_metrics();
     }
 }
 
@@ -1465,18 +1417,8 @@ pub struct FleetStream<'a> {
     ingest: FleetIngest,
     records: Vec<RunRecord>,
     verdicts: Vec<AuditVerdict>,
-    /// Tenants whose `fleet_inflight` gauge has been exported; their series
-    /// must be re-zeroed when they leave the inflight snapshot.
-    inflight_exported: Vec<TenantId>,
-    /// Rejected-submission count already added to the metrics counter.
-    rejected_exported: u64,
-    /// Journal retry count already added to the metrics counter.
-    retries_exported: u64,
-    /// Journal failure count already added to the metrics counter.
-    failures_exported: u64,
-    /// Supervision counters (worker restarts, reassigned jobs, poison
-    /// jobs) already added to the metrics counters.
-    supervision_exported: (u64, u64, u64),
+    /// The ingest snapshot last folded into the service's ops registry.
+    exported: IngestStats,
 }
 
 impl FleetStream<'_> {
@@ -1618,38 +1560,9 @@ impl FleetStream<'_> {
         // Hand the emptied batch container back for the next release.
         self.ingest.recycle(ready);
         let stats = self.ingest.stats();
-        self.export_stream_metrics(&stats);
+        self.service.export_ops(&stats, &self.exported);
+        self.exported = stats;
         posted
-    }
-
-    fn export_stream_metrics(&mut self, stats: &IngestStats) {
-        let delta = stats.rejected - self.rejected_exported;
-        let retries_delta = stats.retries - self.retries_exported;
-        let failures_delta = stats.journal_failures - self.failures_exported;
-        let supervision_deltas = (
-            stats.worker_restarts - self.supervision_exported.0,
-            stats.reassigned - self.supervision_exported.1,
-            stats.poisoned - self.supervision_exported.2,
-        );
-        self.service.export_ingest_metrics(
-            stats,
-            &self.inflight_exported,
-            delta,
-            retries_delta,
-            failures_delta,
-            supervision_deltas,
-        );
-        self.service.export_journal_metrics();
-        self.service.export_observer_metrics();
-        self.rejected_exported = stats.rejected;
-        self.retries_exported = stats.retries;
-        self.failures_exported = stats.journal_failures;
-        self.supervision_exported = (stats.worker_restarts, stats.reassigned, stats.poisoned);
-        for tenant in stats.inflight.keys() {
-            if !self.inflight_exported.contains(tenant) {
-                self.inflight_exported.push(*tenant);
-            }
-        }
     }
 
     /// Drains the pipeline (graceful shutdown: every accepted job still
@@ -1669,11 +1582,7 @@ impl FleetStream<'_> {
             ingest,
             mut records,
             mut verdicts,
-            mut inflight_exported,
-            rejected_exported,
-            retries_exported,
-            failures_exported,
-            supervision_exported,
+            mut exported,
         } = self;
         let mut outcome = ingest.finish();
         service.post_ready(&mut outcome.records, &mut records, &mut verdicts);
@@ -1681,24 +1590,9 @@ impl FleetStream<'_> {
         // inflight, and every tenant that was ever inflight now has a
         // ledger account — so zero the inflight series for all of them.
         for account in service.ledger.iter() {
-            if !inflight_exported.contains(&account.tenant) {
-                inflight_exported.push(account.tenant);
-            }
+            exported.inflight.entry(account.tenant).or_insert(0);
         }
-        service.export_ingest_metrics(
-            &outcome.stats,
-            &inflight_exported,
-            outcome.stats.rejected - rejected_exported,
-            outcome.stats.retries - retries_exported,
-            outcome.stats.journal_failures - failures_exported,
-            (
-                outcome.stats.worker_restarts - supervision_exported.0,
-                outcome.stats.reassigned - supervision_exported.1,
-                outcome.stats.poisoned - supervision_exported.2,
-            ),
-        );
-        service.export_journal_metrics();
-        service.export_observer_metrics();
+        service.export_ops(&outcome.stats, &exported);
         service.export_gauges();
         let report = FleetReport {
             records,

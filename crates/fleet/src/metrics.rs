@@ -447,12 +447,19 @@ impl MetricsRegistry {
         self.histogram_cell_mut(name, help, bounds, labels);
     }
 
-    /// Pre-registers a histogram *family* (help text, type, buckets) with
-    /// no series yet — for label dimensions whose values (e.g. tenants)
-    /// are unknown until traffic arrives.
-    pub fn histogram_family(&mut self, name: &str, help: &str, bounds: &[f64]) {
-        assert!(!bounds.is_empty(), "histogram `{name}` needs buckets");
-        self.family_mut(name, help, MetricKind::Histogram, bounds);
+    /// Pre-registers a *family* (help text, type and, for a histogram, its
+    /// bucket bounds) with no series yet — for label dimensions whose
+    /// values (e.g. tenants) are unknown until traffic arrives.
+    ///
+    /// # Panics
+    /// Panics if `name` is already registered as another kind, or if
+    /// `bounds` is empty for a histogram or non-empty for a scalar kind.
+    pub fn declare(&mut self, name: &str, help: &str, kind: MetricKind, bounds: &[f64]) {
+        assert!(
+            (kind == MetricKind::Histogram) != bounds.is_empty(),
+            "metric `{name}`: only histograms take (and need) buckets"
+        );
+        self.family_mut(name, help, kind, bounds);
     }
 
     /// Reads one scalar series back (`None` if it was never touched or is
@@ -550,21 +557,6 @@ impl MetricsRegistry {
             }
         }
         families
-    }
-
-    /// A copy of the registry without the named families. Journal
-    /// checkpoints use this to exclude process-local and live-pipeline
-    /// series from the durable snapshot — they describe the process that
-    /// wrote the checkpoint, not the metered workload.
-    pub fn without_families(&self, families: &[&str]) -> MetricsRegistry {
-        MetricsRegistry {
-            families: self
-                .materialized()
-                .into_iter()
-                .filter(|(name, _)| !families.contains(&name.as_str()))
-                .collect(),
-            bank: CellBank::default(),
-        }
     }
 
     /// Renders the whole registry in the Prometheus text exposition format,
@@ -803,7 +795,7 @@ mod tests {
     #[test]
     fn histogram_family_preregisters_without_series() {
         let mut registry = MetricsRegistry::new();
-        registry.histogram_family("m", "h", &[1.0]);
+        registry.declare("m", "h", MetricKind::Histogram, &[1.0]);
         let text = registry.render();
         assert!(text.contains("# HELP m h"));
         assert!(text.contains("# TYPE m histogram"));

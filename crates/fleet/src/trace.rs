@@ -21,13 +21,10 @@
 //!    the nested [`SpanWall`] object, so a consumer diffing two trace
 //!    exports can strip the `wall` field and compare the rest exactly.
 //! 2. **Traced time never enters checked artifacts.** Ledgers, verdicts
-//!    and the metering exposition contain no tracer output: the
-//!    `fleet_stage_seconds*` histograms are in
-//!    [`crate::journal::LIVE_PIPELINE_FAMILIES`] and the
-//!    `fleet_observer_*` counters in
-//!    [`crate::journal::SELF_ACCOUNTING_FAMILIES`], both stripped from
-//!    [`crate::journal::metering_exposition`] and excluded from
-//!    checkpoints.
+//!    and the metering registry ([`crate::FleetService::metering`])
+//!    contain no tracer output: the `fleet_stage_seconds*` histograms and
+//!    the `fleet_observer_*` counters live in the ops registry
+//!    ([`crate::FleetService::metrics`]), which checkpoints never carry.
 //!
 //! ## Self-accounting
 //!

@@ -94,7 +94,7 @@ fn main() {
     // Ground truth: the same batch on an unfaulted service.
     let mut clean = build_service(None);
     let clean_report = clean.process(&jobs());
-    let clean_metering = metering_exposition(&clean.metrics_text());
+    let clean_metering = clean.metering().render();
 
     // ---- 1-3. Panic, hang, lie — one schedule, one stream ---------------
     let schedule = WorkerFaultSchedule::none()
@@ -132,8 +132,8 @@ fn main() {
     // ---- 4. Bit-identical finish ----------------------------------------
     let report = stream.finish();
     assert_eq!(report, clean_report, "chaos run == clean run, bit for bit");
+    assert_eq!(service.metering().render(), clean_metering);
     let text = service.metrics_text();
-    assert_eq!(metering_exposition(&text), clean_metering);
     assert!(text.contains("fleet_poison_jobs_total 0"));
     println!(
         "finished: {} records; report, ledger and metering exposition \

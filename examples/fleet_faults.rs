@@ -63,7 +63,7 @@ fn main() {
     // Ground truth: the same batch on an unfaulted service.
     let mut clean = build_service(None);
     let clean_report = clean.process(&jobs());
-    let clean_metering = metering_exposition(&clean.metrics_text());
+    let clean_metering = clean.metering().render();
 
     // ---- 1. A journal on a disk that is about to go bad ----------------
     // Submission journals one Accepted line per job (lines 0..18). The
@@ -121,8 +121,8 @@ fn main() {
         report, clean_report,
         "faulted run == clean run, bit for bit"
     );
+    assert_eq!(service.metering().render(), clean_metering);
     let text = service.metrics_text();
-    assert_eq!(metering_exposition(&text), clean_metering);
     assert!(text.contains("fleet_quarantined 0"));
     assert!(text.contains("fleet_journal_failures_total 1"));
     println!(
@@ -146,7 +146,7 @@ fn main() {
     );
     assert_eq!(recovered.ledger(), &clean_report.ledger);
     assert_eq!(
-        metering_exposition(&recovered.metrics_text()),
+        recovered.metering().render(),
         clean_metering,
         "recovered metering exposition == clean exposition, byte for byte"
     );

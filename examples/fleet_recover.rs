@@ -168,8 +168,8 @@ fn main() {
         "recovered ledger == clean batch ledger"
     );
     assert_eq!(
-        metering_exposition(&recovered.metrics_text()),
-        metering_exposition(&baseline.metrics_text()),
+        recovered.metering().render(),
+        baseline.metering().render(),
         "recovered metering exposition == clean batch exposition"
     );
     for account in recovered.ledger().iter() {
@@ -199,8 +199,8 @@ fn main() {
         "recovery from the compacted journal is unchanged"
     );
     assert_eq!(
-        metering_exposition(&from_checkpoint.metrics_text()),
-        metering_exposition(&baseline.metrics_text()),
+        from_checkpoint.metering().render(),
+        baseline.metering().render(),
         "compact-then-recover preserves the metering exposition too"
     );
     println!("recovery from the compacted journal reproduces the same state");

@@ -151,8 +151,8 @@ fn main() {
         "ledger and verdicts must be bit-identical with tracing on or off"
     );
     assert_eq!(
-        metering_exposition(&text),
-        metering_exposition(&untraced.metrics_text()),
+        service.metering().render(),
+        untraced.metering().render(),
         "metering exposition must be byte-identical with tracing on or off"
     );
     println!(

@@ -45,7 +45,8 @@ fn service(workers: usize) -> FleetService {
 
 /// Streams `jobs` through a fresh service, submitting per job or in
 /// `submit_all` chunks of `chunk` (0 = per job), pumping between chunks
-/// like a live consumer. Returns the report and the final exposition.
+/// like a live consumer. Returns the report and the final metering
+/// exposition.
 fn stream_jobs(jobs: &[JobSpec], workers: usize, chunk: usize) -> (FleetReport, String) {
     let mut service = service(workers);
     let mut stream = service.stream(IngestConfig::new(workers));
@@ -61,7 +62,7 @@ fn stream_jobs(jobs: &[JobSpec], workers: usize, chunk: usize) -> (FleetReport, 
         }
     }
     let report = stream.finish();
-    (report, service.metrics_text())
+    (report, service.metering().render())
 }
 
 #[test]
@@ -69,12 +70,12 @@ fn batched_submission_is_bit_identical_to_per_job_at_1_2_8_workers() {
     let jobs = batch(24);
     let mut reference = service(4);
     let reference_report = reference.process(&jobs);
-    let reference_metering = metering_exposition(&reference.metrics_text());
+    let reference_metering = reference.metering().render();
 
     for workers in [1usize, 2, 8] {
-        let (per_job, per_job_metrics) = stream_jobs(&jobs, workers, 0);
+        let (per_job, per_job_metering) = stream_jobs(&jobs, workers, 0);
         for chunk in [5usize, 24] {
-            let (batched, batched_metrics) = stream_jobs(&jobs, workers, chunk);
+            let (batched, batched_metering) = stream_jobs(&jobs, workers, chunk);
             // Records, verdicts and the ledger: the full report matches
             // the per-job stream and the plain batch API bit for bit.
             assert_eq!(
@@ -85,11 +86,10 @@ fn batched_submission_is_bit_identical_to_per_job_at_1_2_8_workers() {
             // The metering exposition — everything a billing consumer
             // reads — is byte-identical too.
             assert_eq!(
-                metering_exposition(&batched_metrics),
-                metering_exposition(&per_job_metrics),
+                batched_metering, per_job_metering,
                 "metering drifted at chunk {chunk}, {workers} workers"
             );
-            assert_eq!(metering_exposition(&batched_metrics), reference_metering);
+            assert_eq!(batched_metering, reference_metering);
         }
     }
 }

@@ -348,6 +348,48 @@ fn spliced_seal_sidecar_from_a_different_fleet_seed_is_rejected() {
 }
 
 #[test]
+fn resigned_header_of_another_version_is_rejected_by_name() {
+    let dir = build_sealed("version", SEED, 12);
+    let key = SealKey::from_seed(SEED);
+    // Rewrite the first sidecar to a format this build does not read and
+    // re-sign it under the right key: the seal itself is valid, so only
+    // the version check can object.
+    let sidecar = segment_files(&dir)[0].with_extension("seal");
+    let mut header: BlockHeader =
+        serde_json::from_str(&std::fs::read_to_string(&sidecar).unwrap()).unwrap();
+    let proofs = Journal::segmented(&dir, sealed_config(SEED))
+        .unwrap()
+        .prove(JobId(0))
+        .unwrap();
+    let mut proof = proofs
+        .into_iter()
+        .find(|proof| proof.header.segment == header.segment)
+        .expect("job 0's Accepted line sits in the first segment");
+    header.version = BlockHeader::VERSION + 1;
+    header.sign(&key);
+    assert!(header.verify_seal(&key));
+    std::fs::write(&sidecar, serde_json::to_string(&header).unwrap()).unwrap();
+
+    let journal = Journal::segmented(&dir, sealed_config(SEED)).unwrap();
+    let named = JournalError::UnsupportedHeader {
+        segment: header.segment,
+        version: BlockHeader::VERSION + 1,
+    };
+    assert_eq!(journal.verify(SEED).unwrap_err(), named);
+    assert_eq!(journal.prove(JobId(0)).unwrap_err(), named);
+    assert_eq!(journal.sealed_headers().unwrap_err(), named);
+    proof.header = header.clone();
+    assert_eq!(
+        proof.verify(&key).unwrap_err(),
+        ProofError::UnsupportedHeader {
+            segment: header.segment,
+            version: BlockHeader::VERSION + 1,
+        }
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn untampered_sealed_recovery_is_bit_identical_at_1_2_8_workers() {
     let jobs = batch(24);
     let mut baseline = service_seeded(4, SEED, None);
@@ -383,10 +425,7 @@ fn untampered_sealed_recovery_is_bit_identical_at_1_2_8_workers() {
         let mut recovered = service_seeded(workers, SEED, None);
         recovered.recover_latest(&entries).unwrap();
         assert_eq!(recovered.ledger(), service.ledger());
-        assert_eq!(
-            metering_exposition(&recovered.metrics_text()),
-            metering_exposition(&service.metrics_text())
-        );
+        assert_eq!(recovered.metering().render(), service.metering().render());
 
         // And, once the head (which holds the final checkpoint — the
         // cadence retired everything it superseded) is sealed too, the
@@ -453,10 +492,9 @@ fn dispute_settles_from_sealed_proofs_without_replay() {
         }
     }
 
-    // The exclusion list rides inside every sealed header, so a verifier
-    // knows exactly which metric families the checkpoint left out.
+    // Every sealed header is in the one format this build reads.
     for header in &headers {
-        assert_eq!(header.excluded_families, excluded_metric_families());
+        assert_eq!(header.version, BlockHeader::VERSION);
     }
 
     // Disputes are themselves metered.

@@ -183,7 +183,7 @@ fn failover_recovery_is_bit_identical_across_1_2_8_workers() {
     let jobs = batch(12);
     let mut baseline = service77(4, None);
     let baseline_report = baseline.process(&jobs);
-    let baseline_metering = metering_exposition(&baseline.metrics_text());
+    let baseline_metering = baseline.metering().render();
 
     let mut recovered_expositions = Vec::new();
     for workers in [1usize, 2, 8] {
@@ -216,8 +216,8 @@ fn failover_recovery_is_bit_identical_across_1_2_8_workers() {
             report, baseline_report,
             "failover must not perturb results at {workers} workers"
         );
+        assert_eq!(service.metering().render(), baseline_metering);
         let text = service.metrics_text();
-        assert_eq!(metering_exposition(&text), baseline_metering);
         assert!(text.contains("fleet_quarantined 0"), "dump:\n{text}");
         assert!(
             text.contains("fleet_journal_failures_total 1"),
@@ -250,7 +250,7 @@ fn failover_recovery_is_bit_identical_across_1_2_8_workers() {
             "every accepted job released"
         );
         assert_eq!(recovered.ledger(), &baseline_report.ledger);
-        let recovered_metering = metering_exposition(&recovered.metrics_text());
+        let recovered_metering = recovered.metering().render();
         assert_eq!(
             recovered_metering, baseline_metering,
             "recovered metering exposition must be byte-identical at {workers} workers"
@@ -270,7 +270,7 @@ fn accepted_resubmission_reproduces_the_uninterrupted_run() {
     let jobs = batch(12);
     let mut baseline = service77(4, None);
     let baseline_report = baseline.process(&jobs);
-    let baseline_metering = metering_exposition(&baseline.metrics_text());
+    let baseline_metering = baseline.metering().render();
 
     // Stream the first half to release, accept the second half, then kill
     // the process before anything more is released.
@@ -317,7 +317,7 @@ fn accepted_resubmission_reproduces_the_uninterrupted_run() {
     );
     assert_eq!(recovered.ledger(), &baseline_report.ledger);
     assert_eq!(
-        metering_exposition(&recovered.metrics_text()),
+        recovered.metering().render(),
         baseline_metering,
         "recovered-then-resubmitted metering exposition must be byte-identical"
     );
@@ -409,8 +409,8 @@ proptest! {
         prop_assert!(recovery.unreleased.is_empty());
         prop_assert_eq!(recovered.ledger(), &baseline_report.ledger);
         prop_assert_eq!(
-            metering_exposition(&recovered.metrics_text()),
-            metering_exposition(&baseline.metrics_text())
+            recovered.metering().render(),
+            baseline.metering().render()
         );
     }
 

@@ -148,8 +148,8 @@ fn ledger_survives_multiple_batches() {
 
 /// Streams `jobs` through a fresh service with `workers` workers
 /// (single-threaded submission, so submission order equals batch order)
-/// and returns the report plus the metrics text.
-fn stream_jobs(jobs: &[JobSpec], workers: usize) -> (FleetReport, String) {
+/// and returns the report plus the service.
+fn stream_jobs(jobs: &[JobSpec], workers: usize) -> (FleetReport, FleetService) {
     let mut service = FleetService::new(FleetConfig::new(workers, 77));
     for id in 1..=4u32 {
         service.register(Tenant::new(
@@ -165,7 +165,18 @@ fn stream_jobs(jobs: &[JobSpec], workers: usize) -> (FleetReport, String) {
         stream.pump();
     }
     let report = stream.finish();
-    (report, service.metrics_text())
+    (report, service)
+}
+
+/// A service's ops exposition with the release-buffer pool gauges zeroed:
+/// how many pumps found records ready depends on scheduling, so that is
+/// the one ops family that may differ across worker counts.
+fn ops_without_pool_timing(service: &FleetService) -> String {
+    let mut ops = service.metrics().clone();
+    for event in ["acquired", "reused", "returned", "idle", "idle_capacity"] {
+        ops.gauge_set("fleet_pool_buffers", "", &[("event", event)], 0.0);
+    }
+    ops.render()
 }
 
 #[test]
@@ -183,7 +194,7 @@ fn streamed_run_is_bit_identical_to_batch_for_1_2_8_workers() {
 
     let mut streamed_metrics = Vec::new();
     for workers in [1usize, 2, 8] {
-        let (report, metrics) = stream_jobs(&jobs, workers);
+        let (report, service) = stream_jobs(&jobs, workers);
         // Ledgers, audit verdicts and invoice totals match the batch path
         // bit for bit, whatever the worker count.
         assert_eq!(
@@ -194,19 +205,17 @@ fn streamed_run_is_bit_identical_to_batch_for_1_2_8_workers() {
             report.ledger.total_billed_charge(),
             batch_report.ledger.total_billed_charge()
         );
-        streamed_metrics.push(metrics);
+        streamed_metrics.push((
+            service.metering().render(),
+            ops_without_pool_timing(&service),
+        ));
     }
-    // The streamed metrics exposition is itself deterministic across worker
+    // Both streamed expositions are themselves deterministic across worker
     // counts: final queue depth and inflight gauges are structurally zero.
-    // Only the release-buffer pool counters are timing-dependent (how many
-    // pumps found records ready varies with scheduling), so strip that one
-    // live-pipeline family before comparing.
-    let stripped: Vec<String> = streamed_metrics
-        .iter()
-        .map(|metrics| strip_families(metrics, &["fleet_pool_buffers"]))
-        .collect();
-    assert_eq!(stripped[0], stripped[1]);
-    assert_eq!(stripped[0], stripped[2]);
+    // Only the release-buffer pool gauges are timing-dependent, so they
+    // are zeroed before comparing.
+    assert_eq!(streamed_metrics[0], streamed_metrics[1]);
+    assert_eq!(streamed_metrics[0], streamed_metrics[2]);
 }
 
 #[test]
@@ -365,7 +374,7 @@ fn sampling_policy_skips_are_deterministic_for_a_fixed_fleet_seed() {
                 stream.finish()
             }
         };
-        (report, service.metrics_text())
+        (report, service)
     };
 
     let (batch_report, _) = run(4, None);
@@ -387,13 +396,16 @@ fn sampling_policy_skips_are_deterministic_for_a_fixed_fleet_seed() {
     // The same fleet seed produces the same skip set whatever the shard or
     // worker count, streamed or batch. (Streamed expositions additionally
     // carry the ingest gauges, so they are compared among themselves; the
-    // buffer-pool counters depend on how many pumps found records, so that
-    // family is stripped first.)
+    // buffer-pool gauges depend on how many pumps found records, so that
+    // family is zeroed first.)
     let mut streamed_metrics = Vec::new();
     for workers in [1usize, 2, 8] {
-        let (report, metrics) = run(8, Some(workers));
+        let (report, service) = run(8, Some(workers));
         assert_eq!(report, batch_report);
-        streamed_metrics.push(strip_families(&metrics, &["fleet_pool_buffers"]));
+        streamed_metrics.push((
+            service.metering().render(),
+            ops_without_pool_timing(&service),
+        ));
     }
     assert_eq!(streamed_metrics[0], streamed_metrics[1]);
     assert_eq!(streamed_metrics[0], streamed_metrics[2]);
@@ -507,7 +519,7 @@ fn journal_recovery_is_bit_identical_across_1_2_8_workers() {
     let jobs = batch(24);
     let mut baseline = service77(4, None);
     let baseline_report = baseline.process(&jobs);
-    let baseline_metrics = baseline.metrics_text();
+    let baseline_metering = baseline.metering().render();
 
     let mut recovered_expositions = Vec::new();
     for workers in [1usize, 2, 8] {
@@ -557,12 +569,12 @@ fn journal_recovery_is_bit_identical_across_1_2_8_workers() {
 
         assert_eq!(recovered.ledger(), &baseline_report.ledger);
         assert_eq!(audit_summaries(&recovered), audit_summaries(&baseline));
-        let recovered_metrics = recovered.metrics_text();
         assert_eq!(
-            metering_exposition(&recovered_metrics),
-            metering_exposition(&baseline_metrics),
+            recovered.metering().render(),
+            baseline_metering,
             "metering exposition must be byte-identical after recovery"
         );
+        let recovered_metrics = recovered.metrics_text();
         assert!(recovered_metrics.contains("fleet_recoveries_total 1"));
         recovered_expositions.push(recovered_metrics);
     }
@@ -610,10 +622,7 @@ fn killed_stream_recovers_the_released_prefix() {
     assert!(report.is_consistent());
     assert_eq!(recovered.ledger(), &baseline_report.ledger);
     assert_eq!(audit_summaries(&recovered), audit_summaries(&baseline));
-    assert_eq!(
-        metering_exposition(&recovered.metrics_text()),
-        metering_exposition(&baseline.metrics_text())
-    );
+    assert_eq!(recovered.metering().render(), baseline.metering().render());
 
     // A harsher crash: the last record's receipts never hit the disk (and
     // the final line is torn mid-append). Recovery re-derives the missing
@@ -628,8 +637,8 @@ fn killed_stream_recovers_the_released_prefix() {
     assert!(report.is_consistent());
     assert_eq!(recovered_torn.ledger(), &baseline_report.ledger);
     assert_eq!(
-        metering_exposition(&recovered_torn.metrics_text()),
-        metering_exposition(&baseline.metrics_text())
+        recovered_torn.metering().render(),
+        baseline.metering().render()
     );
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -1013,8 +1022,8 @@ fn segmented_recovery_is_bit_identical_across_1_2_8_workers() {
         assert_eq!(recovered.ledger(), &baseline_report.ledger);
         assert_eq!(audit_summaries(&recovered), audit_summaries(&baseline));
         assert_eq!(
-            metering_exposition(&recovered.metrics_text()),
-            metering_exposition(&baseline.metrics_text()),
+            recovered.metering().render(),
+            baseline.metering().render(),
             "metering exposition must be byte-identical after segmented recovery"
         );
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1060,10 +1069,15 @@ fn cadence_checkpoints_bound_recovery_on_any_sink() {
     baseline.process(&jobs);
     assert_eq!(recovered.ledger(), baseline.ledger());
     assert_eq!(audit_summaries(&recovered), audit_summaries(&baseline));
-    assert_eq!(
-        metering_exposition(&recovered.metrics_text()),
-        metering_exposition(&baseline.metrics_text())
-    );
+    assert_eq!(recovered.metering().render(), baseline.metering().render());
+
+    // A checkpoint carries the metering registry and nothing else, and
+    // restoring one leaves the ops registry exactly as a service that
+    // recovered an empty journal has it.
+    assert_eq!(service.checkpoint().metrics, *service.metering());
+    let mut empty = service77(2, None);
+    empty.recover(&[]).unwrap();
+    assert_eq!(recovered.metrics(), empty.metrics());
 }
 
 #[test]
@@ -1114,10 +1128,7 @@ fn killed_segmented_stream_recovers_the_released_prefix() {
     let mut baseline = service77(4, None);
     baseline.process(&jobs[..released]);
     assert_eq!(recovered.ledger(), baseline.ledger());
-    assert_eq!(
-        metering_exposition(&recovered.metrics_text()),
-        metering_exposition(&baseline.metrics_text())
-    );
+    assert_eq!(recovered.metering().render(), baseline.metering().render());
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -1313,8 +1324,8 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 /// Streams `jobs` through a traced seed-77 service and returns the report,
-/// the full metrics text, and the set of span ids the tracer captured.
-fn stream_jobs_traced(jobs: &[JobSpec], workers: usize) -> (FleetReport, String, Vec<u64>) {
+/// the service, and the set of span ids the tracer captured.
+fn stream_jobs_traced(jobs: &[JobSpec], workers: usize) -> (FleetReport, FleetService, Vec<u64>) {
     let tracer = PipelineTracer::new(4096, 77);
     let mut service = service77(workers, None).with_tracer(tracer.clone());
     let mut stream = service.stream(IngestConfig::new(workers));
@@ -1326,7 +1337,7 @@ fn stream_jobs_traced(jobs: &[JobSpec], workers: usize) -> (FleetReport, String,
     let mut span_ids: Vec<u64> = tracer.spans().iter().map(|span| span.id).collect();
     span_ids.sort_unstable();
     span_ids.dedup();
-    (report, service.metrics_text(), span_ids)
+    (report, service, span_ids)
 }
 
 #[test]
@@ -1334,12 +1345,12 @@ fn tracing_does_not_perturb_results_at_1_2_8_workers() {
     let jobs = batch(24);
     let mut baseline = service77(4, None);
     let baseline_report = baseline.process(&jobs);
-    let baseline_metering = metering_exposition(&baseline.metrics_text());
+    let baseline_metering = baseline.metering().render();
 
     let mut all_span_ids = Vec::new();
     for workers in [1usize, 2, 8] {
-        let (untraced_report, untraced_metrics) = stream_jobs(&jobs, workers);
-        let (traced_report, traced_metrics, span_ids) = stream_jobs_traced(&jobs, workers);
+        let (untraced_report, untraced) = stream_jobs(&jobs, workers);
+        let (traced_report, traced, span_ids) = stream_jobs_traced(&jobs, workers);
 
         // Ledger and verdicts are bit-identical with the tracer attached.
         assert_eq!(
@@ -1352,11 +1363,13 @@ fn tracing_does_not_perturb_results_at_1_2_8_workers() {
         // The metering exposition — everything a billing consumer reads —
         // is byte-identical with tracing on, off, or absent entirely.
         assert_eq!(
-            metering_exposition(&traced_metrics),
-            metering_exposition(&untraced_metrics),
+            traced.metering().render(),
+            untraced.metering().render(),
             "metering exposition must not depend on tracing at {workers} workers"
         );
-        assert_eq!(metering_exposition(&traced_metrics), baseline_metering);
+        assert_eq!(traced.metering().render(), baseline_metering);
+        let traced_metrics = traced.metrics_text();
+        let untraced_metrics = untraced.metrics_text();
 
         // The traced run did observe the pipeline: stage histograms and the
         // observer's self-accounting are live, and the untraced run's are not.
@@ -1409,7 +1422,7 @@ fn recovery_byte_matches_metering_exposition_with_tracing_enabled() {
     let jobs = batch(24);
     let mut baseline = service77(4, None);
     baseline.process(&jobs);
-    let baseline_metering = metering_exposition(&baseline.metrics_text());
+    let baseline_metering = baseline.metering().render();
 
     let mut recovered_expositions = Vec::new();
     for workers in [1usize, 2, 8] {
@@ -1433,7 +1446,7 @@ fn recovery_byte_matches_metering_exposition_with_tracing_enabled() {
 
         let recovered_metrics = recovered.metrics_text();
         assert_eq!(
-            metering_exposition(&recovered_metrics),
+            recovered.metering().render(),
             baseline_metering,
             "recovered metering exposition must byte-match the un-traced \
              baseline at {workers} workers"
@@ -1456,17 +1469,44 @@ fn recovery_byte_matches_metering_exposition_with_tracing_enabled() {
 
 #[test]
 fn exposition_lint_help_escaping_and_ordering() {
-    // Every family a fully-loaded service registers carries non-empty help.
+    // Every family a fully-loaded service registers — journaled, traced,
+    // and with a worker reaped by the watchdog — carries non-empty help,
+    // and lives in exactly one of its two registries.
     let jobs = batch(12);
     let mut service =
         service77(2, Some(Journal::in_memory())).with_tracer(PipelineTracer::new(256, 77));
-    let _ = service.process(&jobs);
+    let config = IngestConfig::new(2)
+        .with_job_deadline(2)
+        .with_worker_faults(WorkerFaultSchedule::none().hang_on(JobId(5), 100_000));
+    let stream = service.stream(config);
+    stream.submit_all(&jobs).expect("queue sized for batch");
+    let _ = stream.finish();
+    let metering: Vec<&str> = service
+        .metering()
+        .family_info()
+        .map(|(name, ..)| name)
+        .collect();
     let mut families = 0;
-    for (name, help, _) in service.metrics().family_info() {
+    for (name, help, _) in service
+        .metering()
+        .family_info()
+        .chain(service.metrics().family_info())
+    {
         assert!(!help.trim().is_empty(), "family {name} has empty help text");
         families += 1;
     }
     assert!(families >= 10, "expected a loaded registry, got {families}");
+    for (name, ..) in service.metrics().family_info() {
+        assert!(
+            !metering.contains(&name),
+            "family {name} is registered in both registries"
+        );
+    }
+    // The one text post-processor drops exactly the ops families.
+    assert_eq!(
+        metering_exposition(&service.metrics_text()),
+        service.metering().render()
+    );
 
     // Label escaping round-trips: a hostile label value renders escaped and
     // un-escapes back to the original bytes.

@@ -142,7 +142,7 @@ fn stream_with_faults(
         std::thread::yield_now();
     }
     let report = stream.finish();
-    let metering = metering_exposition(&service.metrics_text());
+    let metering = service.metering().render();
     let bytes = journal.text().expect("in-memory journal reads back");
     (report, metering, bytes)
 }
@@ -157,7 +157,7 @@ fn panicking_worker_is_reaped_respawned_and_its_batch_reassigned() {
     let jobs = batch(12);
     let mut baseline = service77(4, None);
     let baseline_report = baseline.process(&jobs);
-    let baseline_metering = metering_exposition(&baseline.metrics_text());
+    let baseline_metering = baseline.metering().render();
 
     let journal = Journal::in_memory();
     let mut service = service77(2, Some(journal.clone()));
@@ -182,10 +182,7 @@ fn panicking_worker_is_reaped_respawned_and_its_batch_reassigned() {
     // output: the report, ledger and metering exposition are the
     // unfaulted run's, bit for bit.
     assert_eq!(report, baseline_report);
-    assert_eq!(
-        metering_exposition(&service.metrics_text()),
-        baseline_metering
-    );
+    assert_eq!(service.metering().render(), baseline_metering);
 
     // The recovery is observable where operators look.
     let text = service.metrics_text();
@@ -239,6 +236,39 @@ fn hung_worker_trips_the_deadline_watchdog_deterministically() {
     );
 }
 
+#[test]
+fn a_hang_never_expires_the_job_of_a_worker_beside_it() {
+    // Deadlines are charged per job: only the ticks a worker spins on its
+    // own job count against it. Job 0 runs 2× slow, spinning its cost in
+    // ticks — within grace plus cost — while job 1 hangs on the other
+    // worker and spins far past its own budget. Only the hung worker is
+    // reaped, however the two interleave.
+    let jobs = [
+        JobSpec::clean(0, TenantId(1), Workload::LoopO, SCALE),
+        JobSpec::clean(1, TenantId(2), Workload::Whetstone, 0.05),
+    ];
+    let mut baseline = service77(2, None);
+    let baseline_report = baseline.process(&jobs);
+
+    let mut service = service77(2, None);
+    let config = IngestConfig::new(2)
+        .paused()
+        .with_job_deadline(2)
+        .with_worker_faults(
+            WorkerFaultSchedule::none()
+                .slow_on(JobId(0), 2)
+                .hang_on(JobId(1), 1_000_000),
+        );
+    let stream = service.stream(config);
+    stream.submit_all(&jobs).expect("queue sized for batch");
+    stream.resume();
+    let report = stream.finish();
+    assert_eq!(report, baseline_report);
+    let ops = service.metrics();
+    assert_eq!(ops.get("fleet_worker_restarts_total", &[]), Some(1.0));
+    assert_eq!(ops.get("fleet_jobs_reassigned_total", &[]), Some(1.0));
+}
+
 // ---------------------------------------------------------------------------
 // Wrong result: completion verification catches the lying executor
 // ---------------------------------------------------------------------------
@@ -248,7 +278,7 @@ fn lying_executor_is_rejected_by_quote_verification_and_job_reexecuted() {
     let jobs = batch(8);
     let mut baseline = service77(4, None);
     let baseline_report = baseline.process(&jobs);
-    let baseline_metering = metering_exposition(&baseline.metrics_text());
+    let baseline_metering = baseline.metering().render();
 
     let mut service = service77(2, None);
     let config = IngestConfig::new(2)
@@ -263,10 +293,7 @@ fn lying_executor_is_rejected_by_quote_verification_and_job_reexecuted() {
     // covers the honest usage, so the inflated bill failed verification,
     // the worker was reaped, and the honest re-execution released.
     assert_eq!(report, baseline_report);
-    assert_eq!(
-        metering_exposition(&service.metrics_text()),
-        baseline_metering
-    );
+    assert_eq!(service.metering().render(), baseline_metering);
     let text = service.metrics_text();
     assert!(
         text.contains("fleet_worker_restarts_total 1"),
