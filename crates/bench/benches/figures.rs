@@ -3,7 +3,7 @@
 //! Each bench runs the corresponding experiment end to end (clean runs,
 //! attacked runs, series assembly) at `BENCH_SCALE`. The reported times are
 //! the cost of *regenerating the figure*, and the benches double as a
-//! regression harness: `cargo bench -p trustmeter-bench --bench figures`.
+//! regression harness: `cargo bench --bench figures -p trustmeter-bench`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use trustmeter_bench::bench_config;

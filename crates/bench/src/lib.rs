@@ -13,7 +13,7 @@
 //!   performance regressions in the simulator itself are visible.
 //!
 //! This library crate only exposes the shared configuration helpers used by
-//! those benches.
+//! those benches. The fleet service is measured by `fleetbench` instead.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -8,8 +8,7 @@
 //! pipeline must tolerate — a transient `EIO`, a permanently failed
 //! device, a full disk, a torn mid-line write, a crash point — is
 //! *reproducible*: the same schedule over the same workload injects the
-//! same fault at the same byte, in tests, in the benchmark and in
-//! `examples/fleet_faults.rs`.
+//! same fault at the same byte, in tests and in `examples/fleet_faults.rs`.
 //!
 //! The consumer side is [`RetryPolicy`]: a seeded-deterministic bounded
 //! exponential backoff (in *virtual ticks*, never wall-clock sleeps) the
@@ -141,8 +140,7 @@ pub struct FaultSchedule {
 }
 
 impl FaultSchedule {
-    /// An empty schedule: the wrapper passes everything through (the
-    /// healthy-path overhead the bench's `--faults` mode measures).
+    /// An empty schedule: the wrapper passes everything through.
     pub fn none() -> FaultSchedule {
         FaultSchedule::default()
     }
@@ -764,7 +762,7 @@ impl SupervisorPolicy {
 /// A seeded-deterministic bounded retry policy for journal commits:
 /// `max_attempts` tries, exponential backoff between them measured in
 /// **virtual ticks** (cooperative `yield_now` loops, never wall-clock
-/// sleeps, so tests and the bench stay fast and deterministic), with
+/// sleeps, so tests stay fast and deterministic), with
 /// seed-derived jitter so colliding retriers deterministically de-sync.
 ///
 /// The ingest pipeline runs every release-path and submission-path

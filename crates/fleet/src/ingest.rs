@@ -427,7 +427,8 @@ pub struct FleetHealth {
     /// Jobs declared poison and individually quarantined.
     pub poisoned: u64,
     /// The last worker died with the restart budget spent: the fleet is
-    /// quarantined until [`FleetIngest::scale_to`] revives the pool.
+    /// quarantined until [`crate::FleetStream::scale_workers`] (or
+    /// [`FleetIngest::scale_to`] on a bare pool) revives the pool.
     pub workers_dead: bool,
 }
 

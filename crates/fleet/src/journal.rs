@@ -330,11 +330,11 @@ impl TailStatus {
     }
 }
 
-/// Append/byte counters for one [`Journal`] handle (monotonic; `appends`,
-/// `bytes` and `group_commits` count work through this handle since it
-/// was opened, not entries already in a reopened file; the rotation /
-/// fsync / retirement counters come from the sink and cover the sink's
-/// lifetime).
+/// Append/byte and sink counters for one [`Journal`] handle. Every field
+/// counts work done through this handle since it was opened, not entries
+/// already in a reopened file, and never decreases: the rotation / fsync /
+/// retirement / seal counters sum the current sink's [`SinkStats`] with
+/// those of every sink [`Journal::fail_over`] swapped out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct JournalStats {
     /// Entries appended.
@@ -1308,6 +1308,17 @@ fn commit(inner: &mut JournalInner, entries: &[JournalEntry]) -> Result<(), Jour
     Ok(())
 }
 
+/// `stats` with a sink's durability counters added on.
+fn with_sink_stats(stats: JournalStats, sink: SinkStats) -> JournalStats {
+    JournalStats {
+        rotations: stats.rotations + sink.rotations,
+        fsyncs: stats.fsyncs + sink.fsyncs,
+        segments_retired: stats.segments_retired + sink.segments_retired,
+        seals: stats.seals + sink.seals,
+        ..stats
+    }
+}
+
 /// A cloneable handle to one append-only journal. The ingest pipeline and
 /// the service share a handle, so the append/byte counters cover the whole
 /// write-ahead stream; appends are serialized through an internal lock.
@@ -1422,27 +1433,22 @@ impl Journal {
     /// The replacement must be empty: failover *continues* a journal, it
     /// never splices two. (For the new directory to be recoverable on its
     /// own, write a leading [`JournalEntry::Checkpoint`] right after the
-    /// swap — [`crate::FleetStream::resume_with_sink`] does.)
+    /// swap — [`crate::FleetStream::resume_with_sink`] does.) The outgoing
+    /// sink's counters carry over into [`Journal::stats`].
     pub fn fail_over(&self, sink: Box<dyn JournalSink>) {
         let mut guard = self.lock();
         let inner = &mut *guard;
+        inner.stats = with_sink_stats(inner.stats, inner.sink.sink_stats());
         inner.sink = sink;
         let link = inner.link;
         inner.sink.anchor_chain(link);
     }
 
-    /// Append/byte/commit counters for this handle, merged with the
-    /// sink's rotation/fsync/retirement counters.
+    /// Append/byte/commit counters for this handle, plus the sink counters
+    /// of the current sink and every sink it failed over from.
     pub fn stats(&self) -> JournalStats {
         let inner = self.lock();
-        let sink = inner.sink.sink_stats();
-        JournalStats {
-            rotations: sink.rotations,
-            fsyncs: sink.fsyncs,
-            segments_retired: sink.segments_retired,
-            seals: sink.seals,
-            ..inner.stats
-        }
+        with_sink_stats(inner.stats, inner.sink.sink_stats())
     }
 
     /// Reads the journal back and parses it, dropping a truncated tail

@@ -287,9 +287,9 @@ fn ops_registry() -> MetricsRegistry {
     ops
 }
 
-/// A mirrored counter's growth between two snapshots of its source. A
-/// journal failover swaps in a sink whose counters restart at zero, so a
-/// shrinking field adds nothing.
+/// A mirrored counter's growth between two snapshots of its source. Every
+/// source only counts up (a [`Journal`] keeps its sink counters across a
+/// failover); the clamp only keeps out-of-order snapshots from panicking.
 fn growth<S>(read: Read<S>, now: &S, before: &S) -> f64 {
     (read(now) - read(before)).max(0.0)
 }
@@ -1449,7 +1449,8 @@ impl FleetStream<'_> {
     /// Resizes the session's worker pool (clamped to at least one worker).
     /// Growing spawns immediately; shrinking retires surplus workers at
     /// their next dispatch boundary. Reports stay bit-identical across any
-    /// scaling schedule — worker count never affects release order.
+    /// scaling schedule — worker count never affects release order. It also
+    /// revives a pool that died out ([`FleetHealth::workers_dead`]).
     pub fn scale_workers(&mut self, workers: usize) {
         self.ingest.scale_to(workers);
     }

@@ -32,8 +32,8 @@
 //! tracer stamps an [`std::time::Instant`] at every entry point and
 //! accumulates the time it spent recording into
 //! [`TracerStats::overhead_nanos`], which the service exports as
-//! `fleet_observer_overhead_seconds_total`. `trustmeter-bench` measures
-//! the end-to-end delta with interleaved tracing-on/off rounds.
+//! `fleet_observer_overhead_seconds_total`. `fleetbench` reports it against
+//! wall time, next to traced-over-untraced CPU per job from the same run.
 //!
 //! ```
 //! use trustmeter_fleet::{FleetConfig, FleetService, JobSpec, PipelineTracer, TenantId};

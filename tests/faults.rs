@@ -261,6 +261,52 @@ fn failover_recovery_is_bit_identical_across_1_2_8_workers() {
     assert_eq!(recovered_expositions[0], recovered_expositions[2]);
 }
 
+#[test]
+fn failover_keeps_the_dead_sinks_durability_counters() {
+    let dir = std::env::temp_dir().join(format!("trustmeter-failover-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    // Both sinks rotate small sealed segments and fsync every commit, and
+    // cadence checkpoints retire segments on both sides of the failover.
+    let config = SegmentConfig::default()
+        .with_segment_bytes(4 * 1024)
+        .with_fsync(FsyncPolicy::EveryAppend)
+        .with_seal(77);
+    let primary = SegmentedFileSink::open(dir.join("primary"), config).unwrap();
+    // The 24 Accepted lines land first; the disk fills among the runs.
+    let full = FaultSchedule::none().disk_full_at(40);
+    let (sink, _) = FaultInjectingSink::wrap(Box::new(primary), full);
+    let journal = Journal::with_sink(Box::new(sink)).unwrap();
+    let mut service = service77(2, Some(journal.clone()))
+        .with_checkpoint_cadence(CheckpointCadence::every_n_runs(6));
+    let mut stream = service.stream(IngestConfig::new(2).with_retry_policy(RetryPolicy::none()));
+    stream.submit_all(&batch(24)).unwrap();
+    while !stream.health().quarantined {
+        stream.pump();
+        std::thread::yield_now();
+    }
+    let durable = |s: JournalStats| [s.rotations, s.fsyncs, s.segments_retired, s.seals];
+    let before = durable(journal.stats());
+    let replacement = SegmentedFileSink::open(dir.join("replacement"), config).unwrap();
+    stream.resume_with_sink(Box::new(replacement)).unwrap();
+    let after = durable(journal.stats());
+    let kept = before.iter().zip(&after).all(|(was, now)| now >= was);
+    assert!(kept, "sink counters fell: {before:?} -> {after:?}");
+    stream.finish();
+
+    // Every rotation, fsync, retirement and seal of either sink reached
+    // the ops registry.
+    let exported = [
+        "fleet_journal_rotations_total",
+        "fleet_journal_fsyncs_total",
+        "fleet_journal_segments_retired_total",
+        "fleet_ledger_seals_total",
+    ]
+    .map(|family| service.metrics().get(family, &[]).unwrap() as u64);
+    assert_eq!(exported, durable(journal.stats()));
+    assert!(exported.iter().all(|count| *count > 0), "{exported:?}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 // ---------------------------------------------------------------------------
 // Submission-side durability: Accepted entries survive the kill
 // ---------------------------------------------------------------------------

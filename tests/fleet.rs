@@ -957,11 +957,19 @@ fn segmented_recovery_is_bit_identical_across_1_2_8_workers() {
     let mut baseline = service77(4, None);
     let baseline_report = baseline.process(&jobs);
 
-    for workers in [1usize, 2, 8] {
+    let group = FsyncPolicy::GroupCommit {
+        max_entries: 16,
+        max_bytes: 32 * 1024,
+    };
+    let policies = [FsyncPolicy::Never, FsyncPolicy::EveryAppend, group];
+    let runs = policies.map(|fsync| [1usize, 2, 8].map(|workers| (fsync, workers)));
+    for (fsync, workers) in runs.into_iter().flatten() {
         let dir = segment_dir(&format!("seg-{workers}"));
         // Segments small enough to rotate many times, a cadence that
         // checkpoints (and retires) mid-stream.
-        let config = SegmentConfig::default().with_segment_bytes(8 * 1024);
+        let config = SegmentConfig::default()
+            .with_segment_bytes(8 * 1024)
+            .with_fsync(fsync);
         let journal = Journal::segmented(&dir, config).unwrap();
         let mut service = service77(workers, Some(journal.clone()))
             .with_checkpoint_cadence(CheckpointCadence::every_n_runs(10));
@@ -973,7 +981,7 @@ fn segmented_recovery_is_bit_identical_across_1_2_8_workers() {
         let streamed_report = stream.finish();
         assert_eq!(
             streamed_report, baseline_report,
-            "segmented journaling must not perturb results at {workers} workers"
+            "segmented journaling must not perturb results at {workers} workers, {fsync:?}"
         );
         let stats = journal.stats();
         assert!(stats.rotations > 0, "segments rotated: {stats:?}");
@@ -982,6 +990,7 @@ fn segmented_recovery_is_bit_identical_across_1_2_8_workers() {
             stats.segments_retired > 0,
             "checkpoints retired history: {stats:?}"
         );
+        assert!(fsync == FsyncPolicy::Never || stats.fsyncs > 0, "{stats:?}");
         let text = service.metrics_text();
         for family in [
             "fleet_journal_rotations_total",
@@ -1437,6 +1446,16 @@ fn recovery_byte_matches_metering_exposition_with_tracing_enabled() {
             stream.pump();
         }
         let _ = stream.finish();
+
+        // A healthy run commits to the journal without a single retry, and
+        // the supervisor never reaps a healthy worker.
+        let ops = service.metrics();
+        let spans = |s: Stage| ops.histogram_count("fleet_stage_seconds", &[("stage", s.label())]);
+        assert!(spans(Stage::JournalCommit) > Some(0));
+        assert_eq!(spans(Stage::JournalRetry), Some(0), "{workers} workers");
+        assert_eq!(spans(Stage::Reassign), Some(0), "{workers} workers");
+        assert_eq!(ops.get("fleet_journal_retries_total", &[]), Some(0.0));
+        assert_eq!(ops.get("fleet_jobs_reassigned_total", &[]), Some(0.0));
 
         let (entries, tail) = journal.entries().unwrap();
         assert_eq!(tail, TailStatus::Clean);

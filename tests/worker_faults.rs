@@ -411,7 +411,7 @@ fn spent_restart_budget_quarantines_the_dead_pool_and_scale_to_revives_it() {
     let config = IngestConfig::new(1)
         .with_supervisor(SupervisorPolicy::default().with_max_restarts(0))
         .with_worker_faults(WorkerFaultSchedule::none().panic_on(JobId(0)));
-    let mut ingest = FleetIngest::new(Fleet::new(FleetConfig::new(1, 77)), config, None);
+    let mut ingest = FleetIngest::new(Fleet::new(FleetConfig::new(1, 77)), config.clone(), None);
     for job in batch(3) {
         ingest.submit(job).expect("queue sized for batch");
     }
@@ -447,6 +447,23 @@ fn spent_restart_budget_quarantines_the_dead_pool_and_scale_to_revives_it() {
     // plus any unstarted batch-mates it had popped alongside it.
     assert!(outcome.stats.reassigned >= 1);
     assert!(outcome.poisoned.is_empty());
+
+    // Once more through a service stream, whose pool is resized with
+    // `scale_workers`: the revived session finishes like an unfaulted run.
+    let baseline = service77(1, None).process(&batch(3));
+    let mut service = service77(1, None);
+    let mut stream = service.stream(config);
+    stream.submit_all(&batch(3)).expect("queue sized for batch");
+    while !stream.health().workers_dead {
+        stream.pump();
+        std::thread::yield_now();
+    }
+    assert!(stream.health().quarantined);
+    stream.scale_workers(1);
+    assert!(!stream.health().quarantined);
+    assert_eq!(stream.finish(), baseline);
+    let reassigned = service.metrics().get("fleet_jobs_reassigned_total", &[]);
+    assert!(reassigned >= Some(1.0), "reassigned: {reassigned:?}");
 }
 
 // ---------------------------------------------------------------------------
