@@ -1,13 +1,50 @@
 //! Microbenchmarks of the simulation substrate: if these regress, every
 //! figure regeneration gets slower.
+//!
+//! The two `kernel_*` cases time whole scenarios: `kernel_closed_mix` is
+//! the per-op cost (the 32 kernel runs of one block of fleetbench's
+//! closed-loop mix), `kernel_scheduling_attack` the fork-heavy cost
+//! (Brute under the scheduling attack, about 4,200 short-lived tasks).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use trustmeter_attacks::{
+    Attack, InterpositionAttack, PreloadConstructorAttack, SchedulingAttack, ShellAttack,
+};
 use trustmeter_core::{
     MeterEvent, MeteringScheme, Mode, Sha256, TaskId, TickAccounting, TscAccounting,
 };
+use trustmeter_experiments::Scenario;
 use trustmeter_kernel::{Kernel, KernelConfig, OpsProgram};
 use trustmeter_sim::{Cycles, EventQueue, SimRng};
 use trustmeter_workloads::native::{md5, pi, whetstone};
+use trustmeter_workloads::Workload;
+
+/// One block of the closed-loop mix: every (tenant, workload, scale) once,
+/// the job whose tenant index equals its workload index attacked at one
+/// scale, rotating through the cheap code-injection attacks.
+fn closed_mix_block() -> Vec<(Scenario, Option<Box<dyn Attack>>)> {
+    let mut block = Vec::with_capacity(32);
+    let mut attacks = 0usize;
+    for tenant in 0..4 {
+        for (w, workload) in Workload::ALL.into_iter().enumerate() {
+            for (s, scale) in [0.001, 0.01].into_iter().enumerate() {
+                let seed = block.len() as u64;
+                let scenario = Scenario::new(workload, scale)
+                    .with_config(KernelConfig::paper_machine().with_seed(seed));
+                let attack: Option<Box<dyn Attack>> = (tenant == w && s == w % 2).then(|| {
+                    attacks += 1;
+                    match attacks % 3 {
+                        1 => Box::new(ShellAttack::paper_default(scale)) as Box<dyn Attack>,
+                        2 => Box::new(PreloadConstructorAttack::paper_default(scale)),
+                        _ => Box::new(InterpositionAttack::paper_default(scale)),
+                    }
+                });
+                block.push((scenario, attack));
+            }
+        }
+    }
+    block
+}
 
 fn bench_substrate(c: &mut Criterion) {
     let mut group = c.benchmark_group("substrate");
@@ -80,6 +117,25 @@ fn bench_substrate(c: &mut Criterion) {
             k.spawn_process(Box::new(OpsProgram::compute_only("b", work)), -5);
             k.run().stats.ticks
         })
+    });
+
+    group.bench_function("kernel_closed_mix", |b| {
+        let block = closed_mix_block();
+        b.iter(|| {
+            block
+                .iter()
+                .map(|(scenario, attack)| match attack {
+                    None => scenario.run_clean().stats.ticks,
+                    Some(attack) => scenario.run_attacked(attack.as_ref()).stats.ticks,
+                })
+                .sum::<u64>()
+        })
+    });
+
+    group.bench_function("kernel_scheduling_attack", |b| {
+        let scenario = Scenario::new(Workload::Brute, 0.002);
+        let attack = SchedulingAttack::paper_default(0.002, -10);
+        b.iter(|| scenario.run_attacked(&attack).stats.tasks_created)
     });
 
     group.finish();

@@ -248,7 +248,7 @@ mod shani {
     /// kernel routine needs). `is_x86_feature_detected!` caches the CPUID
     /// probe, so this is an atomic load after the first call.
     #[inline]
-    fn available() -> bool {
+    pub fn available() -> bool {
         std::arch::is_x86_feature_detected!("sha")
             && std::arch::is_x86_feature_detected!("ssse3")
             && std::arch::is_x86_feature_detected!("sse4.1")
@@ -424,6 +424,98 @@ mod tests {
     #[test]
     fn different_inputs_different_digests() {
         assert_ne!(Sha256::digest(b"hello"), Sha256::digest(b"hellp"));
+    }
+
+    /// splitmix64, for seeded test inputs.
+    fn next_u64(seed: &mut u64) -> u64 {
+        *seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *seed;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn random_bytes<const N: usize>(seed: &mut u64) -> [u8; N] {
+        let mut out = [0u8; N];
+        for chunk in out.chunks_mut(8) {
+            let word = next_u64(seed).to_le_bytes();
+            chunk.copy_from_slice(&word[..chunk.len()]);
+        }
+        out
+    }
+
+    /// SHA-256 of `data` through `compress_scalar` alone, padding included,
+    /// whatever the CPU supports.
+    fn scalar_digest(data: &[u8]) -> [u8; 32] {
+        let mut message = data.to_vec();
+        message.push(0x80);
+        while message.len() % 64 != 56 {
+            message.push(0);
+        }
+        message.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        let mut state = H0;
+        for block in message.chunks(64) {
+            Sha256::compress_scalar(&mut state, block.try_into().expect("64-byte block"));
+        }
+        let mut out = [0u8; 32];
+        for (i, word) in state.iter().enumerate() {
+            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+
+    #[test]
+    fn scalar_fallback_matches_the_fips_vectors() {
+        let million_a = vec![b'a'; 1_000_000];
+        for (data, hex) in [
+            (
+                &b"abc"[..],
+                "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+            ),
+            (
+                &b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"[..],
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+            ),
+            (
+                &million_a[..],
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+            ),
+        ] {
+            assert_eq!(Sha256::to_hex(&scalar_digest(data)), hex);
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn sha_ni_compress_matches_scalar_compress() {
+        if !shani::available() {
+            return; // nothing to compare against on this CPU
+        }
+        let mut seed = 0x5A17;
+        for _ in 0..1_000 {
+            let words: [u8; 32] = random_bytes(&mut seed);
+            let mut state = [0u32; 8];
+            for (word, bytes) in state.iter_mut().zip(words.chunks(4)) {
+                *word = u32::from_le_bytes(bytes.try_into().expect("four bytes"));
+            }
+            let block: [u8; 64] = random_bytes(&mut seed);
+            let mut scalar = state;
+            Sha256::compress_scalar(&mut scalar, &block);
+            let mut accelerated = state;
+            assert!(shani::try_compress(&mut accelerated, &block));
+            assert_eq!(accelerated, scalar);
+        }
+    }
+
+    #[test]
+    fn digest_pair_matches_the_scalar_digest_of_the_concatenation() {
+        let mut seed = 0x00D1_6E57;
+        for _ in 0..1_000 {
+            let a: [u8; 32] = random_bytes(&mut seed);
+            let b: [u8; 32] = random_bytes(&mut seed);
+            let expected = scalar_digest(&[a, b].concat());
+            assert_eq!(Sha256::digest_pair(&a, &b), expected);
+        }
     }
 
     #[test]

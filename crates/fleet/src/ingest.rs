@@ -1348,13 +1348,15 @@ impl Shared {
                 // Reap on unwind: a panicking job (injected or real) gets
                 // its worker reaped, its batch reassigned and a
                 // replacement respawned — the panic never escapes the
-                // pool and never takes the drain target down with it.
-                let guard = WorkerReapGuard {
+                // pool and never takes the drain target down with it. On a
+                // normal exit the guard only drops its `Arc<Shared>`, so
+                // the pool's state (queue, pooled buffers, tracer, journal
+                // handle) is freed with the pool.
+                let _guard = WorkerReapGuard {
                     shared: Arc::clone(&shared),
                     gen,
                 };
                 Shared::work(&shared, gen);
-                std::mem::forget(guard);
             })
             .expect("spawn ingest worker")
     }
@@ -1530,7 +1532,7 @@ impl Shared {
 }
 
 /// Reaps its worker on unwind (a panicking simulated run — injected or
-/// real); forgotten on the normal exit path.
+/// real); a normal exit only releases its `Arc<Shared>`.
 struct WorkerReapGuard {
     shared: Arc<Shared>,
     gen: u64,
@@ -1538,7 +1540,9 @@ struct WorkerReapGuard {
 
 impl Drop for WorkerReapGuard {
     fn drop(&mut self) {
-        Shared::reap(&self.shared, self.gen, "worker panicked mid-job");
+        if std::thread::panicking() {
+            Shared::reap(&self.shared, self.gen, "worker panicked mid-job");
+        }
     }
 }
 
@@ -2392,6 +2396,51 @@ mod tests {
         let outcome = ingest.finish();
         assert_eq!(outcome.records.len(), 8);
         assert_eq!(outcome.stats.workers, 0, "every worker exited on finish");
+    }
+
+    #[test]
+    fn finished_dropped_and_respawned_pools_free_their_shared_state() {
+        // A worker's reap guard holds an `Arc<Shared>`; one that outlives
+        // its worker keeps the queue, the pooled buffers, the tracer and
+        // the journal's open segment alive forever.
+        let pool = |faults: WorkerFaultSchedule| {
+            let config = IngestConfig::new(2).with_worker_faults(faults);
+            FleetIngest::new(
+                Fleet::new(FleetConfig::new(2, 11)),
+                config,
+                Some(Journal::in_memory()),
+            )
+        };
+
+        let ingest = pool(WorkerFaultSchedule::none());
+        let shared = Arc::downgrade(&ingest.shared);
+        ingest.submit_all(&[job(0, 1), job(1, 2)]).unwrap();
+        assert_eq!(ingest.finish().records.len(), 2);
+        assert!(
+            shared.upgrade().is_none(),
+            "finished pool leaked its Shared"
+        );
+
+        let ingest = pool(WorkerFaultSchedule::none());
+        let shared = Arc::downgrade(&ingest.shared);
+        ingest.submit_all(&[job(0, 1), job(1, 2)]).unwrap();
+        while ingest.stats().completed < 2 {
+            std::thread::yield_now();
+        }
+        drop(ingest);
+        assert!(shared.upgrade().is_none(), "dropped pool leaked its Shared");
+
+        let ingest = pool(WorkerFaultSchedule::none().panic_on(JobId(1)));
+        let shared = Arc::downgrade(&ingest.shared);
+        let jobs: Vec<JobSpec> = (0..4).map(|id| job(id, 1)).collect();
+        ingest.submit_all(&jobs).unwrap();
+        let outcome = ingest.finish();
+        assert_eq!(outcome.records.len(), 4);
+        assert!(outcome.stats.worker_restarts >= 1, "the panic was reaped");
+        assert!(
+            shared.upgrade().is_none(),
+            "pool with a respawned worker leaked its Shared"
+        );
     }
 
     #[test]

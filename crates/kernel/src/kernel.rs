@@ -36,6 +36,60 @@ enum KernelEvent {
     WakeSleep { task: TaskId },
 }
 
+/// Every [`CostModel`](crate::CostModel) figure the run loop charges,
+/// converted to cycles once in [`Kernel::new`] instead of per op (each
+/// conversion is f64 → `Nanos` → u128 division). A derived cost keeps
+/// the f64 expression it was always converted from — `cost(fork_us *
+/// 0.6)`, not `cost(fork_us) * 0.6` — so every charge is bit-identical.
+#[derive(Debug, Clone, Copy)]
+struct Costs {
+    context_switch: Cycles,
+    syscall_entry: Cycles,
+    fork: Cycles,
+    /// `clone()` of a thread: `fork_us * 0.6`.
+    spawn_thread: Cycles,
+    execve: Cycles,
+    exit: Cycles,
+    wait: Cycles,
+    /// A runtime `dlopen`: `dynlink_per_library_us * 0.25`.
+    dlopen: Cycles,
+    signal_delivery: Cycles,
+    ptrace_request: Cycles,
+    minor_fault: Cycles,
+    /// A major fault with its synchronous swap-in: `major_fault_us +
+    /// swap_in_us`.
+    major_fault: Cycles,
+    debug_trap: Cycles,
+    timer_irq: Cycles,
+    nic_irq: Cycles,
+    disk_irq: Cycles,
+}
+
+impl Costs {
+    fn new(config: &KernelConfig) -> Costs {
+        let c = config.costs;
+        let cost = |us: f64| config.cost(us);
+        Costs {
+            context_switch: cost(c.context_switch_us),
+            syscall_entry: cost(c.syscall_entry_us),
+            fork: cost(c.fork_us),
+            spawn_thread: cost(c.fork_us * 0.6),
+            execve: cost(c.execve_us),
+            exit: cost(c.exit_us),
+            wait: cost(c.wait_us),
+            dlopen: cost(c.dynlink_per_library_us * 0.25),
+            signal_delivery: cost(c.signal_delivery_us),
+            ptrace_request: cost(c.ptrace_request_us),
+            minor_fault: cost(c.minor_fault_us),
+            major_fault: cost(c.major_fault_us + c.swap_in_us),
+            debug_trap: cost(c.debug_trap_us),
+            timer_irq: cost(c.timer_irq_us),
+            nic_irq: cost(c.nic_irq_us),
+            disk_irq: cost(c.disk_irq_us),
+        }
+    }
+}
+
 /// Result of trying to obtain more work for a task.
 enum FetchResult {
     /// New micro-ops were queued (or the op was costless).
@@ -64,9 +118,13 @@ enum FetchResult {
 /// ```
 pub struct Kernel {
     config: KernelConfig,
+    costs: Costs,
     now: Cycles,
     next_pid: u32,
     tasks: TaskTable,
+    /// Tasks not yet exited. The run loop asks on every pass whether any
+    /// task is alive, and the task table keeps every task ever created.
+    alive: usize,
     current: Option<TaskId>,
     scheduler: Box<dyn Scheduler>,
     meter: MeterBank,
@@ -83,11 +141,11 @@ pub struct Kernel {
     ld_preload: Vec<String>,
     /// Destructor work to run when a task exits, per task.
     exit_work: BTreeMap<TaskId, Vec<(String, Cycles)>>,
-    /// Interposed symbols already measured, per task (avoid re-measuring on
-    /// every call).
-    measured_symbols: BTreeMap<TaskId, BTreeSet<String>>,
     /// Stopped tracees not yet reported to their tracer via `wait()`.
     stopped_unreported: BTreeSet<TaskId>,
+    /// Tasks with a tracer attached (`traced_by` set), so exit and wait
+    /// find a tracer's tracees without walking every task ever created.
+    traced: BTreeSet<TaskId>,
     /// The (start, end) of the most recent device-interrupt handler window,
     /// used to decide whether a (late-processed) timer tick interrupted an
     /// interrupt handler and must therefore be charged as system time.
@@ -97,14 +155,10 @@ pub struct Kernel {
     rng: SimRng,
     preempt_requested: bool,
     /// Memoized witness-label digests. The witness chain update must see
-    /// every step, but `Digest::of(label)` is pure and control-flow labels
-    /// repeat heavily (every iteration of a libcall loop re-records the
-    /// same `call:<symbol>`), so each distinct label is hashed once.
+    /// every step, but `Digest::of(label)` is pure and labels repeat, so
+    /// each distinct label is hashed once. (Library calls keep their
+    /// `call:<symbol>` steps in the calling task's resolved symbols.)
     witness_steps: HashMap<String, Digest>,
-    /// Memoized `call:<symbol>` step digests, keyed by bare symbol (a
-    /// separate map from [`Kernel::witness_steps`] so a symbol named like a
-    /// block label cannot alias it).
-    libcall_steps: HashMap<String, Digest>,
 }
 
 /// Looks up (or computes and caches) the step digest for a witness label.
@@ -141,6 +195,7 @@ impl Kernel {
         let nic_rng = rng.fork();
         let linker_cost = config.cost(config.costs.dynlink_per_library_us);
         Kernel {
+            costs: Costs::new(&config),
             scheduler: build_scheduler(config.scheduler, jiffy),
             meter: MeterBank::standard(jiffy),
             events: EventQueue::new(),
@@ -152,19 +207,19 @@ impl Kernel {
             shell_injection: Vec::new(),
             ld_preload: Vec::new(),
             exit_work: BTreeMap::new(),
-            measured_symbols: BTreeMap::new(),
             stopped_unreported: BTreeSet::new(),
+            traced: BTreeSet::new(),
             irq_window: None,
             trace: TraceSink::disabled(),
             stats: KernelStats::default(),
             now: Cycles::ZERO,
             next_pid: 1,
             tasks: TaskTable::new(),
+            alive: 0,
             current: None,
             rng,
             preempt_requested: false,
             witness_steps: HashMap::new(),
-            libcall_steps: HashMap::new(),
             config,
         }
     }
@@ -241,7 +296,7 @@ impl Kernel {
 
         // fork() cost is billed to the child from its very first instant.
         task.push_front_micro(Micro::Kernel {
-            remaining: self.config.cost(self.config.costs.fork_us),
+            remaining: self.costs.fork,
         });
 
         // Shell-injected code runs before execve, in user mode.
@@ -256,7 +311,7 @@ impl Kernel {
 
         // execve + dynamic linking + constructors.
         task.micros.push_back(Micro::Kernel {
-            remaining: self.config.cost(self.config.costs.execve_us),
+            remaining: self.costs.execve,
         });
         let plan = self
             .libs
@@ -290,6 +345,7 @@ impl Kernel {
         let nice = task.nice;
         self.mm.register(id);
         self.stats.tasks_created += 1;
+        self.alive += 1;
         self.tasks.insert(task);
         self.scheduler.task_created(id, nice, self.now);
         self.scheduler.enqueue(id, self.now, self.current);
@@ -354,12 +410,12 @@ impl Kernel {
     }
 
     fn any_alive(&self) -> bool {
-        self.tasks.iter().any(|t| t.state.is_alive())
+        self.alive > 0
     }
 
     fn switch_to(&mut self, next: TaskId) {
         self.stats.context_switches += 1;
-        let ctx_cost = self.config.cost(self.config.costs.context_switch_us);
+        let ctx_cost = self.costs.context_switch;
         let Some(task) = self.tasks.get_mut(next) else {
             return;
         };
@@ -563,8 +619,6 @@ impl Kernel {
                     let armed = task.breakpoint == Some(addr) && task.traced_by.is_some();
                     task.micros.pop_front();
                     if armed {
-                        let trap_cost = self.config.cost(self.config.costs.debug_trap_us);
-                        let signal_cost = self.config.cost(self.config.costs.signal_delivery_us);
                         self.stats.debug_traps += 1;
                         if count_left > 1 {
                             task.micros.push_front(Micro::WatchedAccess {
@@ -574,11 +628,11 @@ impl Kernel {
                         }
                         task.micros.push_front(Micro::Effect(Effect::TrapStop));
                         task.micros.push_front(Micro::Kernel {
-                            remaining: signal_cost,
+                            remaining: self.costs.signal_delivery,
                         });
                         task.micros.push_front(Micro::Exception {
                             kind: ExceptionKind::Debug,
-                            remaining: trap_cost,
+                            remaining: self.costs.debug_trap,
                             entered: false,
                         });
                         // The access itself is a single user-mode
@@ -658,16 +712,17 @@ impl Kernel {
     // Op lowering
     // -----------------------------------------------------------------
 
+    /// Fetches the next op of `cur` and lowers it into micro-ops.
     fn fetch_and_lower(&mut self, cur: TaskId) -> FetchResult {
-        // Deliver an implicit "completed" outcome for ops that have no
-        // specific result.
-        if let Some(task) = self.tasks.get_mut(cur) {
-            if task.ops_executed > 0 && task.last_outcome == OpOutcome::None {
-                task.last_outcome = OpOutcome::Completed;
-            }
-        }
         let op = match self.tasks.get_mut(cur) {
-            Some(task) => task.fetch_op(),
+            Some(task) => {
+                // Deliver an implicit "completed" outcome for ops that
+                // have no specific result.
+                if task.ops_executed > 0 && task.last_outcome == OpOutcome::None {
+                    task.last_outcome = OpOutcome::Completed;
+                }
+                task.fetch_op()
+            }
             None => return FetchResult::Exited,
         };
         match op {
@@ -681,7 +736,7 @@ impl Kernel {
                 if exit_work.is_empty() {
                     return FetchResult::Exited;
                 }
-                let exit_cost = self.config.cost(self.config.costs.exit_us);
+                let exit_cost = self.costs.exit;
                 if let Some(task) = self.tasks.get_mut(cur) {
                     for (label, cycles) in exit_work {
                         task.witness
@@ -699,8 +754,9 @@ impl Kernel {
         }
     }
 
+    /// Lowers one op into the (empty) micro-op queue of `cur`.
     fn lower_op(&mut self, cur: TaskId, op: Op) {
-        let entry = self.config.cost(self.config.costs.syscall_entry_us);
+        let entry = self.costs.syscall_entry;
         match op {
             Op::Compute { cycles } => {
                 if let Some(task) = self.tasks.get_mut(cur) {
@@ -708,35 +764,10 @@ impl Kernel {
                 }
             }
             Op::LibCall { symbol, calls } => {
-                let preload = self
-                    .tasks
-                    .get(cur)
-                    .map(|t| t.ld_preload.clone())
-                    .unwrap_or_default();
-                let (per_call, provider) = self.libs.resolve(&symbol, &preload);
-                let interposed = preload.contains(&provider);
                 let Some(task) = self.tasks.get_mut(cur) else {
                     return;
                 };
-                if interposed {
-                    let seen = self.measured_symbols.entry(cur).or_default();
-                    if seen.insert(symbol.clone()) {
-                        task.measurements.measure(MeasuredImage::new(
-                            format!("{provider}:{symbol}"),
-                            ImageKind::InterposedSymbol,
-                        ));
-                    }
-                }
-                // Keyed by bare symbol so a cache hit skips both the
-                // label formatting and its hash.
-                let step = match self.libcall_steps.get(&symbol) {
-                    Some(step) => *step,
-                    None => {
-                        let step = Digest::of(format!("call:{symbol}").as_bytes());
-                        self.libcall_steps.insert(symbol.clone(), step);
-                        step
-                    }
-                };
+                let (per_call, step) = task.resolve_symbol(&self.libs, symbol);
                 task.witness.record_step(step);
                 task.push_user_work(Cycles(per_call.as_u64().saturating_mul(calls)));
             }
@@ -744,10 +775,8 @@ impl Kernel {
                 let batch = self.mm.touch(cur, pages);
                 self.stats.minor_faults += batch.minor_faults;
                 self.stats.major_faults += batch.major_faults;
-                let minor_cost = self.config.cost(self.config.costs.minor_fault_us);
-                let major_cost = self
-                    .config
-                    .cost(self.config.costs.major_fault_us + self.config.costs.swap_in_us);
+                let minor_cost = self.costs.minor_fault;
+                let major_cost = self.costs.major_fault;
                 let Some(task) = self.tasks.get_mut(cur) else {
                     return;
                 };
@@ -767,10 +796,7 @@ impl Kernel {
                         entered: false,
                     });
                 }
-                let mem = self.mm.task_mem(cur);
-                if let Some(task) = self.tasks.get_mut(cur) {
-                    task.mem = mem;
-                }
+                task.mem = self.mm.task_mem(cur);
             }
             Op::AccessWatched { addr, count } => {
                 if count == 0 {
@@ -805,23 +831,22 @@ impl Kernel {
     }
 
     fn lower_syscall(&mut self, cur: TaskId, sys: SyscallOp, entry: Cycles) {
-        let costs = self.config.costs;
-        let cost = |us: f64| self.config.cost(us);
+        let costs = self.costs;
         let Some(task) = self.tasks.get_mut(cur) else {
             return;
         };
         let mut kernel_cost = entry;
         let effect = match sys {
             SyscallOp::Fork { child, nice } => {
-                kernel_cost += cost(costs.fork_us);
+                kernel_cost += costs.fork;
                 Effect::Fork { child, nice }
             }
             SyscallOp::SpawnThread { thread } => {
-                kernel_cost += cost(costs.fork_us * 0.6);
+                kernel_cost += costs.spawn_thread;
                 Effect::SpawnThread { thread }
             }
             SyscallOp::Wait => {
-                kernel_cost += cost(costs.wait_us);
+                kernel_cost += costs.wait;
                 Effect::Wait
             }
             SyscallOp::Exit { code } => {
@@ -833,7 +858,7 @@ impl Kernel {
                         .record_step(memo_step(&mut self.witness_steps, &label));
                     task.push_user_work(cycles);
                 }
-                kernel_cost += cost(costs.exit_us);
+                kernel_cost += costs.exit;
                 Effect::Exit { code }
             }
             SyscallOp::Nanosleep { duration } => {
@@ -845,29 +870,29 @@ impl Kernel {
                 Effect::DiskRequest { bytes }
             }
             SyscallOp::Dlopen { library } => {
-                kernel_cost += cost(costs.dynlink_per_library_us * 0.25);
+                kernel_cost += costs.dlopen;
                 Effect::Dlopen { library }
             }
             SyscallOp::Dlclose { library } => Effect::Dlclose { library },
             SyscallOp::SetNice { nice } => Effect::SetNice { nice },
             SyscallOp::Kill { target, signal } => {
-                kernel_cost += cost(costs.signal_delivery_us);
+                kernel_cost += costs.signal_delivery;
                 Effect::Kill { target, signal }
             }
             SyscallOp::PtraceAttach { target } => {
-                kernel_cost += cost(costs.ptrace_request_us);
+                kernel_cost += costs.ptrace_request;
                 Effect::PtraceAttach { target }
             }
             SyscallOp::PtraceSetBreakpoint { target, addr } => {
-                kernel_cost += cost(costs.ptrace_request_us);
+                kernel_cost += costs.ptrace_request;
                 Effect::PtraceSetBreakpoint { target, addr }
             }
             SyscallOp::PtraceCont { target } => {
-                kernel_cost += cost(costs.ptrace_request_us);
+                kernel_cost += costs.ptrace_request;
                 Effect::PtraceCont { target }
             }
             SyscallOp::PtraceDetach { target } => {
-                kernel_cost += cost(costs.ptrace_request_us);
+                kernel_cost += costs.ptrace_request;
                 Effect::PtraceDetach { target }
             }
             SyscallOp::Getrusage => Effect::Getrusage,
@@ -890,6 +915,7 @@ impl Kernel {
                 let task = Task::new(pid, pid, Some(cur), nice, child, rng);
                 self.mm.register(pid);
                 self.stats.tasks_created += 1;
+                self.alive += 1;
                 self.tasks.insert(task);
                 self.scheduler.task_created(pid, nice, self.now);
                 let preempt = self.scheduler.enqueue(pid, self.now, self.current);
@@ -910,6 +936,7 @@ impl Kernel {
                 let task = Task::new(pid, tgid, Some(cur), nice, thread, rng);
                 self.mm.register(pid);
                 self.stats.tasks_created += 1;
+                self.alive += 1;
                 self.tasks.insert(task);
                 self.scheduler.task_created(pid, nice, self.now);
                 let preempt = self.scheduler.enqueue(pid, self.now, self.current);
@@ -1030,6 +1057,7 @@ impl Kernel {
                         t.state = TaskState::Ready;
                     }
                 }
+                self.traced.remove(&target);
                 if was_stopped {
                     self.stopped_unreported.remove(&target);
                     self.scheduler.enqueue(target, self.now, self.current);
@@ -1115,10 +1143,12 @@ impl Kernel {
             .get(cur)
             .map(|t| !t.children.is_empty())
             .unwrap_or(false);
-        let has_tracees = self
-            .tasks
-            .iter()
-            .any(|t| t.traced_by == Some(cur) && t.state.is_alive());
+        let has_tracees = self.traced.iter().any(|t| {
+            self.tasks
+                .get(*t)
+                .map(|t| t.traced_by == Some(cur) && t.state.is_alive())
+                .unwrap_or(false)
+        });
         if !has_children && !has_tracees {
             if let Some(task) = self.tasks.get_mut(cur) {
                 task.last_outcome = OpOutcome::NoChildren;
@@ -1172,7 +1202,7 @@ impl Kernel {
             return;
         }
         self.stats.signals_delivered += 1;
-        let cost = self.config.cost(self.config.costs.signal_delivery_us);
+        let cost = self.costs.signal_delivery;
         if let Some(t) = self.tasks.get_mut(target) {
             t.push_front_micro(Micro::Kernel { remaining: cost });
         }
@@ -1224,6 +1254,7 @@ impl Kernel {
         if ok {
             if let Some(t) = self.tasks.get_mut(target) {
                 t.traced_by = Some(tracer);
+                self.traced.insert(target);
             }
             // Attach stops the target with SIGSTOP.
             self.deliver_signal(target, Signal::Stop);
@@ -1263,6 +1294,9 @@ impl Kernel {
                 None => return,
             };
             t.exit_code = Some(code);
+            if t.state.is_alive() {
+                self.alive -= 1;
+            }
             t.state = TaskState::Zombie;
             t.program = None;
             t.micros.clear();
@@ -1271,10 +1305,10 @@ impl Kernel {
         };
         // Detach any tasks this task was tracing.
         let my_tracees: Vec<TaskId> = self
-            .tasks
+            .traced
             .iter()
-            .filter(|t| t.traced_by == Some(tid))
-            .map(|t| t.id)
+            .copied()
+            .filter(|t| self.tasks.get(*t).and_then(|t| t.traced_by) == Some(tid))
             .collect();
         for tracee in my_tracees.into_iter().chain(tracees) {
             let was_stopped = self
@@ -1289,6 +1323,7 @@ impl Kernel {
                     t.state = TaskState::Ready;
                 }
             }
+            self.traced.remove(&tracee);
             if was_stopped {
                 self.stopped_unreported.remove(&tracee);
                 self.scheduler.enqueue(tracee, self.now, self.current);
@@ -1307,6 +1342,7 @@ impl Kernel {
             if let Some(t) = self.tasks.get_mut(tid) {
                 t.traced_by = None;
             }
+            self.traced.remove(&tid);
             self.wake_waiter_with(tracer, OpOutcome::ChildExited(tid));
         }
         // Notify the parent.
@@ -1401,7 +1437,7 @@ impl Kernel {
             task: cur,
             mode,
         });
-        let handler = self.config.cost(self.config.costs.timer_irq_us);
+        let handler = self.costs.timer_irq;
         self.now += handler;
         self.meter.on_event(&MeterEvent::IrqExit {
             at: self.now,
@@ -1429,7 +1465,7 @@ impl Kernel {
             current: cur,
             owner: None,
         });
-        let handler = self.config.cost(self.config.costs.nic_irq_us);
+        let handler = self.costs.nic_irq;
         let start = self.now.max(at);
         self.now += handler;
         self.irq_window = Some((start, self.now));
@@ -1457,7 +1493,7 @@ impl Kernel {
             current: cur,
             owner: Some(owner),
         });
-        let handler = self.config.cost(self.config.costs.disk_irq_us);
+        let handler = self.costs.disk_irq;
         let start = self.now.max(at);
         self.now += handler;
         self.irq_window = Some((start, self.now));
@@ -1487,6 +1523,17 @@ impl Kernel {
     // -----------------------------------------------------------------
 
     fn collect_results(&mut self, hit_horizon: bool) -> RunResult {
+        debug_assert_eq!(
+            self.alive,
+            self.tasks.iter().filter(|t| t.state.is_alive()).count(),
+            "live-task count out of step with the task table"
+        );
+        debug_assert!(
+            self.tasks
+                .iter()
+                .all(|t| t.traced_by.is_some() == self.traced.contains(&t.id)),
+            "traced set out of step with the task table"
+        );
         self.stats.minor_faults = self.mm.minor_faults;
         self.stats.major_faults = self.mm.major_faults;
         let mut groups: BTreeMap<TaskId, ProcessUsage> = BTreeMap::new();
@@ -1866,6 +1913,35 @@ mod tests {
         let victim_usage = result.process(victim_pid).unwrap();
         // Thrashing produces system time on the victim.
         assert!(victim_usage.ground_truth().stime > Cycles::ZERO);
+    }
+
+    #[test]
+    fn zero_time_guard_leaves_a_watched_access_for_the_next_slice() {
+        let cfg = small_config();
+        // Ten thousand costless ops, then a watched access lowered just as
+        // the guard ends the slice: it stays queued, the clock jumps to
+        // the slice deadline, and the access runs when the task resumes.
+        let mut ops: Vec<Op> = (0..10_000).map(|_| Op::Label { block: "spin" }).collect();
+        ops.push(Op::AccessWatched {
+            addr: 0x6000_1000,
+            count: 7,
+        });
+        let mut k = Kernel::new(cfg.clone());
+        let pid = k.spawn_process(Box::new(OpsProgram::new("spinner", ops)), 0);
+        let result = k.run();
+        assert!(!result.hit_horizon);
+        assert!(
+            result.finished_at >= cfg.jiffy(),
+            "the guard advanced the clock"
+        );
+        assert_eq!(result.stats.debug_traps, 0);
+        assert_eq!(result.process(pid).unwrap().exit_code, Some(0));
+        assert_eq!(k.task(pid).unwrap().ops_executed, 10_001);
+        assert_eq!(
+            k.witness(pid).unwrap().len(),
+            10_000 + 4,
+            "labels + launch steps"
+        );
     }
 
     #[test]

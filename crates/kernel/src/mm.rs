@@ -7,8 +7,7 @@
 //! major page faults whose kernel service time (plus synchronous swap-in
 //! cost) is billed to the victim's system time.
 
-use crate::task::TaskMem;
-use std::collections::BTreeMap;
+use crate::task::{PidSlab, TaskMem};
 use trustmeter_core::TaskId;
 
 /// The outcome of a batch of page touches.
@@ -46,7 +45,10 @@ impl FaultBatch {
 #[derive(Debug)]
 pub struct MemoryManager {
     physical_pages: u64,
-    tasks: BTreeMap<TaskId, TaskMem>,
+    tasks: PidSlab<TaskMem>,
+    /// Sum of every task's `resident_pages`, kept as they change so a
+    /// touch does not sum every task.
+    resident_total: u64,
     /// Total major faults serviced (statistics).
     pub major_faults: u64,
     /// Total minor faults serviced (statistics).
@@ -62,7 +64,8 @@ impl MemoryManager {
         assert!(physical_pages > 0, "physical memory must be non-empty");
         MemoryManager {
             physical_pages,
-            tasks: BTreeMap::new(),
+            tasks: PidSlab::default(),
+            resident_total: 0,
             major_faults: 0,
             minor_faults: 0,
         }
@@ -70,17 +73,21 @@ impl MemoryManager {
 
     /// Registers a task with an empty address space.
     pub fn register(&mut self, task: TaskId) {
-        self.tasks.entry(task).or_default();
+        if !self.tasks.contains(task) {
+            self.tasks.insert(task, TaskMem::default());
+        }
     }
 
     /// Releases a task's memory (exit).
     pub fn release(&mut self, task: TaskId) {
-        self.tasks.remove(&task);
+        if let Some(m) = self.tasks.remove(task) {
+            self.resident_total -= m.resident_pages;
+        }
     }
 
     /// Total pages currently resident across all tasks.
     pub fn resident_total(&self) -> u64 {
-        self.tasks.values().map(|m| m.resident_pages).sum()
+        self.resident_total
     }
 
     /// Free physical pages.
@@ -95,7 +102,7 @@ impl MemoryManager {
 
     /// A task's memory bookkeeping.
     pub fn task_mem(&self, task: TaskId) -> TaskMem {
-        self.tasks.get(&task).copied().unwrap_or_default()
+        self.tasks.get(task).copied().unwrap_or_default()
     }
 
     /// Grows a task's footprint by `pages` and makes the new pages resident,
@@ -105,7 +112,7 @@ impl MemoryManager {
     pub fn allocate(&mut self, task: TaskId, pages: u64) -> u64 {
         self.register(task);
         {
-            let m = self.tasks.get_mut(&task).expect("registered above");
+            let m = self.tasks.get_mut(task).expect("registered above");
             m.allocated_pages += pages;
         }
         self.make_resident(task, pages)
@@ -121,9 +128,10 @@ impl MemoryManager {
             reclaimed_total = self.reclaim(shortfall, task);
         }
         let available = self.free_pages().min(pages);
-        let m = self.tasks.get_mut(&task).expect("task registered");
-        m.resident_pages += available;
-        m.resident_pages = m.resident_pages.min(m.allocated_pages);
+        let m = self.tasks.get_mut(task).expect("task registered");
+        let before = m.resident_pages;
+        m.resident_pages = (before + available).min(m.allocated_pages);
+        self.resident_total = self.resident_total - before + m.resident_pages;
         reclaimed_total
     }
 
@@ -136,8 +144,8 @@ impl MemoryManager {
         let mut victims: Vec<(TaskId, u64)> = self
             .tasks
             .iter()
-            .filter(|(id, m)| **id != exempt && m.resident_pages > 0)
-            .map(|(id, m)| (*id, m.resident_pages))
+            .filter(|(id, m)| *id != exempt && m.resident_pages > 0)
+            .map(|(id, m)| (id, m.resident_pages))
             .collect();
         victims.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         for (victim, resident) in victims {
@@ -145,8 +153,9 @@ impl MemoryManager {
                 break;
             }
             let take = resident.min(remaining);
-            if let Some(m) = self.tasks.get_mut(&victim) {
+            if let Some(m) = self.tasks.get_mut(victim) {
                 m.resident_pages -= take;
+                self.resident_total -= take;
             }
             remaining -= take;
             reclaimed += take;
@@ -271,6 +280,28 @@ mod tests {
         mm.release(TaskId(1));
         assert_eq!(mm.free_pages(), 100);
         assert_eq!(mm.resident_total(), 0);
+    }
+
+    #[test]
+    fn resident_total_tracks_every_change() {
+        let mut mm = MemoryManager::new(1_000);
+        let check = |mm: &MemoryManager| {
+            let sum: u64 = mm.tasks.values().map(|m| m.resident_pages).sum();
+            assert_eq!(mm.resident_total(), sum);
+        };
+        mm.allocate(TaskId(1), 600);
+        mm.allocate(TaskId(2), 300);
+        check(&mm);
+        mm.allocate(TaskId(3), 900); // reclaims from 1 and 2
+        check(&mm);
+        mm.touch(TaskId(1), 400);
+        check(&mm);
+        mm.touch(TaskId(7), 10); // unregistered
+        check(&mm);
+        mm.release(TaskId(3));
+        check(&mm);
+        mm.release(TaskId(3));
+        check(&mm);
     }
 
     #[test]

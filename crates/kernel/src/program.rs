@@ -144,8 +144,10 @@ pub enum Op {
     /// resolved through the dynamic loader (and is inflated when the symbol
     /// is interposed by a malicious preload library).
     LibCall {
-        /// Symbol name, e.g. `"malloc"` or `"sqrt"`.
-        symbol: String,
+        /// Symbol name, e.g. `"malloc"` or `"sqrt"`. Static, as
+        /// [`Op::Label`]'s block is: programs name a fixed set of
+        /// symbols, and the kernel resolves each once per task.
+        symbol: &'static str,
         /// Number of consecutive calls.
         calls: u64,
     },
@@ -440,7 +442,7 @@ mod tests {
         assert!(format!(
             "{:?}",
             Op::LibCall {
-                symbol: "malloc".into(),
+                symbol: "malloc",
                 calls: 3
             }
         )

@@ -21,7 +21,7 @@
 //! next task to run.
 
 use crate::config::SchedulerKind;
-use std::collections::BTreeMap;
+use crate::task::PidSlab;
 use trustmeter_core::TaskId;
 use trustmeter_sim::Cycles;
 
@@ -120,7 +120,7 @@ struct FairTask {
 #[derive(Debug)]
 pub struct FairShareScheduler {
     jiffy: Cycles,
-    tasks: BTreeMap<TaskId, FairTask>,
+    tasks: PidSlab<FairTask>,
     sleep_counter: u64,
     pick_counter: u64,
 }
@@ -130,7 +130,7 @@ impl FairShareScheduler {
     pub fn new(jiffy: Cycles) -> FairShareScheduler {
         FairShareScheduler {
             jiffy,
-            tasks: BTreeMap::new(),
+            tasks: PidSlab::default(),
             sleep_counter: 0,
             pick_counter: 0,
         }
@@ -146,7 +146,7 @@ impl FairShareScheduler {
     fn total_ready_weight(&self, extra: Option<TaskId>) -> u64 {
         self.tasks
             .iter()
-            .filter(|(id, t)| t.ready || Some(**id) == extra)
+            .filter(|(id, t)| t.ready || Some(*id) == extra)
             .map(|(_, t)| t.weight)
             .sum()
     }
@@ -171,17 +171,17 @@ impl Scheduler for FairShareScheduler {
     }
 
     fn task_removed(&mut self, id: TaskId) {
-        self.tasks.remove(&id);
+        self.tasks.remove(id);
     }
 
     fn set_nice(&mut self, id: TaskId, nice: i8) {
-        if let Some(t) = self.tasks.get_mut(&id) {
+        if let Some(t) = self.tasks.get_mut(id) {
             t.weight = nice_to_weight(nice);
         }
     }
 
     fn enqueue(&mut self, id: TaskId, _now: Cycles, _current: Option<TaskId>) -> bool {
-        if let Some(t) = self.tasks.get_mut(&id) {
+        if let Some(t) = self.tasks.get_mut(id) {
             t.ready = true;
         }
         // Tick-quantised preemption: wakeups never preempt the running task.
@@ -189,13 +189,13 @@ impl Scheduler for FairShareScheduler {
     }
 
     fn dequeue(&mut self, id: TaskId) {
-        if let Some(t) = self.tasks.get_mut(&id) {
+        if let Some(t) = self.tasks.get_mut(id) {
             t.ready = false;
         }
     }
 
     fn charge(&mut self, id: TaskId, ran: Cycles) {
-        if let Some(t) = self.tasks.get_mut(&id) {
+        if let Some(t) = self.tasks.get_mut(id) {
             t.used_this_jiffy += ran;
         }
     }
@@ -203,7 +203,7 @@ impl Scheduler for FairShareScheduler {
     fn note_voluntary_block(&mut self, id: TaskId, _now: Cycles) {
         self.sleep_counter += 1;
         let seq = self.sleep_counter;
-        if let Some(t) = self.tasks.get_mut(&id) {
+        if let Some(t) = self.tasks.get_mut(id) {
             t.sleeper_seq = seq;
         }
     }
@@ -219,12 +219,12 @@ impl Scheduler for FairShareScheduler {
         let Some(cur) = current else {
             return self.ready_count() > 0;
         };
-        let Some(cur_t) = self.tasks.get(&cur) else {
+        let Some(cur_t) = self.tasks.get(cur) else {
             return self.ready_count() > 0;
         };
         self.tasks
             .iter()
-            .filter(|(id, t)| t.ready && **id != cur)
+            .filter(|(id, t)| t.ready && *id != cur)
             .any(|(_, t)| t.weight >= cur_t.weight)
     }
 
@@ -245,10 +245,10 @@ impl Scheduler for FairShareScheduler {
                     .then(a.weight.cmp(&b.weight))
                     .then(bid.cmp(aid)) // lower id wins the final tie
             })
-            .map(|(id, _)| *id)?;
+            .map(|(id, _)| id)?;
         self.pick_counter += 1;
         let seq = self.pick_counter;
-        if let Some(t) = self.tasks.get_mut(&best) {
+        if let Some(t) = self.tasks.get_mut(best) {
             t.ready = false;
             t.last_picked_seq = seq;
         }
@@ -274,7 +274,7 @@ struct CfsTask {
 /// vruntime-based scheduler with immediate wakeup preemption (ablation).
 #[derive(Debug)]
 pub struct CfsScheduler {
-    tasks: BTreeMap<TaskId, CfsTask>,
+    tasks: PidSlab<CfsTask>,
     /// Wakeup/tick preemption granularity in weighted nanoseconds-equivalent
     /// cycles (vruntime units).
     granularity: u128,
@@ -287,7 +287,7 @@ impl CfsScheduler {
     /// granularity (half a jiffy) and sleeper bonus (one jiffy).
     pub fn new(jiffy: Cycles) -> CfsScheduler {
         CfsScheduler {
-            tasks: BTreeMap::new(),
+            tasks: PidSlab::default(),
             granularity: jiffy.as_u64() as u128 / 2,
             sleeper_bonus: jiffy.as_u64() as u128,
         }
@@ -324,11 +324,11 @@ impl Scheduler for CfsScheduler {
     }
 
     fn task_removed(&mut self, id: TaskId) {
-        self.tasks.remove(&id);
+        self.tasks.remove(id);
     }
 
     fn set_nice(&mut self, id: TaskId, nice: i8) {
-        if let Some(t) = self.tasks.get_mut(&id) {
+        if let Some(t) = self.tasks.get_mut(id) {
             t.weight = nice_to_cfs_weight(nice);
         }
     }
@@ -336,7 +336,7 @@ impl Scheduler for CfsScheduler {
     fn enqueue(&mut self, id: TaskId, _now: Cycles, current: Option<TaskId>) -> bool {
         let min = self.min_vruntime_all();
         let bonus = self.sleeper_bonus;
-        let Some(t) = self.tasks.get_mut(&id) else {
+        let Some(t) = self.tasks.get_mut(id) else {
             return false;
         };
         t.vruntime = t.vruntime.max(min.saturating_sub(bonus));
@@ -344,20 +344,20 @@ impl Scheduler for CfsScheduler {
         let woken_vruntime = t.vruntime;
         // Immediate wakeup preemption when the woken task is sufficiently
         // behind the current task.
-        match current.and_then(|c| self.tasks.get(&c)) {
+        match current.and_then(|c| self.tasks.get(c)) {
             Some(cur) => woken_vruntime + self.granularity < cur.vruntime,
             None => false,
         }
     }
 
     fn dequeue(&mut self, id: TaskId) {
-        if let Some(t) = self.tasks.get_mut(&id) {
+        if let Some(t) = self.tasks.get_mut(id) {
             t.ready = false;
         }
     }
 
     fn charge(&mut self, id: TaskId, ran: Cycles) {
-        if let Some(t) = self.tasks.get_mut(&id) {
+        if let Some(t) = self.tasks.get_mut(id) {
             t.vruntime += ran.as_u64() as u128 * 1024 / t.weight as u128;
         }
     }
@@ -365,7 +365,7 @@ impl Scheduler for CfsScheduler {
     fn note_voluntary_block(&mut self, _id: TaskId, _now: Cycles) {}
 
     fn on_tick(&mut self, _now: Cycles, current: Option<TaskId>) -> bool {
-        let Some(cur) = current.and_then(|c| self.tasks.get(&c)) else {
+        let Some(cur) = current.and_then(|c| self.tasks.get(c)) else {
             return self.ready_count() > 0;
         };
         match self.min_ready_vruntime() {
@@ -380,8 +380,8 @@ impl Scheduler for CfsScheduler {
             .iter()
             .filter(|(_, t)| t.ready)
             .min_by(|(aid, a), (bid, b)| a.vruntime.cmp(&b.vruntime).then(aid.cmp(bid)))
-            .map(|(id, _)| *id)?;
-        if let Some(t) = self.tasks.get_mut(&best) {
+            .map(|(id, _)| id)?;
+        if let Some(t) = self.tasks.get_mut(best) {
             t.ready = false;
         }
         Some(best)

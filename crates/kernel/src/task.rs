@@ -5,11 +5,14 @@
 //! mirroring Linux where threads are scheduled exactly like processes — the
 //! detail responsible for the Brute anomaly in the paper's Fig. 8.
 
+use crate::loader::LibraryRegistry;
 use crate::program::{Op, OpOutcome, Program};
 use crate::signals::Signal;
 use std::collections::VecDeque;
 use std::fmt;
-use trustmeter_core::{ExceptionKind, ExecutionWitness, MeasurementLog, Mode, TaskId};
+use trustmeter_core::{
+    Digest, ExceptionKind, ExecutionWitness, ImageKind, MeasuredImage, MeasurementLog, Mode, TaskId,
+};
 use trustmeter_sim::{Cycles, SimRng};
 
 /// Why a task is blocked.
@@ -247,6 +250,111 @@ impl TaskTable {
     }
 }
 
+/// Per-task state keyed by pid, for the subsystems that forget a task
+/// when it exits (the schedulers and the memory manager).
+///
+/// Entries are stored densely and `index[pid]` holds an entry's position
+/// plus one (zero when absent), so the index grows to the largest pid
+/// inserted — the kernel allocates pids densely from 1. A removal moves
+/// the last entry into the hole. A lookup — the scheduler's `charge` runs
+/// one per time-consuming micro-op — is two array indexings, and a scan
+/// touches only the tasks present, however many pids the run has
+/// allocated (a fork-heavy attack creates thousands of short-lived
+/// tasks). Scans visit entries in no particular order, so every consumer
+/// must break ties on the pid.
+#[derive(Debug)]
+pub(crate) struct PidSlab<T> {
+    entries: Vec<(TaskId, T)>,
+    index: Vec<u32>,
+}
+
+impl<T> Default for PidSlab<T> {
+    fn default() -> Self {
+        PidSlab {
+            entries: Vec::new(),
+            index: Vec::new(),
+        }
+    }
+}
+
+impl<T> PidSlab<T> {
+    fn position(&self, id: TaskId) -> Option<usize> {
+        let slot = *self.index.get(id.0 as usize)?;
+        (slot as usize).checked_sub(1)
+    }
+
+    /// The entry for `id`, if present.
+    #[inline]
+    pub(crate) fn get(&self, id: TaskId) -> Option<&T> {
+        self.position(id).map(|at| &self.entries[at].1)
+    }
+
+    /// Mutable access to the entry for `id`, if present.
+    #[inline]
+    pub(crate) fn get_mut(&mut self, id: TaskId) -> Option<&mut T> {
+        self.position(id).map(|at| &mut self.entries[at].1)
+    }
+
+    /// Whether `id` has an entry.
+    pub(crate) fn contains(&self, id: TaskId) -> bool {
+        self.position(id).is_some()
+    }
+
+    /// Inserts or replaces the entry for `id`.
+    pub(crate) fn insert(&mut self, id: TaskId, value: T) {
+        if let Some(slot) = self.get_mut(id) {
+            *slot = value;
+            return;
+        }
+        let pid = id.0 as usize;
+        if self.index.len() <= pid {
+            self.index.resize(pid + 1, 0);
+        }
+        self.entries.push((id, value));
+        self.index[pid] = self.entries.len() as u32;
+    }
+
+    /// Removes and returns the entry for `id`.
+    pub(crate) fn remove(&mut self, id: TaskId) -> Option<T> {
+        let at = self.position(id)?;
+        self.index[id.0 as usize] = 0;
+        let (_, value) = self.entries.swap_remove(at);
+        if let Some((moved, _)) = self.entries.get(at) {
+            self.index[moved.0 as usize] = at as u32 + 1;
+        }
+        Some(value)
+    }
+
+    /// Every entry present, in no particular order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (TaskId, &T)> {
+        self.entries.iter().map(|(id, value)| (*id, value))
+    }
+
+    /// Every value present, in no particular order.
+    pub(crate) fn values(&self) -> impl Iterator<Item = &T> {
+        self.entries.iter().map(|(_, value)| value)
+    }
+
+    /// Mutable access to every value present, in no particular order.
+    pub(crate) fn values_mut(&mut self) -> impl Iterator<Item = &mut T> {
+        self.entries.iter_mut().map(|(_, value)| value)
+    }
+}
+
+/// A library symbol as one task calls it: its per-call cost under the
+/// task's `LD_PRELOAD` and its `call:<symbol>` witness step.
+///
+/// Resolution is fixed for a task's whole life: its preload list is set at
+/// spawn, the registry cannot change while the kernel runs (installing a
+/// library needs `&mut Kernel`), and `dlopen` never changes what
+/// [`LibraryRegistry::resolve`] returns. So each (task, symbol) pair is
+/// resolved — and, when interposed, measured — on its first call only.
+pub(crate) struct ResolvedSymbol {
+    symbol: &'static str,
+    per_call: Cycles,
+    step: Digest,
+}
+
 /// The task control block.
 pub struct Task {
     /// Task id (unique).
@@ -295,6 +403,8 @@ pub struct Task {
     /// Environment: libraries to preload at execve (the `LD_PRELOAD`
     /// attack vector).
     pub ld_preload: Vec<String>,
+    /// Library symbols this task has called, resolved once each.
+    pub(crate) symbols: Vec<ResolvedSymbol>,
 }
 
 impl fmt::Debug for Task {
@@ -345,6 +455,7 @@ impl Task {
             voluntary_switches: 0,
             involuntary_switches: 0,
             ld_preload: Vec::new(),
+            symbols: Vec::new(),
         }
     }
 
@@ -371,6 +482,34 @@ impl Task {
         if !cycles.is_zero() {
             self.micros.push_back(Micro::User { remaining: cycles });
         }
+    }
+
+    /// The per-call cost and witness step of a call to `symbol`. The first
+    /// call resolves it through `libs` under this task's `LD_PRELOAD` and,
+    /// when a preloaded library interposes it, measures the interposed
+    /// symbol into the task's log.
+    pub(crate) fn resolve_symbol(
+        &mut self,
+        libs: &LibraryRegistry,
+        symbol: &'static str,
+    ) -> (Cycles, Digest) {
+        if let Some(known) = self.symbols.iter().find(|s| s.symbol == symbol) {
+            return (known.per_call, known.step);
+        }
+        let (per_call, provider) = libs.resolve(symbol, &self.ld_preload);
+        if self.ld_preload.contains(&provider) {
+            self.measurements.measure(MeasuredImage::new(
+                format!("{provider}:{symbol}"),
+                ImageKind::InterposedSymbol,
+            ));
+        }
+        let step = Digest::of(format!("call:{symbol}").as_bytes());
+        self.symbols.push(ResolvedSymbol {
+            symbol,
+            per_call,
+            step,
+        });
+        (per_call, step)
     }
 
     /// Fetches the next op from the program, handing it the last outcome.
@@ -464,6 +603,55 @@ mod tests {
         assert_eq!(table.get(TaskId(2)).unwrap().nice, -5);
         let ids: Vec<TaskId> = table.iter().map(|t| t.id).collect();
         assert_eq!(ids, vec![TaskId(1), TaskId(2)]);
+    }
+
+    #[test]
+    fn pid_slab_keeps_its_index_through_removals() {
+        let mut slab = PidSlab::default();
+        for pid in [3, 1, 7, 4] {
+            slab.insert(TaskId(pid), pid * 10);
+        }
+        assert_eq!(slab.remove(TaskId(1)), Some(10));
+        assert_eq!(slab.remove(TaskId(1)), None);
+        slab.insert(TaskId(3), 33);
+        assert_eq!(slab.get(TaskId(3)), Some(&33));
+        assert_eq!(slab.get(TaskId(4)), Some(&40));
+        assert_eq!(slab.get(TaskId(7)), Some(&70));
+        assert!(slab.get(TaskId(0)).is_none() && slab.get(TaskId(99)).is_none());
+        *slab.get_mut(TaskId(7)).unwrap() += 1;
+        let mut live: Vec<(TaskId, u32)> = slab.iter().map(|(id, v)| (id, *v)).collect();
+        live.sort();
+        assert_eq!(
+            live,
+            vec![(TaskId(3), 33), (TaskId(4), 40), (TaskId(7), 71)]
+        );
+        assert!(slab.contains(TaskId(4)) && !slab.contains(TaskId(1)));
+    }
+
+    #[test]
+    fn symbols_resolve_once_and_measure_interposition_once() {
+        let mut libs = LibraryRegistry::with_standard_libraries(Cycles(1_000));
+        libs.install(
+            crate::loader::SharedLibrary::new("evil.so")
+                .with_symbol("malloc", Cycles(5_000))
+                .injected(),
+        );
+        let mut t = sample_task(1, 1);
+        t.ld_preload = vec!["evil.so".to_string()];
+        let first = t.resolve_symbol(&libs, "malloc");
+        assert_eq!(first.0, Cycles(5_300));
+        assert_eq!(first.1, Digest::of(b"call:malloc"));
+        assert_eq!(t.resolve_symbol(&libs, "malloc"), first);
+        assert_eq!(t.resolve_symbol(&libs, "free").0, Cycles(200));
+        let interposed: Vec<&str> = t
+            .measurements
+            .entries()
+            .iter()
+            .filter(|m| m.kind == ImageKind::InterposedSymbol)
+            .map(|m| m.name.as_str())
+            .collect();
+        assert_eq!(interposed, vec!["evil.so:malloc"]);
+        assert_eq!(t.symbols.len(), 2);
     }
 
     #[test]

@@ -70,7 +70,7 @@ impl Workload {
                 name: "O",
                 user_secs: 120.0,
                 chunk_us: 1_000.0,
-                libcalls: vec![("malloc".to_string(), 3_000)],
+                libcalls: vec![("malloc", 3_000)],
                 watched_addr: self.hot_variable_addr(),
                 watched_accesses: 1_000_000,
                 threads: 1,
@@ -81,7 +81,7 @@ impl Workload {
                 name: "P",
                 user_secs: 150.0,
                 chunk_us: 1_000.0,
-                libcalls: vec![("sqrt".to_string(), 6_000), ("malloc".to_string(), 1_000)],
+                libcalls: vec![("sqrt", 6_000), ("malloc", 1_000)],
                 watched_addr: self.hot_variable_addr(),
                 // The paper sets the breakpoint on a variable accessed about
                 // 10^7 times.
@@ -94,11 +94,7 @@ impl Workload {
                 name: "W",
                 user_secs: 190.0,
                 chunk_us: 1_000.0,
-                libcalls: vec![
-                    ("sqrt".to_string(), 4_000),
-                    ("sin".to_string(), 2_000),
-                    ("cos".to_string(), 2_000),
-                ],
+                libcalls: vec![("sqrt", 4_000), ("sin", 2_000), ("cos", 2_000)],
                 watched_addr: self.hot_variable_addr(),
                 // T1 is accessed about 2 × 10^5 times.
                 watched_accesses: 200_000,
@@ -110,7 +106,7 @@ impl Workload {
                 name: "B",
                 user_secs: 215.0,
                 chunk_us: 1_000.0,
-                libcalls: vec![("malloc".to_string(), 8_000)],
+                libcalls: vec![("malloc", 8_000)],
                 watched_addr: self.hot_variable_addr(),
                 // `count` is hit about 895 thousand times with
                 // PER_THREAD_TRIES = 50.

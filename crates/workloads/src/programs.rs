@@ -22,7 +22,7 @@ pub struct VictimSpec {
     /// the program can be preempted between ops).
     pub chunk_us: f64,
     /// Shared-library calls: `(symbol, total calls)` over the whole run.
-    pub libcalls: Vec<(String, u64)>,
+    pub libcalls: Vec<(&'static str, u64)>,
     /// Address of the hot variable (thrashing-attack breakpoint target).
     pub watched_addr: u64,
     /// Total number of accesses to the hot variable.
@@ -82,7 +82,7 @@ pub struct VictimProgram {
     phase: Phase,
     chunk_cycles: Cycles,
     chunks: u64,
-    libcall_schedule: Vec<(String, u64)>,
+    libcall_schedule: Vec<(&'static str, u64)>,
     watched_per_chunk: u64,
     watched_remainder: u64,
     touches_per_chunk: u64,
@@ -100,15 +100,10 @@ impl VictimProgram {
     pub fn with_frequency(spec: VictimSpec, freq: CpuFrequency) -> VictimProgram {
         let chunk_cycles = freq.cycles_for(Nanos::from_secs_f64(spec.chunk_us / 1e6));
         let chunks = spec.main_chunks();
-        let libcall_schedule: Vec<(String, u64)> = spec
+        let libcall_schedule: Vec<(&'static str, u64)> = spec
             .libcalls
             .iter()
-            .map(|(sym, total)| {
-                (
-                    sym.clone(),
-                    (*total / chunks).max(if *total > 0 { 1 } else { 0 }),
-                )
-            })
+            .map(|&(sym, total)| (sym, (total / chunks).max(if total > 0 { 1 } else { 0 })))
             .collect();
         let watched_per_chunk = spec.watched_accesses / chunks;
         let watched_remainder = spec.watched_accesses % chunks;
@@ -187,12 +182,9 @@ impl Program for VictimProgram {
                                 chunk,
                                 sub: sub + 1,
                             };
-                            let (symbol, calls) = &self.libcall_schedule[s as usize - 1];
-                            if *calls > 0 {
-                                return Some(Op::LibCall {
-                                    symbol: symbol.clone(),
-                                    calls: *calls,
-                                });
+                            let (symbol, calls) = self.libcall_schedule[s as usize - 1];
+                            if calls > 0 {
+                                return Some(Op::LibCall { symbol, calls });
                             }
                         }
                         s if s as usize == self.libcall_schedule.len() + 1 => {
@@ -242,7 +234,7 @@ pub struct WorkerProgram {
     name: &'static str,
     chunks_left: u64,
     chunk_cycles: Cycles,
-    libcalls: Vec<(String, u64)>,
+    libcalls: Vec<(&'static str, u64)>,
     touches_per_chunk: u64,
     sub: u8,
 }
@@ -266,12 +258,9 @@ impl Program for WorkerProgram {
                 }
                 s if (s as usize) <= self.libcalls.len() => {
                     self.sub += 1;
-                    let (symbol, calls) = &self.libcalls[s as usize - 1];
-                    if *calls > 0 {
-                        return Some(Op::LibCall {
-                            symbol: symbol.clone(),
-                            calls: *calls,
-                        });
+                    let (symbol, calls) = self.libcalls[s as usize - 1];
+                    if calls > 0 {
+                        return Some(Op::LibCall { symbol, calls });
                     }
                 }
                 _ => {
