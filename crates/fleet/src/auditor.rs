@@ -233,8 +233,8 @@ pub struct TenantAuditSummary {
 /// excluded — it is a performance memo that rebuilds on demand).
 ///
 /// Snapshot with [`Auditor::state`], restore with [`Auditor::restore`];
-/// journal checkpoints embed one so recovery can resume from a compacted
-/// prefix.
+/// journal checkpoints embed one so recovery can resume from a
+/// checkpointed prefix.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct AuditorState {
     /// Per-tenant audit rollups.
@@ -255,11 +255,6 @@ impl TenantAuditSummary {
             anomaly_counts: BTreeMap::new(),
             overcharge_secs: 0.0,
         }
-    }
-
-    /// Total anomalies across kinds.
-    pub fn total_anomalies(&self) -> u64 {
-        self.anomaly_counts.values().sum()
     }
 }
 
@@ -286,7 +281,6 @@ impl TenantAuditSummary {
 #[derive(Debug, Clone)]
 pub struct Auditor {
     machine: KernelConfig,
-    tolerance: f64,
     sampling: SamplingPolicy,
     fleet_seed: u64,
     /// Whether record-embedded references are accepted. `true` on the
@@ -323,7 +317,6 @@ impl Auditor {
     pub fn new(machine: KernelConfig) -> Auditor {
         Auditor {
             machine,
-            tolerance: Self::DEFAULT_TOLERANCE,
             sampling: SamplingPolicy::Always,
             fleet_seed: 0,
             trust_references: true,
@@ -411,19 +404,6 @@ impl Auditor {
         self.reference_hits
     }
 
-    /// Overrides the overcharge tolerance.
-    ///
-    /// # Panics
-    /// Panics if `tolerance` is negative or not finite.
-    pub fn with_tolerance(mut self, tolerance: f64) -> Auditor {
-        assert!(
-            tolerance.is_finite() && tolerance >= 0.0,
-            "tolerance must be non-negative"
-        );
-        self.tolerance = tolerance;
-        self
-    }
-
     /// The reference outcome for a record: the worker-precomputed
     /// reference when the record carries one, otherwise a clean replay of
     /// the same workload, scale, seed and nice value, memoized. Both paths
@@ -479,7 +459,7 @@ impl Auditor {
     /// assessment.
     pub fn observe(&mut self, record: &RunRecord) -> AuditVerdict {
         let freq = self.machine.frequency;
-        let tolerance = self.tolerance;
+        let tolerance = Self::DEFAULT_TOLERANCE;
         let outcome = &record.outcome;
 
         if !self.sampling.should_audit(self.fleet_seed, record.job.id) {

@@ -3,8 +3,8 @@
 //!
 //! A [`JobSpec`] names one metered run — tenant, workload, optional
 //! [`AttackSpec`], scale, nice value. [`Fleet::run_one`] executes one job
-//! in the calling thread; batches and streams run on the worker pool of
-//! [`crate::ingest::FleetIngest`] (`shards` workers under
+//! in the calling thread; batches and streams run on the worker pool of a
+//! [`crate::FleetStream`] (`shards` workers under
 //! [`crate::FleetService::process`]). Determinism across worker counts
 //! comes from two rules:
 //!
@@ -265,12 +265,6 @@ impl FleetConfig {
         }
     }
 
-    /// Replaces the simulated machine.
-    pub fn with_machine(mut self, machine: KernelConfig) -> FleetConfig {
-        self.machine = machine;
-        self
-    }
-
     /// Replaces the audit sampling policy.
     pub fn with_sampling(mut self, sampling: SamplingPolicy) -> FleetConfig {
         self.sampling = sampling;
@@ -307,14 +301,9 @@ impl Fleet {
         }
     }
 
-    /// Attaches a [`PipelineTracer`]: every executed job records an
-    /// [`Stage::Execute`] span, and ingest pools trace queue waits too.
-    pub fn with_tracer(mut self, tracer: PipelineTracer) -> Fleet {
-        self.tracer = Some(tracer);
-        self
-    }
-
-    /// Attaches or detaches the tracer in place.
+    /// Attaches or detaches a [`PipelineTracer`]: every executed job
+    /// records an [`Stage::Execute`] span, and stream sessions over this
+    /// fleet trace queue waits too.
     pub fn set_tracer(&mut self, tracer: Option<PipelineTracer>) {
         self.tracer = tracer;
     }

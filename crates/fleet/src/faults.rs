@@ -14,10 +14,9 @@
 //! exponential backoff (in *virtual ticks*, never wall-clock sleeps) the
 //! ingest pipeline runs journal commits under. Transient faults are
 //! retried and absorbed; on exhaustion the pipeline enters **quarantine**
-//! (see [`crate::ingest::FleetIngest`]): releases stop — preserving the
+//! (see [`crate::FleetStream`]): releases stop — preserving the
 //! never-journaled ⇒ never-billed invariant — until the service fails
-//! over to a fresh sink with
-//! [`crate::ingest::FleetIngest::resume_with_sink`].
+//! over to a fresh sink with [`crate::FleetStream::resume_with_sink`].
 //!
 //! ## Fault semantics
 //!
@@ -288,11 +287,6 @@ impl FaultProbe {
         lock_state(&self.state).dead.is_some()
     }
 
-    /// The terminal fault's error text, if one fired.
-    pub fn dead_reason(&self) -> Option<String> {
-        lock_state(&self.state).dead.clone()
-    }
-
     /// Lines committed to the inner sink so far.
     pub fn lines_committed(&self) -> u64 {
         lock_state(&self.state).committed
@@ -522,7 +516,7 @@ impl JournalSink for FaultInjectingSink {
 /// [`FaultKind`]. Injected into the worker pool by a
 /// [`WorkerFaultSchedule`]; detection and recovery are the ingest
 /// supervisor's job (see [`SupervisorPolicy`] and
-/// [`crate::ingest::FleetIngest`]).
+/// [`crate::FleetStream`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum WorkerFaultKind {
     /// The worker panics mid-execution. The pool catches the unwind,
@@ -704,7 +698,7 @@ impl WorkerFaultSchedule {
 /// budget runs dry, quarantine the fleet when the last worker dies, and
 /// declare a job poison once it has killed `max_job_attempts` workers
 /// in a row. Pure data; the enforcement lives in
-/// [`crate::ingest::FleetIngest`].
+/// [`crate::FleetStream`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SupervisorPolicy {
     /// Worker respawns allowed per restart window before the pool
@@ -734,13 +728,6 @@ impl SupervisorPolicy {
     /// Replaces the per-window respawn budget.
     pub fn with_max_restarts(mut self, max_restarts: u32) -> SupervisorPolicy {
         self.max_restarts = max_restarts;
-        self
-    }
-
-    /// Replaces the restart-budget window (virtual ticks; `0` =
-    /// lifetime budget).
-    pub fn with_restart_window(mut self, restart_window: u64) -> SupervisorPolicy {
-        self.restart_window = restart_window;
         self
     }
 

@@ -1,14 +1,16 @@
 //! Streaming ingestion: a long-lived worker pool draining a bounded,
 //! per-tenant-fair submission queue.
 //!
-//! [`FleetIngest`] replaces one-shot batch execution with a pipeline tenants
-//! feed continuously: [`FleetIngest::submit`] enqueues a [`JobSpec`] into a
-//! bounded [`FairQueue`]; worker threads pop jobs round-robin across tenants
-//! and execute them with [`Fleet::run_one`]; completed [`RunRecord`]s land
-//! in a sequence-numbered completion log. Because every job's kernel seed is
-//! derived from the fleet seed and job id alone, and the completion log is
-//! keyed by submission sequence, a streamed run is **bit-identical** to the
-//! equivalent batch run for any worker count.
+//! [`FleetStream`], opened with [`FleetService::stream`], is the one
+//! pipeline: [`FleetStream::submit`] enqueues a [`JobSpec`] into a bounded
+//! [`FairQueue`]; worker threads pop jobs round-robin across tenants and
+//! execute them with [`Fleet::run_one`]; completed [`RunRecord`]s land in
+//! a sequence-numbered completion log, and [`FleetStream::pump`] posts its
+//! contiguous prefix to the service's ledger, auditor and metering.
+//! Because every job's kernel seed is derived from the fleet seed and job
+//! id alone, and the completion log is keyed by submission sequence, a
+//! streamed run is **bit-identical** to the equivalent batch run
+//! ([`FleetService::process`]) for any worker count.
 //!
 //! Four backpressure-and-fairness knobs:
 //!
@@ -19,18 +21,18 @@
 //!   submitting thread until a slot frees (lossless streaming).
 //! * **Fairness** is structural: the queue round-robins across tenant
 //!   lanes, so one greedy tenant cannot starve the rest (see
-//!   [`FleetIngest::dispatch_log`]).
+//!   [`FleetStream::dispatch_log`]).
 //! * **Completion watermark**
 //!   ([`IngestConfig::with_completion_watermark`]) bounds the *other* end:
 //!   capacity bounds only the undispatched backlog, and completed records
-//!   otherwise accumulate in the completion log until a consumer takes
-//!   them ([`FleetIngest::take_ready`], a stream's `pump`, or `finish`).
-//!   With a watermark, workers stall instead of letting the log outrun the
+//!   otherwise accumulate in the completion log until
+//!   [`FleetStream::pump`] or [`FleetStream::finish`] posts them. With a
+//!   watermark, workers stall instead of letting the log outrun the
 //!   consumer, so total pipeline memory is bounded by
 //!   `capacity + watermark`.
 //!
-//! With a [`crate::Journal`] attached (the last argument of
-//! [`FleetIngest::new`]), every record is appended to the
+//! With a [`crate::Journal`] attached to the service
+//! ([`FleetService::with_journal`]), every record is appended to the
 //! write-ahead log *before* it is released to the consumer — the
 //! durability boundary of the [`crate::journal`] layer. Those appends are
 //! also the *evidence* boundary: each journaled record becomes a
@@ -54,14 +56,14 @@
 //! (preserving the *never-journaled ⇒ never-billed* invariant — nothing
 //! is ever released unjournaled), `submit` fails fast with
 //! [`SubmitError::Quarantined`], and the state is observable via
-//! [`FleetIngest::health`] and the `fleet_quarantined` /
+//! [`FleetStream::health`] and the `fleet_quarantined` /
 //! `fleet_journal_failures_total` metrics. Workers keep *executing*
 //! during quarantine; only the billing boundary is closed. The operator
-//! fails over with [`FleetIngest::resume_with_sink`]: the journal swaps
+//! fails over with [`FleetStream::resume_with_sink`]: the journal swaps
 //! to a fresh sink (chain continuity intact — the evidence chain head
-//! only ever advances on successful commits), the pending accepted set is
-//! re-journaled so the new sink is recoverable on its own, and the next
-//! pump drains the stalled prefix.
+//! only ever advances on successful commits), a leading checkpoint and
+//! the pending accepted set are written so the new sink is recoverable
+//! on its own, and the stalled prefix drains.
 //!
 //! ## Surviving the workers: watchdog, reassignment, poison jobs
 //!
@@ -87,8 +89,8 @@
 //!   re-execution is safe because the kernel is deterministic from the
 //!   fleet seed and job id), and a replacement worker is respawned under
 //!   the [`SupervisorPolicy`] restart budget: budget dry → the pool
-//!   degrades; last worker dead → the fleet quarantines (the PR 8
-//!   surface: submits fail fast, [`FleetIngest::health`] says why).
+//!   degrades; last worker dead → the fleet quarantines (submits fail
+//!   fast, [`FleetStream::health`] says why).
 //! * **Zombies cannot double-release.** Completions carry the worker's
 //!   generation; a reaped worker finishing late fails the dedup guard
 //!   and its record is discarded — released ⇒ journaled ⇒ executed
@@ -97,22 +99,23 @@
 //!   [`SupervisorPolicy::max_job_attempts`] workers in a row gets a
 //!   tombstone in the completion log (the release cursor passes it), a
 //!   journaled [`crate::JournalEntry::Poisoned`] verdict, and a
-//!   tenant-visible [`JobVerdict::Poisoned`] — while every other job
-//!   keeps flowing.
+//!   tenant-visible [`FleetStream::poisoned`] notice — while every other
+//!   job keeps flowing.
 //!
 //! ```
-//! use trustmeter_fleet::{Fleet, FleetConfig, FleetIngest, IngestConfig, JobSpec, TenantId};
+//! use trustmeter_fleet::{FleetConfig, FleetService, IngestConfig, JobSpec, TenantId};
 //! use trustmeter_workloads::Workload;
 //!
-//! let ingest = FleetIngest::new(Fleet::new(FleetConfig::new(2, 42)), IngestConfig::new(2), None);
+//! let mut service = FleetService::new(FleetConfig::new(2, 42));
+//! let stream = service.stream(IngestConfig::new(2));
 //! for id in 0..4 {
 //!     let job = JobSpec::clean(id, TenantId((id % 2) as u32), Workload::LoopO, 0.001);
-//!     ingest.submit(job).unwrap();
+//!     stream.submit(job).unwrap();
 //! }
-//! let outcome = ingest.finish();
-//! // Completion log merges in submission order regardless of which worker
+//! let report = stream.finish();
+//! // Records post in submission order regardless of which worker
 //! // finished first.
-//! let ids: Vec<u64> = outcome.records.iter().map(|r| r.job.id.0).collect();
+//! let ids: Vec<u64> = report.records.iter().map(|r| r.job.id.0).collect();
 //! assert_eq!(ids, vec![0, 1, 2, 3]);
 //! ```
 
@@ -124,6 +127,7 @@ use std::thread::JoinHandle;
 
 use serde::{Deserialize, Serialize};
 
+use crate::auditor::AuditVerdict;
 use crate::executor::{Fleet, JobId, JobSpec, RunRecord};
 use crate::faults::{RetryPolicy, SupervisorPolicy, WorkerFaultKind, WorkerFaultSchedule};
 use crate::journal::{Journal, JournalEntry, JournalError, JournalSink, PoisonNotice};
@@ -131,6 +135,7 @@ use crate::pool::{BufferPool, PoolStats};
 use crate::queue::FairQueue;
 use crate::tenant::TenantId;
 use crate::trace::{PipelineTracer, Stage};
+use crate::{FleetReport, FleetService};
 
 /// What `submit` does when the submission queue is at capacity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
@@ -153,7 +158,7 @@ pub enum SubmitError {
     /// The journal exhausted its [`RetryPolicy`] and the pipeline is
     /// quarantined: nothing can be made durable, so nothing new is
     /// accepted (and nothing already executed is released). Fail over
-    /// with [`FleetIngest::resume_with_sink`] to resume.
+    /// with [`FleetStream::resume_with_sink`] to resume.
     Quarantined,
 }
 
@@ -198,25 +203,25 @@ impl fmt::Display for BatchSubmitError {
 
 impl std::error::Error for BatchSubmitError {}
 
-/// Worker-pool configuration for [`FleetIngest`].
+/// Worker-pool configuration for a [`FleetStream`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct IngestConfig {
     /// Number of long-lived worker threads.
     pub workers: usize,
     /// Maximum undispatched jobs in the submission queue (0 = unbounded).
-    /// Completed-but-unconsumed records are *not* counted: consumers must
-    /// pump ([`FleetIngest::take_ready`]) to bound total pipeline memory.
+    /// Completed-but-unposted records are *not* counted: consumers must
+    /// [`FleetStream::pump`] to bound total pipeline memory.
     pub capacity: usize,
     /// What `submit` does when the queue is full.
     pub backpressure: BackpressurePolicy,
-    /// Start with dispatch paused; call [`FleetIngest::resume`] to begin
+    /// Start with dispatch paused; call [`FleetStream::resume`] to begin
     /// draining. Useful for tests and for staging a backlog.
     pub start_paused: bool,
     /// Completion-side watermark (0 = unbounded): workers stall before
     /// starting a new job while completed-but-unconsumed records plus
     /// in-flight jobs are at this limit, so a slow consumer bounds the
-    /// completion log instead of letting it outrun `take_ready`. A
-    /// graceful [`FleetIngest::finish`] lifts the watermark — the drain is
+    /// completion log instead of letting it outrun the pump. A
+    /// graceful [`FleetStream::finish`] lifts the watermark — the drain is
     /// about to consume everything anyway. See
     /// [`IngestConfig::with_completion_watermark`] for the deadlock hazard
     /// when the consuming thread also submits under
@@ -281,7 +286,7 @@ impl IngestConfig {
     }
 
     /// Starts the pipeline paused (no dispatch until
-    /// [`FleetIngest::resume`]).
+    /// [`FleetStream::resume`]).
     pub fn paused(mut self) -> IngestConfig {
         self.start_paused = true;
         self
@@ -293,15 +298,14 @@ impl IngestConfig {
     /// memory is bounded by `capacity + completion_watermark` even when
     /// the consumer stops pumping.
     ///
-    /// **Deadlock hazard.** Only `take_ready`/`pump`/`finish` clear the
-    /// watermark. Under [`BackpressurePolicy::Block`] with a bounded
-    /// queue, a thread that submits more than `capacity + watermark` jobs
-    /// without pumping parks in `submit` while every worker is stalled on
-    /// the watermark — and if that thread is also the only consumer,
-    /// nothing can ever wake either side. With a watermark, either pump
-    /// from the submitting loop (as [`crate::FleetStream`] usage does),
-    /// consume from a separate thread, use
-    /// [`BackpressurePolicy::Reject`], or keep
+    /// **Deadlock hazard.** Only `pump`/`finish` clear the watermark.
+    /// Under [`BackpressurePolicy::Block`] with a bounded queue, a thread
+    /// that submits more than `capacity + watermark` jobs without pumping
+    /// parks in `submit` while every worker is stalled on the watermark —
+    /// and if that thread is also the only consumer, nothing can ever wake
+    /// either side. With a watermark, either pump from the submitting
+    /// loop, submit from other threads through an [`IngestHandle`] while
+    /// this one pumps, use [`BackpressurePolicy::Reject`], or keep
     /// `capacity >= total submissions - watermark`.
     pub fn with_completion_watermark(mut self, watermark: usize) -> IngestConfig {
         self.completion_watermark = watermark;
@@ -356,8 +360,8 @@ pub struct IngestStats {
     pub rejected: u64,
     /// Jobs queued and not yet dispatched to a worker.
     pub queued: usize,
-    /// Completed records not yet consumed via [`FleetIngest::take_ready`]
-    /// (what the completion watermark bounds).
+    /// Completed records not yet posted by [`FleetStream::pump`] (what
+    /// the completion watermark bounds).
     pub ready: usize,
     /// Jobs currently executing, per tenant.
     pub inflight: BTreeMap<TenantId, u64>,
@@ -371,7 +375,7 @@ pub struct IngestStats {
     /// [`SubmitError::Quarantined`]).
     pub quarantined: bool,
     /// Workers currently alive in the pool (moves with
-    /// [`FleetIngest::scale_to`] and with supervisor reaps/respawns).
+    /// [`FleetStream::scale_workers`] and with supervisor reaps/respawns).
     pub workers: usize,
     /// Workers respawned by the supervisor after a reap.
     pub worker_restarts: u64,
@@ -396,8 +400,8 @@ impl IngestStats {
 }
 
 /// A point-in-time durability health report for the ingest pipeline —
-/// what an operator (or [`crate::FleetStream::health`]) reads to decide
-/// whether a failover is needed and whether it worked.
+/// what an operator reads from [`FleetStream::health`] to decide whether
+/// a failover is needed and whether it worked.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub struct FleetHealth {
     /// Whether the pipeline is quarantined: the journal exhausted its
@@ -427,64 +431,8 @@ pub struct FleetHealth {
     /// Jobs declared poison and individually quarantined.
     pub poisoned: u64,
     /// The last worker died with the restart budget spent: the fleet is
-    /// quarantined until [`crate::FleetStream::scale_workers`] (or
-    /// [`FleetIngest::scale_to`] on a bare pool) revives the pool.
+    /// quarantined until [`FleetStream::scale_workers`] revives the pool.
     pub workers_dead: bool,
-}
-
-/// Everything a drained pipeline produced.
-#[derive(Debug, Clone)]
-pub struct IngestOutcome {
-    /// Records not yet taken via [`FleetIngest::take_ready`], in submission
-    /// order.
-    pub records: Vec<RunRecord>,
-    /// The full dispatch order (which job each worker popped, in pop
-    /// order) — the observable fairness record. A reassigned job appears
-    /// once per dispatch.
-    pub dispatch_log: Vec<(JobId, TenantId)>,
-    /// Final counters (queue and inflight gauges are zero by construction).
-    pub stats: IngestStats,
-    /// Poison-job verdicts released over the pipeline's lifetime, in
-    /// release order (tenant-visible; each was also journaled as a
-    /// [`crate::JournalEntry::Poisoned`] chained entry).
-    pub poisoned: Vec<PoisonNotice>,
-    /// Final durability and supervision health (why a quarantined drain
-    /// released nothing).
-    pub health: FleetHealth,
-}
-
-/// The tenant-visible outcome of one submitted job.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum JobVerdict {
-    /// The job executed and its record was released.
-    Completed,
-    /// The job was declared **poison**: it killed workers on `attempts`
-    /// consecutive execution attempts and was individually quarantined
-    /// (journaled, release cursor moved past it) while the rest of the
-    /// fleet kept flowing.
-    Poisoned {
-        /// Execution attempts consumed before the verdict.
-        attempts: u32,
-    },
-}
-
-impl IngestOutcome {
-    /// The verdict for `job`, judged from this outcome's released
-    /// records and poison notices. Records taken by an earlier
-    /// [`FleetIngest::take_ready`] are not in `records`, so a streaming
-    /// consumer should track those itself; poison verdicts are
-    /// lifetime-cumulative and always visible here.
-    pub fn verdict(&self, job: JobId) -> Option<JobVerdict> {
-        if self.records.iter().any(|r| r.job.id == job) {
-            return Some(JobVerdict::Completed);
-        }
-        self.poisoned
-            .iter()
-            .find(|n| n.spec.id == job)
-            .map(|n| JobVerdict::Poisoned {
-                attempts: n.attempts,
-            })
-    }
 }
 
 /// One entry in the sequence-numbered completion log.
@@ -582,7 +530,7 @@ struct State {
     /// replacement sink on failover so it is recoverable on its own.
     /// Empty without a journal.
     accepted: BTreeMap<u64, JobSpec>,
-    /// Worker-pool size target (see [`FleetIngest::scale_to`]). Workers
+    /// Worker-pool size target (see [`FleetStream::scale_workers`]). Workers
     /// consume one "shrink token" each — exiting at the top of their loop —
     /// while `active_workers` exceeds this. Degrades when the restart
     /// budget runs dry.
@@ -615,7 +563,7 @@ struct State {
     stale_completions: u64,
     /// The last worker died with the restart budget spent. Distinct from
     /// journal quarantine (same `quarantined` gate, different exit):
-    /// lifted by [`FleetIngest::scale_to`], not by a sink failover.
+    /// lifted by [`FleetStream::scale_workers`], not by a sink failover.
     workers_dead: bool,
 }
 
@@ -653,9 +601,9 @@ struct Shared {
     /// The retry policy every journal commit runs under.
     retry: RetryPolicy,
     /// Recycles the release-path record buffers: `take_ready` drains into
-    /// a pooled `Vec`, and consumers hand the emptied container back via
-    /// [`FleetIngest::recycle`]. Leaf lock — only ever taken while holding
-    /// nothing or the state lock, never the other way around.
+    /// a pooled `Vec`, and the pump hands the emptied container back.
+    /// Leaf lock — only ever taken while holding nothing or the state
+    /// lock, never the other way around.
     pool: BufferPool<RunRecord>,
     /// The shared virtual clock the restart window is measured against.
     /// Advanced only by injected faults' spin loops — a healthy pipeline
@@ -689,6 +637,13 @@ impl Shared {
 
     fn wait<'a>(&self, condvar: &Condvar, guard: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
         condvar.wait(guard).unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Submits one job as a one-job slice of [`Shared::submit_all`].
+    fn submit(&self, job: JobSpec) -> Result<u64, SubmitError> {
+        self.submit_all(std::slice::from_ref(&job))
+            .map(|seqs| seqs[0])
+            .map_err(|e| e.error)
     }
 
     /// The one submission path (a single `submit` is a one-job slice):
@@ -915,9 +870,10 @@ impl Shared {
         let mut state = self.lock();
         if state.workers_dead {
             // A dead worker pool is not a journal problem: the sink swap
-            // succeeded, but only scale_to can staff the pool again.
+            // succeeded, but only scale_workers can staff the pool again.
             return Err(JournalError::Io(
-                "fleet workers are all dead; scale_to a live pool before resuming".to_string(),
+                "fleet workers are all dead; scale_workers to a live pool before resuming"
+                    .to_string(),
             ));
         }
         state.quarantined = false;
@@ -1546,40 +1502,24 @@ impl Drop for WorkerReapGuard {
     }
 }
 
-/// The streaming ingestion pipeline: a worker pool over a bounded,
-/// per-tenant-fair submission queue. See the [module docs](self).
-///
-/// Dropping a `FleetIngest` without calling [`FleetIngest::finish`] tears
-/// the pipeline down: queued jobs are discarded, running jobs complete,
-/// workers are joined, and blocked submitters are released with
-/// [`SubmitError::ShutDown`]. Call `finish` to drain instead.
-#[derive(Debug)]
-pub struct FleetIngest {
-    shared: Arc<Shared>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-/// A cloneable, `Send` handle for submitting jobs to a [`FleetIngest`] from
-/// other threads (each tenant can stream from its own thread).
+/// A cloneable, `Send` handle for submitting jobs to a [`FleetStream`]
+/// from other threads (each tenant can stream from its own thread while
+/// the session's owner pumps).
 #[derive(Debug, Clone)]
 pub struct IngestHandle {
     shared: Arc<Shared>,
 }
 
 impl IngestHandle {
-    /// Submits one job; returns its submission sequence number.
+    /// Submits one job; see [`FleetStream::submit`].
     ///
     /// # Errors
-    /// [`SubmitError::QueueFull`] under [`BackpressurePolicy::Reject`] with
-    /// a full queue; [`SubmitError::ShutDown`] once the pipeline is
-    /// finishing.
+    /// As for [`FleetStream::submit`].
     pub fn submit(&self, job: JobSpec) -> Result<u64, SubmitError> {
-        self.submit_all(std::slice::from_ref(&job))
-            .map(|seqs| seqs[0])
-            .map_err(|e| e.error)
+        self.shared.submit(job)
     }
 
-    /// Submits a batch of jobs; see [`FleetIngest::submit_all`].
+    /// Submits a batch of jobs; see [`FleetStream::submit_all`].
     ///
     /// # Errors
     /// [`BatchSubmitError`] carrying the accepted prefix and the
@@ -1594,21 +1534,47 @@ impl IngestHandle {
     }
 }
 
-impl FleetIngest {
-    /// Spawns `config.workers` workers over `fleet`, write-ahead
-    /// journaling every accepted spec and released record into `journal`
-    /// when one is given (see the [`crate::journal`] module docs). The
-    /// fleet's tracer, if any, also records the pipeline's queue-wait and
-    /// journal-commit spans.
+/// A live streaming session over a [`FleetService`]: a worker pool over a
+/// bounded, per-tenant-fair submission queue. See the [module docs](self).
+///
+/// Obtained from [`FleetService::stream`]. Jobs submitted through
+/// [`FleetStream::submit`] (or an [`IngestHandle`] from
+/// [`FleetStream::handle`], one per tenant thread) are executed by the
+/// session's worker pool; [`FleetStream::pump`] posts completed records to
+/// the service's ledger, auditor and metrics **in submission order**, and
+/// [`FleetStream::finish`] drains the pipeline and returns the same
+/// [`FleetReport`] [`FleetService::process`] produces — bit-identical for
+/// any worker count, because seeds derive from job ids and the completion
+/// log merges by submission sequence.
+///
+/// Dropping a stream without calling [`FleetStream::finish`] tears the
+/// pipeline down: queued jobs are discarded, running jobs complete,
+/// workers are joined, and blocked submitters are released with
+/// [`SubmitError::ShutDown`]. Finished or dropped, the session folds its
+/// final [`IngestStats`] into [`FleetService::metrics`] once.
+#[derive(Debug)]
+pub struct FleetStream<'a> {
+    service: &'a mut FleetService,
+    shared: Arc<Shared>,
+    workers: Vec<JoinHandle<()>>,
+    records: Vec<RunRecord>,
+    verdicts: Vec<AuditVerdict>,
+}
+
+impl<'a> FleetStream<'a> {
+    /// Spawns `config.workers` workers over the service's fleet,
+    /// write-ahead journaling every accepted spec and released record into
+    /// the service's journal, if one is attached (see the
+    /// [`crate::journal`] module docs). The fleet's tracer, if any, also
+    /// records the pipeline's queue-wait and journal-commit spans.
     ///
     /// # Panics
     /// Panics if `config.workers` is zero.
-    pub fn new(fleet: Fleet, config: IngestConfig, journal: Option<Journal>) -> FleetIngest {
+    pub(crate) fn open(service: &'a mut FleetService, config: IngestConfig) -> FleetStream<'a> {
         assert!(
             config.workers > 0,
             "an ingest pipeline needs at least one worker"
         );
-        let tracer = fleet.tracer().cloned();
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 queue: FairQueue::new(config.capacity),
@@ -1649,8 +1615,8 @@ impl FleetIngest {
             job_done: Condvar::new(),
             policy: config.backpressure,
             watermark: config.completion_watermark,
-            journal,
-            tracer,
+            journal: service.journal.clone(),
+            tracer: service.fleet.tracer().cloned(),
             release_guard: Mutex::new(()),
             submit_guard: Mutex::new(()),
             retry: config.retry,
@@ -1659,21 +1625,58 @@ impl FleetIngest {
             supervisor: config.supervisor,
             deadline_grace: config.job_deadline,
             worker_faults: config.worker_faults,
-            fleet,
+            fleet: service.fleet.clone(),
             respawned: Mutex::new(Vec::new()),
         });
         let workers = (0..config.workers)
             .map(|i| Shared::spawn_worker(&shared, i as u64))
             .collect();
-        FleetIngest { shared, workers }
+        FleetStream {
+            service,
+            shared,
+            workers,
+            records: Vec::new(),
+            verdicts: Vec::new(),
+        }
+    }
+
+    /// Submits one job; returns its submission sequence number.
+    ///
+    /// # Errors
+    /// [`SubmitError::QueueFull`] under [`BackpressurePolicy::Reject`] with
+    /// a full queue; [`SubmitError::Quarantined`] while the journal or the
+    /// worker pool is down; [`SubmitError::ShutDown`] once the session is
+    /// finishing.
+    pub fn submit(&self, job: JobSpec) -> Result<u64, SubmitError> {
+        self.shared.submit(job)
+    }
+
+    /// Submits a batch of jobs, paying the submission-path synchronization
+    /// (submit guard, `Accepted` journal group commit, state lock, worker
+    /// wake) once per admitted slice instead of once per job. Sequence
+    /// numbers, queue fairness, journal bytes and every downstream artifact
+    /// are bit-identical to submitting the same jobs one at a time.
+    ///
+    /// Under [`BackpressurePolicy::Block`] a batch larger than the queue
+    /// capacity is admitted in capacity-sized slices, blocking between
+    /// slices until slots free.
+    ///
+    /// # Errors
+    /// [`BatchSubmitError`] carrying the sequence numbers of the accepted
+    /// prefix (those jobs are in the pipeline and will run) and the
+    /// [`SubmitError`] that stopped the rest of the batch.
+    pub fn submit_all(&self, jobs: &[JobSpec]) -> Result<Vec<u64>, BatchSubmitError> {
+        self.shared.submit_all(jobs)
     }
 
     /// Resizes the worker pool to `workers` threads (clamped to at least
     /// one). Growing spawns immediately; shrinking is cooperative — each
     /// surplus worker finishes the batch it holds and exits at the top of
-    /// its loop, so no job is ever abandoned mid-run. During shutdown the
-    /// target is ignored: `finish` keeps every worker alive to drain.
-    pub fn scale_to(&mut self, workers: usize) {
+    /// its loop, so no job is ever abandoned mid-run. Reports stay
+    /// bit-identical across any scaling schedule, and growing revives a
+    /// pool that died out ([`FleetHealth::workers_dead`]). During shutdown
+    /// the target is ignored: `finish` keeps every worker alive to drain.
+    pub fn scale_workers(&mut self, workers: usize) {
         let target = workers.max(1);
         let gens: Vec<u64> = {
             let mut state = self.shared.lock();
@@ -1718,37 +1721,8 @@ impl FleetIngest {
         self.shared.lock().queue.set_weight(tenant, weight);
     }
 
-    /// Submits one job; returns its submission sequence number.
-    ///
-    /// # Errors
-    /// [`SubmitError::QueueFull`] under [`BackpressurePolicy::Reject`] with
-    /// a full queue; [`SubmitError::ShutDown`] once the pipeline is
-    /// finishing.
-    pub fn submit(&self, job: JobSpec) -> Result<u64, SubmitError> {
-        self.submit_all(std::slice::from_ref(&job))
-            .map(|seqs| seqs[0])
-            .map_err(|e| e.error)
-    }
-
-    /// Submits a batch of jobs, paying the submission-path synchronization
-    /// (submit guard, `Accepted` journal group commit, state lock, worker
-    /// wake) once per admitted slice instead of once per job. Sequence
-    /// numbers, queue fairness, journal bytes and every downstream artifact
-    /// are bit-identical to submitting the same jobs one at a time.
-    ///
-    /// Under [`BackpressurePolicy::Block`] a batch larger than the queue
-    /// capacity is admitted in capacity-sized slices, blocking between
-    /// slices until slots free.
-    ///
-    /// # Errors
-    /// [`BatchSubmitError`] carrying the sequence numbers of the accepted
-    /// prefix (those jobs are in the pipeline and will run) and the
-    /// [`SubmitError`] that stopped the rest of the batch.
-    pub fn submit_all(&self, jobs: &[JobSpec]) -> Result<Vec<u64>, BatchSubmitError> {
-        self.shared.submit_all(jobs)
-    }
-
-    /// A cloneable handle for submitting from other threads.
+    /// A cloneable handle for submitting jobs from other threads while this
+    /// session pumps completions.
     pub fn handle(&self) -> IngestHandle {
         IngestHandle {
             shared: Arc::clone(&self.shared),
@@ -1760,197 +1734,191 @@ impl FleetIngest {
         self.shared.stats()
     }
 
-    /// The pipeline's durability health report: quarantine state, retry
-    /// and failure counters, parked work (see [`FleetHealth`]).
-    pub fn health(&self) -> FleetHealth {
-        self.shared.health()
-    }
-
-    /// Fails the journal over to a **fresh** sink (e.g. a new segment
-    /// directory on a healthy disk) and lifts the quarantine. The swap
-    /// keeps chain continuity — the evidence chain head only advances on
-    /// successful commits, so the new sink's first line continues exactly
-    /// where the dead sink's last committed line left off — and the
-    /// pending accepted set is re-journaled into the new sink so it is
-    /// recoverable on its own, accepted-but-unreleased jobs included.
-    /// The next [`FleetIngest::take_ready`] drains the parked batch.
-    ///
-    /// Callers going through [`crate::FleetStream`] should use
-    /// [`crate::FleetStream::resume_with_sink`] instead, which also
-    /// writes a leading checkpoint so the new sink replays standalone.
-    ///
-    /// # Errors
-    /// [`JournalError::Io`] if the pipeline has no journal, or if the
-    /// replacement sink rejects the re-journaled accepted set — in which
-    /// case the pipeline stays quarantined.
-    pub fn resume_with_sink(&self, sink: Box<dyn JournalSink>) -> Result<(), JournalError> {
-        let Some(journal) = &self.shared.journal else {
-            return Err(JournalError::Io(
-                "ingest pipeline has no journal to fail over".to_string(),
-            ));
-        };
-        journal.fail_over(sink);
-        self.shared.resume_after_failover()
-    }
-
-    /// The second half of a failover, for callers that swap the sink and
-    /// write their own leading entries first (see
-    /// [`crate::FleetStream::resume_with_sink`]): re-journals the pending
-    /// accepted set and lifts the quarantine.
-    pub(crate) fn resume_after_failover(&self) -> Result<(), JournalError> {
-        self.shared.resume_after_failover()
-    }
-
-    /// Stops dispatching new jobs (running jobs finish normally).
+    /// Stops dispatching new jobs (running jobs finish; queued jobs wait).
     pub fn pause(&self) {
         self.shared.lock().paused = true;
     }
 
-    /// Resumes dispatch after [`FleetIngest::pause`].
+    /// Resumes dispatch after [`FleetStream::pause`].
     pub fn resume(&self) {
         self.shared.lock().paused = false;
         self.shared.job_ready.notify_all();
     }
 
-    /// The dispatch order so far — which job each worker popped, in pop
-    /// order. This is the observable fairness record: with a backlog from
-    /// several tenants, consecutive entries round-robin across tenants.
-    pub fn dispatch_log(&self) -> Vec<(JobId, TenantId)> {
-        self.shared.lock().dispatch_log.clone()
+    /// Durability health: quarantine flag, retry/failure counters, the
+    /// stalled-record backlog and the last journal error. The session
+    /// keeps executing while quarantined — only the billing boundary
+    /// (release → post) is closed — so poll this to decide when a
+    /// [`FleetStream::resume_with_sink`] failover is needed.
+    pub fn health(&self) -> FleetHealth {
+        self.shared.health()
     }
 
-    /// Removes and returns all completed records that form a contiguous
-    /// run in submission order (the stream analogue of a batch result
-    /// prefix). Records completed out of order are held back until the gap
-    /// fills, so consumers always observe submission order. Poison
-    /// verdicts release in the same order (their journaled `Poisoned`
-    /// entry is the release) but yield no record — read them from
-    /// [`FleetIngest::poisoned`] or [`IngestOutcome::poisoned`].
-    pub fn take_ready(&self) -> Vec<RunRecord> {
-        self.shared.take_ready()
+    /// Fails the journal over to a **fresh** sink and lifts the
+    /// quarantine, then pumps the drained backlog into the service.
+    ///
+    /// The swap keeps chain continuity — the evidence chain head only
+    /// advances on successful commits — and writes a leading
+    /// [`crate::Checkpoint`] of the current accounting state into the new
+    /// sink before anything else: a checkpoint is the one entry
+    /// [`crate::parse_journal`] allows to adopt a foreign chain anchor, so
+    /// the new sink replays **standalone** with
+    /// [`FleetService::recover_latest`] — no splicing with the dead sink's
+    /// lines required. After the checkpoint, the pending
+    /// accepted-but-unreleased specs are re-journaled (the new sink is
+    /// self-contained for submission-side recovery too), the stalled
+    /// ready prefix is drained and posted, and normal operation resumes.
+    ///
+    /// # Errors
+    /// [`JournalError`] if the session has no journal, if the replacement
+    /// sink fails while writing the leading checkpoint or the accepted
+    /// backlog, or if the worker pool is dead — the pipeline then *stays*
+    /// quarantined.
+    pub fn resume_with_sink(&mut self, sink: Box<dyn JournalSink>) -> Result<(), JournalError> {
+        let Some(journal) = &self.service.journal else {
+            return Err(JournalError::Io(
+                "stream session has no journal to fail over".to_string(),
+            ));
+        };
+        journal.fail_over(sink);
+        journal.append_batch(&[JournalEntry::checkpoint(self.service.checkpoint())])?;
+        self.service.runs_since_checkpoint = 0;
+        self.shared.resume_after_failover()?;
+        self.pump();
+        Ok(())
     }
 
-    /// The poison verdicts released so far: jobs that killed
-    /// [`SupervisorPolicy::max_job_attempts`] workers in a row and were
-    /// retired with a journaled [`crate::JournalEntry::Poisoned`] entry
-    /// instead of a record. In release (submission) order.
+    /// Verdicts posted so far, in submission order.
+    pub fn verdicts(&self) -> &[AuditVerdict] {
+        &self.verdicts
+    }
+
+    /// Poison verdicts released so far: jobs the supervisor retired after
+    /// they killed [`SupervisorPolicy::max_job_attempts`] workers in a
+    /// row. Each was journaled as a chained [`JournalEntry::Poisoned`]
+    /// entry when released; nothing was billed for it. In release
+    /// (submission) order.
     pub fn poisoned(&self) -> Vec<PoisonNotice> {
         self.shared.lock().poisoned_log.clone()
     }
 
-    /// Hands a consumed [`FleetIngest::take_ready`] buffer back to the
-    /// release-path pool: the container is cleared (leftover records are
-    /// dropped) and its capacity is reused by the next release batch. Pool
-    /// traffic shows up in [`IngestStats::pool`]. Purely an allocator
-    /// optimization — skipping it just means the next batch allocates.
-    pub fn recycle(&self, buffer: Vec<RunRecord>) {
-        self.shared.pool.release(buffer);
+    /// The dispatch order so far — which job each worker popped, in pop
+    /// order; a reassigned job appears once per dispatch. This is the
+    /// observable fairness record: with a backlog from several tenants,
+    /// consecutive entries round-robin across tenants.
+    pub fn dispatch_log(&self) -> Vec<(JobId, TenantId)> {
+        self.shared.lock().dispatch_log.clone()
     }
 
-    /// Graceful shutdown: stops accepting new submissions, drains every
-    /// queued job, joins the workers, and returns all records not yet taken
-    /// via [`FleetIngest::take_ready`] (in submission order) plus the final
-    /// dispatch log and counters.
+    /// Posts every completed record that extends the contiguous
+    /// submission-order prefix to the service (ledger → auditor →
+    /// metrics) and returns how many records were posted. Records
+    /// completed out of order are held back until the gap fills; poison
+    /// verdicts release in the same order (their journaled `Poisoned`
+    /// entry is the release) but post nothing — read them from
+    /// [`FleetStream::poisoned`].
     ///
-    /// Finishing while **quarantined** still executes and joins everything,
-    /// but releases nothing: the parked and completed records stay behind
-    /// the closed billing boundary (never journaled ⇒ never billed), and
-    /// `outcome.records` is empty with `outcome.stats.quarantined` set.
-    /// Fail over with [`FleetIngest::resume_with_sink`] *before* finishing
-    /// to drain them instead.
-    pub fn finish(mut self) -> IngestOutcome {
+    /// With a journal attached, the `Run` entries of the whole ready
+    /// prefix are committed as a batch before anything posts, the pump's
+    /// billing/audit receipts are coalesced into **one** group commit
+    /// after the posting loop, and the end of the pump is a checkpoint
+    /// safe point: every journaled run is posted, so an inline
+    /// [`crate::Checkpoint`] written here folds the whole journal so far.
+    pub fn pump(&mut self) -> usize {
+        let mut ready = self.shared.take_ready();
+        let posted = self
+            .service
+            .post_ready(&mut ready, &mut self.records, &mut self.verdicts);
+        // Hand the emptied batch container back for the next release.
+        self.shared.pool.release(ready);
+        posted
+    }
+
+    /// Drains the pipeline (graceful shutdown: every accepted job still
+    /// runs), posts the remaining records, and returns the cumulative
+    /// report — bit-identical to [`FleetService::process`] over the same
+    /// jobs for any worker count.
+    ///
+    /// Finishing while **quarantined** still executes and joins everything
+    /// but posts nothing more: the parked and completed records stay
+    /// behind the closed billing boundary (never journaled ⇒ never
+    /// billed). Fail over with [`FleetStream::resume_with_sink`] *before*
+    /// finishing to drain them instead.
+    pub fn finish(self) -> FleetReport {
+        self.drain().0
+    }
+
+    /// [`FleetStream::finish`], also returning the drained pipeline's
+    /// final [`FleetHealth`].
+    pub(crate) fn drain(mut self) -> (FleetReport, FleetHealth) {
+        self.pump();
+        self.shut_down(true);
+        self.pump();
+        self.service.export_gauges();
+        let report = FleetReport {
+            records: std::mem::take(&mut self.records),
+            verdicts: std::mem::take(&mut self.verdicts),
+            ledger: self.service.ledger.clone(),
+        };
+        (report, self.shared.health())
+    }
+
+    /// Stops the pool and joins every worker, respawned ones included.
+    /// A drain first waits until every submitted job completed or was
+    /// poisoned — the supervisor respawns through the drain, so that
+    /// target stays reachable unless the whole pool died with the restart
+    /// budget spent. A teardown (or a dead pool) discards the queued
+    /// backlog instead, so it never blocks longer than the jobs already
+    /// running.
+    fn shut_down(&mut self, drain: bool) {
+        let shared = &self.shared;
         {
-            let mut state = self.shared.lock();
+            let mut state = shared.lock();
             state.shutting_down = true;
             // Draining overrides pause: a paused pipeline still finishes.
             state.paused = false;
             let target = state.submitted;
-            // Every submitted job resolves to either a completed record
-            // or a poison tombstone; the supervisor respawns through the
-            // drain, so the target stays reachable — unless the whole
-            // pool is dead with the restart budget spent.
-            while state.completed_count + state.poisoned_count < target && !state.workers_dead {
-                self.shared.job_ready.notify_all();
-                state = self.shared.wait(&self.shared.job_done, state);
+            while drain
+                && state.completed_count + state.poisoned_count < target
+                && !state.workers_dead
+            {
+                shared.job_ready.notify_all();
+                state = shared.wait(&shared.job_done, state);
             }
-            if state.workers_dead {
-                // Nothing left to execute the backlog; release what did
-                // complete and report the degraded state in the stats.
-                state.discard_queued = true;
-            }
+            state.discard_queued = !drain || state.workers_dead;
         }
         // Wake everyone: idle workers exit, blocked submitters see ShutDown.
-        self.shared.job_ready.notify_all();
-        self.shared.slot_free.notify_all();
-        for worker in self.workers.drain(..) {
-            // Panicked workers were already reaped by their unwind guard;
-            // their handles just carry the panic payload.
-            let _ = worker.join();
-        }
-        loop {
-            // Supervisor respawns can themselves respawn; drain until the
-            // set is stable.
-            let drained: Vec<JoinHandle<()>> = {
-                let mut respawned = self
-                    .shared
-                    .respawned
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
-                std::mem::take(&mut *respawned)
-            };
-            if drained.is_empty() {
-                break;
-            }
-            for worker in drained {
+        shared.job_ready.notify_all();
+        shared.slot_free.notify_all();
+        let mut workers = std::mem::take(&mut self.workers);
+        while !workers.is_empty() {
+            for worker in workers {
+                // Panicked workers were already reaped by their unwind
+                // guard; their handles just carry the panic payload.
                 let _ = worker.join();
             }
-        }
-        let records = self.shared.take_ready();
-        let stats = self.shared.stats();
-        let poisoned = self.shared.lock().poisoned_log.clone();
-        IngestOutcome {
-            records,
-            dispatch_log: self.dispatch_log(),
-            stats,
-            poisoned,
-            health: self.shared.health(),
+            // Supervisor respawns can themselves respawn; drain until the
+            // set is stable.
+            let mut respawned = shared
+                .respawned
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            workers = std::mem::take(&mut *respawned);
         }
     }
 }
 
-impl Drop for FleetIngest {
-    /// Teardown without [`FleetIngest::finish`] (early return, panic
-    /// unwind, plain drop): discard queued jobs, release blocked
-    /// submitters, join the workers. Never blocks longer than the jobs
-    /// already running.
+impl Drop for FleetStream<'_> {
+    /// Teardown without [`FleetStream::finish`] (early return, panic
+    /// unwind, plain drop) discards the queued backlog and joins the
+    /// workers. Either way, the session's final counters and gauges then
+    /// fold into the service's ops registry.
     fn drop(&mut self) {
-        if self.workers.is_empty() {
-            return; // finish() already joined everything
+        if !self.workers.is_empty() {
+            self.shut_down(false);
         }
-        {
-            let mut state = self.shared.lock();
-            state.shutting_down = true;
-            state.discard_queued = true;
-            state.paused = false;
-        }
-        self.shared.job_ready.notify_all();
-        self.shared.slot_free.notify_all();
-        for worker in self.workers.drain(..) {
-            // A worker that panicked mid-job was already reaped by its
-            // unwind guard; don't double-panic during teardown.
-            let _ = worker.join();
-        }
-        let respawned: Vec<JoinHandle<()>> = {
-            let mut respawned = self
-                .shared
-                .respawned
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            std::mem::take(&mut *respawned)
-        };
-        for worker in respawned {
-            let _ = worker.join();
-        }
+        let stats = self.shared.stats();
+        self.service.fold_session(&stats);
     }
 }
 
@@ -1966,49 +1934,53 @@ mod tests {
         JobSpec::clean(id, TenantId(tenant), Workload::LoopO, SCALE)
     }
 
+    /// A service over `workers` shards on fleet seed `seed`, journaling
+    /// into `journal` when one is given.
+    fn service(workers: usize, seed: u64, journal: Option<Journal>) -> FleetService {
+        let service = FleetService::new(FleetConfig::new(workers, seed));
+        match journal {
+            Some(journal) => service.with_journal(journal),
+            None => service,
+        }
+    }
+
     #[test]
     fn streamed_records_arrive_in_submission_order() {
-        let ingest = FleetIngest::new(
-            Fleet::new(FleetConfig::new(4, 7)),
-            IngestConfig::new(4),
-            None,
-        );
+        let mut service = service(4, 7, None);
+        let stream = service.stream(IngestConfig::new(4));
         for id in 0..12 {
-            ingest.submit(job(id, (id % 3) as u32)).unwrap();
+            stream.submit(job(id, (id % 3) as u32)).unwrap();
         }
-        let outcome = ingest.finish();
-        let ids: Vec<u64> = outcome.records.iter().map(|r| r.job.id.0).collect();
+        let report = stream.finish();
+        let ids: Vec<u64> = report.records.iter().map(|r| r.job.id.0).collect();
         assert_eq!(ids, (0..12).collect::<Vec<_>>());
     }
 
     #[test]
     fn recycled_buffers_feed_the_next_release() {
-        let ingest = FleetIngest::new(
-            Fleet::new(FleetConfig::new(1, 7)),
-            IngestConfig::new(1),
-            None,
-        );
+        let mut service = service(1, 7, None);
+        let mut stream = service.stream(IngestConfig::new(1));
+        let handle = stream.handle();
         let mut taken = 0;
         for round in 0..3 {
             for id in 0..4 {
-                ingest.submit(job(round * 4 + id, 1)).unwrap();
+                stream.submit(job(round * 4 + id, 1)).unwrap();
             }
-            // Pump like a stream consumer: take, consume, recycle.
+            // Each pump takes the ready prefix, posts it and recycles the
+            // emptied buffer.
             while taken < (round + 1) * 4 {
-                let ready = ingest.take_ready();
-                taken += ready.len() as u64;
-                ingest.recycle(ready);
+                taken += stream.pump() as u64;
             }
         }
-        let stats = ingest.stats().pool;
+        let stats = stream.stats().pool;
         assert!(stats.acquired > 0, "releases drew from the pool");
         assert!(
             stats.reused > 0,
             "later releases reused recycled capacity: {stats:?}"
         );
         assert_eq!(stats.acquired, stats.reused + stats.allocated());
-        let outcome = ingest.finish();
-        assert_eq!(outcome.stats.completed, 12);
+        stream.finish();
+        assert_eq!(handle.stats().completed, 12);
     }
 
     #[test]
@@ -2017,33 +1989,37 @@ mod tests {
             .with_capacity(2)
             .with_backpressure(BackpressurePolicy::Reject)
             .paused();
-        let ingest = FleetIngest::new(Fleet::new(FleetConfig::new(1, 7)), config, None);
-        ingest.submit(job(0, 1)).unwrap();
-        ingest.submit(job(1, 1)).unwrap();
-        assert_eq!(ingest.submit(job(2, 1)), Err(SubmitError::QueueFull));
-        assert_eq!(ingest.stats().rejected, 1);
-        ingest.resume();
-        let outcome = ingest.finish();
-        assert_eq!(outcome.records.len(), 2);
-        assert_eq!(outcome.stats.rejected, 1);
-        assert_eq!(outcome.stats.queued, 0);
-        assert_eq!(outcome.stats.inflight_total(), 0);
+        let mut service = service(1, 7, None);
+        let stream = service.stream(config);
+        let handle = stream.handle();
+        stream.submit(job(0, 1)).unwrap();
+        stream.submit(job(1, 1)).unwrap();
+        assert_eq!(stream.submit(job(2, 1)), Err(SubmitError::QueueFull));
+        assert_eq!(stream.stats().rejected, 1);
+        stream.resume();
+        let report = stream.finish();
+        assert_eq!(report.records.len(), 2);
+        let stats = handle.stats();
+        assert_eq!(stats.rejected, 1);
+        assert_eq!(stats.queued, 0);
+        assert_eq!(stats.inflight_total(), 0);
     }
 
     #[test]
     fn blocked_submitters_ride_out_backpressure() {
         let config = IngestConfig::new(2).with_capacity(1);
-        let ingest = FleetIngest::new(Fleet::new(FleetConfig::new(2, 3)), config, None);
-        let handle = ingest.handle();
+        let mut service = service(2, 3, None);
+        let stream = service.stream(config);
+        let handle = stream.handle();
         let submitter = std::thread::spawn(move || {
             for id in 0..10 {
                 handle.submit(job(id, (id % 2) as u32)).unwrap();
             }
         });
         submitter.join().unwrap();
-        let outcome = ingest.finish();
-        assert_eq!(outcome.records.len(), 10);
-        let ids: Vec<u64> = outcome.records.iter().map(|r| r.job.id.0).collect();
+        let report = stream.finish();
+        assert_eq!(report.records.len(), 10);
+        let ids: Vec<u64> = report.records.iter().map(|r| r.job.id.0).collect();
         assert_eq!(ids, (0..10).collect::<Vec<_>>());
     }
 
@@ -2051,19 +2027,21 @@ mod tests {
     fn dispatch_log_round_robins_a_staged_backlog() {
         // Stage a backlog while paused so the dispatch order is exact.
         let config = IngestConfig::new(1).with_capacity(0).paused();
-        let ingest = FleetIngest::new(Fleet::new(FleetConfig::new(1, 5)), config, None);
+        let mut service = service(1, 5, None);
+        let stream = service.stream(config);
         for id in 0..6 {
-            ingest.submit(job(id, 1)).unwrap(); // greedy tenant
+            stream.submit(job(id, 1)).unwrap(); // greedy tenant
         }
-        ingest.submit(job(6, 2)).unwrap(); // modest tenant
-        ingest.resume();
-        let outcome = ingest.finish();
-        assert_eq!(outcome.records.len(), 7);
-        let dispatched: Vec<u32> = outcome
-            .dispatch_log
-            .iter()
-            .map(|(_, tenant)| tenant.0)
-            .collect();
+        stream.submit(job(6, 2)).unwrap(); // modest tenant
+        stream.resume();
+        // Every job has been dispatched once every job has completed.
+        while stream.stats().completed < 7 {
+            std::thread::yield_now();
+        }
+        let dispatch_log = stream.dispatch_log();
+        let report = stream.finish();
+        assert_eq!(report.records.len(), 7);
+        let dispatched: Vec<u32> = dispatch_log.iter().map(|(_, tenant)| tenant.0).collect();
         // Tenant 2's single job is served second, not seventh.
         assert_eq!(dispatched[1], 2, "dispatch order: {dispatched:?}");
     }
@@ -2071,75 +2049,71 @@ mod tests {
     #[test]
     fn dropping_without_finish_discards_backlog_and_joins_workers() {
         let config = IngestConfig::new(2).paused();
-        let ingest = FleetIngest::new(Fleet::new(FleetConfig::new(2, 11)), config, None);
-        let handle = ingest.handle();
+        let mut service = service(2, 11, None);
+        let stream = service.stream(config);
+        let handle = stream.handle();
         for id in 0..4 {
-            ingest.submit(job(id, 1)).unwrap();
+            stream.submit(job(id, 1)).unwrap();
         }
         // No finish(): Drop must tear down without hanging, abandoning the
         // paused backlog.
-        drop(ingest);
+        drop(stream);
         assert_eq!(handle.submit(job(9, 1)), Err(SubmitError::ShutDown));
         assert_eq!(handle.stats().completed, 0, "backlog was discarded");
     }
 
     #[test]
     fn submit_after_finish_is_rejected() {
-        let ingest = FleetIngest::new(
-            Fleet::new(FleetConfig::new(1, 1)),
-            IngestConfig::new(1),
-            None,
-        );
-        let handle = ingest.handle();
-        ingest.submit(job(0, 1)).unwrap();
-        ingest.finish();
+        let mut service = service(1, 1, None);
+        let stream = service.stream(IngestConfig::new(1));
+        let handle = stream.handle();
+        stream.submit(job(0, 1)).unwrap();
+        stream.finish();
         assert_eq!(handle.submit(job(1, 1)), Err(SubmitError::ShutDown));
     }
 
     #[test]
     fn completion_watermark_stalls_workers_until_consumed() {
         let config = IngestConfig::new(2).with_completion_watermark(1);
-        let ingest = FleetIngest::new(Fleet::new(FleetConfig::new(2, 13)), config, None);
+        let mut service = service(2, 13, None);
+        let mut stream = service.stream(config);
+        let handle = stream.handle();
         for id in 0..5 {
-            ingest.submit(job(id, 1)).unwrap();
+            stream.submit(job(id, 1)).unwrap();
         }
         // One job is allowed through; with ready + inflight at the
         // watermark, no worker may start another.
-        while ingest.stats().ready < 1 {
+        while stream.stats().ready < 1 {
             std::thread::yield_now();
         }
         for _ in 0..100 {
             std::thread::yield_now();
         }
-        let stats = ingest.stats();
+        let stats = stream.stats();
         assert_eq!(stats.ready, 1, "completion log is bounded at the watermark");
         assert_eq!(stats.completed, 1, "no further job started");
         // Consuming the record frees exactly one slot.
-        let taken = ingest.take_ready();
-        assert_eq!(taken.len(), 1);
-        while ingest.stats().ready < 1 {
+        assert_eq!(stream.pump(), 1);
+        while stream.stats().ready < 1 {
             std::thread::yield_now();
         }
-        assert_eq!(ingest.stats().completed, 2);
+        assert_eq!(stream.stats().completed, 2);
         // A graceful finish lifts the watermark and drains the backlog.
-        let outcome = ingest.finish();
-        assert_eq!(outcome.records.len() + taken.len(), 5);
-        assert_eq!(outcome.stats.ready, 0);
+        let report = stream.finish();
+        assert_eq!(report.records.len(), 5);
+        assert_eq!(handle.stats().ready, 0);
     }
 
     #[test]
     fn journal_receives_released_records_in_submission_order() {
-        let journal = crate::journal::Journal::in_memory();
-        let ingest = FleetIngest::new(
-            Fleet::new(FleetConfig::new(4, 21)),
-            IngestConfig::new(4),
-            Some(journal.clone()),
-        );
+        let journal = Journal::in_memory();
+        let mut service = service(4, 21, Some(journal.clone()));
+        let stream = service.stream(IngestConfig::new(4));
         for id in 0..8 {
-            ingest.submit(job(id, (id % 2) as u32)).unwrap();
+            stream.submit(job(id, (id % 2) as u32)).unwrap();
         }
-        let outcome = ingest.finish();
-        assert_eq!(outcome.records.len(), 8);
+        let report = stream.finish();
+        assert_eq!(report.records.len(), 8);
         let (entries, tail) = journal.entries().unwrap();
         assert!(!tail.is_truncated());
         // Every submission wrote an Accepted marker ahead of its Run.
@@ -2159,24 +2133,21 @@ mod tests {
             (0..8).collect::<Vec<_>>(),
             "journal is submission order"
         );
-        assert_eq!(journal.stats().appends, 16);
+        // 8 accepted + 8 runs + 8 invoices + 8 verdicts.
+        assert_eq!(journal.stats().appends, 32);
     }
 
     #[test]
     fn unreleased_records_are_never_journaled() {
-        let journal = crate::journal::Journal::in_memory();
-        let config = IngestConfig::new(1).paused();
-        let ingest = FleetIngest::new(
-            Fleet::new(FleetConfig::new(1, 17)),
-            config,
-            Some(journal.clone()),
-        );
-        ingest.submit(job(0, 1)).unwrap();
+        let journal = Journal::in_memory();
+        let mut service = service(1, 17, Some(journal.clone()));
+        let stream = service.stream(IngestConfig::new(1).paused());
+        stream.submit(job(0, 1)).unwrap();
         // Teardown without finish(): the backlog is discarded, nothing was
         // released, so no Run entry was journaled — crash-lost work was
         // never billed. The Accepted marker *is* there: that is the
         // submission-side record a restarted service resubmits from.
-        drop(ingest);
+        drop(stream);
         let (entries, _) = journal.entries().unwrap();
         let labels: Vec<&str> = entries.iter().map(|e| e.label()).collect();
         assert_eq!(labels, vec!["accepted"]);
@@ -2192,23 +2163,26 @@ mod tests {
         let schedule = FaultSchedule::none().transient_at(1, 2);
         let (sink, probe) = FaultInjectingSink::wrap(Box::new(MemorySink::new()), schedule);
         let journal = Journal::with_sink(Box::new(sink)).unwrap();
-        let ingest = FleetIngest::new(
-            Fleet::new(FleetConfig::new(1, 23)),
-            IngestConfig::new(1),
-            Some(journal.clone()),
-        );
+        let mut service = service(1, 23, Some(journal.clone()));
+        let stream = service.stream(IngestConfig::new(1));
+        let handle = stream.handle();
         for id in 0..3 {
-            ingest.submit(job(id, 1)).unwrap();
+            stream.submit(job(id, 1)).unwrap();
         }
-        let outcome = ingest.finish();
-        assert_eq!(outcome.records.len(), 3);
-        assert!(!outcome.stats.quarantined);
-        assert_eq!(outcome.stats.retries, 2);
-        assert_eq!(outcome.stats.journal_failures, 0);
+        let report = stream.finish();
+        assert_eq!(report.records.len(), 3);
+        let stats = handle.stats();
+        assert!(!stats.quarantined);
+        assert_eq!(stats.retries, 2);
+        assert_eq!(stats.journal_failures, 0);
         assert_eq!(probe.stats().injected_transient, 2);
         // The journal chain survived the retries intact.
         let (entries, _) = journal.entries().unwrap();
-        assert_eq!(entries.len(), 6, "3 accepted + 3 runs");
+        assert_eq!(
+            entries.len(),
+            12,
+            "3 accepted + 3 runs + 3 invoices + 3 verdicts"
+        );
     }
 
     #[test]
@@ -2222,20 +2196,18 @@ mod tests {
         let (sink, _probe) = FaultInjectingSink::wrap(Box::new(MemorySink::new()), schedule);
         let journal = Journal::with_sink(Box::new(sink)).unwrap();
         let config = IngestConfig::new(1).with_retry_policy(RetryPolicy::new(2));
-        let ingest = FleetIngest::new(
-            Fleet::new(FleetConfig::new(1, 29)),
-            config,
-            Some(journal.clone()),
-        );
-        ingest.submit(job(0, 1)).unwrap();
-        ingest.submit(job(1, 1)).unwrap();
+        let mut service = service(1, 29, Some(journal.clone()));
+        let mut stream = service.stream(config);
+        let handle = stream.handle();
+        stream.submit(job(0, 1)).unwrap();
+        stream.submit(job(1, 1)).unwrap();
         // Wait for both to complete, then try to release: the commit
         // exhausts the policy and quarantines — no panic, no release.
-        while ingest.stats().completed < 2 {
+        while stream.stats().completed < 2 {
             std::thread::yield_now();
         }
-        assert!(ingest.take_ready().is_empty());
-        let health = ingest.health();
+        assert_eq!(stream.pump(), 0);
+        let health = stream.health();
         assert!(health.quarantined);
         assert_eq!(health.journal_failures, 1);
         assert_eq!(health.retries, 1);
@@ -2243,13 +2215,13 @@ mod tests {
         assert_eq!(health.pending_accepted, 2);
         assert!(health.last_error.unwrap().contains("disk-full"));
         // Quarantine closes the front door…
-        assert_eq!(ingest.submit(job(2, 1)), Err(SubmitError::Quarantined));
+        assert_eq!(stream.submit(job(2, 1)), Err(SubmitError::Quarantined));
         // …and the billing boundary: nothing was released unjournaled.
         let (entries, _) = journal.entries().unwrap();
         assert!(entries.iter().all(|e| e.label() == "accepted"));
-        let outcome = ingest.finish();
-        assert!(outcome.records.is_empty(), "quarantine releases nothing");
-        assert!(outcome.stats.quarantined);
+        let report = stream.finish();
+        assert!(report.records.is_empty(), "quarantine releases nothing");
+        assert!(handle.stats().quarantined);
     }
 
     #[test]
@@ -2261,31 +2233,27 @@ mod tests {
         let (sink, _probe) = FaultInjectingSink::wrap(Box::new(MemorySink::new()), schedule);
         let journal = Journal::with_sink(Box::new(sink)).unwrap();
         let config = IngestConfig::new(1).with_retry_policy(RetryPolicy::none());
-        let ingest = FleetIngest::new(
-            Fleet::new(FleetConfig::new(1, 31)),
-            config,
-            Some(journal.clone()),
-        );
-        ingest.submit(job(0, 1)).unwrap();
-        ingest.submit(job(1, 1)).unwrap();
-        while ingest.stats().completed < 2 {
+        let mut service = service(1, 31, Some(journal.clone()));
+        let mut stream = service.stream(config);
+        stream.submit(job(0, 1)).unwrap();
+        stream.submit(job(1, 1)).unwrap();
+        while stream.stats().completed < 2 {
             std::thread::yield_now();
         }
-        assert!(ingest.take_ready().is_empty());
-        assert!(ingest.health().quarantined);
+        assert_eq!(stream.pump(), 0);
+        assert!(stream.health().quarantined);
         let dead_text = journal.text().unwrap();
 
         // Fail over to a fresh sink: quarantine lifts, the parked batch
         // drains, and new submissions are accepted again.
-        ingest
+        stream
             .resume_with_sink(Box::new(MemorySink::new()))
             .unwrap();
-        assert!(!ingest.health().quarantined);
-        let drained = ingest.take_ready();
-        assert_eq!(drained.len(), 2);
-        ingest.submit(job(2, 1)).unwrap();
-        let outcome = ingest.finish();
-        assert_eq!(outcome.records.len(), 1);
+        assert!(!stream.health().quarantined);
+        assert_eq!(stream.verdicts().len(), 2, "the failover posted the stall");
+        stream.submit(job(2, 1)).unwrap();
+        let report = stream.finish();
+        assert_eq!(report.records.len(), 3);
 
         // Chain continuity: the old text concatenated with the new sink's
         // text parses as ONE unbroken evidence chain.
@@ -2293,22 +2261,25 @@ mod tests {
         let spliced = format!("{dead_text}{new_text}");
         let (entries, tail) = parse_journal(&spliced).unwrap();
         assert!(!tail.is_truncated());
-        // 2 accepted (old) + 2 re-journaled accepted + 2 runs + 1 accepted
-        // + 1 run (post-failover submission).
-        assert_eq!(entries.len(), 8);
+        // 2 accepted (old); then the leading checkpoint, 2 re-journaled
+        // accepted, 2 runs and their 4 receipts; then 1 accepted, 1 run
+        // and 2 receipts (post-failover submission).
+        assert_eq!(entries.len(), 15);
     }
 
     #[test]
     fn submit_all_slices_through_a_bounded_queue() {
         let config = IngestConfig::new(2).with_capacity(3);
-        let ingest = FleetIngest::new(Fleet::new(FleetConfig::new(2, 7)), config, None);
+        let mut service = service(2, 7, None);
+        let stream = service.stream(config);
+        let handle = stream.handle();
         let jobs: Vec<JobSpec> = (0..10).map(|id| job(id, (id % 3) as u32)).collect();
-        let seqs = ingest.submit_all(&jobs).unwrap();
+        let seqs = stream.submit_all(&jobs).unwrap();
         assert_eq!(seqs, (0..10).collect::<Vec<_>>());
-        let outcome = ingest.finish();
-        let ids: Vec<u64> = outcome.records.iter().map(|r| r.job.id.0).collect();
+        let report = stream.finish();
+        let ids: Vec<u64> = report.records.iter().map(|r| r.job.id.0).collect();
         assert_eq!(ids, (0..10).collect::<Vec<_>>(), "submission order held");
-        assert_eq!(outcome.stats.submitted, 10);
+        assert_eq!(handle.stats().submitted, 10);
     }
 
     #[test]
@@ -2316,21 +2287,17 @@ mod tests {
         let jobs: Vec<JobSpec> = (0..6).map(|id| job(id, (id % 2) as u32)).collect();
         let run = |batched: bool| {
             let journal = Journal::in_memory();
-            let config = IngestConfig::new(1).paused();
-            let ingest = FleetIngest::new(
-                Fleet::new(FleetConfig::new(1, 41)),
-                config,
-                Some(journal.clone()),
-            );
+            let mut service = service(1, 41, Some(journal.clone()));
+            let stream = service.stream(IngestConfig::new(1).paused());
             if batched {
-                ingest.submit_all(&jobs).unwrap();
+                stream.submit_all(&jobs).unwrap();
             } else {
                 for j in &jobs {
-                    ingest.submit(j.clone()).unwrap();
+                    stream.submit(j.clone()).unwrap();
                 }
             }
-            ingest.resume();
-            ingest.finish();
+            stream.resume();
+            stream.finish();
             journal.text().unwrap()
         };
         assert_eq!(
@@ -2347,55 +2314,50 @@ mod tests {
 
         // Slice 1 (jobs 0-1, journal lines 0-1) commits; slice 2's grouped
         // Accepted commit starts at line 2 and hits a dead disk. Workers
-        // never journal (runs are journaled at release, and nothing calls
-        // take_ready), so the line schedule is deterministic even with the
-        // pool running.
+        // never journal (runs are journaled at release, and nothing pumps),
+        // so the line schedule is deterministic even with the pool running.
         let schedule = FaultSchedule::none().disk_full_at(2);
         let (sink, _probe) = FaultInjectingSink::wrap(Box::new(MemorySink::new()), schedule);
         let journal = Journal::with_sink(Box::new(sink)).unwrap();
         let config = IngestConfig::new(1)
             .with_capacity(2)
             .with_retry_policy(RetryPolicy::none());
-        let ingest = FleetIngest::new(
-            Fleet::new(FleetConfig::new(1, 43)),
-            config,
-            Some(journal.clone()),
-        );
+        let mut service = service(1, 43, Some(journal.clone()));
+        let stream = service.stream(config);
+        let handle = stream.handle();
         let jobs: Vec<JobSpec> = (0..4).map(|id| job(id, 1)).collect();
-        let err = ingest.submit_all(&jobs).unwrap_err();
+        let err = stream.submit_all(&jobs).unwrap_err();
         assert_eq!(
             err.accepted,
             vec![0, 1],
             "journaled prefix is in the pipeline"
         );
         assert_eq!(err.error, SubmitError::Quarantined);
-        assert!(ingest.health().quarantined);
-        let outcome = ingest.finish();
-        assert_eq!(outcome.stats.submitted, 2, "only the durable prefix ran");
-        assert!(outcome.records.is_empty(), "quarantine releases nothing");
+        assert!(stream.health().quarantined);
+        let report = stream.finish();
+        assert_eq!(handle.stats().submitted, 2, "only the durable prefix ran");
+        assert!(report.records.is_empty(), "quarantine releases nothing");
     }
 
     #[test]
-    fn scale_to_grows_and_shrinks_the_pool() {
-        let mut ingest = FleetIngest::new(
-            Fleet::new(FleetConfig::new(2, 7)),
-            IngestConfig::new(2),
-            None,
-        );
-        assert_eq!(ingest.stats().workers, 2);
-        ingest.scale_to(4);
-        assert_eq!(ingest.stats().workers, 4);
-        ingest.scale_to(1);
-        while ingest.stats().workers > 1 {
+    fn scale_workers_grows_and_shrinks_the_pool() {
+        let mut service = service(2, 7, None);
+        let mut stream = service.stream(IngestConfig::new(2));
+        let handle = stream.handle();
+        assert_eq!(stream.stats().workers, 2);
+        stream.scale_workers(4);
+        assert_eq!(stream.stats().workers, 4);
+        stream.scale_workers(1);
+        while stream.stats().workers > 1 {
             std::thread::yield_now();
         }
         // The shrunk pool still drains everything.
         for id in 0..8 {
-            ingest.submit(job(id, (id % 2) as u32)).unwrap();
+            stream.submit(job(id, (id % 2) as u32)).unwrap();
         }
-        let outcome = ingest.finish();
-        assert_eq!(outcome.records.len(), 8);
-        assert_eq!(outcome.stats.workers, 0, "every worker exited on finish");
+        let report = stream.finish();
+        assert_eq!(report.records.len(), 8);
+        assert_eq!(handle.stats().workers, 0, "every worker exited on finish");
     }
 
     #[test]
@@ -2403,40 +2365,36 @@ mod tests {
         // A worker's reap guard holds an `Arc<Shared>`; one that outlives
         // its worker keeps the queue, the pooled buffers, the tracer and
         // the journal's open segment alive forever.
-        let pool = |faults: WorkerFaultSchedule| {
-            let config = IngestConfig::new(2).with_worker_faults(faults);
-            FleetIngest::new(
-                Fleet::new(FleetConfig::new(2, 11)),
-                config,
-                Some(Journal::in_memory()),
-            )
-        };
+        let mut service = service(2, 11, Some(Journal::in_memory()));
+        let config = |faults| IngestConfig::new(2).with_worker_faults(faults);
 
-        let ingest = pool(WorkerFaultSchedule::none());
-        let shared = Arc::downgrade(&ingest.shared);
-        ingest.submit_all(&[job(0, 1), job(1, 2)]).unwrap();
-        assert_eq!(ingest.finish().records.len(), 2);
+        let stream = service.stream(config(WorkerFaultSchedule::none()));
+        let shared = Arc::downgrade(&stream.shared);
+        stream.submit_all(&[job(0, 1), job(1, 2)]).unwrap();
+        assert_eq!(stream.finish().records.len(), 2);
         assert!(
             shared.upgrade().is_none(),
             "finished pool leaked its Shared"
         );
 
-        let ingest = pool(WorkerFaultSchedule::none());
-        let shared = Arc::downgrade(&ingest.shared);
-        ingest.submit_all(&[job(0, 1), job(1, 2)]).unwrap();
-        while ingest.stats().completed < 2 {
+        let stream = service.stream(config(WorkerFaultSchedule::none()));
+        let shared = Arc::downgrade(&stream.shared);
+        stream.submit_all(&[job(0, 1), job(1, 2)]).unwrap();
+        while stream.stats().completed < 2 {
             std::thread::yield_now();
         }
-        drop(ingest);
+        drop(stream);
         assert!(shared.upgrade().is_none(), "dropped pool leaked its Shared");
 
-        let ingest = pool(WorkerFaultSchedule::none().panic_on(JobId(1)));
-        let shared = Arc::downgrade(&ingest.shared);
+        let stream = service.stream(config(WorkerFaultSchedule::none().panic_on(JobId(1))));
+        let shared = Arc::downgrade(&stream.shared);
+        let handle = stream.handle();
         let jobs: Vec<JobSpec> = (0..4).map(|id| job(id, 1)).collect();
-        ingest.submit_all(&jobs).unwrap();
-        let outcome = ingest.finish();
-        assert_eq!(outcome.records.len(), 4);
-        assert!(outcome.stats.worker_restarts >= 1, "the panic was reaped");
+        stream.submit_all(&jobs).unwrap();
+        let report = stream.finish();
+        assert_eq!(report.records.len(), 4);
+        assert!(handle.stats().worker_restarts >= 1, "the panic was reaped");
+        drop(handle);
         assert!(
             shared.upgrade().is_none(),
             "pool with a respawned worker leaked its Shared"
@@ -2445,14 +2403,14 @@ mod tests {
 
     #[test]
     fn take_ready_holds_back_gaps() {
-        let config = IngestConfig::new(1).paused();
-        let ingest = FleetIngest::new(Fleet::new(FleetConfig::new(1, 9)), config, None);
-        ingest.submit(job(0, 1)).unwrap();
-        ingest.submit(job(1, 1)).unwrap();
+        let mut service = service(1, 9, None);
+        let mut stream = service.stream(IngestConfig::new(1).paused());
+        stream.submit(job(0, 1)).unwrap();
+        stream.submit(job(1, 1)).unwrap();
         // Nothing completed yet: nothing to take.
-        assert!(ingest.take_ready().is_empty());
-        ingest.resume();
-        let rest = ingest.finish();
-        assert_eq!(rest.records.len(), 2);
+        assert_eq!(stream.pump(), 0);
+        stream.resume();
+        let report = stream.finish();
+        assert_eq!(report.records.len(), 2);
     }
 }

@@ -1,5 +1,5 @@
 //! The durable journal: write-ahead persistence, crash recovery and
-//! compaction for the fleet.
+//! checkpoints for the fleet.
 //!
 //! The paper's trust argument only holds if the metering evidence survives
 //! the meterer: an in-memory ledger is exactly the mutable accounting state
@@ -34,9 +34,9 @@
 //!   so a journal whose receipts were tampered with after the fact is
 //!   detected (see [`RecoveryReport::mismatches`]).
 //! * **`Checkpoint`** — a folded prefix: ledger, audit summaries and
-//!   metrics as of some run count, produced by [`compact`] or inline by a
-//!   [`CheckpointCadence`] so long-running fleets do not replay from
-//!   genesis.
+//!   metrics as of some run count, written inline by a
+//!   [`CheckpointCadence`] (and at a failover) so long-running fleets do
+//!   not replay from genesis.
 //! * **`Poisoned`** — a [`PoisonNotice`]: the verdict for a job the
 //!   supervisor retired, journaled where its `Run` would have been.
 //!
@@ -113,7 +113,6 @@ use crate::evidence::{self, BlockHeader, ChainDigest, ChainedLine, InclusionProo
 use crate::executor::{JobId, JobSpec, RunRecord};
 use crate::metrics::MetricsRegistry;
 use crate::tenant::{Ledger, TenantId};
-use crate::FleetService;
 use trustmeter_core::Invoice;
 
 /// One append-only journal record.
@@ -130,7 +129,7 @@ pub enum JournalEntry {
     Invoice(InvoicePosting),
     /// The audit verdict a run produced (the audit receipt).
     Verdict(AuditVerdict),
-    /// A folded journal prefix (see [`compact`]).
+    /// A folded journal prefix (see [`Checkpoint`]).
     Checkpoint(Box<Checkpoint>),
     /// A job declared **poison** by the ingest supervisor: it killed
     /// `max_job_attempts` workers in a row, was individually quarantined
@@ -452,8 +451,7 @@ impl Default for SegmentConfig {
 }
 
 /// How often a journaled [`crate::FleetService`] writes inline
-/// [`JournalEntry::Checkpoint`] entries, bounding recovery cost without
-/// an offline [`compact`] pass.
+/// [`JournalEntry::Checkpoint`] entries, bounding recovery cost.
 ///
 /// Checkpoints are written at *safe points* — moments when every
 /// journaled `Run` has been posted (the end of a stream pump, and so the
@@ -464,7 +462,7 @@ impl Default for SegmentConfig {
 /// retires the segments it supersedes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum CheckpointCadence {
-    /// Never checkpoint automatically (compaction stays caller-driven).
+    /// Never checkpoint automatically.
     #[default]
     Never,
     /// Checkpoint at the first safe point once at least this many runs
@@ -1692,8 +1690,8 @@ pub struct RecoveryReport {
     pub unconfirmed: u64,
     /// Jobs whose id appeared in more than one replayed `Run` entry (or
     /// in a replayed entry *and* the applied checkpoint). Populated only
-    /// by the *lenient* paths ([`crate::FleetService::recover_lenient`]
-    /// and [`compact`]'s internal replay): strict recovery
+    /// by lenient recovery ([`crate::FleetService::recover_lenient`]):
+    /// strict recovery
     /// ([`crate::FleetService::recover`]) hard-errors on the first
     /// duplicate with [`RecoveryError::ChainViolation`] instead, because
     /// on a chained journal a duplicated entry can only be a copy-paste —
@@ -1736,14 +1734,6 @@ pub enum RecoveryError {
     /// use [`crate::FleetService::recover_lenient`] to replay anyway and
     /// inspect [`RecoveryReport::duplicate_runs`].
     ChainViolation(JobId),
-    /// [`compact`] refused to fold a prefix whose receipts disagree with
-    /// the replay: folding would erase the tamper evidence into a
-    /// clean-looking checkpoint. Investigate (recover the original and
-    /// inspect [`RecoveryReport::mismatches`]) before compacting.
-    InconsistentPrefix {
-        /// The jobs whose receipts disagreed.
-        mismatches: Vec<JobId>,
-    },
 }
 
 impl fmt::Display for RecoveryError {
@@ -1758,78 +1748,11 @@ impl fmt::Display for RecoveryError {
             RecoveryError::ChainViolation(job) => {
                 write!(f, "duplicated run entry for {job} in a chained journal")
             }
-            RecoveryError::InconsistentPrefix { mismatches } => {
-                write!(
-                    f,
-                    "refusing to compact: {} receipt(s) disagree with the replay",
-                    mismatches.len()
-                )
-            }
         }
     }
 }
 
 impl std::error::Error for RecoveryError {}
-
-/// Folds the oldest `fold_runs` records of `entries` — their `Run`,
-/// `Invoice` and `Verdict` entries, plus any leading `Checkpoint` — into a
-/// single [`Checkpoint`] entry, returning the compacted sequence
-/// `[Checkpoint, …kept entries…]`.
-///
-/// `scratch` must be a *fresh* service configured identically to the
-/// journal's origin (same [`crate::FleetConfig`], same tenant
-/// registrations): the fold is computed by replaying the prefix through
-/// it, exactly as recovery would. Entries are partitioned by job id, so a
-/// receipt is never separated from its run, whatever their interleaving.
-///
-/// Recovering from the compacted sequence yields bit-identical state to
-/// recovering from the original (`tests/fleet.rs` enforces this).
-///
-/// # Errors
-/// Propagates [`RecoveryError`] from replaying the folded prefix, and
-/// refuses with [`RecoveryError::InconsistentPrefix`] if any folded
-/// receipt disagrees with the replay — folding would erase the tamper
-/// evidence into a clean-looking checkpoint.
-pub fn compact(
-    entries: &[JournalEntry],
-    fold_runs: usize,
-    scratch: &mut FleetService,
-) -> Result<Vec<JournalEntry>, RecoveryError> {
-    let fold_ids: std::collections::BTreeSet<JobId> = entries
-        .iter()
-        .filter_map(|entry| match entry {
-            JournalEntry::Run(record) => Some(record.job.id),
-            _ => None,
-        })
-        .take(fold_runs)
-        .collect();
-    let mut folded = Vec::new();
-    let mut kept = Vec::new();
-    for entry in entries {
-        match entry.job() {
-            None => {
-                if !kept.is_empty() {
-                    return Err(RecoveryError::MisplacedCheckpoint);
-                }
-                folded.push(entry.clone());
-            }
-            Some(job) if fold_ids.contains(&job) => folded.push(entry.clone()),
-            Some(_) => kept.push(entry.clone()),
-        }
-    }
-    let report = scratch.replay(&folded)?;
-    if !report.is_consistent() {
-        // Folding a tampered prefix would erase the evidence into a
-        // clean-looking checkpoint.
-        return Err(RecoveryError::InconsistentPrefix {
-            mismatches: report.mismatches,
-        });
-    }
-    let mut compacted = Vec::with_capacity(kept.len() + 1);
-    compacted.push(JournalEntry::checkpoint(scratch.checkpoint()));
-    compacted.append(&mut kept);
-    Ok(compacted)
-}
 
 #[cfg(test)]
 mod tests {

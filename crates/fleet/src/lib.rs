@@ -9,7 +9,7 @@
 //! | Piece | What it does |
 //! |-------|--------------|
 //! | [`executor::Fleet`] | executes [`executor::JobSpec`]s; results are bit-identical for any worker count |
-//! | [`ingest::FleetIngest`] | long-lived worker pool: bounded submission queue, backpressure, per-tenant fairness, sequence-numbered completion log |
+//! | [`ingest::FleetStream`] | the one pipeline, opened with [`FleetService::stream`]: worker pool, bounded submission queue, backpressure, per-tenant fairness, sequence-numbered completion log posted into the service |
 //! | [`queue::FairQueue`] | the bounded per-tenant-fair queue under the pool |
 //! | [`tenant::Ledger`] | aggregates per-run [`trustmeter_core::Invoice`]s and CPU time (billed vs TSC ground truth) into per-tenant accounts |
 //! | [`auditor::Auditor`] | streams run records through the §VI trust workflow and raises per-tenant [`auditor::Anomaly`] verdicts |
@@ -70,17 +70,17 @@ pub use faults::{
     PlannedWorkerFault, RetryPolicy, SupervisorPolicy, WorkerFaultKind, WorkerFaultSchedule,
 };
 pub use ingest::{
-    BackpressurePolicy, BatchSubmitError, FleetHealth, FleetIngest, IngestConfig, IngestHandle,
-    IngestOutcome, IngestStats, JobVerdict, SubmitError,
+    BackpressurePolicy, BatchSubmitError, FleetHealth, FleetStream, IngestConfig, IngestHandle,
+    IngestStats, SubmitError,
 };
 pub use journal::{
-    compact, parse_journal, recovery_window, Checkpoint, CheckpointCadence, FsyncPolicy,
-    InvoicePosting, Journal, JournalEntry, JournalError, JournalSink, JournalStats,
-    LedgerVerification, MemorySink, PoisonNotice, RecoveryError, RecoveryReport, SegmentConfig,
-    SegmentedFileSink, SinkStats, TailStatus,
+    parse_journal, recovery_window, Checkpoint, CheckpointCadence, FsyncPolicy, InvoicePosting,
+    Journal, JournalEntry, JournalError, JournalSink, JournalStats, LedgerVerification, MemorySink,
+    PoisonNotice, RecoveryError, RecoveryReport, SegmentConfig, SegmentedFileSink, SinkStats,
+    TailStatus,
 };
 pub use metrics::{CounterCell, MetricKind, MetricsRegistry};
-pub use pool::{BufferPool, PoolStats};
+pub use pool::PoolStats;
 pub use queue::FairQueue;
 pub use tenant::{Ledger, Tenant, TenantDirectory, TenantId, TenantLedger};
 pub use trace::{span_id, PipelineTracer, Span, SpanWall, Stage, StageObservation, TracerStats};
@@ -102,13 +102,15 @@ type Read<S> = fn(&S) -> f64;
 
 /// Where an unlabeled ops family's value comes from.
 enum Feed {
-    /// Counter: growth of a [`JournalStats`] field since the last export.
+    /// Counter: a [`JournalStats`] field of the attached journal, read
+    /// when the registry is.
     Journal(Read<JournalStats>),
-    /// Counter: growth of a [`TracerStats`] field since the last export.
+    /// Counter: a [`TracerStats`] field of the attached tracer, read when
+    /// the registry is.
     Tracer(Read<TracerStats>),
-    /// Counter: growth of an [`IngestStats`] field since the last export.
+    /// Counter: an [`IngestStats`] field, summed over ended sessions.
     Ingest(Read<IngestStats>),
-    /// Gauge: an [`IngestStats`] field as of the last export.
+    /// Gauge: an [`IngestStats`] field as the last session ended.
     IngestGauge(Read<IngestStats>),
     /// Counter: bumped by the service on the event it names.
     Event,
@@ -287,13 +289,6 @@ fn ops_registry() -> MetricsRegistry {
     ops
 }
 
-/// A mirrored counter's growth between two snapshots of its source. Every
-/// source only counts up (a [`Journal`] keeps its sink counters across a
-/// failover); the clamp only keeps out-of-order snapshots from panicking.
-fn growth<S>(read: Read<S>, now: &S, before: &S) -> f64 {
-    (read(now) - read(before)).max(0.0)
-}
-
 /// The metering part of a [`FleetService::metrics_text`] dump: every line
 /// that does not belong to an ops family, which is exactly
 /// [`FleetService::metering`]'s render. Tests compare
@@ -371,9 +366,11 @@ pub struct FleetService {
     /// Billing-grade metering: usage, jobs, anomalies, audit cost, tenants
     /// and charges. The only metrics state a [`Checkpoint`] carries.
     metering: MetricsRegistry,
-    /// Operational telemetry ([`OPS`] and the labeled ops families): it
-    /// describes this process and its timing, so it is never checkpointed
-    /// or restored.
+    /// The part of the operational telemetry this service counts itself:
+    /// [`Feed::Event`] counters and the folded session counters and
+    /// gauges. [`FleetService::metrics`] adds the journal and tracer
+    /// families when it is read. It describes this process and its
+    /// timing, so it is never checkpointed or restored.
     ops: MetricsRegistry,
     /// Pricing applied to tenants that were never registered.
     default_rate_card: RateCard,
@@ -381,15 +378,11 @@ pub struct FleetService {
     /// are appended write-ahead so the accounting state can be rebuilt
     /// with [`FleetService::recover`].
     journal: Option<Journal>,
-    /// Journal counters already folded into the ops registry.
-    journal_exported: JournalStats,
     /// The pipeline tracer, when attached (see
     /// [`FleetService::with_tracer`]): the service times its audit/post
-    /// stages into it and drains its histogram cells into the
-    /// `fleet_stage_seconds*` metrics.
+    /// stages into it, and [`FleetService::metrics`] reads its histogram
+    /// cells into the `fleet_stage_seconds*` metrics.
     tracer: Option<PipelineTracer>,
-    /// Tracer counters already folded into the ops registry.
-    observer_exported: TracerStats,
     /// How often inline checkpoints are written (see
     /// [`FleetService::with_checkpoint_cadence`]).
     cadence: CheckpointCadence,
@@ -447,9 +440,7 @@ impl FleetService {
             ops: ops_registry(),
             default_rate_card: RateCard::per_cpu_hour(0.10),
             journal: None,
-            journal_exported: JournalStats::default(),
             tracer: None,
-            observer_exported: TracerStats::default(),
             cadence: CheckpointCadence::Never,
             runs_since_checkpoint: 0,
             cells: ServiceCells::default(),
@@ -459,12 +450,12 @@ impl FleetService {
     /// Attaches a [`PipelineTracer`]: the executor records execution
     /// spans, streaming sessions record queue-wait and journal-commit
     /// spans, and the service itself records audit and post spans — all
-    /// drained into the `fleet_stage_seconds*` histograms and the
-    /// `fleet_observer_*` self-accounting counters at each export point.
-    /// Pure observation: every billing, audit and metering-exposition
-    /// artifact stays bit-identical with tracing on or off.
+    /// read into the `fleet_stage_seconds*` histograms and the
+    /// `fleet_observer_*` self-accounting counters of
+    /// [`FleetService::metrics`]. Pure observation: every billing, audit
+    /// and metering-exposition artifact stays bit-identical with tracing
+    /// on or off.
     pub fn with_tracer(mut self, tracer: PipelineTracer) -> FleetService {
-        self.observer_exported = tracer.stats();
         self.fleet.set_tracer(Some(tracer.clone()));
         self.tracer = Some(tracer);
         self
@@ -477,11 +468,9 @@ impl FleetService {
 
     /// Attaches a durability journal: from now on every released run and
     /// its billing/audit receipts are appended write-ahead (see the
-    /// [`journal`] module docs). Counters already in the journal handle
-    /// are not re-exported — the `fleet_journal_*` series count appends
-    /// since attachment.
+    /// [`journal`] module docs). The `fleet_journal_*` and
+    /// `fleet_ledger_seals_total` series read the journal's own counters.
     pub fn with_journal(mut self, journal: Journal) -> FleetService {
-        self.journal_exported = journal.stats();
         self.journal = Some(journal);
         self
     }
@@ -496,22 +485,13 @@ impl FleetService {
     /// checkpoint, the service writes a [`Checkpoint`] entry at the next
     /// *safe point* — the end of a stream pump (so once per
     /// [`FleetService::process`] batch), when every journaled run has been
-    /// posted — so recovery cost stays bounded without an offline
-    /// [`journal::compact`] pass. On a segmented journal each checkpoint
-    /// starts a fresh segment and retires the segments it supersedes; on
-    /// other sinks, recover with [`FleetService::recover_latest`], which
-    /// seeks to the newest checkpoint first.
+    /// posted — so recovery cost stays bounded. On a segmented journal
+    /// each checkpoint starts a fresh segment and retires the segments it
+    /// supersedes; on other sinks, recover with
+    /// [`FleetService::recover_latest`], which seeks to the newest
+    /// checkpoint first.
     pub fn with_checkpoint_cadence(mut self, cadence: CheckpointCadence) -> FleetService {
         self.cadence = cadence;
-        self
-    }
-
-    /// Replaces the auditor (e.g. to widen its tolerance). If the new
-    /// auditor's sampling policy differs from the fleet's, records the
-    /// workers did not precompute a reference for fall back to inline
-    /// replays (correct, just slower).
-    pub fn with_auditor(mut self, auditor: Auditor) -> FleetService {
-        self.auditor = auditor;
         self
     }
 
@@ -580,9 +560,9 @@ impl FleetService {
         report
     }
 
-    /// Opens a streaming session: a live [`FleetIngest`] worker pool whose
-    /// completed records flow into this service's ledger, auditor and
-    /// metrics in submission order. See [`FleetStream`].
+    /// Opens a streaming session: a live worker pool whose completed
+    /// records flow into this service's ledger, auditor and metrics in
+    /// submission order. See [`FleetStream`].
     ///
     /// # Examples
     ///
@@ -602,14 +582,7 @@ impl FleetService {
     /// assert_eq!(report.ledger.account(TenantId(1)).unwrap().runs, 4);
     /// ```
     pub fn stream(&mut self, config: IngestConfig) -> FleetStream<'_> {
-        let ingest = FleetIngest::new(self.fleet.clone(), config, self.journal.clone());
-        FleetStream {
-            service: self,
-            ingest,
-            records: Vec::new(),
-            verdicts: Vec::new(),
-            exported: IngestStats::default(),
-        }
+        FleetStream::open(self, config)
     }
 
     /// The shared posting tail of a stream's `pump` and `finish`: posts
@@ -885,7 +858,7 @@ impl FleetService {
     /// families first, then the ops families.
     pub fn metrics_text(&self) -> String {
         let mut text = self.metering.render();
-        text.push_str(&self.ops.render());
+        text.push_str(&self.metrics().render());
         text
     }
 
@@ -905,18 +878,27 @@ impl FleetService {
     /// `fleet_stage_seconds` series). It describes this process and its
     /// timing, so checkpoints never carry it and recovery never restores
     /// it.
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.ops
-    }
-
-    /// Drains the tracer's aggregated histogram cells into the
-    /// `fleet_stage_seconds*` histograms and adds its span/overhead
-    /// counters' growth since the last export. A no-op without a tracer —
-    /// the zero-registered families stay zero, so tracing on/off never
-    /// changes which series exist.
-    fn export_observer_metrics(&mut self) {
-        let Some(tracer) = &self.tracer else { return };
-        for observation in tracer.take_observations() {
+    ///
+    /// The registry is built when it is read, so nothing mirrors a
+    /// source: the journal and seal counters are the attached journal's
+    /// [`JournalStats`], the `fleet_observer_*` counters the tracer's
+    /// [`TracerStats`], and the stage histograms its cumulative
+    /// [`PipelineTracer::observations`]. The pipeline families hold what
+    /// finished or dropped stream sessions folded in. Reading changes
+    /// nothing, so two reads with no work between them are equal.
+    pub fn metrics(&self) -> MetricsRegistry {
+        let mut ops = self.ops.clone();
+        let journal = self.journal.as_ref().map(Journal::stats);
+        let tracer = self.tracer.as_ref().map(PipelineTracer::stats);
+        for (name, help, feed) in OPS {
+            let value = match (feed, &journal, &tracer) {
+                (Feed::Journal(read), Some(stats), _) => read(stats),
+                (Feed::Tracer(read), _, Some(stats)) => read(stats),
+                _ => continue,
+            };
+            ops.counter_add(name, help, &[], value);
+        }
+        for observation in self.tracer.iter().flat_map(PipelineTracer::observations) {
             let stage = observation.stage.label();
             let tenant = observation.tenant.map(|tenant| tenant.to_string());
             let ((name, help), labels): (_, &[(&str, &str)]) = match &tenant {
@@ -926,7 +908,7 @@ impl FleetService {
                     &[("stage", stage), ("tenant", tenant)],
                 ),
             };
-            self.ops.histogram_add(
+            ops.histogram_add(
                 name,
                 help,
                 &metrics::LATENCY_BUCKETS,
@@ -936,22 +918,15 @@ impl FleetService {
                 observation.count,
             );
         }
-        let stats = tracer.stats();
-        for (name, help, feed) in OPS {
-            if let Feed::Tracer(read) = feed {
-                let delta = growth(read, &stats, &self.observer_exported);
-                self.ops.counter_add(name, help, &[], delta);
-            }
-        }
-        self.observer_exported = stats;
+        ops
     }
 
     /// A snapshot of the service's accounting state — ledger, audit
     /// summaries and cost counters, and the metering registry — as a
-    /// journal [`Checkpoint`] entry. [`journal::compact`] folds a journal
-    /// prefix into one of these so recovery does not replay from genesis,
-    /// and a [`CheckpointCadence`] writes them inline. The ops registry
-    /// describes the process that wrote the checkpoint, so it stays out.
+    /// journal [`Checkpoint`] entry, so recovery does not replay from
+    /// genesis. A [`CheckpointCadence`] writes them inline. The ops
+    /// registry describes the process that wrote the checkpoint, so it
+    /// stays out.
     pub fn checkpoint(&self) -> Checkpoint {
         Checkpoint {
             runs: self.ledger.iter().map(|a| a.runs).sum(),
@@ -963,8 +938,7 @@ impl FleetService {
 
     /// Replays a journal into this service, rebuilding bit-identical
     /// ledger, audit-summary and metrics state — including after a crash
-    /// that left `Run` entries without their receipts, and after
-    /// [`journal::compact`]ion.
+    /// that left `Run` entries without their receipts.
     ///
     /// The service must be *fresh* and configured like the journal's
     /// origin: same [`FleetConfig`] (seed, machine, sampling) and the same
@@ -1088,9 +1062,6 @@ impl FleetService {
             }
         }
         self.count("fleet_proofs_emitted_total", proofs.len() as f64);
-        // Sealing the head may have rotated a segment; fold the new seal
-        // count into the exposition.
-        self.export_journal_metrics();
         Ok(DisputeResolution {
             job,
             runs,
@@ -1098,17 +1069,6 @@ impl FleetService {
             verdict,
             proofs,
         })
-    }
-
-    /// The replay core of [`FleetService::recover`], without counting a
-    /// recovery — [`journal::compact`] uses it to fold a prefix into a
-    /// checkpoint. Lenient about duplicates: compaction must be able to
-    /// fold whatever recovery (strict or lenient) would replay.
-    pub(crate) fn replay(
-        &mut self,
-        entries: &[JournalEntry],
-    ) -> Result<RecoveryReport, RecoveryError> {
-        self.replay_with(entries, false)
     }
 
     fn replay_with(
@@ -1277,39 +1237,23 @@ impl FleetService {
         Ok(report)
     }
 
-    /// Adds the attached journal's counter growth since the last export
-    /// to the ops registry.
-    fn export_journal_metrics(&mut self) {
-        let Some(journal) = &self.journal else { return };
-        let stats = journal.stats();
-        for (name, help, feed) in OPS {
-            if let Feed::Journal(read) = feed {
-                let delta = growth(read, &stats, &self.journal_exported);
-                self.ops.counter_add(name, help, &[], delta);
-            }
-        }
-        self.journal_exported = stats;
-    }
-
-    /// Folds a stream's latest ingest snapshot into the ops registry —
-    /// counter growth since `before`, the gauges as of `stats`, a zero for
-    /// every tenant inflight in `before` but not in `stats` (gauge series
-    /// persist once created) — then the journal's and the tracer's growth
-    /// since their last export.
-    fn export_ops(&mut self, stats: &IngestStats, before: &IngestStats) {
+    /// Folds a finished or dropped stream session's final ingest
+    /// snapshot into the ops registry, once: its counters add to the
+    /// earlier sessions', and its gauges replace theirs. The inflight
+    /// gauge gets a series for every tenant with a ledger account, so the
+    /// set of series does not depend on scheduling.
+    fn fold_session(&mut self, stats: &IngestStats) {
         for (name, help, feed) in OPS {
             match feed {
-                Feed::Ingest(read) => {
-                    self.ops
-                        .counter_add(name, help, &[], growth(read, stats, before));
-                }
+                Feed::Ingest(read) => self.ops.counter_add(name, help, &[], read(stats)),
                 Feed::IngestGauge(read) => self.ops.gauge_set(name, help, &[], read(stats)),
                 _ => {}
             }
         }
         let (name, help) = INFLIGHT;
-        for tenant in before.inflight.keys().chain(stats.inflight.keys()) {
-            let count = stats.inflight.get(tenant).copied().unwrap_or(0);
+        let ledger = self.ledger.iter().map(|account| account.tenant);
+        for tenant in ledger.chain(stats.inflight.keys().copied()) {
+            let count = stats.inflight.get(&tenant).copied().unwrap_or(0);
             self.ops
                 .gauge_set(name, help, &[("tenant", &tenant.to_string())], count as f64);
         }
@@ -1318,8 +1262,6 @@ impl FleetService {
             self.ops
                 .gauge_set(name, help, &[("event", event)], read(&stats.pool));
         }
-        self.export_journal_metrics();
-        self.export_observer_metrics();
     }
 }
 
@@ -1397,210 +1339,6 @@ impl DisputeResolution {
     #[must_use]
     pub fn flagged(&self) -> bool {
         self.verdict.as_ref().is_some_and(|v| !v.is_clean())
-    }
-}
-
-/// A live streaming session over a [`FleetService`].
-///
-/// Obtained from [`FleetService::stream`]. Jobs submitted through
-/// [`FleetStream::submit`] (or an [`IngestHandle`] from
-/// [`FleetStream::handle`], one per tenant thread) are executed by the
-/// session's worker pool; [`FleetStream::pump`] posts completed records to
-/// the service's ledger, auditor and metrics **in submission order**, and
-/// [`FleetStream::finish`] drains the pipeline and returns the same
-/// [`FleetReport`] [`FleetService::process`] produces — bit-identical for
-/// any worker count, because seeds derive from job ids and the completion
-/// log merges by submission sequence.
-#[derive(Debug)]
-pub struct FleetStream<'a> {
-    service: &'a mut FleetService,
-    ingest: FleetIngest,
-    records: Vec<RunRecord>,
-    verdicts: Vec<AuditVerdict>,
-    /// The ingest snapshot last folded into the service's ops registry.
-    exported: IngestStats,
-}
-
-impl FleetStream<'_> {
-    /// Submits one job; returns its submission sequence number.
-    ///
-    /// # Errors
-    /// [`SubmitError::QueueFull`] under [`BackpressurePolicy::Reject`] with
-    /// a full queue; [`SubmitError::ShutDown`] once the session is
-    /// finishing.
-    pub fn submit(&self, job: JobSpec) -> Result<u64, SubmitError> {
-        self.ingest.submit(job)
-    }
-
-    /// Submits a batch of jobs through the batched hot path (one submit
-    /// guard hold, one grouped `Accepted` journal commit, one state-lock
-    /// hold and one worker wake per admitted slice). The resulting report,
-    /// ledger, journal bytes and metering exposition are bit-identical to
-    /// submitting the same jobs one at a time.
-    ///
-    /// # Errors
-    /// [`BatchSubmitError`] carrying the accepted prefix (those jobs are in
-    /// the pipeline and will run) and the [`SubmitError`] that stopped the
-    /// rest.
-    pub fn submit_all(&self, jobs: &[JobSpec]) -> Result<Vec<u64>, BatchSubmitError> {
-        self.ingest.submit_all(jobs)
-    }
-
-    /// Resizes the session's worker pool (clamped to at least one worker).
-    /// Growing spawns immediately; shrinking retires surplus workers at
-    /// their next dispatch boundary. Reports stay bit-identical across any
-    /// scaling schedule — worker count never affects release order. It also
-    /// revives a pool that died out ([`FleetHealth::workers_dead`]).
-    pub fn scale_workers(&mut self, workers: usize) {
-        self.ingest.scale_to(workers);
-    }
-
-    /// Sets a tenant's fairness weight (deficit round robin): how many jobs
-    /// its lane may release per rotation turn. Weight 1 is the default
-    /// round-robin share.
-    pub fn set_tenant_weight(&self, tenant: TenantId, weight: u32) {
-        self.ingest.set_tenant_weight(tenant, weight);
-    }
-
-    /// A cloneable handle for submitting jobs from other threads while this
-    /// session pumps completions.
-    pub fn handle(&self) -> IngestHandle {
-        self.ingest.handle()
-    }
-
-    /// A snapshot of the pipeline counters and gauges.
-    pub fn stats(&self) -> IngestStats {
-        self.ingest.stats()
-    }
-
-    /// Pauses dispatch (running jobs finish; queued jobs wait).
-    pub fn pause(&self) {
-        self.ingest.pause()
-    }
-
-    /// Resumes dispatch after [`FleetStream::pause`].
-    pub fn resume(&self) {
-        self.ingest.resume()
-    }
-
-    /// Durability health: quarantine flag, retry/failure counters, the
-    /// stalled-record backlog and the last journal error. The session
-    /// keeps executing while quarantined — only the billing boundary
-    /// (release → post) is closed — so poll this to decide when a
-    /// [`FleetStream::resume_with_sink`] failover is needed.
-    pub fn health(&self) -> FleetHealth {
-        self.ingest.health()
-    }
-
-    /// Fails the journal over to a **fresh** sink and lifts the
-    /// quarantine, then pumps the drained backlog into the service.
-    ///
-    /// The service-level failover writes a leading [`Checkpoint`] of the
-    /// current accounting state into the new sink before anything else:
-    /// a checkpoint is the one entry [`parse_journal`] allows to adopt a
-    /// foreign chain anchor, so the new sink replays **standalone** with
-    /// [`FleetService::recover_latest`] — no splicing with the dead
-    /// sink's lines required. After the checkpoint, the pending
-    /// accepted-but-unreleased specs are re-journaled (the new sink is
-    /// self-contained for submission-side recovery too), the stalled
-    /// ready prefix is drained and posted, and normal operation resumes.
-    ///
-    /// # Errors
-    /// [`JournalError`] if the session has no journal or the replacement
-    /// sink fails while writing the leading checkpoint or the accepted
-    /// backlog — the pipeline then *stays* quarantined.
-    pub fn resume_with_sink(&mut self, sink: Box<dyn JournalSink>) -> Result<(), JournalError> {
-        let Some(journal) = &self.service.journal else {
-            return Err(JournalError::Io(
-                "stream session has no journal to fail over".to_string(),
-            ));
-        };
-        journal.fail_over(sink);
-        journal.append_batch(&[JournalEntry::checkpoint(self.service.checkpoint())])?;
-        self.service.runs_since_checkpoint = 0;
-        self.ingest.resume_after_failover()?;
-        self.pump();
-        Ok(())
-    }
-
-    /// Verdicts posted so far, in submission order.
-    pub fn verdicts(&self) -> &[AuditVerdict] {
-        &self.verdicts
-    }
-
-    /// Poison verdicts released so far: jobs the supervisor retired after
-    /// they killed [`SupervisorPolicy::max_job_attempts`] workers in a
-    /// row. Each was journaled as a chained [`JournalEntry::Poisoned`]
-    /// entry when released; nothing was billed for it.
-    pub fn poisoned(&self) -> Vec<PoisonNotice> {
-        self.ingest.poisoned()
-    }
-
-    /// The dispatch order so far — which job each worker popped, in pop
-    /// order. With a multi-tenant backlog, consecutive entries round-robin
-    /// across tenants (the observable fairness record).
-    pub fn dispatch_log(&self) -> Vec<(JobId, TenantId)> {
-        self.ingest.dispatch_log()
-    }
-
-    /// Posts every completed record that extends the contiguous submission-
-    /// order prefix to the service (ledger → auditor → metrics), updates the
-    /// ingest gauges, and returns how many records were posted.
-    ///
-    /// With a journal attached, the pump's billing/audit receipts are
-    /// coalesced into **one** group commit after the posting loop (the
-    /// `Run` entries were already committed as a batch when `take_ready`
-    /// released the records), and the end of the pump is a checkpoint
-    /// safe point: every journaled run is posted, so an inline
-    /// [`Checkpoint`] written here folds the whole journal so far.
-    pub fn pump(&mut self) -> usize {
-        let mut ready = self.ingest.take_ready();
-        let posted = self
-            .service
-            .post_ready(&mut ready, &mut self.records, &mut self.verdicts);
-        // Hand the emptied batch container back for the next release.
-        self.ingest.recycle(ready);
-        let stats = self.ingest.stats();
-        self.service.export_ops(&stats, &self.exported);
-        self.exported = stats;
-        posted
-    }
-
-    /// Drains the pipeline (graceful shutdown: every accepted job still
-    /// runs), posts the remaining records, and returns the cumulative
-    /// report — bit-identical to [`FleetService::process`] over the same
-    /// jobs for any worker count.
-    pub fn finish(self) -> FleetReport {
-        self.drain().0
-    }
-
-    /// [`FleetStream::finish`], also returning the drained pipeline's
-    /// final [`FleetHealth`].
-    fn drain(mut self) -> (FleetReport, FleetHealth) {
-        self.pump();
-        let FleetStream {
-            service,
-            ingest,
-            mut records,
-            mut verdicts,
-            mut exported,
-        } = self;
-        let mut outcome = ingest.finish();
-        service.post_ready(&mut outcome.records, &mut records, &mut verdicts);
-        // Final gauges are deterministic: the queue is empty, nothing is
-        // inflight, and every tenant that was ever inflight now has a
-        // ledger account — so zero the inflight series for all of them.
-        for account in service.ledger.iter() {
-            exported.inflight.entry(account.tenant).or_insert(0);
-        }
-        service.export_ops(&outcome.stats, &exported);
-        service.export_gauges();
-        let report = FleetReport {
-            records,
-            verdicts,
-            ledger: service.ledger.clone(),
-        };
-        (report, outcome.health)
     }
 }
 

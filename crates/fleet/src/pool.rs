@@ -4,14 +4,14 @@
 //! `Vec<RunRecord>` that the consumer (a stream pump, the final drain)
 //! immediately empties again. Under sustained load that is one heap
 //! allocation — often a large one, records carry full audit evidence —
-//! per release batch. A [`BufferPool`] keeps the emptied containers and
+//! per release batch. A `BufferPool` keeps the emptied containers and
 //! hands their capacity back to the next batch, so the steady state
 //! allocates nothing on the release path.
 //!
 //! The pool is a deliberately boring free list behind a mutex: it is
 //! touched once per release *batch* (not per job), so contention is not a
 //! concern — the win is the allocator traffic, not the locking. Counters
-//! are relaxed atomics so [`BufferPool::stats`] never blocks a release.
+//! are relaxed atomics so taking the pool's stats never blocks a release.
 
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -21,8 +21,9 @@ use std::sync::{Mutex, PoisonError};
 /// a shrinking pipeline should not hoard its high-water capacity forever.
 const MAX_IDLE: usize = 8;
 
-/// A point-in-time snapshot of a [`BufferPool`]'s recycling behaviour
-/// (all counters monotonic except the `idle*` gauges).
+/// A point-in-time snapshot of the release-path buffer pool's recycling
+/// behaviour (all counters monotonic except the `idle*` gauges), read
+/// through [`crate::IngestStats::pool`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub struct PoolStats {
     /// Buffers checked out, total.
@@ -48,7 +49,7 @@ impl PoolStats {
 /// A free list of `Vec<T>` containers that keeps capacity alive across
 /// checkouts. See the [module docs](self).
 #[derive(Debug, Default)]
-pub struct BufferPool<T> {
+pub(crate) struct BufferPool<T> {
     free: Mutex<Vec<Vec<T>>>,
     acquired: AtomicU64,
     reused: AtomicU64,

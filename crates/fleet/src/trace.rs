@@ -5,7 +5,7 @@
 //! along the pipeline and records one [`Span`] per stage boundary a job
 //! crosses — queue wait, worker execution, audit verdict, journal group
 //! commit, release→post — into a bounded ring buffer, while aggregating
-//! every observation into log-bucketed histogram cells the service drains
+//! every observation into log-bucketed histogram cells the service reads
 //! into its `fleet_stage_seconds*` metrics.
 //!
 //! ## Determinism contract
@@ -29,7 +29,7 @@
 //! ## Self-accounting
 //!
 //! Observation has a cost, and an honest meter accounts for its own: the
-//! tracer stamps an [`std::time::Instant`] at every entry point and
+//! tracer stamps an [`std::time::Instant`] at every record and
 //! accumulates the time it spent recording into
 //! [`TracerStats::overhead_nanos`], which the service exports as
 //! `fleet_observer_overhead_seconds_total`. `fleetbench` reports it against
@@ -191,8 +191,8 @@ pub fn span_id(fleet_seed: u64, job: JobId, stage: Stage) -> u64 {
     .next_u64()
 }
 
-/// One drained histogram cell: every observation the tracer aggregated
-/// for a (stage, tenant) pair since the last drain, bucketed to
+/// One histogram cell: every observation the tracer aggregated for a
+/// (stage, tenant) pair since it was created, bucketed to
 /// [`LATENCY_BUCKETS`] (one trailing `+Inf` slot).
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageObservation {
@@ -387,26 +387,23 @@ impl PipelineTracer {
         self.lock().ring.iter().cloned().collect()
     }
 
-    /// Drains the aggregated histogram cells (stage-sorted, per-stage
-    /// aggregate before per-tenant variants) — the service folds these
-    /// into its `fleet_stage_seconds*` metrics and the cells restart
-    /// empty.
-    pub fn take_observations(&self) -> Vec<StageObservation> {
-        let entered = Instant::now();
-        let mut inner = self.lock();
-        let cells = std::mem::take(&mut inner.cells);
-        let observations = cells
-            .into_iter()
-            .map(|((stage, tenant), cell)| StageObservation {
+    /// The aggregated histogram cells (stage-sorted, per-stage aggregate
+    /// before per-tenant variants) — what the service reads into its
+    /// `fleet_stage_seconds*` metrics. Reading neither drains the cells
+    /// nor counts as observing overhead, so two reads with no recording
+    /// between them are equal.
+    pub fn observations(&self) -> Vec<StageObservation> {
+        self.lock()
+            .cells
+            .iter()
+            .map(|(&(stage, tenant), cell)| StageObservation {
                 stage: Stage::ALL[stage as usize],
                 tenant,
-                counts: cell.counts,
+                counts: cell.counts.clone(),
                 sum_secs: cell.sum_secs,
                 count: cell.count,
             })
-            .collect();
-        inner.overhead_nanos += entered.elapsed().as_nanos() as u64;
-        observations
+            .collect()
     }
 
     /// Streams the ring's spans as JSON-lines (one span per line, oldest
@@ -466,7 +463,7 @@ mod tests {
         tracer.record(Stage::QueueWait, JobId(0), TenantId(1), ms(1));
         tracer.record(Stage::QueueWait, JobId(1), TenantId(2), ms(2));
         tracer.record_aggregate(Stage::JournalCommit, JobId(0), TenantId(1), ms(3));
-        let observations = tracer.take_observations();
+        let observations = tracer.observations();
         // queue_wait aggregate + two tenants, journal_commit aggregate only.
         assert_eq!(observations.len(), 4);
         let aggregate = observations
@@ -480,18 +477,19 @@ mod tests {
         assert!(!observations
             .iter()
             .any(|o| o.stage == Stage::JournalCommit && o.tenant.is_some()));
-        // Draining resets the cells.
-        assert!(tracer.take_observations().is_empty());
+        // Reading does not drain the cells.
+        assert_eq!(tracer.observations(), observations);
     }
 
     #[test]
     fn overhead_accumulates() {
         let tracer = PipelineTracer::new(4, 1);
         tracer.record(Stage::Execute, JobId(0), TenantId(1), ms(1));
-        tracer.take_observations();
-        // The clock has nanosecond resolution and both entry points add to
-        // it; all we can assert portably is monotonic accumulation.
+        // The clock has nanosecond resolution; all we can assert portably
+        // is monotonic accumulation. Reading the cells is not observing.
         let first = tracer.stats().overhead_nanos;
+        tracer.observations();
+        assert_eq!(tracer.stats().overhead_nanos, first);
         tracer.record(Stage::Execute, JobId(1), TenantId(1), ms(1));
         assert!(tracer.stats().overhead_nanos >= first);
     }

@@ -25,7 +25,7 @@
 //!    if the poison had never been submitted;
 //! 6. a pool that dies with its restart budget spent **quarantines**
 //!    (fail-fast submits, `workers_dead` in health) until the operator
-//!    revives it with `scale_to`.
+//!    revives it with `scale_workers`.
 //!
 //! ```text
 //! cargo run --release --example fleet_chaos
@@ -210,34 +210,36 @@ fn main() {
     let config = IngestConfig::new(1)
         .with_supervisor(SupervisorPolicy::default().with_max_restarts(0))
         .with_worker_faults(WorkerFaultSchedule::none().panic_on(JobId(0)));
-    let mut ingest = FleetIngest::new(Fleet::new(FleetConfig::new(1, SEED)), config, None);
+    let mut service = build_service(None);
+    let mut stream = service.stream(config);
     for job in jobs().into_iter().take(3) {
-        ingest.submit(job).expect("queue sized for the batch");
+        stream.submit(job).expect("queue sized for the batch");
     }
-    while !ingest.health().workers_dead {
+    while !stream.health().workers_dead {
         std::thread::yield_now();
     }
-    let health = ingest.health();
+    let health = stream.health();
     println!(
         "*** workers dead: {} (budget spent; submits fail fast)",
         health.last_error.as_deref().unwrap_or("?")
     );
     assert!(health.quarantined);
     assert_eq!(
-        ingest.submit(JobSpec::clean(99, TenantId(1), Workload::LoopO, SCALE)),
+        stream.submit(JobSpec::clean(99, TenantId(1), Workload::LoopO, SCALE)),
         Err(SubmitError::Quarantined)
     );
-    ingest.scale_to(1);
+    stream.scale_workers(1);
     assert!(
-        !ingest.health().workers_dead,
+        !stream.health().workers_dead,
         "a fresh pool lifts the quarantine"
     );
-    let outcome = ingest.finish();
-    assert_eq!(outcome.records.len(), 3);
-    assert!(outcome.poisoned.is_empty());
+    let report = stream.finish();
+    assert_eq!(report.records.len(), 3);
+    let ops = service.metrics();
+    assert_eq!(ops.get("fleet_poison_jobs_total", &[]), Some(0.0));
     println!(
-        "revived with scale_to(1): backlog drained, {} records ({} reassigned)",
-        outcome.records.len(),
-        outcome.stats.reassigned
+        "revived with scale_workers(1): backlog drained, {} records ({} reassigned)",
+        report.records.len(),
+        ops.get("fleet_jobs_reassigned_total", &[]).unwrap_or(0.0)
     );
 }

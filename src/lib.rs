@@ -17,7 +17,7 @@
 //! | [`workloads`] | `trustmeter-workloads` | the paper's four victim programs (O, Pi, Whetstone, Brute) plus native reference kernels |
 //! | [`attacks`] | `trustmeter-attacks` | the seven attacks of §IV |
 //! | [`experiments`] | `trustmeter-experiments` | figure-by-figure reproduction of the evaluation (§V) and the defense/ablation studies |
-//! | [`fleet`] | `trustmeter-fleet` | the streaming multi-tenant metering service: worker-pool ingestion with backpressure and per-tenant fairness, per-tenant ledgers, overcharge auditing, a tamper-evident write-ahead evidence ledger (hash-chained journal, sealed blocks, inclusion proofs, dispute settlement) with crash recovery and compaction, metrics exporter |
+//! | [`fleet`] | `trustmeter-fleet` | the streaming multi-tenant metering service: worker-pool ingestion with backpressure and per-tenant fairness, per-tenant ledgers, overcharge auditing, a tamper-evident write-ahead evidence ledger (hash-chained journal, sealed blocks, inclusion proofs, dispute settlement) with crash recovery and inline checkpoints, metrics exporter |
 //! | [`sim`] | `trustmeter-sim` | the discrete-event simulation substrate |
 //!
 //! ## Quick start
@@ -75,14 +75,13 @@ pub mod prelude {
         ScenarioOutcome,
     };
     pub use trustmeter_fleet::{
-        compact, metering_exposition, parse_journal, quote_nonce, recovery_window, span_id,
-        Anomaly, AttackSpec, AuditVerdict, Auditor, AuditorState, BackpressurePolicy,
-        BatchSubmitError, BlockHeader, BufferPool, Checkpoint, CheckpointCadence, CounterCell,
-        DisputeError, DisputeResolution, FairQueue, FaultInjectingSink, FaultKind, FaultProbe,
-        FaultSchedule, FaultStats, Fleet, FleetConfig, FleetHealth, FleetIngest, FleetReport,
-        FleetService, FleetStream, FsyncPolicy, InclusionProof, IngestConfig, IngestHandle,
-        IngestOutcome, IngestStats, InvoicePosting, JobId, JobSpec, JobVerdict, Journal,
-        JournalEntry, JournalError, JournalSink, JournalStats, Ledger, LedgerVerification,
+        metering_exposition, parse_journal, quote_nonce, recovery_window, span_id, Anomaly,
+        AttackSpec, AuditVerdict, Auditor, AuditorState, BackpressurePolicy, BatchSubmitError,
+        BlockHeader, Checkpoint, CheckpointCadence, CounterCell, DisputeError, DisputeResolution,
+        FairQueue, FaultInjectingSink, FaultKind, FaultProbe, FaultSchedule, FaultStats, Fleet,
+        FleetConfig, FleetHealth, FleetReport, FleetService, FleetStream, FsyncPolicy,
+        InclusionProof, IngestConfig, IngestHandle, IngestStats, InvoicePosting, JobId, JobSpec,
+        Journal, JournalEntry, JournalError, JournalSink, JournalStats, Ledger, LedgerVerification,
         MemorySink, MetricsRegistry, PipelineTracer, PlannedFault, PlannedWorkerFault,
         PoisonNotice, PoolStats, ProofError, ProofStep, RecoveryError, RecoveryReport,
         ReferenceOutcome, RetryPolicy, RunRecord, SamplingPolicy, SealKey, SegmentConfig,

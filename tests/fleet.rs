@@ -3,7 +3,7 @@
 //! shard-count determinism, the metrics exposition, the streaming
 //! ingestion pipeline (backpressure, per-tenant fairness, streamed-vs-batch
 //! bit-identical results), and the durability journal (write-ahead
-//! persistence, crash recovery, compaction).
+//! persistence, crash recovery, checkpoints).
 
 use proptest::prelude::*;
 use trustmeter::prelude::*;
@@ -485,7 +485,7 @@ fn fleet_report_serializes() {
 }
 
 // ---------------------------------------------------------------------------
-// Durability: write-ahead journal, crash recovery, compaction
+// Durability: write-ahead journal, crash recovery, checkpoints
 // ---------------------------------------------------------------------------
 
 /// A service on seed 77 with the four test tenants registered, optionally
@@ -691,52 +691,6 @@ fn truncated_and_corrupt_tails_are_dropped_mid_file_corruption_is_not() {
 }
 
 #[test]
-fn compaction_folds_a_prefix_without_changing_recovery() {
-    let jobs = batch(24);
-    let journal = Journal::in_memory();
-    let mut original = service77(4, Some(journal.clone()));
-    let original_report = original.process(&jobs);
-    let (entries, _) = journal.entries().unwrap();
-
-    let mut expositions = Vec::new();
-    for fold in [0usize, 10, 24] {
-        let mut scratch = service77(4, None);
-        let compacted = compact(&entries, fold, &mut scratch).unwrap();
-        assert_eq!(compacted[0].label(), "checkpoint");
-        assert_eq!(count_entries(&compacted, "run"), 24 - fold);
-        match &compacted[0] {
-            JournalEntry::Checkpoint(checkpoint) => {
-                assert_eq!(checkpoint.runs, fold as u64);
-            }
-            other => panic!("expected checkpoint, got {other:?}"),
-        }
-
-        let mut recovered = service77(4, None);
-        let report = recovered.recover(&compacted).unwrap();
-        assert_eq!(report.checkpoint_runs, fold as u64);
-        assert_eq!(report.runs_replayed, 24 - fold as u64);
-        assert!(report.is_consistent());
-        assert_eq!(recovered.ledger(), &original_report.ledger);
-        assert_eq!(audit_summaries(&recovered), audit_summaries(&original));
-        expositions.push(recovered.metrics_text());
-    }
-    // Folding nothing, part, or everything yields the same recovered
-    // exposition — byte for byte, journal series included.
-    assert_eq!(expositions[0], expositions[1]);
-    assert_eq!(expositions[0], expositions[2]);
-
-    // Compaction composes: compacting a compacted journal still recovers.
-    let mut scratch = service77(4, None);
-    let once = compact(&entries, 8, &mut scratch).unwrap();
-    let mut scratch = service77(4, None);
-    let twice = compact(&once, 8, &mut scratch).unwrap();
-    assert_eq!(count_entries(&twice, "run"), 8);
-    let mut recovered = service77(4, None);
-    recovered.recover(&twice).unwrap();
-    assert_eq!(recovered.ledger(), &original_report.ledger);
-}
-
-#[test]
 fn tampered_journal_receipts_and_outcomes_are_detected() {
     let jobs = batch(6);
     let journal = Journal::in_memory();
@@ -819,14 +773,6 @@ fn tampered_journal_receipts_and_outcomes_are_detected() {
         "the forged reference must not hide the overcharge: {:?}",
         summary.anomaly_counts
     );
-
-    // Compaction refuses to fold a tampered prefix into a clean-looking
-    // checkpoint.
-    let mut scratch = service77(2, None);
-    assert!(matches!(
-        compact(&doctored, 6, &mut scratch),
-        Err(RecoveryError::InconsistentPrefix { .. })
-    ));
 }
 
 #[test]
@@ -882,16 +828,17 @@ fn invalid_journals_are_rejected() {
 
     // The same strict refusal covers runs already folded into a
     // checkpoint, and the same lenient surfacing still works.
-    let mut scratch = service77(1, None);
-    let mut compacted = compact(&entries, 2, &mut scratch).unwrap();
-    compacted.extend(entries[..3].iter().cloned());
+    let mut folded = service77(1, None);
+    folded.recover(&entries).unwrap();
+    let mut checkpointed = vec![JournalEntry::checkpoint(folded.checkpoint())];
+    checkpointed.extend(entries[..3].iter().cloned());
     let mut recovered = service77(1, None);
     assert!(matches!(
-        recovered.recover(&compacted),
+        recovered.recover(&checkpointed),
         Err(RecoveryError::ChainViolation(JobId(0)))
     ));
     let mut recovered = service77(1, None);
-    let report = recovered.recover_lenient(&compacted).unwrap();
+    let report = recovered.recover_lenient(&checkpointed).unwrap();
     assert_eq!(report.duplicate_runs, vec![JobId(0)]);
 }
 
@@ -1157,7 +1104,7 @@ fn watermarked_stream_is_still_bit_identical_to_batch() {
 }
 
 // ---------------------------------------------------------------------------
-// Property: interleaved append/compact/recover sequences converge
+// Property: interleaved append/rotate/checkpoint/recover sequences converge
 // ---------------------------------------------------------------------------
 
 /// Everything the journal proptest replays against, built once: the base
@@ -1276,55 +1223,6 @@ proptest! {
         prop_assert_eq!(recovered.ledger(), &fixture.prefix_ledgers[full]);
         prop_assert_eq!(&audit_summaries(&recovered), &fixture.prefix_summaries[full]);
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Whatever interleaving of appends, compactions and mid-sequence
-    /// recoveries a journal lives through, recovery always reproduces the
-    /// uninterrupted batch state for the appended prefix.
-    #[test]
-    fn journal_survives_interleaved_append_compact_recover(
-        ops in prop::collection::vec(0u8..3, 1..14),
-        fold_denominator in 1u8..4,
-    ) {
-        let fixture = journal_fixture();
-        let mut entries: Vec<JournalEntry> = Vec::new();
-        let mut appended = 0usize;
-        for op in ops {
-            match op {
-                0 => {
-                    if appended < fixture.groups.len() {
-                        entries.extend(fixture.groups[appended].iter().cloned());
-                        appended += 1;
-                    }
-                }
-                1 => {
-                    let fold = appended / fold_denominator as usize;
-                    let mut scratch = service77(2, None);
-                    entries = compact(&entries, fold, &mut scratch).unwrap();
-                }
-                _ => {
-                    let mut recovered = service77(2, None);
-                    let report = recovered.recover(&entries).unwrap();
-                    prop_assert!(report.is_consistent());
-                    prop_assert_eq!(recovered.ledger(), &fixture.prefix_ledgers[appended]);
-                }
-            }
-        }
-        // Drain the remaining groups and do the final recovery.
-        for group in &fixture.groups[appended..] {
-            entries.extend(group.iter().cloned());
-        }
-        let mut recovered = service77(2, None);
-        let report = recovered.recover(&entries).unwrap();
-        prop_assert!(report.is_consistent());
-        prop_assert_eq!(report.unconfirmed, 0);
-        let full = fixture.groups.len();
-        prop_assert_eq!(recovered.ledger(), &fixture.prefix_ledgers[full]);
-        prop_assert_eq!(&audit_summaries(&recovered), &fixture.prefix_summaries[full]);
     }
 }
 
@@ -1456,6 +1354,23 @@ fn recovery_byte_matches_metering_exposition_with_tracing_enabled() {
         assert_eq!(spans(Stage::Reassign), Some(0), "{workers} workers");
         assert_eq!(ops.get("fleet_journal_retries_total", &[]), Some(0.0));
         assert_eq!(ops.get("fleet_jobs_reassigned_total", &[]), Some(0.0));
+        // The observer families are the tracer's own counters, and reading
+        // the registry observes nothing, so it reads the same twice.
+        let observer = service.tracer().unwrap().stats();
+        let observed = [
+            "fleet_observer_spans_total",
+            "fleet_observer_spans_dropped_total",
+            "fleet_observer_overhead_seconds_total",
+        ]
+        .map(|family| ops.get(family, &[]));
+        let expected = [
+            observer.spans_recorded as f64,
+            observer.spans_dropped as f64,
+            observer.overhead_nanos as f64 / 1e9,
+        ]
+        .map(Some);
+        assert_eq!(observed, expected, "{workers} workers");
+        assert_eq!(service.metrics_text(), service.metrics_text());
 
         let (entries, tail) = journal.entries().unwrap();
         assert_eq!(tail, TailStatus::Clean);

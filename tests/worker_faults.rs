@@ -201,6 +201,26 @@ fn panicking_worker_is_reaped_respawned_and_its_batch_reassigned() {
     assert_eq!(ids, (0..12).map(JobId).collect::<Vec<_>>());
 }
 
+#[test]
+fn a_dropped_stream_keeps_its_ops_counters() {
+    quiet_injected_panics();
+    let mut service = service77(1, None);
+    let config =
+        IngestConfig::new(1).with_worker_faults(WorkerFaultSchedule::none().panic_on(JobId(0)));
+    let stream = service.stream(config);
+    stream
+        .submit(batch(1)[0].clone())
+        .expect("queue sized for batch");
+    // Never pumped and never finished: the restart is known only to the
+    // session until the drop folds it into the service.
+    while stream.stats().worker_restarts < 1 {
+        std::thread::yield_now();
+    }
+    drop(stream);
+    let restarts = service.metrics().get("fleet_worker_restarts_total", &[]);
+    assert_eq!(restarts, Some(1.0));
+}
+
 // ---------------------------------------------------------------------------
 // Hang: the virtual-tick watchdog, not wall clock
 // ---------------------------------------------------------------------------
@@ -384,21 +404,28 @@ fn poison_verdict_is_queryable_on_the_ingest_outcome() {
     let config = IngestConfig::new(1)
         .with_supervisor(SupervisorPolicy::default().with_max_job_attempts(3))
         .with_worker_faults(WorkerFaultSchedule::none().poison_on(poison));
-    let ingest = FleetIngest::new(Fleet::new(FleetConfig::new(1, 77)), config, None);
+    let mut service = service77(1, None);
+    let mut stream = service.stream(config);
     for job in batch(4) {
-        ingest.submit(job).expect("queue sized for batch");
+        stream.submit(job).expect("queue sized for batch");
     }
-    let outcome = ingest.finish();
-    assert_eq!(
-        outcome.verdict(poison),
-        Some(JobVerdict::Poisoned { attempts: 3 })
-    );
-    assert_eq!(outcome.verdict(JobId(0)), Some(JobVerdict::Completed));
-    assert_eq!(outcome.verdict(JobId(99)), None);
-    assert_eq!(outcome.poisoned.len(), 1);
-    assert_eq!(outcome.records.len(), 3);
-    assert_eq!(outcome.stats.poisoned, 1);
-    assert_eq!(outcome.stats.worker_restarts, 3);
+    // The verdict releases in submission order, right behind job 0.
+    while stream.poisoned().is_empty() {
+        stream.pump();
+        std::thread::yield_now();
+    }
+    let poisoned = stream.poisoned();
+    let report = stream.finish();
+    assert_eq!(poisoned.len(), 1);
+    assert_eq!(poisoned[0].spec.id, poison);
+    assert_eq!(poisoned[0].attempts, 3);
+    assert!(report.records.iter().any(|r| r.job.id == JobId(0)));
+    assert!(!report.records.iter().any(|r| r.job.id == JobId(99)));
+    assert!(!poisoned.iter().any(|n| n.spec.id == JobId(99)));
+    assert_eq!(report.records.len(), 3);
+    let ops = service.metrics();
+    assert_eq!(ops.get("fleet_poison_jobs_total", &[]), Some(1.0));
+    assert_eq!(ops.get("fleet_worker_restarts_total", &[]), Some(3.0));
 }
 
 // ---------------------------------------------------------------------------
@@ -411,14 +438,15 @@ fn spent_restart_budget_quarantines_the_dead_pool_and_scale_to_revives_it() {
     let config = IngestConfig::new(1)
         .with_supervisor(SupervisorPolicy::default().with_max_restarts(0))
         .with_worker_faults(WorkerFaultSchedule::none().panic_on(JobId(0)));
-    let mut ingest = FleetIngest::new(Fleet::new(FleetConfig::new(1, 77)), config.clone(), None);
+    let mut service = service77(1, None);
+    let mut stream = service.stream(config.clone());
     for job in batch(3) {
-        ingest.submit(job).expect("queue sized for batch");
+        stream.submit(job).expect("queue sized for batch");
     }
     // The only worker dies with a zero restart budget: the fleet is
     // workers-dead and quarantined, observably.
     let health = loop {
-        let health = ingest.health();
+        let health = stream.health();
         if health.workers_dead {
             break health;
         }
@@ -431,25 +459,26 @@ fn spent_restart_budget_quarantines_the_dead_pool_and_scale_to_revives_it() {
         .as_deref()
         .is_some_and(|e| e.contains("restart budget")));
     assert_eq!(
-        ingest.submit(batch(4)[3].clone()),
+        stream.submit(batch(4)[3].clone()),
         Err(SubmitError::Quarantined)
     );
 
     // A fresh pool revives the fleet; the panicked job's second attempt
     // is clean, so the full backlog drains.
-    ingest.scale_to(1);
-    let health = ingest.health();
+    stream.scale_workers(1);
+    let health = stream.health();
     assert!(!health.workers_dead);
     assert!(!health.quarantined);
-    let outcome = ingest.finish();
-    assert_eq!(outcome.records.len(), 3);
+    let report = stream.finish();
+    assert_eq!(report.records.len(), 3);
     // The dead worker's whole in-flight batch reclaims: the panicked job
     // plus any unstarted batch-mates it had popped alongside it.
-    assert!(outcome.stats.reassigned >= 1);
-    assert!(outcome.poisoned.is_empty());
+    let ops = service.metrics();
+    assert!(ops.get("fleet_jobs_reassigned_total", &[]) >= Some(1.0));
+    assert_eq!(ops.get("fleet_poison_jobs_total", &[]), Some(0.0));
 
-    // Once more through a service stream, whose pool is resized with
-    // `scale_workers`: the revived session finishes like an unfaulted run.
+    // Once more, pumping while the pool is dead: the revived session
+    // finishes like an unfaulted run.
     let baseline = service77(1, None).process(&batch(3));
     let mut service = service77(1, None);
     let mut stream = service.stream(config);
@@ -481,12 +510,9 @@ fn submit_all_journals_accepted_lines_only_for_the_admitted_prefix() {
         .with_capacity(4)
         .with_backpressure(BackpressurePolicy::Reject)
         .paused();
-    let ingest = FleetIngest::new(
-        Fleet::new(FleetConfig::new(1, 77)),
-        config,
-        Some(journal.clone()),
-    );
-    let err = ingest.submit_all(&jobs).expect_err("two jobs do not fit");
+    let mut service = service77(1, Some(journal.clone()));
+    let stream = service.stream(config);
+    let err = stream.submit_all(&jobs).expect_err("two jobs do not fit");
     assert_eq!(err.accepted, vec![0, 1, 2, 3]);
     assert_eq!(err.error, SubmitError::QueueFull);
 
@@ -499,10 +525,11 @@ fn submit_all_journals_accepted_lines_only_for_the_admitted_prefix() {
     assert_eq!(accepted_ids, (0..4).map(JobId).collect::<Vec<_>>());
 
     // The admitted prefix runs; recovery sees a fully resolved journal.
-    ingest.resume();
-    let outcome = ingest.finish();
-    assert_eq!(outcome.records.len(), 4);
-    assert_eq!(outcome.stats.rejected, 2);
+    stream.resume();
+    let report = stream.finish();
+    assert_eq!(report.records.len(), 4);
+    let rejected = service.metrics().get("fleet_submissions_rejected", &[]);
+    assert_eq!(rejected, Some(2.0));
     let (entries, _) = journal.entries().unwrap();
     assert_eq!(count_entries(&entries, "accepted"), 4);
     assert_eq!(count_entries(&entries, "run"), 4);
@@ -516,17 +543,14 @@ fn submit_all_exactly_at_capacity_is_fully_admitted() {
         .with_capacity(4)
         .with_backpressure(BackpressurePolicy::Reject)
         .paused();
-    let ingest = FleetIngest::new(
-        Fleet::new(FleetConfig::new(1, 77)),
-        config,
-        Some(journal.clone()),
-    );
-    let seqs = ingest.submit_all(&jobs).expect("batch exactly fits");
+    let mut service = service77(1, Some(journal.clone()));
+    let stream = service.stream(config);
+    let seqs = stream.submit_all(&jobs).expect("batch exactly fits");
     assert_eq!(seqs, vec![0, 1, 2, 3]);
     let (entries, _) = journal.entries().unwrap();
     assert_eq!(count_entries(&entries, "accepted"), 4);
-    ingest.resume();
-    assert_eq!(ingest.finish().records.len(), 4);
+    stream.resume();
+    assert_eq!(stream.finish().records.len(), 4);
 }
 
 // ---------------------------------------------------------------------------
