@@ -22,9 +22,10 @@
 //!    the same `prev` with no chain gap.
 //! 2. **Sealed block headers.** When a segment rotates (including the
 //!    forced rotation before a checkpoint), the sink writes a
-//!    [`BlockHeader`] beside it: a Merkle root over the segment's lines
-//!    and the chain values at the segment's boundaries, signed with an
-//!    HMAC under a [`SealKey`] derived from the fleet seed. A flipped byte, a spliced
+//!    [`BlockHeader`] beside it: a Merkle root over the segment's lines,
+//!    the range of job ids they name ([`JobRange`]) and the chain values
+//!    at the segment's boundaries, signed with an HMAC under a
+//!    [`SealKey`] derived from the fleet seed. A flipped byte, a spliced
 //!    segment from another fleet, or a rewritten history now has to forge
 //!    the seal, not just rewrite JSON.
 //! 3. **Inclusion proofs.** An [`InclusionProof`] carries one line, its
@@ -39,6 +40,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::executor::JobId;
 use crate::journal::JournalEntry;
 use trustmeter_core::Sha256;
 
@@ -230,9 +232,49 @@ impl SealKey {
     }
 }
 
+/// The inclusive range of job ids a segment's lines name: the smallest
+/// and the largest [`JournalEntry::job`] over the segment. A sealed
+/// header carries it so [`crate::Journal::prove`] can skip every
+/// segment whose range does not hold the disputed job.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct JobRange {
+    /// The smallest job id named.
+    pub min: JobId,
+    /// The largest job id named.
+    pub max: JobId,
+}
+
+impl JobRange {
+    /// `range` widened to hold `job`; a line that names no job (a
+    /// checkpoint) leaves it as it is.
+    pub fn widen(range: Option<JobRange>, job: Option<JobId>) -> Option<JobRange> {
+        let Some(job) = job else {
+            return range;
+        };
+        Some(match range {
+            Some(range) => JobRange {
+                min: range.min.min(job),
+                max: range.max.max(job),
+            },
+            None => JobRange { min: job, max: job },
+        })
+    }
+
+    /// The range of the ids `jobs` name; `None` if none names a job.
+    pub fn of(jobs: impl IntoIterator<Item = Option<JobId>>) -> Option<JobRange> {
+        jobs.into_iter().fold(None, JobRange::widen)
+    }
+
+    /// Whether `job` lies inside the range.
+    pub fn contains(&self, job: JobId) -> bool {
+        self.min <= job && job <= self.max
+    }
+}
+
 /// The sealed header of one finished journal segment: what the segment
-/// contained (Merkle root over its lines) and where it sat in the chain
-/// (boundary links), signed under the fleet's [`SealKey`].
+/// contained (Merkle root over its lines, the range of job ids they
+/// name) and where it sat in the chain (boundary links), signed under
+/// the fleet's [`SealKey`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BlockHeader {
     /// Header format version.
@@ -241,6 +283,9 @@ pub struct BlockHeader {
     pub segment: u64,
     /// Committed entry lines in the segment.
     pub entries: u64,
+    /// The range of job ids the segment's lines name; `None` for a
+    /// segment that holds only checkpoints.
+    pub jobs: Option<JobRange>,
     /// Chain value before the segment's first line (hex).
     pub chain_prev: String,
     /// Chain value after the segment's last line (hex).
@@ -254,11 +299,13 @@ pub struct BlockHeader {
 
 impl BlockHeader {
     /// The current header format version. Version 1 headers also carried
-    /// the checkpoint metric-family exclusion list; readers reject every
-    /// version but this one by name
+    /// the checkpoint metric-family exclusion list; version 2 headers
+    /// lacked the signed job-id range ([`BlockHeader::jobs`]), so a
+    /// prover had to read every segment to find one job's lines. Readers
+    /// reject every version but this one by name
     /// ([`crate::JournalError::UnsupportedHeader`],
     /// [`ProofError::UnsupportedHeader`]).
-    pub const VERSION: u32 = 2;
+    pub const VERSION: u32 = 3;
 
     /// The canonical bytes the seal signs: this header serialized with an
     /// empty `seal` field.
@@ -474,6 +521,7 @@ mod tests {
             version: BlockHeader::VERSION,
             segment: 1,
             entries: 2,
+            jobs: JobRange::of([Some(JobId(3)), None, Some(JobId(9))]),
             chain_prev: encode_hex(&genesis()),
             chain_head: encode_hex(&Sha256::digest(b"head")),
             merkle_root: encode_hex(&merkle_root(&leaves(2))),
@@ -489,6 +537,32 @@ mod tests {
         let mut downgraded = header.clone();
         downgraded.version = 1;
         assert!(!downgraded.verify_seal(&key));
+        // The job-id range is sealed too: narrowing, widening or dropping
+        // it breaks the seal.
+        for jobs in [
+            JobRange::of([Some(JobId(4)), Some(JobId(9))]),
+            JobRange::of([Some(JobId(3)), Some(JobId(10))]),
+            None,
+        ] {
+            let mut doctored = header.clone();
+            doctored.jobs = jobs;
+            assert!(!doctored.verify_seal(&key), "jobs {jobs:?}");
+        }
+    }
+
+    #[test]
+    fn job_ranges_widen_over_named_jobs_only() {
+        assert_eq!(JobRange::of([None, None]), None);
+        let range = JobRange::of([Some(JobId(7)), None, Some(JobId(3)), Some(JobId(5))]).unwrap();
+        assert_eq!(
+            range,
+            JobRange {
+                min: JobId(3),
+                max: JobId(7)
+            }
+        );
+        assert!(range.contains(JobId(3)) && range.contains(JobId(5)) && range.contains(JobId(7)));
+        assert!(!range.contains(JobId(2)) && !range.contains(JobId(8)));
     }
 
     #[test]

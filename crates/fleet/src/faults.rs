@@ -359,7 +359,7 @@ impl FaultInjectingSink {
     /// The write interception core: either the whole batch passes, or a
     /// planned fault inside it fires and the batch fails (committing a
     /// prefix only for [`FaultKind::Torn`]).
-    fn commit(&mut self, lines: &[&str]) -> Result<(), JournalError> {
+    fn commit(&mut self, lines: &[&str], jobs: &[Option<JobId>]) -> Result<(), JournalError> {
         let mut state = lock_state(&self.state);
         if let Some(reason) = &state.dead {
             let reason = reason.clone();
@@ -372,7 +372,7 @@ impl FaultInjectingSink {
             .front()
             .is_some_and(|fault| fault.at_line < state.committed + batch);
         if !hit {
-            self.inner.append_lines(lines)?;
+            self.inner.append_lines(lines, jobs)?;
             state.committed += batch;
             state.stats.commits_passed += 1;
             state.stats.lines_committed += batch;
@@ -411,7 +411,7 @@ impl FaultInjectingSink {
                 // The complete lines before the fault line land normally…
                 let lead = (fault.at_line - state.committed) as usize;
                 if lead > 0 {
-                    self.inner.append_lines(&lines[..lead])?;
+                    self.inner.append_lines(&lines[..lead], &jobs[..lead])?;
                     state.committed += lead as u64;
                     state.stats.lines_committed += lead as u64;
                 }
@@ -452,11 +452,12 @@ impl FaultInjectingSink {
 }
 
 impl JournalSink for FaultInjectingSink {
-    fn append_lines(&mut self, lines: &[&str]) -> Result<(), JournalError> {
+    fn append_lines(&mut self, lines: &[&str], jobs: &[Option<JobId>]) -> Result<(), JournalError> {
+        assert_eq!(lines.len(), jobs.len(), "one job slot per line");
         if lines.is_empty() {
             return Ok(());
         }
-        self.commit(lines)
+        self.commit(lines, jobs)
     }
 
     fn append_torn(&mut self, fragment: &str) -> Result<(), JournalError> {
@@ -503,8 +504,8 @@ impl JournalSink for FaultInjectingSink {
         self.inner.prove(job)
     }
 
-    fn verify_seals(&self, key: &SealKey) -> Result<u64, JournalError> {
-        self.inner.verify_seals(key)
+    fn verify_seals(&self, key: &SealKey, jobs: &[Option<JobId>]) -> Result<u64, JournalError> {
+        self.inner.verify_seals(key, jobs)
     }
 
     fn contents(&self) -> Result<String, JournalError> {

@@ -58,11 +58,12 @@
 //! as [`JournalError::ChainViolation`] naming the first bad entry. A
 //! sealing [`SegmentedFileSink`] ([`SegmentConfig::with_seal`])
 //! additionally signs every rotated-away segment into a
-//! [`BlockHeader`] sidecar — Merkle root over the segment's lines, chain
-//! bounds, HMAC under the fleet seed's [`SealKey`] — and can hand out
-//! per-entry [`InclusionProof`]s ([`Journal::prove`]) that verify against
-//! the seal key alone, no replay required (the substrate of
-//! [`crate::FleetService::dispute`]).
+//! [`BlockHeader`] sidecar — Merkle root over the segment's lines, the
+//! range of job ids they name, chain bounds, HMAC under the fleet seed's
+//! [`SealKey`] — and can hand out per-entry [`InclusionProof`]s
+//! ([`Journal::prove`]) that verify against the seal key alone, no replay
+//! required (the substrate of [`crate::FleetService::dispute`]), reading
+//! only the segments whose range holds the job.
 //!
 //! ## The group-commit write path
 //!
@@ -109,7 +110,9 @@ use std::sync::{Arc, Mutex, PoisonError};
 use serde::{Deserialize, Serialize};
 
 use crate::auditor::{AuditVerdict, AuditorState};
-use crate::evidence::{self, BlockHeader, ChainDigest, ChainedLine, InclusionProof, SealKey};
+use crate::evidence::{
+    self, BlockHeader, ChainDigest, ChainedLine, InclusionProof, JobRange, SealKey,
+};
 use crate::executor::{JobId, JobSpec, RunRecord};
 use crate::metrics::MetricsRegistry;
 use crate::tenant::{Ledger, TenantId};
@@ -406,8 +409,9 @@ pub struct SegmentConfig {
     pub fsync: FsyncPolicy,
     /// When `Some(seed)`, the sink seals every rotated-away segment into
     /// a signed [`BlockHeader`] (a `segment-NNNNNNNN.seal` sidecar): a
-    /// Merkle root over the segment's lines and the hash-chain bounds,
-    /// HMAC-signed under [`SealKey::from_seed`]. `None` keeps PR-5
+    /// Merkle root over the segment's lines, the range of job ids they
+    /// name and the hash-chain bounds, HMAC-signed under
+    /// [`SealKey::from_seed`]. `None` keeps PR-5
     /// behaviour (no sidecars).
     pub seal: Option<u64>,
 }
@@ -496,8 +500,12 @@ pub trait JournalSink: Send {
     /// Group commit: appends every serialized entry (no line carries a
     /// newline; the sink writes each as its own newline-terminated line)
     /// and makes the whole batch durable together — ideally one buffered
-    /// write and one flush/fsync decision.
-    fn append_lines(&mut self, lines: &[&str]) -> Result<(), JournalError>;
+    /// write and one flush/fsync decision. `jobs[i]` is the job
+    /// `lines[i]` names ([`JournalEntry::job`]); the slices have equal
+    /// lengths. A sealing sink widens the current segment's signed
+    /// [`BlockHeader::jobs`] range over them, so a sink that commits only
+    /// a prefix of a batch passes the matching prefix of `jobs`.
+    fn append_lines(&mut self, lines: &[&str], jobs: &[Option<JobId>]) -> Result<(), JournalError>;
 
     /// Writes `fragment` **without a terminating newline** — the exact
     /// artifact a crash mid-write leaves behind. This exists for the
@@ -565,18 +573,25 @@ pub trait JournalSink: Send {
 
     /// Builds [`InclusionProof`]s — Merkle path plus signed block header
     /// — for every sealed entry belonging to `job`, without replaying the
-    /// journal into service state. Default: none (unsealed sinks cannot
-    /// prove inclusion).
+    /// journal into service state. A segmented sink reads every live
+    /// header, then reads and hashes only the segments whose signed
+    /// [`BlockHeader::jobs`] range holds `job`, and parses only their
+    /// lines that contain the id as a whole decimal token. Default: none
+    /// (unsealed sinks cannot prove inclusion).
     fn prove(&self, job: JobId) -> Result<Vec<InclusionProof>, JournalError> {
         let _ = job;
         Ok(Vec::new())
     }
 
     /// Re-verifies every sealed live segment against its block header
-    /// (Merkle root, chain bounds, entry count, HMAC seal under `key`)
-    /// and returns how many seals were checked. Default: zero.
-    fn verify_seals(&self, key: &SealKey) -> Result<u64, JournalError> {
-        let _ = key;
+    /// (Merkle root, chain bounds, entry count, HMAC seal under `key`,
+    /// job-id range) and returns how many seals were checked. `jobs`
+    /// holds the job each non-blank line of [`JournalSink::contents`]
+    /// names, in order — the ids [`Journal::verify`]'s chain walk already
+    /// parsed — so checking the sealed ranges parses nothing again.
+    /// Default: zero.
+    fn verify_seals(&self, key: &SealKey, jobs: &[Option<JobId>]) -> Result<u64, JournalError> {
+        let _ = (key, jobs);
         Ok(0)
     }
 
@@ -601,7 +616,8 @@ impl MemorySink {
 }
 
 impl JournalSink for MemorySink {
-    fn append_lines(&mut self, lines: &[&str]) -> Result<(), JournalError> {
+    fn append_lines(&mut self, lines: &[&str], jobs: &[Option<JobId>]) -> Result<(), JournalError> {
+        assert_eq!(lines.len(), jobs.len(), "one job slot per line");
         for line in lines {
             self.buffer.push_str(line);
             self.buffer.push('\n');
@@ -712,6 +728,9 @@ pub struct SegmentedFileSink {
     segment_chain_prev: ChainDigest,
     /// Merkle leaf digests of the current segment's lines.
     leaves: Vec<ChainDigest>,
+    /// The range of job ids the current segment's lines name — the
+    /// sealed header's `jobs`.
+    jobs: Option<JobRange>,
 }
 
 impl SegmentedFileSink {
@@ -779,6 +798,7 @@ impl SegmentedFileSink {
             chain: evidence::genesis(),
             segment_chain_prev: evidence::genesis(),
             leaves: Vec::new(),
+            jobs: None,
         };
         if sink.seal_key.is_some() {
             sink.rescan_chain()?;
@@ -786,11 +806,14 @@ impl SegmentedFileSink {
         Ok(sink)
     }
 
-    /// Rebuilds the chain head, the current segment's leaf set and its
-    /// leading chain bound from the live segments — reopening a sealed
-    /// journal continues its chain, it never restarts one. The scan is
-    /// *tolerant* (the first line's claimed `prev` is adopted as the
-    /// anchor, later claims are not checked): detection belongs to
+    /// Rebuilds the chain head, the current segment's leaf set, its
+    /// leading chain bound and its job-id range from the live segments —
+    /// reopening a sealed journal continues its chain, it never restarts
+    /// one. Besides the anchor, only the head's own lines are parsed (for
+    /// the range), so reopening with an empty head parses one line at
+    /// most. The scan is *tolerant* (the first line's claimed `prev` is
+    /// adopted as the anchor, later claims are not checked, a head line
+    /// that does not parse names no job): detection belongs to
     /// [`parse_journal`] and [`JournalSink::verify_seals`], not to open,
     /// so a tampered journal can still be opened and inspected.
     fn rescan_chain(&mut self) -> Result<(), JournalError> {
@@ -798,6 +821,8 @@ impl SegmentedFileSink {
         let mut anchored = false;
         let mut segment_chain_prev = chain;
         let mut leaves = Vec::new();
+        let head = self.current_index;
+        let mut jobs = None;
         let live = self.live.clone();
         for index in live {
             segment_chain_prev = chain;
@@ -807,14 +832,20 @@ impl SegmentedFileSink {
                 if line.trim().is_empty() {
                     continue;
                 }
+                let chained = (!anchored || index == head)
+                    .then(|| serde_json::from_str::<ChainedLine>(line).ok())
+                    .flatten();
                 if !anchored {
                     anchored = true;
-                    if let Ok(chained) = serde_json::from_str::<ChainedLine>(line) {
-                        if let Some(claimed) = evidence::decode_hex(&chained.prev) {
-                            chain = claimed;
-                            segment_chain_prev = chain;
-                        }
+                    if let Some(claimed) =
+                        chained.as_ref().and_then(|c| evidence::decode_hex(&c.prev))
+                    {
+                        chain = claimed;
+                        segment_chain_prev = chain;
                     }
+                }
+                if index == head {
+                    jobs = JobRange::widen(jobs, chained.and_then(|c| c.entry.job()));
                 }
                 let leaf = evidence::leaf_digest(line.as_bytes());
                 chain = evidence::link_leaf(&chain, &leaf);
@@ -824,6 +855,7 @@ impl SegmentedFileSink {
         self.chain = chain;
         self.segment_chain_prev = segment_chain_prev;
         self.leaves = leaves;
+        self.jobs = jobs;
         Ok(())
     }
 
@@ -852,6 +884,19 @@ impl SegmentedFileSink {
         Ok(Some(header))
     }
 
+    /// Accepts a segment without a sealed header only if it is the
+    /// in-progress head: any earlier segment must have been sealed when
+    /// it rotated away, so a missing sidecar is a [`JournalError::SealViolation`].
+    fn unsealed(&self, index: u64) -> Result<(), JournalError> {
+        if Some(&index) == self.live.last() {
+            return Ok(());
+        }
+        Err(JournalError::SealViolation {
+            segment: index,
+            message: "non-head segment has no sealed block header".to_string(),
+        })
+    }
+
     /// Writes the signed block header for the (just-flushed) current
     /// segment when sealing is enabled, and re-bases the per-segment
     /// chain state for the successor segment.
@@ -863,6 +908,7 @@ impl SegmentedFileSink {
             version: BlockHeader::VERSION,
             segment: self.current_index,
             entries: self.leaves.len() as u64,
+            jobs: self.jobs,
             chain_prev: evidence::encode_hex(&self.segment_chain_prev),
             chain_head: evidence::encode_hex(&self.chain),
             merkle_root: evidence::encode_hex(&evidence::merkle_root(&self.leaves)),
@@ -879,6 +925,7 @@ impl SegmentedFileSink {
         self.stats.seals += 1;
         self.segment_chain_prev = self.chain;
         self.leaves.clear();
+        self.jobs = None;
         Ok(())
     }
 
@@ -922,9 +969,9 @@ impl SegmentedFileSink {
     /// Writes `lines` into the current segment, flushes to the OS (the
     /// commit point), then applies the fsync policy and rotates if the
     /// segment is over budget.
-    fn commit(&mut self, lines: &[&str]) -> Result<(), JournalError> {
+    fn commit(&mut self, lines: &[&str], jobs: &[Option<JobId>]) -> Result<(), JournalError> {
         let mut bytes = 0u64;
-        for line in lines {
+        for (line, job) in lines.iter().zip(jobs) {
             self.writer.write_all(line.as_bytes())?;
             self.writer.write_all(b"\n")?;
             bytes += line.len() as u64 + 1;
@@ -934,6 +981,7 @@ impl SegmentedFileSink {
                 let leaf = evidence::leaf_digest(line.as_bytes());
                 self.chain = evidence::link_leaf(&self.chain, &leaf);
                 self.leaves.push(leaf);
+                self.jobs = JobRange::widen(self.jobs, *job);
             }
         }
         // Flushed before the caller releases anything: a process crash
@@ -993,11 +1041,12 @@ impl SegmentedFileSink {
 }
 
 impl JournalSink for SegmentedFileSink {
-    fn append_lines(&mut self, lines: &[&str]) -> Result<(), JournalError> {
+    fn append_lines(&mut self, lines: &[&str], jobs: &[Option<JobId>]) -> Result<(), JournalError> {
+        assert_eq!(lines.len(), jobs.len(), "one job slot per line");
         if lines.is_empty() {
             return Ok(());
         }
-        self.commit(lines)
+        self.commit(lines, jobs)
     }
 
     fn append_torn(&mut self, fragment: &str) -> Result<(), JournalError> {
@@ -1090,11 +1139,22 @@ impl JournalSink for SegmentedFileSink {
     }
 
     fn prove(&self, job: JobId) -> Result<Vec<InclusionProof>, JournalError> {
-        let mut proofs = Vec::new();
+        // Every live header is read, so a foreign version or a missing
+        // sidecar surfaces wherever it sits; only the segments whose
+        // signed range holds the job are read further.
+        let mut holding = Vec::new();
         for &index in &self.live {
-            let Some(header) = self.read_header(index)? else {
-                continue; // the in-progress head is not sealed yet
-            };
+            match self.read_header(index)? {
+                Some(header) if header.jobs.is_some_and(|jobs| jobs.contains(job)) => {
+                    holding.push((index, header));
+                }
+                Some(_) => {}
+                None => self.unsealed(index)?,
+            }
+        }
+        let token = job.0.to_string();
+        let mut proofs = Vec::new();
+        for (index, header) in holding {
             let text = std::fs::read_to_string(self.dir.join(Self::segment_name(index)))?;
             let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
             let leaves: Vec<ChainDigest> = lines
@@ -1102,6 +1162,12 @@ impl JournalSink for SegmentedFileSink {
                 .map(|l| evidence::leaf_digest(l.as_bytes()))
                 .collect();
             for (at, line) in lines.iter().enumerate() {
+                // Every entry that names a job writes its id as a JSON
+                // integer, so a line without the id as a whole decimal
+                // token cannot belong to the job: skip its parse.
+                if !names_token(line, &token) {
+                    continue;
+                }
                 let chained: ChainedLine =
                     serde_json::from_str(line).map_err(|e| JournalError::SealViolation {
                         segment: index,
@@ -1120,23 +1186,21 @@ impl JournalSink for SegmentedFileSink {
         Ok(proofs)
     }
 
-    fn verify_seals(&self, key: &SealKey) -> Result<u64, JournalError> {
+    fn verify_seals(&self, key: &SealKey, jobs: &[Option<JobId>]) -> Result<u64, JournalError> {
         let mut verified = 0u64;
         let mut chain = evidence::genesis();
         let mut anchored = false;
-        let last = *self.live.last().expect("at least one segment");
+        // Where this segment's lines start in `jobs`.
+        let mut first_line = 0usize;
         for &index in &self.live {
             let header = self.read_header(index)?;
             let text = std::fs::read_to_string(self.dir.join(Self::segment_name(index)))?;
             let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
+            let segment_jobs = jobs.get(first_line..first_line + lines.len());
+            first_line += lines.len();
             let Some(header) = header else {
-                if index != last {
-                    return Err(JournalError::SealViolation {
-                        segment: index,
-                        message: "non-head segment has no sealed block header".to_string(),
-                    });
-                }
                 // The unsealed head is vouched for by the chain walk only.
+                self.unsealed(index)?;
                 continue;
             };
             if !anchored {
@@ -1194,6 +1258,22 @@ impl JournalSink for SegmentedFileSink {
                     "block header seal does not verify under this fleet's key".to_string(),
                 ));
             }
+            // The chain walk parsed one id per line, short only by a torn
+            // tail it dropped, and a sealed segment is never torn.
+            let Some(ids) = segment_jobs else {
+                return Err(violation(
+                    "sealed segment ends in an unterminated line".to_string(),
+                ));
+            };
+            // A validly signed but wrong range would hide the segment's
+            // lines from `prove`.
+            let named = JobRange::of(ids.iter().copied());
+            if named != header.jobs {
+                return Err(violation(format!(
+                    "header seals job range {:?}, segment's lines name {named:?}",
+                    header.jobs
+                )));
+            }
             verified += 1;
         }
         Ok(verified)
@@ -1212,6 +1292,14 @@ impl JournalSink for SegmentedFileSink {
     }
 }
 
+/// Whether `line` holds `token` (a job id in decimal) as a whole decimal
+/// token: an occurrence with no ASCII digit on either side.
+fn names_token(line: &str, token: &str) -> bool {
+    let digit_at = |at: usize| line.as_bytes().get(at).is_some_and(u8::is_ascii_digit);
+    line.match_indices(token)
+        .any(|(at, _)| (at == 0 || !digit_at(at - 1)) && !digit_at(at + token.len()))
+}
+
 struct JournalInner {
     sink: Box<dyn JournalSink>,
     stats: JournalStats,
@@ -1225,6 +1313,8 @@ struct JournalInner {
     scratch: String,
     /// End offset of each serialized line in `scratch` (reused).
     line_ends: Vec<usize>,
+    /// The job each serialized line names (reused).
+    line_jobs: Vec<Option<JobId>>,
 }
 
 /// Serializes a [`JournalEntry`] inside the chained envelope,
@@ -1285,12 +1375,14 @@ fn chain_head_of(text: &str) -> ChainDigest {
 fn commit(inner: &mut JournalInner, entries: &[JournalEntry]) -> Result<(), JournalError> {
     inner.scratch.clear();
     inner.line_ends.clear();
+    inner.line_jobs.clear();
     let mut link = inner.link;
     for entry in entries {
         let start = inner.scratch.len();
         frame_entry(&mut inner.scratch, &link, entry)?;
         link = evidence::chain_link(&link, &inner.scratch.as_bytes()[start..]);
         inner.line_ends.push(inner.scratch.len());
+        inner.line_jobs.push(entry.job());
     }
     let mut lines = Vec::with_capacity(inner.line_ends.len());
     let mut start = 0usize;
@@ -1298,7 +1390,7 @@ fn commit(inner: &mut JournalInner, entries: &[JournalEntry]) -> Result<(), Jour
         lines.push(&inner.scratch[start..end]);
         start = end;
     }
-    inner.sink.append_lines(&lines)?;
+    inner.sink.append_lines(&lines, &inner.line_jobs)?;
     inner.link = link;
     inner.stats.appends += lines.len() as u64;
     inner.stats.bytes += inner.scratch.len() as u64 + lines.len() as u64;
@@ -1354,6 +1446,7 @@ impl Journal {
                 link,
                 scratch: String::new(),
                 line_ends: Vec::new(),
+                line_jobs: Vec::new(),
             })),
         })
     }
@@ -1500,12 +1593,17 @@ impl Journal {
     /// Merkle path plus signed block header, checkable with
     /// [`InclusionProof::verify`] and nothing else. Entries in the
     /// unsealed head segment are not covered; call [`Journal::seal`]
-    /// first to include them.
+    /// first to include them. Only the segments whose signed job-id
+    /// range holds `job` are read past their header (see
+    /// [`JournalSink::prove`]), so a dispute costs the segments that hold
+    /// the job, not the journal.
     ///
     /// # Errors
     /// [`JournalError::Io`] if a segment cannot be read;
-    /// [`JournalError::SealViolation`] if a sealed segment holds an
-    /// unparseable line; [`JournalError::UnsupportedHeader`] as for
+    /// [`JournalError::SealViolation`] if a non-head segment has no
+    /// sealed header (exactly as [`Journal::verify`] reports it) or a
+    /// line naming the id does not parse;
+    /// [`JournalError::UnsupportedHeader`] as for
     /// [`Journal::sealed_headers`].
     pub fn prove(&self, job: JobId) -> Result<Vec<InclusionProof>, JournalError> {
         self.lock().sink.prove(job)
@@ -1517,7 +1615,10 @@ impl Journal {
     /// bad entry — then re-verifies every sealed block header under the
     /// fleet `seed`'s [`SealKey`] (forged, altered or foreign-fleet seals
     /// surface as [`JournalError::SealViolation`], headers of another
-    /// format version as [`JournalError::UnsupportedHeader`]).
+    /// format version as [`JournalError::UnsupportedHeader`]). The job
+    /// ids the chain walk parsed are handed to the seal check, so a
+    /// validly signed header whose job-id range is not its segment's is a
+    /// [`JournalError::SealViolation`] too, at no second parse.
     ///
     /// # Errors
     /// [`JournalError::Io`], [`JournalError::Corrupt`],
@@ -1527,7 +1628,8 @@ impl Journal {
         let guard = self.lock();
         let text = guard.sink.contents()?;
         let (entries, tail) = parse_journal(&text)?;
-        let seals_verified = guard.sink.verify_seals(&SealKey::from_seed(seed))?;
+        let jobs: Vec<Option<JobId>> = entries.iter().map(JournalEntry::job).collect();
+        let seals_verified = guard.sink.verify_seals(&SealKey::from_seed(seed), &jobs)?;
         Ok(LedgerVerification {
             entries: entries.len() as u64,
             tail,
@@ -2165,6 +2267,173 @@ mod tests {
         let verification = journal.verify(42).unwrap();
         assert_eq!(verification.entries, 2);
         assert_eq!(verification.seals_verified, 2);
+        drop(journal);
+
+        // Reopening over a non-empty head takes the head's range from its
+        // own lines, so the sealed range covers both sessions' jobs.
+        let journal = Journal::segmented(&dir, config).unwrap();
+        journal.append_batch(&[accepted(3)]).unwrap();
+        drop(journal);
+        let journal = Journal::segmented(&dir, config).unwrap();
+        journal.append_batch(&[accepted(9)]).unwrap();
+        journal.seal().unwrap();
+        let headers = journal.sealed_headers().unwrap();
+        assert_eq!(
+            headers.last().unwrap().jobs,
+            Some(JobRange {
+                min: JobId(3),
+                max: JobId(9)
+            })
+        );
+        let verification = journal.verify(42).unwrap();
+        assert_eq!(verification.entries, 4);
+        assert_eq!(verification.seals_verified, 3);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    fn accepted(id: u64) -> JournalEntry {
+        JournalEntry::accepted(JobSpec::clean(id, TenantId(1), Workload::LoopO, 0.001))
+    }
+
+    /// A sealed journal of `jobs` Accepted lines, a few per segment, with
+    /// every segment sealed.
+    fn sealed_accepted(dir: &Path, jobs: u64) -> Journal {
+        let config = SegmentConfig::default()
+            .with_segment_bytes(512)
+            .with_seal(42);
+        let journal = Journal::segmented(dir, config).unwrap();
+        for id in 0..jobs {
+            journal.append_batch(&[accepted(id)]).unwrap();
+        }
+        journal.seal().unwrap();
+        journal
+    }
+
+    #[test]
+    fn prove_refuses_a_non_head_segment_without_its_seal() {
+        let dir = scratch_dir("seal-missing");
+        let journal = sealed_accepted(&dir, 12);
+        let last = JobId(11);
+        assert!(journal.sealed_headers().unwrap().len() > 2);
+        assert!(!journal.prove(last).unwrap().is_empty());
+        // Without segment 1's sidecar, nothing vouches for its lines: a
+        // proof must not settle from the segments that are left.
+        std::fs::remove_file(dir.join(SegmentedFileSink::seal_name(1))).unwrap();
+        let verify = journal.verify(42).unwrap_err();
+        assert!(
+            matches!(verify, JournalError::SealViolation { segment: 1, .. }),
+            "{verify:?}"
+        );
+        assert_eq!(journal.prove(last).unwrap_err(), verify);
+        assert_eq!(journal.prove(JobId(0)).unwrap_err(), verify);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn prove_reads_only_the_segments_whose_sealed_range_holds_the_job() {
+        let dir = scratch_dir("seal-ranges");
+        let journal = sealed_accepted(&dir, 12);
+        let headers = journal.sealed_headers().unwrap();
+        for id in 0..12 {
+            let proofs = journal.prove(JobId(id)).unwrap();
+            assert_eq!(proofs.len(), 1, "job {id}: one Accepted line");
+            let holding: Vec<u64> = headers
+                .iter()
+                .filter(|h| h.jobs.unwrap().contains(JobId(id)))
+                .map(|h| h.segment)
+                .collect();
+            assert_eq!(holding, vec![proofs[0].header.segment], "job {id}");
+        }
+        // An id outside every range reads no segment.
+        assert!(journal.prove(JobId(111)).unwrap().is_empty());
+        // A decimal token must be whole: 1 occurs inside 11 and 10 but
+        // names neither.
+        assert!(names_token(r#"{"id":1,"x":0.5}"#, "1"));
+        assert!(!names_token(r#"{"id":11,"x":10}"#, "1"));
+        assert!(names_token(r#"{"id":11}"#, "11"));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_resigned_narrowed_range_is_a_seal_violation() {
+        let dir = scratch_dir("seal-narrowed");
+        let journal = sealed_accepted(&dir, 12);
+        let sidecar = dir.join(SegmentedFileSink::seal_name(2));
+        let mut header: BlockHeader =
+            serde_json::from_str(&std::fs::read_to_string(&sidecar).unwrap()).unwrap();
+        let range = header.jobs.unwrap();
+        assert!(range.min < range.max, "segment 2 holds several jobs");
+        // The signer narrows the range to hide the segment's first job from
+        // `prove`: the seal is valid, the range is not.
+        header.jobs = Some(JobRange {
+            min: JobId(range.min.0 + 1),
+            ..range
+        });
+        header.sign(&SealKey::from_seed(42));
+        std::fs::write(&sidecar, serde_json::to_string(&header).unwrap()).unwrap();
+        assert!(journal.prove(range.min).unwrap().is_empty(), "hidden");
+        match journal.verify(42) {
+            Err(JournalError::SealViolation {
+                segment: 2,
+                message,
+            }) => {
+                assert!(message.contains("job range"), "{message}");
+            }
+            other => panic!("expected a seal violation at segment 2, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_sealed_segment_cannot_end_in_a_torn_line() {
+        let dir = scratch_dir("seal-torn-end");
+        let journal = sealed_accepted(&dir, 12);
+        let last = journal.sealed_headers().unwrap().last().unwrap().segment;
+        let path = dir.join(SegmentedFileSink::segment_name(last));
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, text.trim_end_matches('\n')).unwrap();
+        // The chain walk takes the unterminated line for a crash artifact,
+        // but the sealed segment it sits in cannot be torn.
+        assert!(journal.entries().unwrap().1.is_truncated());
+        match journal.verify(42) {
+            Err(JournalError::SealViolation { segment, message }) => {
+                assert_eq!(segment, last);
+                assert!(message.contains("unterminated"), "{message}");
+            }
+            other => panic!("expected a seal violation at segment {last}, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn an_unsigned_range_edit_fails_the_seal() {
+        let dir = scratch_dir("seal-range-forged");
+        let journal = sealed_accepted(&dir, 12);
+        let sidecar = dir.join(SegmentedFileSink::seal_name(2));
+        let mut header: BlockHeader =
+            serde_json::from_str(&std::fs::read_to_string(&sidecar).unwrap()).unwrap();
+        let range = header.jobs.unwrap();
+        let mut proof = journal.prove(range.max).unwrap().remove(0);
+        assert_eq!(proof.header, header);
+        header.jobs = Some(JobRange {
+            max: JobId(range.max.0 + 100),
+            ..range
+        });
+        std::fs::write(&sidecar, serde_json::to_string(&header).unwrap()).unwrap();
+        match journal.verify(42) {
+            Err(JournalError::SealViolation {
+                segment: 2,
+                message,
+            }) => {
+                assert!(message.contains("seal does not verify"), "{message}");
+            }
+            other => panic!("expected a seal violation at segment 2, got {other:?}"),
+        }
+        proof.header = header;
+        assert_eq!(
+            proof.verify(&SealKey::from_seed(42)).unwrap_err(),
+            evidence::ProofError::SealForged { segment: 2 }
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

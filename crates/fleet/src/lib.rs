@@ -61,7 +61,9 @@ pub mod trace;
 pub use auditor::{
     Anomaly, AuditVerdict, Auditor, AuditorState, SamplingPolicy, TenantAuditSummary,
 };
-pub use evidence::{BlockHeader, ChainDigest, InclusionProof, ProofError, ProofStep, SealKey};
+pub use evidence::{
+    BlockHeader, ChainDigest, InclusionProof, JobRange, ProofError, ProofStep, SealKey,
+};
 pub use executor::{
     quote_nonce, AttackSpec, Fleet, FleetConfig, JobId, JobSpec, ReferenceOutcome, RunRecord,
 };

@@ -80,14 +80,14 @@ pub mod prelude {
         BlockHeader, Checkpoint, CheckpointCadence, CounterCell, DisputeError, DisputeResolution,
         FairQueue, FaultInjectingSink, FaultKind, FaultProbe, FaultSchedule, FaultStats, Fleet,
         FleetConfig, FleetHealth, FleetReport, FleetService, FleetStream, FsyncPolicy,
-        InclusionProof, IngestConfig, IngestHandle, IngestStats, InvoicePosting, JobId, JobSpec,
-        Journal, JournalEntry, JournalError, JournalSink, JournalStats, Ledger, LedgerVerification,
-        MemorySink, MetricsRegistry, PipelineTracer, PlannedFault, PlannedWorkerFault,
-        PoisonNotice, PoolStats, ProofError, ProofStep, RecoveryError, RecoveryReport,
-        ReferenceOutcome, RetryPolicy, RunRecord, SamplingPolicy, SealKey, SegmentConfig,
-        SegmentedFileSink, SinkStats, Span, SpanWall, Stage, StageObservation, SubmitError,
-        SupervisorPolicy, TailStatus, Tenant, TenantAuditSummary, TenantDirectory, TenantId,
-        TenantLedger, TracerStats, WorkerFaultKind, WorkerFaultSchedule,
+        InclusionProof, IngestConfig, IngestHandle, IngestStats, InvoicePosting, JobId, JobRange,
+        JobSpec, Journal, JournalEntry, JournalError, JournalSink, JournalStats, Ledger,
+        LedgerVerification, MemorySink, MetricsRegistry, PipelineTracer, PlannedFault,
+        PlannedWorkerFault, PoisonNotice, PoolStats, ProofError, ProofStep, RecoveryError,
+        RecoveryReport, ReferenceOutcome, RetryPolicy, RunRecord, SamplingPolicy, SealKey,
+        SegmentConfig, SegmentedFileSink, SinkStats, Span, SpanWall, Stage, StageObservation,
+        SubmitError, SupervisorPolicy, TailStatus, Tenant, TenantAuditSummary, TenantDirectory,
+        TenantId, TenantLedger, TracerStats, WorkerFaultKind, WorkerFaultSchedule,
     };
     pub use trustmeter_kernel::{
         Kernel, KernelConfig, NicFlood, Op, OpOutcome, OpsProgram, Program, RunResult,

@@ -3,6 +3,7 @@
 //! billing arithmetic.
 
 use proptest::prelude::*;
+use trustmeter::fleet::evidence;
 use trustmeter::prelude::*;
 
 // ---------------------------------------------------------------------------
@@ -279,8 +280,10 @@ proptest! {
 enum LedgerOp {
     /// Process a few more jobs through the service (appends chained
     /// Run/Invoice/Verdict triples, rotating — and sealing — segments as
-    /// the byte threshold passes).
-    Run(u8),
+    /// the byte threshold passes). When the second field is set, the batch
+    /// also resubmits an id already used (legal job-id reuse), so sealed
+    /// job-id ranges overlap across distant segments.
+    Run(u8, Option<u8>),
     /// Fold everything so far into a checkpoint (retires sealed history).
     Checkpoint,
     /// Seal the in-progress head segment.
@@ -292,11 +295,11 @@ enum LedgerOp {
 fn ledger_ops() -> impl Strategy<Value = Vec<LedgerOp>> {
     // Weighted pick: half the steps append runs, the rest split across
     // checkpoint, seal and reopen.
-    prop::collection::vec((0u8..6, 1u8..4), 1..10).prop_map(|picks| {
+    prop::collection::vec((0u8..6, 1u8..4, 0u8..255), 1..10).prop_map(|picks| {
         picks
             .into_iter()
-            .map(|(pick, n)| match pick {
-                0..=2 => LedgerOp::Run(n),
+            .map(|(pick, n, reuse)| match pick {
+                0..=2 => LedgerOp::Run(n, (reuse % 3 == 0).then_some(reuse / 3)),
                 3 => LedgerOp::Checkpoint,
                 4 => LedgerOp::Seal,
                 _ => LedgerOp::Reopen,
@@ -352,12 +355,16 @@ proptest! {
         let mut live_jobs: Vec<JobId> = Vec::new();
         for op in &ops {
             match op {
-                LedgerOp::Run(n) => {
-                    let jobs: Vec<JobSpec> = (0..u64::from(*n))
-                        .map(|_| {
-                            let id = next_id;
-                            next_id += 1;
-                            live_jobs.push(JobId(id));
+                LedgerOp::Run(n, reuse) => {
+                    let fresh = next_id..next_id + u64::from(*n);
+                    let reused = reuse.filter(|_| next_id > 0).map(|k| u64::from(k) % next_id);
+                    next_id = fresh.end;
+                    let jobs: Vec<JobSpec> = fresh
+                        .chain(reused)
+                        .map(|id| {
+                            if !live_jobs.contains(&JobId(id)) {
+                                live_jobs.push(JobId(id));
+                            }
                             JobSpec::clean(
                                 id,
                                 TenantId((id % 2) as u32 + 1),
@@ -379,9 +386,10 @@ proptest! {
                     journal = Journal::segmented(&dir, config).unwrap();
                     // The chain must pick up exactly where the old handle
                     // left it: recover the service and keep appending.
+                    // Reused ids are legal, so recovery is lenient.
                     let (entries, _) = journal.entries().unwrap();
                     service = prop_service(journal.clone());
-                    service.recover_latest(&entries).unwrap();
+                    service.recover_lenient(recovery_window(&entries)).unwrap();
                 }
             }
             // The chain walk accepts the journal after every step.
@@ -396,13 +404,42 @@ proptest! {
         let (entries, _) = journal.entries().unwrap();
         prop_assert_eq!(verification.entries, entries.len() as u64);
 
-        // Every live job's proofs verify against their own headers and
-        // fail against every other sealed header.
-        let key = SealKey::from_seed(SEED);
+        // The reference: every line of every sealed segment, parsed, as
+        // (segment, index, line) triples per job.
         let headers = journal.sealed_headers().unwrap();
-        for job in live_jobs.iter().take(4) {
+        let mut named: std::collections::HashMap<JobId, Vec<(u64, u64, String)>> =
+            std::collections::HashMap::new();
+        for header in &headers {
+            let path = dir.join(format!("segment-{:08}.jsonl", header.segment));
+            let text = std::fs::read_to_string(path).unwrap();
+            let lines = text.lines().filter(|l| !l.trim().is_empty());
+            for (at, line) in lines.enumerate() {
+                let chained: evidence::ChainedLine = serde_json::from_str(line).unwrap();
+                if let Some(job) = chained.entry.job() {
+                    named
+                        .entry(job)
+                        .or_default()
+                        .push((header.segment, at as u64, line.to_string()));
+                }
+            }
+        }
+
+        // Every live job's proofs are exactly the full scan's lines, verify
+        // against their own headers and fail against every other sealed
+        // header.
+        let key = SealKey::from_seed(SEED);
+        for job in &live_jobs {
             let proofs = journal.prove(*job).unwrap();
             prop_assert!(!proofs.is_empty(), "sealed evidence names job {job}");
+            let proved: Vec<(u64, u64, String)> = proofs
+                .iter()
+                .map(|p| (p.header.segment, p.index, p.line.clone()))
+                .collect();
+            prop_assert!(
+                named.get(job) == Some(&proved),
+                "job {job}: proofs {proved:?}, full scan {:?}",
+                named.get(job)
+            );
             for proof in &proofs {
                 prop_assert!(proof.verify(&key).is_ok());
                 for header in headers.iter().filter(|h| h.segment != proof.header.segment) {
