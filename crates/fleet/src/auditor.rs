@@ -147,9 +147,10 @@ impl Anomaly {
         }
     }
 
-    /// Every anomaly kind label; `FleetService` pre-registers a zeroed
-    /// `fleet_anomalies` series per kind so the exposition distinguishes
-    /// "zero anomalies" from "kind never exported".
+    /// Every anomaly kind label; `FleetService::metering` renders a
+    /// `fleet_anomalies` series per kind for every audited tenant, zeros
+    /// included, so the exposition distinguishes "zero anomalies" from
+    /// "kind never exported".
     pub const KINDS: [&'static str; 6] = [
         "overbilled",
         "unexpected-images",

@@ -1854,7 +1854,6 @@ impl<'a> FleetStream<'a> {
         self.pump();
         self.shut_down(true);
         self.pump();
-        self.service.export_gauges();
         let report = FleetReport {
             records: std::mem::take(&mut self.records),
             verdicts: std::mem::take(&mut self.verdicts),
@@ -2296,7 +2295,6 @@ mod tests {
                     stream.submit(j.clone()).unwrap();
                 }
             }
-            stream.resume();
             stream.finish();
             journal.text().unwrap()
         };

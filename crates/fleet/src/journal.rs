@@ -232,9 +232,11 @@ pub struct Checkpoint {
     pub ledger: Ledger,
     /// The auditor's summaries and cost counters after those runs.
     pub audit: AuditorState,
-    /// The service's metering registry after those runs (see
+    /// The service's metering registry after those runs, built from this
+    /// checkpoint's own `ledger` and `audit` (see
     /// [`crate::FleetService::metering`]; the exposition is part of the
-    /// recovery contract).
+    /// recovery contract). A restore reads back only its `cpu_usage`
+    /// series; every other family follows from `ledger` and `audit`.
     pub metrics: MetricsRegistry,
 }
 

@@ -14,7 +14,7 @@
 //! | [`tenant::Ledger`] | aggregates per-run [`trustmeter_core::Invoice`]s and CPU time (billed vs TSC ground truth) into per-tenant accounts |
 //! | [`auditor::Auditor`] | streams run records through the §VI trust workflow and raises per-tenant [`auditor::Anomaly`] verdicts |
 //! | [`journal::Journal`] | append-only JSON-lines write-ahead log: runs, billing/audit receipts, checkpoints; crash recovery via [`FleetService::recover`] |
-//! | [`metrics::MetricsRegistry`] | Prometheus-style text exposition; a service keeps two: billing-grade [`FleetService::metering`] (checkpointed) and operational [`FleetService::metrics`] (never checkpointed) |
+//! | [`metrics::MetricsRegistry`] | Prometheus-style text exposition; a service builds two when they are read: billing-grade [`FleetService::metering`] from the ledger and the auditor (checkpointed) and operational [`FleetService::metrics`] from the journal, the tracer and the sessions (never checkpointed) |
 //! | [`FleetService`] | wires it all together: submit → execute → bill → audit → journal → export |
 //!
 //! ## Example
@@ -81,7 +81,7 @@ pub use journal::{
     PoisonNotice, RecoveryError, RecoveryReport, SegmentConfig, SegmentedFileSink, SinkStats,
     TailStatus,
 };
-pub use metrics::{CounterCell, MetricKind, MetricsRegistry};
+pub use metrics::{MetricKind, MetricsRegistry};
 pub use pool::PoolStats;
 pub use queue::FairQueue;
 pub use tenant::{Ledger, Tenant, TenantDirectory, TenantId, TenantLedger};
@@ -94,10 +94,17 @@ use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-const AUDIT_REPLAYS_METRIC: &str = "fleet_audit_replays_total";
-const AUDIT_REPLAYS_HELP: &str = "Inline clean-reference replays the auditor performed";
-const AUDIT_REF_HITS_METRIC: &str = "fleet_audit_reference_hits_total";
-const AUDIT_REF_HITS_HELP: &str = "Runs audited with a worker-precomputed reference";
+/// The `cpu_usage` metering family: a tenant's CPU seconds, one series
+/// per [`USAGE_SERIES`] entry.
+const CPU_USAGE: (&str, &str) = ("cpu_usage", "CPU seconds attributed to tenant jobs");
+/// The `(state, source)` labels of a tenant's `cpu_usage` series, in the
+/// order of the service's per-tenant usage sums.
+const USAGE_SERIES: [(&str, &str); 4] = [
+    ("user", "billed"),
+    ("system", "billed"),
+    ("user", "truth"),
+    ("system", "truth"),
+];
 
 /// Reads one field of a component's stats snapshot as a metric value.
 type Read<S> = fn(&S) -> f64;
@@ -365,9 +372,11 @@ pub struct FleetService {
     directory: TenantDirectory,
     auditor: Auditor,
     ledger: Ledger,
-    /// Billing-grade metering: usage, jobs, anomalies, audit cost, tenants
-    /// and charges. The only metrics state a [`Checkpoint`] carries.
-    metering: MetricsRegistry,
+    /// Per-tenant CPU seconds in [`USAGE_SERIES`] order, summed in posting
+    /// order: the one input of [`FleetService::metering`] that the ledger
+    /// cannot give back bit for bit, because it keeps integer
+    /// [`trustmeter_core::CpuTime`] totals.
+    usage: BTreeMap<TenantId, [f64; 4]>,
     /// The part of the operational telemetry this service counts itself:
     /// [`Feed::Event`] counters and the folded session counters and
     /// gauges. [`FleetService::metrics`] adds the journal and tracer
@@ -390,32 +399,6 @@ pub struct FleetService {
     cadence: CheckpointCadence,
     /// Runs posted since the last inline checkpoint.
     runs_since_checkpoint: u64,
-    /// Pre-resolved atomic counter handles for the per-record posting hot
-    /// path (see [`MetricsRegistry::counter_cell`]). A process-local cache
-    /// only — cleared whenever `metering` is replaced wholesale
-    /// (checkpoint restore), since handles are only meaningful on the
-    /// registry that issued them.
-    cells: ServiceCells,
-}
-
-/// Cached [`CounterCell`] handles for every counter the posting path
-/// touches per record, resolved once instead of re-rendering label strings
-/// and walking the registry maps on every job.
-#[derive(Debug, Default)]
-struct ServiceCells {
-    /// (audit replays, reference cache hits).
-    audit: Option<(CounterCell, CounterCell)>,
-    tenants: BTreeMap<TenantId, TenantCells>,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct TenantCells {
-    jobs: CounterCell,
-    /// cpu_usage split: (user, billed), (system, billed), (user, truth),
-    /// (system, truth) — the order [`FleetService::export_record`] posts.
-    cpu: [CounterCell; 4],
-    /// One per [`Anomaly::KINDS`] entry, in `KINDS` order.
-    anomalies: [CounterCell; Anomaly::KINDS.len()],
 }
 
 impl FleetService {
@@ -428,24 +411,18 @@ impl FleetService {
         let auditor = Auditor::new(config.machine.clone())
             .with_sampling(config.sampling, config.seed)
             .demand_quotes(config.seed);
-        let mut metering = MetricsRegistry::new();
-        // Pre-register the audit cost counters at zero so the exposition
-        // shows the replay cost even before (or without) any audits.
-        metering.counter_add(AUDIT_REPLAYS_METRIC, AUDIT_REPLAYS_HELP, &[], 0.0);
-        metering.counter_add(AUDIT_REF_HITS_METRIC, AUDIT_REF_HITS_HELP, &[], 0.0);
         FleetService {
             fleet: Fleet::new(config),
             directory: TenantDirectory::new(),
             auditor,
             ledger: Ledger::new(),
-            metering,
+            usage: BTreeMap::new(),
             ops: ops_registry(),
             default_rate_card: RateCard::per_cpu_hour(0.10),
             journal: None,
             tracer: None,
             cadence: CheckpointCadence::Never,
             runs_since_checkpoint: 0,
-            cells: ServiceCells::default(),
         }
     }
 
@@ -715,8 +692,6 @@ impl FleetService {
             outcome.victim_truth,
             outcome.victim_process_aware,
         );
-        let replays_before = self.auditor.replay_count();
-        let hits_before = self.auditor.reference_hit_count();
         let audit_started = self.tracer.as_ref().map(|_| std::time::Instant::now());
         let verdict = self.auditor.observe(record);
         if let (Some(tracer), Some(started)) = (&self.tracer, audit_started) {
@@ -727,31 +702,18 @@ impl FleetService {
                 started.elapsed(),
             );
         }
-        let (replay_cell, hit_cell) = match self.cells.audit {
-            Some(cells) => cells,
-            None => {
-                let cells = (
-                    self.metering
-                        .counter_cell(AUDIT_REPLAYS_METRIC, AUDIT_REPLAYS_HELP, &[]),
-                    self.metering
-                        .counter_cell(AUDIT_REF_HITS_METRIC, AUDIT_REF_HITS_HELP, &[]),
-                );
-                self.cells.audit = Some(cells);
-                cells
-            }
-        };
-        self.metering.cell_add(
-            replay_cell,
-            (self.auditor.replay_count() - replays_before) as f64,
-        );
-        self.metering.cell_add(
-            hit_cell,
-            (self.auditor.reference_hit_count() - hits_before) as f64,
-        );
+        let sums = self.usage.entry(record.job.tenant).or_default();
+        for (sum, secs) in sums.iter_mut().zip([
+            outcome.billed_utime_secs(),
+            outcome.billed_stime_secs(),
+            outcome.truth_total_secs() - outcome.truth_stime_secs(),
+            outcome.truth_stime_secs(),
+        ]) {
+            *sum += secs;
+        }
         if !verdict.is_clean() {
             self.ledger.account_mut(record.job.tenant).flag();
         }
-        self.export_record(record, &verdict);
         let posting = InvoicePosting {
             tenant: record.job.tenant,
             job: record.job.id,
@@ -761,105 +723,10 @@ impl FleetService {
         (verdict, posting)
     }
 
-    /// Resolves (once per tenant) the cached cell handles for every counter
-    /// the posting path touches. Resolution also pre-registers each anomaly
-    /// kind's series at zero, so the exposition distinguishes "zero
-    /// anomalies" from "series never existed" exactly as the locked path
-    /// did when it posted explicit zero deltas per record.
-    fn tenant_cells(&mut self, tenant: TenantId) -> TenantCells {
-        if let Some(cells) = self.cells.tenants.get(&tenant) {
-            return *cells;
-        }
-        let label = tenant.to_string();
-        let jobs = self.metering.counter_cell(
-            "fleet_jobs",
-            "Jobs executed by the fleet",
-            &[("tenant", &label)],
-        );
-        let usage_help = "CPU seconds attributed to tenant jobs";
-        let cpu = [
-            ("user", "billed"),
-            ("system", "billed"),
-            ("user", "truth"),
-            ("system", "truth"),
-        ]
-        .map(|(state, source)| {
-            self.metering.counter_cell(
-                "cpu_usage",
-                usage_help,
-                &[("tenant", &label), ("state", state), ("source", source)],
-            )
-        });
-        let anomaly_help = "Audit anomalies raised, by kind";
-        let anomalies = Anomaly::KINDS.map(|kind| {
-            self.metering.counter_cell(
-                "fleet_anomalies",
-                anomaly_help,
-                &[("tenant", &label), ("kind", kind)],
-            )
-        });
-        let cells = TenantCells {
-            jobs,
-            cpu,
-            anomalies,
-        };
-        self.cells.tenants.insert(tenant, cells);
-        cells
-    }
-
-    fn export_record(&mut self, record: &RunRecord, verdict: &AuditVerdict) {
-        let outcome = &record.outcome;
-        let cells = self.tenant_cells(record.job.tenant);
-        self.metering.cell_add(cells.jobs, 1.0);
-        for (cell, secs) in cells.cpu.iter().zip([
-            outcome.billed_utime_secs(),
-            outcome.billed_stime_secs(),
-            outcome.truth_total_secs() - outcome.truth_stime_secs(),
-            outcome.truth_stime_secs(),
-        ]) {
-            self.metering.cell_add(*cell, secs);
-        }
-        for anomaly in &verdict.anomalies {
-            let slot = Anomaly::KINDS
-                .iter()
-                .position(|kind| *kind == anomaly.kind())
-                .expect("anomaly kind listed in Anomaly::KINDS");
-            self.metering.cell_add(cells.anomalies[slot], 1.0);
-        }
-    }
-
-    fn export_gauges(&mut self) {
-        self.metering.gauge_set(
-            "fleet_tenants",
-            "Tenants with at least one posted run",
-            &[],
-            self.ledger.len() as f64,
-        );
-        let ledgers: Vec<(String, f64, f64)> = self
-            .ledger
-            .iter()
-            .map(|a| (a.tenant.to_string(), a.billed_charge, a.truth_charge))
-            .collect();
-        for (tenant, billed, truth) in ledgers {
-            self.metering.gauge_set(
-                "tenant_charge",
-                "Cumulative charge per tenant, by source",
-                &[("tenant", &tenant), ("source", "billed")],
-                billed,
-            );
-            self.metering.gauge_set(
-                "tenant_charge",
-                "Cumulative charge per tenant, by source",
-                &[("tenant", &tenant), ("source", "truth")],
-                truth,
-            );
-        }
-    }
-
     /// The Prometheus-style text dump of both registries: the metering
     /// families first, then the ops families.
     pub fn metrics_text(&self) -> String {
-        let mut text = self.metering.render();
+        let mut text = self.metering().render();
         text.push_str(&self.metrics().render());
         text
     }
@@ -869,8 +736,77 @@ impl FleetService {
     /// state a [`Checkpoint`] carries, so it is bit-identical for a fixed
     /// seed whatever the worker count, batching, tracing, injected faults
     /// or recovery.
-    pub fn metering(&self) -> &MetricsRegistry {
-        &self.metering
+    ///
+    /// The registry is built when it is read, so it always agrees with
+    /// what it reports on: `fleet_jobs`, `fleet_tenants` and
+    /// `tenant_charge` come from the ledger, `fleet_anomalies` and the
+    /// `fleet_audit_*` counters from the auditor, and `cpu_usage` from the
+    /// per-tenant usage sums posting keeps, added in posting order.
+    pub fn metering(&self) -> MetricsRegistry {
+        let mut metering = MetricsRegistry::new();
+        metering.counter_add(
+            "fleet_audit_replays_total",
+            "Inline clean-reference replays the auditor performed",
+            &[],
+            self.auditor.replay_count() as f64,
+        );
+        metering.counter_add(
+            "fleet_audit_reference_hits_total",
+            "Runs audited with a worker-precomputed reference",
+            &[],
+            self.auditor.reference_hit_count() as f64,
+        );
+        metering.gauge_set(
+            "fleet_tenants",
+            "Tenants with at least one posted run",
+            &[],
+            self.ledger.len() as f64,
+        );
+        for account in self.ledger.iter() {
+            let tenant = account.tenant.to_string();
+            metering.counter_add(
+                "fleet_jobs",
+                "Jobs executed by the fleet",
+                &[("tenant", &tenant)],
+                account.runs as f64,
+            );
+            for (source, charge) in [
+                ("billed", account.billed_charge),
+                ("truth", account.truth_charge),
+            ] {
+                metering.gauge_set(
+                    "tenant_charge",
+                    "Cumulative charge per tenant, by source",
+                    &[("tenant", &tenant), ("source", source)],
+                    charge,
+                );
+            }
+        }
+        let (name, help) = CPU_USAGE;
+        for (tenant, sums) in &self.usage {
+            let tenant = tenant.to_string();
+            for ((state, source), secs) in USAGE_SERIES.iter().zip(sums) {
+                let labels = [
+                    ("tenant", tenant.as_str()),
+                    ("state", state),
+                    ("source", source),
+                ];
+                metering.counter_add(name, help, &labels, *secs);
+            }
+        }
+        for summary in self.auditor.summaries() {
+            let tenant = summary.tenant.to_string();
+            for kind in Anomaly::KINDS {
+                let count = summary.anomaly_counts.get(kind).copied().unwrap_or(0);
+                metering.counter_add(
+                    "fleet_anomalies",
+                    "Audit anomalies raised, by kind",
+                    &[("tenant", &tenant), ("kind", kind)],
+                    count as f64,
+                );
+            }
+        }
+        metering
     }
 
     /// The operational-telemetry registry: journal, evidence, recovery,
@@ -924,17 +860,18 @@ impl FleetService {
     }
 
     /// A snapshot of the service's accounting state — ledger, audit
-    /// summaries and cost counters, and the metering registry — as a
-    /// journal [`Checkpoint`] entry, so recovery does not replay from
-    /// genesis. A [`CheckpointCadence`] writes them inline. The ops
-    /// registry describes the process that wrote the checkpoint, so it
-    /// stays out.
+    /// summaries and cost counters, and [`FleetService::metering`] read
+    /// at the same moment, so the checkpoint's metering matches its own
+    /// ledger and audit state — as a journal [`Checkpoint`] entry, so
+    /// recovery does not replay from genesis. A [`CheckpointCadence`]
+    /// writes them inline. The ops registry describes the process that
+    /// wrote the checkpoint, so it stays out.
     pub fn checkpoint(&self) -> Checkpoint {
         Checkpoint {
             runs: self.ledger.iter().map(|a| a.runs).sum(),
             ledger: self.ledger.clone(),
             audit: self.auditor.state(),
-            metrics: self.metering.clone(),
+            metrics: self.metering(),
         }
     }
 
@@ -1129,10 +1066,26 @@ impl FleetService {
                     }
                     self.ledger = checkpoint.ledger.clone();
                     self.auditor.restore(checkpoint.audit.clone());
-                    self.metering = checkpoint.metrics.clone();
-                    // The replaced registry invalidates every cached cell
-                    // handle; the posting path re-resolves on next use.
-                    self.cells = ServiceCells::default();
+                    // Of the checkpoint's metering only the `cpu_usage`
+                    // sums are read back: every other family follows from
+                    // the ledger and audit state just restored.
+                    let (name, _) = CPU_USAGE;
+                    self.usage = self
+                        .ledger
+                        .iter()
+                        .map(|account| {
+                            let tenant = account.tenant.to_string();
+                            let sums = USAGE_SERIES.map(|(state, source)| {
+                                let labels = [
+                                    ("tenant", tenant.as_str()),
+                                    ("state", state),
+                                    ("source", source),
+                                ];
+                                checkpoint.metrics.get(name, &labels).unwrap_or(0.0)
+                            });
+                            (account.tenant, sums)
+                        })
+                        .collect();
                     report.checkpoint_runs = checkpoint.runs;
                     posted = self
                         .ledger
@@ -1235,7 +1188,6 @@ impl FleetService {
         // replayed here, so that is how many runs the next inline
         // checkpoint is due after.
         self.runs_since_checkpoint = report.runs_replayed;
-        self.export_gauges();
         Ok(report)
     }
 

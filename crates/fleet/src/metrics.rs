@@ -12,6 +12,11 @@
 //! ([`MetricsRegistry::histogram_quantile`]) — the fleet's per-stage
 //! latency distributions ride on these.
 //!
+//! A registry is plain data, written through `&mut`, with no atomics or
+//! lock. The fleet service builds its registries when they are read
+//! ([`crate::FleetService::metering`], [`crate::FleetService::metrics`])
+//! instead of keeping a second copy of the state they report on.
+//!
 //! ```
 //! use trustmeter_fleet::metrics::MetricsRegistry;
 //!
@@ -26,7 +31,6 @@
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Log-spaced (1–2–5 per decade) latency bucket upper bounds in seconds,
 /// from 1 µs to 10 s. The implicit `+Inf` overflow bucket catches
@@ -98,110 +102,10 @@ struct Family {
     series: BTreeMap<String, SeriesValue>,
 }
 
-/// A handle to one pre-registered atomic counter cell — the metriken-style
-/// fast path: resolve the (name, label set) pair to a dense index once with
-/// [`MetricsRegistry::counter_cell`], then accumulate through
-/// [`MetricsRegistry::cell_add`] with a shared reference and no string
-/// rendering, map lookups or registry locking on the hot path.
-///
-/// A handle is only meaningful on the registry that issued it and becomes
-/// stale when the registry is replaced wholesale (e.g. a checkpoint
-/// restore) — re-resolve through `counter_cell` after such a swap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CounterCell(usize);
-
-/// The atomic fast-path store behind [`CounterCell`] handles. Cells hold
-/// `f64` bit patterns in relaxed `AtomicU64`s; once a series has a cell,
-/// the cell is its sole accumulator and every read path overlays the cell
-/// value back over the registry's stored series.
-#[derive(Debug, Default)]
-struct CellBank {
-    cells: Vec<AtomicU64>,
-    /// family name -> rendered label set -> cell slot.
-    index: BTreeMap<String, BTreeMap<String, usize>>,
-}
-
-impl CellBank {
-    fn slot(&self, name: &str, key: &str) -> Option<usize> {
-        self.index.get(name)?.get(key).copied()
-    }
-
-    fn load(&self, slot: usize) -> f64 {
-        f64::from_bits(self.cells[slot].load(Ordering::Relaxed))
-    }
-
-    fn add(&self, slot: usize, delta: f64) {
-        let cell = &self.cells[slot];
-        let mut current = cell.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(current) + delta).to_bits();
-            match cell.compare_exchange_weak(current, next, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => return,
-                Err(actual) => current = actual,
-            }
-        }
-    }
-}
-
 /// A deterministic metrics registry.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct MetricsRegistry {
     families: BTreeMap<String, Family>,
-    /// Atomic counter cells overlaying `families` (see [`CounterCell`]).
-    bank: CellBank,
-}
-
-/// Snapshot/equality/serde all reconcile through [`MetricsRegistry::
-/// materialized`], so a registry with live cells is indistinguishable from
-/// one that accumulated the same values through the locked path — clones
-/// and deserialized copies simply start with an empty bank.
-impl Clone for MetricsRegistry {
-    fn clone(&self) -> MetricsRegistry {
-        MetricsRegistry {
-            families: self.materialized(),
-            bank: CellBank::default(),
-        }
-    }
-}
-
-impl PartialEq for MetricsRegistry {
-    fn eq(&self, other: &MetricsRegistry) -> bool {
-        self.materialized() == other.materialized()
-    }
-}
-
-/// The derived serialization shape of the pre-cell registry (a struct with
-/// one `families` field) — kept byte-compatible so journal checkpoints
-/// written before the fast path replay unchanged.
-#[derive(Serialize, Deserialize)]
-struct RegistrySnapshot {
-    families: BTreeMap<String, Family>,
-}
-
-impl Serialize for MetricsRegistry {
-    fn to_value(&self) -> serde::Value {
-        RegistrySnapshot {
-            families: self.materialized(),
-        }
-        .to_value()
-    }
-
-    fn write_json(&self, out: &mut String) {
-        RegistrySnapshot {
-            families: self.materialized(),
-        }
-        .write_json(out);
-    }
-}
-
-impl Deserialize for MetricsRegistry {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let snapshot = RegistrySnapshot::from_value(v)?;
-        Ok(MetricsRegistry {
-            families: snapshot.families,
-            bank: CellBank::default(),
-        })
-    }
 }
 
 /// Escapes a label value per the Prometheus text exposition format:
@@ -274,54 +178,8 @@ impl MetricsRegistry {
         }
     }
 
-    /// Resolves (registering if needed) a counter series to an atomic
-    /// [`CounterCell`] handle. The cell takes over the series' current
-    /// value and becomes its sole accumulator: subsequent
-    /// [`MetricsRegistry::cell_add`] *and* [`MetricsRegistry::counter_add`]
-    /// calls land in the cell, and every read path (get, render, clone,
-    /// serialization, equality) overlays the cell value back — so the
-    /// exposition is bit-identical to having accumulated the same deltas
-    /// through the locked path, in the same order.
-    ///
-    /// # Panics
-    /// Panics if `name` is already registered as another kind.
-    pub fn counter_cell(&mut self, name: &str, help: &str, labels: &[(&str, &str)]) -> CounterCell {
-        let key = render_labels(labels);
-        if let Some(slot) = self.bank.slot(name, &key) {
-            return CounterCell(slot);
-        }
-        let value = *self.scalar_mut(name, help, MetricKind::Counter, key.clone());
-        let slot = self.bank.cells.len();
-        self.bank.cells.push(AtomicU64::new(value.to_bits()));
-        self.bank
-            .index
-            .entry(name.to_string())
-            .or_default()
-            .insert(key, slot);
-        CounterCell(slot)
-    }
-
-    /// Adds `delta` to a pre-registered counter cell: one relaxed
-    /// compare-exchange loop on a dense slot, shared-reference access, no
-    /// rendering or lookups. The hot path of
-    /// [`MetricsRegistry::counter_add`] for series that post per job.
-    ///
-    /// # Panics
-    /// Panics if `delta` is negative (counters are monotonic) or `cell`
-    /// was issued by another registry (index out of bounds).
-    pub fn cell_add(&self, cell: CounterCell, delta: f64) {
-        assert!(delta >= 0.0, "counter cell cannot decrease (delta {delta})");
-        self.bank.add(cell.0, delta);
-    }
-
-    /// Reads a counter cell's current value.
-    pub fn cell_get(&self, cell: CounterCell) -> f64 {
-        self.bank.load(cell.0)
-    }
-
     /// Adds `delta` to a counter series, creating it at zero on first use.
-    /// The `help` text from the first registration of `name` wins. Series
-    /// resolved to a [`CounterCell`] route to their cell.
+    /// The `help` text from the first registration of `name` wins.
     ///
     /// # Panics
     /// Panics if `name` is already registered as another kind, or if
@@ -331,12 +189,7 @@ impl MetricsRegistry {
             delta >= 0.0,
             "counter `{name}` cannot decrease (delta {delta})"
         );
-        let key = render_labels(labels);
-        if let Some(slot) = self.bank.slot(name, &key) {
-            self.bank.add(slot, delta);
-            return;
-        }
-        *self.scalar_mut(name, help, MetricKind::Counter, key) += delta;
+        *self.scalar_mut(name, help, MetricKind::Counter, render_labels(labels)) += delta;
     }
 
     /// Sets a gauge series to `value`.
@@ -463,13 +316,14 @@ impl MetricsRegistry {
     }
 
     /// Reads one scalar series back (`None` if it was never touched or is
-    /// a histogram). Series resolved to a [`CounterCell`] read the cell.
+    /// a histogram).
     pub fn get(&self, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
-        let key = render_labels(labels);
-        if let Some(slot) = self.bank.slot(name, &key) {
-            return Some(self.bank.load(slot));
-        }
-        match self.families.get(name)?.series.get(&key)? {
+        match self
+            .families
+            .get(name)?
+            .series
+            .get(&render_labels(labels))?
+        {
             SeriesValue::Scalar(value) => Some(*value),
             SeriesValue::Histogram(_) => None,
         }
@@ -543,29 +397,13 @@ impl MetricsRegistry {
             .map(|(name, family)| (name.as_str(), family.help.as_str(), family.kind))
     }
 
-    /// The families map with every live cell value folded back over its
-    /// backing series — what every read-side consumer (render, clone,
-    /// serialization, equality) actually observes.
-    fn materialized(&self) -> BTreeMap<String, Family> {
-        let mut families = self.families.clone();
-        for (name, series) in &self.bank.index {
-            let family = families.get_mut(name).expect("indexed family exists");
-            for (key, slot) in series {
-                family
-                    .series
-                    .insert(key.clone(), SeriesValue::Scalar(self.bank.load(*slot)));
-            }
-        }
-        families
-    }
-
     /// Renders the whole registry in the Prometheus text exposition format,
     /// families and series in sorted order. Histogram series render as
     /// cumulative `name_bucket{...,le="<bound>"}` lines (ending with
     /// `le="+Inf"`) followed by `name_sum` and `name_count`.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        for (name, family) in &self.materialized() {
+        for (name, family) in &self.families {
             let _ = writeln!(out, "# HELP {name} {}", family.help);
             let _ = writeln!(out, "# TYPE {name} {}", family.kind.exposition_type());
             for (labels, value) in &family.series {
@@ -806,67 +644,18 @@ mod tests {
     }
 
     #[test]
+    fn serde_round_trips_the_families_shape() {
+        let mut registry = MetricsRegistry::new();
+        registry.counter_add("m", "h", &[("tenant", "t1")], 4.0);
+        registry.histogram_observe("lat", "h", &[1.0], &[], 0.5);
+        let json = serde_json::to_string(&registry).unwrap();
+        assert!(json.starts_with("{\"families\":{"), "got: {json}");
+        let back: MetricsRegistry = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, registry);
+    }
+
+    #[test]
     fn latency_buckets_are_strictly_ascending() {
         assert!(LATENCY_BUCKETS.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
-    fn counter_cell_takes_over_the_series_and_reads_overlay_it() {
-        let mut registry = MetricsRegistry::new();
-        registry.counter_add("jobs", "h", &[("tenant", "t1")], 2.0);
-        let cell = registry.counter_cell("jobs", "h", &[("tenant", "t1")]);
-        registry.cell_add(cell, 3.0);
-        assert_eq!(registry.cell_get(cell), 5.0);
-        assert_eq!(registry.get("jobs", &[("tenant", "t1")]), Some(5.0));
-        assert!(registry.render().contains("jobs{tenant=\"t1\"} 5"));
-        // The locked entry point routes to the cell — no double counting.
-        registry.counter_add("jobs", "h", &[("tenant", "t1")], 1.0);
-        assert_eq!(registry.get("jobs", &[("tenant", "t1")]), Some(6.0));
-        // Re-resolving returns the same cell.
-        assert_eq!(
-            cell,
-            registry.counter_cell("jobs", "h", &[("tenant", "t1")])
-        );
-        assert_eq!(registry.series_count(), 1);
-    }
-
-    #[test]
-    fn cell_add_works_through_a_shared_reference() {
-        let mut registry = MetricsRegistry::new();
-        let cell = registry.counter_cell("posts", "h", &[]);
-        let shared = &registry;
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(move || {
-                    for _ in 0..100 {
-                        shared.cell_add(cell, 1.0);
-                    }
-                });
-            }
-        });
-        assert_eq!(registry.get("posts", &[]), Some(400.0));
-    }
-
-    #[test]
-    fn registries_with_cells_clone_compare_and_serialize_materialized() {
-        let mut with_cells = MetricsRegistry::new();
-        let cell = with_cells.counter_cell("m", "h", &[]);
-        with_cells.cell_add(cell, 4.0);
-        let mut locked = MetricsRegistry::new();
-        locked.counter_add("m", "h", &[], 4.0);
-        assert_eq!(with_cells, locked);
-        assert_eq!(with_cells.clone(), locked);
-        let json = serde_json::to_string(&with_cells).unwrap();
-        assert_eq!(json, serde_json::to_string(&locked).unwrap());
-        let back: MetricsRegistry = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.get("m", &[]), Some(4.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot decrease")]
-    fn negative_cell_delta_rejected() {
-        let mut registry = MetricsRegistry::new();
-        let cell = registry.counter_cell("m", "h", &[]);
-        registry.cell_add(cell, -1.0);
     }
 }

@@ -21,7 +21,8 @@
 //!    the nested [`SpanWall`] object, so a consumer diffing two trace
 //!    exports can strip the `wall` field and compare the rest exactly.
 //! 2. **Traced time never enters checked artifacts.** Ledgers, verdicts
-//!    and the metering registry ([`crate::FleetService::metering`])
+//!    and the metering registry ([`crate::FleetService::metering`], built
+//!    from the ledger, the auditor and the per-tenant usage sums alone)
 //!    contain no tracer output: the `fleet_stage_seconds*` histograms and
 //!    the `fleet_observer_*` counters live in the ops registry
 //!    ([`crate::FleetService::metrics`]), which checkpoints never carry.

@@ -77,17 +77,17 @@ pub mod prelude {
     pub use trustmeter_fleet::{
         metering_exposition, parse_journal, quote_nonce, recovery_window, span_id, Anomaly,
         AttackSpec, AuditVerdict, Auditor, AuditorState, BackpressurePolicy, BatchSubmitError,
-        BlockHeader, Checkpoint, CheckpointCadence, CounterCell, DisputeError, DisputeResolution,
-        FairQueue, FaultInjectingSink, FaultKind, FaultProbe, FaultSchedule, FaultStats, Fleet,
-        FleetConfig, FleetHealth, FleetReport, FleetService, FleetStream, FsyncPolicy,
-        InclusionProof, IngestConfig, IngestHandle, IngestStats, InvoicePosting, JobId, JobRange,
-        JobSpec, Journal, JournalEntry, JournalError, JournalSink, JournalStats, Ledger,
-        LedgerVerification, MemorySink, MetricsRegistry, PipelineTracer, PlannedFault,
-        PlannedWorkerFault, PoisonNotice, PoolStats, ProofError, ProofStep, RecoveryError,
-        RecoveryReport, ReferenceOutcome, RetryPolicy, RunRecord, SamplingPolicy, SealKey,
-        SegmentConfig, SegmentedFileSink, SinkStats, Span, SpanWall, Stage, StageObservation,
-        SubmitError, SupervisorPolicy, TailStatus, Tenant, TenantAuditSummary, TenantDirectory,
-        TenantId, TenantLedger, TracerStats, WorkerFaultKind, WorkerFaultSchedule,
+        BlockHeader, Checkpoint, CheckpointCadence, DisputeError, DisputeResolution, FairQueue,
+        FaultInjectingSink, FaultKind, FaultProbe, FaultSchedule, FaultStats, Fleet, FleetConfig,
+        FleetHealth, FleetReport, FleetService, FleetStream, FsyncPolicy, InclusionProof,
+        IngestConfig, IngestHandle, IngestStats, InvoicePosting, JobId, JobRange, JobSpec, Journal,
+        JournalEntry, JournalError, JournalSink, JournalStats, Ledger, LedgerVerification,
+        MemorySink, MetricsRegistry, PipelineTracer, PlannedFault, PlannedWorkerFault,
+        PoisonNotice, PoolStats, ProofError, ProofStep, RecoveryError, RecoveryReport,
+        ReferenceOutcome, RetryPolicy, RunRecord, SamplingPolicy, SealKey, SegmentConfig,
+        SegmentedFileSink, SinkStats, Span, SpanWall, Stage, StageObservation, SubmitError,
+        SupervisorPolicy, TailStatus, Tenant, TenantAuditSummary, TenantDirectory, TenantId,
+        TenantLedger, TracerStats, WorkerFaultKind, WorkerFaultSchedule,
     };
     pub use trustmeter_kernel::{
         Kernel, KernelConfig, NicFlood, Op, OpOutcome, OpsProgram, Program, RunResult,

@@ -1030,10 +1030,86 @@ fn cadence_checkpoints_bound_recovery_on_any_sink() {
     // A checkpoint carries the metering registry and nothing else, and
     // restoring one leaves the ops registry exactly as a service that
     // recovered an empty journal has it.
-    assert_eq!(service.checkpoint().metrics, *service.metering());
+    assert_eq!(service.checkpoint().metrics, service.metering());
     let mut empty = service77(2, None);
     empty.recover(&[]).unwrap();
     assert_eq!(recovered.metrics(), empty.metrics());
+}
+
+#[test]
+fn cadence_checkpoints_meter_their_own_ledger_and_audit() {
+    // A checkpoint's metering describes the ledger and audit state it was
+    // written with: nothing in it may lag behind (or run ahead of) them.
+    let journal = Journal::in_memory();
+    let mut service = service77(2, Some(journal.clone()))
+        .with_checkpoint_cadence(CheckpointCadence::every_n_runs(8));
+    let jobs = batch(16);
+    service.process(&jobs[..8]);
+    service.process(&jobs[8..]);
+    let (entries, _) = journal.entries().unwrap();
+    let checkpoints: Vec<&Checkpoint> = entries
+        .iter()
+        .filter_map(|entry| match entry {
+            JournalEntry::Checkpoint(checkpoint) => Some(&**checkpoint),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(checkpoints.len(), 2, "one checkpoint per 8-job batch");
+    for (n, checkpoint) in checkpoints.into_iter().enumerate() {
+        let metrics = &checkpoint.metrics;
+        let tenants = checkpoint.ledger.len() as f64;
+        assert_eq!(metrics.get("fleet_tenants", &[]), Some(tenants), "#{n}");
+        for account in checkpoint.ledger.iter() {
+            let tenant = account.tenant.to_string();
+            let runs = account.runs as f64;
+            assert_eq!(
+                metrics.get("fleet_jobs", &[("tenant", &tenant)]),
+                Some(runs),
+                "#{n} {tenant}"
+            );
+            for (source, charge) in [
+                ("billed", account.billed_charge),
+                ("truth", account.truth_charge),
+            ] {
+                assert_eq!(
+                    metrics.get("tenant_charge", &[("tenant", &tenant), ("source", source)]),
+                    Some(charge),
+                    "#{n} {tenant} {source} charge"
+                );
+            }
+        }
+        for summary in checkpoint.audit.summaries.values() {
+            let tenant = summary.tenant.to_string();
+            for kind in Anomaly::KINDS {
+                let count = summary.anomaly_counts.get(kind).copied().unwrap_or(0);
+                assert_eq!(
+                    metrics.get("fleet_anomalies", &[("tenant", &tenant), ("kind", kind)]),
+                    Some(count as f64),
+                    "#{n} {tenant} {kind}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn a_stream_dropped_after_posting_everything_meters_like_process() {
+    let jobs = batch(12);
+    let mut baseline = service77(2, None);
+    baseline.process(&jobs);
+
+    let mut service = service77(2, None);
+    let mut stream = service.stream(IngestConfig::new(2));
+    stream.submit_all(&jobs).expect("queue sized for batch");
+    while stream.verdicts().len() < jobs.len() {
+        stream.pump();
+        std::thread::yield_now();
+    }
+    // Dropped, never finished: everything was posted, so the metering
+    // must not depend on how the session ended.
+    drop(stream);
+    assert_eq!(service.ledger(), baseline.ledger());
+    assert_eq!(service.metering().render(), baseline.metering().render());
 }
 
 #[test]
@@ -1415,11 +1491,8 @@ fn exposition_lint_help_escaping_and_ordering() {
     let stream = service.stream(config);
     stream.submit_all(&jobs).expect("queue sized for batch");
     let _ = stream.finish();
-    let metering: Vec<&str> = service
-        .metering()
-        .family_info()
-        .map(|(name, ..)| name)
-        .collect();
+    let registry = service.metering();
+    let metering: Vec<&str> = registry.family_info().map(|(name, ..)| name).collect();
     let mut families = 0;
     for (name, help, _) in service
         .metering()
