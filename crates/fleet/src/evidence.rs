@@ -168,6 +168,29 @@ pub fn merkle_path(leaves: &[ChainDigest], index: usize) -> Vec<ProofStep> {
     path
 }
 
+/// Whether `path` has the length and side flags [`merkle_path`] gives
+/// leaf `index` of a tree of `width` leaves. Under the odd-promotion rule
+/// these follow from `(index, width)` alone — each level's flag is a bit
+/// of `index`, and a promoted level has no step — so a path that folds to
+/// the root *and* fits proves the leaf sits at `index`, not merely
+/// somewhere in the tree.
+fn path_fits(path: &[ProofStep], index: u64, width: u64) -> bool {
+    let (mut at, mut width) = (index, width);
+    let mut steps = path.iter();
+    while width > 1 {
+        let sibling = at ^ 1;
+        if sibling < width {
+            match steps.next() {
+                Some(step) if step.sibling_left == (sibling < at) => {}
+                _ => return false,
+            }
+        }
+        at /= 2;
+        width = width.div_ceil(2);
+    }
+    steps.next().is_none()
+}
+
 /// Folds a leaf up a Merkle path; equals the root iff the leaf really
 /// sits where the path claims.
 pub fn fold_path(leaf: &ChainDigest, path: &[ProofStep]) -> Option<ChainDigest> {
@@ -406,8 +429,10 @@ pub struct InclusionProof {
 impl InclusionProof {
     /// Verifies the proof against `key` and returns the proven entry:
     /// the header must be [`BlockHeader::VERSION`], its seal must verify,
-    /// and the line's leaf must fold up the path to the sealed Merkle
-    /// root.
+    /// the path's shape must be the one leaf `index` of the sealed
+    /// `entries` has, and the line's leaf must fold up the path to the
+    /// sealed Merkle root — so the proof also authenticates the line's
+    /// position in its segment.
     ///
     /// # Errors
     /// [`ProofError`] describing the first check that failed.
@@ -426,24 +451,29 @@ impl InclusionProof {
         self.verify_against(&self.header)
     }
 
-    /// Verifies only the Merkle membership against an already-trusted
-    /// `header` (e.g. one re-checked out of band). This is the half the
-    /// property tests exercise: a proof folds to *its* header's root and
-    /// to no other's.
+    /// Verifies only the Merkle membership, position included, against an
+    /// already-trusted `header` (e.g. one re-checked out of band). This is
+    /// the half the property tests exercise: a proof folds to *its*
+    /// header's root and to no other's.
     ///
     /// # Errors
-    /// [`ProofError::RootMismatch`] if the path does not reach the
-    /// header's root; [`ProofError::MalformedEvidence`] if the line does
-    /// not parse.
+    /// [`ProofError::RootMismatch`] if `index` is not a leaf of the
+    /// header's segment, the path's length and side flags are not the
+    /// ones [`merkle_path`] gives that leaf, or the path does not reach
+    /// the header's root;
+    /// [`ProofError::MalformedEvidence`] if the line does not parse.
     pub fn verify_against(&self, header: &BlockHeader) -> Result<JournalEntry, ProofError> {
-        let leaf = leaf_digest(self.line.as_bytes());
-        let mismatch = ProofError::RootMismatch {
+        let mismatch = || ProofError::RootMismatch {
             segment: header.segment,
             index: self.index,
         };
-        let folded = fold_path(&leaf, &self.path).ok_or_else(|| mismatch.clone())?;
-        if self.index >= header.entries || Some(folded) != decode_hex(&header.merkle_root) {
-            return Err(mismatch);
+        if self.index >= header.entries || !path_fits(&self.path, self.index, header.entries) {
+            return Err(mismatch());
+        }
+        let leaf = leaf_digest(self.line.as_bytes());
+        let folded = fold_path(&leaf, &self.path).ok_or_else(mismatch)?;
+        if Some(folded) != decode_hex(&header.merkle_root) {
+            return Err(mismatch());
         }
         let chained: ChainedLine =
             serde_json::from_str(&self.line).map_err(|e| ProofError::MalformedEvidence {
@@ -485,14 +515,63 @@ mod tests {
             .collect()
     }
 
+    /// Chained journal lines, one `Accepted` entry each.
+    fn chained_lines(n: usize) -> Vec<String> {
+        use crate::executor::JobSpec;
+        use crate::tenant::TenantId;
+        use trustmeter_workloads::Workload;
+        (0..n as u64)
+            .map(|id| {
+                let entry =
+                    JournalEntry::accepted(JobSpec::clean(id, TenantId(1), Workload::LoopO, 0.001));
+                format!(
+                    "{{\"prev\":\"{}\",\"entry\":{}}}",
+                    encode_hex(&genesis()),
+                    serde_json::to_string(&entry).unwrap()
+                )
+            })
+            .collect()
+    }
+
     #[test]
     fn merkle_paths_fold_to_the_root_for_every_width() {
-        for n in 1..=9 {
-            let leaves = leaves(n);
+        for n in 1..=33 {
+            let lines = chained_lines(n);
+            let leaves: Vec<ChainDigest> =
+                lines.iter().map(|l| leaf_digest(l.as_bytes())).collect();
             let root = merkle_root(&leaves);
+            let header = BlockHeader {
+                version: BlockHeader::VERSION,
+                segment: 1,
+                entries: n as u64,
+                jobs: None,
+                chain_prev: encode_hex(&genesis()),
+                chain_head: encode_hex(&genesis()),
+                merkle_root: encode_hex(&root),
+                seal: String::new(),
+            };
             for (i, leaf) in leaves.iter().enumerate() {
                 let path = merkle_path(&leaves, i);
                 assert_eq!(fold_path(leaf, &path), Some(root), "n={n} i={i}");
+                let mut proof = InclusionProof {
+                    line: lines[i].clone(),
+                    index: i as u64,
+                    path,
+                    header: header.clone(),
+                };
+                assert!(proof.verify_against(&header).is_ok(), "n={n} i={i}");
+                // The path's shape binds the index: no other index verifies.
+                for j in (0..n as u64).filter(|&j| j != i as u64) {
+                    proof.index = j;
+                    assert_eq!(
+                        proof.verify_against(&header).unwrap_err(),
+                        ProofError::RootMismatch {
+                            segment: 1,
+                            index: j
+                        },
+                        "n={n} i={i} claimed {j}"
+                    );
+                }
             }
         }
     }

@@ -73,7 +73,7 @@ use trustmeter_sim::SimRng;
 
 use crate::evidence::{BlockHeader, ChainDigest, InclusionProof, SealKey};
 use crate::executor::JobId;
-use crate::journal::{JournalError, JournalSink, SinkStats};
+use crate::journal::{JournalError, JournalSink, LedgerVerification, SinkStats};
 
 /// One injectable journal failure mode (see the [module docs](self) for
 /// the exact semantics of each).
@@ -504,8 +504,12 @@ impl JournalSink for FaultInjectingSink {
         self.inner.prove(job)
     }
 
-    fn verify_seals(&self, key: &SealKey, jobs: &[Option<JobId>]) -> Result<u64, JournalError> {
-        self.inner.verify_seals(key, jobs)
+    fn verify(&self, key: &SealKey) -> Result<LedgerVerification, JournalError> {
+        self.inner.verify(key)
+    }
+
+    fn chain_head(&self) -> Result<ChainDigest, JournalError> {
+        self.inner.chain_head()
     }
 
     fn contents(&self) -> Result<String, JournalError> {

@@ -104,6 +104,7 @@
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read as _, Write as _};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -585,16 +586,31 @@ pub trait JournalSink: Send {
         Ok(Vec::new())
     }
 
-    /// Re-verifies every sealed live segment against its block header
-    /// (Merkle root, chain bounds, entry count, HMAC seal under `key`,
-    /// job-id range) and returns how many seals were checked. `jobs`
-    /// holds the job each non-blank line of [`JournalSink::contents`]
-    /// names, in order — the ids [`Journal::verify`]'s chain walk already
-    /// parsed — so checking the sealed ranges parses nothing again.
-    /// Default: zero.
-    fn verify_seals(&self, key: &SealKey, jobs: &[Option<JobId>]) -> Result<u64, JournalError> {
-        let _ = (key, jobs);
-        Ok(0)
+    /// Verifies the ledger this sink holds: the strict chain walk over
+    /// [`JournalSink::contents`] (as [`parse_journal`] makes it), then every
+    /// sealed live segment against its block header (Merkle root, chain
+    /// bounds, entry count, HMAC seal under `key`, job-id range), from the
+    /// leaves and job ids the walk already computed. Default: the chain
+    /// walk alone, with no seal checked.
+    fn verify(&self, key: &SealKey) -> Result<LedgerVerification, JournalError> {
+        let _ = key;
+        let mut entries = 0u64;
+        let tail = walk_journal(&self.contents()?, |line| {
+            entries += u64::from(line.entry.is_some());
+        })?;
+        Ok(LedgerVerification {
+            entries,
+            tail,
+            seals_verified: 0,
+        })
+    }
+
+    /// The evidence chain head over every committed line, which a journal
+    /// opened over this sink continues. Default: the tolerant fold over
+    /// [`JournalSink::contents`]; a sink that already tracks its head
+    /// returns it without reading anything.
+    fn chain_head(&self) -> Result<ChainDigest, JournalError> {
+        Ok(chain_head_of(&self.contents()?))
     }
 
     /// The full journal text, including entries written before this sink
@@ -735,6 +751,10 @@ pub struct SegmentedFileSink {
     jobs: Option<JobRange>,
 }
 
+/// Each live segment's index and the byte range it occupies in the
+/// segments' concatenated text.
+type SegmentSpans = Vec<(u64, Range<usize>)>;
+
 impl SegmentedFileSink {
     const PREFIX: &'static str = "segment-";
     const SUFFIX: &'static str = ".jsonl";
@@ -808,54 +828,48 @@ impl SegmentedFileSink {
         Ok(sink)
     }
 
+    /// Reads every live segment, oldest first, into one text, with the
+    /// byte range each segment occupies in it.
+    fn read_live(&self) -> Result<(String, SegmentSpans), JournalError> {
+        let mut text = String::new();
+        let mut spans = Vec::with_capacity(self.live.len());
+        for &index in &self.live {
+            let start = text.len();
+            File::open(self.dir.join(Self::segment_name(index)))?.read_to_string(&mut text)?;
+            spans.push((index, start..text.len()));
+        }
+        Ok((text, spans))
+    }
+
     /// Rebuilds the chain head, the current segment's leaf set, its
     /// leading chain bound and its job-id range from the live segments —
     /// reopening a sealed journal continues its chain, it never restarts
-    /// one. Besides the anchor, only the head's own lines are parsed (for
-    /// the range), so reopening with an empty head parses one line at
-    /// most. The scan is *tolerant* (the first line's claimed `prev` is
-    /// adopted as the anchor, later claims are not checked, a head line
-    /// that does not parse names no job): detection belongs to
-    /// [`parse_journal`] and [`JournalSink::verify_seals`], not to open,
-    /// so a tampered journal can still be opened and inspected.
+    /// one. The live segments are read and hashed once, by the same
+    /// tolerant fold [`JournalSink::chain_head`]'s default makes, so the
+    /// head adopted here is the one that fold gives. Besides the anchor,
+    /// only the head's own lines are parsed (for the range), so reopening
+    /// with an empty head parses one line at most. A head line that does
+    /// not parse names no job: detection belongs to [`parse_journal`] and
+    /// [`JournalSink::verify`], not to open, so a tampered journal can
+    /// still be opened and inspected.
     fn rescan_chain(&mut self) -> Result<(), JournalError> {
-        let mut chain = evidence::genesis();
-        let mut anchored = false;
-        let mut segment_chain_prev = chain;
+        let (text, spans) = self.read_live()?;
+        let head_start = spans.last().map_or(0, |(_, span)| span.start);
+        let mut head_prev = None;
         let mut leaves = Vec::new();
-        let head = self.current_index;
         let mut jobs = None;
-        let live = self.live.clone();
-        for index in live {
-            segment_chain_prev = chain;
-            leaves.clear();
-            let text = std::fs::read_to_string(self.dir.join(Self::segment_name(index)))?;
-            for line in text.lines() {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                let chained = (!anchored || index == head)
-                    .then(|| serde_json::from_str::<ChainedLine>(line).ok())
-                    .flatten();
-                if !anchored {
-                    anchored = true;
-                    if let Some(claimed) =
-                        chained.as_ref().and_then(|c| evidence::decode_hex(&c.prev))
-                    {
-                        chain = claimed;
-                        segment_chain_prev = chain;
-                    }
-                }
-                if index == head {
-                    jobs = JobRange::widen(jobs, chained.and_then(|c| c.entry.job()));
-                }
-                let leaf = evidence::leaf_digest(line.as_bytes());
-                chain = evidence::link_leaf(&chain, &leaf);
-                leaves.push(leaf);
+        let chain = fold_chain(&text, |line, leaf, prev| {
+            if line.start >= head_start {
+                head_prev.get_or_insert(*prev);
+                leaves.push(*leaf);
+                let job = serde_json::from_str::<ChainedLine>(line.text)
+                    .ok()
+                    .and_then(|chained| chained.entry.job());
+                jobs = JobRange::widen(jobs, job);
             }
-        }
+        });
         self.chain = chain;
-        self.segment_chain_prev = segment_chain_prev;
+        self.segment_chain_prev = head_prev.unwrap_or(chain);
         self.leaves = leaves;
         self.jobs = jobs;
         Ok(())
@@ -1065,7 +1079,7 @@ impl JournalSink for SegmentedFileSink {
     fn anchor_chain(&mut self, head: ChainDigest) {
         // Only sound on an empty sink (nothing committed yet): the first
         // committed line will claim `prev = head`, so the sealed headers'
-        // chain bounds and `verify_seals`'s anchor adoption agree.
+        // chain bounds and `verify`'s chain walk agree.
         self.chain = head;
         self.segment_chain_prev = head;
     }
@@ -1158,7 +1172,7 @@ impl JournalSink for SegmentedFileSink {
         let mut proofs = Vec::new();
         for (index, header) in holding {
             let text = std::fs::read_to_string(self.dir.join(Self::segment_name(index)))?;
-            let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
+            let lines: Vec<&str> = journal_lines(&text).map(|line| line.text).collect();
             let leaves: Vec<ChainDigest> = lines
                 .iter()
                 .map(|l| evidence::leaf_digest(l.as_bytes()))
@@ -1188,56 +1202,73 @@ impl JournalSink for SegmentedFileSink {
         Ok(proofs)
     }
 
-    fn verify_seals(&self, key: &SealKey, jobs: &[Option<JobId>]) -> Result<u64, JournalError> {
+    fn verify(&self, key: &SealKey) -> Result<LedgerVerification, JournalError> {
+        let (text, spans) = self.read_live()?;
+        // What the seal check needs of each walked line; the entry itself
+        // is dropped once its job id is taken.
+        struct Evidence {
+            start: usize,
+            end: usize,
+            prev: ChainDigest,
+            link: ChainDigest,
+            job: Option<JobId>,
+            torn: bool,
+        }
+        let mut lines = Vec::new();
+        let mut leaves = Vec::new();
+        let tail = walk_journal(&text, |line| {
+            leaves.push(line.leaf);
+            lines.push(Evidence {
+                start: line.start,
+                end: line.end,
+                prev: line.prev,
+                link: line.link,
+                job: line.entry.as_ref().and_then(JournalEntry::job),
+                torn: line.entry.is_none(),
+            });
+        })?;
         let mut verified = 0u64;
         let mut chain = evidence::genesis();
-        let mut anchored = false;
-        // Where this segment's lines start in `jobs`.
-        let mut first_line = 0usize;
-        for &index in &self.live {
+        // The walked lines of the segment being checked: `first..next`.
+        let mut next = 0usize;
+        for (index, span) in spans {
             let header = self.read_header(index)?;
-            let text = std::fs::read_to_string(self.dir.join(Self::segment_name(index)))?;
-            let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
-            let segment_jobs = jobs.get(first_line..first_line + lines.len());
-            first_line += lines.len();
+            let first = next;
+            while next < lines.len() && lines[next].start < span.end {
+                next += 1;
+            }
+            let run = &lines[first..next];
+            let segment_prev = run.first().map_or(chain, |line| line.prev);
+            if let Some(last) = run.last() {
+                chain = last.link;
+            }
             let Some(header) = header else {
                 // The unsealed head is vouched for by the chain walk only.
                 self.unsealed(index)?;
                 continue;
             };
-            if !anchored {
-                anchored = true;
-                if let Some(first) = lines.first() {
-                    if let Ok(chained) = serde_json::from_str::<ChainedLine>(first) {
-                        if let Some(claimed) = evidence::decode_hex(&chained.prev) {
-                            chain = claimed;
-                        }
-                    }
-                }
-            }
-            let segment_prev = chain;
-            let leaves: Vec<ChainDigest> = lines
-                .iter()
-                .map(|l| evidence::leaf_digest(l.as_bytes()))
-                .collect();
-            for leaf in &leaves {
-                chain = evidence::link_leaf(&chain, leaf);
-            }
             let violation = |message: String| JournalError::SealViolation {
                 segment: index,
                 message,
             };
+            // A sealed segment's lines end inside its own file, and its
+            // last line is never torn.
+            let unterminated =
+                || violation("sealed segment ends in an unterminated line".to_string());
+            if run.last().is_some_and(|line| line.end > span.end) {
+                return Err(unterminated());
+            }
             if header.segment != index {
                 return Err(violation(format!(
                     "header names segment {}, found beside segment {index}",
                     header.segment
                 )));
             }
-            if header.entries != lines.len() as u64 {
+            if header.entries != run.len() as u64 {
                 return Err(violation(format!(
                     "header seals {} entries, segment holds {}",
                     header.entries,
-                    lines.len()
+                    run.len()
                 )));
             }
             if header.chain_prev != evidence::encode_hex(&segment_prev) {
@@ -1250,7 +1281,9 @@ impl JournalSink for SegmentedFileSink {
                     "segment's trailing chain bound disagrees with its sealed header".to_string(),
                 ));
             }
-            if header.merkle_root != evidence::encode_hex(&evidence::merkle_root(&leaves)) {
+            if header.merkle_root
+                != evidence::encode_hex(&evidence::merkle_root(&leaves[first..next]))
+            {
                 return Err(violation(
                     "segment's merkle root disagrees with its sealed header".to_string(),
                 ));
@@ -1260,16 +1293,12 @@ impl JournalSink for SegmentedFileSink {
                     "block header seal does not verify under this fleet's key".to_string(),
                 ));
             }
-            // The chain walk parsed one id per line, short only by a torn
-            // tail it dropped, and a sealed segment is never torn.
-            let Some(ids) = segment_jobs else {
-                return Err(violation(
-                    "sealed segment ends in an unterminated line".to_string(),
-                ));
-            };
+            if run.iter().any(|line| line.torn) {
+                return Err(unterminated());
+            }
             // A validly signed but wrong range would hide the segment's
             // lines from `prove`.
-            let named = JobRange::of(ids.iter().copied());
+            let named = JobRange::of(run.iter().map(|line| line.job));
             if named != header.jobs {
                 return Err(violation(format!(
                     "header seals job range {:?}, segment's lines name {named:?}",
@@ -1278,7 +1307,20 @@ impl JournalSink for SegmentedFileSink {
             }
             verified += 1;
         }
-        Ok(verified)
+        Ok(LedgerVerification {
+            entries: lines.iter().filter(|line| !line.torn).count() as u64,
+            tail,
+            seals_verified: verified,
+        })
+    }
+
+    fn chain_head(&self) -> Result<ChainDigest, JournalError> {
+        if self.seal_key.is_some() {
+            // `rescan_chain` folded the live segments at open, and every
+            // commit since advanced the head.
+            return Ok(self.chain);
+        }
+        Ok(chain_head_of(&self.contents()?))
     }
 
     fn sink_stats(&self) -> SinkStats {
@@ -1286,11 +1328,7 @@ impl JournalSink for SegmentedFileSink {
     }
 
     fn contents(&self) -> Result<String, JournalError> {
-        let mut text = String::new();
-        for index in &self.live {
-            File::open(self.dir.join(Self::segment_name(*index)))?.read_to_string(&mut text)?;
-        }
-        Ok(text)
+        Ok(self.read_live()?.0)
     }
 }
 
@@ -1336,38 +1374,83 @@ fn frame_entry(
     Ok(())
 }
 
-/// Recomputes the chain head over existing journal text. The fold is
-/// *tolerant*: the first line's claimed `prev` is adopted as the anchor
-/// (a retired journal legitimately starts mid-chain at its leading
-/// checkpoint) and later claims are not checked — detection belongs to
-/// [`parse_journal`], not to open, so a tampered journal can still be
-/// opened and inspected. An unterminated final line is ignored, exactly
-/// as reopen repairs it away.
-fn chain_head_of(text: &str) -> ChainDigest {
-    let mut link = evidence::genesis();
-    let mut anchored = false;
-    let mut offset = 0usize;
-    while offset < text.len() {
-        let rest = &text[offset..];
-        let (line, consumed, terminated) = match rest.find('\n') {
-            Some(at) => (&rest[..at], at + 1, true),
-            None => (rest, rest.len(), false),
-        };
-        offset += consumed;
-        if !terminated || line.trim().is_empty() {
-            continue;
-        }
-        if !anchored {
-            anchored = true;
-            if let Ok(chained) = serde_json::from_str::<ChainedLine>(line) {
-                if let Some(claimed) = evidence::decode_hex(&chained.prev) {
-                    link = claimed;
-                }
+/// One non-blank line of journal text.
+struct Line<'t> {
+    /// 1-based line number, blank lines counted.
+    no: usize,
+    /// Byte offset of the line in the text.
+    start: usize,
+    /// The line's canonical bytes, without its newline.
+    text: &'t str,
+    /// Whether a newline ends it (only the last line can lack one).
+    terminated: bool,
+}
+
+/// The non-blank lines of journal text, split the one way every walk
+/// splits them: on `\n` only, so a `\r` stays part of a line's canonical
+/// bytes.
+fn journal_lines(text: &str) -> impl Iterator<Item = Line<'_>> {
+    let mut offset = 0;
+    let mut no = 0;
+    std::iter::from_fn(move || {
+        while offset < text.len() {
+            let start = offset;
+            let rest = &text[start..];
+            let (line, terminated) = match rest.find('\n') {
+                Some(at) => (&rest[..at], true),
+                None => (rest, false),
+            };
+            offset += line.len() + usize::from(terminated);
+            no += 1;
+            if !line.trim().is_empty() {
+                return Some(Line {
+                    no,
+                    start,
+                    text: line,
+                    terminated,
+                });
             }
         }
-        link = evidence::chain_link(&link, line.as_bytes());
+        None
+    })
+}
+
+/// The `prev` link a line claims, if it is a well-formed chained line.
+fn claimed_prev(line: &str) -> Option<ChainDigest> {
+    let chained = serde_json::from_str::<ChainedLine>(line).ok()?;
+    evidence::decode_hex(&chained.prev)
+}
+
+/// Folds the chain over existing journal text *tolerantly*: the first
+/// line's claimed `prev` is adopted as the anchor (a retired journal
+/// legitimately starts mid-chain at its leading checkpoint) and later
+/// claims are not checked — detection belongs to [`parse_journal`], not
+/// to open, so a tampered journal can still be opened and inspected. An
+/// unterminated final line is ignored, exactly as reopen repairs it away.
+/// `visit` sees each folded line with its leaf and the chain value before
+/// it; the head is returned.
+fn fold_chain(
+    text: &str,
+    mut visit: impl FnMut(&Line<'_>, &ChainDigest, &ChainDigest),
+) -> ChainDigest {
+    let mut link = evidence::genesis();
+    let mut anchored = false;
+    for line in journal_lines(text).filter(|line| line.terminated) {
+        if !std::mem::replace(&mut anchored, true) {
+            if let Some(claimed) = claimed_prev(line.text) {
+                link = claimed;
+            }
+        }
+        let leaf = evidence::leaf_digest(line.text.as_bytes());
+        visit(&line, &leaf, &link);
+        link = evidence::link_leaf(&link, &leaf);
     }
     link
+}
+
+/// The chain head over existing journal text (see [`fold_chain`]).
+fn chain_head_of(text: &str) -> ChainDigest {
+    fold_chain(text, |_, _, _| {})
 }
 
 /// Serializes `entries` into the reused buffer, each chained onto the
@@ -1440,7 +1523,7 @@ impl Journal {
     /// # Errors
     /// [`JournalError::Io`] if the sink's contents cannot be read.
     pub fn with_sink(sink: Box<dyn JournalSink>) -> Result<Journal, JournalError> {
-        let link = chain_head_of(&sink.contents()?);
+        let link = sink.chain_head()?;
         Ok(Journal {
             inner: Arc::new(Mutex::new(JournalInner {
                 sink,
@@ -1611,32 +1694,26 @@ impl Journal {
         self.lock().sink.prove(job)
     }
 
-    /// Full ledger verification: parses the journal — which walks the
-    /// hash chain, so duplication, reordering, deletion and in-place
-    /// edits surface as [`JournalError::ChainViolation`] naming the first
-    /// bad entry — then re-verifies every sealed block header under the
-    /// fleet `seed`'s [`SealKey`] (forged, altered or foreign-fleet seals
-    /// surface as [`JournalError::SealViolation`], headers of another
-    /// format version as [`JournalError::UnsupportedHeader`]). The job
-    /// ids the chain walk parsed are handed to the seal check, so a
-    /// validly signed header whose job-id range is not its segment's is a
-    /// [`JournalError::SealViolation`] too, at no second parse.
+    /// Full ledger verification ([`JournalSink::verify`]): parses the
+    /// journal — which walks the hash chain, so duplication, reordering,
+    /// deletion and in-place edits surface as
+    /// [`JournalError::ChainViolation`] naming the first bad entry — then
+    /// re-verifies every sealed block header under the fleet `seed`'s
+    /// [`SealKey`] (forged, altered or foreign-fleet seals surface as
+    /// [`JournalError::SealViolation`], headers of another format version
+    /// as [`JournalError::UnsupportedHeader`]). Each line is read, hashed
+    /// and parsed once: the seal check takes the walk's leaves and job
+    /// ids, so a validly signed header whose Merkle root, chain bounds or
+    /// job-id range is not its segment's is a
+    /// [`JournalError::SealViolation`] too, and each entry is dropped once
+    /// its id is taken.
     ///
     /// # Errors
     /// [`JournalError::Io`], [`JournalError::Corrupt`],
     /// [`JournalError::ChainViolation`], [`JournalError::SealViolation`]
     /// or [`JournalError::UnsupportedHeader`] as above.
     pub fn verify(&self, seed: u64) -> Result<LedgerVerification, JournalError> {
-        let guard = self.lock();
-        let text = guard.sink.contents()?;
-        let (entries, tail) = parse_journal(&text)?;
-        let jobs: Vec<Option<JobId>> = entries.iter().map(JournalEntry::job).collect();
-        let seals_verified = guard.sink.verify_seals(&SealKey::from_seed(seed), &jobs)?;
-        Ok(LedgerVerification {
-            entries: entries.len() as u64,
-            tail,
-            seals_verified,
-        })
+        self.lock().sink.verify(&SealKey::from_seed(seed))
     }
 }
 
@@ -1669,91 +1746,102 @@ pub struct LedgerVerification {
 /// no longer vouches for.
 pub fn parse_journal(text: &str) -> Result<(Vec<JournalEntry>, TailStatus), JournalError> {
     let mut entries = Vec::new();
-    let mut offset = 0usize;
-    let mut line_no = 0usize;
-    let mut tail = TailStatus::Clean;
+    let tail = walk_journal(text, |line| entries.extend(line.entry))?;
+    Ok((entries, tail))
+}
+
+/// One line the strict chain walk passed.
+struct Walked {
+    /// Byte offset of the line in the text.
+    start: usize,
+    /// Byte offset just past the line (its newline excluded).
+    end: usize,
+    /// The line's leaf digest.
+    leaf: ChainDigest,
+    /// The chain value before the line.
+    prev: ChainDigest,
+    /// The chain value after the line.
+    link: ChainDigest,
+    /// The line's entry; `None` for the torn tail the walk dropped.
+    entry: Option<JournalEntry>,
+}
+
+/// The strict chain walk of [`parse_journal`] and [`JournalSink::verify`]:
+/// reads, hashes and parses every line once, checks it against the chain
+/// and hands it to `visit`, torn tail included (with `entry: None`, its
+/// leaf folded onto the chain but vouched for by nothing).
+fn walk_journal(text: &str, mut visit: impl FnMut(Walked)) -> Result<TailStatus, JournalError> {
     let mut link = evidence::genesis();
     let mut anchored = false;
-    while offset < text.len() {
-        let rest = &text[offset..];
-        let (line, consumed, terminated) = match rest.find('\n') {
-            Some(at) => (&rest[..at], at + 1, true),
-            None => (rest, rest.len(), false),
-        };
-        line_no += 1;
-        let is_last = offset + consumed >= text.len();
-        if line.trim().is_empty() {
-            offset += consumed;
-            continue;
-        }
-        match serde_json::from_str::<ChainedLine>(line) {
-            Ok(chained) => {
-                if !terminated {
-                    // A complete-looking parse without a newline is still a
-                    // torn append: the writer appends line + newline in one
-                    // write, so the newline's absence means the line may be
-                    // a prefix of a longer record. Drop it.
-                    tail = TailStatus::Truncated {
-                        dropped_bytes: line.len(),
-                    };
-                } else {
-                    let subject = match chained.entry.job() {
-                        Some(job) => format!("{} entry for {job}", chained.entry.label()),
-                        None => format!("{} entry", chained.entry.label()),
-                    };
-                    let claimed = evidence::decode_hex(&chained.prev).ok_or_else(|| {
-                        JournalError::ChainViolation {
-                            line: line_no,
-                            message: format!("{subject} carries an unparseable prev link"),
-                        }
-                    })?;
-                    if !anchored
-                        && claimed != link
-                        && matches!(chained.entry, JournalEntry::Checkpoint(_))
-                    {
-                        // A retired journal starts at its leading
-                        // checkpoint, whose prev is the chain head the
-                        // fold reached before retirement: adopt it.
-                        link = claimed;
-                    }
-                    if claimed != link {
-                        return Err(JournalError::ChainViolation {
-                            line: line_no,
-                            message: format!(
-                                "{subject} claims prev {}… but the chain here reads {}… \
-                                 (duplicated, reordered, deleted or edited evidence at or \
-                                 before this line)",
-                                &chained.prev[..8.min(chained.prev.len())],
-                                &evidence::encode_hex(&link)[..8],
-                            ),
-                        });
-                    }
-                    anchored = true;
-                    link = evidence::chain_link(&link, line.as_bytes());
-                    entries.push(chained.entry);
-                }
-            }
+    for line in journal_lines(text) {
+        let leaf = evidence::leaf_digest(line.text.as_bytes());
+        let (start, end) = (line.start, line.start + line.text.len());
+        if !line.terminated {
             // Only an *unterminated* final line is a crash artifact: the
             // writer appends line + newline in one write, so a torn write
-            // can never include the newline. A newline-terminated line
-            // that fails to parse was fully written and later damaged —
-            // corruption, wherever it sits.
-            Err(e) if is_last && !terminated => {
-                tail = TailStatus::Truncated {
-                    dropped_bytes: line.len(),
-                };
-                let _ = e;
-            }
-            Err(e) => {
-                return Err(JournalError::Corrupt {
-                    line: line_no,
-                    message: e.to_string(),
-                });
-            }
+            // can never include the newline, and a line without one may be
+            // a prefix of a longer record whether or not it parses. Drop
+            // it.
+            visit(Walked {
+                start,
+                end,
+                leaf,
+                prev: link,
+                link: evidence::link_leaf(&link, &leaf),
+                entry: None,
+            });
+            return Ok(TailStatus::Truncated {
+                dropped_bytes: line.text.len(),
+            });
         }
-        offset += consumed;
+        // A newline-terminated line that fails to parse was fully written
+        // and later damaged — corruption, wherever it sits.
+        let chained: ChainedLine =
+            serde_json::from_str(line.text).map_err(|e| JournalError::Corrupt {
+                line: line.no,
+                message: e.to_string(),
+            })?;
+        let subject = || match chained.entry.job() {
+            Some(job) => format!("{} entry for {job}", chained.entry.label()),
+            None => format!("{} entry", chained.entry.label()),
+        };
+        let claimed =
+            evidence::decode_hex(&chained.prev).ok_or_else(|| JournalError::ChainViolation {
+                line: line.no,
+                message: format!("{} carries an unparseable prev link", subject()),
+            })?;
+        if !anchored && claimed != link && matches!(chained.entry, JournalEntry::Checkpoint(_)) {
+            // A retired journal starts at its leading checkpoint, whose
+            // prev is the chain head the fold reached before retirement:
+            // adopt it.
+            link = claimed;
+        }
+        if claimed != link {
+            return Err(JournalError::ChainViolation {
+                line: line.no,
+                message: format!(
+                    "{} claims prev {}… but the chain here reads {}… \
+                     (duplicated, reordered, deleted or edited evidence at or \
+                     before this line)",
+                    subject(),
+                    &chained.prev[..8.min(chained.prev.len())],
+                    &evidence::encode_hex(&link)[..8],
+                ),
+            });
+        }
+        anchored = true;
+        let prev = link;
+        link = evidence::link_leaf(&link, &leaf);
+        visit(Walked {
+            start,
+            end,
+            leaf,
+            prev,
+            link,
+            entry: Some(chained.entry),
+        });
     }
-    Ok((entries, tail))
+    Ok(TailStatus::Clean)
 }
 
 /// The suffix of `entries` a recovery should replay: from the **last**
@@ -2084,6 +2172,12 @@ mod tests {
             Err(JournalError::Corrupt { .. }) => {}
             other => panic!("expected corruption, got {other:?}"),
         }
+        // `verify` walks the same text: the torn line merges into the
+        // next segment's first line, which does not parse.
+        match journal.verify(0) {
+            Err(JournalError::Corrupt { .. }) => {}
+            other => panic!("expected corruption, got {other:?}"),
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -2293,6 +2387,61 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Reopens `dir` and checks that the chain head the journal adopts
+    /// is the one the fold over its text gives.
+    fn reopened_head(dir: &Path, config: SegmentConfig) -> ChainDigest {
+        let journal = Journal::segmented(dir, config).unwrap();
+        let head = journal.lock().link;
+        assert_eq!(head, chain_head_of(&journal.text().unwrap()), "{dir:?}");
+        head
+    }
+
+    #[test]
+    fn reopen_adopts_the_head_the_fold_over_the_text_gives() {
+        let dir = scratch_dir("reopen-head");
+        let config = SegmentConfig::default()
+            .with_segment_bytes(512)
+            .with_seal(42);
+        // Tiny segments: several sealed segments and a non-empty head.
+        let journal = Journal::segmented(&dir, config).unwrap();
+        for id in 0..7 {
+            journal.append_batch(&[accepted(id)]).unwrap();
+        }
+        let live = journal.lock().link;
+        drop(journal);
+        assert_eq!(reopened_head(&dir, config), live);
+        // Reopened over that non-empty head, and appended to again.
+        let journal = Journal::segmented(&dir, config).unwrap();
+        journal.append_batch(&[accepted(7)]).unwrap();
+        let live = journal.lock().link;
+        drop(journal);
+        assert_eq!(reopened_head(&dir, config), live);
+        // A retired directory starts at its leading checkpoint.
+        let journal = Journal::segmented(&dir, config).unwrap();
+        journal
+            .append_batch(&[JournalEntry::checkpoint(Checkpoint::default())])
+            .unwrap();
+        journal.append_batch(&[accepted(8)]).unwrap();
+        assert!(journal.stats().segments_retired > 0);
+        let live = journal.lock().link;
+        drop(journal);
+        assert_eq!(reopened_head(&dir, config), live);
+        // A failover sink is anchored at the inherited head; its own
+        // directory starts with a checkpoint claiming that head.
+        let journal = Journal::segmented(&dir, config).unwrap();
+        let standby = scratch_dir("reopen-head-standby");
+        journal.fail_over(Box::new(SegmentedFileSink::open(&standby, config).unwrap()));
+        journal
+            .append_batch(&[JournalEntry::checkpoint(Checkpoint::default())])
+            .unwrap();
+        journal.append_batch(&[accepted(9)]).unwrap();
+        let live = journal.lock().link;
+        drop(journal);
+        assert_eq!(reopened_head(&standby, config), live);
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&standby).unwrap();
+    }
+
     fn accepted(id: u64) -> JournalEntry {
         JournalEntry::accepted(JobSpec::clean(id, TenantId(1), Workload::LoopO, 0.001))
     }
@@ -2357,6 +2506,36 @@ mod tests {
     }
 
     #[test]
+    fn a_proof_verifies_only_at_its_own_index() {
+        let dir = scratch_dir("seal-index");
+        let config = SegmentConfig::default().with_seal(42);
+        let journal = Journal::segmented(&dir, config).unwrap();
+        let batch: Vec<JournalEntry> = (0..10).map(accepted).collect();
+        journal.append_batch(&batch).unwrap();
+        journal.seal().unwrap();
+        let mut proofs = journal.prove(JobId(5)).unwrap();
+        assert_eq!(proofs.len(), 1);
+        let mut proof = proofs.remove(0);
+        assert_eq!(
+            (proof.header.entries, proof.index, proof.path.len()),
+            (10, 5, 4)
+        );
+        let key = SealKey::from_seed(42);
+        assert_eq!(proof.verify(&key).unwrap(), accepted(5));
+        // The line and path are genuine, but a proof that claims another
+        // position would misstate which entry the segment holds there.
+        for index in (0..10).filter(|&index| index != 5) {
+            proof.index = index;
+            assert_eq!(
+                proof.verify(&key).unwrap_err(),
+                evidence::ProofError::RootMismatch { segment: 1, index },
+                "index {index}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn a_resigned_narrowed_range_is_a_seal_violation() {
         let dir = scratch_dir("seal-narrowed");
         let journal = sealed_accepted(&dir, 12);
@@ -2402,6 +2581,24 @@ mod tests {
                 assert_eq!(segment, last);
                 assert!(message.contains("unterminated"), "{message}");
             }
+            other => panic!("expected a seal violation at segment {last}, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_carriage_return_is_part_of_a_sealed_line() {
+        let dir = scratch_dir("seal-carriage-return");
+        let journal = sealed_accepted(&dir, 12);
+        let last = journal.sealed_headers().unwrap().last().unwrap().segment;
+        let path = dir.join(SegmentedFileSink::segment_name(last));
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, format!("{}\r\n", text.trim_end_matches('\n'))).unwrap();
+        // The line still parses and nothing chains after it, but its bytes
+        // are not the sealed ones.
+        assert!(journal.entries().is_ok());
+        match journal.verify(42) {
+            Err(JournalError::SealViolation { segment, .. }) => assert_eq!(segment, last),
             other => panic!("expected a seal violation at segment {last}, got {other:?}"),
         }
         std::fs::remove_dir_all(&dir).unwrap();

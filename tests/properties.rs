@@ -1,6 +1,7 @@
 //! Property-based tests (proptest) over the core invariants:
-//! accounting conservation, monotonicity, hash-chain integrity, and
-//! billing arithmetic.
+//! accounting conservation, monotonicity, hash-chain integrity, billing
+//! arithmetic, and agreement of the two JSON decoding paths on journal
+//! evidence.
 
 use proptest::prelude::*;
 use trustmeter::fleet::evidence;
@@ -453,5 +454,153 @@ proptest! {
             }
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The streaming JSON reader decodes journal evidence as the value tree does
+// ---------------------------------------------------------------------------
+
+/// `PROPTEST_CASES` scales the number of mutated inputs (CI runs 1024).
+fn proptest_cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(64)
+}
+
+/// Every line, block-header sidecar and serialized inclusion proof of a
+/// seeded sealed journal that holds `Accepted`, `Run`, `Invoice`,
+/// `Verdict`, a cadence `Checkpoint` and a `Poisoned` entry.
+fn evidence_corpus() -> &'static [String] {
+    use std::sync::OnceLock;
+    static CORPUS: OnceLock<Vec<String>> = OnceLock::new();
+    CORPUS.get_or_init(|| {
+        const SEED: u64 = 77;
+        let dir = case_dir();
+        let config = SegmentConfig::default()
+            .with_segment_bytes(4 * 1024)
+            .with_seal(SEED);
+        let journal = Journal::segmented(&dir, config).unwrap();
+        let mut service = prop_service(journal.clone())
+            .with_checkpoint_cadence(CheckpointCadence::every_n_runs(4));
+        let spec = |id: u64| {
+            let tenant = TenantId((id % 2) as u32 + 1);
+            let workload = Workload::ALL[(id % 4) as usize];
+            if id.is_multiple_of(3) {
+                JobSpec::attacked(id, tenant, workload, 0.001, AttackSpec::Shell)
+            } else {
+                JobSpec::clean(id, tenant, workload, 0.001)
+            }
+        };
+        // The first batch ends in a cadence checkpoint, which retires the
+        // segments before it; the second stays below the cadence.
+        service.process(&(0..4).map(spec).collect::<Vec<_>>());
+        service.process(&(4..7).map(spec).collect::<Vec<_>>());
+        journal
+            .append_batch(&[JournalEntry::poisoned(PoisonNotice {
+                spec: spec(7),
+                attempts: 3,
+            })])
+            .unwrap();
+        journal.seal().unwrap();
+
+        let mut corpus: Vec<String> = journal
+            .text()
+            .unwrap()
+            .lines()
+            .map(str::to_string)
+            .collect();
+        for variant in [
+            "Accepted",
+            "Run",
+            "Invoice",
+            "Verdict",
+            "Checkpoint",
+            "Poisoned",
+        ] {
+            let framed = format!("\"entry\":{{\"{variant}\"");
+            assert!(
+                corpus.iter().any(|line| line.contains(&framed)),
+                "the corpus holds a {variant} entry"
+            );
+        }
+        for header in journal.sealed_headers().unwrap() {
+            let sidecar = dir.join(format!("segment-{:08}.seal", header.segment));
+            corpus.push(std::fs::read_to_string(sidecar).unwrap());
+        }
+        for id in 0..8 {
+            for proof in journal.prove(JobId(id)).unwrap() {
+                corpus.push(serde_json::to_string(&proof).unwrap());
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        corpus
+    })
+}
+
+/// Decodes `text` as a `T` through the reader and through the tree and
+/// fails unless both give the same value or both fail.
+fn paths_agree<T>(text: &str) -> Result<(), TestCaseError>
+where
+    T: serde::Deserialize + PartialEq + std::fmt::Debug,
+{
+    let read = serde_json::from_str::<T>(text).ok();
+    let tree = serde_json::from_str::<serde::Value>(text)
+        .ok()
+        .and_then(|value| T::from_value(&value).ok());
+    // Debug output tells floats apart by their bits (`-0.0` from `0.0`).
+    prop_assert!(
+        read == tree && format!("{read:?}") == format!("{tree:?}"),
+        "{} decodes differently on {text:?}: reader {read:?}, tree {tree:?}",
+        std::any::type_name::<T>()
+    );
+    Ok(())
+}
+
+fn all_paths_agree(text: &str) -> Result<(), TestCaseError> {
+    paths_agree::<evidence::ChainedLine>(text)?;
+    paths_agree::<JournalEntry>(text)?;
+    paths_agree::<BlockHeader>(text)?;
+    paths_agree::<InclusionProof>(text)
+}
+
+/// The characters mutations draw from: JSON's structure and number
+/// syntax, where the two decoding paths could part ways.
+const MUTATION_CHARS: &str = "\"\\,:{}[]-+.eE0123456789";
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(proptest_cases()))]
+
+    /// Flipping, inserting, deleting or truncating characters of real
+    /// journal evidence never makes the streaming reader disagree with
+    /// the value tree: the same value, or an error from both.
+    #[test]
+    fn the_reader_decodes_mutated_evidence_as_the_tree_does(
+        pick in any::<usize>(),
+        mutants in prop::collection::vec(
+            prop::collection::vec((0u8..4, any::<usize>(), 0usize..MUTATION_CHARS.len()), 1..5),
+            16..33,
+        ),
+    ) {
+        let corpus = evidence_corpus();
+        let original: Vec<char> = corpus[pick % corpus.len()].chars().collect();
+        all_paths_agree(&original.iter().collect::<String>())?;
+        for edits in mutants {
+            let mut text = original.clone();
+            for (kind, at, with) in edits {
+                let at = at % (text.len() + 1);
+                let with = MUTATION_CHARS.as_bytes()[with] as char;
+                match kind {
+                    0 if at < text.len() => text[at] = with,
+                    1 => text.insert(at, with),
+                    2 if at < text.len() => {
+                        text.remove(at);
+                    }
+                    _ => text.truncate(at),
+                }
+                all_paths_agree(&text.iter().collect::<String>())?;
+            }
+        }
     }
 }
