@@ -27,4 +27,4 @@ pub use measurement::{
     Digest, ImageKind, MeasuredImage, MeasurementLog, PcrBank, SourceIntegrityReport,
 };
 pub use sha256::Sha256;
-pub use witness::{ExecutionWitness, WitnessMismatch};
+pub use witness::ExecutionWitness;

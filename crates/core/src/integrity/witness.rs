@@ -7,35 +7,12 @@
 //! the simplest sound mechanism: the substrate appends the identifier of
 //! every executed block/op to an [`ExecutionWitness`] hash chain; the
 //! customer, who can regenerate the expected chain by running the same
-//! program on her own reference platform, compares final digests (and, for
-//! diagnosis, prefix lengths).
+//! program on her own reference platform, compares final digests and
+//! step counts.
 
 use super::measurement::Digest;
 use super::sha256::Sha256;
 use serde::{Deserialize, Serialize};
-use std::fmt;
-
-/// Where two execution witnesses diverge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct WitnessMismatch {
-    /// Index of the first differing step (equal to the shorter length when
-    /// one chain is a prefix of the other).
-    pub first_divergence: usize,
-    /// Steps recorded by the local (reference) witness.
-    pub expected_len: usize,
-    /// Steps recorded by the remote (reported) witness.
-    pub observed_len: usize,
-}
-
-impl fmt::Display for WitnessMismatch {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "execution diverged at step {} (expected {} steps, observed {})",
-            self.first_divergence, self.expected_len, self.observed_len
-        )
-    }
-}
 
 /// A hash chain committing to the sequence of executed blocks.
 ///
@@ -54,12 +31,12 @@ impl fmt::Display for WitnessMismatch {
 ///
 /// remote.record("injected-code");
 /// assert!(!reference.matches(&remote));
-/// assert!(reference.diff(&remote).is_some());
+/// assert_eq!(remote.len(), reference.len() + 1);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub struct ExecutionWitness {
     chain: Digest,
-    steps: Vec<Digest>,
+    len: usize,
 }
 
 impl ExecutionWitness {
@@ -67,7 +44,7 @@ impl ExecutionWitness {
     pub fn new() -> ExecutionWitness {
         ExecutionWitness {
             chain: Digest::ZERO,
-            steps: Vec::new(),
+            len: 0,
         }
     }
 
@@ -84,7 +61,7 @@ impl ExecutionWitness {
     /// which must see every step — per record.
     pub fn record_step(&mut self, step: Digest) {
         self.chain = Digest(Sha256::digest_pair(&self.chain.0, &step.0));
-        self.steps.push(step);
+        self.len += 1;
     }
 
     /// The running chain digest committing to everything recorded so far.
@@ -94,36 +71,17 @@ impl ExecutionWitness {
 
     /// Number of recorded steps.
     pub fn len(&self) -> usize {
-        self.steps.len()
+        self.len
     }
 
     /// Whether nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
+        self.len == 0
     }
 
     /// Whether two witnesses commit to identical executions.
     pub fn matches(&self, other: &ExecutionWitness) -> bool {
-        self.chain == other.chain && self.steps.len() == other.steps.len()
-    }
-
-    /// Locates the divergence between two witnesses, or `None` when they
-    /// match.
-    pub fn diff(&self, other: &ExecutionWitness) -> Option<WitnessMismatch> {
-        if self.matches(other) {
-            return None;
-        }
-        let common = self
-            .steps
-            .iter()
-            .zip(other.steps.iter())
-            .take_while(|(a, b)| a == b)
-            .count();
-        Some(WitnessMismatch {
-            first_divergence: common,
-            expected_len: self.steps.len(),
-            observed_len: other.steps.len(),
-        })
+        self.chain == other.chain && self.len == other.len
     }
 }
 
@@ -140,7 +98,6 @@ mod tests {
             b.record(s);
         }
         assert!(a.matches(&b));
-        assert_eq!(a.diff(&b), None);
         assert_eq!(a.len(), 3);
         assert!(!a.is_empty());
     }
@@ -154,7 +111,6 @@ mod tests {
         b.record("y");
         b.record("x");
         assert!(!a.matches(&b));
-        assert_eq!(a.diff(&b).unwrap().first_divergence, 0);
     }
 
     #[test]
@@ -166,11 +122,8 @@ mod tests {
             remote.record(s);
         }
         remote.record("attacker-detour");
-        let diff = reference.diff(&remote).unwrap();
-        assert_eq!(diff.first_divergence, 2);
-        assert_eq!(diff.expected_len, 2);
-        assert_eq!(diff.observed_len, 3);
-        assert!(format!("{diff}").contains("step 2"));
+        assert!(!reference.matches(&remote));
+        assert_eq!((reference.len(), remote.len()), (2, 3));
     }
 
     #[test]

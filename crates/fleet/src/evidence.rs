@@ -70,15 +70,10 @@ pub fn genesis() -> ChainDigest {
 /// Folds one committed line into the chain: `SHA-256(domain ‖ prev ‖
 /// leaf)` where `leaf` is [`leaf_digest`] of the canonical line bytes
 /// (no trailing newline). Folding over the leaf rather than the raw
-/// bytes means a sealing sink hashes each line **once** — the same leaf
-/// feeds both the chain and the segment's Merkle tree — which is what
-/// keeps the sealed mode's overhead within a few percent of plain group
-/// commit.
-pub fn chain_link(prev: &ChainDigest, line: &[u8]) -> ChainDigest {
-    link_leaf(prev, &leaf_digest(line))
-}
-
-/// [`chain_link`] with the line's leaf digest already in hand.
+/// bytes means each line is hashed **once** when it is written:
+/// [`crate::Journal::append_batch`] computes the leaf and the link and
+/// hands both to the sink ([`crate::Framed`]), so the same leaf feeds the
+/// chain and a sealing sink's Merkle tree.
 pub fn link_leaf(prev: &ChainDigest, leaf: &ChainDigest) -> ChainDigest {
     let mut h = Sha256::new();
     h.update(LINK_DOMAIN);
@@ -647,9 +642,10 @@ mod tests {
     #[test]
     fn chain_links_are_order_sensitive() {
         let g = genesis();
-        let ab = chain_link(&chain_link(&g, b"a"), b"b");
-        let ba = chain_link(&chain_link(&g, b"b"), b"a");
+        let (a, b) = (leaf_digest(b"a"), leaf_digest(b"b"));
+        let ab = link_leaf(&link_leaf(&g, &a), &b);
+        let ba = link_leaf(&link_leaf(&g, &b), &a);
         assert_ne!(ab, ba);
-        assert_ne!(chain_link(&g, b"a"), leaf_digest(b"a"), "domains differ");
+        assert_ne!(link_leaf(&g, &a), a, "domains differ");
     }
 }

@@ -73,7 +73,7 @@ use trustmeter_sim::SimRng;
 
 use crate::evidence::{BlockHeader, ChainDigest, InclusionProof, SealKey};
 use crate::executor::JobId;
-use crate::journal::{JournalError, JournalSink, LedgerVerification, SinkStats};
+use crate::journal::{Framed, JournalError, JournalSink, LedgerVerification, SinkStats};
 
 /// One injectable journal failure mode (see the [module docs](self) for
 /// the exact semantics of each).
@@ -359,7 +359,7 @@ impl FaultInjectingSink {
     /// The write interception core: either the whole batch passes, or a
     /// planned fault inside it fires and the batch fails (committing a
     /// prefix only for [`FaultKind::Torn`]).
-    fn commit(&mut self, lines: &[&str], jobs: &[Option<JobId>]) -> Result<(), JournalError> {
+    fn commit(&mut self, text: &str, lines: &[Framed]) -> Result<(), JournalError> {
         let mut state = lock_state(&self.state);
         if let Some(reason) = &state.dead {
             let reason = reason.clone();
@@ -372,7 +372,7 @@ impl FaultInjectingSink {
             .front()
             .is_some_and(|fault| fault.at_line < state.committed + batch);
         if !hit {
-            self.inner.append_lines(lines, jobs)?;
+            self.inner.append_lines(text, lines)?;
             state.committed += batch;
             state.stats.commits_passed += 1;
             state.stats.lines_committed += batch;
@@ -410,15 +410,16 @@ impl FaultInjectingSink {
                 state.stats.injected_torn += 1;
                 // The complete lines before the fault line land normally…
                 let lead = (fault.at_line - state.committed) as usize;
+                let at = lines[..lead].last().map_or(0, |line| line.end);
                 if lead > 0 {
-                    self.inner.append_lines(&lines[..lead], &jobs[..lead])?;
+                    self.inner.append_lines(&text[..at], &lines[..lead])?;
                     state.committed += lead as u64;
                     state.stats.lines_committed += lead as u64;
                 }
                 // …then a newline-less fragment of the fault line — the
                 // exact artifact a crash mid-write leaves — and the sink
                 // dies so nothing can ever append after the fragment.
-                let line = lines[lead];
+                let line = &text[at..lines[lead].end - 1];
                 let cut = (bytes as usize).min(line.len());
                 self.inner.append_torn(&line[..cut])?;
                 let reason = format!(
@@ -452,12 +453,11 @@ impl FaultInjectingSink {
 }
 
 impl JournalSink for FaultInjectingSink {
-    fn append_lines(&mut self, lines: &[&str], jobs: &[Option<JobId>]) -> Result<(), JournalError> {
-        assert_eq!(lines.len(), jobs.len(), "one job slot per line");
+    fn append_lines(&mut self, text: &str, lines: &[Framed]) -> Result<(), JournalError> {
         if lines.is_empty() {
             return Ok(());
         }
-        self.commit(lines, jobs)
+        self.commit(text, lines)
     }
 
     fn append_torn(&mut self, fragment: &str) -> Result<(), JournalError> {
@@ -482,10 +482,6 @@ impl JournalSink for FaultInjectingSink {
     fn seal_head(&mut self) -> Result<(), JournalError> {
         self.check_alive()?;
         self.inner.seal_head()
-    }
-
-    fn anchor_chain(&mut self, head: ChainDigest) {
-        self.inner.anchor_chain(head)
     }
 
     fn sink_stats(&self) -> SinkStats {

@@ -34,7 +34,9 @@
 //! With a [`crate::Journal`] attached to the service
 //! ([`FleetService::with_journal`]), every record is appended to the
 //! write-ahead log *before* it is released to the consumer — the
-//! durability boundary of the [`crate::journal`] layer. Those appends are
+//! durability boundary of the [`crate::journal`] layer. A pump releases
+//! the contiguous prefix of the completion log as one group commit,
+//! records and poison verdicts alike, in release order. Those appends are
 //! also the *evidence* boundary: each journaled record becomes a
 //! hash-chained line (and, once its segment rotates under a sealing
 //! sink, a Merkle leaf under a signed block header), so the order the
@@ -52,9 +54,10 @@
 //! submit, the ready prefix at release) runs under a seeded-deterministic
 //! [`RetryPolicy`]: transient errors are retried with bounded exponential
 //! backoff in virtual ticks. On exhaustion the pipeline enters
-//! **quarantine**: releases stop with the un-journaled batch parked
-//! (preserving the *never-journaled ⇒ never-billed* invariant — nothing
-//! is ever released unjournaled), `submit` fails fast with
+//! **quarantine**: releases stop with the unjournaled prefix parked,
+//! records and poison verdicts alike (preserving the *never-journaled ⇒
+//! never-billed* invariant — nothing is ever released unjournaled),
+//! `submit` fails fast with
 //! [`SubmitError::Quarantined`], and the state is observable via
 //! [`FleetStream::health`] and the `fleet_quarantined` /
 //! `fleet_journal_failures_total` metrics. Workers keep *executing*
@@ -97,10 +100,11 @@
 //!   exactly once.
 //! * **Poison jobs are quarantined individually.** A job that kills
 //!   [`SupervisorPolicy::max_job_attempts`] workers in a row gets a
-//!   tombstone in the completion log (the release cursor passes it), a
-//!   journaled [`crate::JournalEntry::Poisoned`] verdict, and a
-//!   tenant-visible [`FleetStream::poisoned`] notice — while every other
-//!   job keeps flowing.
+//!   [`crate::JournalEntry::Poisoned`] verdict where its record would
+//!   have been in the completion log, journaled in release order in the
+//!   same group commit as the records around it, and a tenant-visible
+//!   [`FleetStream::poisoned`] notice — while every other job keeps
+//!   flowing.
 //!
 //! ```
 //! use trustmeter_fleet::{FleetConfig, FleetService, IngestConfig, JobSpec, TenantId};
@@ -413,8 +417,9 @@ pub struct FleetHealth {
     pub retries: u64,
     /// Virtual backoff ticks spent waiting between retry attempts.
     pub backoff_ticks: u64,
-    /// Completed records parked by quarantine, awaiting the post-failover
-    /// drain (never released unjournaled).
+    /// Released-prefix entries (records and poison verdicts) parked by
+    /// quarantine, awaiting the post-failover drain (never released
+    /// unjournaled).
     pub stalled: u64,
     /// Accepted-but-unreleased jobs whose `Accepted` markers are pending
     /// (re-journaled into the replacement sink on failover).
@@ -433,18 +438,6 @@ pub struct FleetHealth {
     /// The last worker died with the restart budget spent: the fleet is
     /// quarantined until [`FleetStream::scale_workers`] revives the pool.
     pub workers_dead: bool,
-}
-
-/// One entry in the sequence-numbered completion log.
-#[derive(Debug, Clone)]
-enum Completion {
-    /// A fully executed job's record (boxed: a tombstone is ~20× smaller
-    /// than a record, and the log holds many entries at once).
-    Record(Box<RunRecord>),
-    /// A poison-job tombstone: lets the contiguous-prefix release cursor
-    /// pass the sequence while a journaled verdict — not a record — is
-    /// what gets released.
-    Poisoned(PoisonNotice),
 }
 
 /// One dispatched (sequence, job) pair held by a worker — the
@@ -489,19 +482,19 @@ enum CompletionOutcome {
 #[derive(Debug)]
 struct State {
     queue: FairQueue,
-    /// Next submission sequence number.
+    /// Next submission sequence number, and so the number of jobs
+    /// accepted so far.
     next_seq: u64,
-    /// Sequence-numbered completion log; contiguous prefixes are released
-    /// to consumers in submission order (poison tombstones are passed,
-    /// journaled and surfaced as verdicts).
-    completed: BTreeMap<u64, Completion>,
+    /// Sequence-numbered completion log, holding what a release journals:
+    /// a [`JournalEntry::Run`] per executed job and a
+    /// [`JournalEntry::Poisoned`] verdict per poison job. Contiguous
+    /// prefixes are released in submission order.
+    completed: BTreeMap<u64, JournalEntry>,
     /// Next sequence number to release from the completion log.
     released: u64,
     /// Dispatch order (which job each worker popped, in pop order) — the
     /// observable fairness record.
     dispatch_log: Vec<(JobId, TenantId)>,
-    inflight: BTreeMap<TenantId, u64>,
-    submitted: u64,
     completed_count: u64,
     rejected: u64,
     paused: bool,
@@ -512,10 +505,11 @@ struct State {
     /// The journal exhausted its retry policy: releases are stopped and
     /// submits fail fast until a failover lifts the quarantine.
     quarantined: bool,
-    /// The ready batch whose journal commit exhausted the retry policy,
-    /// parked at the release cursor: never released (the write-ahead
-    /// invariant), drained by the first `take_ready` after failover.
-    stalled: Vec<RunRecord>,
+    /// The released prefix whose journal commit exhausted the retry
+    /// policy, records and poison verdicts alike, parked at the release
+    /// cursor: never released (the write-ahead invariant), drained first
+    /// by the first `take_ready` after failover.
+    stalled: Vec<JournalEntry>,
     /// Failed journal commit attempts that were retried.
     retries: u64,
     /// Journal commits that exhausted the retry policy.
@@ -538,7 +532,7 @@ struct State {
     /// Workers currently alive (spawned minus exited minus reaped).
     active_workers: usize,
     /// In-flight dispatches keyed by sequence number — what spinning
-    /// workers charge and a reap reclaims.
+    /// workers charge, a reap reclaims, and the in-flight gauges count.
     assignments: BTreeMap<u64, Assignment>,
     /// Generations of reaped workers. Any thread still running one of
     /// these is a zombie: its completions are discarded and it exits at
@@ -580,18 +574,14 @@ struct Shared {
     /// Completion-side watermark (0 = unbounded); see
     /// [`IngestConfig::with_completion_watermark`].
     watermark: usize,
-    /// When set, every record is appended as a [`crate::JournalEntry::Run`]
-    /// *before* it is released by `take_ready` — the write-ahead point of
-    /// the durability layer.
+    /// When set, every released prefix is appended to it *before*
+    /// `take_ready` releases it — the write-ahead point of the
+    /// durability layer.
     journal: Option<Journal>,
     /// When set, submits are timestamped and workers record queue-wait
     /// spans at dispatch; `take_ready` records the journal group commit.
     /// Observation only — release order and records are unaffected.
     tracer: Option<PipelineTracer>,
-    /// Serializes consumers through `take_ready`, so journal appends (done
-    /// *outside* the state lock, where they would otherwise stall every
-    /// worker on release-path I/O) still happen in release order.
-    release_guard: Mutex<()>,
     /// Serializes submitters, so the `Accepted` write-ahead append (done
     /// *outside* the state lock for the same reason) lands in the journal
     /// in exactly the submission-sequence order — and so the admission
@@ -724,7 +714,6 @@ impl Shared {
             }
             let first_seq = state.next_seq;
             state.next_seq += admit as u64;
-            state.submitted += admit as u64;
             if self.journal.is_some() {
                 for (offset, job) in slice.iter().enumerate() {
                     state
@@ -751,13 +740,17 @@ impl Shared {
 
     fn stats(&self) -> IngestStats {
         let state = self.lock();
+        let mut inflight = BTreeMap::new();
+        for assignment in state.assignments.values() {
+            *inflight.entry(assignment.job.tenant).or_insert(0) += 1;
+        }
         IngestStats {
-            submitted: state.submitted,
+            submitted: state.next_seq,
             completed: state.completed_count,
             rejected: state.rejected,
             queued: state.queue.len(),
             ready: state.completed.len() + state.stalled.len(),
-            inflight: state.inflight.clone(),
+            inflight,
             retries: state.retries,
             journal_failures: state.journal_failures,
             quarantined: state.quarantined,
@@ -827,21 +820,20 @@ impl Shared {
         }
     }
 
-    /// Flips the pipeline into quarantine: `stalled` (the batch whose
-    /// commit exhausted the policy — empty for a submission-side failure)
-    /// is parked at the release cursor, releases stop, submits fail fast,
-    /// and every waiter wakes to observe the state. Lifted only by
-    /// [`Shared::resume_after_failover`].
-    fn enter_quarantine(&self, error: JournalError, stalled: Vec<RunRecord>) {
+    /// Flips the pipeline into quarantine: `stalled` (the released prefix
+    /// whose commit exhausted the policy — empty for a submission-side
+    /// failure) is parked at the release cursor, releases stop, submits
+    /// fail fast, and every waiter wakes to observe the state. Lifted
+    /// only by [`Shared::resume_after_failover`].
+    fn enter_quarantine(&self, error: JournalError, stalled: Vec<JournalEntry>) {
         let mut state = self.lock();
         state.quarantined = true;
         state.journal_failures += 1;
         state.last_error = Some(error.to_string());
-        debug_assert!(
-            state.stalled.is_empty(),
-            "a quarantined pipeline releases nothing, so at most one batch can stall"
-        );
-        state.stalled = stalled;
+        // A quarantined pipeline releases nothing, so at most one prefix is
+        // parked; a submission-side failure racing it must not drop it.
+        debug_assert!(stalled.is_empty() || state.stalled.is_empty());
+        state.stalled.extend(stalled);
         drop(state);
         self.job_ready.notify_all();
         self.slot_free.notify_all();
@@ -946,13 +938,12 @@ impl Shared {
                     // the watermark — finish() consumes everything.
                     let mut budget = usize::MAX;
                     if shared.watermark > 0 && !state.shutting_down {
-                        let inflight: u64 = state.inflight.values().sum();
-                        let used = state.completed.len() as u64 + inflight;
-                        if used >= shared.watermark as u64 {
+                        let used = state.completed.len() + state.assignments.len();
+                        if used >= shared.watermark {
                             state = shared.wait(&shared.job_ready, state);
                             continue;
                         }
-                        budget = (shared.watermark as u64 - used) as usize;
+                        budget = shared.watermark - used;
                     }
                     if state.queue.is_empty() {
                         if state.shutting_down {
@@ -974,7 +965,6 @@ impl Shared {
                             break;
                         };
                         state.dispatch_log.push((queued.job.id, queued.job.tenant));
-                        *state.inflight.entry(queued.job.tenant).or_insert(0) += 1;
                         // The first batch item starts executing right away;
                         // the rest start as their predecessors complete.
                         state.assignments.insert(
@@ -1107,16 +1097,7 @@ impl Shared {
             return CompletionOutcome::Zombie;
         }
         state.assignments.remove(&seq);
-        let tenant = record.job.tenant;
-        if let Some(inflight) = state.inflight.get_mut(&tenant) {
-            *inflight -= 1;
-            if *inflight == 0 {
-                state.inflight.remove(&tenant);
-            }
-        }
-        state
-            .completed
-            .insert(seq, Completion::Record(Box::new(record)));
+        state.completed.insert(seq, JournalEntry::run(record));
         state.completed_count += 1;
         if let Some(next) = next_seq.and_then(|next| state.assignments.get_mut(&next)) {
             if next.worker == gen {
@@ -1204,12 +1185,6 @@ impl Shared {
                 let Some(assignment) = state.assignments.remove(&seq) else {
                     continue;
                 };
-                if let Some(inflight) = state.inflight.get_mut(&assignment.job.tenant) {
-                    *inflight = inflight.saturating_sub(1);
-                    if *inflight == 0 {
-                        state.inflight.remove(&assignment.job.tenant);
-                    }
-                }
                 state.jobs_reassigned += 1;
                 reassigned.push((
                     assignment.job.id,
@@ -1222,13 +1197,13 @@ impl Shared {
                 // addresses their first execution.
                 if assignment.started && assignment.attempt >= shared.supervisor.max_job_attempts {
                     // Poison: this job has killed max_job_attempts workers
-                    // in a row. A tombstone lets the release cursor pass
-                    // it; the verdict is journaled at release. The rest of
-                    // the fleet keeps flowing.
+                    // in a row. Its verdict takes the record's place in the
+                    // completion log and is journaled at release. The rest
+                    // of the fleet keeps flowing.
                     state.poisoned_count += 1;
                     state.completed.insert(
                         seq,
-                        Completion::Poisoned(PoisonNotice {
+                        JournalEntry::poisoned(PoisonNotice {
                             spec: assignment.job,
                             attempts: assignment.attempt,
                         }),
@@ -1315,175 +1290,6 @@ impl Shared {
                 Shared::work(&shared, gen);
             })
             .expect("spawn ingest worker")
-    }
-
-    /// Removes and returns the contiguous run of completed records starting
-    /// at the release cursor, in submission order. With a journal attached,
-    /// the **whole ready prefix** is serialized into the journal's reused
-    /// buffer and committed as one [`crate::JournalEntry::Run`] group
-    /// commit **before** the release cursor advances — the write-ahead
-    /// guarantee: a record a consumer ever observes (and bills) is already
-    /// durable, and a record that was never journaled was never released.
-    /// Batching the prefix costs one sink write (and one flush/fsync
-    /// decision) per pump instead of one per record.
-    ///
-    /// Journal I/O happens under the consumer-only release guard, *not*
-    /// the worker-shared state lock, so workers keep completing jobs while
-    /// the consumer pays for the write-ahead commit.
-    ///
-    /// This never panics on I/O. The commit runs under the configured
-    /// [`RetryPolicy`]; on exhaustion the batch is parked and the
-    /// pipeline quarantines ([`Shared::enter_quarantine`]) — the release
-    /// cursor never advances past an un-journaled record, so nothing is
-    /// ever released unjournaled, under any fault schedule. A quarantined
-    /// pipeline returns an empty batch until a failover lifts the
-    /// quarantine, after which the parked batch drains first.
-    fn take_ready(&self) -> Vec<RunRecord> {
-        let _release = self
-            .release_guard
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        // The completion log now interleaves records with poison
-        // tombstones, so the contiguous prefix drains in segments: runs
-        // of records group-commit as one Run entry; each tombstone
-        // journals its own chained Poisoned verdict. Record buffers are
-        // pooled (or the parked quarantine batch, which is pooled too).
-        enum Segment {
-            Records(Vec<RunRecord>),
-            Poison(PoisonNotice),
-        }
-        let mut out: Option<Vec<RunRecord>> = None;
-        loop {
-            let (first, segment) = {
-                let mut state = self.lock();
-                if state.quarantined {
-                    break;
-                }
-                let first = state.released;
-                if !state.stalled.is_empty() {
-                    // A quarantine parked these records exactly at the
-                    // release cursor; they drain first.
-                    let mut ready = std::mem::take(&mut state.stalled);
-                    Self::drain_contiguous_records(&mut state, first, &mut ready);
-                    (first, Segment::Records(ready))
-                } else {
-                    match state.completed.get(&first) {
-                        Some(Completion::Record(_)) => {
-                            let mut ready = self.pool.acquire();
-                            Self::drain_contiguous_records(&mut state, first, &mut ready);
-                            (first, Segment::Records(ready))
-                        }
-                        Some(Completion::Poisoned(_)) => {
-                            let Some(Completion::Poisoned(notice)) = state.completed.remove(&first)
-                            else {
-                                unreachable!("entry observed under the same lock hold");
-                            };
-                            (first, Segment::Poison(notice))
-                        }
-                        None => break,
-                    }
-                }
-            };
-            match segment {
-                Segment::Records(ready) => {
-                    debug_assert!(!ready.is_empty(), "record segments start non-empty");
-                    if let Some(journal) = &self.journal {
-                        // The batch is durable before the cursor advances.
-                        let commit_started =
-                            self.tracer.as_ref().map(|_| std::time::Instant::now());
-                        let runs: Vec<JournalEntry> =
-                            ready.iter().cloned().map(JournalEntry::run).collect();
-                        if let Err(e) =
-                            self.commit_with_retry(ready[0].job.id, ready[0].job.tenant, || {
-                                journal.append_batch(&runs)
-                            })
-                        {
-                            // Retry policy exhausted: park the batch
-                            // (un-released, un-journaled — the cursor still
-                            // points at its first record) and close the
-                            // billing boundary.
-                            self.enter_quarantine(e, ready);
-                            break;
-                        }
-                        if let (Some(tracer), Some(started)) = (&self.tracer, commit_started) {
-                            // One group commit covers the whole prefix;
-                            // attribute the span to its first record
-                            // (aggregate cell only — a shared commit is
-                            // nobody's per-tenant latency).
-                            tracer.record_aggregate(
-                                Stage::JournalCommit,
-                                ready[0].job.id,
-                                ready[0].job.tenant,
-                                started.elapsed(),
-                            );
-                        }
-                    }
-                    let mut state = self.lock();
-                    debug_assert_eq!(state.released, first, "release guard serializes consumers");
-                    state.released = first + ready.len() as u64;
-                    // The released records' Accepted markers are no longer
-                    // pending: a Run entry now vouches for each of them.
-                    if !state.accepted.is_empty() {
-                        for seq in first..state.released {
-                            state.accepted.remove(&seq);
-                        }
-                    }
-                    drop(state);
-                    match &mut out {
-                        None => out = Some(ready),
-                        Some(acc) => acc.extend(ready),
-                    }
-                }
-                Segment::Poison(notice) => {
-                    // A poison verdict is released by journaling it — the
-                    // chained Poisoned entry is the tenant-auditable
-                    // outcome; there is no record to hand out.
-                    if let Some(journal) = &self.journal {
-                        let entry = [JournalEntry::poisoned(notice.clone())];
-                        if let Err(e) =
-                            self.commit_with_retry(notice.spec.id, notice.spec.tenant, || {
-                                journal.append_batch(&entry)
-                            })
-                        {
-                            // Put the tombstone back; the cursor has not
-                            // moved past it.
-                            let mut state = self.lock();
-                            state.completed.insert(first, Completion::Poisoned(notice));
-                            drop(state);
-                            self.enter_quarantine(e, Vec::new());
-                            break;
-                        }
-                    }
-                    let mut state = self.lock();
-                    debug_assert_eq!(state.released, first, "release guard serializes consumers");
-                    state.released = first + 1;
-                    state.accepted.remove(&first);
-                    state.poisoned_log.push(notice);
-                }
-            }
-        }
-        // Wake workers stalled on the completion watermark.
-        self.job_ready.notify_all();
-        out.unwrap_or_default()
-    }
-
-    /// Moves the contiguous run of records starting at `first +
-    /// ready.len()` out of the completion log into `ready`, stopping at
-    /// the first gap or poison tombstone (which stays put for the next
-    /// segment).
-    fn drain_contiguous_records(state: &mut State, first: u64, ready: &mut Vec<RunRecord>) {
-        loop {
-            let seq = first + ready.len() as u64;
-            match state.completed.get(&seq) {
-                Some(Completion::Record(_)) => {
-                    let Some(Completion::Record(record)) = state.completed.remove(&seq) else {
-                        unreachable!("entry observed under the same lock hold");
-                    };
-                    ready.push(*record);
-                }
-                _ => break,
-            }
-        }
     }
 }
 
@@ -1582,8 +1388,6 @@ impl<'a> FleetStream<'a> {
                 completed: BTreeMap::new(),
                 released: 0,
                 dispatch_log: Vec::new(),
-                inflight: BTreeMap::new(),
-                submitted: 0,
                 completed_count: 0,
                 rejected: 0,
                 paused: config.start_paused,
@@ -1617,7 +1421,6 @@ impl<'a> FleetStream<'a> {
             watermark: config.completion_watermark,
             journal: service.journal.clone(),
             tracer: service.fleet.tracer().cloned(),
-            release_guard: Mutex::new(()),
             submit_guard: Mutex::new(()),
             retry: config.retry,
             pool: BufferPool::new(),
@@ -1746,7 +1549,7 @@ impl<'a> FleetStream<'a> {
     }
 
     /// Durability health: quarantine flag, retry/failure counters, the
-    /// stalled-record backlog and the last journal error. The session
+    /// stalled backlog and the last journal error. The session
     /// keeps executing while quarantined — only the billing boundary
     /// (release → post) is closed — so poll this to decide when a
     /// [`FleetStream::resume_with_sink`] failover is needed.
@@ -1825,13 +1628,96 @@ impl<'a> FleetStream<'a> {
     /// safe point: every journaled run is posted, so an inline
     /// [`crate::Checkpoint`] written here folds the whole journal so far.
     pub fn pump(&mut self) -> usize {
-        let mut ready = self.shared.take_ready();
+        let mut ready = self.take_ready();
         let posted = self
             .service
             .post_ready(&mut ready, &mut self.records, &mut self.verdicts);
         // Hand the emptied batch container back for the next release.
         self.shared.pool.release(ready);
         posted
+    }
+
+    /// Releases the contiguous prefix of the completion log, a prefix
+    /// parked by quarantine first, and returns its records in submission
+    /// order. With a journal attached, each prefix — records and poison
+    /// verdicts alike, journaled as they lie in the log, so no record is
+    /// cloned — is committed as **one** group commit **before** the
+    /// release cursor passes it. That is the write-ahead guarantee: a
+    /// record a consumer ever observes (and bills) is already durable,
+    /// and a record that was never journaled was never released.
+    ///
+    /// Only `&mut self` reaches this, so the borrow serializes consumers,
+    /// and the commit runs outside the state lock: workers keep completing
+    /// jobs meanwhile, and the loop releases what they completed until the
+    /// prefix is empty.
+    ///
+    /// This never panics on I/O. The commit runs under the configured
+    /// [`RetryPolicy`]; on exhaustion the prefix is parked and the
+    /// pipeline quarantines ([`Shared::enter_quarantine`]), so nothing is
+    /// ever released unjournaled, under any fault schedule. A quarantined
+    /// pipeline releases nothing until a failover lifts the quarantine.
+    fn take_ready(&mut self) -> Vec<RunRecord> {
+        let shared = &*self.shared;
+        let mut records: Option<Vec<RunRecord>> = None;
+        loop {
+            let (first, prefix) = {
+                let mut state = shared.lock();
+                if state.quarantined {
+                    break;
+                }
+                let first = state.released;
+                let mut prefix = std::mem::take(&mut state.stalled);
+                while let Some(entry) = state.completed.remove(&(first + prefix.len() as u64)) {
+                    prefix.push(entry);
+                }
+                if prefix.is_empty() {
+                    break;
+                }
+                (first, prefix)
+            };
+            if let Some(journal) = &shared.journal {
+                let (job, tenant) = match &prefix[0] {
+                    JournalEntry::Run(record) => (record.job.id, record.job.tenant),
+                    JournalEntry::Poisoned(notice) => (notice.spec.id, notice.spec.tenant),
+                    _ => unreachable!("the completion log holds runs and poison verdicts"),
+                };
+                let commit_started = shared.tracer.as_ref().map(|_| std::time::Instant::now());
+                if let Err(e) =
+                    shared.commit_with_retry(job, tenant, || journal.append_batch(&prefix))
+                {
+                    // Retry policy exhausted: park the prefix (unreleased,
+                    // unjournaled — the cursor still points at its first
+                    // entry) and close the billing boundary.
+                    shared.enter_quarantine(e, prefix);
+                    break;
+                }
+                if let (Some(tracer), Some(started)) = (&shared.tracer, commit_started) {
+                    // A shared commit is nobody's per-tenant latency:
+                    // aggregate cell only, attributed to its first job.
+                    tracer.record_aggregate(Stage::JournalCommit, job, tenant, started.elapsed());
+                }
+            }
+            let mut state = shared.lock();
+            state.released = first + prefix.len() as u64;
+            // A Run or Poisoned entry now vouches for each released job,
+            // so its Accepted marker is no longer pending.
+            for seq in first..state.released {
+                state.accepted.remove(&seq);
+            }
+            let out = records.get_or_insert_with(|| shared.pool.acquire());
+            for entry in prefix {
+                match entry {
+                    JournalEntry::Run(record) => out.push(*record),
+                    // A poison verdict is released by journaling it; there
+                    // is no record to hand out.
+                    JournalEntry::Poisoned(notice) => state.poisoned_log.push(notice),
+                    _ => unreachable!("the completion log holds runs and poison verdicts"),
+                }
+            }
+        }
+        // Wake workers stalled on the completion watermark.
+        shared.job_ready.notify_all();
+        records.unwrap_or_default()
     }
 
     /// Drains the pipeline (graceful shutdown: every accepted job still
@@ -1876,7 +1762,7 @@ impl<'a> FleetStream<'a> {
             state.shutting_down = true;
             // Draining overrides pause: a paused pipeline still finishes.
             state.paused = false;
-            let target = state.submitted;
+            let target = state.next_seq;
             while drain
                 && state.completed_count + state.poisoned_count < target
                 && !state.workers_dead
@@ -2410,5 +2296,54 @@ mod tests {
         stream.resume();
         let report = stream.finish();
         assert_eq!(report.records.len(), 2);
+    }
+
+    #[test]
+    fn a_released_prefix_and_its_poison_verdict_are_one_group_commit() {
+        let journal = Journal::in_memory();
+        let mut service = service(1, 9, Some(journal.clone()));
+        let config = IngestConfig::new(1)
+            .paused()
+            .with_supervisor(SupervisorPolicy::default().with_max_job_attempts(2))
+            .with_worker_faults(WorkerFaultSchedule::none().poison_on(JobId(2)));
+        let mut stream = service.stream(config);
+        let jobs: Vec<JobSpec> = (0..6).map(|id| job(id, 1)).collect();
+        stream.submit_all(&jobs).unwrap();
+        stream.resume();
+        // Five records and the poison verdict wait in the completion log.
+        while stream.stats().ready < 6 {
+            std::thread::yield_now();
+        }
+        let before = journal.stats().group_commits;
+        assert_eq!(stream.pump(), 5);
+        assert_eq!(
+            journal.stats().group_commits - before,
+            2,
+            "one commit for the released prefix, one for its receipts"
+        );
+        let (entries, _) = journal.entries().unwrap();
+        let released: Vec<&str> = entries[6..12].iter().map(JournalEntry::label).collect();
+        assert_eq!(released, ["run", "run", "poisoned", "run", "run", "run"]);
+        assert_eq!(stream.poisoned().len(), 1);
+    }
+
+    #[test]
+    fn a_submission_side_quarantine_keeps_the_parked_prefix() {
+        let mut service = service(1, 9, None);
+        let stream = service.stream(IngestConfig::new(1).paused());
+        let notice = PoisonNotice {
+            spec: job(0, 1),
+            attempts: 1,
+        };
+        let error = || JournalError::Io("injected".to_string());
+        // The release side parks its prefix; a submission-side commit that
+        // exhausted its retries at the same time quarantines second.
+        stream
+            .shared
+            .enter_quarantine(error(), vec![JournalEntry::poisoned(notice)]);
+        stream.shared.enter_quarantine(error(), Vec::new());
+        let health = stream.health();
+        assert_eq!(health.journal_failures, 2);
+        assert_eq!(health.stalled, 1, "the parked prefix survives");
     }
 }

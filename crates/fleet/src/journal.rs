@@ -73,12 +73,14 @@
 //! `Accepted` specs, the ingest pipeline's whole ready prefix of `Run`s,
 //! a pump's Invoice/Verdict receipts — which are serialized back to back
 //! into one reused buffer (via the vendored `serde_json`'s
-//! buffer-reusing [`serde_json::Serializer`]) and committed with a
-//! single [`JournalSink::append_lines`] call: one write, one flush/fsync
-//! decision.
+//! buffer-reusing [`serde_json::Serializer`]), hashed once each (the
+//! leaf and chain link every sink is handed as a [`Framed`] line), and
+//! committed with a single [`JournalSink::append_lines`] call: one
+//! write, one fsync decision.
 //!
-//! [`SegmentedFileSink`] is the file sink: `BufWriter`-backed segment
-//! files rotated at a size threshold ([`SegmentConfig`]), an
+//! [`SegmentedFileSink`] is the file sink: segment files written one
+//! whole batch per write and rotated at a size threshold
+//! ([`SegmentConfig`]), an
 //! [`FsyncPolicy`] (never / every append / group commit), and retirement
 //! of segments older than the latest [`JournalEntry::Checkpoint`] —
 //! written automatically by a [`CheckpointCadence`]-configured service —
@@ -103,7 +105,7 @@
 
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read as _, Write as _};
+use std::io::{Read as _, Write as _};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -496,19 +498,40 @@ impl CheckpointCadence {
     }
 }
 
+/// One chained line of a batch as [`Journal::append_batch`] hands it to
+/// a [`JournalSink`]: where it ends in the batch text, and the evidence
+/// the journal computed over it, so no sink hashes a line again.
+#[derive(Debug, Clone, Copy)]
+pub struct Framed {
+    /// Byte offset just past the line's newline in the batch text; the
+    /// line starts where the one before it ends.
+    pub end: usize,
+    /// The line's Merkle leaf digest ([`evidence::leaf_digest`] of its
+    /// canonical bytes, newline excluded).
+    pub leaf: ChainDigest,
+    /// The chain value before the line (its `prev` field).
+    pub prev: ChainDigest,
+    /// The chain value after the line: [`evidence::link_leaf`] of `prev`
+    /// and `leaf`.
+    pub link: ChainDigest,
+    /// The job the line names ([`JournalEntry::job`]).
+    pub job: Option<JobId>,
+}
+
 /// Where journal lines go. Implementations must make an appended line
 /// durable before returning: the pipeline releases a record to consumers
 /// only after its `Run` entry has been accepted.
 pub trait JournalSink: Send {
-    /// Group commit: appends every serialized entry (no line carries a
-    /// newline; the sink writes each as its own newline-terminated line)
-    /// and makes the whole batch durable together — ideally one buffered
-    /// write and one flush/fsync decision. `jobs[i]` is the job
-    /// `lines[i]` names ([`JournalEntry::job`]); the slices have equal
-    /// lengths. A sealing sink widens the current segment's signed
-    /// [`BlockHeader::jobs`] range over them, so a sink that commits only
-    /// a prefix of a batch passes the matching prefix of `jobs`.
-    fn append_lines(&mut self, lines: &[&str], jobs: &[Option<JobId>]) -> Result<(), JournalError>;
+    /// Group commit: appends `text`, the batch's lines back to back, each
+    /// ending in a newline, and makes the whole batch durable together —
+    /// ideally one write and one fsync decision. `lines` describes each
+    /// line of `text` in order. A sealing sink takes their leaves, chain
+    /// values and jobs as handed (the Merkle leaves, the chain bounds and
+    /// the signed [`BlockHeader::jobs`] range) and hashes nothing, so a
+    /// fresh sink continues a chain it never saw. `Ok` means every line is
+    /// in the sink exactly once; `Err` means none is, so a retry of the
+    /// same batch cannot duplicate any.
+    fn append_lines(&mut self, text: &str, lines: &[Framed]) -> Result<(), JournalError>;
 
     /// Writes `fragment` **without a terminating newline** — the exact
     /// artifact a crash mid-write leaves behind. This exists for the
@@ -523,17 +546,6 @@ pub trait JournalSink: Send {
         Err(JournalError::Io(
             "sink does not support torn (newline-less) writes".to_string(),
         ))
-    }
-
-    /// Re-anchors the sink's internal evidence chain at `head`. Only
-    /// meaningful on a **fresh, empty** sink about to receive the
-    /// continuation of an existing chain — [`Journal::fail_over`] calls
-    /// this so a sealing [`SegmentedFileSink`]'s first sealed header
-    /// carries chain bounds consistent with the first committed line's
-    /// `prev` claim. Default: no-op (sinks without internal chain state
-    /// have nothing to anchor).
-    fn anchor_chain(&mut self, head: ChainDigest) {
-        let _ = head;
     }
 
     /// Called just before a lone [`JournalEntry::Checkpoint`] batch is
@@ -634,12 +646,8 @@ impl MemorySink {
 }
 
 impl JournalSink for MemorySink {
-    fn append_lines(&mut self, lines: &[&str], jobs: &[Option<JobId>]) -> Result<(), JournalError> {
-        assert_eq!(lines.len(), jobs.len(), "one job slot per line");
-        for line in lines {
-            self.buffer.push_str(line);
-            self.buffer.push('\n');
-        }
+    fn append_lines(&mut self, text: &str, _lines: &[Framed]) -> Result<(), JournalError> {
+        self.buffer.push_str(text);
         Ok(())
     }
 
@@ -701,16 +709,16 @@ fn repair_torn_tail(file: &File) -> Result<(), JournalError> {
     Ok(())
 }
 
-/// The file sink: `BufWriter`-backed segment files
-/// (`segment-00000001.jsonl`, `segment-00000002.jsonl`, …) in one
-/// directory, rotated at [`SegmentConfig::segment_bytes`], fsynced per
-/// [`FsyncPolicy`], and retired (deleted) once a
-/// [`JournalEntry::Checkpoint`] supersedes them.
+/// The file sink: segment files (`segment-00000001.jsonl`,
+/// `segment-00000002.jsonl`, …) in one directory, rotated at
+/// [`SegmentConfig::segment_bytes`], fsynced per [`FsyncPolicy`], and
+/// retired (deleted) once a [`JournalEntry::Checkpoint`] supersedes them.
 ///
 /// Invariants the recovery path relies on:
 ///
-/// * every commit ends with a flush, so a *process* crash can only tear
-///   the final, unterminated line of the **last** segment — earlier
+/// * a commit is one write of whole lines, cut away again if it fails,
+///   so a *process* crash can only tear the final, unterminated line of
+///   the **last** segment, and a retried commit lands once — earlier
 ///   segments are sealed and must parse cleanly ([`Self::contents`]
 ///   concatenates the live segments, so a torn tail anywhere else
 ///   surfaces as [`JournalError::Corrupt`]);
@@ -722,11 +730,18 @@ fn repair_torn_tail(file: &File) -> Result<(), JournalError> {
 pub struct SegmentedFileSink {
     dir: PathBuf,
     config: SegmentConfig,
-    writer: BufWriter<File>,
+    /// The current segment, opened for appending.
+    file: File,
     /// Index of the segment currently appended to (== `live.last()`).
     current_index: u64,
     /// Bytes committed to the current segment.
     current_len: u64,
+    /// A failed commit could not cut the segment back to `current_len`:
+    /// the cut is retried before anything else is written or sealed.
+    cut_due: bool,
+    /// A rotation failed after its commit's lines were durable: it is
+    /// retried before the next write.
+    rotation_due: bool,
     /// Live segment indices, ascending.
     live: Vec<u64>,
     /// Inside a `begin_checkpoint`…`finish_checkpoint` bracket: rotation
@@ -738,11 +753,11 @@ pub struct SegmentedFileSink {
     stats: SinkStats,
     /// The fleet's sealing key, when [`SegmentConfig::seal`] is set.
     seal_key: Option<SealKey>,
-    /// Chain head over every committed line (maintained only when
-    /// sealing).
+    /// Chain head over every committed line, the last committed line's
+    /// link (maintained only when sealing).
     chain: ChainDigest,
-    /// Chain head as of the current segment's first line — the sealed
-    /// header's `chain_prev` bound.
+    /// The chain value before the current segment's first line — the
+    /// sealed header's `chain_prev` bound.
     segment_chain_prev: ChainDigest,
     /// Merkle leaf digests of the current segment's lines.
     leaves: Vec<ChainDigest>,
@@ -808,9 +823,11 @@ impl SegmentedFileSink {
         let mut sink = SegmentedFileSink {
             dir,
             config,
-            writer: BufWriter::new(file),
+            file,
             current_index,
             current_len,
+            cut_due: false,
+            rotation_due: false,
             live,
             in_checkpoint: false,
             unsynced_entries: 0,
@@ -913,9 +930,10 @@ impl SegmentedFileSink {
         })
     }
 
-    /// Writes the signed block header for the (just-flushed) current
-    /// segment when sealing is enabled, and re-bases the per-segment
-    /// chain state for the successor segment.
+    /// Writes the signed block header for the (just-synced) current
+    /// segment when sealing is enabled. The seal state is left alone:
+    /// [`Self::rotate`] re-bases it once the successor segment is open,
+    /// so a rotation that fails here or later can simply run again.
     fn seal_current(&mut self) -> Result<(), JournalError> {
         let Some(key) = &self.seal_key else {
             return Ok(());
@@ -938,10 +956,6 @@ impl SegmentedFileSink {
         if !matches!(self.config.fsync, FsyncPolicy::Never) {
             file.sync_data()?;
         }
-        self.stats.seals += 1;
-        self.segment_chain_prev = self.chain;
-        self.leaves.clear();
-        self.jobs = None;
         Ok(())
     }
 
@@ -964,7 +978,7 @@ impl SegmentedFileSink {
     /// metadata needed to read it back (size) — the standard WAL sync,
     /// materially cheaper than `fsync`'s full-metadata flush.
     fn fsync(&mut self) -> Result<(), JournalError> {
-        self.writer.get_ref().sync_data()?;
+        self.file.sync_data()?;
         self.stats.fsyncs += 1;
         self.unsynced_entries = 0;
         self.unsynced_bytes = 0;
@@ -982,87 +996,117 @@ impl SegmentedFileSink {
         Ok(())
     }
 
-    /// Writes `lines` into the current segment, flushes to the OS (the
-    /// commit point), then applies the fsync policy and rotates if the
-    /// segment is over budget.
-    fn commit(&mut self, lines: &[&str], jobs: &[Option<JobId>]) -> Result<(), JournalError> {
-        let mut bytes = 0u64;
-        for (line, job) in lines.iter().zip(jobs) {
-            self.writer.write_all(line.as_bytes())?;
-            self.writer.write_all(b"\n")?;
-            bytes += line.len() as u64 + 1;
-            if self.seal_key.is_some() {
-                // One hash per line: the leaf feeds both the Merkle tree
-                // and the chain fold.
-                let leaf = evidence::leaf_digest(line.as_bytes());
-                self.chain = evidence::link_leaf(&self.chain, &leaf);
-                self.leaves.push(leaf);
-                self.jobs = JobRange::widen(self.jobs, *job);
-            }
-        }
-        // Flushed before the caller releases anything: a process crash
-        // after return never loses a committed entry, and a crash during
-        // the flush leaves at most complete lines plus one torn,
-        // unterminated tail (writes land sequentially).
-        self.writer.flush()?;
-        self.current_len += bytes;
-        self.unsynced_entries += lines.len() as u64;
-        self.unsynced_bytes += bytes;
-        match self.config.fsync {
-            FsyncPolicy::Never => {}
-            FsyncPolicy::EveryAppend => self.fsync()?,
-            FsyncPolicy::GroupCommit {
-                max_entries,
-                max_bytes,
-            } => {
-                if self.unsynced_entries >= max_entries || self.unsynced_bytes >= max_bytes {
-                    self.fsync()?;
-                }
-            }
-        }
-        // A checkpoint line larger than the segment budget must not
-        // rotate mid-bracket: retirement uses its segment as the horizon.
-        // The next ordinary commit rotates instead.
-        if self.current_len >= self.config.segment_bytes && !self.in_checkpoint {
-            self.rotate()?;
+    /// Cuts the current segment back to its committed length, if a
+    /// failed commit's own cut failed (`cut_due`).
+    fn cut_back(&mut self) -> Result<(), JournalError> {
+        if self.cut_due {
+            self.file.set_len(self.current_len)?;
+            self.cut_due = false;
         }
         Ok(())
     }
 
-    /// Seals the current segment and starts the next one.
+    /// Seals the current segment and starts the next one. Nothing changes
+    /// until the next segment is open and its directory entry synced, so
+    /// a rotation that fails can run again.
     fn rotate(&mut self) -> Result<(), JournalError> {
-        self.writer.flush()?;
+        self.cut_back()?;
         // Seal the finished segment to the platter unless the policy
         // never syncs: a sealed segment is the one place a torn tail is
         // *illegal*, so don't leave it hostage to the page cache.
         if !matches!(self.config.fsync, FsyncPolicy::Never) && self.unsynced_bytes > 0 {
             self.fsync()?;
         }
-        // The finished segment is complete and flushed: sign its block
-        // header before anything can be appended elsewhere.
+        // The finished segment is complete: sign its block header before
+        // anything can be appended elsewhere.
         self.seal_current()?;
-        self.current_index += 1;
-        let file = open_repaired(&self.dir.join(Self::segment_name(self.current_index)))?;
-        self.writer = BufWriter::new(file);
-        self.current_len = 0;
-        self.live.push(self.current_index);
-        self.stats.rotations += 1;
+        let next = self.current_index + 1;
+        let file = open_repaired(&self.dir.join(Self::segment_name(next)))?;
         // Make the new segment's directory entry durable too, or records
         // synced into it could vanish with the file on power loss.
         if !matches!(self.config.fsync, FsyncPolicy::Never) {
             self.sync_dir()?;
         }
+        self.file = file;
+        self.current_index = next;
+        self.current_len = 0;
+        self.live.push(next);
+        self.stats.rotations += 1;
+        if self.seal_key.is_some() {
+            self.stats.seals += 1;
+        }
+        self.leaves.clear();
+        self.jobs = None;
+        self.rotation_due = false;
         Ok(())
     }
 }
 
 impl JournalSink for SegmentedFileSink {
-    fn append_lines(&mut self, lines: &[&str], jobs: &[Option<JobId>]) -> Result<(), JournalError> {
-        assert_eq!(lines.len(), jobs.len(), "one job slot per line");
+    /// Writes `text` at the end of the current segment in one write and
+    /// applies the fsync policy (the commit point), then records its
+    /// `lines` in the seal state and rotates if the segment is over
+    /// budget. `Ok` means the lines are in the segment exactly once and
+    /// recorded; `Err` leaves the segment file and the seal state as they
+    /// were, so the journal's retry of the same batch cannot land it twice.
+    fn append_lines(&mut self, text: &str, lines: &[Framed]) -> Result<(), JournalError> {
         if lines.is_empty() {
             return Ok(());
         }
-        self.commit(lines, jobs)
+        self.cut_back()?;
+        if self.rotation_due {
+            self.rotate()?;
+        }
+        let (bytes, entries) = (text.len() as u64, lines.len() as u64);
+        let sync = match self.config.fsync {
+            FsyncPolicy::Never => false,
+            FsyncPolicy::EveryAppend => true,
+            FsyncPolicy::GroupCommit {
+                max_entries,
+                max_bytes,
+            } => {
+                self.unsynced_entries + entries >= max_entries
+                    || self.unsynced_bytes + bytes >= max_bytes
+            }
+        };
+        let written = self.file.write_all(text.as_bytes());
+        let synced = written.and_then(|()| if sync { self.file.sync_data() } else { Ok(()) });
+        if let Err(e) = synced {
+            // Nothing of a failed commit stays in the segment; a cut that
+            // fails too is retried before the next write.
+            self.cut_due = true;
+            self.cut_back().ok();
+            return Err(e.into());
+        }
+        self.current_len += bytes;
+        self.unsynced_entries += entries;
+        self.unsynced_bytes += bytes;
+        if sync {
+            self.stats.fsyncs += 1;
+            self.unsynced_entries = 0;
+            self.unsynced_bytes = 0;
+        }
+        if self.seal_key.is_some() {
+            if self.leaves.is_empty() {
+                // A segment's chain bound is its first line's `prev`, so a
+                // fresh sink after failover continues the chain it is
+                // handed.
+                self.segment_chain_prev = lines[0].prev;
+            }
+            for line in lines {
+                self.leaves.push(line.leaf);
+                self.jobs = JobRange::widen(self.jobs, line.job);
+                self.chain = line.link;
+            }
+        }
+        // A checkpoint line larger than the segment budget must not
+        // rotate mid-bracket: retirement uses its segment as the horizon.
+        // The next ordinary commit rotates instead. The lines are
+        // durable, so a rotation that fails now does not fail the commit.
+        if self.current_len >= self.config.segment_bytes && !self.in_checkpoint {
+            self.rotation_due = self.rotate().is_err();
+        }
+        Ok(())
     }
 
     fn append_torn(&mut self, fragment: &str) -> Result<(), JournalError> {
@@ -1070,18 +1114,9 @@ impl JournalSink for SegmentedFileSink {
         // the segment length (those bytes are on disk) but never joins
         // the chain fold or the Merkle leaves — exactly as a real crash
         // artifact would be dropped by the parse and repaired on reopen.
-        self.writer.write_all(fragment.as_bytes())?;
-        self.writer.flush()?;
+        self.file.write_all(fragment.as_bytes())?;
         self.current_len += fragment.len() as u64;
         Ok(())
-    }
-
-    fn anchor_chain(&mut self, head: ChainDigest) {
-        // Only sound on an empty sink (nothing committed yet): the first
-        // committed line will claim `prev = head`, so the sealed headers'
-        // chain bounds and `verify`'s chain walk agree.
-        self.chain = head;
-        self.segment_chain_prev = head;
     }
 
     fn begin_checkpoint(&mut self) -> Result<(), JournalError> {
@@ -1344,17 +1379,17 @@ struct JournalInner {
     sink: Box<dyn JournalSink>,
     stats: JournalStats,
     /// The evidence chain head: the chain link folded over every line
-    /// committed so far (recomputed from the sink's existing contents on
-    /// open, advanced only after a commit succeeds).
+    /// committed so far (the sink's [`JournalSink::chain_head`] on open,
+    /// advanced only after a commit succeeds, and kept across a
+    /// failover, whose fresh sink takes it from the first line's `prev`).
     link: ChainDigest,
     /// Reused serialization buffer: every append path serializes into
-    /// this and hands the sink string slices, so the steady state
-    /// allocates nothing per entry.
+    /// this and hands it to the sink whole, so the steady state allocates
+    /// nothing per entry.
     scratch: String,
-    /// End offset of each serialized line in `scratch` (reused).
-    line_ends: Vec<usize>,
-    /// The job each serialized line names (reused).
-    line_jobs: Vec<Option<JobId>>,
+    /// Where each serialized line ends in `scratch`, and its evidence
+    /// (reused).
+    framed: Vec<Framed>,
 }
 
 /// Serializes a [`JournalEntry`] inside the chained envelope,
@@ -1454,31 +1489,35 @@ fn chain_head_of(text: &str) -> ChainDigest {
 }
 
 /// Serializes `entries` into the reused buffer, each chained onto the
-/// line before it, and commits them as ONE sink-level group commit. The
-/// chain head and the handle counters advance only if the sink accepts
-/// the batch, so a retry continues the chain exactly where it stood.
+/// line before it and ended by a newline, and commits them as ONE
+/// sink-level group commit. Each line is hashed once, here: its leaf
+/// feeds the chain and, handed on in its [`Framed`], a sealing sink's
+/// Merkle tree. The chain head and the handle counters advance only if
+/// the sink accepts the batch, so a retry continues the chain exactly
+/// where it stood.
 fn commit(inner: &mut JournalInner, entries: &[JournalEntry]) -> Result<(), JournalError> {
     inner.scratch.clear();
-    inner.line_ends.clear();
-    inner.line_jobs.clear();
+    inner.framed.clear();
     let mut link = inner.link;
     for entry in entries {
         let start = inner.scratch.len();
         frame_entry(&mut inner.scratch, &link, entry)?;
-        link = evidence::chain_link(&link, &inner.scratch.as_bytes()[start..]);
-        inner.line_ends.push(inner.scratch.len());
-        inner.line_jobs.push(entry.job());
+        let leaf = evidence::leaf_digest(&inner.scratch.as_bytes()[start..]);
+        inner.scratch.push('\n');
+        let prev = link;
+        link = evidence::link_leaf(&prev, &leaf);
+        inner.framed.push(Framed {
+            end: inner.scratch.len(),
+            leaf,
+            prev,
+            link,
+            job: entry.job(),
+        });
     }
-    let mut lines = Vec::with_capacity(inner.line_ends.len());
-    let mut start = 0usize;
-    for &end in &inner.line_ends {
-        lines.push(&inner.scratch[start..end]);
-        start = end;
-    }
-    inner.sink.append_lines(&lines, &inner.line_jobs)?;
+    inner.sink.append_lines(&inner.scratch, &inner.framed)?;
     inner.link = link;
-    inner.stats.appends += lines.len() as u64;
-    inner.stats.bytes += inner.scratch.len() as u64 + lines.len() as u64;
+    inner.stats.appends += inner.framed.len() as u64;
+    inner.stats.bytes += inner.scratch.len() as u64;
     inner.stats.group_commits += 1;
     Ok(())
 }
@@ -1530,8 +1569,7 @@ impl Journal {
                 stats: JournalStats::default(),
                 link,
                 scratch: String::new(),
-                line_ends: Vec::new(),
-                line_jobs: Vec::new(),
+                framed: Vec::new(),
             })),
         })
     }
@@ -1602,9 +1640,9 @@ impl Journal {
     /// and the evidence chain head carries over unchanged: the link only
     /// ever advances after a commit *succeeds*, so the replacement sink's
     /// first line continues the chain exactly where the dead sink's last
-    /// committed line left it. The sink is told the inherited head
-    /// ([`JournalSink::anchor_chain`]) so a sealing [`SegmentedFileSink`]
-    /// signs headers with consistent chain bounds.
+    /// committed line left it. The replacement learns that head from the
+    /// first line it is handed ([`Framed::prev`]), so a sealing
+    /// [`SegmentedFileSink`] signs headers with consistent chain bounds.
     ///
     /// The replacement must be empty: failover *continues* a journal, it
     /// never splices two. (For the new directory to be recoverable on its
@@ -1616,8 +1654,6 @@ impl Journal {
         let inner = &mut *guard;
         inner.stats = with_sink_stats(inner.stats, inner.sink.sink_stats());
         inner.sink = sink;
-        let link = inner.link;
-        inner.sink.anchor_chain(link);
     }
 
     /// Append/byte/commit counters for this handle, plus the sink counters
@@ -2633,6 +2669,57 @@ mod tests {
             proof.verify(&SealKey::from_seed(42)).unwrap_err(),
             evidence::ProofError::SealForged { segment: 2 }
         );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_failed_commit_leaves_the_segment_and_its_seal_state_as_they_were() {
+        // Five chained Accepted lines, framed as the journal frames them.
+        let mut text = String::new();
+        let mut lines = Vec::new();
+        let mut link = evidence::genesis();
+        for id in 0..5 {
+            let start = text.len();
+            frame_entry(&mut text, &link, &accepted(id)).unwrap();
+            let leaf = evidence::leaf_digest(&text.as_bytes()[start..]);
+            text.push('\n');
+            let prev = link;
+            link = evidence::link_leaf(&prev, &leaf);
+            let (end, job) = (text.len(), Some(JobId(id)));
+            lines.push(Framed {
+                end,
+                leaf,
+                prev,
+                link,
+                job,
+            });
+        }
+        let at = lines[1].end;
+        let dir = scratch_dir("failed-commit");
+        let mut sink =
+            SegmentedFileSink::open(&dir, SegmentConfig::default().with_seal(7)).unwrap();
+        sink.append_lines(&text[..at], &lines[..2]).unwrap();
+        let segment_path = dir.join(SegmentedFileSink::segment_name(1));
+
+        // The next commit's write finds the disk full.
+        let full = OpenOptions::new().write(true).open("/dev/full").unwrap();
+        let segment = std::mem::replace(&mut sink.file, full);
+        assert!(sink.append_lines(&text[at..], &lines[2..]).is_err());
+        assert_eq!(std::fs::read_to_string(&segment_path).unwrap(), text[..at]);
+        assert_eq!(
+            sink.leaves.len(),
+            2,
+            "nothing of the failed batch is sealed"
+        );
+        assert_eq!(sink.chain, lines[1].link);
+
+        // The journal retries the same batch, which lands once.
+        sink.file = segment;
+        sink.append_lines(&text[at..], &lines[2..]).unwrap();
+        sink.seal_head().unwrap();
+        let verified = sink.verify(&SealKey::from_seed(7)).unwrap();
+        assert_eq!(verified.entries, 5);
+        assert_eq!(verified.seals_verified, 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

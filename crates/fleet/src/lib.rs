@@ -76,10 +76,10 @@ pub use ingest::{
     IngestStats, SubmitError,
 };
 pub use journal::{
-    parse_journal, recovery_window, Checkpoint, CheckpointCadence, FsyncPolicy, InvoicePosting,
-    Journal, JournalEntry, JournalError, JournalSink, JournalStats, LedgerVerification, MemorySink,
-    PoisonNotice, RecoveryError, RecoveryReport, SegmentConfig, SegmentedFileSink, SinkStats,
-    TailStatus,
+    parse_journal, recovery_window, Checkpoint, CheckpointCadence, Framed, FsyncPolicy,
+    InvoicePosting, Journal, JournalEntry, JournalError, JournalSink, JournalStats,
+    LedgerVerification, MemorySink, PoisonNotice, RecoveryError, RecoveryReport, SegmentConfig,
+    SegmentedFileSink, SinkStats, TailStatus,
 };
 pub use metrics::{MetricKind, MetricsRegistry};
 pub use pool::PoolStats;

@@ -79,7 +79,7 @@ pub mod prelude {
         AttackSpec, AuditVerdict, Auditor, AuditorState, BackpressurePolicy, BatchSubmitError,
         BlockHeader, Checkpoint, CheckpointCadence, DisputeError, DisputeResolution, FairQueue,
         FaultInjectingSink, FaultKind, FaultProbe, FaultSchedule, FaultStats, Fleet, FleetConfig,
-        FleetHealth, FleetReport, FleetService, FleetStream, FsyncPolicy, InclusionProof,
+        FleetHealth, FleetReport, FleetService, FleetStream, Framed, FsyncPolicy, InclusionProof,
         IngestConfig, IngestHandle, IngestStats, InvoicePosting, JobId, JobRange, JobSpec, Journal,
         JournalEntry, JournalError, JournalSink, JournalStats, Ledger, LedgerVerification,
         MemorySink, MetricsRegistry, PipelineTracer, PlannedFault, PlannedWorkerFault,

@@ -1,0 +1,283 @@
+//! Golden digests pinning the journal's bytes.
+//!
+//! `tests/evidence.rs` and `tests/faults.rs` check that a journal
+//! verifies and recovers, so a change that moved a line, a segment
+//! boundary or a seal would still pass them. These tests hash every file
+//! a scenario leaves behind (its name, length and bytes) and compare the
+//! result against digests recorded from a known-good build, as
+//! `tests/kernel_golden.rs` pins the kernel. Between them the scenarios
+//! cover group commits, rotation, checkpoint lines larger than a
+//! segment, retirement, reopening a sealed directory, a disk-full
+//! failover to a fresh sealed sink, and a poison verdict.
+//!
+//! If a digest changes on purpose (a deliberate change to the journal's
+//! format), re-derive it from the failure message and say why in the
+//! commit.
+
+use std::path::{Path, PathBuf};
+use std::time::Duration;
+
+use trustmeter::prelude::*;
+
+const SCALE: f64 = 0.001;
+
+/// The fleet seed, which also keys the seals.
+const SEED: u64 = 77;
+
+/// Sealed segment directory after 104 jobs in seven `process` batches.
+const PROCESSED_DIGEST: &str = "208ed42288cf41d6a76fce0bb4f3854b3877f8ff9b8a0bb54cdfa48ac63fa3e5";
+
+/// The same directory after a reopen, a recovery and 8 more jobs.
+const REOPENED_DIGEST: &str = "063111b436e95ce38a986a140b9a73bc8cbab74f67a1e85e9b26f16d4342d5fa";
+
+/// The disk-full sink's directory, then the one it failed over to.
+const FAILED_DIGEST: &str = "7f0c4cf36bd5237e064118b25a7b6d36078297960fb993efb723b464ec3156af";
+const FAILED_OVER_DIGEST: &str = "aa5285c14397fa80cc8085bd7355898e3a0bfeece6d7dd0d6a40ee7e7aa9c4eb";
+
+/// The in-memory journal text of the poison stream.
+const POISON_DIGEST: &str = "dbeda4e208d914a0dc37eeb36d95b9525869236b42ea610fd5f5d075d333361a";
+
+/// A mixed batch over job ids `ids`: four tenants, all four workloads,
+/// clean runs and a mix of launch-time and runtime attacks.
+fn jobs(ids: std::ops::Range<u64>) -> Vec<JobSpec> {
+    ids.map(|i| {
+        let tenant = TenantId((i % 4) as u32 + 1);
+        let workload = Workload::ALL[(i % 4) as usize];
+        match i % 5 {
+            0 => JobSpec::attacked(i, tenant, workload, SCALE, AttackSpec::Shell),
+            1 => JobSpec::attacked(
+                i,
+                tenant,
+                workload,
+                SCALE,
+                AttackSpec::Scheduling { nice: -10 },
+            ),
+            _ => JobSpec::clean(i, tenant, workload, SCALE),
+        }
+    })
+    .collect()
+}
+
+/// A service on [`SEED`] with the four tenants registered.
+fn service(workers: usize) -> FleetService {
+    let mut service = FleetService::new(FleetConfig::new(workers, SEED));
+    for id in 1..=4u32 {
+        service.register(Tenant::new(
+            TenantId(id),
+            format!("tenant-{id}"),
+            RateCard::per_cpu_second(0.01),
+        ));
+    }
+    service
+}
+
+/// Sealed 16 KiB segments: a `Run` line is about 2 KiB and a checkpoint
+/// line outgrows a segment, so every scenario rotates.
+fn sealed_config() -> SegmentConfig {
+    SegmentConfig::default()
+        .with_segment_bytes(16 * 1024)
+        .with_seal(SEED)
+}
+
+fn scratch_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "trustmeter-journal-golden-{tag}-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// Feeds one named document into the running digest, length-prefixed so
+/// adjacent documents cannot alias.
+fn absorb(hasher: &mut Sha256, name: &str, body: &[u8]) {
+    for part in [name.as_bytes(), body] {
+        hasher.update(&(part.len() as u64).to_be_bytes());
+        hasher.update(part);
+    }
+}
+
+/// SHA-256 over the name, length and bytes of every file in `dir`, in
+/// name order.
+fn dir_digest(dir: &Path) -> String {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .expect("scenario directory exists")
+        .map(|entry| {
+            entry
+                .expect("directory entry reads")
+                .file_name()
+                .into_string()
+                .expect("file names are UTF-8")
+        })
+        .collect();
+    names.sort();
+    let mut hasher = Sha256::new();
+    for name in &names {
+        let bytes = std::fs::read(dir.join(name)).expect("scenario file reads");
+        absorb(&mut hasher, name, &bytes);
+    }
+    Sha256::to_hex(&hasher.finalize())
+}
+
+fn text_digest(text: &str) -> String {
+    let mut hasher = Sha256::new();
+    absorb(&mut hasher, "journal", text.as_bytes());
+    Sha256::to_hex(&hasher.finalize())
+}
+
+/// Polls until `done` holds for the stream's counters.
+fn wait_for(stream: &FleetStream<'_>, done: impl Fn(&IngestStats) -> bool) {
+    while !done(&stream.stats()) {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+#[test]
+fn processed_and_reopened_sealed_segments_match_the_pinned_digests() {
+    let dir = scratch_dir("processed");
+    let journal = Journal::segmented(&dir, sealed_config()).expect("fresh directory opens");
+    let mut first = service(2)
+        .with_journal(journal.clone())
+        .with_checkpoint_cadence(CheckpointCadence::every_n_runs(40));
+    let all = jobs(0..104);
+    for chunk in all.chunks(16) {
+        first.process(chunk);
+    }
+    journal.seal().expect("the head seals");
+    drop(first);
+    drop(journal);
+    let processed = dir_digest(&dir);
+
+    let journal = Journal::segmented(&dir, sealed_config()).expect("sealed directory reopens");
+    let (entries, tail) = journal.entries().expect("the sealed journal reads back");
+    assert_eq!(tail, TailStatus::Clean);
+    let mut second = service(2);
+    second
+        .recover_latest(&entries)
+        .expect("the sealed journal recovers");
+    let mut second = second
+        .with_journal(journal.clone())
+        .with_checkpoint_cadence(CheckpointCadence::every_n_runs(40));
+    second.process(&jobs(104..112));
+    journal.seal().expect("the head seals");
+    assert!(
+        journal
+            .verify(SEED)
+            .expect("the ledger verifies")
+            .seals_verified
+            > 0
+    );
+    drop(second);
+    drop(journal);
+    let reopened = dir_digest(&dir);
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    assert_eq!(
+        processed, PROCESSED_DIGEST,
+        "the processed directory's bytes changed"
+    );
+    assert_eq!(
+        reopened, REOPENED_DIGEST,
+        "the reopened directory's bytes changed"
+    );
+}
+
+#[test]
+fn a_disk_full_failover_matches_the_pinned_digests() {
+    let failed_dir = scratch_dir("failed");
+    let fresh_dir = scratch_dir("failed-over");
+    // The 30 Accepted lines land at 0..=29; the first Run group commit
+    // holds line 40 and finds the disk full.
+    let inner = SegmentedFileSink::open(&failed_dir, sealed_config()).expect("fresh directory");
+    let (sink, _probe) =
+        FaultInjectingSink::wrap(Box::new(inner), FaultSchedule::none().disk_full_at(40));
+    let journal = Journal::with_sink(Box::new(sink)).expect("fresh sink opens");
+    let mut service = service(2).with_journal(journal.clone());
+    let config = IngestConfig::new(2)
+        .paused()
+        .with_retry_policy(RetryPolicy::none());
+    let mut stream = service.stream(config);
+    stream
+        .submit_all(&jobs(0..30))
+        .expect("the accepted lines precede the fault");
+    stream.resume();
+    wait_for(&stream, |stats| stats.ready == 30);
+    assert_eq!(stream.pump(), 0, "the failed commit releases nothing");
+    assert!(stream.health().quarantined);
+
+    let fresh = SegmentedFileSink::open(&fresh_dir, sealed_config()).expect("fresh directory");
+    stream
+        .resume_with_sink(Box::new(fresh))
+        .expect("the fresh sink takes the failover");
+    let report = stream.finish();
+    assert_eq!(report.records.len(), 30);
+    journal.seal().expect("the head seals");
+    assert!(
+        journal
+            .verify(SEED)
+            .expect("the ledger verifies")
+            .seals_verified
+            > 0
+    );
+    drop(service);
+    drop(journal);
+    let failed = dir_digest(&failed_dir);
+    let failed_over = dir_digest(&fresh_dir);
+    std::fs::remove_dir_all(&failed_dir).unwrap();
+    std::fs::remove_dir_all(&fresh_dir).unwrap();
+
+    assert_eq!(
+        failed, FAILED_DIGEST,
+        "the disk-full directory's bytes changed"
+    );
+    assert_eq!(
+        failed_over, FAILED_OVER_DIGEST,
+        "the failed-over directory's bytes changed"
+    );
+}
+
+#[test]
+fn a_poison_verdicts_journal_text_matches_the_pinned_digest() {
+    quiet_injected_panics();
+    let journal = Journal::in_memory();
+    let mut service = service(1).with_journal(journal.clone());
+    let config = IngestConfig::new(1)
+        .paused()
+        .with_supervisor(SupervisorPolicy::default().with_max_job_attempts(2))
+        .with_worker_faults(WorkerFaultSchedule::none().poison_on(JobId(2)));
+    let mut stream = service.stream(config);
+    stream.submit_all(&jobs(0..6)).expect("the queue holds six");
+    stream.resume();
+    // Five records and one poison verdict wait in the completion log.
+    wait_for(&stream, |stats| stats.ready == 6);
+    assert_eq!(stream.pump(), 5);
+    let report = stream.finish();
+    assert_eq!(report.records.len(), 5);
+    let text = journal.text().expect("the in-memory journal reads");
+    assert_eq!(
+        text_digest(&text),
+        POISON_DIGEST,
+        "the poison stream's journal text changed"
+    );
+}
+
+/// Injected worker panics are expected here; silence exactly those and
+/// forward everything else to the default hook.
+fn quiet_injected_panics() {
+    use std::sync::Once;
+    static HOOK: Once = Once::new();
+    HOOK.call_once(|| {
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let payload = info.payload();
+            let message = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .unwrap_or("");
+            if !message.contains("injected worker fault") {
+                previous(info);
+            }
+        }));
+    });
+}

@@ -363,6 +363,17 @@ fn poison_job_is_retired_with_a_journaled_verdict_while_the_fleet_flows() {
     assert_eq!(count_entries(&entries, "poisoned"), 1);
     assert_eq!(count_entries(&entries, "accepted"), 12);
     assert_eq!(count_entries(&entries, "run"), 11);
+    let released: Vec<(&str, Option<JobId>)> = entries
+        .iter()
+        .filter(|e| matches!(e.label(), "run" | "poisoned"))
+        .map(|e| (e.label(), e.job()))
+        .collect();
+    let at = released
+        .iter()
+        .position(|(label, _)| *label == "poisoned")
+        .expect("the verdict is journaled");
+    assert_eq!(released[at - 1], ("run", Some(JobId(5))));
+    assert_eq!(released[at + 1], ("run", Some(JobId(7))));
     let mut recovered = service77(2, None);
     let recovery = recovered.recover(&entries).expect("replay the journal");
     assert!(recovery.is_consistent());
