@@ -520,15 +520,15 @@ impl JournalSink for FaultInjectingSink {
 /// [`crate::FleetStream`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum WorkerFaultKind {
-    /// The worker panics mid-execution. The pool catches the unwind,
-    /// reaps the worker, respawns it under the supervisor's restart
-    /// budget and reassigns the in-flight batch — no panic escapes.
+    /// The worker panics mid-execution. The worker catches the unwind,
+    /// reassigns its in-flight batch and restarts in place under the
+    /// supervisor's restart budget — no panic escapes the pool.
     Panic,
     /// The worker wedges for this many **virtual ticks** before
     /// finishing. If a job deadline is configured
     /// ([`crate::IngestConfig::with_job_deadline`]) and the hang
-    /// outlasts it, the watchdog reaps the worker and reassigns the job;
-    /// the zombie's late completion is discarded by the dedup guard.
+    /// outlasts it, the worker stops spinning the tick the deadline
+    /// passes, reassigns the job and restarts like a panicked one.
     Hang {
         /// Virtual ticks the worker spins before completing.
         ticks: u64,
@@ -542,8 +542,9 @@ pub enum WorkerFaultKind {
     },
     /// The worker returns a corrupted [`crate::RunRecord`] (inflated
     /// billed usage). The pool's completion-side quote check — the same
-    /// attestation machinery the auditor uses — rejects it, reaps the
-    /// lying worker, and re-executes the job on an honest one.
+    /// attestation machinery the auditor uses — rejects it before it is
+    /// logged; the lying worker reassigns the job, restarts, and the job
+    /// re-executes honestly.
     WrongResult,
 }
 
@@ -695,15 +696,15 @@ impl WorkerFaultSchedule {
 }
 
 /// The supervisor's bounded recovery ladder for a failing worker pool:
-/// respawn within a restart budget, degrade to fewer workers when the
-/// budget runs dry, quarantine the fleet when the last worker dies, and
-/// declare a job poison once it has killed `max_job_attempts` workers
-/// in a row. Pure data; the enforcement lives in
-/// [`crate::FleetStream`].
+/// a faulted worker restarts in place within a restart budget, retires
+/// (degrading the pool to fewer workers) when the budget runs dry, and
+/// the fleet quarantines when the last worker retires; a job is declared
+/// poison once it has killed `max_job_attempts` workers in a row. Pure
+/// data; the enforcement lives in [`crate::FleetStream`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SupervisorPolicy {
-    /// Worker respawns allowed per restart window before the pool
-    /// degrades (a dead worker is no longer replaced).
+    /// Restarts in place allowed per restart window before the pool
+    /// degrades (a faulted worker retires instead of restarting).
     pub max_restarts: u32,
     /// The restart-budget window, in virtual ticks; `0` makes the
     /// budget a lifetime total.
@@ -715,7 +716,7 @@ pub struct SupervisorPolicy {
 }
 
 impl Default for SupervisorPolicy {
-    /// Eight respawns per 1024-tick window, three attempts per job.
+    /// Eight restarts per 1024-tick window, three attempts per job.
     fn default() -> SupervisorPolicy {
         SupervisorPolicy {
             max_restarts: 8,
@@ -726,7 +727,7 @@ impl Default for SupervisorPolicy {
 }
 
 impl SupervisorPolicy {
-    /// Replaces the per-window respawn budget.
+    /// Replaces the per-window restart budget.
     pub fn with_max_restarts(mut self, max_restarts: u32) -> SupervisorPolicy {
         self.max_restarts = max_restarts;
         self

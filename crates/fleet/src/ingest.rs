@@ -73,31 +73,30 @@
 //! The execution layer is not assumed immortal either. A seeded
 //! [`WorkerFaultSchedule`] ([`IngestConfig::with_worker_faults`]) injects
 //! panics, hangs, pathological slowdowns and corrupted records into the
-//! pool, and the supervisor machinery proves the pipeline's outputs stay
-//! bit-identical to an unfaulted run:
+//! pool, and supervision proves the pipeline's outputs stay bit-identical
+//! to an unfaulted run. A fault belongs to the job, not to the thread:
 //!
 //! * **Detection is deterministic.** Time is virtual ticks that only
 //!   injected faults spend — a healthy run never spends any. A hanging or
 //!   slowed worker charges each tick it spins to its own job, so the
 //!   moment that job's spent ticks pass its budget
 //!   ([`IngestConfig::with_job_deadline`], grace plus the job's declared
-//!   workload length in ticks) it is reaped — in ticks, never wall clock,
-//!   and never because some *other* worker spun. Panics are caught by a
-//!   reap-on-unwind guard; no panic escapes the pool. Corrupted records
-//!   are rejected at completion by the same quote machinery the auditor
-//!   uses ([`Fleet::verify_record`]).
-//! * **Recovery is bounded.** A reaped worker's in-flight batch is
-//!   reclaimed and requeued at the *same* sequence numbers (release
-//!   order, and therefore every downstream artifact, is unchanged —
-//!   re-execution is safe because the kernel is deterministic from the
-//!   fleet seed and job id), and a replacement worker is respawned under
-//!   the [`SupervisorPolicy`] restart budget: budget dry → the pool
-//!   degrades; last worker dead → the fleet quarantines (submits fail
-//!   fast, [`FleetStream::health`] says why).
-//! * **Zombies cannot double-release.** Completions carry the worker's
-//!   generation; a reaped worker finishing late fails the dedup guard
-//!   and its record is discarded — released ⇒ journaled ⇒ executed
-//!   exactly once.
+//!   workload length in ticks) its worker stops — in ticks, never wall
+//!   clock, and never because some *other* worker spun. Each worker runs
+//!   under `catch_unwind`, so no panic escapes the pool. Corrupted
+//!   records are rejected at completion by the same quote machinery the
+//!   auditor uses ([`Fleet::verify_record`]).
+//! * **Recovery is bounded and in place.** The faulted worker itself
+//!   reclaims its in-flight batch and requeues it at the *same* sequence
+//!   numbers (release order, and therefore every downstream artifact, is
+//!   unchanged — re-execution is safe because the kernel is deterministic
+//!   from the fleet seed and job id), then restarts on the same thread
+//!   under the [`SupervisorPolicy`] restart budget: budget dry → the
+//!   thread retires and the pool degrades; last worker retired → the
+//!   fleet quarantines (submits fail fast, [`FleetStream::health`] says
+//!   why). Only a worker reclaims its own assignments, and only after it
+//!   stopped running them, so a record is logged at most once: released
+//!   ⇒ journaled ⇒ executed exactly once.
 //! * **Poison jobs are quarantined individually.** A job that kills
 //!   [`SupervisorPolicy::max_job_attempts`] workers in a row gets a
 //!   [`crate::JournalEntry::Poisoned`] verdict where its record would
@@ -123,8 +122,9 @@
 //! assert_eq!(ids, vec![0, 1, 2, 3]);
 //! ```
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -330,7 +330,7 @@ impl IngestConfig {
     /// deterministic: only injected faults spin, so a healthy run can
     /// never expire a deadline, and a worker spinning beside a hang is
     /// charged nothing for it. A worker whose running job overspends its
-    /// budget is reaped — its batch reassigned, a replacement respawned
+    /// budget faults: its batch is reassigned and it restarts in place
     /// under the [`SupervisorPolicy`].
     pub fn with_job_deadline(mut self, grace_ticks: u64) -> IngestConfig {
         self.job_deadline = Some(grace_ticks);
@@ -379,9 +379,9 @@ pub struct IngestStats {
     /// [`SubmitError::Quarantined`]).
     pub quarantined: bool,
     /// Workers currently alive in the pool (moves with
-    /// [`FleetStream::scale_workers`] and with supervisor reaps/respawns).
+    /// [`FleetStream::scale_workers`] and when a faulted worker retires).
     pub workers: usize,
-    /// Workers respawned by the supervisor after a reap.
+    /// Faulted workers restarted in place under the restart budget.
     pub worker_restarts: u64,
     /// Jobs reclaimed from dead/hung/lying workers and requeued for
     /// re-execution (same sequence number, attempt advanced).
@@ -389,9 +389,6 @@ pub struct IngestStats {
     /// Jobs declared poison after killing
     /// [`SupervisorPolicy::max_job_attempts`] workers in a row.
     pub poisoned: u64,
-    /// Completions discarded by the zombie dedup guard (a reaped worker
-    /// finishing late can never double-release).
-    pub stale_completions: u64,
     /// Release-path buffer recycling counters (see [`crate::pool`]).
     pub pool: PoolStats,
 }
@@ -429,26 +426,28 @@ pub struct FleetHealth {
     pub last_error: Option<String>,
     /// Workers currently alive in the pool.
     pub workers_live: usize,
-    /// Workers respawned by the supervisor after a reap.
+    /// Faulted workers restarted in place under the restart budget. A
+    /// fault past the budget retires its worker instead, so `reassigned`
+    /// can climb while this stays flat.
     pub worker_restarts: u64,
     /// Jobs reclaimed from dead/hung/lying workers and requeued.
     pub reassigned: u64,
     /// Jobs declared poison and individually quarantined.
     pub poisoned: u64,
-    /// The last worker died with the restart budget spent: the fleet is
-    /// quarantined until [`FleetStream::scale_workers`] revives the pool.
+    /// The last worker retired with the restart budget spent: the fleet
+    /// is quarantined until [`FleetStream::scale_workers`] revives the
+    /// pool.
     pub workers_dead: bool,
 }
 
 /// One dispatched (sequence, job) pair held by a worker — the
-/// supervision record the watchdog, the reaper and the zombie dedup
-/// guard all read.
+/// supervision record the deadline check and a fault read.
 #[derive(Debug, Clone)]
 struct Assignment {
-    /// The job as dispatched, kept so a reap can requeue it verbatim.
+    /// The job as dispatched, kept so a fault can requeue it verbatim.
     job: JobSpec,
-    /// Generation of the worker holding it; completions from any other
-    /// generation (or a reaped one) are discarded.
+    /// Id of the worker holding it: a fault reclaims exactly that
+    /// worker's assignments.
     worker: u64,
     /// Execution attempt this dispatch is (1-based).
     attempt: u32,
@@ -463,19 +462,6 @@ struct Assignment {
     /// Wall-clock dispatch stamp for the [`Stage::Reassign`] span;
     /// stamped only when tracing.
     dispatched_at: Option<std::time::Instant>,
-}
-
-/// What [`Shared::complete`] did with an execution result.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CompletionOutcome {
-    /// Logged into the completion log; the worker proceeds.
-    Accepted,
-    /// The worker was reaped while executing — the record was discarded
-    /// by the dedup guard; the worker abandons its batch and exits.
-    Zombie,
-    /// The record failed verification (a lying executor); the worker
-    /// must be reaped and the job reassigned.
-    Rejected,
 }
 
 /// Mutable pipeline state behind the mutex.
@@ -518,45 +504,38 @@ struct State {
     backoff_ticks: u64,
     /// The journal error behind the current/most recent quarantine.
     last_error: Option<String>,
-    /// Accepted-but-unreleased specs, keyed by submission sequence: the
-    /// jobs whose `Accepted` journal markers are still pending. Entries
-    /// leave at release; the survivors are re-journaled into the
-    /// replacement sink on failover so it is recoverable on its own.
-    /// Empty without a journal.
-    accepted: BTreeMap<u64, JobSpec>,
+    /// The journaled `Accepted` entries of accepted-but-unreleased jobs,
+    /// keyed by submission sequence. Entries leave at release; the
+    /// survivors are re-journaled into the replacement sink on failover
+    /// so it is recoverable on its own. Empty without a journal.
+    accepted: BTreeMap<u64, JournalEntry>,
     /// Worker-pool size target (see [`FleetStream::scale_workers`]). Workers
     /// consume one "shrink token" each — exiting at the top of their loop —
     /// while `active_workers` exceeds this. Degrades when the restart
     /// budget runs dry.
     worker_target: usize,
-    /// Workers currently alive (spawned minus exited minus reaped).
+    /// Workers currently alive (spawned minus exited minus retired).
     active_workers: usize,
     /// In-flight dispatches keyed by sequence number — what spinning
-    /// workers charge, a reap reclaims, and the in-flight gauges count.
+    /// workers charge, a fault reclaims, and the in-flight gauges count.
     assignments: BTreeMap<u64, Assignment>,
-    /// Generations of reaped workers. Any thread still running one of
-    /// these is a zombie: its completions are discarded and it exits at
-    /// its next state check. Bounded by the restart budget.
-    dead_workers: BTreeSet<u64>,
-    /// Workers ever spawned — the generation for the next one.
+    /// Workers ever spawned — the id of the next one.
     spawned_total: u64,
-    /// Respawns consumed in the current restart window.
+    /// Restarts consumed in the current restart window.
     restarts_in_window: u32,
     /// Virtual tick the current restart window opened at.
     window_start: u64,
-    /// Workers respawned by the supervisor, lifetime.
+    /// Faulted workers restarted in place, lifetime.
     worker_restarts: u64,
-    /// Jobs reclaimed from reaped workers and requeued, lifetime.
+    /// Jobs reclaimed from faulted workers and requeued, lifetime.
     jobs_reassigned: u64,
     /// Jobs declared poison, lifetime.
     poisoned_count: u64,
     /// Released poison verdicts, in release order (each journaled before
     /// the cursor passed it).
     poisoned_log: Vec<PoisonNotice>,
-    /// Zombie completions discarded by the dedup guard, lifetime.
-    stale_completions: u64,
-    /// The last worker died with the restart budget spent. Distinct from
-    /// journal quarantine (same `quarantined` gate, different exit):
+    /// The last worker retired with the restart budget spent. Distinct
+    /// from journal quarantine (same `quarantined` gate, different exit):
     /// lifted by [`FleetStream::scale_workers`], not by a sink failover.
     workers_dead: bool,
 }
@@ -609,18 +588,14 @@ struct Shared {
     /// non-empty one also runs [`Fleet::verify_record`] on every
     /// completion before it enters the completion log).
     worker_faults: WorkerFaultSchedule,
-    /// The executor, held here so the supervisor can respawn workers
-    /// from any thread (including a panicking worker's unwind guard).
+    /// The executor every worker runs its jobs on.
     fleet: Fleet,
-    /// Join handles of supervisor-respawned workers, joined by `finish`
-    /// and `Drop`.
-    respawned: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl Shared {
     /// Locks the state, recovering from poisoning: workers never panic
-    /// while holding the lock (jobs run outside it), and the reap guard
-    /// handles worker death.
+    /// while holding the lock (jobs run outside it), and a panicking job
+    /// is caught and handled as a fault of its worker.
     fn lock(&self) -> MutexGuard<'_, State> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -696,9 +671,9 @@ impl Shared {
             // pipeline quarantines and the caller learns exactly which
             // prefix was accepted — those jobs are journaled and will run;
             // the slice and everything after it were refused.
+            let mut accepted = Vec::new();
             if let Some(journal) = &self.journal {
-                let accepted: Vec<JournalEntry> =
-                    slice.iter().cloned().map(JournalEntry::Accepted).collect();
+                accepted = slice.iter().cloned().map(JournalEntry::Accepted).collect();
                 if let Err(e) = self.commit_with_retry(slice[0].id, slice[0].tenant, || {
                     journal.append_batch(&accepted)
                 }) {
@@ -714,13 +689,8 @@ impl Shared {
             }
             let first_seq = state.next_seq;
             state.next_seq += admit as u64;
-            if self.journal.is_some() {
-                for (offset, job) in slice.iter().enumerate() {
-                    state
-                        .accepted
-                        .insert(first_seq + offset as u64, job.clone());
-                }
-            }
+            // The committed entries themselves stay pending until release.
+            state.accepted.extend((first_seq..).zip(accepted));
             let submitted_at = self.tracer.as_ref().map(|_| std::time::Instant::now());
             state
                 .queue
@@ -758,7 +728,6 @@ impl Shared {
             worker_restarts: state.worker_restarts,
             reassigned: state.jobs_reassigned,
             poisoned: state.poisoned_count,
-            stale_completions: state.stale_completions,
             pool: self.pool.stats(),
         }
     }
@@ -849,15 +818,7 @@ impl Shared {
         let Some(journal) = &self.journal else {
             return Ok(());
         };
-        let accepted: Vec<JournalEntry> = {
-            let state = self.lock();
-            state
-                .accepted
-                .values()
-                .cloned()
-                .map(JournalEntry::Accepted)
-                .collect()
-        };
+        let accepted: Vec<JournalEntry> = self.lock().accepted.values().cloned().collect();
         journal.append_batch(&accepted)?;
         let mut state = self.lock();
         if state.workers_dead {
@@ -885,7 +846,7 @@ impl Shared {
     /// The virtual-tick execution budget for a job: its declared workload
     /// length (user seconds at the job's scale) at one tick per simulated
     /// millisecond, at least one tick. The job's worker may spin this plus
-    /// the configured grace before it is reaped.
+    /// the configured grace before it faults.
     fn cost_ticks(job: &JobSpec) -> u64 {
         let user_secs = job.workload.spec(job.scale).user_secs;
         (user_secs * 1000.0).ceil().max(1.0) as u64
@@ -899,58 +860,55 @@ impl Shared {
     /// and therefore reports, ledgers and metering — is bit-identical to
     /// one-job-at-a-time pulls.
     ///
-    /// Every pop registers an [`Assignment`] under this worker's
-    /// generation; the fault schedule is consulted per (job, attempt)
-    /// before execution; completions go through the dedup guard in
-    /// [`Shared::complete`]. A worker that learns it was reaped abandons
-    /// its remaining batch (the reaper already reclaimed it) and exits.
-    fn work(shared: &Arc<Shared>, gen: u64) {
-        let fleet = &shared.fleet;
+    /// Every pop registers an [`Assignment`] under this worker's id, and
+    /// the fault schedule is consulted per (job, attempt) before
+    /// execution. Returns `Ok` on a normal exit (shutdown, teardown or a
+    /// shrink token) and the fault that stopped it otherwise: a missed
+    /// deadline, or a record [`Fleet::verify_record`] rejected. A panic
+    /// unwinds out of here instead; [`Shared::spawn_worker`] catches it.
+    /// Either way the assignments this worker still holds are left for
+    /// [`Shared::fault`] to reclaim.
+    fn work(&self, id: u64) -> Result<(), &'static str> {
         let mut batch: Vec<crate::queue::QueuedJob> = Vec::with_capacity(Self::MAX_PULL);
         loop {
             {
-                let mut state = shared.lock();
+                let mut state = self.lock();
                 loop {
-                    if state.dead_workers.contains(&gen) {
-                        // Reaped while idle; the reaper already adjusted
-                        // the live count and reclaimed any assignments.
-                        return;
-                    }
                     if state.paused && !state.shutting_down {
-                        state = shared.wait(&shared.job_ready, state);
+                        state = self.wait(&self.job_ready, state);
                         continue;
                     }
                     if state.shutting_down && state.discard_queued {
                         // Teardown without finish(): abandon the backlog.
                         state.active_workers -= 1;
-                        return;
+                        return Ok(());
                     }
                     // Scale-down: consume a shrink token and exit. Ignored
                     // while shutting down — finish() needs every worker
                     // still alive to drain the backlog.
                     if !state.shutting_down && state.active_workers > state.worker_target {
                         state.active_workers -= 1;
-                        return;
+                        return Ok(());
                     }
                     // Completion watermark: don't start new work while the
                     // unconsumed completion log (plus what's already in
                     // flight) is at the limit. A graceful shutdown lifts
                     // the watermark — finish() consumes everything.
                     let mut budget = usize::MAX;
-                    if shared.watermark > 0 && !state.shutting_down {
+                    if self.watermark > 0 && !state.shutting_down {
                         let used = state.completed.len() + state.assignments.len();
-                        if used >= shared.watermark {
-                            state = shared.wait(&shared.job_ready, state);
+                        if used >= self.watermark {
+                            state = self.wait(&self.job_ready, state);
                             continue;
                         }
-                        budget = shared.watermark - used;
+                        budget = self.watermark - used;
                     }
                     if state.queue.is_empty() {
                         if state.shutting_down {
                             state.active_workers -= 1;
-                            return;
+                            return Ok(());
                         }
-                        state = shared.wait(&shared.job_ready, state);
+                        state = self.wait(&self.job_ready, state);
                         continue;
                     }
                     // Pull a batch: watermark-respecting, capped, and no
@@ -959,7 +917,7 @@ impl Shared {
                     // peers idle.
                     let share = state.queue.len().div_ceil(state.active_workers.max(1));
                     let max = Self::MAX_PULL.min(budget).min(share).max(1);
-                    let dispatch_stamp = shared.tracer.as_ref().map(|_| std::time::Instant::now());
+                    let dispatch_stamp = self.tracer.as_ref().map(|_| std::time::Instant::now());
                     while batch.len() < max {
                         let Some(queued) = state.queue.pop() else {
                             break;
@@ -971,7 +929,7 @@ impl Shared {
                             queued.seq,
                             Assignment {
                                 job: queued.job.clone(),
-                                worker: gen,
+                                worker: id,
                                 attempt: queued.attempt,
                                 started: batch.is_empty(),
                                 spent: 0,
@@ -984,18 +942,16 @@ impl Shared {
                 }
             }
             if batch.len() == 1 {
-                shared.slot_free.notify_one();
+                self.slot_free.notify_one();
             } else {
-                shared.slot_free.notify_all();
+                self.slot_free.notify_all();
             }
 
-            let mut abandoned = false;
-            for idx in 0..batch.len() {
-                let queued = &batch[idx];
+            for (idx, queued) in batch.iter().enumerate() {
                 let next_seq = batch.get(idx + 1).map(|q| q.seq);
                 // Dispatch closed the queue-wait window at pop; record it
                 // outside the state lock so tracing never stalls workers.
-                if let (Some(tracer), Some(submitted_at)) = (&shared.tracer, queued.submitted_at) {
+                if let (Some(tracer), Some(submitted_at)) = (&self.tracer, queued.submitted_at) {
                     tracer.record(
                         Stage::QueueWait,
                         queued.job.id,
@@ -1005,180 +961,114 @@ impl Shared {
                 }
 
                 // Consult the fault schedule for this (job, attempt).
-                let fault = shared
-                    .worker_faults
-                    .fault_for(queued.job.id, queued.attempt);
+                let fault = self.worker_faults.fault_for(queued.job.id, queued.attempt);
                 let record = match fault {
                     Some(WorkerFaultKind::Panic) => panic!(
                         "injected worker fault: panic executing job {} (attempt {})",
                         queued.job.id.0, queued.attempt
                     ),
                     Some(WorkerFaultKind::Hang { ticks }) => {
-                        if !Shared::spin_ticks(shared, gen, queued.seq, ticks) {
-                            abandoned = true;
-                            break;
-                        }
-                        fleet.run_one(&queued.job)
+                        self.spin_ticks(queued.seq, ticks)?;
+                        self.fleet.run_one(&queued.job)
                     }
                     Some(WorkerFaultKind::SlowDown { factor }) => {
                         let extra =
                             Self::cost_ticks(&queued.job).saturating_mul(factor.saturating_sub(1));
-                        if !Shared::spin_ticks(shared, gen, queued.seq, extra) {
-                            abandoned = true;
-                            break;
-                        }
-                        fleet.run_one(&queued.job)
+                        self.spin_ticks(queued.seq, extra)?;
+                        self.fleet.run_one(&queued.job)
                     }
                     Some(WorkerFaultKind::WrongResult) => {
                         // A lying executor: bill more than was done. The
                         // completion-side quote check catches it — the
                         // quote's MAC covers the honest usage.
-                        let mut record = fleet.run_one(&queued.job);
+                        let mut record = self.fleet.run_one(&queued.job);
                         record.outcome.victim_billed.utime.0 =
                             record.outcome.victim_billed.utime.0.wrapping_add(1_000_000);
                         record
                     }
-                    None => fleet.run_one(&queued.job),
+                    None => self.fleet.run_one(&queued.job),
                 };
-
-                match shared.complete(gen, queued.seq, next_seq, record, fleet) {
-                    CompletionOutcome::Accepted => {}
-                    CompletionOutcome::Zombie => {
-                        abandoned = true;
-                        break;
-                    }
-                    CompletionOutcome::Rejected => {
-                        Shared::reap(
-                            shared,
-                            gen,
-                            "completion failed record verification (wrong-result executor)",
-                        );
-                        abandoned = true;
-                        break;
-                    }
+                if !self.complete(queued.seq, next_seq, record) {
+                    return Err("completion failed record verification (wrong-result executor)");
                 }
             }
             batch.clear();
-            if abandoned {
-                // The reaper reclaimed whatever this worker still held;
-                // exit without touching counters it already adjusted.
-                return;
-            }
         }
     }
 
-    /// Logs one execution result into the completion log, guarded against
-    /// zombies: the record is accepted only if this worker's generation
-    /// still owns the live assignment for `seq` — a reaped worker
-    /// finishing late can never double-release or burn a chain link. On
-    /// acceptance, the next batch item starts under the same lock hold.
-    fn complete(
-        &self,
-        gen: u64,
-        seq: u64,
-        next_seq: Option<u64>,
-        record: RunRecord,
-        fleet: &Fleet,
-    ) -> CompletionOutcome {
-        if !self.worker_faults.is_empty() && fleet.verify_record(&record).is_err() {
-            return CompletionOutcome::Rejected;
+    /// Logs one execution result into the completion log and starts the
+    /// next batch item under the same lock hold. Returns `false`, logging
+    /// nothing, when a faulted pool's completion check rejects the record
+    /// (a lying executor). Only the worker holding `seq` calls this, and
+    /// nothing reclaims its assignments while it runs, so the record is
+    /// logged at most once.
+    fn complete(&self, seq: u64, next_seq: Option<u64>, record: RunRecord) -> bool {
+        if !self.worker_faults.is_empty() && self.fleet.verify_record(&record).is_err() {
+            return false;
         }
         let mut state = self.lock();
-        let live = !state.dead_workers.contains(&gen)
-            && state
-                .assignments
-                .get(&seq)
-                .is_some_and(|assignment| assignment.worker == gen);
-        if !live {
-            // The dedup guard: this worker was reaped (its job already
-            // reassigned, maybe even re-executed and released) — the
-            // stale record is discarded, never logged.
-            state.stale_completions += 1;
-            return CompletionOutcome::Zombie;
-        }
         state.assignments.remove(&seq);
         state.completed.insert(seq, JournalEntry::run(record));
         state.completed_count += 1;
         if let Some(next) = next_seq.and_then(|next| state.assignments.get_mut(&next)) {
-            if next.worker == gen {
-                next.started = true;
-            }
+            next.started = true;
         }
         drop(state);
         self.job_done.notify_all();
-        CompletionOutcome::Accepted
+        true
     }
 
     /// Burns `ticks` virtual ticks on the job at `seq`: each tick advances
     /// the shared clock (which only the restart window reads) and is
     /// charged to this worker's own assignment, so a hanging or slowed
-    /// worker deterministically reaps *itself* the tick its job's spent
-    /// ticks pass `grace + cost_ticks(job)` — detection is in ticks, not
-    /// wall clock, a healthy pipeline (no injected faults) never spends
-    /// any, and one worker's spinning never expires another's job.
-    /// Returns `false` if this worker was reaped or the pipeline began
-    /// discarding (the caller abandons its batch).
-    fn spin_ticks(shared: &Arc<Shared>, gen: u64, seq: u64, ticks: u64) -> bool {
+    /// worker deterministically faults the tick its job's spent ticks
+    /// pass `grace + cost_ticks(job)` — detection is in ticks, not wall
+    /// clock, a healthy pipeline (no injected faults) never spends any,
+    /// and one worker's spinning never expires another's job. A teardown
+    /// cuts the spin short.
+    fn spin_ticks(&self, seq: u64, ticks: u64) -> Result<(), &'static str> {
         for _ in 0..ticks {
-            shared.clock.fetch_add(1, Ordering::Relaxed);
-            let overdue = {
-                let mut state = shared.lock();
-                if state.dead_workers.contains(&gen) {
-                    return false;
-                }
-                if state.shutting_down && state.discard_queued {
-                    state.active_workers = state.active_workers.saturating_sub(1);
-                    return false;
-                }
-                state.assignments.get_mut(&seq).is_some_and(|running| {
-                    running.spent += 1;
-                    shared.deadline_grace.is_some_and(|grace| {
-                        running.spent > grace.saturating_add(Self::cost_ticks(&running.job))
-                    })
+            self.clock.fetch_add(1, Ordering::Relaxed);
+            let mut state = self.lock();
+            if state.shutting_down && state.discard_queued {
+                return Ok(());
+            }
+            let overdue = state.assignments.get_mut(&seq).is_some_and(|running| {
+                running.spent += 1;
+                self.deadline_grace.is_some_and(|grace| {
+                    running.spent > grace.saturating_add(Self::cost_ticks(&running.job))
                 })
-            };
+            });
+            drop(state);
             if overdue {
-                Shared::reap(
-                    shared,
-                    gen,
-                    "job deadline expired (hung or pathologically slow worker)",
-                );
-                return false;
+                return Err("job deadline expired (hung or pathologically slow worker)");
             }
             std::thread::yield_now();
         }
-        true
+        Ok(())
     }
 
-    /// Reaps a worker: marks its generation dead (anything it still runs
-    /// is zombie code whose completions the dedup guard discards),
-    /// reclaims its in-flight assignments — requeueing each at the same
-    /// sequence number with the attempt advanced, or declaring it poison
-    /// once it has burned [`SupervisorPolicy::max_job_attempts`] workers
-    /// — and respawns a replacement under the restart budget. Budget
-    /// dry → the pool degrades; last worker dead → the fleet
-    /// quarantines. Called from the unwind guard (panicked worker), the
-    /// spin loop (overdue worker) and the completion verifier (lying
-    /// worker); it must never panic — it runs during unwinds.
-    fn reap(shared: &Arc<Shared>, gen: u64, reason: &str) {
-        let mut respawn_gen = None;
+    /// Handles a fault of worker `id`, which has stopped running its
+    /// batch: reclaims every assignment it still holds — requeueing each
+    /// at the same sequence number with the attempt advanced for the job
+    /// it was running, or declaring that job poison once it has burned
+    /// [`SupervisorPolicy::max_job_attempts`] workers — then charges the
+    /// restart budget. Returns whether the worker restarts in place; with
+    /// the budget spent it retires instead, degrading the pool, and the
+    /// last worker to retire quarantines the fleet. A teardown retires
+    /// the worker without charging anything.
+    fn fault(&self, id: u64, reason: &str) -> bool {
         let mut reassigned: Vec<(JobId, TenantId, Option<std::time::Instant>)> = Vec::new();
-        {
-            let mut state = shared.lock();
-            if state.dead_workers.contains(&gen) {
-                return; // a competing detector got here first
-            }
-            state.dead_workers.insert(gen);
-            state.active_workers = state.active_workers.saturating_sub(1);
-            // Reclaim everything the dead worker held. Requeueing keeps
-            // the original sequence numbers, so release order — and every
-            // bit of downstream output — is unchanged; re-execution is
-            // safe because the kernel is deterministic from the fleet
-            // seed and job id.
+        let restart = {
+            let mut state = self.lock();
+            // Requeueing keeps the original sequence numbers, so release
+            // order — and every bit of downstream output — is unchanged;
+            // re-execution is safe because the kernel is deterministic
+            // from the fleet seed and job id.
             let seqs: Vec<u64> = state
                 .assignments
                 .iter()
-                .filter(|(_, a)| a.worker == gen)
+                .filter(|(_, a)| a.worker == id)
                 .map(|(seq, _)| *seq)
                 .collect();
             for seq in seqs {
@@ -1195,7 +1085,7 @@ impl Shared {
                 // attempt; batch-mates the worker never started requeue at
                 // their current attempt, so the fault schedule still
                 // addresses their first execution.
-                if assignment.started && assignment.attempt >= shared.supervisor.max_job_attempts {
+                if assignment.started && assignment.attempt >= self.supervisor.max_job_attempts {
                     // Poison: this job has killed max_job_attempts workers
                     // in a row. Its verdict takes the record's place in the
                     // completion log and is journaled at release. The rest
@@ -1209,46 +1099,42 @@ impl Shared {
                         }),
                     );
                 } else {
-                    let attempt = if assignment.started {
-                        assignment.attempt + 1
-                    } else {
-                        assignment.attempt
-                    };
+                    let attempt = assignment.attempt + u32::from(assignment.started);
                     state.queue.requeue(seq, assignment.job, attempt);
                 }
             }
-            // The restart ladder. Respawning continues during a graceful
+            // The restart ladder. Restarts continue during a graceful
             // finish (the drain needs workers) but not during teardown.
-            if !(state.shutting_down && state.discard_queued) {
-                let now = shared.clock.load(Ordering::Relaxed);
-                if shared.supervisor.restart_window > 0
-                    && now.saturating_sub(state.window_start) >= shared.supervisor.restart_window
-                {
-                    state.window_start = now;
-                    state.restarts_in_window = 0;
-                }
-                if state.restarts_in_window < shared.supervisor.max_restarts {
-                    state.restarts_in_window += 1;
-                    state.worker_restarts += 1;
-                    state.active_workers += 1;
-                    let next_gen = state.spawned_total;
-                    state.spawned_total += 1;
-                    respawn_gen = Some(next_gen);
-                } else {
-                    // Budget spent: degrade to the surviving pool size.
-                    state.worker_target = state.worker_target.min(state.active_workers.max(1));
-                    if state.active_workers == 0 {
-                        state.workers_dead = true;
-                        state.quarantined = true;
-                        state.last_error = Some(format!(
-                            "last worker died with the restart budget spent: {reason}"
-                        ));
-                    }
-                }
+            let now = self.clock.load(Ordering::Relaxed);
+            if self.supervisor.restart_window > 0
+                && now.saturating_sub(state.window_start) >= self.supervisor.restart_window
+            {
+                state.window_start = now;
+                state.restarts_in_window = 0;
             }
-        }
-        // Spans and the respawn happen outside the state lock.
-        if let Some(tracer) = &shared.tracer {
+            if state.shutting_down && state.discard_queued {
+                state.active_workers -= 1;
+                false
+            } else if state.restarts_in_window < self.supervisor.max_restarts {
+                state.restarts_in_window += 1;
+                state.worker_restarts += 1;
+                true
+            } else {
+                // Budget spent: retire, degrading to the surviving pool.
+                state.active_workers -= 1;
+                state.worker_target = state.worker_target.min(state.active_workers.max(1));
+                if state.active_workers == 0 {
+                    state.workers_dead = true;
+                    state.quarantined = true;
+                    state.last_error = Some(format!(
+                        "last worker died with the restart budget spent: {reason}"
+                    ));
+                }
+                false
+            }
+        };
+        // Spans are recorded outside the state lock.
+        if let Some(tracer) = &self.tracer {
             for (job, tenant, dispatched_at) in &reassigned {
                 // Reclaiming is nobody's per-tenant latency: aggregate
                 // cell only, one span per reassigned job.
@@ -1256,55 +1142,33 @@ impl Shared {
                 tracer.record_aggregate(Stage::Reassign, *job, *tenant, elapsed);
             }
         }
-        if let Some(next_gen) = respawn_gen {
-            let handle = Shared::spawn_worker(shared, next_gen);
-            shared
-                .respawned
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .push(handle);
-        }
-        shared.job_ready.notify_all();
-        shared.job_done.notify_all();
-        shared.slot_free.notify_all();
+        self.job_ready.notify_all();
+        self.job_done.notify_all();
+        self.slot_free.notify_all();
+        restart
     }
 
-    /// Spawns one worker thread at generation `gen` (startup, scale-up
-    /// and supervisor respawns all come through here).
-    fn spawn_worker(shared: &Arc<Shared>, gen: u64) -> JoinHandle<()> {
+    /// Spawns worker `id` (at startup and on scale-up). The thread runs
+    /// [`Shared::work`] under `catch_unwind`, so a panicking job (injected
+    /// or real) never escapes the pool: a panic, a missed deadline and a
+    /// rejected record are all faults of the job, handled by
+    /// [`Shared::fault`] on this same thread, which then re-enters `work`
+    /// or, with the restart budget spent, retires.
+    fn spawn_worker(shared: &Arc<Shared>, id: u64) -> JoinHandle<()> {
         let shared = Arc::clone(shared);
         std::thread::Builder::new()
-            .name(format!("fleet-ingest-{gen}"))
-            .spawn(move || {
-                // Reap on unwind: a panicking job (injected or real) gets
-                // its worker reaped, its batch reassigned and a
-                // replacement respawned — the panic never escapes the
-                // pool and never takes the drain target down with it. On a
-                // normal exit the guard only drops its `Arc<Shared>`, so
-                // the pool's state (queue, pooled buffers, tracer, journal
-                // handle) is freed with the pool.
-                let _guard = WorkerReapGuard {
-                    shared: Arc::clone(&shared),
-                    gen,
+            .name(format!("fleet-ingest-{id}"))
+            .spawn(move || loop {
+                let reason = match panic::catch_unwind(AssertUnwindSafe(|| shared.work(id))) {
+                    Ok(Ok(())) => return,
+                    Ok(Err(reason)) => reason,
+                    Err(_) => "worker panicked mid-job",
                 };
-                Shared::work(&shared, gen);
+                if !shared.fault(id, reason) {
+                    return;
+                }
             })
             .expect("spawn ingest worker")
-    }
-}
-
-/// Reaps its worker on unwind (a panicking simulated run — injected or
-/// real); a normal exit only releases its `Arc<Shared>`.
-struct WorkerReapGuard {
-    shared: Arc<Shared>,
-    gen: u64,
-}
-
-impl Drop for WorkerReapGuard {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            Shared::reap(&self.shared, self.gen, "worker panicked mid-job");
-        }
     }
 }
 
@@ -1403,7 +1267,6 @@ impl<'a> FleetStream<'a> {
                 worker_target: config.workers,
                 active_workers: config.workers,
                 assignments: BTreeMap::new(),
-                dead_workers: BTreeSet::new(),
                 spawned_total: config.workers as u64,
                 restarts_in_window: 0,
                 window_start: 0,
@@ -1411,7 +1274,6 @@ impl<'a> FleetStream<'a> {
                 jobs_reassigned: 0,
                 poisoned_count: 0,
                 poisoned_log: Vec::new(),
-                stale_completions: 0,
                 workers_dead: false,
             }),
             job_ready: Condvar::new(),
@@ -1429,7 +1291,6 @@ impl<'a> FleetStream<'a> {
             deadline_grace: config.job_deadline,
             worker_faults: config.worker_faults,
             fleet: service.fleet.clone(),
-            respawned: Mutex::new(Vec::new()),
         });
         let workers = (0..config.workers)
             .map(|i| Shared::spawn_worker(&shared, i as u64))
@@ -1481,7 +1342,7 @@ impl<'a> FleetStream<'a> {
     /// the target is ignored: `finish` keeps every worker alive to drain.
     pub fn scale_workers(&mut self, workers: usize) {
         let target = workers.max(1);
-        let gens: Vec<u64> = {
+        let ids: Vec<u64> = {
             let mut state = self.shared.lock();
             if state.shutting_down {
                 return;
@@ -1492,7 +1353,7 @@ impl<'a> FleetStream<'a> {
             // batch cap sees the new pool size immediately.
             state.active_workers += grow;
             if grow > 0 && state.workers_dead {
-                // A fresh pool revives a fleet whose last worker died
+                // A fresh pool revives a fleet whose last worker retired
                 // with the restart budget spent.
                 state.workers_dead = false;
                 state.quarantined = false;
@@ -1502,9 +1363,9 @@ impl<'a> FleetStream<'a> {
             state.spawned_total += grow as u64;
             (first..first + grow as u64).collect()
         };
-        let grew = !gens.is_empty();
-        for gen in gens {
-            self.workers.push(Shared::spawn_worker(&self.shared, gen));
+        let grew = !ids.is_empty();
+        for id in ids {
+            self.workers.push(Shared::spawn_worker(&self.shared, id));
         }
         if grew {
             // New workers (and possibly a revived pipeline) need waking
@@ -1748,11 +1609,11 @@ impl<'a> FleetStream<'a> {
         (report, self.shared.health())
     }
 
-    /// Stops the pool and joins every worker, respawned ones included.
-    /// A drain first waits until every submitted job completed or was
-    /// poisoned — the supervisor respawns through the drain, so that
-    /// target stays reachable unless the whole pool died with the restart
-    /// budget spent. A teardown (or a dead pool) discards the queued
+    /// Stops the pool and joins every worker. A drain first waits until
+    /// every submitted job completed or was poisoned — a faulted worker
+    /// restarts in place through the drain, so that target stays
+    /// reachable unless the whole pool retired with the restart budget
+    /// spent. A teardown (or a dead pool) discards the queued
     /// backlog instead, so it never blocks longer than the jobs already
     /// running.
     fn shut_down(&mut self, drain: bool) {
@@ -1775,20 +1636,10 @@ impl<'a> FleetStream<'a> {
         // Wake everyone: idle workers exit, blocked submitters see ShutDown.
         shared.job_ready.notify_all();
         shared.slot_free.notify_all();
-        let mut workers = std::mem::take(&mut self.workers);
-        while !workers.is_empty() {
-            for worker in workers {
-                // Panicked workers were already reaped by their unwind
-                // guard; their handles just carry the panic payload.
-                let _ = worker.join();
-            }
-            // Supervisor respawns can themselves respawn; drain until the
-            // set is stable.
-            let mut respawned = shared
-                .respawned
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            workers = std::mem::take(&mut *respawned);
+        for worker in self.workers.drain(..) {
+            // Workers catch their jobs' panics, so a join never carries
+            // one; a teardown must not panic on it either way.
+            let _ = worker.join();
         }
     }
 }
@@ -2246,9 +2097,9 @@ mod tests {
 
     #[test]
     fn finished_dropped_and_respawned_pools_free_their_shared_state() {
-        // A worker's reap guard holds an `Arc<Shared>`; one that outlives
-        // its worker keeps the queue, the pooled buffers, the tracer and
-        // the journal's open segment alive forever.
+        // Each worker thread holds an `Arc<Shared>`, a restarted one
+        // included; one that outlives its pool keeps the queue, the pooled
+        // buffers, the tracer and the journal's open segment alive forever.
         let mut service = service(2, 11, Some(Journal::in_memory()));
         let config = |faults| IngestConfig::new(2).with_worker_faults(faults);
 

@@ -917,11 +917,12 @@ impl SegmentedFileSink {
         Ok(Some(header))
     }
 
-    /// Accepts a segment without a sealed header only if it is the
-    /// in-progress head: any earlier segment must have been sealed when
-    /// it rotated away, so a missing sidecar is a [`JournalError::SealViolation`].
+    /// Accepts a segment without a sealed header if this sink does not
+    /// seal, or if it is the in-progress head: on a sealing sink any
+    /// earlier segment was sealed when it rotated away, so a missing
+    /// sidecar is a [`JournalError::SealViolation`].
     fn unsealed(&self, index: u64) -> Result<(), JournalError> {
-        if Some(&index) == self.live.last() {
+        if self.seal_key.is_none() || Some(&index) == self.live.last() {
             return Ok(());
         }
         Err(JournalError::SealViolation {
@@ -1721,9 +1722,9 @@ impl Journal {
     ///
     /// # Errors
     /// [`JournalError::Io`] if a segment cannot be read;
-    /// [`JournalError::SealViolation`] if a non-head segment has no
-    /// sealed header (exactly as [`Journal::verify`] reports it) or a
-    /// line naming the id does not parse;
+    /// [`JournalError::SealViolation`] if a non-head segment of a sealing
+    /// sink has no sealed header (exactly as [`Journal::verify`] reports
+    /// it) or a line naming the id does not parse;
     /// [`JournalError::UnsupportedHeader`] as for
     /// [`Journal::sealed_headers`].
     pub fn prove(&self, job: JobId) -> Result<Vec<InclusionProof>, JournalError> {
@@ -2494,6 +2495,25 @@ mod tests {
         }
         journal.seal().unwrap();
         journal
+    }
+
+    #[test]
+    fn an_unsealed_journal_verifies_its_chain_and_proves_nothing_once_it_rotates() {
+        // Without a seal no segment has a sidecar, and none is demanded:
+        // verify is the chain walk alone, and prove has nothing to prove.
+        let dir = scratch_dir("unsealed-rotated");
+        let journal = tiny_segments(&dir);
+        for id in 0..20 {
+            journal.append_batch(&[accepted(id)]).unwrap();
+        }
+        assert!(journal.stats().rotations > 1);
+        let (entries, tail) = journal.entries().unwrap();
+        assert_eq!((entries.len(), tail), (20, TailStatus::Clean));
+        let verification = journal.verify(42).unwrap();
+        assert_eq!(verification.entries, 20);
+        assert_eq!(verification.seals_verified, 0);
+        assert_eq!(journal.prove(JobId(3)).unwrap(), Vec::new());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

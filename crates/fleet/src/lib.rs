@@ -182,7 +182,7 @@ const OPS: [(&str, &str, Feed); 22] = [
     ),
     (
         "fleet_worker_restarts_total",
-        "Workers respawned by the supervisor after a reap",
+        "Faulted workers restarted in place under the restart budget",
         Feed::Ingest(|s| s.worker_restarts as f64),
     ),
     (
@@ -598,12 +598,14 @@ impl FleetService {
                 );
             }
             first_posted.get_or_insert((record.job.id, record.job.tenant));
-            if let Some(receipts) = &mut receipts {
-                receipts.push(JournalEntry::Invoice(posting));
-                receipts.push(JournalEntry::Verdict(verdict.clone()));
+            match &mut receipts {
+                Some(receipts) => receipts.extend([
+                    JournalEntry::Invoice(posting),
+                    JournalEntry::Verdict(verdict),
+                ]),
+                None => verdicts.push(verdict),
             }
             records.push(record);
-            verdicts.push(verdict);
         }
         if let Some(receipts) = receipts {
             let commit_started = self.tracer.as_ref().map(|_| std::time::Instant::now());
@@ -629,6 +631,11 @@ impl FleetService {
                 // attribute the span to the first posted record.
                 tracer.record_aggregate(Stage::JournalCommit, job, tenant, started.elapsed());
             }
+            // The committed verdicts move into the session's log.
+            verdicts.extend(receipts.into_iter().filter_map(|receipt| match receipt {
+                JournalEntry::Verdict(verdict) => Some(verdict),
+                _ => None,
+            }));
         }
         self.runs_since_checkpoint += posted as u64;
         self.maybe_checkpoint();
@@ -1028,11 +1035,11 @@ impl FleetService {
         entries: &[JournalEntry],
         strict: bool,
     ) -> Result<RecoveryReport, RecoveryError> {
+        /// The receipts a replayed run expects to find journaled after
+        /// it — its invoice, then its verdict — and which ones were found.
         struct Pending {
-            invoice: InvoicePosting,
-            verdict: AuditVerdict,
-            invoice_seen: bool,
-            verdict_seen: bool,
+            receipts: [JournalEntry; 2],
+            seen: [bool; 2],
         }
         // One FIFO queue of outstanding postings per job id, not a single
         // slot: two same-id runs released back-to-back (legal — e.g. both
@@ -1115,34 +1122,36 @@ impl FleetService {
                         .entry(record.job.id)
                         .or_default()
                         .push_back(Pending {
-                            invoice,
-                            verdict,
-                            invoice_seen: false,
-                            verdict_seen: false,
+                            receipts: [
+                                JournalEntry::Invoice(invoice),
+                                JournalEntry::Verdict(verdict),
+                            ],
+                            seen: [false; 2],
                         });
                     report.runs_replayed += 1;
                 }
-                JournalEntry::Invoice(posting) => {
-                    let Some(queue) = pending.get_mut(&posting.job) else {
-                        return Err(RecoveryError::OrphanPosting(posting.job));
+                JournalEntry::Invoice(_) | JournalEntry::Verdict(_) => {
+                    // A receipt checks the oldest replayed run of its job
+                    // that has not yet met a receipt of its kind.
+                    let job = entry.job().expect("a receipt names its job");
+                    let kind = usize::from(matches!(entry, JournalEntry::Verdict(_)));
+                    let Some(queue) = pending.get_mut(&job) else {
+                        return Err(RecoveryError::OrphanPosting(job));
                     };
-                    let Some(pend) = queue.iter_mut().find(|p| !p.invoice_seen) else {
-                        return Err(RecoveryError::OrphanPosting(posting.job));
+                    let Some(pend) = queue.iter_mut().find(|p| !p.seen[kind]) else {
+                        return Err(RecoveryError::OrphanPosting(job));
                     };
-                    if pend.invoice == *posting {
+                    if pend.receipts[kind] == *entry {
                         report.postings_confirmed += 1;
                     } else {
-                        report.mismatches.push(posting.job);
+                        report.mismatches.push(job);
                     }
-                    pend.invoice_seen = true;
-                    while queue
-                        .front()
-                        .is_some_and(|p| p.invoice_seen && p.verdict_seen)
-                    {
+                    pend.seen[kind] = true;
+                    while queue.front().is_some_and(|p| p.seen == [true; 2]) {
                         queue.pop_front();
                     }
                     if queue.is_empty() {
-                        pending.remove(&posting.job);
+                        pending.remove(&job);
                     }
                 }
                 JournalEntry::Poisoned(notice) => {
@@ -1156,29 +1165,6 @@ impl FleetService {
                         accepted_pending.remove(pos);
                     }
                     report.poisoned += 1;
-                }
-                JournalEntry::Verdict(verdict) => {
-                    let Some(queue) = pending.get_mut(&verdict.job) else {
-                        return Err(RecoveryError::OrphanPosting(verdict.job));
-                    };
-                    let Some(pend) = queue.iter_mut().find(|p| !p.verdict_seen) else {
-                        return Err(RecoveryError::OrphanPosting(verdict.job));
-                    };
-                    if pend.verdict == *verdict {
-                        report.postings_confirmed += 1;
-                    } else {
-                        report.mismatches.push(verdict.job);
-                    }
-                    pend.verdict_seen = true;
-                    while queue
-                        .front()
-                        .is_some_and(|p| p.invoice_seen && p.verdict_seen)
-                    {
-                        queue.pop_front();
-                    }
-                    if queue.is_empty() {
-                        pending.remove(&verdict.job);
-                    }
                 }
             }
         }

@@ -1,21 +1,23 @@
-//! Surviving the workers: executor fault injection, watchdog supervision,
+//! Surviving the workers: executor fault injection, in-place restarts,
 //! deterministic reassignment and poison-job quarantine.
 //!
 //! The disk-fault demo (`fleet_faults`) killed the journal; this one kills
 //! the *executors*. A seeded [`WorkerFaultSchedule`] drives the whole
 //! supervision story:
 //!
-//! 1. a worker **panics** mid-batch: the unwind guard reaps it, the
-//!    supervisor respawns a replacement, and the dead worker's in-flight
-//!    batch is reassigned and re-executed — deterministically, because a
-//!    job's seed derives from (fleet seed, job id), not from which worker
-//!    runs it;
+//! A fault belongs to the job, not to the thread: the faulted worker
+//! reassigns its in-flight batch and restarts in place.
+//!
+//! 1. a worker **panics** mid-batch: it catches the unwind, its in-flight
+//!    batch is reassigned and re-executed, and the same thread restarts
+//!    under the restart budget — deterministically, because a job's seed
+//!    derives from (fleet seed, job id), not from which worker runs it;
 //! 2. a worker **hangs**: no wall clock is consulted — the virtual-tick
-//!    deadline watchdog catches it the tick its per-job deadline passes,
-//!    and the job is reassigned the same way;
+//!    deadline check stops it the tick its per-job deadline passes, and
+//!    the job is reassigned the same way;
 //! 3. a worker **lies**, inflating the victim's bill: completion
 //!    verification replays the attestation quote MAC over the claimed
-//!    usage, rejects the record, reaps the liar, and re-executes honestly;
+//!    usage, rejects the record, and the liar's job re-executes honestly;
 //! 4. the finished report, ledger and metering exposition are
 //!    **bit-identical** to a clean run — every job ran (and billed)
 //!    exactly once, per the journal;
@@ -23,9 +25,9 @@
 //!    after `max_job_attempts` with a journaled, chained `Poisoned`
 //!    verdict — the rest of the fleet keeps flowing and bills exactly as
 //!    if the poison had never been submitted;
-//! 6. a pool that dies with its restart budget spent **quarantines**
-//!    (fail-fast submits, `workers_dead` in health) until the operator
-//!    revives it with `scale_workers`.
+//! 6. a pool whose last worker retires with its restart budget spent
+//!    **quarantines** (fail-fast submits, `workers_dead` in health) until
+//!    the operator revives it with `scale_workers`.
 //!
 //! ```text
 //! cargo run --release --example fleet_chaos
@@ -111,9 +113,8 @@ fn main() {
         stream.submit(job).expect("queue sized for the batch");
     }
 
-    // The three faults each kill one worker (the hang trips the virtual-
-    // tick watchdog; its spin can push slow-but-honest peers past their
-    // own deadlines too, which reassigns them just as safely).
+    // The three faults each stop one worker (the hang trips the virtual-
+    // tick deadline check), which reassigns its batch and restarts.
     let health = loop {
         let health = stream.health();
         if health.worker_restarts >= 3 {
@@ -123,7 +124,7 @@ fn main() {
         std::thread::yield_now();
     };
     println!(
-        "supervisor: {} workers reaped+respawned, {} jobs reassigned, {} live",
+        "supervisor: {} faulted workers restarted in place, {} jobs reassigned, {} live",
         health.worker_restarts, health.reassigned, health.workers_live
     );
     assert!(health.reassigned >= 3, "each fault reclaimed its batch");

@@ -1,10 +1,12 @@
 //! Executor fault-injection tests: the worker pool under hostile compute.
 //!
 //! Every failure mode is driven through a seeded [`WorkerFaultSchedule`]
-//! so each scenario reproduces exactly: panics reaped by the unwind
-//! guard, hangs caught by the virtual-tick deadline watchdog, slowdowns
-//! bounded the same way, and lying executors rejected by completion
-//! verification against their own attestation quotes. Recovery is
+//! so each scenario reproduces exactly: panics caught by the worker's own
+//! `catch_unwind`, hangs caught by the virtual-tick deadline check,
+//! slowdowns bounded the same way, and lying executors rejected by
+//! completion verification against their own attestation quotes. Each
+//! fault reclaims the worker's batch, and the worker restarts in place
+//! or, with the restart budget spent, retires. Recovery is
 //! deterministic — a reassigned job re-executes bit-identically from the
 //! (fleet seed, job id) derivation — so the property tests can demand
 //! the strongest contract there is: report, ledger, metering exposition
@@ -148,7 +150,7 @@ fn stream_with_faults(
 }
 
 // ---------------------------------------------------------------------------
-// Panic: reap, respawn, reassign — bit-identical finish
+// Panic: reassign, restart in place — bit-identical finish
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -442,6 +444,37 @@ fn poison_verdict_is_queryable_on_the_ingest_outcome() {
 // ---------------------------------------------------------------------------
 // Restart budget: degrade, die, revive
 // ---------------------------------------------------------------------------
+
+#[test]
+fn a_fault_past_the_restart_budget_retires_its_worker_and_the_pool_degrades() {
+    quiet_injected_panics();
+    let jobs = batch(8);
+    let baseline = service77(2, None).process(&jobs);
+
+    let mut service = service77(2, None);
+    let config = IngestConfig::new(2)
+        .paused()
+        .with_supervisor(SupervisorPolicy::default().with_max_restarts(0))
+        .with_worker_faults(WorkerFaultSchedule::none().panic_on(JobId(0)));
+    let stream = service.stream(config);
+    stream.submit_all(&jobs).expect("queue sized for batch");
+    stream.resume();
+    // The worker that panics on job 0 has no restart to spend: its batch
+    // is reassigned without a restart, it retires, and the survivor
+    // carries the pool — degraded, not dead.
+    let health = loop {
+        let health = stream.health();
+        if health.reassigned >= 1 {
+            break health;
+        }
+        std::thread::yield_now();
+    };
+    assert_eq!(health.workers_live, 1);
+    assert!(!health.quarantined);
+    assert!(!health.workers_dead);
+    assert_eq!(health.worker_restarts, 0);
+    assert_eq!(stream.finish(), baseline);
+}
 
 #[test]
 fn spent_restart_budget_quarantines_the_dead_pool_and_scale_to_revives_it() {
