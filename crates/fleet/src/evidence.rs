@@ -476,18 +476,6 @@ impl InclusionProof {
             })?;
         Ok(chained.entry)
     }
-
-    /// The proven entry without verifying anything — for display only.
-    ///
-    /// # Errors
-    /// [`ProofError::MalformedEvidence`] if the line does not parse.
-    pub fn entry(&self) -> Result<JournalEntry, ProofError> {
-        let chained: ChainedLine =
-            serde_json::from_str(&self.line).map_err(|e| ProofError::MalformedEvidence {
-                message: e.to_string(),
-            })?;
-        Ok(chained.entry)
-    }
 }
 
 /// The parsed form of one chained journal line:

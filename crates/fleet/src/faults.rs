@@ -10,9 +10,11 @@
 //! *reproducible*: the same schedule over the same workload injects the
 //! same fault at the same byte, in tests and in `examples/fleet_faults.rs`.
 //!
-//! The consumer side is [`RetryPolicy`]: a seeded-deterministic bounded
-//! exponential backoff (in *virtual ticks*, never wall-clock sleeps) the
-//! ingest pipeline runs journal commits under. Transient faults are
+//! The consumer side is [`RetryPolicy`]: a bounded count of attempts the
+//! ingest pipeline runs each journal commit under, back to back. A
+//! transient fault is counted in failed attempts, not waited out: a
+//! failed commit writes nothing and burns no chain link, so waiting
+//! between attempts would change no outcome. Transient faults are
 //! retried and absorbed; on exhaustion the pipeline enters **quarantine**
 //! (see [`crate::FleetStream`]): releases stop — preserving the
 //! never-journaled ⇒ never-billed invariant — until the service fails
@@ -290,11 +292,6 @@ impl FaultProbe {
     /// Lines committed to the inner sink so far.
     pub fn lines_committed(&self) -> u64 {
         lock_state(&self.state).committed
-    }
-
-    /// Planned faults not yet consumed.
-    pub fn faults_remaining(&self) -> usize {
-        lock_state(&self.state).plan.len()
     }
 }
 
@@ -699,16 +696,14 @@ impl WorkerFaultSchedule {
 /// a faulted worker restarts in place within a restart budget, retires
 /// (degrading the pool to fewer workers) when the budget runs dry, and
 /// the fleet quarantines when the last worker retires; a job is declared
-/// poison once it has killed `max_job_attempts` workers in a row. Pure
-/// data; the enforcement lives in [`crate::FleetStream`].
+/// poison once it has killed `max_job_attempts` workers in a row. Both
+/// budgets are counts of faults, never of time. Pure data; the
+/// enforcement lives in [`crate::FleetStream`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SupervisorPolicy {
-    /// Restarts in place allowed per restart window before the pool
+    /// Restarts in place allowed per stream session before the pool
     /// degrades (a faulted worker retires instead of restarting).
     pub max_restarts: u32,
-    /// The restart-budget window, in virtual ticks; `0` makes the
-    /// budget a lifetime total.
-    pub restart_window: u64,
     /// Execution attempts a job gets before it is declared **poison**
     /// (journaled, tenant-visible, individually quarantined). At
     /// least 1.
@@ -716,18 +711,17 @@ pub struct SupervisorPolicy {
 }
 
 impl Default for SupervisorPolicy {
-    /// Eight restarts per 1024-tick window, three attempts per job.
+    /// Eight restarts per session, three attempts per job.
     fn default() -> SupervisorPolicy {
         SupervisorPolicy {
             max_restarts: 8,
-            restart_window: 1024,
             max_job_attempts: 3,
         }
     }
 }
 
 impl SupervisorPolicy {
-    /// Replaces the per-window restart budget.
+    /// Replaces the per-session restart budget.
     pub fn with_max_restarts(mut self, max_restarts: u32) -> SupervisorPolicy {
         self.max_restarts = max_restarts;
         self
@@ -748,11 +742,10 @@ impl SupervisorPolicy {
     }
 }
 
-/// A seeded-deterministic bounded retry policy for journal commits:
-/// `max_attempts` tries, exponential backoff between them measured in
-/// **virtual ticks** (cooperative `yield_now` loops, never wall-clock
-/// sleeps, so tests stay fast and deterministic), with
-/// seed-derived jitter so colliding retriers deterministically de-sync.
+/// A bounded retry policy for journal commits: `max_attempts` tries,
+/// back to back. A failed commit writes nothing and burns no chain link,
+/// so the retry that follows it sees exactly what the first try saw, and
+/// a wait between them would change no outcome.
 ///
 /// The ingest pipeline runs every release-path and submission-path
 /// journal commit under its configured policy
@@ -762,28 +755,17 @@ impl SupervisorPolicy {
 pub struct RetryPolicy {
     /// Total attempts (first try included). At least 1.
     pub max_attempts: u32,
-    /// Backoff after the first failure, in virtual ticks.
-    pub base_ticks: u64,
-    /// Backoff ceiling, in virtual ticks.
-    pub max_ticks: u64,
-    /// Jitter seed (the fleet seed, conventionally).
-    pub seed: u64,
 }
 
 impl Default for RetryPolicy {
-    /// Four attempts, backoff 1 → 2 → 4 ticks (capped at 64), seed 0.
+    /// Four attempts.
     fn default() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 4,
-            base_ticks: 1,
-            max_ticks: 64,
-            seed: 0,
-        }
+        RetryPolicy::new(4)
     }
 }
 
 impl RetryPolicy {
-    /// A policy with `max_attempts` total attempts and default backoff.
+    /// A policy with `max_attempts` total attempts.
     ///
     /// # Panics
     /// Panics if `max_attempts` is zero (the first try is an attempt).
@@ -792,55 +774,12 @@ impl RetryPolicy {
             max_attempts > 0,
             "a retry policy needs at least one attempt"
         );
-        RetryPolicy {
-            max_attempts,
-            ..RetryPolicy::default()
-        }
+        RetryPolicy { max_attempts }
     }
 
     /// No retries: one attempt, fail straight to quarantine.
     pub fn none() -> RetryPolicy {
         RetryPolicy::new(1)
-    }
-
-    /// Replaces the first-failure backoff (in virtual ticks).
-    pub fn with_base_ticks(mut self, base_ticks: u64) -> RetryPolicy {
-        self.base_ticks = base_ticks;
-        self
-    }
-
-    /// Replaces the backoff ceiling (in virtual ticks).
-    pub fn with_max_ticks(mut self, max_ticks: u64) -> RetryPolicy {
-        self.max_ticks = max_ticks;
-        self
-    }
-
-    /// Replaces the jitter seed.
-    pub fn with_seed(mut self, seed: u64) -> RetryPolicy {
-        self.seed = seed;
-        self
-    }
-
-    /// The backoff before retry number `attempt` (1-based: the wait after
-    /// the first failure is `backoff_ticks(1)`), in virtual ticks:
-    /// `min(base << (attempt-1), max)` plus deterministic seed-derived
-    /// jitter in `[0, backoff/2]`, capped at `max_ticks`. Pure in
-    /// `(self, attempt)`.
-    pub fn backoff_ticks(&self, attempt: u32) -> u64 {
-        let shift = (attempt.saturating_sub(1)).min(63);
-        let exp = self
-            .base_ticks
-            .checked_shl(shift)
-            .unwrap_or(u64::MAX)
-            .min(self.max_ticks);
-        let jitter = if exp >= 2 {
-            SimRng::seed_from(self.seed ^ (attempt as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-                .next_u64()
-                % (exp / 2 + 1)
-        } else {
-            0
-        };
-        (exp + jitter).min(self.max_ticks)
     }
 }
 
@@ -1025,63 +964,5 @@ mod tests {
                 Some(WorkerFaultKind::Panic)
             );
         }
-    }
-
-    #[test]
-    fn backoff_jitter_stays_within_bounds_for_the_first_ten_attempts() {
-        // Across a spread of seeds and shapes, every backoff lands in
-        // [base_ticks, max_ticks] for attempts 1..=10.
-        for seed in 0..32u64 {
-            for (base, max) in [(1u64, 64u64), (2, 16), (4, 4), (1, 1), (8, 256)] {
-                let policy = RetryPolicy::default()
-                    .with_base_ticks(base)
-                    .with_max_ticks(max)
-                    .with_seed(seed);
-                for attempt in 1..=10u32 {
-                    let ticks = policy.backoff_ticks(attempt);
-                    assert!(
-                        ticks >= base.min(max) && ticks <= max,
-                        "seed {seed} base {base} max {max} attempt {attempt}: {ticks}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn same_seed_policies_produce_identical_tick_sequences() {
-        for seed in 0..16u64 {
-            let a = RetryPolicy::new(10).with_base_ticks(2).with_seed(seed);
-            let b = RetryPolicy::new(10).with_base_ticks(2).with_seed(seed);
-            let ticks_a: Vec<u64> = (1..=10).map(|n| a.backoff_ticks(n)).collect();
-            let ticks_b: Vec<u64> = (1..=10).map(|n| b.backoff_ticks(n)).collect();
-            assert_eq!(ticks_a, ticks_b, "seed {seed}");
-        }
-        // Different seeds de-sync somewhere in the first ten attempts.
-        let a = RetryPolicy::new(10).with_base_ticks(2).with_seed(1);
-        let b = RetryPolicy::new(10).with_base_ticks(2).with_seed(2);
-        assert_ne!(
-            (1..=10).map(|n| a.backoff_ticks(n)).collect::<Vec<u64>>(),
-            (1..=10).map(|n| b.backoff_ticks(n)).collect::<Vec<u64>>()
-        );
-    }
-
-    #[test]
-    fn backoff_is_deterministic_bounded_and_monotonic_in_shape() {
-        let policy = RetryPolicy::default().with_seed(42);
-        let ticks: Vec<u64> = (1..8).map(|a| policy.backoff_ticks(a)).collect();
-        assert_eq!(
-            ticks,
-            (1..8)
-                .map(|a| policy.backoff_ticks(a))
-                .collect::<Vec<u64>>(),
-            "pure in (policy, attempt)"
-        );
-        for t in &ticks {
-            assert!(*t <= policy.max_ticks);
-        }
-        assert!(ticks[0] >= policy.base_ticks);
-        // Huge attempt counts saturate instead of overflowing.
-        assert_eq!(policy.backoff_ticks(u32::MAX), policy.max_ticks);
     }
 }

@@ -51,9 +51,10 @@
 //!
 //! Journal I/O is the one place this pipeline touches a device that can
 //! fail, so it never panics on it. Every journal commit (acceptance at
-//! submit, the ready prefix at release) runs under a seeded-deterministic
-//! [`RetryPolicy`]: transient errors are retried with bounded exponential
-//! backoff in virtual ticks. On exhaustion the pipeline enters
+//! submit, the ready prefix at release) runs under a [`RetryPolicy`]:
+//! transient errors are retried back to back, up to the policy's attempt
+//! count — a failed commit writes nothing, so there is nothing to wait
+//! out. On exhaustion the pipeline enters
 //! **quarantine**: releases stop with the unjournaled prefix parked,
 //! records and poison verdicts alike (preserving the *never-journaled ⇒
 //! never-billed* invariant — nothing is ever released unjournaled),
@@ -76,13 +77,13 @@
 //! pool, and supervision proves the pipeline's outputs stay bit-identical
 //! to an unfaulted run. A fault belongs to the job, not to the thread:
 //!
-//! * **Detection is deterministic.** Time is virtual ticks that only
-//!   injected faults spend — a healthy run never spends any. A hanging or
-//!   slowed worker charges each tick it spins to its own job, so the
-//!   moment that job's spent ticks pass its budget
+//! * **Detection is deterministic.** A deadline is the spinning worker's
+//!   own count: only injected faults spin, so a healthy run never counts
+//!   a tick. A hanging or slowed worker counts the ticks it spins on its
+//!   job, and the moment that count passes the job's budget
 //!   ([`IngestConfig::with_job_deadline`], grace plus the job's declared
-//!   workload length in ticks) its worker stops — in ticks, never wall
-//!   clock, and never because some *other* worker spun. Each worker runs
+//!   workload length in ticks) it stops — in ticks, never wall clock,
+//!   and never because some *other* worker spun. Each worker runs
 //!   under `catch_unwind`, so no panic escapes the pool. Corrupted
 //!   records are rejected at completion by the same quote machinery the
 //!   auditor uses ([`Fleet::verify_record`]).
@@ -91,7 +92,8 @@
 //!   numbers (release order, and therefore every downstream artifact, is
 //!   unchanged — re-execution is safe because the kernel is deterministic
 //!   from the fleet seed and job id), then restarts on the same thread
-//!   under the [`SupervisorPolicy`] restart budget: budget dry → the
+//!   under the [`SupervisorPolicy`] restart budget, a count per stream
+//!   session that nothing refills: budget dry → the
 //!   thread retires and the pool degrades; last worker retired → the
 //!   fleet quarantines (submits fail fast, [`FleetStream::health`] says
 //!   why). Only a worker reclaims its own assignments, and only after it
@@ -125,7 +127,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
@@ -402,7 +403,8 @@ impl IngestStats {
 
 /// A point-in-time durability health report for the ingest pipeline —
 /// what an operator reads from [`FleetStream::health`] to decide whether
-/// a failover is needed and whether it worked.
+/// a failover is needed and whether it worked. Every figure is a count
+/// of faults or entries; none is a time.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub struct FleetHealth {
     /// Whether the pipeline is quarantined: the journal exhausted its
@@ -410,10 +412,8 @@ pub struct FleetHealth {
     pub quarantined: bool,
     /// Journal commits that exhausted the retry policy.
     pub journal_failures: u64,
-    /// Failed journal commit attempts that were retried.
+    /// Failed journal commit attempts that were retried, back to back.
     pub retries: u64,
-    /// Virtual backoff ticks spent waiting between retry attempts.
-    pub backoff_ticks: u64,
     /// Released-prefix entries (records and poison verdicts) parked by
     /// quarantine, awaiting the post-failover drain (never released
     /// unjournaled).
@@ -426,9 +426,10 @@ pub struct FleetHealth {
     pub last_error: Option<String>,
     /// Workers currently alive in the pool.
     pub workers_live: usize,
-    /// Faulted workers restarted in place under the restart budget. A
-    /// fault past the budget retires its worker instead, so `reassigned`
-    /// can climb while this stays flat.
+    /// Faulted workers restarted in place this session, never more than
+    /// [`SupervisorPolicy::max_restarts`]. A fault past the budget retires
+    /// its worker instead, so `reassigned` can climb while this stays
+    /// flat.
     pub worker_restarts: u64,
     /// Jobs reclaimed from dead/hung/lying workers and requeued.
     pub reassigned: u64,
@@ -441,7 +442,7 @@ pub struct FleetHealth {
 }
 
 /// One dispatched (sequence, job) pair held by a worker — the
-/// supervision record the deadline check and a fault read.
+/// supervision record a fault reads.
 #[derive(Debug, Clone)]
 struct Assignment {
     /// The job as dispatched, kept so a fault can requeue it verbatim.
@@ -453,12 +454,8 @@ struct Assignment {
     attempt: u32,
     /// Whether the worker has actually begun executing it. Batch-mates
     /// behind the running job sit dispatched-but-unstarted: they consume
-    /// no attempt (and spend no ticks) if their worker dies.
+    /// no attempt if their worker dies.
     started: bool,
-    /// Virtual ticks the holding worker has spun on this job. Only that
-    /// worker's own spin loop charges it, so a fault elsewhere in the pool
-    /// never counts against this job's deadline.
-    spent: u64,
     /// Wall-clock dispatch stamp for the [`Stage::Reassign`] span;
     /// stamped only when tracing.
     dispatched_at: Option<std::time::Instant>,
@@ -500,8 +497,6 @@ struct State {
     retries: u64,
     /// Journal commits that exhausted the retry policy.
     journal_failures: u64,
-    /// Virtual backoff ticks spent between retry attempts.
-    backoff_ticks: u64,
     /// The journal error behind the current/most recent quarantine.
     last_error: Option<String>,
     /// The journaled `Accepted` entries of accepted-but-unreleased jobs,
@@ -516,16 +511,13 @@ struct State {
     worker_target: usize,
     /// Workers currently alive (spawned minus exited minus retired).
     active_workers: usize,
-    /// In-flight dispatches keyed by sequence number — what spinning
-    /// workers charge, a fault reclaims, and the in-flight gauges count.
+    /// In-flight dispatches keyed by sequence number — what a fault
+    /// reclaims and the in-flight gauges count.
     assignments: BTreeMap<u64, Assignment>,
     /// Workers ever spawned — the id of the next one.
     spawned_total: u64,
-    /// Restarts consumed in the current restart window.
-    restarts_in_window: u32,
-    /// Virtual tick the current restart window opened at.
-    window_start: u64,
-    /// Faulted workers restarted in place, lifetime.
+    /// Faulted workers restarted in place this session: the restart
+    /// budget's count, which nothing refills.
     worker_restarts: u64,
     /// Jobs reclaimed from faulted workers and requeued, lifetime.
     jobs_reassigned: u64,
@@ -574,11 +566,6 @@ struct Shared {
     /// Leaf lock — only ever taken while holding nothing or the state
     /// lock, never the other way around.
     pool: BufferPool<RunRecord>,
-    /// The shared virtual clock the restart window is measured against.
-    /// Advanced only by injected faults' spin loops — a healthy pipeline
-    /// never pays for it. Deadlines do not read it: each spun tick is
-    /// also charged to the spinning worker's own [`Assignment`].
-    clock: AtomicU64,
     /// The supervisor's recovery ladder (restart budget, degradation,
     /// poison threshold).
     supervisor: SupervisorPolicy,
@@ -739,7 +726,6 @@ impl Shared {
             quarantined: state.quarantined,
             journal_failures: state.journal_failures,
             retries: state.retries,
-            backoff_ticks: state.backoff_ticks,
             stalled: state.stalled.len() as u64,
             pending_accepted: state.accepted.len() as u64,
             last_error: state.last_error.clone(),
@@ -751,11 +737,12 @@ impl Shared {
         }
     }
 
-    /// Runs one journal commit under the retry policy: bounded attempts,
-    /// deterministic exponential backoff in *virtual ticks* (cooperative
-    /// yields, never wall-clock sleeps), one [`Stage::JournalRetry`]
-    /// aggregate span per failed attempt when tracing. Returns the last
-    /// error on exhaustion — the caller quarantines; nothing here panics.
+    /// Runs one journal commit under the retry policy: at most
+    /// `max_attempts` tries, back to back, and one [`Stage::JournalRetry`]
+    /// aggregate span per failed attempt when tracing. A failed commit
+    /// writes nothing and advances no chain, so the next try starts from
+    /// exactly where the first did. Returns the last error on exhaustion
+    /// — the caller quarantines; nothing here panics.
     fn commit_with_retry(
         &self,
         job: JobId,
@@ -777,15 +764,7 @@ impl Shared {
             if attempt >= self.retry.max_attempts {
                 return Err(error);
             }
-            let ticks = self.retry.backoff_ticks(attempt);
-            {
-                let mut state = self.lock();
-                state.retries += 1;
-                state.backoff_ticks += ticks;
-            }
-            for _ in 0..ticks {
-                std::thread::yield_now();
-            }
+            self.lock().retries += 1;
         }
     }
 
@@ -932,7 +911,6 @@ impl Shared {
                                 worker: id,
                                 attempt: queued.attempt,
                                 started: batch.is_empty(),
-                                spent: 0,
                                 dispatched_at: dispatch_stamp,
                             },
                         );
@@ -968,13 +946,13 @@ impl Shared {
                         queued.job.id.0, queued.attempt
                     ),
                     Some(WorkerFaultKind::Hang { ticks }) => {
-                        self.spin_ticks(queued.seq, ticks)?;
+                        self.spin_ticks(&queued.job, ticks)?;
                         self.fleet.run_one(&queued.job)
                     }
                     Some(WorkerFaultKind::SlowDown { factor }) => {
                         let extra =
                             Self::cost_ticks(&queued.job).saturating_mul(factor.saturating_sub(1));
-                        self.spin_ticks(queued.seq, extra)?;
+                        self.spin_ticks(&queued.job, extra)?;
                         self.fleet.run_one(&queued.job)
                     }
                     Some(WorkerFaultKind::WrongResult) => {
@@ -1018,29 +996,24 @@ impl Shared {
         true
     }
 
-    /// Burns `ticks` virtual ticks on the job at `seq`: each tick advances
-    /// the shared clock (which only the restart window reads) and is
-    /// charged to this worker's own assignment, so a hanging or slowed
-    /// worker deterministically faults the tick its job's spent ticks
-    /// pass `grace + cost_ticks(job)` — detection is in ticks, not wall
-    /// clock, a healthy pipeline (no injected faults) never spends any,
-    /// and one worker's spinning never expires another's job. A teardown
-    /// cuts the spin short.
-    fn spin_ticks(&self, seq: u64, ticks: u64) -> Result<(), &'static str> {
-        for _ in 0..ticks {
-            self.clock.fetch_add(1, Ordering::Relaxed);
-            let mut state = self.lock();
+    /// Spins `ticks` ticks on `job`, yielding the thread once per tick, so
+    /// a hung worker really holds its batch while the rest of the pool
+    /// runs. The deadline is this loop's own count: the worker faults the
+    /// tick the count passes `grace + cost_ticks(job)`. Detection is in
+    /// ticks, not wall clock; a healthy pipeline (no injected faults)
+    /// never spins, and one worker's spinning never expires another's
+    /// job. A teardown, checked every tick, cuts the spin short.
+    fn spin_ticks(&self, job: &JobSpec, ticks: u64) -> Result<(), &'static str> {
+        let budget = self
+            .deadline_grace
+            .map(|grace| grace.saturating_add(Self::cost_ticks(job)));
+        for spun in 1..=ticks {
+            let state = self.lock();
             if state.shutting_down && state.discard_queued {
                 return Ok(());
             }
-            let overdue = state.assignments.get_mut(&seq).is_some_and(|running| {
-                running.spent += 1;
-                self.deadline_grace.is_some_and(|grace| {
-                    running.spent > grace.saturating_add(Self::cost_ticks(&running.job))
-                })
-            });
             drop(state);
-            if overdue {
+            if budget.is_some_and(|budget| spun > budget) {
                 return Err("job deadline expired (hung or pathologically slow worker)");
             }
             std::thread::yield_now();
@@ -1103,20 +1076,13 @@ impl Shared {
                     state.queue.requeue(seq, assignment.job, attempt);
                 }
             }
-            // The restart ladder. Restarts continue during a graceful
-            // finish (the drain needs workers) but not during teardown.
-            let now = self.clock.load(Ordering::Relaxed);
-            if self.supervisor.restart_window > 0
-                && now.saturating_sub(state.window_start) >= self.supervisor.restart_window
-            {
-                state.window_start = now;
-                state.restarts_in_window = 0;
-            }
+            // The restart ladder: a per-session count of restarts that
+            // nothing refills. Restarts continue during a graceful finish
+            // (the drain needs workers) but not during teardown.
             if state.shutting_down && state.discard_queued {
                 state.active_workers -= 1;
                 false
-            } else if state.restarts_in_window < self.supervisor.max_restarts {
-                state.restarts_in_window += 1;
+            } else if state.worker_restarts < u64::from(self.supervisor.max_restarts) {
                 state.worker_restarts += 1;
                 true
             } else {
@@ -1261,15 +1227,12 @@ impl<'a> FleetStream<'a> {
                 stalled: Vec::new(),
                 retries: 0,
                 journal_failures: 0,
-                backoff_ticks: 0,
                 last_error: None,
                 accepted: BTreeMap::new(),
                 worker_target: config.workers,
                 active_workers: config.workers,
                 assignments: BTreeMap::new(),
                 spawned_total: config.workers as u64,
-                restarts_in_window: 0,
-                window_start: 0,
                 worker_restarts: 0,
                 jobs_reassigned: 0,
                 poisoned_count: 0,
@@ -1286,7 +1249,6 @@ impl<'a> FleetStream<'a> {
             submit_guard: Mutex::new(()),
             retry: config.retry,
             pool: BufferPool::new(),
-            clock: AtomicU64::new(0),
             supervisor: config.supervisor,
             deadline_grace: config.job_deadline,
             worker_faults: config.worker_faults,
@@ -1342,7 +1304,7 @@ impl<'a> FleetStream<'a> {
     /// the target is ignored: `finish` keeps every worker alive to drain.
     pub fn scale_workers(&mut self, workers: usize) {
         let target = workers.max(1);
-        let ids: Vec<u64> = {
+        let ids = {
             let mut state = self.shared.lock();
             if state.shutting_down {
                 return;
@@ -1361,13 +1323,18 @@ impl<'a> FleetStream<'a> {
             }
             let first = state.spawned_total;
             state.spawned_total += grow as u64;
-            (first..first + grow as u64).collect()
+            first..first + grow as u64
         };
-        let grew = !ids.is_empty();
-        for id in ids {
-            self.workers.push(Shared::spawn_worker(&self.shared, id));
-        }
-        if grew {
+        if !ids.is_empty() {
+            // Join the threads that already exited (shrunk or retired)
+            // before adding more, so a long-lived stream holds a handle
+            // only for a thread that may still run.
+            for exited in self.workers.extract_if(.., |worker| worker.is_finished()) {
+                exited.join().expect("a worker catches its jobs' panics");
+            }
+            for id in ids {
+                self.workers.push(Shared::spawn_worker(&self.shared, id));
+            }
             // New workers (and possibly a revived pipeline) need waking
             // submitters and consumers.
             self.shared.slot_free.notify_all();
@@ -1398,12 +1365,7 @@ impl<'a> FleetStream<'a> {
         self.shared.stats()
     }
 
-    /// Stops dispatching new jobs (running jobs finish; queued jobs wait).
-    pub fn pause(&self) {
-        self.shared.lock().paused = true;
-    }
-
-    /// Resumes dispatch after [`FleetStream::pause`].
+    /// Starts dispatch in a stream opened with [`IngestConfig::paused`].
     pub fn resume(&self) {
         self.shared.lock().paused = false;
         self.shared.job_ready.notify_all();
@@ -2093,6 +2055,23 @@ mod tests {
         let report = stream.finish();
         assert_eq!(report.records.len(), 8);
         assert_eq!(handle.stats().workers, 0, "every worker exited on finish");
+    }
+
+    #[test]
+    fn scaling_joins_the_threads_that_already_exited() {
+        let mut service = service(4, 7, None);
+        let mut stream = service.stream(IngestConfig::new(4));
+        stream.scale_workers(1);
+        // Three surplus workers consume their shrink tokens and exit.
+        while stream.workers.iter().filter(|w| w.is_finished()).count() < 3 {
+            std::thread::yield_now();
+        }
+        stream.scale_workers(4);
+        assert_eq!(stream.workers.len(), 4, "only live threads keep a handle");
+        for id in 0..8 {
+            stream.submit(job(id, (id % 2) as u32)).unwrap();
+        }
+        assert_eq!(stream.finish().records.len(), 8);
     }
 
     #[test]

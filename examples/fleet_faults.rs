@@ -73,7 +73,7 @@ fn main() {
     let (sink, probe) = FaultInjectingSink::wrap(Box::new(MemorySink::new()), schedule);
     let journal = Journal::with_sink(Box::new(sink)).expect("fresh sink opens");
     let mut service = build_service(Some(journal.clone()));
-    let retry = RetryPolicy::new(4).with_base_ticks(1);
+    let retry = RetryPolicy::new(4);
     let mut stream = service.stream(IngestConfig::new(4).with_retry_policy(retry));
 
     for job in jobs() {

@@ -87,7 +87,7 @@ fn quarantine_is_observable_and_releases_nothing_unjournaled() {
     // starts at line 6 and hits a full disk that never clears.
     let (journal, probe) = faulty_journal(FaultSchedule::none().disk_full_at(6));
     let mut service = service77(2, Some(journal.clone()));
-    let retry = RetryPolicy::new(2).with_base_ticks(1);
+    let retry = RetryPolicy::new(2);
     let mut stream = service.stream(IngestConfig::new(2).with_retry_policy(retry));
     for job in &jobs {
         stream
@@ -408,7 +408,7 @@ proptest! {
         let schedule = FaultSchedule::random(seed, n * 4);
         let (journal, _probe) = faulty_journal(schedule);
         let mut service = service77(workers, Some(journal.clone()));
-        let retry = RetryPolicy::new(3).with_base_ticks(1).with_seed(seed);
+        let retry = RetryPolicy::new(3);
         let mut stream = service.stream(IngestConfig::new(workers).with_retry_policy(retry));
 
         // Runs journaled before any failover discarded the sink they

@@ -539,6 +539,33 @@ fn spent_restart_budget_quarantines_the_dead_pool_and_scale_to_revives_it() {
     assert!(reassigned >= Some(1.0), "reassigned: {reassigned:?}");
 }
 
+#[test]
+fn spinning_never_refills_the_restart_budget() {
+    // The restart budget is a count per session, not per stretch of
+    // ticks. Both jobs hang on the only worker and each spins past its
+    // 2,000-tick deadline — thousands of ticks in all — yet only the
+    // first fault gets the one restart; the second retires the pool.
+    let mut service = service77(1, None);
+    let config = IngestConfig::new(1)
+        .paused()
+        .with_job_deadline(2_000)
+        .with_supervisor(SupervisorPolicy::default().with_max_restarts(1))
+        .with_worker_faults(
+            WorkerFaultSchedule::none()
+                .hang_on(JobId(0), 5_000)
+                .hang_on(JobId(1), 5_000),
+        );
+    let stream = service.stream(config);
+    stream.submit_all(&batch(2)).expect("queue sized for batch");
+    stream.resume();
+    while !stream.health().workers_dead && stream.stats().completed < 2 {
+        std::thread::yield_now();
+    }
+    let health = stream.health();
+    assert_eq!(health.worker_restarts, 1, "{health:?}");
+    assert!(health.workers_dead, "{health:?}");
+}
+
 // ---------------------------------------------------------------------------
 // Satellite: submit_all never journals an Accepted line for rejected jobs
 // ---------------------------------------------------------------------------
