@@ -12,9 +12,10 @@
 //!   [`MeasurementLog`] and folded into a [`PcrBank`]; a verifier compares
 //!   the log against a whitelist and produces a [`SourceIntegrityReport`].
 //! * **Execution integrity** — the control flow of the program is not
-//!   tampered with. We provide an [`ExecutionWitness`] hash chain over the
-//!   executed basic-block/op stream that a verifier can compare against the
-//!   expected chain from a reference execution.
+//!   tampered with. We provide an [`ExecutionWitness`]: one SHA-256 over
+//!   the digests of the executed basic-block/op stream, which a verifier
+//!   compares, with the step count, against the witness of a reference
+//!   execution.
 //!
 //! Hashing uses the crate's own [`Sha256`] implementation (no external
 //! crypto dependency), validated against FIPS 180-4 test vectors.

@@ -36,7 +36,8 @@ const K: [u32; 64] = [
     0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 ];
 
-const H0: [u32; 8] = [
+/// The state before the first block.
+pub(super) const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
@@ -56,32 +57,6 @@ impl Sha256 {
         let mut h = Sha256::new();
         h.update(data);
         h.finalize()
-    }
-
-    /// Hashes the concatenation of two 32-byte digests — the execution
-    /// witness's chain-update shape, `H(chain || step)`. Bit-identical to
-    /// `digest(&[a, b].concat())` but skips the streaming buffer: the
-    /// message is exactly one data block, so the padding block is a
-    /// compile-time constant (0x80 marker, 512-bit length).
-    pub fn digest_pair(a: &[u8; 32], b: &[u8; 32]) -> [u8; 32] {
-        const PAD: [u8; 64] = {
-            let mut pad = [0u8; 64];
-            pad[0] = 0x80;
-            // 64 bytes = 512 bits, big-endian in the trailing length field.
-            pad[62] = 0x02;
-            pad
-        };
-        let mut state = H0;
-        let mut block = [0u8; 64];
-        block[..32].copy_from_slice(a);
-        block[32..].copy_from_slice(b);
-        Self::compress(&mut state, &block);
-        Self::compress(&mut state, &PAD);
-        let mut out = [0u8; 32];
-        for (i, word) in state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        out
     }
 
     /// Feeds more data into the hasher.
@@ -112,24 +87,31 @@ impl Sha256 {
     }
 
     /// Finishes the computation and returns the 32-byte digest.
-    pub fn finalize(mut self) -> [u8; 32] {
-        let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 64-bit big-endian length — assembled as
-        // whole blocks rather than byte-at-a-time.
+    pub fn finalize(self) -> [u8; 32] {
+        Self::finish(self.state, &self.buffer[..self.buffer_len], self.total_len)
+    }
+
+    /// The digest of a `total_len`-byte message whose whole blocks are
+    /// already compressed into `state` and whose remaining bytes are
+    /// `tail` (shorter than a block). Padding — 0x80, zeros, the 64-bit
+    /// big-endian bit length — is assembled as whole blocks rather than
+    /// byte-at-a-time.
+    pub(super) fn finish(mut state: [u32; 8], tail: &[u8], total_len: u64) -> [u8; 32] {
+        let bit_len = total_len.wrapping_mul(8);
         let mut block = [0u8; 64];
-        block[..self.buffer_len].copy_from_slice(&self.buffer[..self.buffer_len]);
-        block[self.buffer_len] = 0x80;
-        if self.buffer_len < 56 {
+        block[..tail.len()].copy_from_slice(tail);
+        block[tail.len()] = 0x80;
+        if tail.len() < 56 {
             block[56..].copy_from_slice(&bit_len.to_be_bytes());
-            self.process_block(&block);
+            Self::compress(&mut state, &block);
         } else {
-            self.process_block(&block);
+            Self::compress(&mut state, &block);
             let mut last = [0u8; 64];
             last[56..].copy_from_slice(&bit_len.to_be_bytes());
-            self.process_block(&last);
+            Self::compress(&mut state, &last);
         }
         let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
+        for (i, word) in state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
         }
         out
@@ -139,7 +121,8 @@ impl Sha256 {
         Self::compress(&mut self.state, block);
     }
 
-    fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+    /// One SHA-256 compression of a 64-byte block into `state`.
+    pub(super) fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
         #[cfg(target_arch = "x86_64")]
         if shani::try_compress(state, block) {
             return;
@@ -505,26 +488,5 @@ mod tests {
             assert!(shani::try_compress(&mut accelerated, &block));
             assert_eq!(accelerated, scalar);
         }
-    }
-
-    #[test]
-    fn digest_pair_matches_the_scalar_digest_of_the_concatenation() {
-        let mut seed = 0x00D1_6E57;
-        for _ in 0..1_000 {
-            let a: [u8; 32] = random_bytes(&mut seed);
-            let b: [u8; 32] = random_bytes(&mut seed);
-            let expected = scalar_digest(&[a, b].concat());
-            assert_eq!(Sha256::digest_pair(&a, &b), expected);
-        }
-    }
-
-    #[test]
-    fn digest_pair_matches_streaming_concatenation() {
-        let a = Sha256::digest(b"left");
-        let b = Sha256::digest(b"right");
-        let mut h = Sha256::new();
-        h.update(&a);
-        h.update(&b);
-        assert_eq!(Sha256::digest_pair(&a, &b), h.finalize());
     }
 }

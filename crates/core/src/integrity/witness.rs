@@ -1,20 +1,26 @@
-//! Execution integrity: a hash-chain witness over executed control flow.
+//! Execution integrity: a witness committing to executed control flow.
 //!
 //! Paper §VI-B observes that an adversary stronger than the one modelled in
 //! the attacks could tamper with a program's *control flow* (control-data or
 //! non-control-data attacks) to make it take a longer path. Execution
 //! integrity means such deviations are detectable. The simulator implements
-//! the simplest sound mechanism: the substrate appends the identifier of
-//! every executed block/op to an [`ExecutionWitness`] hash chain; the
-//! customer, who can regenerate the expected chain by running the same
-//! program on her own reference platform, compares final digests and
-//! step counts.
+//! the simplest sound mechanism: the substrate records the identifier of
+//! every executed block/op in an [`ExecutionWitness`], whose digest is one
+//! SHA-256 over the sequence; the customer, who can regenerate the expected
+//! digest by running the same program on her own reference platform,
+//! compares final digests and step counts.
 
 use super::measurement::Digest;
-use super::sha256::Sha256;
-use serde::{Deserialize, Serialize};
+use super::sha256::{Sha256, H0};
 
-/// A hash chain committing to the sequence of executed blocks.
+/// A commitment to the sequence of executed blocks.
+///
+/// Each step is the 32-byte digest of its block label, and the witness
+/// digest is SHA-256 over the concatenation of the step digests, absorbed
+/// as they arrive: one compression per two steps. Every step has the same
+/// length, so the concatenation is injective in the step sequence, and two
+/// different sequences share a digest only through a SHA-256 collision.
+/// The empty witness's digest is [`Digest::ZERO`].
 ///
 /// # Example
 ///
@@ -33,9 +39,12 @@ use serde::{Deserialize, Serialize};
 /// assert!(!reference.matches(&remote));
 /// assert_eq!(remote.len(), reference.len() + 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone)]
 pub struct ExecutionWitness {
-    chain: Digest,
+    /// SHA-256 state over every complete pair of steps recorded so far.
+    state: [u32; 8],
+    /// The last step while `len` is odd: the first half of the next block.
+    pending: [u8; 32],
     len: usize,
 }
 
@@ -43,7 +52,8 @@ impl ExecutionWitness {
     /// Creates an empty witness.
     pub fn new() -> ExecutionWitness {
         ExecutionWitness {
-            chain: Digest::ZERO,
+            state: H0,
+            pending: [0; 32],
             len: 0,
         }
     }
@@ -57,16 +67,33 @@ impl ExecutionWitness {
     /// bit-identical to [`ExecutionWitness::record`] when `step` is
     /// `Digest::of(label)`. Control-flow labels repeat heavily (a libcall
     /// loop re-records the same `call:<symbol>` every iteration), so
-    /// substrates memoize the label digest and pay only the chain update —
-    /// which must see every step — per record.
+    /// substrates memoize the label digest and pay only the witness update
+    /// — which must see every step — per record.
     pub fn record_step(&mut self, step: Digest) {
-        self.chain = Digest(Sha256::digest_pair(&self.chain.0, &step.0));
+        if self.len.is_multiple_of(2) {
+            self.pending = step.0;
+        } else {
+            let mut block = [0u8; 64];
+            block[..32].copy_from_slice(&self.pending);
+            block[32..].copy_from_slice(&step.0);
+            Sha256::compress(&mut self.state, &block);
+        }
         self.len += 1;
     }
 
-    /// The running chain digest committing to everything recorded so far.
+    /// The digest committing to everything recorded so far: SHA-256 over
+    /// the concatenated step digests, or [`Digest::ZERO`] before the first
+    /// step.
     pub fn digest(&self) -> Digest {
-        self.chain
+        if self.len == 0 {
+            return Digest::ZERO;
+        }
+        let tail: &[u8] = if self.len.is_multiple_of(2) {
+            &[]
+        } else {
+            &self.pending
+        };
+        Digest(Sha256::finish(self.state, tail, 32 * self.len as u64))
     }
 
     /// Number of recorded steps.
@@ -79,11 +106,27 @@ impl ExecutionWitness {
         self.len == 0
     }
 
-    /// Whether two witnesses commit to identical executions.
+    /// Whether two witnesses commit to identical executions: equal
+    /// digests over equal step counts.
     pub fn matches(&self, other: &ExecutionWitness) -> bool {
-        self.chain == other.chain && self.len == other.len
+        self.len == other.len && self.digest() == other.digest()
     }
 }
+
+impl Default for ExecutionWitness {
+    fn default() -> Self {
+        ExecutionWitness::new()
+    }
+}
+
+/// Equality is [`ExecutionWitness::matches`].
+impl PartialEq for ExecutionWitness {
+    fn eq(&self, other: &ExecutionWitness) -> bool {
+        self.matches(other)
+    }
+}
+
+impl Eq for ExecutionWitness {}
 
 #[cfg(test)]
 mod tests {

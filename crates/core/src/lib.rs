@@ -29,8 +29,8 @@
 //! * [`integrity::MeasurementLog`] / [`integrity::PcrBank`] — TPM-style
 //!   measured launch of every image that enters a process's context
 //!   (source integrity).
-//! * [`integrity::ExecutionWitness`] — a hash-chain witness over the executed
-//!   control flow (execution integrity).
+//! * [`integrity::ExecutionWitness`] — one SHA-256 over the digests of the
+//!   executed control-flow steps (execution integrity).
 //! * [`attest::Quote`] — a signed attestation binding a usage report to the
 //!   measurement log.
 //!

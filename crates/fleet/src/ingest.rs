@@ -28,8 +28,10 @@
 //!   otherwise accumulate in the completion log until
 //!   [`FleetStream::pump`] or [`FleetStream::finish`] posts them. With a
 //!   watermark, workers stall instead of letting the log outrun the
-//!   consumer, so total pipeline memory is bounded by
-//!   `capacity + watermark`.
+//!   consumer, so at most `capacity + watermark` jobs wait unposted. That
+//!   bounds the backlog, not the session: it keeps every record and
+//!   verdict it posted (for [`FleetStream::finish`]'s report) and the
+//!   whole [`FleetStream::dispatch_log`].
 //!
 //! With a [`crate::Journal`] attached to the service
 //! ([`FleetService::with_journal`]), every record is appended to the
@@ -160,10 +162,12 @@ pub enum SubmitError {
     QueueFull,
     /// The pipeline is shutting down; no further jobs are accepted.
     ShutDown,
-    /// The journal exhausted its [`RetryPolicy`] and the pipeline is
-    /// quarantined: nothing can be made durable, so nothing new is
-    /// accepted (and nothing already executed is released). Fail over
-    /// with [`FleetStream::resume_with_sink`] to resume.
+    /// The pipeline is quarantined, so nothing new is accepted (and
+    /// nothing already executed is released). Either the journal
+    /// exhausted its [`RetryPolicy`] and nothing can be made durable —
+    /// fail over with [`FleetStream::resume_with_sink`] — or the worker
+    /// pool died — revive it with [`FleetStream::scale_workers`].
+    /// [`FleetHealth`] says which.
     Quarantined,
 }
 
@@ -173,8 +177,9 @@ impl fmt::Display for SubmitError {
             SubmitError::QueueFull => f.write_str("submission queue is full"),
             SubmitError::ShutDown => f.write_str("ingest pipeline is shut down"),
             SubmitError::Quarantined => f.write_str(
-                "ingest pipeline is quarantined: the journal is failing and \
-                 nothing can be made durable (fail over with resume_with_sink)",
+                "ingest pipeline is quarantined: the journal is failing \
+                 (fail over with resume_with_sink) or the worker pool died \
+                 (revive it with scale_workers)",
             ),
         }
     }
@@ -215,7 +220,8 @@ pub struct IngestConfig {
     pub workers: usize,
     /// Maximum undispatched jobs in the submission queue (0 = unbounded).
     /// Completed-but-unposted records are *not* counted: consumers must
-    /// [`FleetStream::pump`] to bound total pipeline memory.
+    /// [`FleetStream::pump`] (or set a completion watermark) to bound
+    /// them.
     pub capacity: usize,
     /// What `submit` does when the queue is full.
     pub backpressure: BackpressurePolicy,
@@ -299,9 +305,10 @@ impl IngestConfig {
 
     /// Replaces the completion-side watermark (0 = unbounded): workers
     /// stall before starting a new job while completed-but-unconsumed
-    /// records plus in-flight jobs are at the limit, so total pipeline
-    /// memory is bounded by `capacity + completion_watermark` even when
-    /// the consumer stops pumping.
+    /// records plus in-flight jobs are at the limit, so at most
+    /// `capacity + completion_watermark` jobs wait unposted even when the
+    /// consumer stops pumping. The session still keeps every record and
+    /// verdict it posts.
     ///
     /// **Deadlock hazard.** Only `pump`/`finish` clear the watermark.
     /// Under [`BackpressurePolicy::Block`] with a bounded queue, a thread
@@ -407,8 +414,10 @@ impl IngestStats {
 /// of faults or entries; none is a time.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub struct FleetHealth {
-    /// Whether the pipeline is quarantined: the journal exhausted its
-    /// retry policy, releases are stopped and submits fail fast.
+    /// Whether the pipeline is quarantined: releases are stopped and
+    /// submits fail fast while the journal's error or a dead worker pool
+    /// stands. A failover lifts only the first, and reviving the pool
+    /// only the second.
     pub quarantined: bool,
     /// Journal commits that exhausted the retry policy.
     pub journal_failures: u64,
@@ -421,8 +430,8 @@ pub struct FleetHealth {
     /// Accepted-but-unreleased jobs whose `Accepted` markers are pending
     /// (re-journaled into the replacement sink on failover).
     pub pending_accepted: u64,
-    /// The journal error that caused the current (or most recent)
-    /// quarantine, if any.
+    /// Why the pipeline is quarantined: the journal's error while it
+    /// stands, else why the worker pool died; `None` once neither does.
     pub last_error: Option<String>,
     /// Workers currently alive in the pool.
     pub workers_live: usize,
@@ -437,7 +446,7 @@ pub struct FleetHealth {
     pub poisoned: u64,
     /// The last worker retired with the restart budget spent: the fleet
     /// is quarantined until [`FleetStream::scale_workers`] revives the
-    /// pool.
+    /// pool (and, if the journal failed too, until a failover).
     pub workers_dead: bool,
 }
 
@@ -485,9 +494,10 @@ struct State {
     /// On shutdown, drop queued jobs instead of draining them (set by
     /// `Drop` teardown; `finish` drains).
     discard_queued: bool,
-    /// The journal exhausted its retry policy: releases are stopped and
-    /// submits fail fast until a failover lifts the quarantine.
-    quarantined: bool,
+    /// The journal error that exhausted the retry policy. While it
+    /// stands the pipeline is quarantined (see [`State::quarantined`]);
+    /// only a failover lifts it.
+    journal_error: Option<String>,
     /// The released prefix whose journal commit exhausted the retry
     /// policy, records and poison verdicts alike, parked at the release
     /// cursor: never released (the write-ahead invariant), drained first
@@ -497,8 +507,6 @@ struct State {
     retries: u64,
     /// Journal commits that exhausted the retry policy.
     journal_failures: u64,
-    /// The journal error behind the current/most recent quarantine.
-    last_error: Option<String>,
     /// The journaled `Accepted` entries of accepted-but-unreleased jobs,
     /// keyed by submission sequence. Entries leave at release; the
     /// survivors are re-journaled into the replacement sink on failover
@@ -526,10 +534,18 @@ struct State {
     /// Released poison verdicts, in release order (each journaled before
     /// the cursor passed it).
     poisoned_log: Vec<PoisonNotice>,
-    /// The last worker retired with the restart budget spent. Distinct
-    /// from journal quarantine (same `quarantined` gate, different exit):
-    /// lifted by [`FleetStream::scale_workers`], not by a sink failover.
-    workers_dead: bool,
+    /// Why the last worker retired with the restart budget spent. The
+    /// other cause of quarantine: only [`FleetStream::scale_workers`]
+    /// lifts it, never a sink failover.
+    dead_pool: Option<String>,
+}
+
+impl State {
+    /// Quarantined while either cause stands, a failing journal or a dead
+    /// worker pool: releases are stopped and submits fail fast.
+    fn quarantined(&self) -> bool {
+        self.journal_error.is_some() || self.dead_pool.is_some()
+    }
 }
 
 #[derive(Debug)]
@@ -629,7 +645,7 @@ impl Shared {
                     if state.shutting_down {
                         return Err(fail(seqs, SubmitError::ShutDown));
                     }
-                    if state.quarantined {
+                    if state.quarantined() {
                         return Err(fail(seqs, SubmitError::Quarantined));
                     }
                     let free = match state.queue.capacity() {
@@ -710,7 +726,7 @@ impl Shared {
             inflight,
             retries: state.retries,
             journal_failures: state.journal_failures,
-            quarantined: state.quarantined,
+            quarantined: state.quarantined(),
             workers: state.active_workers,
             worker_restarts: state.worker_restarts,
             reassigned: state.jobs_reassigned,
@@ -723,17 +739,20 @@ impl Shared {
     fn health(&self) -> FleetHealth {
         let state = self.lock();
         FleetHealth {
-            quarantined: state.quarantined,
+            quarantined: state.quarantined(),
             journal_failures: state.journal_failures,
             retries: state.retries,
             stalled: state.stalled.len() as u64,
             pending_accepted: state.accepted.len() as u64,
-            last_error: state.last_error.clone(),
+            last_error: state
+                .journal_error
+                .clone()
+                .or_else(|| state.dead_pool.clone()),
             workers_live: state.active_workers,
             worker_restarts: state.worker_restarts,
             reassigned: state.jobs_reassigned,
             poisoned: state.poisoned_count,
-            workers_dead: state.workers_dead,
+            workers_dead: state.dead_pool.is_some(),
         }
     }
 
@@ -775,9 +794,8 @@ impl Shared {
     /// only by [`Shared::resume_after_failover`].
     fn enter_quarantine(&self, error: JournalError, stalled: Vec<JournalEntry>) {
         let mut state = self.lock();
-        state.quarantined = true;
         state.journal_failures += 1;
-        state.last_error = Some(error.to_string());
+        state.journal_error = Some(error.to_string());
         // A quarantined pipeline releases nothing, so at most one prefix is
         // parked; a submission-side failure racing it must not drop it.
         debug_assert!(stalled.is_empty() || state.stalled.is_empty());
@@ -791,26 +809,17 @@ impl Shared {
     /// Completes a failover after [`Journal::fail_over`] swapped in a
     /// fresh sink: re-journals the pending accepted set (so the new sink
     /// is recoverable on its own, accepted-but-unreleased jobs included)
-    /// and lifts the quarantine. On error the pipeline *stays*
-    /// quarantined — the replacement sink is failing too.
+    /// and lifts the journal's cause of quarantine. A dead worker pool is
+    /// not a journal problem: it stands until
+    /// [`FleetStream::scale_workers`] staffs the pool again. On error the
+    /// journal's cause stands too — the replacement sink is failing.
     fn resume_after_failover(&self) -> Result<(), JournalError> {
         let Some(journal) = &self.journal else {
             return Ok(());
         };
         let accepted: Vec<JournalEntry> = self.lock().accepted.values().cloned().collect();
         journal.append_batch(&accepted)?;
-        let mut state = self.lock();
-        if state.workers_dead {
-            // A dead worker pool is not a journal problem: the sink swap
-            // succeeded, but only scale_workers can staff the pool again.
-            return Err(JournalError::Io(
-                "fleet workers are all dead; scale_workers to a live pool before resuming"
-                    .to_string(),
-            ));
-        }
-        state.quarantined = false;
-        state.last_error = None;
-        drop(state);
+        self.lock().journal_error = None;
         self.job_ready.notify_all();
         self.slot_free.notify_all();
         Ok(())
@@ -1090,9 +1099,7 @@ impl Shared {
                 state.active_workers -= 1;
                 state.worker_target = state.worker_target.min(state.active_workers.max(1));
                 if state.active_workers == 0 {
-                    state.workers_dead = true;
-                    state.quarantined = true;
-                    state.last_error = Some(format!(
+                    state.dead_pool = Some(format!(
                         "last worker died with the restart budget spent: {reason}"
                     ));
                 }
@@ -1223,11 +1230,10 @@ impl<'a> FleetStream<'a> {
                 paused: config.start_paused,
                 shutting_down: false,
                 discard_queued: false,
-                quarantined: false,
+                journal_error: None,
                 stalled: Vec::new(),
                 retries: 0,
                 journal_failures: 0,
-                last_error: None,
                 accepted: BTreeMap::new(),
                 worker_target: config.workers,
                 active_workers: config.workers,
@@ -1237,7 +1243,7 @@ impl<'a> FleetStream<'a> {
                 jobs_reassigned: 0,
                 poisoned_count: 0,
                 poisoned_log: Vec::new(),
-                workers_dead: false,
+                dead_pool: None,
             }),
             job_ready: Condvar::new(),
             slot_free: Condvar::new(),
@@ -1314,12 +1320,11 @@ impl<'a> FleetStream<'a> {
             // Count the spawns now, under the lock, so the fair-share
             // batch cap sees the new pool size immediately.
             state.active_workers += grow;
-            if grow > 0 && state.workers_dead {
+            if grow > 0 {
                 // A fresh pool revives a fleet whose last worker retired
-                // with the restart budget spent.
-                state.workers_dead = false;
-                state.quarantined = false;
-                state.last_error = None;
+                // with the restart budget spent. A failing journal keeps
+                // it quarantined until a failover.
+                state.dead_pool = None;
             }
             let first = state.spawned_total;
             state.spawned_total += grow as u64;
@@ -1395,11 +1400,14 @@ impl<'a> FleetStream<'a> {
     /// self-contained for submission-side recovery too), the stalled
     /// ready prefix is drained and posted, and normal operation resumes.
     ///
+    /// A dead worker pool is a separate cause of quarantine: the failover
+    /// succeeds, and the pipeline stays quarantined, releasing nothing,
+    /// until [`FleetStream::scale_workers`] revives the pool.
+    ///
     /// # Errors
-    /// [`JournalError`] if the session has no journal, if the replacement
-    /// sink fails while writing the leading checkpoint or the accepted
-    /// backlog, or if the worker pool is dead — the pipeline then *stays*
-    /// quarantined.
+    /// [`JournalError`] if the session has no journal, or if the
+    /// replacement sink fails while writing the leading checkpoint or the
+    /// accepted backlog — the pipeline then *stays* quarantined.
     pub fn resume_with_sink(&mut self, sink: Box<dyn JournalSink>) -> Result<(), JournalError> {
         let Some(journal) = &self.service.journal else {
             return Err(JournalError::Io(
@@ -1485,7 +1493,7 @@ impl<'a> FleetStream<'a> {
         loop {
             let (first, prefix) = {
                 let mut state = shared.lock();
-                if state.quarantined {
+                if state.quarantined() {
                     break;
                 }
                 let first = state.released;
@@ -1588,12 +1596,12 @@ impl<'a> FleetStream<'a> {
             let target = state.next_seq;
             while drain
                 && state.completed_count + state.poisoned_count < target
-                && !state.workers_dead
+                && state.dead_pool.is_none()
             {
                 shared.job_ready.notify_all();
                 state = shared.wait(&shared.job_done, state);
             }
-            state.discard_queued = !drain || state.workers_dead;
+            state.discard_queued = !drain || state.dead_pool.is_some();
         }
         // Wake everyone: idle workers exit, blocked submitters see ShutDown.
         shared.job_ready.notify_all();

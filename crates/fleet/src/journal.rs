@@ -84,7 +84,9 @@
 //! [`FsyncPolicy`] (never / every append / group commit), and retirement
 //! of segments older than the latest [`JournalEntry::Checkpoint`] —
 //! written automatically by a [`CheckpointCadence`]-configured service —
-//! so the journal's disk footprint and recovery cost are both bounded.
+//! so recovery replays only the lines after the newest checkpoint. The
+//! checkpoint itself carries the whole ledger, every invoice included, so
+//! it grows with the number of jobs ever posted.
 //!
 //! ```
 //! use trustmeter_fleet::{FleetConfig, FleetService, JobSpec, Journal, TenantId};

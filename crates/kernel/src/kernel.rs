@@ -154,8 +154,8 @@ pub struct Kernel {
     stats: KernelStats,
     rng: SimRng,
     preempt_requested: bool,
-    /// Memoized witness-label digests. The witness chain update must see
-    /// every step, but `Digest::of(label)` is pure and labels repeat, so
+    /// Memoized witness-label digests. The witness absorbs every step's
+    /// digest, but `Digest::of(label)` is pure and labels repeat, so
     /// each distinct label is hashed once. (Library calls keep their
     /// `call:<symbol>` steps in the calling task's resolved symbols.)
     witness_steps: HashMap<String, Digest>,

@@ -10,11 +10,19 @@
 //! segment, retirement, reopening a sealed directory, a disk-full
 //! failover to a fresh sealed sink, and a poison verdict.
 //!
+//! A sixth digest is blind to the execution witness: it hashes the
+//! entries the four run-carrying journals read back as, with every field
+//! the witness decides zeroed (a `Run`'s three witness digests and its
+//! quote's nonce and MAC, a `WitnessMismatch` verdict's two digests). A
+//! change to the witness encoding moves the byte digests but never this
+//! one.
+//!
 //! If a digest changes on purpose (a deliberate change to the journal's
 //! format), re-derive it from the failure message and say why in the
 //! commit.
 
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use trustmeter::prelude::*;
@@ -25,17 +33,22 @@ const SCALE: f64 = 0.001;
 const SEED: u64 = 77;
 
 /// Sealed segment directory after 104 jobs in seven `process` batches.
-const PROCESSED_DIGEST: &str = "208ed42288cf41d6a76fce0bb4f3854b3877f8ff9b8a0bb54cdfa48ac63fa3e5";
+const PROCESSED_DIGEST: &str = "178cc2184e4963b82e7021f5d25ee96c8218daf4d4626d0d1dfa8080b8ce4c42";
 
 /// The same directory after a reopen, a recovery and 8 more jobs.
-const REOPENED_DIGEST: &str = "063111b436e95ce38a986a140b9a73bc8cbab74f67a1e85e9b26f16d4342d5fa";
+const REOPENED_DIGEST: &str = "fa5bc96a1168496725a8cfe82402dd7a0f974c922d0d0fcf74ac4ef84b43f746";
 
 /// The disk-full sink's directory, then the one it failed over to.
 const FAILED_DIGEST: &str = "7f0c4cf36bd5237e064118b25a7b6d36078297960fb993efb723b464ec3156af";
-const FAILED_OVER_DIGEST: &str = "aa5285c14397fa80cc8085bd7355898e3a0bfeece6d7dd0d6a40ee7e7aa9c4eb";
+const FAILED_OVER_DIGEST: &str = "8e51752f077e704bfb627880d1f71218ba11d7dfe932039fb510a85f06cbf506";
 
 /// The in-memory journal text of the poison stream.
-const POISON_DIGEST: &str = "dbeda4e208d914a0dc37eeb36d95b9525869236b42ea610fd5f5d075d333361a";
+const POISON_DIGEST: &str = "416f7c231acb46b9104a775411c2b2d6504c8320d6ea19becc7c1f5063e125e5";
+
+/// The entries of the processed, reopened, failed-over and poison
+/// journals, with the witness-derived fields zeroed.
+const WITNESS_BLIND_DIGEST: &str =
+    "ba9e32b65b94c67d2a9768f20198df3c67465a12815b56880920b6a21981e633";
 
 /// A mixed batch over job ids `ids`: four tenants, all four workloads,
 /// clean runs and a mix of launch-time and runtime attacks.
@@ -79,10 +92,14 @@ fn sealed_config() -> SegmentConfig {
         .with_seal(SEED)
 }
 
+/// A fresh directory; tests run their scenarios concurrently, so each
+/// call gets its own.
 fn scratch_dir(tag: &str) -> PathBuf {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
     let dir = std::env::temp_dir().join(format!(
-        "trustmeter-journal-golden-{tag}-{}",
-        std::process::id()
+        "trustmeter-journal-golden-{tag}-{}-{}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
     ));
     let _ = std::fs::remove_dir_all(&dir);
     dir
@@ -132,8 +149,20 @@ fn wait_for(stream: &FleetStream<'_>, done: impl Fn(&IngestStats) -> bool) {
     }
 }
 
-#[test]
-fn processed_and_reopened_sealed_segments_match_the_pinned_digests() {
+/// What one pinned journal holds: the digest of its bytes and the
+/// entries it reads back as.
+type Pinned = (String, Vec<JournalEntry>);
+
+/// Every entry `journal` reads back as, from a clean tail.
+fn read_back(journal: &Journal) -> Vec<JournalEntry> {
+    let (entries, tail) = journal.entries().expect("the journal reads back");
+    assert_eq!(tail, TailStatus::Clean);
+    entries
+}
+
+/// 104 jobs `process`ed into a sealed directory, then the directory
+/// reopened, recovered and 8 more jobs processed.
+fn processed_and_reopened() -> [Pinned; 2] {
     let dir = scratch_dir("processed");
     let journal = Journal::segmented(&dir, sealed_config()).expect("fresh directory opens");
     let mut first = service(2)
@@ -149,8 +178,7 @@ fn processed_and_reopened_sealed_segments_match_the_pinned_digests() {
     let processed = dir_digest(&dir);
 
     let journal = Journal::segmented(&dir, sealed_config()).expect("sealed directory reopens");
-    let (entries, tail) = journal.entries().expect("the sealed journal reads back");
-    assert_eq!(tail, TailStatus::Clean);
+    let entries = read_back(&journal);
     let mut second = service(2);
     second
         .recover_latest(&entries)
@@ -167,11 +195,17 @@ fn processed_and_reopened_sealed_segments_match_the_pinned_digests() {
             .seals_verified
             > 0
     );
+    let reopened_entries = read_back(&journal);
     drop(second);
     drop(journal);
     let reopened = dir_digest(&dir);
     std::fs::remove_dir_all(&dir).unwrap();
+    [(processed, entries), (reopened, reopened_entries)]
+}
 
+#[test]
+fn processed_and_reopened_sealed_segments_match_the_pinned_digests() {
+    let [(processed, _), (reopened, _)] = processed_and_reopened();
     assert_eq!(
         processed, PROCESSED_DIGEST,
         "the processed directory's bytes changed"
@@ -182,8 +216,9 @@ fn processed_and_reopened_sealed_segments_match_the_pinned_digests() {
     );
 }
 
-#[test]
-fn a_disk_full_failover_matches_the_pinned_digests() {
+/// The digest of a disk-full sink's directory (30 `Accepted` lines and
+/// no run), then the fresh directory it failed over to.
+fn disk_full_failover() -> (String, Pinned) {
     let failed_dir = scratch_dir("failed");
     let fresh_dir = scratch_dir("failed-over");
     // The 30 Accepted lines land at 0..=29; the first Run group commit
@@ -219,13 +254,19 @@ fn a_disk_full_failover_matches_the_pinned_digests() {
             .seals_verified
             > 0
     );
+    let failed_over_entries = read_back(&journal);
     drop(service);
     drop(journal);
     let failed = dir_digest(&failed_dir);
     let failed_over = dir_digest(&fresh_dir);
     std::fs::remove_dir_all(&failed_dir).unwrap();
     std::fs::remove_dir_all(&fresh_dir).unwrap();
+    (failed, (failed_over, failed_over_entries))
+}
 
+#[test]
+fn a_disk_full_failover_matches_the_pinned_digests() {
+    let (failed, (failed_over, _)) = disk_full_failover();
     assert_eq!(
         failed, FAILED_DIGEST,
         "the disk-full directory's bytes changed"
@@ -236,8 +277,8 @@ fn a_disk_full_failover_matches_the_pinned_digests() {
     );
 }
 
-#[test]
-fn a_poison_verdicts_journal_text_matches_the_pinned_digest() {
+/// The in-memory journal of a stream whose job 2 is poison.
+fn poison_stream() -> Pinned {
     quiet_injected_panics();
     let journal = Journal::in_memory();
     let mut service = service(1).with_journal(journal.clone());
@@ -254,10 +295,69 @@ fn a_poison_verdicts_journal_text_matches_the_pinned_digest() {
     let report = stream.finish();
     assert_eq!(report.records.len(), 5);
     let text = journal.text().expect("the in-memory journal reads");
+    (text_digest(&text), read_back(&journal))
+}
+
+#[test]
+fn a_poison_verdicts_journal_text_matches_the_pinned_digest() {
+    let (text, _) = poison_stream();
     assert_eq!(
-        text_digest(&text),
-        POISON_DIGEST,
+        text, POISON_DIGEST,
         "the poison stream's journal text changed"
+    );
+}
+
+/// `entry` with every field the execution witness decides zeroed: a
+/// `Run`'s outcome, reference and quote witness digests, the quote's
+/// nonce (it commits to the reference) and MAC (it signs the witness),
+/// and the two digests of a `WitnessMismatch` anomaly.
+fn witness_blind(mut entry: JournalEntry) -> JournalEntry {
+    match &mut entry {
+        JournalEntry::Run(record) => {
+            record.outcome.witness_digest = Digest::ZERO;
+            if let Some(reference) = &mut record.reference {
+                reference.witness_digest = Digest::ZERO;
+            }
+            if let Some(quote) = &mut record.quote {
+                quote.witness_digest = Digest::ZERO;
+                quote.nonce = 0;
+                quote.mac = [0; 32];
+            }
+        }
+        JournalEntry::Verdict(verdict) => {
+            for anomaly in &mut verdict.anomalies {
+                if let Anomaly::WitnessMismatch { expected, observed } = anomaly {
+                    *expected = Digest::ZERO;
+                    *observed = Digest::ZERO;
+                }
+            }
+        }
+        _ => {}
+    }
+    entry
+}
+
+#[test]
+fn the_witness_blind_entries_match_the_pinned_digest() {
+    let [(_, processed), (_, reopened)] = processed_and_reopened();
+    let (_, (_, failed_over)) = disk_full_failover();
+    let (_, poison) = poison_stream();
+    let mut hasher = Sha256::new();
+    for (name, entries) in [
+        ("processed", processed),
+        ("reopened", reopened),
+        ("failed-over", failed_over),
+        ("poison", poison),
+    ] {
+        for entry in entries {
+            let json = serde_json::to_string(&witness_blind(entry)).expect("entry serializes");
+            absorb(&mut hasher, name, json.as_bytes());
+        }
+    }
+    assert_eq!(
+        Sha256::to_hex(&hasher.finalize()),
+        WITNESS_BLIND_DIGEST,
+        "a journaled entry changed outside its witness-derived fields"
     );
 }
 

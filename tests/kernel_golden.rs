@@ -8,8 +8,20 @@
 //! 0.002. A change to where the kernel splits time, what it measures or
 //! what it witnesses moves one of them.
 //!
+//! A third digest covers the same 128 outcomes with `witness_digest`
+//! zeroed, so it is blind to how the witness is encoded and sees
+//! everything else the kernel decides. A change to the witness encoding
+//! alone (for example the hash it runs over the steps) must leave this
+//! pin where it was and move only the outcomes pin; the test checks the
+//! witness-blind pin first, so such a change fails with the new outcomes
+//! digest in its message. A kernel optimisation must leave all three
+//! pins unchanged.
+//!
 //! If a digest changes on purpose (a deliberate model change), re-derive
-//! it from the failure message and say why in the commit.
+//! it from the failure message and say why in the commit. Re-derive only
+//! the pins the change is meant to move: the witness-blind pin moves
+//! only when the kernel's accounting, measurements or statistics change,
+//! and then the outcomes pin moves with it.
 
 use trustmeter::prelude::*;
 
@@ -17,7 +29,12 @@ use trustmeter::prelude::*;
 const SEED: u64 = 0x0060_1de4;
 
 /// SHA-256 over the JSON of all 128 outcomes, in matrix order.
-const OUTCOMES_DIGEST: &str = "f3a27f09bc99c72a04ca8a8f4f6e217bc70dcfdab2b515805a8541de797bc635";
+const OUTCOMES_DIGEST: &str = "2adfac7f00b702a79eb6ffd9e2c69262b97021aefc1db21dc78a4ab12a7aaf2a";
+
+/// The same 128 outcomes with `witness_digest` zeroed: everything the
+/// kernel decides apart from the witness encoding.
+const WITNESS_BLIND_DIGEST: &str =
+    "1e2388ac25ec5dcdfe3cea7a180b3ea77ee6c6db7a3ef556f4d87f26219cf658";
 
 /// SHA-256 over the figure, comparison, defenses and ablation JSON that
 /// `repro --scale 0.002` writes, in the order it writes them.
@@ -32,9 +49,29 @@ fn absorb(hasher: &mut Sha256, name: &str, body: &str) {
     }
 }
 
+/// Feeds one outcome into both running digests: as it is, and with its
+/// witness digest zeroed.
+fn absorb_outcome(full: &mut Sha256, blind: &mut Sha256, name: &str, outcome: &ScenarioOutcome) {
+    absorb(
+        full,
+        name,
+        &serde_json::to_string(outcome).expect("outcome serializes"),
+    );
+    let masked = ScenarioOutcome {
+        witness_digest: Digest::ZERO,
+        ..outcome.clone()
+    };
+    absorb(
+        blind,
+        name,
+        &serde_json::to_string(&masked).expect("outcome serializes"),
+    );
+}
+
 #[test]
 fn scenario_outcomes_match_the_pinned_digest() {
     let mut hasher = Sha256::new();
+    let mut blind = Sha256::new();
     let mut runs = 0;
     for scheduler in [SchedulerKind::FairShare, SchedulerKind::Cfs] {
         let machine = KernelConfig::paper_machine()
@@ -43,19 +80,19 @@ fn scenario_outcomes_match_the_pinned_digest() {
         for scale in [0.001, 0.002] {
             for workload in Workload::ALL {
                 let scenario = Scenario::new(workload, scale).with_config(machine.clone());
-                let clean = scenario.run_clean();
-                absorb(
+                absorb_outcome(
                     &mut hasher,
+                    &mut blind,
                     &format!("{scheduler}/{scale}/{workload}/clean"),
-                    &serde_json::to_string(&clean).expect("outcome serializes"),
+                    &scenario.run_clean(),
                 );
                 runs += 1;
                 for attack in AttackSpec::ALL {
-                    let outcome = scenario.run_attacked(attack.build(workload, scale).as_ref());
-                    absorb(
+                    absorb_outcome(
                         &mut hasher,
+                        &mut blind,
                         &format!("{scheduler}/{scale}/{workload}/{}", attack.label()),
-                        &serde_json::to_string(&outcome).expect("outcome serializes"),
+                        &scenario.run_attacked(attack.build(workload, scale).as_ref()),
                     );
                     runs += 1;
                 }
@@ -63,6 +100,13 @@ fn scenario_outcomes_match_the_pinned_digest() {
         }
     }
     assert_eq!(runs, 128);
+    // The witness-blind pin first: a change to the witness encoding alone
+    // passes it and then fails only the full pin.
+    assert_eq!(
+        Sha256::to_hex(&blind.finalize()),
+        WITNESS_BLIND_DIGEST,
+        "a ScenarioOutcome changed outside its witness digest"
+    );
     let digest = Sha256::to_hex(&hasher.finalize());
     assert_eq!(
         digest, OUTCOMES_DIGEST,

@@ -248,6 +248,32 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(proptest_cases()))]
+
+    /// The witness specification: the digest is SHA-256 over the
+    /// concatenated 32-byte step digests (`Digest::ZERO` when nothing was
+    /// recorded), and `len` counts the steps.
+    #[test]
+    fn witness_digest_is_sha256_over_the_step_digests(
+        labels in prop::collection::vec("[a-z]{0,8}", 0..40),
+    ) {
+        let mut witness = ExecutionWitness::new();
+        let mut steps = Vec::new();
+        for label in &labels {
+            witness.record(label);
+            steps.extend_from_slice(&Digest::of(label.as_bytes()).0);
+        }
+        let expected = if labels.is_empty() {
+            Digest::ZERO
+        } else {
+            Digest(Sha256::digest(&steps))
+        };
+        prop_assert_eq!(witness.digest(), expected);
+        prop_assert_eq!(witness.len(), labels.len());
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Event queue ordering
 // ---------------------------------------------------------------------------
@@ -461,7 +487,8 @@ proptest! {
 // The streaming JSON reader decodes journal evidence as the value tree does
 // ---------------------------------------------------------------------------
 
-/// `PROPTEST_CASES` scales the number of mutated inputs (CI runs 1024).
+/// `PROPTEST_CASES` scales the cases of the witness specification and of
+/// the reader's mutated inputs (CI runs each at 1024).
 fn proptest_cases() -> u32 {
     std::env::var("PROPTEST_CASES")
         .ok()

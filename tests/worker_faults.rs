@@ -539,6 +539,107 @@ fn spent_restart_budget_quarantines_the_dead_pool_and_scale_to_revives_it() {
     assert!(reassigned >= Some(1.0), "reassigned: {reassigned:?}");
 }
 
+/// A service whose journal fills on line 3, the first `Run` line.
+fn disk_full_service() -> FleetService {
+    let (sink, _probe) = FaultInjectingSink::wrap(
+        Box::new(MemorySink::new()),
+        FaultSchedule::none().disk_full_at(3),
+    );
+    service77(
+        1,
+        Some(Journal::with_sink(Box::new(sink)).expect("fresh sink opens")),
+    )
+}
+
+/// Brings both causes of quarantine about at once. The disk fills on the
+/// first release, so jobs 0 and 1 are parked; then job 2 hangs past its
+/// deadline on the only worker with no restart budget, so the pool dies
+/// too.
+fn failed_journal_and_dead_pool(service: &mut FleetService) -> FleetStream<'_> {
+    let config = IngestConfig::new(1)
+        .paused()
+        .with_retry_policy(RetryPolicy::none())
+        .with_job_deadline(200_000)
+        .with_supervisor(SupervisorPolicy::default().with_max_restarts(0))
+        .with_worker_faults(WorkerFaultSchedule::none().hang_on(JobId(2), 1_000_000));
+    let mut stream = service.stream(config);
+    stream
+        .submit_all(&batch(3))
+        .expect("the Accepted lines precede the fault");
+    stream.resume();
+    // Jobs 0 and 1 complete while job 2 spins; their release finds the
+    // disk full.
+    while stream.stats().ready < 2 {
+        std::thread::yield_now();
+    }
+    assert_eq!(stream.pump(), 0);
+    while !stream.health().workers_dead {
+        std::thread::yield_now();
+    }
+    stream
+}
+
+#[test]
+fn reviving_a_dead_pool_leaves_a_failed_journal_quarantined() {
+    let mut service = disk_full_service();
+    let mut stream = failed_journal_and_dead_pool(&mut service);
+
+    stream.scale_workers(1);
+    let health = stream.health();
+    assert!(!health.workers_dead, "{health:?}");
+    assert!(health.quarantined, "{health:?}");
+    assert_eq!(health.stalled, 2, "{health:?}");
+    assert!(
+        health
+            .last_error
+            .as_deref()
+            .is_some_and(|e| e.contains("disk-full")),
+        "{health:?}"
+    );
+    assert_eq!(
+        stream.submit(batch(4)[3].clone()),
+        Err(SubmitError::Quarantined)
+    );
+
+    // The failover lifts the journal's cause; the parked jobs release,
+    // and the revived worker runs job 2.
+    stream
+        .resume_with_sink(Box::new(MemorySink::new()))
+        .expect("the fresh sink takes the failover");
+    assert!(!stream.health().quarantined);
+    let report = stream.finish();
+    assert_eq!(report.records.len(), 3);
+}
+
+#[test]
+fn a_failover_leaves_a_dead_pool_quarantined() {
+    let mut service = disk_full_service();
+    let mut stream = failed_journal_and_dead_pool(&mut service);
+
+    // The failover succeeds and lifts the journal's cause only: with no
+    // worker left the pipeline stays quarantined and releases nothing.
+    stream
+        .resume_with_sink(Box::new(MemorySink::new()))
+        .expect("the fresh sink takes the failover");
+    let health = stream.health();
+    assert!(health.workers_dead, "{health:?}");
+    assert!(health.quarantined, "{health:?}");
+    assert_eq!(health.stalled, 2, "{health:?}");
+    assert!(
+        health
+            .last_error
+            .as_deref()
+            .is_some_and(|e| e.contains("restart budget")),
+        "{health:?}"
+    );
+
+    // Reviving the pool lifts the last cause.
+    stream.scale_workers(1);
+    assert!(!stream.health().quarantined);
+    let report = stream.finish();
+    assert_eq!(report.records.len(), 3);
+}
+
 #[test]
 fn spinning_never_refills_the_restart_budget() {
     // The restart budget is a count per session, not per stretch of
