@@ -101,13 +101,14 @@ impl AttestationKey {
 }
 
 /// A signed usage attestation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Quote {
     /// The verifier's freshness challenge.
     pub nonce: u64,
     /// PCR value committing to the process's measurement log.
     pub measurement_pcr: Digest,
-    /// Digest of the execution witness chain.
+    /// Digest of the execution witness: SHA-256 over its step digests
+    /// (see [`crate::ExecutionWitness`]).
     pub witness_digest: Digest,
     /// The usage report being attested.
     pub usage: CpuTime,

@@ -14,12 +14,14 @@
 //! [`ImageKind::Constructor`] entries.
 
 use super::sha256::Sha256;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, JsonReader, Serialize, Value};
 use std::collections::BTreeSet;
 use std::fmt;
 
-/// A 256-bit measurement digest.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+/// A 256-bit measurement digest. It serializes as its 64-character
+/// lowercase hex string ([`Digest::to_hex`]), and only that spelling
+/// deserializes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Digest(pub [u8; 32]);
 
 impl Digest {
@@ -40,6 +42,44 @@ impl Digest {
     /// Lowercase hex rendering.
     pub fn to_hex(&self) -> String {
         Sha256::to_hex(&self.0)
+    }
+
+    /// Parses the rendering [`Digest::to_hex`] gives and no other (see
+    /// [`Sha256::from_hex`]).
+    fn parse(text: &str) -> Result<Digest, serde::Error> {
+        Sha256::from_hex(text).map(Digest).ok_or_else(|| {
+            serde::Error::custom(format!("expected 64 lowercase hex digits, got {text:?}"))
+        })
+    }
+}
+
+impl Serialize for Digest {
+    fn to_value(&self) -> Value {
+        Value::Str(self.to_hex())
+    }
+
+    fn write_json(&self, out: &mut String) {
+        out.push('"');
+        Sha256::write_hex(out, &self.0);
+        out.push('"');
+    }
+}
+
+impl Deserialize for Digest {
+    fn from_value(v: &Value) -> Result<Digest, serde::Error> {
+        match v {
+            Value::Str(text) => Digest::parse(text),
+            other => Err(serde::Error::custom(format!(
+                "expected a hex digest, got {other:?}"
+            ))),
+        }
+    }
+
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Digest, serde::Error> {
+        match r.peek() {
+            Some(b'"') => Digest::parse(&r.parse_str()?),
+            _ => Digest::from_value(&r.parse_value()?),
+        }
     }
 }
 
@@ -340,6 +380,19 @@ mod tests {
         assert_ne!(Digest::of_label("x"), Digest::of_label("y"));
         assert_eq!(Digest::ZERO.to_hex(), "0".repeat(64));
         assert_eq!(format!("{}", Digest::ZERO).len(), 16);
+    }
+
+    #[test]
+    fn digest_serializes_as_lowercase_hex_only() {
+        let read = |text: &str| Digest::read_json(&mut JsonReader::new(text));
+        let digest = Digest::of_label("x");
+        let mut json = String::new();
+        digest.write_json(&mut json);
+        assert_eq!(json, format!("\"{}\"", digest.to_hex()));
+        assert_eq!(read(&json), Ok(digest));
+        assert_eq!(Digest::from_value(&digest.to_value()), Ok(digest));
+        assert!(read(&json.to_uppercase()).is_err());
+        assert!(read(&format!("{:?}", digest.0)).is_err());
     }
 
     #[test]

@@ -179,15 +179,47 @@ impl Sha256 {
         state[7] = state[7].wrapping_add(h);
     }
 
-    /// Renders a digest as lowercase hex.
+    /// Renders a digest as 64 lowercase hex characters, the one spelling
+    /// [`Sha256::from_hex`] reads back.
     pub fn to_hex(digest: &[u8; 32]) -> String {
-        const HEX: &[u8; 16] = b"0123456789abcdef";
         let mut s = String::with_capacity(64);
-        for b in digest {
-            s.push(HEX[(b >> 4) as usize] as char);
-            s.push(HEX[(b & 0x0f) as usize] as char);
-        }
+        Sha256::write_hex(&mut s, digest);
         s
+    }
+
+    /// Appends a digest to `out` as 64 lowercase hex characters.
+    pub fn write_hex(out: &mut String, digest: &[u8; 32]) {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        for b in digest {
+            out.push(HEX[(b >> 4) as usize] as char);
+            out.push(HEX[(b & 0x0f) as usize] as char);
+        }
+    }
+
+    /// Decodes what [`Sha256::to_hex`] writes: exactly 64 lowercase hex
+    /// characters. Anything else — upper-case hex included — is `None`,
+    /// so every digest has one spelling.
+    pub fn from_hex(text: &str) -> Option<[u8; 32]> {
+        // A lowercase hex digit's value; 0xff for every other byte.
+        const NIBBLE: [u8; 256] = {
+            let mut table = [0xff; 256];
+            let mut i = 0;
+            while i < 16 {
+                table[b"0123456789abcdef"[i] as usize] = i as u8;
+                i += 1;
+            }
+            table
+        };
+        let bytes: &[u8; 64] = text.as_bytes().try_into().ok()?;
+        let mut out = [0u8; 32];
+        // Any invalid byte sets a high bit here; checked once at the end.
+        let mut invalid = 0u8;
+        for (slot, pair) in out.iter_mut().zip(bytes.chunks_exact(2)) {
+            let (hi, lo) = (NIBBLE[pair[0] as usize], NIBBLE[pair[1] as usize]);
+            invalid |= hi | lo;
+            *slot = (hi << 4) | (lo & 0x0f);
+        }
+        (invalid & 0xf0 == 0).then_some(out)
     }
 
     /// Computes an HMAC-SHA256 MAC (RFC 2104 construction).
@@ -402,6 +434,25 @@ mod tests {
             Sha256::to_hex(&mac),
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
         );
+    }
+
+    #[test]
+    fn hex_round_trips_in_lowercase_only() {
+        let digest = Sha256::digest(b"abc");
+        let hex = Sha256::to_hex(&digest);
+        assert_eq!(Sha256::from_hex(&hex), Some(digest));
+        assert_eq!(Sha256::from_hex(&hex.to_uppercase()), None);
+        assert_eq!(Sha256::from_hex(&hex[..62]), None);
+        assert_eq!(Sha256::from_hex(&format!("{hex}00")), None);
+        assert_eq!(Sha256::from_hex(&"g".repeat(64)), None);
+        assert_eq!(Sha256::from_hex(&"é".repeat(32)), None);
+        for at in 0..64 {
+            for bad in ["g", "A", "F", "/", ":", "`", " "] {
+                let mut text = hex.clone();
+                text.replace_range(at..at + 1, bad);
+                assert_eq!(Sha256::from_hex(&text), None, "{text}");
+            }
+        }
     }
 
     #[test]

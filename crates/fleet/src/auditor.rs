@@ -926,6 +926,47 @@ mod tests {
     }
 
     #[test]
+    fn an_attacked_run_line_rewritten_to_the_clean_marker_is_caught() {
+        // On disk, an attacked job's replayed reference is written in
+        // full. Rewriting it to the clean marker makes the reference the
+        // attacked outcome's own facts — no overcharge, no foreign image,
+        // the observed witness — but the quote nonce commits to the real
+        // reference.
+        let fleet = fleet();
+        let job = JobSpec::attacked(11, TenantId(3), Workload::LoopO, SCALE, AttackSpec::Shell);
+        let record = fleet.run_one(&job);
+        let line = serde_json::to_string(&record).unwrap();
+        let start = line.find("\"reference\":{\"Replayed\":").unwrap() + "\"reference\":".len();
+        let end = line.find(",\"quote\":").unwrap();
+        let forged = format!("{}\"Outcome\"{}", &line[..start], &line[end..]);
+        let forged: RunRecord = serde_json::from_str(&forged).unwrap();
+        assert_eq!(
+            forged.reference,
+            Some(ReferenceOutcome::from_outcome(&record.outcome))
+        );
+        assert_eq!(
+            fleet.verify_record(&forged).unwrap_err(),
+            "quote verification failed: quote nonce did not match the challenge"
+        );
+
+        let mut auditor = Auditor::new(fleet.config().machine.clone()).demand_quotes(1234);
+        let verdict = auditor.observe(&forged);
+        let kinds: Vec<&str> = verdict.anomalies.iter().map(Anomaly::kind).collect();
+        for kind in [
+            "quote-mismatch",
+            "overbilled",
+            "unexpected-images",
+            "witness-mismatch",
+        ] {
+            assert!(kinds.contains(&kind), "{kind} in {kinds:?}");
+        }
+        assert!(verdict.anomalies.contains(&Anomaly::QuoteMismatch {
+            reason: "nonce-mismatch".to_string()
+        }));
+        assert_eq!(auditor.replay_count(), 1, "fell back to the inline replay");
+    }
+
+    #[test]
     fn wrong_key_quote_is_a_bad_signature() {
         let fleet = fleet();
         let record = fleet.run_one(&JobSpec::clean(3, TenantId(1), Workload::LoopO, SCALE));

@@ -145,7 +145,7 @@ pub fn merkle_path(leaves: &[ChainDigest], index: usize) -> Vec<ProofStep> {
         let sibling = if at.is_multiple_of(2) { at + 1 } else { at - 1 };
         if sibling < level.len() {
             path.push(ProofStep {
-                sibling: encode_hex(&level[sibling]),
+                sibling: Sha256::to_hex(&level[sibling]),
                 sibling_left: sibling < at,
             });
         }
@@ -191,7 +191,7 @@ fn path_fits(path: &[ProofStep], index: u64, width: u64) -> bool {
 pub fn fold_path(leaf: &ChainDigest, path: &[ProofStep]) -> Option<ChainDigest> {
     let mut acc = *leaf;
     for step in path {
-        let sibling = decode_hex(&step.sibling)?;
+        let sibling = Sha256::from_hex(&step.sibling)?;
         acc = if step.sibling_left {
             node_digest(&sibling, &acc)
         } else {
@@ -199,26 +199,6 @@ pub fn fold_path(leaf: &ChainDigest, path: &[ProofStep]) -> Option<ChainDigest> 
         };
     }
     Some(acc)
-}
-
-/// Hex-encodes a digest (lowercase, 64 chars).
-pub fn encode_hex(digest: &ChainDigest) -> String {
-    Sha256::to_hex(digest)
-}
-
-/// Decodes a 64-char lowercase hex digest; `None` if malformed.
-pub fn decode_hex(text: &str) -> Option<ChainDigest> {
-    if text.len() != 64 || !text.is_ascii() {
-        return None;
-    }
-    let bytes = text.as_bytes();
-    let mut out = [0u8; 32];
-    for (i, slot) in out.iter_mut().enumerate() {
-        let hi = (bytes[2 * i] as char).to_digit(16)?;
-        let lo = (bytes[2 * i + 1] as char).to_digit(16)?;
-        *slot = ((hi << 4) | lo) as u8;
-    }
-    Some(out)
 }
 
 /// The ledger sealing key: derived from the fleet seed exactly like the
@@ -319,11 +299,14 @@ impl BlockHeader {
     /// The current header format version. Version 1 headers also carried
     /// the checkpoint metric-family exclusion list; version 2 headers
     /// lacked the signed job-id range ([`BlockHeader::jobs`]), so a
-    /// prover had to read every segment to find one job's lines. Readers
-    /// reject every version but this one by name
-    /// ([`crate::JournalError::UnsupportedHeader`],
+    /// prover had to read every segment to find one job's lines; version
+    /// 3 headers sealed `Run` lines that wrote digests as arrays of
+    /// decimal bytes and repeated the outcome's facts in the reference
+    /// and the quote (version 4 says each fact once, see
+    /// [`crate::RunRecord`]). Readers reject every version but this one
+    /// by name ([`crate::JournalError::UnsupportedHeader`],
     /// [`ProofError::UnsupportedHeader`]).
-    pub const VERSION: u32 = 3;
+    pub const VERSION: u32 = 4;
 
     /// The canonical bytes the seal signs: this header serialized with an
     /// empty `seal` field.
@@ -337,12 +320,12 @@ impl BlockHeader {
     pub fn sign(&mut self, key: &SealKey) {
         self.seal = String::new();
         let mac = key.mac(self.signing_bytes().as_bytes());
-        self.seal = encode_hex(&mac);
+        self.seal = Sha256::to_hex(&mac);
     }
 
     /// Whether `seal` is a valid signature over this header under `key`.
     pub fn verify_seal(&self, key: &SealKey) -> bool {
-        match decode_hex(&self.seal) {
+        match Sha256::from_hex(&self.seal) {
             Some(mac) => mac == key.mac(self.signing_bytes().as_bytes()),
             None => false,
         }
@@ -467,7 +450,7 @@ impl InclusionProof {
         }
         let leaf = leaf_digest(self.line.as_bytes());
         let folded = fold_path(&leaf, &self.path).ok_or_else(mismatch)?;
-        if Some(folded) != decode_hex(&header.merkle_root) {
+        if Some(folded) != Sha256::from_hex(&header.merkle_root) {
             return Err(mismatch());
         }
         let chained: ChainedLine =
@@ -509,7 +492,7 @@ mod tests {
                     JournalEntry::accepted(JobSpec::clean(id, TenantId(1), Workload::LoopO, 0.001));
                 format!(
                     "{{\"prev\":\"{}\",\"entry\":{}}}",
-                    encode_hex(&genesis()),
+                    Sha256::to_hex(&genesis()),
                     serde_json::to_string(&entry).unwrap()
                 )
             })
@@ -528,9 +511,9 @@ mod tests {
                 segment: 1,
                 entries: n as u64,
                 jobs: None,
-                chain_prev: encode_hex(&genesis()),
-                chain_head: encode_hex(&genesis()),
-                merkle_root: encode_hex(&root),
+                chain_prev: Sha256::to_hex(&genesis()),
+                chain_head: Sha256::to_hex(&genesis()),
+                merkle_root: Sha256::to_hex(&root),
                 seal: String::new(),
             };
             for (i, leaf) in leaves.iter().enumerate() {
@@ -568,14 +551,6 @@ mod tests {
     }
 
     #[test]
-    fn hex_round_trips_and_rejects_garbage() {
-        let digest = Sha256::digest(b"x");
-        assert_eq!(decode_hex(&encode_hex(&digest)), Some(digest));
-        assert_eq!(decode_hex("xyz"), None);
-        assert_eq!(decode_hex(&"g".repeat(64)), None);
-    }
-
-    #[test]
     fn seals_verify_under_the_signing_key_only() {
         let key = SealKey::from_seed(7);
         let other = SealKey::from_seed(8);
@@ -584,14 +559,19 @@ mod tests {
             segment: 1,
             entries: 2,
             jobs: JobRange::of([Some(JobId(3)), None, Some(JobId(9))]),
-            chain_prev: encode_hex(&genesis()),
-            chain_head: encode_hex(&Sha256::digest(b"head")),
-            merkle_root: encode_hex(&merkle_root(&leaves(2))),
+            chain_prev: Sha256::to_hex(&genesis()),
+            chain_head: Sha256::to_hex(&Sha256::digest(b"head")),
+            merkle_root: Sha256::to_hex(&merkle_root(&leaves(2))),
             seal: String::new(),
         };
         header.sign(&key);
         assert!(header.verify_seal(&key));
         assert!(!header.verify_seal(&other));
+        // A seal has one spelling: the same MAC in upper-case hex fails.
+        let mut shouted = header.clone();
+        shouted.seal = shouted.seal.to_uppercase();
+        assert_ne!(shouted.seal, header.seal);
+        assert!(!shouted.verify_seal(&key));
         // Any mutation of the sealed fields invalidates the seal.
         let mut doctored = header.clone();
         doctored.entries = 3;

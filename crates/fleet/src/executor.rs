@@ -12,13 +12,13 @@
 //!    alone (never from which worker runs it), and
 //! 2. results are released in job-submission order.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, JsonReader, Serialize, Value};
 use std::fmt;
 use trustmeter_attacks::{
     Attack, ExceptionFloodAttack, InterpositionAttack, InterruptFloodAttack,
     PreloadConstructorAttack, SchedulingAttack, ShellAttack, ThrashingAttack,
 };
-use trustmeter_core::{AttestationKey, CpuTime, Digest, Quote};
+use trustmeter_core::{AttestationKey, CpuTime, Digest, Quote, Sha256};
 use trustmeter_experiments::{Scenario, ScenarioOutcome};
 use trustmeter_kernel::KernelConfig;
 use trustmeter_sim::SimRng;
@@ -192,14 +192,41 @@ impl ReferenceOutcome {
         }
     }
 
+    /// Whether this reference is [`ReferenceOutcome::from_outcome`] of
+    /// `outcome`: the outcome's own facts, as a clean job's reference is.
+    fn is_of(&self, outcome: &ScenarioOutcome) -> bool {
+        let ReferenceOutcome {
+            victim_truth,
+            measured_images,
+            measurement_pcr,
+            witness_digest,
+        } = self;
+        *victim_truth == outcome.victim_truth
+            && *measured_images == outcome.measured_images
+            && *measurement_pcr == outcome.measurement_pcr
+            && *witness_digest == outcome.witness_digest
+    }
+
     /// A 64-bit commitment to this reference: the first eight bytes of
-    /// the SHA-256 of its canonical JSON. Folded into the quote nonce
-    /// ([`quote_nonce`]) so the attestation binds the worker-precomputed
-    /// reference as well as the outcome — editing either after the fact
-    /// breaks verification.
+    /// the SHA-256 of its canonical bytes — the truth's user and system
+    /// cycles, the image count, each image name's length and bytes, the
+    /// PCR and the witness digest, integers big-endian — in the way a
+    /// [`Quote`]'s signature covers its fields, so no commitment depends
+    /// on a text format. Folded into the quote nonce ([`quote_nonce`]) so
+    /// the attestation binds the worker-precomputed reference as well as
+    /// the outcome — editing either after the fact breaks verification.
     pub fn commitment(&self) -> u64 {
-        let json = serde_json::to_string(self).expect("reference serializes");
-        let digest = trustmeter_core::Sha256::digest(json.as_bytes());
+        let mut h = Sha256::new();
+        h.update(&self.victim_truth.utime.as_u64().to_be_bytes());
+        h.update(&self.victim_truth.stime.as_u64().to_be_bytes());
+        h.update(&(self.measured_images.len() as u64).to_be_bytes());
+        for name in &self.measured_images {
+            h.update(&(name.len() as u64).to_be_bytes());
+            h.update(name.as_bytes());
+        }
+        h.update(&self.measurement_pcr.0);
+        h.update(&self.witness_digest.0);
+        let digest = h.finalize();
         u64::from_be_bytes(digest[..8].try_into().expect("digest is 32 bytes"))
     }
 }
@@ -214,7 +241,22 @@ pub fn quote_nonce(job: JobId, reference: &ReferenceOutcome) -> u64 {
 }
 
 /// Everything one executed job produced.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// A record serializes (as a journal `Run` line) saying each fact once:
+/// `{"job":…,"seed":…,"outcome":…,"reference":R,"quote":Q}`.
+///
+/// * `R` is `null` for an unsampled job; the marker `"Outcome"` when the
+///   reference is [`ReferenceOutcome::from_outcome`] of the record's own
+///   outcome, as a clean job's is; otherwise `{"Replayed":{…}}`, the
+///   reference in full (an attacked job's clean replay).
+/// * `Q` is `null` or `{"nonce":…,"mac":"<hex>"}`. The PCR, witness
+///   digest and usage a quote signs are the outcome's, so decoding takes
+///   them from the outcome and the MAC still covers them: a record whose
+///   quote signed anything else decodes to one whose quote does not
+///   verify ([`Fleet::verify_record`]).
+///
+/// Decoding is lossless for every record [`Fleet::run_one`] produces.
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunRecord {
     /// The job as submitted.
     pub job: JobSpec,
@@ -236,6 +278,132 @@ pub struct RunRecord {
     /// tampered with after execution (e.g. in a persisted journal) no
     /// longer verifies.
     pub quote: Option<Quote>,
+}
+
+/// A [`RunRecord`] as its `Run` line writes it. Decoding goes through
+/// this derived shape, so the reader and the value tree decode a line
+/// alike; [`RunRecord`]'s `write_json` streams the same bytes without
+/// building it.
+#[derive(Serialize, Deserialize)]
+struct RunLine {
+    job: JobSpec,
+    seed: u64,
+    outcome: ScenarioOutcome,
+    reference: Option<ReferenceLine>,
+    quote: Option<QuoteLine>,
+}
+
+/// How a `Run` line writes a record's reference.
+#[derive(Serialize, Deserialize)]
+enum ReferenceLine {
+    /// [`ReferenceOutcome::from_outcome`] of the record's own outcome.
+    Outcome,
+    /// Any other reference, in full.
+    Replayed(ReferenceOutcome),
+}
+
+/// A quote's unsigned nonce and its MAC; the signed facts are the
+/// outcome's.
+#[derive(Serialize, Deserialize)]
+struct QuoteLine {
+    nonce: u64,
+    mac: Digest,
+}
+
+impl RunRecord {
+    fn to_line(&self) -> RunLine {
+        RunLine {
+            job: self.job.clone(),
+            seed: self.seed,
+            outcome: self.outcome.clone(),
+            reference: self.reference.as_ref().map(|reference| {
+                if reference.is_of(&self.outcome) {
+                    ReferenceLine::Outcome
+                } else {
+                    ReferenceLine::Replayed(reference.clone())
+                }
+            }),
+            quote: self.quote.as_ref().map(|quote| QuoteLine {
+                nonce: quote.nonce,
+                mac: Digest(quote.mac),
+            }),
+        }
+    }
+
+    fn from_line(line: RunLine) -> RunRecord {
+        let RunLine {
+            job,
+            seed,
+            outcome,
+            reference,
+            quote,
+        } = line;
+        let reference = reference.map(|reference| match reference {
+            ReferenceLine::Outcome => ReferenceOutcome::from_outcome(&outcome),
+            ReferenceLine::Replayed(reference) => reference,
+        });
+        let quote = quote.map(|QuoteLine { nonce, mac }| Quote {
+            nonce,
+            measurement_pcr: outcome.measurement_pcr,
+            witness_digest: outcome.witness_digest,
+            usage: outcome.victim_billed,
+            mac: mac.0,
+        });
+        RunRecord {
+            job,
+            seed,
+            outcome,
+            reference,
+            quote,
+        }
+    }
+}
+
+impl Serialize for RunRecord {
+    fn to_value(&self) -> Value {
+        self.to_line().to_value()
+    }
+
+    fn write_json(&self, out: &mut String) {
+        out.push_str("{\"job\":");
+        self.job.write_json(out);
+        out.push_str(",\"seed\":");
+        self.seed.write_json(out);
+        out.push_str(",\"outcome\":");
+        self.outcome.write_json(out);
+        out.push_str(",\"reference\":");
+        match &self.reference {
+            None => out.push_str("null"),
+            Some(reference) if reference.is_of(&self.outcome) => out.push_str("\"Outcome\""),
+            Some(reference) => {
+                out.push_str("{\"Replayed\":");
+                reference.write_json(out);
+                out.push('}');
+            }
+        }
+        out.push_str(",\"quote\":");
+        match &self.quote {
+            None => out.push_str("null"),
+            Some(quote) => {
+                out.push_str("{\"nonce\":");
+                quote.nonce.write_json(out);
+                out.push_str(",\"mac\":");
+                Digest(quote.mac).write_json(out);
+                out.push('}');
+            }
+        }
+        out.push('}');
+    }
+}
+
+impl Deserialize for RunRecord {
+    fn from_value(v: &Value) -> Result<RunRecord, serde::Error> {
+        RunLine::from_value(v).map(RunRecord::from_line)
+    }
+
+    fn read_json(r: &mut JsonReader<'_>) -> Result<RunRecord, serde::Error> {
+        RunLine::read_json(r).map(RunRecord::from_line)
+    }
 }
 
 /// Fleet configuration.
@@ -472,5 +640,114 @@ mod tests {
         unsampled.quote = None;
         unsampled.reference = None;
         assert_eq!(fleet.verify_record(&unsampled), Ok(()));
+    }
+
+    /// A record's `Run` line and what it decodes to, by the reader and by
+    /// the value tree.
+    fn round_trip(record: &RunRecord) -> (String, RunRecord) {
+        let line = serde_json::to_string(record).unwrap();
+        let mut printed = String::new();
+        serde::write_compact_value(&mut printed, &record.to_value());
+        assert_eq!(printed, line, "streamed and tree-printed lines agree");
+        let read: RunRecord = serde_json::from_str(&line).unwrap();
+        let tree = RunRecord::from_value(&serde_json::from_str(&line).unwrap()).unwrap();
+        assert_eq!(read, tree);
+        (line, read)
+    }
+
+    #[test]
+    fn run_lines_decode_to_the_record_written_and_mark_only_clean_references() {
+        let fleet = Fleet::new(FleetConfig::new(1, 7));
+        let clean = JobSpec::clean(0, TenantId(1), Workload::Pi, 0.01);
+        let attacked = AttackSpec::ALL.into_iter().enumerate().map(|(i, attack)| {
+            JobSpec::attacked(i as u64 + 1, TenantId(2), Workload::Pi, 0.01, attack)
+        });
+        for job in std::iter::once(clean).chain(attacked) {
+            let record = fleet.run_one(&job);
+            let (line, decoded) = round_trip(&record);
+            assert_eq!(decoded, record, "{job:?}");
+            assert_eq!(
+                line.contains("\"reference\":\"Outcome\""),
+                job.attack.is_none(),
+                "the marker stands for a clean job's reference only: {line}"
+            );
+            assert_eq!(fleet.verify_record(&decoded), Ok(()));
+        }
+        let mut unsampled = fleet.run_one(&JobSpec::clean(9, TenantId(1), Workload::Pi, 0.01));
+        unsampled.reference = None;
+        unsampled.quote = None;
+        let (line, decoded) = round_trip(&unsampled);
+        assert_eq!(decoded, unsampled);
+        assert!(
+            line.ends_with(",\"reference\":null,\"quote\":null}"),
+            "{line}"
+        );
+    }
+
+    #[test]
+    fn a_quote_that_disagrees_with_its_outcome_does_not_decode_into_one_that_verifies() {
+        use trustmeter_sim::Cycles;
+        let fleet = Fleet::new(FleetConfig::new(1, 42));
+        let honest = fleet.run_one(&JobSpec::clean(1, TenantId(1), Workload::LoopO, 0.001));
+        let key = Fleet::attestation_key(42);
+
+        // A quote signed over a usage the outcome does not report: the
+        // line carries only its nonce and MAC, and the decoder rebuilds
+        // the signed usage from the outcome, which the MAC does not cover.
+        let mut resigned = honest.clone();
+        let mut inflated = honest.outcome.victim_billed;
+        inflated.utime = Cycles(999_999_999);
+        let quote = honest.quote.as_ref().unwrap();
+        resigned.quote = Some(key.quote(
+            quote.nonce,
+            quote.measurement_pcr,
+            quote.witness_digest,
+            inflated,
+        ));
+        let err = fleet.verify_record(&resigned).unwrap_err();
+        assert!(err.contains("usage"), "{err}");
+        let (_, decoded) = round_trip(&resigned);
+        assert_ne!(
+            decoded, resigned,
+            "the decoder does not keep what the line omits"
+        );
+        let err = fleet.verify_record(&decoded).unwrap_err();
+        assert!(err.contains("signature did not verify"), "{err}");
+
+        // An outcome edited after its quote was signed: the same.
+        let mut edited = honest;
+        edited.outcome.victim_billed = inflated;
+        let (_, decoded) = round_trip(&edited);
+        let err = fleet.verify_record(&decoded).unwrap_err();
+        assert!(err.contains("signature did not verify"), "{err}");
+    }
+
+    #[test]
+    fn the_reference_commitment_covers_every_field_and_image_boundary() {
+        let fleet = Fleet::new(FleetConfig::new(1, 42));
+        let record = fleet.run_one(&JobSpec::clean(1, TenantId(1), Workload::LoopO, 0.001));
+        let reference = record.reference.unwrap();
+        let commitment = reference.commitment();
+        let mut edits: Vec<ReferenceOutcome> = Vec::new();
+        let mut edit = |f: &dyn Fn(&mut ReferenceOutcome)| {
+            let mut edited = reference.clone();
+            f(&mut edited);
+            edits.push(edited);
+        };
+        edit(&|r| r.victim_truth.utime.0 += 1);
+        edit(&|r| r.victim_truth.stime.0 += 1);
+        edit(&|r| r.measured_images.push(String::new()));
+        edit(&|r| {
+            // Moving a byte across a name boundary keeps the concatenation.
+            let last = r.measured_images.pop().unwrap();
+            let prev = r.measured_images.last_mut().unwrap();
+            prev.push_str(&last[..1]);
+            r.measured_images.push(last[1..].to_string());
+        });
+        edit(&|r| r.measurement_pcr = Digest::of(b"pcr"));
+        edit(&|r| r.witness_digest = Digest::of(b"witness"));
+        for edited in edits {
+            assert_ne!(edited.commitment(), commitment, "{edited:?}");
+        }
     }
 }

@@ -121,7 +121,7 @@ use crate::evidence::{
 use crate::executor::{JobId, JobSpec, RunRecord};
 use crate::metrics::MetricsRegistry;
 use crate::tenant::{Ledger, TenantId};
-use trustmeter_core::Invoice;
+use trustmeter_core::{Invoice, Sha256};
 
 /// One append-only journal record.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -946,9 +946,9 @@ impl SegmentedFileSink {
             segment: self.current_index,
             entries: self.leaves.len() as u64,
             jobs: self.jobs,
-            chain_prev: evidence::encode_hex(&self.segment_chain_prev),
-            chain_head: evidence::encode_hex(&self.chain),
-            merkle_root: evidence::encode_hex(&evidence::merkle_root(&self.leaves)),
+            chain_prev: Sha256::to_hex(&self.segment_chain_prev),
+            chain_head: Sha256::to_hex(&self.chain),
+            merkle_root: Sha256::to_hex(&evidence::merkle_root(&self.leaves)),
             seal: String::new(),
         };
         header.sign(key);
@@ -1309,19 +1309,17 @@ impl JournalSink for SegmentedFileSink {
                     run.len()
                 )));
             }
-            if header.chain_prev != evidence::encode_hex(&segment_prev) {
+            if header.chain_prev != Sha256::to_hex(&segment_prev) {
                 return Err(violation(
                     "segment's leading chain bound disagrees with its sealed header".to_string(),
                 ));
             }
-            if header.chain_head != evidence::encode_hex(&chain) {
+            if header.chain_head != Sha256::to_hex(&chain) {
                 return Err(violation(
                     "segment's trailing chain bound disagrees with its sealed header".to_string(),
                 ));
             }
-            if header.merkle_root
-                != evidence::encode_hex(&evidence::merkle_root(&leaves[first..next]))
-            {
+            if header.merkle_root != Sha256::to_hex(&evidence::merkle_root(&leaves[first..next])) {
                 return Err(violation(
                     "segment's merkle root disagrees with its sealed header".to_string(),
                 ));
@@ -1403,7 +1401,7 @@ fn frame_entry(
     entry: &JournalEntry,
 ) -> Result<(), JournalError> {
     out.push_str("{\"prev\":\"");
-    out.push_str(&evidence::encode_hex(prev));
+    Sha256::write_hex(out, prev);
     out.push_str("\",\"entry\":");
     serde_json::Serializer::new(out)
         .serialize(entry)
@@ -1456,7 +1454,7 @@ fn journal_lines(text: &str) -> impl Iterator<Item = Line<'_>> {
 /// The `prev` link a line claims, if it is a well-formed chained line.
 fn claimed_prev(line: &str) -> Option<ChainDigest> {
     let chained = serde_json::from_str::<ChainedLine>(line).ok()?;
-    evidence::decode_hex(&chained.prev)
+    Sha256::from_hex(&chained.prev)
 }
 
 /// Folds the chain over existing journal text *tolerantly*: the first
@@ -1845,7 +1843,7 @@ fn walk_journal(text: &str, mut visit: impl FnMut(Walked)) -> Result<TailStatus,
             None => format!("{} entry", chained.entry.label()),
         };
         let claimed =
-            evidence::decode_hex(&chained.prev).ok_or_else(|| JournalError::ChainViolation {
+            Sha256::from_hex(&chained.prev).ok_or_else(|| JournalError::ChainViolation {
                 line: line.no,
                 message: format!("{} carries an unparseable prev link", subject()),
             })?;
@@ -1864,7 +1862,7 @@ fn walk_journal(text: &str, mut visit: impl FnMut(Walked)) -> Result<TailStatus,
                      before this line)",
                     subject(),
                     &chained.prev[..8.min(chained.prev.len())],
-                    &evidence::encode_hex(&link)[..8],
+                    &Sha256::to_hex(&link)[..8],
                 ),
             });
         }
@@ -2347,6 +2345,70 @@ mod tests {
                 assert!(message.contains("claims prev"), "{message}");
             }
             other => panic!("expected a chain violation at line 2, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn an_upper_cased_prev_on_the_last_line_is_a_chain_violation() {
+        // The chain walk alone cannot see an edit to the last line's
+        // payload, but its `prev` must be the one spelling of the link.
+        let journal = Journal::in_memory();
+        for _ in 0..3 {
+            journal
+                .append_batch(&[JournalEntry::run(record())])
+                .unwrap();
+        }
+        let text = journal.text().unwrap();
+        let last = text.lines().last().unwrap();
+        let prev = &last[9..9 + 64];
+        assert_ne!(prev, prev.to_uppercase(), "the link spells a letter");
+        let shouted = text.replace(last, &last.replacen(prev, &prev.to_uppercase(), 1));
+        match parse_journal(&shouted) {
+            Err(JournalError::ChainViolation { line: 3, message }) => {
+                assert!(message.contains("unparseable prev link"), "{message}");
+            }
+            other => panic!("expected a chain violation at line 3, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_clean_run_line_says_each_fact_once() {
+        let record = Fleet::new(FleetConfig::new(1, 7)).run_one(&JobSpec::clean(
+            0,
+            TenantId(1),
+            Workload::Pi,
+            0.01,
+        ));
+        let journal = Journal::in_memory();
+        journal.append_batch(&[JournalEntry::run(record)]).unwrap();
+        let text = journal.text().unwrap();
+        let line = text.trim_end();
+        assert!(line.len() <= 1200, "{} bytes: {line}", line.len());
+        assert!(line.contains("\"reference\":\"Outcome\""), "{line}");
+        for field in ["measurement_pcr", "witness_digest", "victim_billed"] {
+            assert_eq!(line.matches(field).count(), 1, "{field} once: {line}");
+        }
+    }
+
+    #[test]
+    fn a_run_line_with_decimal_byte_digests_is_corrupt() {
+        // Format v3 wrote a digest as an array of 32 decimal bytes; v4
+        // reads only the hex string, so such a line is corruption.
+        let journal = Journal::in_memory();
+        journal
+            .append_batch(&[
+                JournalEntry::accepted(record().job),
+                JournalEntry::run(record()),
+            ])
+            .unwrap();
+        let text = journal.text().unwrap();
+        let pcr = record().outcome.measurement_pcr;
+        let hex = format!("\"{}\"", pcr.to_hex());
+        assert!(text.contains(&hex));
+        let v3 = text.replace(&hex, &format!("{:?}", pcr.0).replace(' ', ""));
+        match parse_journal(&v3) {
+            Err(JournalError::Corrupt { line: 2, .. }) => {}
+            other => panic!("expected corruption at line 2, got {other:?}"),
         }
     }
 

@@ -47,12 +47,35 @@ fn service_seeded(workers: usize, seed: u64, journal: Option<Journal>) -> FleetS
     }
 }
 
-/// A scratch segment directory unique to one test.
-fn scratch_dir(tag: &str) -> PathBuf {
+/// A scratch segment directory unique to one test, removed when the
+/// guard drops — also when the test panics.
+struct ScratchDir(PathBuf);
+
+impl std::ops::Deref for ScratchDir {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl AsRef<Path> for ScratchDir {
+    fn as_ref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn scratch_dir(tag: &str) -> ScratchDir {
     let dir =
         std::env::temp_dir().join(format!("trustmeter-evidence-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    dir
+    ScratchDir(dir)
 }
 
 /// Small segments so the batch rotates (and seals) several times.
@@ -64,8 +87,8 @@ fn sealed_config(seed: u64) -> SegmentConfig {
 
 /// Builds a sealed ledger on disk: processes `jobs` through a sealed
 /// segmented journal, then seals the head so *every* entry sits in a
-/// sealed segment. Returns the directory.
-fn build_sealed(tag: &str, seed: u64, jobs: u64) -> PathBuf {
+/// sealed segment. Returns the directory's guard.
+fn build_sealed(tag: &str, seed: u64, jobs: u64) -> ScratchDir {
     let dir = scratch_dir(tag);
     let journal = Journal::segmented(&dir, sealed_config(seed)).unwrap();
     let mut service = service_seeded(2, seed, Some(journal.clone()));
@@ -353,40 +376,45 @@ fn resigned_header_of_another_version_is_rejected_by_name() {
     let key = SealKey::from_seed(SEED);
     // Rewrite the first sidecar to a format this build does not read and
     // re-sign it under the right key: the seal itself is valid, so only
-    // the version check can object.
+    // the version check can object. Version 3 is the format before this
+    // one's `Run` lines; no reader of it is kept.
     let sidecar = segment_files(&dir)[0].with_extension("seal");
-    let mut header: BlockHeader =
+    let original: BlockHeader =
         serde_json::from_str(&std::fs::read_to_string(&sidecar).unwrap()).unwrap();
     let proofs = Journal::segmented(&dir, sealed_config(SEED))
         .unwrap()
         .prove(JobId(0))
         .unwrap();
-    let mut proof = proofs
+    let proof = proofs
         .into_iter()
-        .find(|proof| proof.header.segment == header.segment)
+        .find(|proof| proof.header.segment == original.segment)
         .expect("job 0's Accepted line sits in the first segment");
-    header.version = BlockHeader::VERSION + 1;
-    header.sign(&key);
-    assert!(header.verify_seal(&key));
-    std::fs::write(&sidecar, serde_json::to_string(&header).unwrap()).unwrap();
+    assert_eq!(BlockHeader::VERSION, 4);
+    for version in [3, BlockHeader::VERSION + 1] {
+        let mut header = original.clone();
+        header.version = version;
+        header.sign(&key);
+        assert!(header.verify_seal(&key));
+        std::fs::write(&sidecar, serde_json::to_string(&header).unwrap()).unwrap();
 
-    let journal = Journal::segmented(&dir, sealed_config(SEED)).unwrap();
-    let named = JournalError::UnsupportedHeader {
-        segment: header.segment,
-        version: BlockHeader::VERSION + 1,
-    };
-    assert_eq!(journal.verify(SEED).unwrap_err(), named);
-    assert_eq!(journal.prove(JobId(0)).unwrap_err(), named);
-    assert_eq!(journal.sealed_headers().unwrap_err(), named);
-    proof.header = header.clone();
-    assert_eq!(
-        proof.verify(&key).unwrap_err(),
-        ProofError::UnsupportedHeader {
+        let journal = Journal::segmented(&dir, sealed_config(SEED)).unwrap();
+        let named = JournalError::UnsupportedHeader {
             segment: header.segment,
-            version: BlockHeader::VERSION + 1,
-        }
-    );
-    std::fs::remove_dir_all(&dir).unwrap();
+            version,
+        };
+        assert_eq!(journal.verify(SEED).unwrap_err(), named);
+        assert_eq!(journal.prove(JobId(0)).unwrap_err(), named);
+        assert_eq!(journal.sealed_headers().unwrap_err(), named);
+        let mut proof = proof.clone();
+        proof.header = header.clone();
+        assert_eq!(
+            proof.verify(&key).unwrap_err(),
+            ProofError::UnsupportedHeader {
+                segment: header.segment,
+                version,
+            }
+        );
+    }
 }
 
 #[test]
@@ -434,7 +462,6 @@ fn untampered_sealed_recovery_is_bit_identical_at_1_2_8_workers() {
         let verification = reopened.verify(SEED).unwrap();
         assert_eq!(verification.entries, entries.len() as u64);
         assert!(verification.seals_verified > 0, "{verification:?}");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
 
@@ -512,5 +539,4 @@ fn dispute_settles_from_sealed_proofs_without_replay() {
         bare.dispute(JobId(0)),
         Err(DisputeError::NoJournal)
     ));
-    std::fs::remove_dir_all(&dir).unwrap();
 }

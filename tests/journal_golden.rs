@@ -17,9 +17,18 @@
 //! change to the witness encoding moves the byte digests but never this
 //! one.
 //!
-//! If a digest changes on purpose (a deliberate change to the journal's
-//! format), re-derive it from the failure message and say why in the
-//! commit.
+//! A seventh digest hashes the `Debug` text of the same entries, with
+//! each `Run` quote's nonce and MAC zeroed (the nonce commits to the
+//! reference, and the MAC signs the nonce). It depends on no text
+//! format, so a change to how entries are written — the journal format —
+//! moves the other six pins and never this one; a change to what the
+//! service decides moves it.
+//!
+//! If a digest changes on purpose, re-derive it from the failure message
+//! and say why in the commit. A deliberate format change re-derives the
+//! byte pins and the witness-blind pin and leaves the `Debug` pin where
+//! it was; a witness change re-derives the byte pins and the `Debug` pin
+//! and leaves the witness-blind pin where it was.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -33,22 +42,27 @@ const SCALE: f64 = 0.001;
 const SEED: u64 = 77;
 
 /// Sealed segment directory after 104 jobs in seven `process` batches.
-const PROCESSED_DIGEST: &str = "178cc2184e4963b82e7021f5d25ee96c8218daf4d4626d0d1dfa8080b8ce4c42";
+const PROCESSED_DIGEST: &str = "86e4a7061a1e6ecb28334552c6116c8ac07b9c92f5393aa03cdc9d0cdf6bf656";
 
 /// The same directory after a reopen, a recovery and 8 more jobs.
-const REOPENED_DIGEST: &str = "fa5bc96a1168496725a8cfe82402dd7a0f974c922d0d0fcf74ac4ef84b43f746";
+const REOPENED_DIGEST: &str = "13c783b0e5e8ac0073c6ae1a29915fc32a7b9cce3c0fcf7dc6514c14ae02a447";
 
 /// The disk-full sink's directory, then the one it failed over to.
 const FAILED_DIGEST: &str = "7f0c4cf36bd5237e064118b25a7b6d36078297960fb993efb723b464ec3156af";
-const FAILED_OVER_DIGEST: &str = "8e51752f077e704bfb627880d1f71218ba11d7dfe932039fb510a85f06cbf506";
+const FAILED_OVER_DIGEST: &str = "bd2a5d08229068a937e22fb44dbe3ecf9d9eb209aaaf30a221f7a6443ad42d4f";
 
 /// The in-memory journal text of the poison stream.
-const POISON_DIGEST: &str = "416f7c231acb46b9104a775411c2b2d6504c8320d6ea19becc7c1f5063e125e5";
+const POISON_DIGEST: &str = "ff72ada01118fe61b52defa628ae2b4e60cbc803357e07c3f77d4dc28723895a";
 
 /// The entries of the processed, reopened, failed-over and poison
 /// journals, with the witness-derived fields zeroed.
 const WITNESS_BLIND_DIGEST: &str =
-    "ba9e32b65b94c67d2a9768f20198df3c67465a12815b56880920b6a21981e633";
+    "0713b102074df5693373c8337b6a3635346bf81cc3524d8f22e8eb1964c2ddc0";
+
+/// The `Debug` text of the same entries, with each `Run` quote's nonce
+/// and MAC zeroed (both follow from the reference commitment): blind to
+/// the journal's text format.
+const DEBUG_DIGEST: &str = "70082472d33fe81684b226d157f2a045c375e611b7d7e0ce0aa2a82aec9d7b31";
 
 /// A mixed batch over job ids `ids`: four tenants, all four workloads,
 /// clean runs and a mix of launch-time and runtime attacks.
@@ -84,7 +98,7 @@ fn service(workers: usize) -> FleetService {
     service
 }
 
-/// Sealed 16 KiB segments: a `Run` line is about 2 KiB and a checkpoint
+/// Sealed 16 KiB segments: a `Run` line is about 1 KiB and a checkpoint
 /// line outgrows a segment, so every scenario rotates.
 fn sealed_config() -> SegmentConfig {
     SegmentConfig::default()
@@ -337,18 +351,34 @@ fn witness_blind(mut entry: JournalEntry) -> JournalEntry {
     entry
 }
 
-#[test]
-fn the_witness_blind_entries_match_the_pinned_digest() {
+/// `entry` with a `Run` quote's nonce and MAC zeroed.
+fn unsigned(mut entry: JournalEntry) -> JournalEntry {
+    if let JournalEntry::Run(record) = &mut entry {
+        if let Some(quote) = &mut record.quote {
+            quote.nonce = 0;
+            quote.mac = [0; 32];
+        }
+    }
+    entry
+}
+
+/// The entries the four run-carrying journals read back as, by name.
+fn run_carrying_entries() -> [(&'static str, Vec<JournalEntry>); 4] {
     let [(_, processed), (_, reopened)] = processed_and_reopened();
     let (_, (_, failed_over)) = disk_full_failover();
     let (_, poison) = poison_stream();
-    let mut hasher = Sha256::new();
-    for (name, entries) in [
+    [
         ("processed", processed),
         ("reopened", reopened),
         ("failed-over", failed_over),
         ("poison", poison),
-    ] {
+    ]
+}
+
+#[test]
+fn the_witness_blind_entries_match_the_pinned_digest() {
+    let mut hasher = Sha256::new();
+    for (name, entries) in run_carrying_entries() {
         for entry in entries {
             let json = serde_json::to_string(&witness_blind(entry)).expect("entry serializes");
             absorb(&mut hasher, name, json.as_bytes());
@@ -358,6 +388,28 @@ fn the_witness_blind_entries_match_the_pinned_digest() {
         Sha256::to_hex(&hasher.finalize()),
         WITNESS_BLIND_DIGEST,
         "a journaled entry changed outside its witness-derived fields"
+    );
+}
+
+#[test]
+fn the_entries_debug_text_matches_the_pinned_digest() {
+    let mut hasher = Sha256::new();
+    let mut count = 0;
+    for (name, entries) in run_carrying_entries() {
+        for entry in entries {
+            absorb(
+                &mut hasher,
+                name,
+                format!("{:?}", unsigned(entry)).as_bytes(),
+            );
+            count += 1;
+        }
+    }
+    assert_eq!(count, 241);
+    assert_eq!(
+        Sha256::to_hex(&hasher.finalize()),
+        DEBUG_DIGEST,
+        "a journaled entry changed outside its quote's nonce and MAC"
     );
 }
 

@@ -12,16 +12,23 @@
 //! zeroed, so it is blind to how the witness is encoded and sees
 //! everything else the kernel decides. A change to the witness encoding
 //! alone (for example the hash it runs over the steps) must leave this
-//! pin where it was and move only the outcomes pin; the test checks the
-//! witness-blind pin first, so such a change fails with the new outcomes
-//! digest in its message. A kernel optimisation must leave all three
-//! pins unchanged.
+//! pin where it was.
+//!
+//! A fourth digest covers the outcomes' `Debug` text, so it depends on
+//! no serialization format. A change to how outcomes are written as JSON
+//! (for example how a digest is spelled) moves the outcomes and
+//! witness-blind pins and must leave this one where it was. The test
+//! checks the `Debug` pin first, then the witness-blind pin, then the
+//! outcomes pin. A kernel optimisation must leave all four pins
+//! unchanged.
 //!
 //! If a digest changes on purpose (a deliberate model change), re-derive
 //! it from the failure message and say why in the commit. Re-derive only
-//! the pins the change is meant to move: the witness-blind pin moves
-//! only when the kernel's accounting, measurements or statistics change,
-//! and then the outcomes pin moves with it.
+//! the pins the change is meant to move: the `Debug` and witness-blind
+//! pins move only when the kernel's accounting, measurements or
+//! statistics change, and then the outcomes pin moves with them; a
+//! witness change moves the `Debug` and outcomes pins; a JSON format
+//! change moves the two JSON pins and never the `Debug` pin.
 
 use trustmeter::prelude::*;
 
@@ -29,12 +36,17 @@ use trustmeter::prelude::*;
 const SEED: u64 = 0x0060_1de4;
 
 /// SHA-256 over the JSON of all 128 outcomes, in matrix order.
-const OUTCOMES_DIGEST: &str = "2adfac7f00b702a79eb6ffd9e2c69262b97021aefc1db21dc78a4ab12a7aaf2a";
+const OUTCOMES_DIGEST: &str = "3bf2839318c3924d4f7b9f0fb93dc45ae9fb32ef58eb7ba4065af7ab062068be";
 
 /// The same 128 outcomes with `witness_digest` zeroed: everything the
 /// kernel decides apart from the witness encoding.
 const WITNESS_BLIND_DIGEST: &str =
-    "1e2388ac25ec5dcdfe3cea7a180b3ea77ee6c6db7a3ef556f4d87f26219cf658";
+    "36c43d79a20f9397709c3a5013d3202d11b92a952041243e8c73f63fcac38cd0";
+
+/// The same 128 outcomes as their `Debug` text: blind to every
+/// serialization format, so a change to how outcomes are written to JSON
+/// moves the outcomes pins and never this one.
+const DEBUG_DIGEST: &str = "5dd4de431c8e7bee0c37bcb34bd00a107cd5a04d4d0b2a9e72e045a0d1ed4647";
 
 /// SHA-256 over the figure, comparison, defenses and ablation JSON that
 /// `repro --scale 0.002` writes, in the order it writes them.
@@ -49,9 +61,18 @@ fn absorb(hasher: &mut Sha256, name: &str, body: &str) {
     }
 }
 
-/// Feeds one outcome into both running digests: as it is, and with its
-/// witness digest zeroed.
-fn absorb_outcome(full: &mut Sha256, blind: &mut Sha256, name: &str, outcome: &ScenarioOutcome) {
+/// The three running digests over the outcome matrix.
+struct OutcomeDigests {
+    full: Sha256,
+    blind: Sha256,
+    debug: Sha256,
+}
+
+/// Feeds one outcome into the three running digests: its JSON as it is,
+/// its JSON with the witness digest zeroed, and its `Debug` text.
+fn absorb_outcome(digests: &mut OutcomeDigests, name: &str, outcome: &ScenarioOutcome) {
+    let OutcomeDigests { full, blind, debug } = digests;
+    absorb(debug, name, &format!("{outcome:?}"));
     absorb(
         full,
         name,
@@ -70,8 +91,11 @@ fn absorb_outcome(full: &mut Sha256, blind: &mut Sha256, name: &str, outcome: &S
 
 #[test]
 fn scenario_outcomes_match_the_pinned_digest() {
-    let mut hasher = Sha256::new();
-    let mut blind = Sha256::new();
+    let mut digests = OutcomeDigests {
+        full: Sha256::new(),
+        blind: Sha256::new(),
+        debug: Sha256::new(),
+    };
     let mut runs = 0;
     for scheduler in [SchedulerKind::FairShare, SchedulerKind::Cfs] {
         let machine = KernelConfig::paper_machine()
@@ -81,16 +105,14 @@ fn scenario_outcomes_match_the_pinned_digest() {
             for workload in Workload::ALL {
                 let scenario = Scenario::new(workload, scale).with_config(machine.clone());
                 absorb_outcome(
-                    &mut hasher,
-                    &mut blind,
+                    &mut digests,
                     &format!("{scheduler}/{scale}/{workload}/clean"),
                     &scenario.run_clean(),
                 );
                 runs += 1;
                 for attack in AttackSpec::ALL {
                     absorb_outcome(
-                        &mut hasher,
-                        &mut blind,
+                        &mut digests,
                         &format!("{scheduler}/{scale}/{workload}/{}", attack.label()),
                         &scenario.run_attacked(attack.build(workload, scale).as_ref()),
                     );
@@ -100,14 +122,20 @@ fn scenario_outcomes_match_the_pinned_digest() {
         }
     }
     assert_eq!(runs, 128);
-    // The witness-blind pin first: a change to the witness encoding alone
-    // passes it and then fails only the full pin.
+    // The `Debug` pin first: a change to the JSON format alone passes it.
     assert_eq!(
-        Sha256::to_hex(&blind.finalize()),
+        Sha256::to_hex(&digests.debug.finalize()),
+        DEBUG_DIGEST,
+        "a ScenarioOutcome changed: its Debug text moved"
+    );
+    // The witness-blind pin next: a change to the witness encoding alone
+    // passes it.
+    assert_eq!(
+        Sha256::to_hex(&digests.blind.finalize()),
         WITNESS_BLIND_DIGEST,
         "a ScenarioOutcome changed outside its witness digest"
     );
-    let digest = Sha256::to_hex(&hasher.finalize());
+    let digest = Sha256::to_hex(&digests.full.finalize());
     assert_eq!(
         digest, OUTCOMES_DIGEST,
         "a ScenarioOutcome changed: the kernel no longer reproduces the pinned results"

@@ -592,9 +592,10 @@ fn all_paths_agree(text: &str) -> Result<(), TestCaseError> {
     paths_agree::<InclusionProof>(text)
 }
 
-/// The characters mutations draw from: JSON's structure and number
-/// syntax, where the two decoding paths could part ways.
-const MUTATION_CHARS: &str = "\"\\,:{}[]-+.eE0123456789";
+/// The characters mutations draw from: JSON's structure, number syntax
+/// and hex digits of both cases, where the two decoding paths could part
+/// ways (a digest is a hex string both paths read with one decoder).
+const MUTATION_CHARS: &str = "\"\\,:{}[]-+.eE0123456789abcdfABCDF";
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(proptest_cases()))]
