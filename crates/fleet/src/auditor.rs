@@ -32,7 +32,7 @@
 //! an inclusion proof, so "the audit flagged this run" is a claim a
 //! tenant can verify from sealed evidence rather than take on trust.
 
-use crate::executor::{JobId, ReferenceOutcome, RunRecord};
+use crate::executor::{check_quote, JobId, QuoteFault, ReferenceOutcome, RunRecord};
 use crate::tenant::TenantId;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -417,7 +417,7 @@ impl Auditor {
         // reference.
         let allow = self.trust_references
             && match (&self.attestation, &record.reference) {
-                (Some(key), Some(_)) => Auditor::check_quote(key, record).is_ok(),
+                (Some(key), Some(_)) => check_quote(key, record).is_ok(),
                 _ => true,
             };
         self.reference_allowing(record, allow)
@@ -497,7 +497,7 @@ impl Auditor {
         // reference is trusted; otherwise fall back to an inline replay.
         let quote_issue: Option<String> = match &self.attestation {
             Some(key) if self.trust_references && record.reference.is_some() => {
-                Auditor::check_quote(key, record).err()
+                Auditor::quote_issue(key, record)
             }
             _ => None,
         };
@@ -604,35 +604,18 @@ impl Auditor {
         }
     }
 
-    /// Whether `record`'s quote verifies under `key` and matches the
-    /// outcome the record reports. The nonce challenge is
-    /// [`crate::executor::quote_nonce`] — the job id bound to a
-    /// commitment over the precomputed reference — so editing the
+    /// Why `record`'s quote does not vouch for its outcome under `key`
+    /// ([`check_quote`]), as the reason label a `Verdict` line journals.
+    /// The nonce commits to the precomputed reference, so editing the
     /// embedded reference after the fact surfaces as a nonce mismatch.
-    fn check_quote(key: &AttestationKey, record: &RunRecord) -> Result<(), String> {
-        let Some(quote) = &record.quote else {
-            return Err("missing".to_string());
+    fn quote_issue(key: &AttestationKey, record: &RunRecord) -> Option<String> {
+        let label = match check_quote(key, record).err()? {
+            QuoteFault::Missing => "missing",
+            QuoteFault::Rejected(QuoteError::BadSignature) => "bad-signature",
+            QuoteFault::Rejected(QuoteError::NonceMismatch) => "nonce-mismatch",
+            QuoteFault::Disagrees(_) => "outcome-mismatch",
         };
-        let reference = record
-            .reference
-            .as_ref()
-            .expect("quote gate only runs with an embedded reference");
-        let nonce = crate::executor::quote_nonce(record.job.id, reference);
-        key.verify(quote, nonce).map_err(|e| {
-            match e {
-                QuoteError::BadSignature => "bad-signature",
-                QuoteError::NonceMismatch => "nonce-mismatch",
-            }
-            .to_string()
-        })?;
-        let outcome = &record.outcome;
-        if quote.measurement_pcr != outcome.measurement_pcr
-            || quote.witness_digest != outcome.witness_digest
-            || quote.usage != outcome.victim_billed
-        {
-            return Err("outcome-mismatch".to_string());
-        }
-        Ok(())
+        Some(label.to_string())
     }
 
     /// The accumulated summary for one tenant.

@@ -18,7 +18,7 @@ use trustmeter_attacks::{
     Attack, ExceptionFloodAttack, InterpositionAttack, InterruptFloodAttack,
     PreloadConstructorAttack, SchedulingAttack, ShellAttack, ThrashingAttack,
 };
-use trustmeter_core::{AttestationKey, CpuTime, Digest, Quote, Sha256};
+use trustmeter_core::{AttestationKey, CpuTime, Digest, Quote, QuoteError, Sha256};
 use trustmeter_experiments::{Scenario, ScenarioOutcome};
 use trustmeter_kernel::KernelConfig;
 use trustmeter_sim::SimRng;
@@ -238,6 +238,39 @@ impl ReferenceOutcome {
 /// mismatch.
 pub fn quote_nonce(job: JobId, reference: &ReferenceOutcome) -> u64 {
     job.0 ^ reference.commitment()
+}
+
+/// Why a record's quote does not vouch for the outcome it reports.
+pub(crate) enum QuoteFault {
+    /// No quote, or no reference to recompute its nonce from.
+    Missing,
+    /// The quote does not verify under the key and the recomputed nonce.
+    Rejected(QuoteError),
+    /// The quote verifies but signs other facts than the outcome's.
+    Disagrees(&'static str),
+}
+
+/// The one quote check, behind [`Fleet::verify_record`] and a
+/// quote-demanding [`crate::Auditor`]: the quote must verify under `key`
+/// with the nonce recomputed from the record in hand ([`quote_nonce`]),
+/// and its PCR, witness digest and usage must equal the outcome's.
+pub(crate) fn check_quote(key: &AttestationKey, record: &RunRecord) -> Result<(), QuoteFault> {
+    let (Some(quote), Some(reference)) = (&record.quote, &record.reference) else {
+        return Err(QuoteFault::Missing);
+    };
+    key.verify(quote, quote_nonce(record.job.id, reference))
+        .map_err(QuoteFault::Rejected)?;
+    let outcome = &record.outcome;
+    let disagreement = if quote.measurement_pcr != outcome.measurement_pcr {
+        "quoted measurement PCR disagrees with the outcome"
+    } else if quote.witness_digest != outcome.witness_digest {
+        "quoted witness digest disagrees with the outcome"
+    } else if quote.usage != outcome.victim_billed {
+        "quoted usage disagrees with the billed outcome"
+    } else {
+        return Ok(());
+    };
+    Err(QuoteFault::Disagrees(disagreement))
 }
 
 /// Everything one executed job produced.
@@ -505,37 +538,27 @@ impl Fleet {
     /// defense against an executor returning a corrupted record (see
     /// [`crate::faults::WorkerFaultKind::WrongResult`]).
     ///
-    /// The same machinery the auditor applies at post time, pulled
-    /// forward to the completion boundary: the quote must verify under
-    /// the fleet's attestation key with the nonce recomputed from the
-    /// record in hand ([`quote_nonce`]), and its attested PCR, witness
-    /// digest and usage must equal the outcome's. A record without a
-    /// quote (unsampled under the fleet's [`SamplingPolicy`]) passes
-    /// trivially — the sampling policy, not this check, decides which
-    /// runs carry attestations.
+    /// The same check the auditor applies at post time, pulled forward to
+    /// the completion boundary: the quote must verify under the fleet's
+    /// attestation key with the nonce recomputed from the record in hand
+    /// ([`quote_nonce`]), and its attested PCR, witness digest and usage
+    /// must equal the outcome's. Every job the fleet's [`SamplingPolicy`]
+    /// selects must carry a quote, as [`Fleet::run_one`] attaches one to
+    /// each; a record of an unselected job passes unless it carries a
+    /// quote that fails.
     ///
     /// # Errors
     /// A human-readable description of the first mismatch.
     pub fn verify_record(&self, record: &RunRecord) -> Result<(), String> {
-        let Some(quote) = &record.quote else {
+        let config = &self.config;
+        if record.quote.is_none() && !config.sampling.should_audit(config.seed, record.job.id) {
             return Ok(());
-        };
-        let Some(reference) = &record.reference else {
-            return Err("record carries a quote but no reference to recompute its nonce".into());
-        };
-        self.attestation
-            .verify(quote, quote_nonce(record.job.id, reference))
-            .map_err(|e| format!("quote verification failed: {e}"))?;
-        if quote.measurement_pcr != record.outcome.measurement_pcr {
-            return Err("quoted measurement PCR disagrees with the outcome".into());
         }
-        if quote.witness_digest != record.outcome.witness_digest {
-            return Err("quoted witness digest disagrees with the outcome".into());
-        }
-        if quote.usage != record.outcome.victim_billed {
-            return Err("quoted usage disagrees with the billed outcome".into());
-        }
-        Ok(())
+        check_quote(&self.attestation, record).map_err(|fault| match fault {
+            QuoteFault::Missing => "record lacks its quote or its reference".into(),
+            QuoteFault::Rejected(e) => format!("quote verification failed: {e}"),
+            QuoteFault::Disagrees(what) => what.into(),
+        })
     }
 
     /// Executes one job in the calling thread, precomputing the clean
@@ -635,11 +658,20 @@ mod tests {
         let err = fleet.verify_record(&respun).unwrap_err();
         assert!(err.contains("quote verification failed"), "{err}");
 
-        // Unsampled records (no quote) pass trivially.
-        let mut unsampled = honest;
-        unsampled.quote = None;
-        unsampled.reference = None;
-        assert_eq!(fleet.verify_record(&unsampled), Ok(()));
+        // A sampled record stripped of its quote is caught, with or
+        // without its reference…
+        let mut stripped = honest;
+        stripped.quote = None;
+        assert!(fleet.verify_record(&stripped).is_err());
+        stripped.reference = None;
+        assert!(fleet.verify_record(&stripped).is_err());
+
+        // …while a record of a job the sampling policy skips, which
+        // `run_one` leaves unquoted, passes.
+        let unsampled = Fleet::new(FleetConfig::new(1, 42).with_sampling(SamplingPolicy::Never));
+        let record = unsampled.run_one(&job);
+        assert!(record.quote.is_none());
+        assert_eq!(unsampled.verify_record(&record), Ok(()));
     }
 
     /// A record's `Run` line and what it decodes to, by the reader and by

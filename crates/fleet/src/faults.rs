@@ -521,22 +521,6 @@ pub enum WorkerFaultKind {
     /// reassigns its in-flight batch and restarts in place under the
     /// supervisor's restart budget — no panic escapes the pool.
     Panic,
-    /// The worker wedges for this many **virtual ticks** before
-    /// finishing. If a job deadline is configured
-    /// ([`crate::IngestConfig::with_job_deadline`]) and the hang
-    /// outlasts it, the worker stops spinning the tick the deadline
-    /// passes, reassigns the job and restarts like a panicked one.
-    Hang {
-        /// Virtual ticks the worker spins before completing.
-        ticks: u64,
-    },
-    /// The execution runs `factor`× its declared workload length (in
-    /// virtual ticks). A pathological slowdown may or may not trip the
-    /// job deadline — both outcomes release bit-identical results.
-    SlowDown {
-        /// Execution-time multiplier (≥ 1).
-        factor: u64,
-    },
     /// The worker returns a corrupted [`crate::RunRecord`] (inflated
     /// billed usage). The pool's completion-side quote check — the same
     /// attestation machinery the auditor uses — rejects it before it is
@@ -546,13 +530,11 @@ pub enum WorkerFaultKind {
 }
 
 impl WorkerFaultKind {
-    /// A stable lowercase label (`"panic"`, `"hang"`, …) for logs and
-    /// test assertions, mirroring [`FaultKind::label`].
+    /// A stable lowercase label (`"panic"`, `"wrong-result"`) for logs
+    /// and test assertions, mirroring [`FaultKind::label`].
     pub fn label(&self) -> &'static str {
         match self {
             WorkerFaultKind::Panic => "panic",
-            WorkerFaultKind::Hang { .. } => "hang",
-            WorkerFaultKind::SlowDown { .. } => "slowdown",
             WorkerFaultKind::WrongResult => "wrong-result",
         }
     }
@@ -577,7 +559,7 @@ pub struct PlannedWorkerFault {
 
 /// A deterministic, job-addressed worker fault plan, the compute-layer
 /// mirror of [`FaultSchedule`]: pure data, seeded, reproducible. Built
-/// fluently ([`WorkerFaultSchedule::none`] then `panic_on`/`hang_on`/…)
+/// fluently ([`WorkerFaultSchedule::none`] then `panic_on`/`poison_on`/…)
 /// or seeded randomly ([`WorkerFaultSchedule::random`], which never
 /// plans a poison job), and installed with
 /// [`crate::IngestConfig::with_worker_faults`].
@@ -622,18 +604,6 @@ impl WorkerFaultSchedule {
         self.with_worker_fault(job, WorkerFaultKind::Panic, 1)
     }
 
-    /// The worker executing `job` hangs for `ticks` virtual ticks
-    /// (first attempt only).
-    pub fn hang_on(self, job: JobId, ticks: u64) -> WorkerFaultSchedule {
-        self.with_worker_fault(job, WorkerFaultKind::Hang { ticks }, 1)
-    }
-
-    /// The worker executing `job` runs `factor`× slow (first attempt
-    /// only).
-    pub fn slow_on(self, job: JobId, factor: u64) -> WorkerFaultSchedule {
-        self.with_worker_fault(job, WorkerFaultKind::SlowDown { factor }, 1)
-    }
-
     /// The worker executing `job` returns a corrupted record (first
     /// attempt only).
     pub fn wrong_result_on(self, job: JobId) -> WorkerFaultSchedule {
@@ -650,8 +620,8 @@ impl WorkerFaultSchedule {
     }
 
     /// A seeded random schedule over job ids `0..jobs`: one to three
-    /// faulted jobs, each with one uniformly drawn fault kind firing on
-    /// the first attempt only — **never** a poison job, so recovery
+    /// faulted jobs, each a panic or a wrong result, drawn evenly, firing
+    /// on the first attempt only — **never** a poison job, so recovery
     /// always converges to the unfaulted result. Deterministic in
     /// `seed`.
     pub fn random(seed: u64, jobs: u64) -> WorkerFaultSchedule {
@@ -661,10 +631,8 @@ impl WorkerFaultSchedule {
         let faulted = 1 + rng.next_u64() % 3;
         for _ in 0..faulted {
             let job = JobId(rng.next_u64() % jobs);
-            schedule = match rng.next_u64() % 4 {
+            schedule = match rng.next_u64() % 2 {
                 0 => schedule.panic_on(job),
-                1 => schedule.hang_on(job, 1 + rng.next_u64() % 16),
-                2 => schedule.slow_on(job, 2 + rng.next_u64() % 3),
                 _ => schedule.wrong_result_on(job),
             };
         }
@@ -943,7 +911,7 @@ mod tests {
     #[test]
     fn worker_fault_lookup_is_attempt_scoped() {
         let schedule = WorkerFaultSchedule::none()
-            .hang_on(JobId(3), 7)
+            .panic_on(JobId(3))
             .poison_on(JobId(9))
             .wrong_result_on(JobId(1));
         // Sorted by job id, labels stable.
@@ -953,7 +921,7 @@ mod tests {
         // First attempt faults; the reassigned second attempt is clean…
         assert_eq!(
             schedule.fault_for(JobId(3), 1),
-            Some(WorkerFaultKind::Hang { ticks: 7 })
+            Some(WorkerFaultKind::Panic)
         );
         assert_eq!(schedule.fault_for(JobId(3), 2), None);
         assert_eq!(schedule.fault_for(JobId(2), 1), None);

@@ -19,9 +19,12 @@
 //! * **Policy** ([`BackpressurePolicy`]): a full queue either rejects the
 //!   submit with [`SubmitError::QueueFull`] (load shedding) or blocks the
 //!   submitting thread until a slot frees (lossless streaming).
-//! * **Fairness** is structural: the queue round-robins across tenant
-//!   lanes, so one greedy tenant cannot starve the rest (see
-//!   [`FleetStream::dispatch_log`]).
+//! * **Fairness** orders dispatch only: the queue round-robins across
+//!   tenant lanes, so a backlog in one lane does not hold back the others'
+//!   dispatch (see [`FleetStream::dispatch_log`]). Capacity is shared, so
+//!   under [`BackpressurePolicy::Reject`] a flooding tenant gets every
+//!   tenant's submits shed, and under [`BackpressurePolicy::Block`] every
+//!   submitter waits.
 //! * **Completion watermark**
 //!   ([`IngestConfig::with_completion_watermark`]) bounds the *other* end:
 //!   capacity bounds only the undispatched backlog, and completed records
@@ -71,24 +74,21 @@
 //! the pending accepted set are written so the new sink is recoverable
 //! on its own, and the stalled prefix drains.
 //!
-//! ## Surviving the workers: watchdog, reassignment, poison jobs
+//! ## Surviving the workers: reassignment, poison jobs
 //!
 //! The execution layer is not assumed immortal either. A seeded
 //! [`WorkerFaultSchedule`] ([`IngestConfig::with_worker_faults`]) injects
-//! panics, hangs, pathological slowdowns and corrupted records into the
-//! pool, and supervision proves the pipeline's outputs stay bit-identical
-//! to an unfaulted run. A fault belongs to the job, not to the thread:
+//! panics and corrupted records into the pool, and supervision proves the
+//! pipeline's outputs stay bit-identical to an unfaulted run. A fault
+//! belongs to the job, not to the thread:
 //!
-//! * **Detection is deterministic.** A deadline is the spinning worker's
-//!   own count: only injected faults spin, so a healthy run never counts
-//!   a tick. A hanging or slowed worker counts the ticks it spins on its
-//!   job, and the moment that count passes the job's budget
-//!   ([`IngestConfig::with_job_deadline`], grace plus the job's declared
-//!   workload length in ticks) it stops — in ticks, never wall clock,
-//!   and never because some *other* worker spun. Each worker runs
-//!   under `catch_unwind`, so no panic escapes the pool. Corrupted
-//!   records are rejected at completion by the same quote machinery the
-//!   auditor uses ([`Fleet::verify_record`]).
+//! * **Detection covers what a worker can trip.** Each worker runs under
+//!   `catch_unwind`, so no panic escapes the pool, and every completed
+//!   record passes the same quote check the auditor applies
+//!   ([`Fleet::verify_record`]) before it enters the completion log, so a
+//!   lying record is rejected. A job whose run never returns holds its
+//!   worker, and nothing detects it; what bounds a simulated run is the
+//!   kernel's horizon (flagged [`crate::Anomaly::HorizonHit`]).
 //! * **Recovery is bounded and in place.** The faulted worker itself
 //!   reclaims its in-flight batch and requeues it at the *same* sequence
 //!   numbers (release order, and therefore every downstream artifact, is
@@ -242,21 +242,10 @@ pub struct IngestConfig {
     /// ready prefix at release) runs under; exhaustion quarantines the
     /// pipeline instead of panicking. Irrelevant without a journal.
     pub retry: RetryPolicy,
-    /// Per-job execution deadline grace, in virtual ticks (`None` = no
-    /// watchdog). A job's budget is this grace plus its declared workload
-    /// length in ticks, counted in the ticks its own worker spins on it;
-    /// only injected faults spin, so healthy runs never trip a deadline
-    /// and detection is deterministic. See
-    /// [`IngestConfig::with_job_deadline`].
-    pub job_deadline: Option<u64>,
-    /// The supervisor's bounded recovery ladder for dead, hung and lying
+    /// The supervisor's bounded recovery ladder for panicked and lying
     /// workers (see [`SupervisorPolicy`]).
     pub supervisor: SupervisorPolicy,
     /// The seeded worker fault schedule to inject (empty = healthy pool).
-    /// A non-empty schedule also checks every completion with
-    /// [`Fleet::verify_record`] before it enters the completion log (the
-    /// wrong-result defense); the healthy hot path skips that quote
-    /// recomputation.
     pub worker_faults: WorkerFaultSchedule,
 }
 
@@ -278,7 +267,6 @@ impl IngestConfig {
             start_paused: false,
             completion_watermark: 0,
             retry: RetryPolicy::default(),
-            job_deadline: None,
             supervisor: SupervisorPolicy::default(),
             worker_faults: WorkerFaultSchedule::none(),
         }
@@ -331,20 +319,6 @@ impl IngestConfig {
         self
     }
 
-    /// Arms the per-worker watchdog with a per-job budget of
-    /// `grace_ticks` plus the job's declared workload length in virtual
-    /// ticks (one tick per simulated millisecond, at least one), counted
-    /// in the ticks the job's own worker spins on it. Detection is
-    /// deterministic: only injected faults spin, so a healthy run can
-    /// never expire a deadline, and a worker spinning beside a hang is
-    /// charged nothing for it. A worker whose running job overspends its
-    /// budget faults: its batch is reassigned and it restarts in place
-    /// under the [`SupervisorPolicy`].
-    pub fn with_job_deadline(mut self, grace_ticks: u64) -> IngestConfig {
-        self.job_deadline = Some(grace_ticks);
-        self
-    }
-
     /// Replaces the [`SupervisorPolicy`] (restart budget, degradation,
     /// poison threshold).
     pub fn with_supervisor(mut self, supervisor: SupervisorPolicy) -> IngestConfig {
@@ -352,8 +326,7 @@ impl IngestConfig {
         self
     }
 
-    /// Installs a [`WorkerFaultSchedule`] to inject into the pool, and
-    /// with it completion verification (see [`IngestConfig::worker_faults`]).
+    /// Installs a [`WorkerFaultSchedule`] to inject into the pool.
     pub fn with_worker_faults(mut self, faults: WorkerFaultSchedule) -> IngestConfig {
         self.worker_faults = faults;
         self
@@ -391,7 +364,7 @@ pub struct IngestStats {
     pub workers: usize,
     /// Faulted workers restarted in place under the restart budget.
     pub worker_restarts: u64,
-    /// Jobs reclaimed from dead/hung/lying workers and requeued for
+    /// Jobs reclaimed from panicked or lying workers and requeued for
     /// re-execution (same sequence number, attempt advanced).
     pub reassigned: u64,
     /// Jobs declared poison after killing
@@ -440,7 +413,7 @@ pub struct FleetHealth {
     /// its worker instead, so `reassigned` can climb while this stays
     /// flat.
     pub worker_restarts: u64,
-    /// Jobs reclaimed from dead/hung/lying workers and requeued.
+    /// Jobs reclaimed from panicked or lying workers and requeued.
     pub reassigned: u64,
     /// Jobs declared poison and individually quarantined.
     pub poisoned: u64,
@@ -585,11 +558,7 @@ struct Shared {
     /// The supervisor's recovery ladder (restart budget, degradation,
     /// poison threshold).
     supervisor: SupervisorPolicy,
-    /// Per-job deadline grace in virtual ticks (`None` = no watchdog).
-    deadline_grace: Option<u64>,
-    /// The installed worker fault schedule (empty = healthy pool; a
-    /// non-empty one also runs [`Fleet::verify_record`] on every
-    /// completion before it enters the completion log).
+    /// The installed worker fault schedule (empty = healthy pool).
     worker_faults: WorkerFaultSchedule,
     /// The executor every worker runs its jobs on.
     fleet: Fleet,
@@ -831,15 +800,6 @@ impl Shared {
     /// bites first.
     const MAX_PULL: usize = 8;
 
-    /// The virtual-tick execution budget for a job: its declared workload
-    /// length (user seconds at the job's scale) at one tick per simulated
-    /// millisecond, at least one tick. The job's worker may spin this plus
-    /// the configured grace before it faults.
-    fn cost_ticks(job: &JobSpec) -> u64 {
-        let user_secs = job.workload.spec(job.scale).user_secs;
-        (user_secs * 1000.0).ceil().max(1.0) as u64
-    }
-
     /// Worker loop: pop a fair batch, execute it outside the lock, log the
     /// completions under one lock hold. Batching amortizes the state lock
     /// and condvar traffic without changing anything observable downstream:
@@ -851,9 +811,9 @@ impl Shared {
     /// Every pop registers an [`Assignment`] under this worker's id, and
     /// the fault schedule is consulted per (job, attempt) before
     /// execution. Returns `Ok` on a normal exit (shutdown, teardown or a
-    /// shrink token) and the fault that stopped it otherwise: a missed
-    /// deadline, or a record [`Fleet::verify_record`] rejected. A panic
-    /// unwinds out of here instead; [`Shared::spawn_worker`] catches it.
+    /// shrink token) and the fault that stopped it otherwise: a record
+    /// [`Fleet::verify_record`] rejected. A panic unwinds out of here
+    /// instead; [`Shared::spawn_worker`] catches it.
     /// Either way the assignments this worker still holds are left for
     /// [`Shared::fault`] to reclaim.
     fn work(&self, id: u64) -> Result<(), &'static str> {
@@ -954,16 +914,6 @@ impl Shared {
                         "injected worker fault: panic executing job {} (attempt {})",
                         queued.job.id.0, queued.attempt
                     ),
-                    Some(WorkerFaultKind::Hang { ticks }) => {
-                        self.spin_ticks(&queued.job, ticks)?;
-                        self.fleet.run_one(&queued.job)
-                    }
-                    Some(WorkerFaultKind::SlowDown { factor }) => {
-                        let extra =
-                            Self::cost_ticks(&queued.job).saturating_mul(factor.saturating_sub(1));
-                        self.spin_ticks(&queued.job, extra)?;
-                        self.fleet.run_one(&queued.job)
-                    }
                     Some(WorkerFaultKind::WrongResult) => {
                         // A lying executor: bill more than was done. The
                         // completion-side quote check catches it — the
@@ -985,12 +935,12 @@ impl Shared {
 
     /// Logs one execution result into the completion log and starts the
     /// next batch item under the same lock hold. Returns `false`, logging
-    /// nothing, when a faulted pool's completion check rejects the record
-    /// (a lying executor). Only the worker holding `seq` calls this, and
-    /// nothing reclaims its assignments while it runs, so the record is
-    /// logged at most once.
+    /// nothing, when [`Fleet::verify_record`] rejects the record (a lying
+    /// executor). Only the worker holding `seq` calls this, and nothing
+    /// reclaims its assignments while it runs, so the record is logged at
+    /// most once.
     fn complete(&self, seq: u64, next_seq: Option<u64>, record: RunRecord) -> bool {
-        if !self.worker_faults.is_empty() && self.fleet.verify_record(&record).is_err() {
+        if self.fleet.verify_record(&record).is_err() {
             return false;
         }
         let mut state = self.lock();
@@ -1003,31 +953,6 @@ impl Shared {
         drop(state);
         self.job_done.notify_all();
         true
-    }
-
-    /// Spins `ticks` ticks on `job`, yielding the thread once per tick, so
-    /// a hung worker really holds its batch while the rest of the pool
-    /// runs. The deadline is this loop's own count: the worker faults the
-    /// tick the count passes `grace + cost_ticks(job)`. Detection is in
-    /// ticks, not wall clock; a healthy pipeline (no injected faults)
-    /// never spins, and one worker's spinning never expires another's
-    /// job. A teardown, checked every tick, cuts the spin short.
-    fn spin_ticks(&self, job: &JobSpec, ticks: u64) -> Result<(), &'static str> {
-        let budget = self
-            .deadline_grace
-            .map(|grace| grace.saturating_add(Self::cost_ticks(job)));
-        for spun in 1..=ticks {
-            let state = self.lock();
-            if state.shutting_down && state.discard_queued {
-                return Ok(());
-            }
-            drop(state);
-            if budget.is_some_and(|budget| spun > budget) {
-                return Err("job deadline expired (hung or pathologically slow worker)");
-            }
-            std::thread::yield_now();
-        }
-        Ok(())
     }
 
     /// Handles a fault of worker `id`, which has stopped running its
@@ -1123,8 +1048,8 @@ impl Shared {
 
     /// Spawns worker `id` (at startup and on scale-up). The thread runs
     /// [`Shared::work`] under `catch_unwind`, so a panicking job (injected
-    /// or real) never escapes the pool: a panic, a missed deadline and a
-    /// rejected record are all faults of the job, handled by
+    /// or real) never escapes the pool: a panic and a rejected record are
+    /// both faults of the job, handled by
     /// [`Shared::fault`] on this same thread, which then re-enters `work`
     /// or, with the restart budget spent, retires.
     fn spawn_worker(shared: &Arc<Shared>, id: u64) -> JoinHandle<()> {
@@ -1256,7 +1181,6 @@ impl<'a> FleetStream<'a> {
             retry: config.retry,
             pool: BufferPool::new(),
             supervisor: config.supervisor,
-            deadline_grace: config.job_deadline,
             worker_faults: config.worker_faults,
             fleet: service.fleet.clone(),
         });
@@ -2183,5 +2107,15 @@ mod tests {
         let health = stream.health();
         assert_eq!(health.journal_failures, 2);
         assert_eq!(health.stalled, 1, "the parked prefix survives");
+    }
+
+    #[test]
+    fn completion_rejects_a_lying_record_without_a_fault_schedule() {
+        let mut service = service(1, 9, None);
+        let stream = service.stream(IngestConfig::new(1).paused());
+        let mut record = stream.shared.fleet.run_one(&job(0, 1));
+        record.outcome.victim_billed.utime.0 += 1_000_000;
+        assert!(!stream.shared.complete(0, None, record));
+        assert_eq!(stream.stats().completed, 0, "nothing was logged");
     }
 }

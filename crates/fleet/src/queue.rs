@@ -3,14 +3,16 @@
 //! [`FairQueue`] is a pure data structure (no locks, no threads): one FIFO
 //! lane per tenant plus a round-robin rotation over the tenants that
 //! currently have queued work. [`FairQueue::pop`] serves the front tenant of
-//! the rotation and then moves it to the back, so a tenant submitting
-//! thousands of jobs cannot starve a tenant submitting one — the greedy
-//! tenant's backlog waits in its own lane while other lanes are served.
+//! the rotation and then moves it to the back, so a tenant's one queued
+//! job is dispatched ahead of another tenant's backlog of thousands.
 //!
-//! Capacity bounds the total number of *queued* (not yet dispatched) jobs
-//! across all lanes; the worker pool in [`crate::ingest`] turns a full queue
-//! into backpressure ([`crate::ingest::SubmitError::QueueFull`] or a
-//! blocking submit, by policy).
+//! That fairness orders dispatch only. Capacity bounds the total number
+//! of *queued* (not yet dispatched) jobs across all lanes, and the worker
+//! pool in [`crate::ingest`] turns a full queue into backpressure by
+//! policy: under [`crate::ingest::BackpressurePolicy::Reject`] a flooding
+//! tenant gets every tenant's submits shed
+//! ([`crate::ingest::SubmitError::QueueFull`]), and under
+//! [`crate::ingest::BackpressurePolicy::Block`] every submitter waits.
 //!
 //! ```
 //! use trustmeter_fleet::queue::FairQueue;
@@ -167,7 +169,7 @@ impl FairQueue {
         Ok(())
     }
 
-    /// Re-enqueues a job reclaimed from a dead, hung or expired worker.
+    /// Re-enqueues a job reclaimed from a panicked or lying worker.
     /// Unlike [`FairQueue::push_at`] this ignores capacity: the slot was
     /// already admitted when the job was first accepted, so bouncing a
     /// reclaimed job off a full queue would lose admitted work. The job

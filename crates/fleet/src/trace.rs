@@ -84,7 +84,7 @@ pub enum Stage {
     /// record (or the submitted spec) of the failed batch. Absent from
     /// healthy runs.
     JournalRetry,
-    /// A dispatched job reclaimed from a dead, hung or expired worker and
+    /// A dispatched job reclaimed from a panicked or lying worker and
     /// re-enqueued for re-execution (see
     /// [`crate::faults::WorkerFaultSchedule`]) — attributed to the
     /// reassigned job. Absent from healthy runs.

@@ -8,24 +8,22 @@
 //! A fault belongs to the job, not to the thread: the faulted worker
 //! reassigns its in-flight batch and restarts in place.
 //!
-//! 1. a worker **panics** mid-batch: it catches the unwind, its in-flight
-//!    batch is reassigned and re-executed, and the same thread restarts
-//!    under the restart budget — deterministically, because a job's seed
-//!    derives from (fleet seed, job id), not from which worker runs it;
-//! 2. a worker **hangs**: no wall clock is consulted — the virtual-tick
-//!    deadline check stops it the tick its per-job deadline passes, and
-//!    the job is reassigned the same way;
-//! 3. a worker **lies**, inflating the victim's bill: completion
+//! 1. workers **panic** mid-batch, twice: each catches the unwind, its
+//!    in-flight batch is reassigned and re-executed, and the same thread
+//!    restarts under the restart budget — deterministically, because a
+//!    job's seed derives from (fleet seed, job id), not from which worker
+//!    runs it;
+//! 2. a worker **lies**, inflating the victim's bill: completion
 //!    verification replays the attestation quote MAC over the claimed
 //!    usage, rejects the record, and the liar's job re-executes honestly;
-//! 4. the finished report, ledger and metering exposition are
+//! 3. the finished report, ledger and metering exposition are
 //!    **bit-identical** to a clean run — every job ran (and billed)
 //!    exactly once, per the journal;
-//! 5. a **poison job** that kills every worker that touches it is retired
+//! 4. a **poison job** that kills every worker that touches it is retired
 //!    after `max_job_attempts` with a journaled, chained `Poisoned`
 //!    verdict — the rest of the fleet keeps flowing and bills exactly as
 //!    if the poison had never been submitted;
-//! 6. a pool whose last worker retires with its restart budget spent
+//! 5. a pool whose last worker retires with its restart budget spent
 //!    **quarantines** (fail-fast submits, `workers_dead` in health) until
 //!    the operator revives it with `scale_workers`.
 //!
@@ -98,23 +96,21 @@ fn main() {
     let clean_report = clean.process(&jobs());
     let clean_metering = clean.metering().render();
 
-    // ---- 1-3. Panic, hang, lie — one schedule, one stream ---------------
+    // ---- 1-2. Panic twice, lie once — one schedule, one stream ---------
     let schedule = WorkerFaultSchedule::none()
         .panic_on(JobId(3))
-        .hang_on(JobId(7), 50_000)
+        .panic_on(JobId(7))
         .wrong_result_on(JobId(11));
     let journal = Journal::in_memory();
     let mut service = build_service(Some(journal.clone()));
-    let config = IngestConfig::new(2)
-        .with_job_deadline(4)
-        .with_worker_faults(schedule);
+    let config = IngestConfig::new(2).with_worker_faults(schedule);
     let mut stream = service.stream(config);
     for job in jobs() {
         stream.submit(job).expect("queue sized for the batch");
     }
 
-    // The three faults each stop one worker (the hang trips the virtual-
-    // tick deadline check), which reassigns its batch and restarts.
+    // The three faults each stop one worker, which reassigns its batch
+    // and restarts.
     let health = loop {
         let health = stream.health();
         if health.worker_restarts >= 3 {
@@ -130,7 +126,7 @@ fn main() {
     assert!(health.reassigned >= 3, "each fault reclaimed its batch");
     assert!(!health.workers_dead);
 
-    // ---- 4. Bit-identical finish ----------------------------------------
+    // ---- 3. Bit-identical finish ----------------------------------------
     let report = stream.finish();
     assert_eq!(report, clean_report, "chaos run == clean run, bit for bit");
     assert_eq!(service.metering().render(), clean_metering);
@@ -157,7 +153,7 @@ fn main() {
     assert_eq!(ran, (0..JOBS).map(JobId).collect::<Vec<_>>());
     println!("journal: every job has exactly one Run entry");
 
-    // ---- 5. A poison job is quarantined; the fleet keeps flowing --------
+    // ---- 4. A poison job is quarantined; the fleet keeps flowing --------
     let poison = JobId(5);
     let healthy: Vec<JobSpec> = jobs().into_iter().filter(|j| j.id != poison).collect();
     let mut baseline = build_service(None);
@@ -207,7 +203,7 @@ fn main() {
     assert!(service.metrics_text().contains("fleet_poison_jobs_total 1"));
     println!("replay: recovery consistent, poison retired, ledger matches baseline");
 
-    // ---- 6. Restart budget spent: dead pool, operator revival -----------
+    // ---- 5. Restart budget spent: dead pool, operator revival -----------
     let config = IngestConfig::new(1)
         .with_supervisor(SupervisorPolicy::default().with_max_restarts(0))
         .with_worker_faults(WorkerFaultSchedule::none().panic_on(JobId(0)));

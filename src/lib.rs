@@ -97,6 +97,11 @@ pub mod prelude {
     pub use trustmeter_workloads::{native, VictimProgram, VictimSpec, Workload};
 }
 
+// The README's Rust snippets, compiled and run as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
+
 #[cfg(test)]
 mod tests {
     #[test]

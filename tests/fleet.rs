@@ -1480,14 +1480,13 @@ fn recovery_byte_matches_metering_exposition_with_tracing_enabled() {
 #[test]
 fn exposition_lint_help_escaping_and_ordering() {
     // Every family a fully-loaded service registers — journaled, traced,
-    // and with a worker reaped by the watchdog — carries non-empty help,
-    // and lives in exactly one of its two registries.
+    // and with a lying worker restarted — carries non-empty help, and
+    // lives in exactly one of its two registries.
     let jobs = batch(12);
     let mut service =
         service77(2, Some(Journal::in_memory())).with_tracer(PipelineTracer::new(256, 77));
     let config = IngestConfig::new(2)
-        .with_job_deadline(2)
-        .with_worker_faults(WorkerFaultSchedule::none().hang_on(JobId(5), 100_000));
+        .with_worker_faults(WorkerFaultSchedule::none().wrong_result_on(JobId(5)));
     let stream = service.stream(config);
     stream.submit_all(&jobs).expect("queue sized for batch");
     let _ = stream.finish();

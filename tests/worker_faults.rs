@@ -2,11 +2,10 @@
 //!
 //! Every failure mode is driven through a seeded [`WorkerFaultSchedule`]
 //! so each scenario reproduces exactly: panics caught by the worker's own
-//! `catch_unwind`, hangs caught by the virtual-tick deadline check,
-//! slowdowns bounded the same way, and lying executors rejected by
-//! completion verification against their own attestation quotes. Each
-//! fault reclaims the worker's batch, and the worker restarts in place
-//! or, with the restart budget spent, retires. Recovery is
+//! `catch_unwind`, and lying executors rejected by completion
+//! verification against their own attestation quotes. Each fault reclaims
+//! the worker's batch, and the worker restarts in place or, with the
+//! restart budget spent, retires. Recovery is
 //! deterministic — a reassigned job re-executes bit-identically from the
 //! (fleet seed, job id) derivation — so the property tests can demand
 //! the strongest contract there is: report, ledger, metering exposition
@@ -126,7 +125,6 @@ fn stream_with_faults(
     let journal = Journal::in_memory();
     let mut service = service77(workers, Some(journal.clone()));
     let config = IngestConfig::new(workers)
-        .with_job_deadline(8)
         .with_supervisor(SupervisorPolicy::default().with_max_restarts(64))
         .with_worker_faults(faults);
     let stream = service.stream(config);
@@ -221,74 +219,6 @@ fn a_dropped_stream_keeps_its_ops_counters() {
     drop(stream);
     let restarts = service.metrics().get("fleet_worker_restarts_total", &[]);
     assert_eq!(restarts, Some(1.0));
-}
-
-// ---------------------------------------------------------------------------
-// Hang: the virtual-tick watchdog, not wall clock
-// ---------------------------------------------------------------------------
-
-#[test]
-fn hung_worker_trips_the_deadline_watchdog_deterministically() {
-    let jobs = batch(8);
-    let mut baseline = service77(4, None);
-    let baseline_report = baseline.process(&jobs);
-
-    let mut service = service77(2, None);
-    // The hang spins far past any deadline the job could earn: grace 2
-    // plus the job's own cost ticks. Detection is purely virtual-tick —
-    // the hanging worker reaps *itself* the tick its deadline passes.
-    let config = IngestConfig::new(2)
-        .with_job_deadline(2)
-        .with_worker_faults(WorkerFaultSchedule::none().hang_on(JobId(5), 100_000));
-    let stream = service.stream(config);
-    for job in &jobs {
-        stream.submit(job.clone()).expect("queue sized for batch");
-    }
-    let report = stream.finish();
-    assert_eq!(report, baseline_report);
-
-    let text = service.metrics_text();
-    assert!(
-        text.contains("fleet_worker_restarts_total 1"),
-        "dump:\n{text}"
-    );
-    assert!(
-        text.contains("fleet_jobs_reassigned_total"),
-        "dump:\n{text}"
-    );
-}
-
-#[test]
-fn a_hang_never_expires_the_job_of_a_worker_beside_it() {
-    // Deadlines are charged per job: only the ticks a worker spins on its
-    // own job count against it. Job 0 runs 2× slow, spinning its cost in
-    // ticks — within grace plus cost — while job 1 hangs on the other
-    // worker and spins far past its own budget. Only the hung worker is
-    // reaped, however the two interleave.
-    let jobs = [
-        JobSpec::clean(0, TenantId(1), Workload::LoopO, SCALE),
-        JobSpec::clean(1, TenantId(2), Workload::Whetstone, 0.05),
-    ];
-    let mut baseline = service77(2, None);
-    let baseline_report = baseline.process(&jobs);
-
-    let mut service = service77(2, None);
-    let config = IngestConfig::new(2)
-        .paused()
-        .with_job_deadline(2)
-        .with_worker_faults(
-            WorkerFaultSchedule::none()
-                .slow_on(JobId(0), 2)
-                .hang_on(JobId(1), 1_000_000),
-        );
-    let stream = service.stream(config);
-    stream.submit_all(&jobs).expect("queue sized for batch");
-    stream.resume();
-    let report = stream.finish();
-    assert_eq!(report, baseline_report);
-    let ops = service.metrics();
-    assert_eq!(ops.get("fleet_worker_restarts_total", &[]), Some(1.0));
-    assert_eq!(ops.get("fleet_jobs_reassigned_total", &[]), Some(1.0));
 }
 
 // ---------------------------------------------------------------------------
@@ -552,23 +482,23 @@ fn disk_full_service() -> FleetService {
 }
 
 /// Brings both causes of quarantine about at once. The disk fills on the
-/// first release, so jobs 0 and 1 are parked; then job 2 hangs past its
-/// deadline on the only worker with no restart budget, so the pool dies
-/// too.
+/// first release, so jobs 0 and 1 are parked; then job 2 panics the only
+/// worker, which has no restart budget, so the pool dies too.
 fn failed_journal_and_dead_pool(service: &mut FleetService) -> FleetStream<'_> {
+    quiet_injected_panics();
     let config = IngestConfig::new(1)
         .paused()
+        .with_completion_watermark(2)
         .with_retry_policy(RetryPolicy::none())
-        .with_job_deadline(200_000)
         .with_supervisor(SupervisorPolicy::default().with_max_restarts(0))
-        .with_worker_faults(WorkerFaultSchedule::none().hang_on(JobId(2), 1_000_000));
+        .with_worker_faults(WorkerFaultSchedule::none().panic_on(JobId(2)));
     let mut stream = service.stream(config);
     stream
         .submit_all(&batch(3))
         .expect("the Accepted lines precede the fault");
     stream.resume();
-    // Jobs 0 and 1 complete while job 2 spins; their release finds the
-    // disk full.
+    // The watermark holds job 2 back until jobs 0 and 1 leave the
+    // completion log; their release finds the disk full.
     while stream.stats().ready < 2 {
         std::thread::yield_now();
     }
@@ -641,20 +571,19 @@ fn a_failover_leaves_a_dead_pool_quarantined() {
 }
 
 #[test]
-fn spinning_never_refills_the_restart_budget() {
-    // The restart budget is a count per session, not per stretch of
-    // ticks. Both jobs hang on the only worker and each spins past its
-    // 2,000-tick deadline — thousands of ticks in all — yet only the
-    // first fault gets the one restart; the second retires the pool.
+fn a_spent_restart_budget_is_never_refilled() {
+    // The restart budget is a count per session that nothing refills.
+    // Both jobs panic the only worker: the first fault gets the one
+    // restart, and the second retires the pool.
+    quiet_injected_panics();
     let mut service = service77(1, None);
     let config = IngestConfig::new(1)
         .paused()
-        .with_job_deadline(2_000)
         .with_supervisor(SupervisorPolicy::default().with_max_restarts(1))
         .with_worker_faults(
             WorkerFaultSchedule::none()
-                .hang_on(JobId(0), 5_000)
-                .hang_on(JobId(1), 5_000),
+                .panic_on(JobId(0))
+                .panic_on(JobId(1)),
         );
     let stream = service.stream(config);
     stream.submit_all(&batch(2)).expect("queue sized for batch");
@@ -732,8 +661,8 @@ fn submit_all_exactly_at_capacity_is_fully_admitted() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(proptest_cases()))]
 
-    /// Whatever a poison-free schedule injects — panics, hangs, slow
-    /// workers, lying executors — at 1, 2 or 8 workers, the released
+    /// Whatever a poison-free schedule injects — panics, lying
+    /// executors — at 1, 2 or 8 workers, the released
     /// report, the ledger, the metering exposition and the raw journal
     /// bytes are bit-identical to the unfaulted run, every job executes
     /// (and bills) exactly once, and no panic escapes the pool.
