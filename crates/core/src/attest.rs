@@ -10,7 +10,9 @@
 //! usage report itself.
 //!
 //! The "signature" is an HMAC-SHA256 under a key shared with the verifier —
-//! a stand-in for a TPM quote; the substitution is documented in DESIGN.md.
+//! a stand-in for a TPM quote; the substitution is documented in the
+//! "Reference provenance" item of `docs/ARCHITECTURE.md`'s determinism
+//! contract.
 
 use crate::cputime::CpuTime;
 use crate::integrity::{Digest, Sha256};

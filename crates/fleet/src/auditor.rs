@@ -416,10 +416,10 @@ impl Auditor {
         // gets the inline replay, never the (possibly forged) embedded
         // reference.
         let allow = self.trust_references
-            && match (&self.attestation, &record.reference) {
-                (Some(key), Some(_)) => check_quote(key, record).is_ok(),
-                _ => true,
-            };
+            && self
+                .attestation
+                .as_ref()
+                .is_none_or(|key| check_quote(key, record).is_ok());
         self.reference_allowing(record, allow)
     }
 
@@ -492,13 +492,14 @@ impl Auditor {
             };
         }
 
-        // Attestation gate: when quotes are demanded, the record's quote
-        // must verify and match the reported outcome before the embedded
-        // reference is trusted; otherwise fall back to an inline replay.
+        // Attestation gate: when quotes are demanded, every sampled
+        // record's quote must verify and match the reported outcome — the
+        // rule `Fleet::verify_record` applies — before the embedded
+        // reference is trusted; otherwise fall back to an inline replay. A
+        // record stripped of its reference as well as its quote is flagged
+        // too.
         let quote_issue: Option<String> = match &self.attestation {
-            Some(key) if self.trust_references && record.reference.is_some() => {
-                Auditor::quote_issue(key, record)
-            }
+            Some(key) if self.trust_references => Auditor::quote_issue(key, record),
             _ => None,
         };
         let allow_precomputed = self.trust_references && quote_issue.is_none();
@@ -834,6 +835,23 @@ mod tests {
         // The reference was not trusted: the auditor replayed inline.
         assert_eq!(auditor.reference_hit_count(), 0);
         assert_eq!(auditor.replay_count(), 1);
+    }
+
+    #[test]
+    fn a_record_stripped_of_its_quote_and_reference_is_flagged() {
+        let fleet = fleet();
+        let job = JobSpec::clean(0, TenantId(1), Workload::LoopO, SCALE);
+        let mut record = fleet.run_one(&job);
+        record.quote = None;
+        record.reference = None;
+        assert!(fleet.verify_record(&record).is_err());
+        let mut auditor = Auditor::new(fleet.config().machine.clone()).demand_quotes(1234);
+        let verdict = auditor.observe(&record);
+        match verdict.anomalies.as_slice() {
+            [Anomaly::QuoteMismatch { reason }] => assert_eq!(reason, "missing"),
+            other => panic!("expected a quote mismatch, got {other:?}"),
+        }
+        assert_eq!(auditor.replay_count(), 1, "replayed inline");
     }
 
     #[test]

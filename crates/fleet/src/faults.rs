@@ -505,8 +505,11 @@ impl JournalSink for FaultInjectingSink {
         self.inner.chain_head()
     }
 
-    fn contents(&self) -> Result<String, JournalError> {
-        self.inner.contents()
+    fn contents(
+        &self,
+        visit: &mut dyn FnMut(&str) -> Result<(), JournalError>,
+    ) -> Result<(), JournalError> {
+        self.inner.contents(visit)
     }
 }
 

@@ -364,8 +364,10 @@ pub struct IngestStats {
     pub workers: usize,
     /// Faulted workers restarted in place under the restart budget.
     pub worker_restarts: u64,
-    /// Jobs reclaimed from panicked or lying workers and requeued for
-    /// re-execution (same sequence number, attempt advanced).
+    /// Running jobs reclaimed from panicked or lying workers and requeued
+    /// for re-execution (same sequence number, attempt advanced). The
+    /// unstarted batch-mates a fault requeues beside them never ran and
+    /// are not counted.
     pub reassigned: u64,
     /// Jobs declared poison after killing
     /// [`SupervisorPolicy::max_job_attempts`] workers in a row.
@@ -413,7 +415,9 @@ pub struct FleetHealth {
     /// its worker instead, so `reassigned` can climb while this stays
     /// flat.
     pub worker_restarts: u64,
-    /// Jobs reclaimed from panicked or lying workers and requeued.
+    /// Running jobs reclaimed from panicked or lying workers and requeued
+    /// with the attempt advanced: one per fault that did not poison its
+    /// job.
     pub reassigned: u64,
     /// Jobs declared poison and individually quarantined.
     pub poisoned: u64,
@@ -500,7 +504,8 @@ struct State {
     /// Faulted workers restarted in place this session: the restart
     /// budget's count, which nothing refills.
     worker_restarts: u64,
-    /// Jobs reclaimed from faulted workers and requeued, lifetime.
+    /// Running jobs reclaimed from faulted workers and requeued with the
+    /// attempt advanced, lifetime.
     jobs_reassigned: u64,
     /// Jobs declared poison, lifetime.
     poisoned_count: u64,
@@ -957,15 +962,16 @@ impl Shared {
 
     /// Handles a fault of worker `id`, which has stopped running its
     /// batch: reclaims every assignment it still holds — requeueing each
-    /// at the same sequence number with the attempt advanced for the job
-    /// it was running, or declaring that job poison once it has burned
-    /// [`SupervisorPolicy::max_job_attempts`] workers — then charges the
-    /// restart budget. Returns whether the worker restarts in place; with
-    /// the budget spent it retires instead, degrading the pool, and the
-    /// last worker to retire quarantines the fleet. A teardown retires
-    /// the worker without charging anything.
+    /// at the same sequence number, with the attempt advanced for the job
+    /// it was running (the one job it reassigns), or declaring that job
+    /// poison once it has burned [`SupervisorPolicy::max_job_attempts`]
+    /// workers — then charges the restart budget. Returns whether the
+    /// worker restarts in place; with the budget spent it retires
+    /// instead, degrading the pool, and the last worker to retire
+    /// quarantines the fleet. A teardown retires the worker without
+    /// charging anything.
     fn fault(&self, id: u64, reason: &str) -> bool {
-        let mut reassigned: Vec<(JobId, TenantId, Option<std::time::Instant>)> = Vec::new();
+        let mut reassigned: Option<(JobId, TenantId, Option<std::time::Instant>)> = None;
         let restart = {
             let mut state = self.lock();
             // Requeueing keeps the original sequence numbers, so release
@@ -982,17 +988,14 @@ impl Shared {
                 let Some(assignment) = state.assignments.remove(&seq) else {
                     continue;
                 };
-                state.jobs_reassigned += 1;
-                reassigned.push((
-                    assignment.job.id,
-                    assignment.job.tenant,
-                    assignment.dispatched_at,
-                ));
-                // Only the assignment actually *executing* consumed an
-                // attempt; batch-mates the worker never started requeue at
-                // their current attempt, so the fault schedule still
-                // addresses their first execution.
-                if assignment.started && assignment.attempt >= self.supervisor.max_job_attempts {
+                if !assignment.started {
+                    // Only the assignment actually *executing* consumed an
+                    // attempt; batch-mates the worker never started requeue
+                    // at their current attempt, so the fault schedule still
+                    // addresses their first execution. They never ran, so
+                    // they are not reassigned.
+                    state.queue.requeue(seq, assignment.job, assignment.attempt);
+                } else if assignment.attempt >= self.supervisor.max_job_attempts {
                     // Poison: this job has killed max_job_attempts workers
                     // in a row. Its verdict takes the record's place in the
                     // completion log and is journaled at release. The rest
@@ -1006,8 +1009,15 @@ impl Shared {
                         }),
                     );
                 } else {
-                    let attempt = assignment.attempt + u32::from(assignment.started);
-                    state.queue.requeue(seq, assignment.job, attempt);
+                    state.jobs_reassigned += 1;
+                    reassigned = Some((
+                        assignment.job.id,
+                        assignment.job.tenant,
+                        assignment.dispatched_at,
+                    ));
+                    state
+                        .queue
+                        .requeue(seq, assignment.job, assignment.attempt + 1);
                 }
             }
             // The restart ladder: a per-session count of restarts that
@@ -1032,13 +1042,11 @@ impl Shared {
             }
         };
         // Spans are recorded outside the state lock.
-        if let Some(tracer) = &self.tracer {
-            for (job, tenant, dispatched_at) in &reassigned {
-                // Reclaiming is nobody's per-tenant latency: aggregate
-                // cell only, one span per reassigned job.
-                let elapsed = dispatched_at.map(|at| at.elapsed()).unwrap_or_default();
-                tracer.record_aggregate(Stage::Reassign, *job, *tenant, elapsed);
-            }
+        if let (Some(tracer), Some((job, tenant, dispatched_at))) = (&self.tracer, reassigned) {
+            // Reclaiming is nobody's per-tenant latency: aggregate cell
+            // only, one span per reassigned job.
+            let elapsed = dispatched_at.map(|at| at.elapsed()).unwrap_or_default();
+            tracer.record_aggregate(Stage::Reassign, job, tenant, elapsed);
         }
         self.job_ready.notify_all();
         self.job_done.notify_all();

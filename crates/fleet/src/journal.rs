@@ -108,7 +108,6 @@
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{Read as _, Write as _};
-use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -601,7 +600,8 @@ pub trait JournalSink: Send {
     }
 
     /// Verifies the ledger this sink holds: the strict chain walk over
-    /// [`JournalSink::contents`] (as [`parse_journal`] makes it), then every
+    /// [`JournalSink::contents`] (the walk [`parse_journal`] makes over
+    /// the concatenated text, taken one piece at a time), then every
     /// sealed live segment against its block header (Merkle root, chain
     /// bounds, entry count, HMAC seal under `key`, job-id range), from the
     /// leaves and job ids the walk already computed. Default: the chain
@@ -609,9 +609,10 @@ pub trait JournalSink: Send {
     fn verify(&self, key: &SealKey) -> Result<LedgerVerification, JournalError> {
         let _ = key;
         let mut entries = 0u64;
-        let tail = walk_journal(&self.contents()?, |line| {
-            entries += u64::from(line.entry.is_some());
-        })?;
+        let tail = walk_journal(
+            |visit| self.contents(visit),
+            |line| entries += u64::from(line.entry.is_some()),
+        )?;
         Ok(LedgerVerification {
             entries,
             tail,
@@ -624,13 +625,20 @@ pub trait JournalSink: Send {
     /// [`JournalSink::contents`]; a sink that already tracks its head
     /// returns it without reading anything.
     fn chain_head(&self) -> Result<ChainDigest, JournalError> {
-        Ok(chain_head_of(&self.contents()?))
+        fold_chain(None, |visit| self.contents(visit), |_, _, _| {})
     }
 
-    /// The full journal text, including entries written before this sink
-    /// was opened (file sinks re-read the file; segmented sinks
-    /// concatenate their live segments oldest-first).
-    fn contents(&self) -> Result<String, JournalError>;
+    /// Reads the stored text back, entries written before this sink was
+    /// opened included, and hands it to `visit` one piece at a time,
+    /// oldest first: a segmented sink hands each live segment in turn
+    /// from one reused buffer, so a read holds one segment, never the
+    /// journal. The pieces concatenate to the journal text, and a line
+    /// one piece leaves unterminated runs on into the next. The read
+    /// stops at the first error, `visit`'s included, and returns it.
+    fn contents(
+        &self,
+        visit: &mut dyn FnMut(&str) -> Result<(), JournalError>,
+    ) -> Result<(), JournalError>;
 }
 
 /// An in-memory sink: the journal of record for tests and for services
@@ -658,8 +666,11 @@ impl JournalSink for MemorySink {
         Ok(())
     }
 
-    fn contents(&self) -> Result<String, JournalError> {
-        Ok(self.buffer.clone())
+    fn contents(
+        &self,
+        visit: &mut dyn FnMut(&str) -> Result<(), JournalError>,
+    ) -> Result<(), JournalError> {
+        visit(&self.buffer)
     }
 }
 
@@ -721,9 +732,10 @@ fn repair_torn_tail(file: &File) -> Result<(), JournalError> {
 /// * a commit is one write of whole lines, cut away again if it fails,
 ///   so a *process* crash can only tear the final, unterminated line of
 ///   the **last** segment, and a retried commit lands once — earlier
-///   segments are sealed and must parse cleanly ([`Self::contents`]
-///   concatenates the live segments, so a torn tail anywhere else
-///   surfaces as [`JournalError::Corrupt`]);
+///   segments are sealed and must parse cleanly (every read walks the
+///   live segments as one text, so a torn line anywhere else runs on
+///   into the next segment's first line and surfaces as
+///   [`JournalError::Corrupt`]);
 /// * a checkpoint always leads its segment ([`Self::begin_checkpoint`]
 ///   rotates first), and retirement deletes only segments *before* the
 ///   checkpoint's — after the checkpoint batch is fsynced — so the live
@@ -768,10 +780,6 @@ pub struct SegmentedFileSink {
     jobs: Option<JobRange>,
 }
 
-/// Each live segment's index and the byte range it occupies in the
-/// segments' concatenated text.
-type SegmentSpans = Vec<(u64, Range<usize>)>;
-
 impl SegmentedFileSink {
     const PREFIX: &'static str = "segment-";
     const SUFFIX: &'static str = ".jsonl";
@@ -795,6 +803,15 @@ impl SegmentedFileSink {
     /// earlier segment is never repaired: sealed segments cannot legally
     /// be torn, so that damage must surface as corruption, not be papered
     /// over.
+    ///
+    /// A sealing sink continues the chain. When the newest non-head
+    /// segment's [`BlockHeader`] parses, is [`BlockHeader::VERSION`],
+    /// names its own segment and its seal verifies under the sink's key,
+    /// it adopts that header's `chain_head` and reads only the unsealed
+    /// head segment, to rebuild the head's leaves, job range and leading
+    /// chain bound. Otherwise it folds every live segment, tolerantly.
+    /// Open never fails on tampered content; detection belongs to
+    /// [`JournalSink::verify`].
     pub fn open(
         dir: impl AsRef<Path>,
         config: SegmentConfig,
@@ -847,46 +864,65 @@ impl SegmentedFileSink {
         Ok(sink)
     }
 
-    /// Reads every live segment, oldest first, into one text, with the
-    /// byte range each segment occupies in it.
-    fn read_live(&self) -> Result<(String, SegmentSpans), JournalError> {
+    /// Reads the segments `indices`, in order, into one reused buffer and
+    /// hands each to `visit` (see [`JournalSink::contents`]).
+    fn read_segments(&self, indices: &[u64], visit: &mut Visit<'_>) -> Result<(), JournalError> {
         let mut text = String::new();
-        let mut spans = Vec::with_capacity(self.live.len());
-        for &index in &self.live {
-            let start = text.len();
+        for &index in indices {
+            text.clear();
             File::open(self.dir.join(Self::segment_name(index)))?.read_to_string(&mut text)?;
-            spans.push((index, start..text.len()));
+            visit(&text)?;
         }
-        Ok((text, spans))
+        Ok(())
+    }
+
+    /// The chain head the newest non-head segment's sealed header signs,
+    /// if that header parses, is [`BlockHeader::VERSION`], names its own
+    /// segment and carries a seal that verifies under this sink's key.
+    fn signed_head(&self) -> Option<ChainDigest> {
+        let key = self.seal_key.as_ref()?;
+        let index = *self.live.iter().rev().nth(1)?;
+        let header = self.read_header(index).ok()??;
+        if header.segment != index || !header.verify_seal(key) {
+            return None;
+        }
+        Sha256::from_hex(&header.chain_head)
     }
 
     /// Rebuilds the chain head, the current segment's leaf set, its
-    /// leading chain bound and its job-id range from the live segments —
-    /// reopening a sealed journal continues its chain, it never restarts
-    /// one. The live segments are read and hashed once, by the same
-    /// tolerant fold [`JournalSink::chain_head`]'s default makes, so the
-    /// head adopted here is the one that fold gives. Besides the anchor,
-    /// only the head's own lines are parsed (for the range), so reopening
-    /// with an empty head parses one line at most. A head line that does
-    /// not parse names no job: detection belongs to [`parse_journal`] and
+    /// leading chain bound and its job-id range — reopening a sealed
+    /// journal continues its chain, it never restarts one. When the
+    /// newest sealed header verifies ([`Self::signed_head`]), its
+    /// `chain_head` is where the head segment continues the chain, so
+    /// only the head segment is read and folded. Otherwise every live
+    /// segment is folded, by the tolerant fold [`JournalSink::chain_head`]'s
+    /// default makes. On an honest directory both give the same head.
+    /// Besides the fallback fold's anchor, only the head's own lines are
+    /// parsed (for the range). A head line that does not parse names no
+    /// job: detection belongs to [`parse_journal`] and
     /// [`JournalSink::verify`], not to open, so a tampered journal can
     /// still be opened and inspected.
     fn rescan_chain(&mut self) -> Result<(), JournalError> {
-        let (text, spans) = self.read_live()?;
-        let head_start = spans.last().map_or(0, |(_, span)| span.start);
+        let signed = self.signed_head();
+        let head = self.live.len() - 1;
+        let from = if signed.is_some() { head } else { 0 };
         let mut head_prev = None;
         let mut leaves = Vec::new();
         let mut jobs = None;
-        let chain = fold_chain(&text, |line, leaf, prev| {
-            if line.start >= head_start {
-                head_prev.get_or_insert(*prev);
-                leaves.push(*leaf);
-                let job = serde_json::from_str::<ChainedLine>(line.text)
-                    .ok()
-                    .and_then(|chained| chained.entry.job());
-                jobs = JobRange::widen(jobs, job);
-            }
-        });
+        let chain = fold_chain(
+            signed,
+            |visit| self.read_segments(&self.live[from..], visit),
+            |line, leaf, prev| {
+                if from + line.piece == head {
+                    head_prev.get_or_insert(*prev);
+                    leaves.push(*leaf);
+                    let job = serde_json::from_str::<ChainedLine>(line.text)
+                        .ok()
+                        .and_then(|chained| chained.entry.job());
+                    jobs = JobRange::widen(jobs, job);
+                }
+            },
+        )?;
         self.chain = chain;
         self.segment_chain_prev = head_prev.unwrap_or(chain);
         self.leaves = leaves;
@@ -1210,26 +1246,31 @@ impl JournalSink for SegmentedFileSink {
         let mut proofs = Vec::new();
         for (index, header) in holding {
             let text = std::fs::read_to_string(self.dir.join(Self::segment_name(index)))?;
-            let lines: Vec<&str> = journal_lines(&text).map(|line| line.text).collect();
-            let leaves: Vec<ChainDigest> = lines
-                .iter()
-                .map(|l| evidence::leaf_digest(l.as_bytes()))
-                .collect();
-            for (at, line) in lines.iter().enumerate() {
-                // Every entry that names a job writes its id as a JSON
-                // integer, so a line without the id as a whole decimal
-                // token cannot belong to the job: skip its parse.
-                if !names_token(line, &token) {
-                    continue;
+            // Every line is hashed for the Merkle path. Every entry that
+            // names a job writes its id as a JSON integer, so a line
+            // without the id as a whole decimal token cannot belong to the
+            // job: only the others are kept, to be parsed.
+            let mut leaves = Vec::new();
+            let mut named = Vec::new();
+            let mut take = |line: Line<'_>| {
+                if names_token(line.text, &token) {
+                    named.push((leaves.len(), line.text.to_string()));
                 }
+                leaves.push(evidence::leaf_digest(line.text.as_bytes()));
+                Ok(())
+            };
+            let mut lines = LineSplitter::default();
+            lines.feed(&text, &mut take)?;
+            lines.finish(&mut take)?;
+            for (at, line) in named {
                 let chained: ChainedLine =
-                    serde_json::from_str(line).map_err(|e| JournalError::SealViolation {
+                    serde_json::from_str(&line).map_err(|e| JournalError::SealViolation {
                         segment: index,
                         message: format!("sealed segment holds an unparseable line: {e}"),
                     })?;
                 if chained.entry.job() == Some(job) {
                     proofs.push(InclusionProof {
-                        line: (*line).to_string(),
+                        line,
                         index: at as u64,
                         path: evidence::merkle_path(&leaves, at),
                         header: header.clone(),
@@ -1241,46 +1282,77 @@ impl JournalSink for SegmentedFileSink {
     }
 
     fn verify(&self, key: &SealKey) -> Result<LedgerVerification, JournalError> {
-        let (text, spans) = self.read_live()?;
-        // What the seal check needs of each walked line; the entry itself
-        // is dropped once its job id is taken.
-        struct Evidence {
-            start: usize,
-            end: usize,
+        // What the seal check needs of the lines that start in one live
+        // segment; each entry is dropped once its job id is taken, and
+        // each segment's leaves once its Merkle root is.
+        struct Segment {
+            entries: u64,
+            /// The chain value before the segment's first line.
             prev: ChainDigest,
-            link: ChainDigest,
-            job: Option<JobId>,
+            /// The chain value after its last line.
+            head: ChainDigest,
+            root: ChainDigest,
+            jobs: Option<JobRange>,
+            /// A line that starts here runs on into a later segment.
+            overruns: bool,
+            /// Its last line is the torn tail the walk dropped.
             torn: bool,
         }
-        let mut lines = Vec::new();
-        let mut leaves = Vec::new();
-        let tail = walk_journal(&text, |line| {
-            leaves.push(line.leaf);
-            lines.push(Evidence {
-                start: line.start,
-                end: line.end,
-                prev: line.prev,
-                link: line.link,
-                job: line.entry.as_ref().and_then(JournalEntry::job),
-                torn: line.entry.is_none(),
+        /// Closes the segment being summed, taking the Merkle root of its
+        /// `leaves`, and opens the next one at the chain value `chain`.
+        fn open_next(
+            segments: &mut Vec<Segment>,
+            leaves: &mut Vec<ChainDigest>,
+            chain: ChainDigest,
+        ) {
+            if let Some(segment) = segments.last_mut() {
+                segment.root = evidence::merkle_root(leaves);
+            }
+            leaves.clear();
+            segments.push(Segment {
+                entries: 0,
+                prev: chain,
+                head: chain,
+                root: ChainDigest::default(),
+                jobs: None,
+                overruns: false,
+                torn: false,
             });
-        })?;
-        let mut verified = 0u64;
+        }
+        let mut segments: Vec<Segment> = Vec::with_capacity(self.live.len());
+        let mut leaves = Vec::new();
         let mut chain = evidence::genesis();
-        // The walked lines of the segment being checked: `first..next`.
-        let mut next = 0usize;
-        for (index, span) in spans {
-            let header = self.read_header(index)?;
-            let first = next;
-            while next < lines.len() && lines[next].start < span.end {
-                next += 1;
-            }
-            let run = &lines[first..next];
-            let segment_prev = run.first().map_or(chain, |line| line.prev);
-            if let Some(last) = run.last() {
-                chain = last.link;
-            }
-            let Some(header) = header else {
+        let mut entries = 0u64;
+        let tail = walk_journal(
+            |visit| self.contents(visit),
+            |line| {
+                while segments.len() <= line.piece {
+                    open_next(&mut segments, &mut leaves, chain);
+                }
+                let segment = segments.last_mut().expect("the line's segment is open");
+                if segment.entries == 0 {
+                    segment.prev = line.prev;
+                }
+                segment.entries += 1;
+                segment.head = line.link;
+                segment.overruns |= line.overruns;
+                segment.torn |= line.entry.is_none();
+                let job = line.entry.as_ref().and_then(JournalEntry::job);
+                segment.jobs = JobRange::widen(segment.jobs, job);
+                entries += u64::from(line.entry.is_some());
+                leaves.push(line.leaf);
+                chain = line.link;
+            },
+        )?;
+        while segments.len() < self.live.len() {
+            open_next(&mut segments, &mut leaves, chain);
+        }
+        if let Some(segment) = segments.last_mut() {
+            segment.root = evidence::merkle_root(&leaves);
+        }
+        let mut verified = 0u64;
+        for (&index, segment) in self.live.iter().zip(&segments) {
+            let Some(header) = self.read_header(index)? else {
                 // The unsealed head is vouched for by the chain walk only.
                 self.unsealed(index)?;
                 continue;
@@ -1293,7 +1365,7 @@ impl JournalSink for SegmentedFileSink {
             // last line is never torn.
             let unterminated =
                 || violation("sealed segment ends in an unterminated line".to_string());
-            if run.last().is_some_and(|line| line.end > span.end) {
+            if segment.overruns {
                 return Err(unterminated());
             }
             if header.segment != index {
@@ -1302,24 +1374,23 @@ impl JournalSink for SegmentedFileSink {
                     header.segment
                 )));
             }
-            if header.entries != run.len() as u64 {
+            if header.entries != segment.entries {
                 return Err(violation(format!(
                     "header seals {} entries, segment holds {}",
-                    header.entries,
-                    run.len()
+                    header.entries, segment.entries
                 )));
             }
-            if header.chain_prev != Sha256::to_hex(&segment_prev) {
+            if header.chain_prev != Sha256::to_hex(&segment.prev) {
                 return Err(violation(
                     "segment's leading chain bound disagrees with its sealed header".to_string(),
                 ));
             }
-            if header.chain_head != Sha256::to_hex(&chain) {
+            if header.chain_head != Sha256::to_hex(&segment.head) {
                 return Err(violation(
                     "segment's trailing chain bound disagrees with its sealed header".to_string(),
                 ));
             }
-            if header.merkle_root != Sha256::to_hex(&evidence::merkle_root(&leaves[first..next])) {
+            if header.merkle_root != Sha256::to_hex(&segment.root) {
                 return Err(violation(
                     "segment's merkle root disagrees with its sealed header".to_string(),
                 ));
@@ -1329,22 +1400,21 @@ impl JournalSink for SegmentedFileSink {
                     "block header seal does not verify under this fleet's key".to_string(),
                 ));
             }
-            if run.iter().any(|line| line.torn) {
+            if segment.torn {
                 return Err(unterminated());
             }
             // A validly signed but wrong range would hide the segment's
             // lines from `prove`.
-            let named = JobRange::of(run.iter().map(|line| line.job));
-            if named != header.jobs {
+            if segment.jobs != header.jobs {
                 return Err(violation(format!(
-                    "header seals job range {:?}, segment's lines name {named:?}",
-                    header.jobs
+                    "header seals job range {:?}, segment's lines name {:?}",
+                    header.jobs, segment.jobs
                 )));
             }
             verified += 1;
         }
         Ok(LedgerVerification {
-            entries: lines.iter().filter(|line| !line.torn).count() as u64,
+            entries,
             tail,
             seals_verified: verified,
         })
@@ -1352,19 +1422,22 @@ impl JournalSink for SegmentedFileSink {
 
     fn chain_head(&self) -> Result<ChainDigest, JournalError> {
         if self.seal_key.is_some() {
-            // `rescan_chain` folded the live segments at open, and every
-            // commit since advanced the head.
+            // `rescan_chain` rebuilt the head at open, and every commit
+            // since advanced it.
             return Ok(self.chain);
         }
-        Ok(chain_head_of(&self.contents()?))
+        fold_chain(None, |visit| self.contents(visit), |_, _, _| {})
     }
 
     fn sink_stats(&self) -> SinkStats {
         self.stats
     }
 
-    fn contents(&self) -> Result<String, JournalError> {
-        Ok(self.read_live()?.0)
+    fn contents(
+        &self,
+        visit: &mut dyn FnMut(&str) -> Result<(), JournalError>,
+    ) -> Result<(), JournalError> {
+        self.read_segments(&self.live, visit)
     }
 }
 
@@ -1410,45 +1483,107 @@ fn frame_entry(
     Ok(())
 }
 
+/// What a read hands the journal text to, one piece at a time (see
+/// [`JournalSink::contents`]).
+type Visit<'a> = dyn FnMut(&str) -> Result<(), JournalError> + 'a;
+
 /// One non-blank line of journal text.
 struct Line<'t> {
-    /// 1-based line number, blank lines counted.
+    /// 1-based line number in the concatenated text, blank lines counted.
     no: usize,
-    /// Byte offset of the line in the text.
-    start: usize,
+    /// The 0-based piece (a segment, for a segmented sink) the line
+    /// starts in.
+    piece: usize,
     /// The line's canonical bytes, without its newline.
     text: &'t str,
     /// Whether a newline ends it (only the last line can lack one).
     terminated: bool,
+    /// Whether its bytes run on past the end of the piece it starts in.
+    overruns: bool,
 }
 
-/// The non-blank lines of journal text, split the one way every walk
-/// splits them: on `\n` only, so a `\r` stays part of a line's canonical
-/// bytes.
-fn journal_lines(text: &str) -> impl Iterator<Item = Line<'_>> {
-    let mut offset = 0;
-    let mut no = 0;
-    std::iter::from_fn(move || {
-        while offset < text.len() {
-            let start = offset;
-            let rest = &text[start..];
-            let (line, terminated) = match rest.find('\n') {
-                Some(at) => (&rest[..at], true),
-                None => (rest, false),
+/// Splits journal text that is read one piece at a time into the lines
+/// of the pieces' concatenation, the one way every walk splits them: on
+/// `\n` only, so a `\r` stays part of a line's canonical bytes. A line a
+/// piece leaves unterminated is carried over and joined to the next
+/// piece's first line, so the lines, their numbers and their bytes are
+/// those of the concatenated text.
+#[derive(Default)]
+struct LineSplitter {
+    /// Lines ended so far, blank ones counted.
+    no: usize,
+    /// Pieces fed so far.
+    pieces: usize,
+    /// The line the pieces so far leave unterminated (empty if none).
+    carry: String,
+    /// The piece the carried line starts in.
+    carry_piece: usize,
+    /// Whether the carried line holds bytes of a later piece.
+    carry_overruns: bool,
+}
+
+impl LineSplitter {
+    /// Splits `piece`, handing `emit` every non-blank line it ends.
+    fn feed(
+        &mut self,
+        piece: &str,
+        emit: &mut impl FnMut(Line<'_>) -> Result<(), JournalError>,
+    ) -> Result<(), JournalError> {
+        let ordinal = self.pieces;
+        self.pieces += 1;
+        let mut parts = piece.split('\n');
+        let mut part = parts.next().unwrap_or_default();
+        for next in parts {
+            self.no += 1;
+            let (text, piece, overruns) = if self.carry.is_empty() {
+                (part, ordinal, false)
+            } else {
+                self.carry.push_str(part);
+                let overruns = self.carry_overruns || !part.is_empty();
+                (self.carry.as_str(), self.carry_piece, overruns)
             };
-            offset += line.len() + usize::from(terminated);
-            no += 1;
-            if !line.trim().is_empty() {
-                return Some(Line {
-                    no,
-                    start,
-                    text: line,
-                    terminated,
-                });
+            if !text.trim().is_empty() {
+                emit(Line {
+                    no: self.no,
+                    piece,
+                    text,
+                    terminated: true,
+                    overruns,
+                })?;
             }
+            self.carry.clear();
+            part = next;
         }
-        None
-    })
+        // What follows the piece's last newline runs on into the next.
+        if !part.is_empty() {
+            if self.carry.is_empty() {
+                self.carry_piece = ordinal;
+                self.carry_overruns = false;
+            } else {
+                self.carry_overruns = true;
+            }
+            self.carry.push_str(part);
+        }
+        Ok(())
+    }
+
+    /// Hands `emit` the line the last piece left unterminated, if any.
+    fn finish(
+        mut self,
+        emit: &mut impl FnMut(Line<'_>) -> Result<(), JournalError>,
+    ) -> Result<(), JournalError> {
+        if self.carry.trim().is_empty() {
+            return Ok(());
+        }
+        self.no += 1;
+        emit(Line {
+            no: self.no,
+            piece: self.carry_piece,
+            text: &self.carry,
+            terminated: false,
+            overruns: self.carry_overruns,
+        })
+    }
 }
 
 /// The `prev` link a line claims, if it is a well-formed chained line.
@@ -1457,21 +1592,23 @@ fn claimed_prev(line: &str) -> Option<ChainDigest> {
     Sha256::from_hex(&chained.prev)
 }
 
-/// Folds the chain over existing journal text *tolerantly*: the first
-/// line's claimed `prev` is adopted as the anchor (a retired journal
-/// legitimately starts mid-chain at its leading checkpoint) and later
-/// claims are not checked — detection belongs to [`parse_journal`], not
-/// to open, so a tampered journal can still be opened and inspected. An
-/// unterminated final line is ignored, exactly as reopen repairs it away.
-/// `visit` sees each folded line with its leaf and the chain value before
-/// it; the head is returned.
+/// Folds the chain *tolerantly* over the text `read` hands it, piece by
+/// piece. Without an `anchor`, the first line's claimed `prev` is adopted
+/// (a retired journal legitimately starts mid-chain at its leading
+/// checkpoint); with one, the fold continues from it. Later claims are
+/// not checked — detection belongs to [`parse_journal`], not to open, so
+/// a tampered journal can still be opened and inspected. An unterminated
+/// final line is ignored, exactly as reopen repairs it away. `visit` sees
+/// each folded line with its leaf and the chain value before it; the head
+/// is returned.
 fn fold_chain(
-    text: &str,
+    anchor: Option<ChainDigest>,
+    read: impl FnOnce(&mut Visit<'_>) -> Result<(), JournalError>,
     mut visit: impl FnMut(&Line<'_>, &ChainDigest, &ChainDigest),
-) -> ChainDigest {
-    let mut link = evidence::genesis();
-    let mut anchored = false;
-    for line in journal_lines(text).filter(|line| line.terminated) {
+) -> Result<ChainDigest, JournalError> {
+    let mut link = anchor.unwrap_or_else(evidence::genesis);
+    let mut anchored = anchor.is_some();
+    let mut fold = |line: Line<'_>| {
         if !std::mem::replace(&mut anchored, true) {
             if let Some(claimed) = claimed_prev(line.text) {
                 link = claimed;
@@ -1480,13 +1617,11 @@ fn fold_chain(
         let leaf = evidence::leaf_digest(line.text.as_bytes());
         visit(&line, &leaf, &link);
         link = evidence::link_leaf(&link, &leaf);
-    }
-    link
-}
-
-/// The chain head over existing journal text (see [`fold_chain`]).
-fn chain_head_of(text: &str) -> ChainDigest {
-    fold_chain(text, |_, _, _| {})
+        Ok(())
+    };
+    let mut lines = LineSplitter::default();
+    read(&mut |piece| lines.feed(piece, &mut fold))?;
+    Ok(link)
 }
 
 /// Serializes `entries` into the reused buffer, each chained onto the
@@ -1673,19 +1808,26 @@ impl Journal {
     /// parse; [`JournalError::ChainViolation`] if an entry is off the
     /// hash chain (see [`parse_journal`]).
     pub fn entries(&self) -> Result<(Vec<JournalEntry>, TailStatus), JournalError> {
-        let text = self.lock().sink.contents()?;
-        parse_journal(&text)
+        let inner = self.lock();
+        read_entries(|visit| inner.sink.contents(visit))
     }
 
     /// The journal's canonical chained bytes, exactly as the sink holds
     /// them — the text [`parse_journal`] walks and the evidence chain is
     /// computed over. External verifiers (and tamper tests) operate on
-    /// this representation.
+    /// this representation. The one read that holds the whole journal in
+    /// memory: [`Journal::entries`] and [`Journal::verify`] walk the
+    /// sink's pieces instead.
     ///
     /// # Errors
     /// [`JournalError::Io`] if the sink cannot be read.
     pub fn text(&self) -> Result<String, JournalError> {
-        self.lock().sink.contents()
+        let mut text = String::new();
+        self.lock().sink.contents(&mut |piece| {
+            text.push_str(piece);
+            Ok(())
+        })?;
+        Ok(text)
     }
 
     /// Seals the in-progress segment (if it holds any entries) by
@@ -1782,17 +1924,25 @@ pub struct LedgerVerification {
 /// [`JournalError::ChainViolation`] naming the **first** entry the chain
 /// no longer vouches for.
 pub fn parse_journal(text: &str) -> Result<(Vec<JournalEntry>, TailStatus), JournalError> {
+    read_entries(|visit| visit(text))
+}
+
+/// The entries and tail of the strict chain walk over the text `read`
+/// hands it.
+fn read_entries(
+    read: impl FnOnce(&mut Visit<'_>) -> Result<(), JournalError>,
+) -> Result<(Vec<JournalEntry>, TailStatus), JournalError> {
     let mut entries = Vec::new();
-    let tail = walk_journal(text, |line| entries.extend(line.entry))?;
+    let tail = walk_journal(read, |line| entries.extend(line.entry))?;
     Ok((entries, tail))
 }
 
 /// One line the strict chain walk passed.
 struct Walked {
-    /// Byte offset of the line in the text.
-    start: usize,
-    /// Byte offset just past the line (its newline excluded).
-    end: usize,
+    /// The 0-based piece the line starts in ([`Line::piece`]).
+    piece: usize,
+    /// Whether the line runs on past that piece ([`Line::overruns`]).
+    overruns: bool,
     /// The line's leaf digest.
     leaf: ChainDigest,
     /// The chain value before the line.
@@ -1803,16 +1953,23 @@ struct Walked {
     entry: Option<JournalEntry>,
 }
 
-/// The strict chain walk of [`parse_journal`] and [`JournalSink::verify`]:
+/// The strict chain walk of [`parse_journal`], [`Journal::entries`] and
+/// [`JournalSink::verify`] over the text `read` hands it, piece by piece:
 /// reads, hashes and parses every line once, checks it against the chain
 /// and hands it to `visit`, torn tail included (with `entry: None`, its
-/// leaf folded onto the chain but vouched for by nothing).
-fn walk_journal(text: &str, mut visit: impl FnMut(Walked)) -> Result<TailStatus, JournalError> {
+/// leaf folded onto the chain but vouched for by nothing). Lines, their
+/// numbers and every error are those of the walk over the pieces'
+/// concatenation.
+fn walk_journal(
+    read: impl FnOnce(&mut Visit<'_>) -> Result<(), JournalError>,
+    mut visit: impl FnMut(Walked),
+) -> Result<TailStatus, JournalError> {
     let mut link = evidence::genesis();
     let mut anchored = false;
-    for line in journal_lines(text) {
+    let mut tail = TailStatus::Clean;
+    let mut step = |line: Line<'_>| {
         let leaf = evidence::leaf_digest(line.text.as_bytes());
-        let (start, end) = (line.start, line.start + line.text.len());
+        let (piece, overruns) = (line.piece, line.overruns);
         if !line.terminated {
             // Only an *unterminated* final line is a crash artifact: the
             // writer appends line + newline in one write, so a torn write
@@ -1820,16 +1977,17 @@ fn walk_journal(text: &str, mut visit: impl FnMut(Walked)) -> Result<TailStatus,
             // a prefix of a longer record whether or not it parses. Drop
             // it.
             visit(Walked {
-                start,
-                end,
+                piece,
+                overruns,
                 leaf,
                 prev: link,
                 link: evidence::link_leaf(&link, &leaf),
                 entry: None,
             });
-            return Ok(TailStatus::Truncated {
+            tail = TailStatus::Truncated {
                 dropped_bytes: line.text.len(),
-            });
+            };
+            return Ok(());
         }
         // A newline-terminated line that fails to parse was fully written
         // and later damaged — corruption, wherever it sits.
@@ -1870,15 +2028,19 @@ fn walk_journal(text: &str, mut visit: impl FnMut(Walked)) -> Result<TailStatus,
         let prev = link;
         link = evidence::link_leaf(&link, &leaf);
         visit(Walked {
-            start,
-            end,
+            piece,
+            overruns,
             leaf,
             prev,
             link,
             entry: Some(chained.entry),
         });
-    }
-    Ok(TailStatus::Clean)
+        Ok(())
+    };
+    let mut lines = LineSplitter::default();
+    read(&mut |piece| lines.feed(piece, &mut step))?;
+    lines.finish(&mut step)?;
+    Ok(tail)
 }
 
 /// The suffix of `entries` a recovery should replay: from the **last**
@@ -2017,7 +2179,7 @@ mod tests {
         journal
             .append_batch(&[JournalEntry::run(record())])
             .unwrap();
-        let text = journal.lock().sink.contents().unwrap();
+        let text = journal.text().unwrap();
         // A crash mid-append leaves a partial final line.
         let torn = format!("{text}{}", &text[..text.len() / 2]);
         let (entries, tail) = parse_journal(&torn).unwrap();
@@ -2034,7 +2196,7 @@ mod tests {
         journal
             .append_batch(&[JournalEntry::run(record())])
             .unwrap();
-        let text = journal.lock().sink.contents().unwrap();
+        let text = journal.text().unwrap();
         // Strip the final newline: the last line parses but is torn.
         let torn = &text[..text.len() - 1];
         let (entries, tail) = parse_journal(torn).unwrap();
@@ -2051,7 +2213,7 @@ mod tests {
         journal
             .append_batch(&[JournalEntry::run(record())])
             .unwrap();
-        let text = journal.lock().sink.contents().unwrap();
+        let text = journal.text().unwrap();
         let damaged = format!("{text}{{\"Run\":garbage}}\n");
         match parse_journal(&damaged) {
             Err(JournalError::Corrupt { line: 2, .. }) => {}
@@ -2065,7 +2227,7 @@ mod tests {
         journal
             .append_batch(&[JournalEntry::run(record())])
             .unwrap();
-        let text = journal.lock().sink.contents().unwrap();
+        let text = journal.text().unwrap();
         let corrupted = format!("not json\n{text}");
         match parse_journal(&corrupted) {
             Err(JournalError::Corrupt { line: 1, .. }) => {}
@@ -2079,7 +2241,7 @@ mod tests {
         journal
             .append_batch(&[JournalEntry::run(record())])
             .unwrap();
-        let text = journal.lock().sink.contents().unwrap();
+        let text = journal.text().unwrap();
         let padded = format!("\n{text}\n\n");
         let (entries, tail) = parse_journal(&padded).unwrap();
         assert_eq!(entries.len(), 1);
@@ -2488,6 +2650,12 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The tolerant fold's chain head over journal text (see
+    /// [`fold_chain`]).
+    fn chain_head_of(text: &str) -> ChainDigest {
+        fold_chain(None, |visit| visit(text), |_, _, _| {}).unwrap()
+    }
+
     /// Reopens `dir` and checks that the chain head the journal adopts
     /// is the one the fold over its text gives.
     fn reopened_head(dir: &Path, config: SegmentConfig) -> ChainDigest {
@@ -2547,18 +2715,138 @@ mod tests {
         JournalEntry::accepted(JobSpec::clean(id, TenantId(1), Workload::LoopO, 0.001))
     }
 
+    /// A few lines per segment, sealed under seed 42.
+    fn tiny_sealed() -> SegmentConfig {
+        SegmentConfig::default()
+            .with_segment_bytes(512)
+            .with_seal(42)
+    }
+
     /// A sealed journal of `jobs` Accepted lines, a few per segment, with
     /// every segment sealed.
     fn sealed_accepted(dir: &Path, jobs: u64) -> Journal {
-        let config = SegmentConfig::default()
-            .with_segment_bytes(512)
-            .with_seal(42);
-        let journal = Journal::segmented(dir, config).unwrap();
+        let journal = Journal::segmented(dir, tiny_sealed()).unwrap();
         for id in 0..jobs {
             journal.append_batch(&[accepted(id)]).unwrap();
         }
         journal.seal().unwrap();
         journal
+    }
+
+    #[test]
+    fn reopen_continues_from_the_signed_head_past_a_damaged_sealed_segment() {
+        let dir = scratch_dir("reopen-signed-head");
+        let journal = sealed_accepted(&dir, 12);
+        let header = journal.sealed_headers().unwrap().pop().unwrap();
+        let newest = header.segment;
+        assert!(newest > 2, "several sealed segments");
+        let signed = Sha256::from_hex(&header.chain_head).unwrap();
+        assert_eq!(journal.lock().link, signed);
+        drop(journal);
+
+        // Overwrite one byte of segment 2's first line: a hex digit of its
+        // `prev` link.
+        let path = dir.join(SegmentedFileSink::segment_name(2));
+        let honest = std::fs::read(&path).unwrap();
+        let mut damaged = honest.clone();
+        let at = br#"{"prev":""#.len();
+        damaged[at] = if damaged[at] == b'0' { b'1' } else { b'0' };
+        std::fs::write(&path, &damaged).unwrap();
+
+        // Reopen adopts the signed head without reading the damaged
+        // segment; the fold over the damaged text would give another.
+        let journal = Journal::segmented(&dir, tiny_sealed()).unwrap();
+        let text = journal.text().unwrap();
+        assert_eq!(journal.lock().link, signed);
+        assert_ne!(chain_head_of(&text), signed);
+        // Detection stays with the walk, at the damaged line.
+        let first = std::fs::read_to_string(dir.join(SegmentedFileSink::segment_name(1))).unwrap();
+        let line = first.lines().count() + 1;
+        let expected = parse_journal(&text).unwrap_err();
+        match &expected {
+            JournalError::ChainViolation { line: at, message } => {
+                assert_eq!(*at, line);
+                assert!(message.contains("claims prev"), "{message}");
+            }
+            other => panic!("expected a chain violation at line {line}, got {other:?}"),
+        }
+        assert_eq!(journal.entries().unwrap_err(), expected);
+        assert_eq!(journal.verify(42).unwrap_err(), expected);
+
+        // The next entry chains onto the signed head, so once the byte is
+        // restored the whole directory verifies.
+        journal.append_batch(&[accepted(12)]).unwrap();
+        std::fs::write(&path, &honest).unwrap();
+        let verification = journal.verify(42).unwrap();
+        assert_eq!(verification.entries, 13);
+        assert_eq!(verification.seals_verified, newest);
+        journal.seal().unwrap();
+        assert_eq!(journal.verify(42).unwrap().seals_verified, newest + 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn reopen_folds_every_segment_when_the_newest_seal_does_not_verify() {
+        for case in ["forged", "missing", "v3"] {
+            let dir = scratch_dir(&format!("reopen-fallback-{case}"));
+            let journal = sealed_accepted(&dir, 12);
+            journal.append_batch(&[accepted(12)]).unwrap();
+            let live = journal.lock().link;
+            let header = journal.sealed_headers().unwrap().pop().unwrap();
+            let segment = header.segment;
+            drop(journal);
+            let sidecar = dir.join(SegmentedFileSink::seal_name(segment));
+            let write = |header: &BlockHeader| {
+                std::fs::write(&sidecar, serde_json::to_string(header).unwrap()).unwrap();
+            };
+            let expected = match case {
+                "forged" => {
+                    // Another head, signed under a key that is not the
+                    // fleet's.
+                    let mut forged = header.clone();
+                    forged.chain_head = Sha256::to_hex(&evidence::genesis());
+                    forged.sign(&SealKey::from_seed(43));
+                    write(&forged);
+                    JournalError::SealViolation {
+                        segment,
+                        message: "segment's trailing chain bound disagrees with its sealed header"
+                            .to_string(),
+                    }
+                }
+                "missing" => {
+                    std::fs::remove_file(&sidecar).unwrap();
+                    JournalError::SealViolation {
+                        segment,
+                        message: "non-head segment has no sealed block header".to_string(),
+                    }
+                }
+                _ => {
+                    let mut v3 = BlockHeader {
+                        version: 3,
+                        ..header.clone()
+                    };
+                    v3.sign(&SealKey::from_seed(42));
+                    write(&v3);
+                    JournalError::UnsupportedHeader {
+                        segment,
+                        version: 3,
+                    }
+                }
+            };
+            // Open falls back to the fold over every segment, which gives
+            // the honest head, and never fails on the tampered header.
+            let journal = Journal::segmented(&dir, tiny_sealed()).unwrap();
+            assert_eq!(journal.lock().link, live, "{case}");
+            let error = journal.verify(42).unwrap_err();
+            assert_eq!(error, expected, "{case}");
+            if case == "v3" {
+                assert!(error.to_string().contains("version 3"), "{error}");
+            }
+            journal.append_batch(&[accepted(13)]).unwrap();
+            let (entries, tail) = journal.entries().unwrap();
+            assert_eq!((entries.len(), tail), (14, TailStatus::Clean), "{case}");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

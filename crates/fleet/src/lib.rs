@@ -187,7 +187,7 @@ const OPS: [(&str, &str, Feed); 22] = [
     ),
     (
         "fleet_jobs_reassigned_total",
-        "Jobs reclaimed from panicked or lying workers and requeued for re-execution",
+        "Running jobs reclaimed from panicked or lying workers and requeued for re-execution",
         Feed::Ingest(|s| s.reassigned as f64),
     ),
     (

@@ -6,10 +6,11 @@
 //! supervision story:
 //!
 //! A fault belongs to the job, not to the thread: the faulted worker
-//! reassigns its in-flight batch and restarts in place.
+//! reassigns the job it was running, requeues the rest of its in-flight
+//! batch and restarts in place.
 //!
 //! 1. workers **panic** mid-batch, twice: each catches the unwind, its
-//!    in-flight batch is reassigned and re-executed, and the same thread
+//!    running job is reassigned and re-executed, and the same thread
 //!    restarts under the restart budget — deterministically, because a
 //!    job's seed derives from (fleet seed, job id), not from which worker
 //!    runs it;
@@ -109,8 +110,8 @@ fn main() {
         stream.submit(job).expect("queue sized for the batch");
     }
 
-    // The three faults each stop one worker, which reassigns its batch
-    // and restarts.
+    // The three faults each stop one worker, which reassigns the job it
+    // was running, requeues its unstarted batch-mates and restarts.
     let health = loop {
         let health = stream.health();
         if health.worker_restarts >= 3 {
@@ -123,7 +124,10 @@ fn main() {
         "supervisor: {} faulted workers restarted in place, {} jobs reassigned, {} live",
         health.worker_restarts, health.reassigned, health.workers_live
     );
-    assert!(health.reassigned >= 3, "each fault reclaimed its batch");
+    assert_eq!(
+        health.reassigned, 3,
+        "each fault reassigned its running job"
+    );
     assert!(!health.workers_dead);
 
     // ---- 3. Bit-identical finish ----------------------------------------

@@ -632,3 +632,134 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// A journal read one segment at a time walks as its concatenated text does
+// ---------------------------------------------------------------------------
+
+/// The live segment files of a segment directory, oldest first.
+fn segment_files(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
+    let mut files: Vec<std::path::PathBuf> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "jsonl"))
+        .collect();
+    files.sort();
+    files
+}
+
+/// Damages one segment file of `dir`, as `kind` says: 0 flips a byte (to
+/// another ASCII byte), 1 strips the file's final newline, 2 cuts the
+/// head segment mid-line, 3 deletes, 4 duplicates and 5 swaps lines, 6
+/// inserts a blank line and 7 a `\r`. `file` and `at` pick where.
+fn damage_segment(dir: &std::path::Path, kind: u8, file: usize, at: usize) {
+    let files = segment_files(dir);
+    let path = if kind == 2 {
+        files.last().unwrap()
+    } else {
+        &files[file % files.len()]
+    };
+    let mut bytes = std::fs::read(path).unwrap();
+    let mut lines: Vec<Vec<u8>> = bytes
+        .split_inclusive(|byte| *byte == b'\n')
+        .map(<[u8]>::to_vec)
+        .collect();
+    let n = lines.len();
+    match kind {
+        0 if !bytes.is_empty() => {
+            let i = at % bytes.len();
+            bytes[i] ^= (at as u8 % 0x7F) + 1;
+        }
+        1 if bytes.last() == Some(&b'\n') => {
+            bytes.pop();
+        }
+        2 if !bytes.is_empty() => bytes.truncate(at % bytes.len()),
+        3 if n > 0 => {
+            lines.remove(at % n);
+            bytes = lines.concat();
+        }
+        4 if n > 0 => {
+            let line = lines[at % n].clone();
+            lines.insert(at % n, line);
+            bytes = lines.concat();
+        }
+        5 if n > 1 => {
+            lines.swap(at % (n - 1), at % (n - 1) + 1);
+            bytes = lines.concat();
+        }
+        6 => {
+            lines.insert(at % (n + 1), b"\n".to_vec());
+            bytes = lines.concat();
+        }
+        7 => bytes.insert(at % (bytes.len() + 1), b'\r'),
+        _ => {}
+    }
+    std::fs::write(path, bytes).unwrap();
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(proptest_cases()))]
+
+    /// A segmented journal, sealed or not, read back one segment at a
+    /// time by `Journal::entries` and `Journal::verify`, walks exactly as
+    /// `parse_journal` walks its concatenated text, whatever damage its
+    /// files took before or after the reopen: the same entries and tail,
+    /// or the same error, line and message.
+    #[test]
+    fn the_segment_by_segment_walk_equals_the_concatenated_walk(
+        shape in (any::<bool>(), any::<bool>(), 200u64..900, 0usize..16),
+        batches in prop::collection::vec(1u64..4, 1..10),
+        damages in prop::collection::vec((0u8..8, any::<usize>(), any::<usize>(), any::<bool>()), 0..4),
+    ) {
+        const SEED: u64 = 77;
+        let (sealed, seal_head, segment_bytes, checkpoint_after) = shape;
+        let dir = case_dir();
+        let config = SegmentConfig::default().with_segment_bytes(segment_bytes);
+        let config = if sealed { config.with_seal(SEED) } else { config };
+        let journal = Journal::segmented(&dir, config).unwrap();
+        let mut id = 0u64;
+        for (at, n) in batches.iter().enumerate() {
+            let batch: Vec<JournalEntry> = (id..id + n)
+                .map(|id| {
+                    let workload = Workload::ALL[(id % 4) as usize];
+                    JournalEntry::accepted(JobSpec::clean(id, TenantId(1), workload, 0.001))
+                })
+                .collect();
+            id += n;
+            journal.append_batch(&batch).unwrap();
+            if at == checkpoint_after {
+                journal
+                    .append_batch(&[JournalEntry::checkpoint(Checkpoint::default())])
+                    .unwrap();
+            }
+        }
+        if seal_head {
+            journal.seal().unwrap();
+        }
+        drop(journal);
+
+        // Damage taken before the reopen meets its repair and its fold;
+        // damage after it is read as it lies. Open never fails on either.
+        for &(kind, file, at, _) in damages.iter().filter(|damage| !damage.3) {
+            damage_segment(&dir, kind, file, at);
+        }
+        let journal = Journal::segmented(&dir, config).unwrap();
+        for &(kind, file, at, _) in damages.iter().filter(|damage| damage.3) {
+            damage_segment(&dir, kind, file, at);
+        }
+
+        let walked = parse_journal(&journal.text().unwrap());
+        prop_assert_eq!(journal.entries(), walked.clone());
+        match walked {
+            // The walk runs before any seal check, so its error wins.
+            Err(error) => prop_assert_eq!(journal.verify(SEED).unwrap_err(), error),
+            Ok((entries, tail)) => {
+                if let Ok(verification) = journal.verify(SEED) {
+                    prop_assert_eq!(verification.entries, entries.len() as u64);
+                    prop_assert_eq!(verification.tail, tail);
+                }
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

@@ -202,6 +202,29 @@ fn panicking_worker_is_reaped_respawned_and_its_batch_reassigned() {
 }
 
 #[test]
+fn a_fault_reassigns_only_the_job_its_worker_was_running() {
+    quiet_injected_panics();
+    let jobs = batch(12);
+    let baseline = service77(1, None).process(&jobs);
+
+    // One worker pulls the paused backlog eight jobs at a time, so each
+    // panic stops it with unstarted batch-mates in hand. They requeue
+    // without having run; only the panicked job is reassigned.
+    let mut service = service77(1, None);
+    let faults = WorkerFaultSchedule::none()
+        .panic_on(JobId(1))
+        .panic_on(JobId(4))
+        .panic_on(JobId(9));
+    let stream = service.stream(IngestConfig::new(1).paused().with_worker_faults(faults));
+    stream.submit_all(&jobs).expect("queue sized for batch");
+    stream.resume();
+    assert_eq!(stream.finish(), baseline);
+    let ops = service.metrics();
+    assert_eq!(ops.get("fleet_worker_restarts_total", &[]), Some(3.0));
+    assert_eq!(ops.get("fleet_jobs_reassigned_total", &[]), Some(3.0));
+}
+
+#[test]
 fn a_dropped_stream_keeps_its_ops_counters() {
     quiet_injected_panics();
     let mut service = service77(1, None);
