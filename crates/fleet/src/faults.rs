@@ -39,7 +39,7 @@
 //!   exactly `bytes` bytes of the fault line are written **with no
 //!   newline** and the sink goes dead: the canonical crash artifact
 //!   ([`crate::journal::parse_journal`] drops it as a truncated tail and
-//!   reopening repairs it).
+//!   reopening cuts it).
 //! * [`FaultKind::Crash`] — the crash hook (see
 //!   [`FaultInjectingSink::on_crash`]) runs, nothing is written, and the
 //!   sink goes dead: a process-kill point with a clean (newline-

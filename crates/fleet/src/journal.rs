@@ -42,11 +42,11 @@
 //!
 //! A truncated tail — the partial, newline-less last line a crash
 //! mid-append leaves behind — is detected at parse time and dropped
-//! ([`TailStatus`]), and [`SegmentedFileSink::open`] repairs it before
-//! appending so a restarted process never merges new entries into the
-//! torn fragment. Any unparseable line that *is* newline-terminated was fully
-//! written and later damaged, so it is an error ([`JournalError::Corrupt`]),
-//! wherever it sits.
+//! ([`TailStatus`]), and [`SegmentedFileSink::open`] cuts it from the head
+//! segment before anything is appended, so a restarted process never
+//! merges new entries into the torn fragment. Any unparseable line that
+//! *is* newline-terminated was fully written and later damaged, so it is an
+//! error ([`JournalError::Corrupt`]), wherever it sits.
 //!
 //! ## The evidence ledger
 //!
@@ -105,6 +105,7 @@
 //! assert_eq!(restarted.ledger(), service.ledger());
 //! ```
 
+use std::borrow::Cow;
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{Read as _, Write as _};
@@ -620,13 +621,12 @@ pub trait JournalSink: Send {
         })
     }
 
-    /// The evidence chain head over every committed line, which a journal
-    /// opened over this sink continues. Default: the tolerant fold over
-    /// [`JournalSink::contents`]; a sink that already tracks its head
-    /// returns it without reading anything.
-    fn chain_head(&self) -> Result<ChainDigest, JournalError> {
-        fold_chain(None, |visit| self.contents(visit), |_, _, _| {})
-    }
+    /// The evidence chain head after the last committed line
+    /// ([`evidence::genesis`] before the first), which a journal opened
+    /// over this sink continues. Every sink tracks it as it commits (a
+    /// reopened [`SegmentedFileSink`] takes it from the directory's newest
+    /// committed line at open), so this reads nothing.
+    fn chain_head(&self) -> Result<ChainDigest, JournalError>;
 
     /// Reads the stored text back, entries written before this sink was
     /// opened included, and hands it to `visit` one piece at a time,
@@ -646,6 +646,9 @@ pub trait JournalSink: Send {
 #[derive(Debug, Default)]
 pub struct MemorySink {
     buffer: String,
+    /// The [`Framed::link`] of the last committed line (`None` before the
+    /// first).
+    head: Option<ChainDigest>,
 }
 
 impl MemorySink {
@@ -656,14 +659,21 @@ impl MemorySink {
 }
 
 impl JournalSink for MemorySink {
-    fn append_lines(&mut self, text: &str, _lines: &[Framed]) -> Result<(), JournalError> {
+    fn append_lines(&mut self, text: &str, lines: &[Framed]) -> Result<(), JournalError> {
         self.buffer.push_str(text);
+        if let Some(last) = lines.last() {
+            self.head = Some(last.link);
+        }
         Ok(())
     }
 
     fn append_torn(&mut self, fragment: &str) -> Result<(), JournalError> {
         self.buffer.push_str(fragment);
         Ok(())
+    }
+
+    fn chain_head(&self) -> Result<ChainDigest, JournalError> {
+        Ok(self.head.unwrap_or_else(evidence::genesis))
     }
 
     fn contents(
@@ -674,52 +684,112 @@ impl JournalSink for MemorySink {
     }
 }
 
-/// Opens (creating if absent) a journal file in append mode and repairs a
-/// torn tail (see [`repair_torn_tail`]).
-fn open_repaired(path: &Path) -> Result<File, JournalError> {
-    let file = OpenOptions::new()
-        .create(true)
-        .read(true)
-        .append(true)
-        .open(path)?;
-    repair_torn_tail(&file)?;
-    Ok(file)
+/// Journal file bytes as text. A byte that is not UTF-8 reads as U+FFFD,
+/// so damage to it is located like damage to any other byte; honest
+/// journal files are UTF-8 and are borrowed as they are.
+fn decode(bytes: &[u8]) -> Cow<'_, str> {
+    // The lossy decoder is several times slower than `from_utf8` on valid
+    // text, so it runs only on text that is not.
+    match std::str::from_utf8(bytes) {
+        Ok(text) => Cow::Borrowed(text),
+        Err(_) => String::from_utf8_lossy(bytes),
+    }
 }
 
-/// Truncates a non-newline-terminated tail (O_APPEND writes then land
-/// at the new end of file). Scans backwards in bounded chunks, so
-/// reopening a large journal costs only the torn-tail length, not the
-/// file size.
-fn repair_torn_tail(file: &File) -> Result<(), JournalError> {
-    use std::io::{Seek as _, SeekFrom};
-    const CHUNK: u64 = 64 * 1024;
-    let len = file.metadata()?.len();
-    if len == 0 {
-        return Ok(());
-    }
-    let mut reader = file;
-    let mut last = [0u8; 1];
-    reader.seek(SeekFrom::Start(len - 1))?;
-    reader.read_exact(&mut last)?;
-    if last[0] == b'\n' {
-        return Ok(());
-    }
-    let mut end = len;
-    let keep = loop {
-        if end == 0 {
-            break 0; // no newline at all: the whole file is one torn line
+/// Reads the file at `path` into `buf` (cleared first) and decodes it
+/// (see [`decode`]).
+fn read_text<'b>(path: &Path, buf: &'b mut Vec<u8>) -> std::io::Result<Cow<'b, str>> {
+    buf.clear();
+    File::open(path)?.read_to_end(buf)?;
+    Ok(decode(buf))
+}
+
+/// What a sealed [`BlockHeader`] commits to for one segment, gathered line
+/// by line: as a [`SegmentedFileSink`] appends, and as its
+/// [`JournalSink::verify`] walks.
+#[derive(Debug)]
+struct Block {
+    /// The chain value before the segment's first line.
+    prev: ChainDigest,
+    /// The chain value after its last line.
+    head: ChainDigest,
+    /// The Merkle leaf digests of its lines, one per entry.
+    leaves: Vec<ChainDigest>,
+    /// The range of job ids its lines name.
+    jobs: Option<JobRange>,
+}
+
+impl Block {
+    /// An empty block at chain value `link`.
+    fn at(link: ChainDigest) -> Block {
+        Block {
+            prev: link,
+            head: link,
+            leaves: Vec::new(),
+            jobs: None,
         }
-        let start = end.saturating_sub(CHUNK);
-        let mut buf = vec![0u8; (end - start) as usize];
-        reader.seek(SeekFrom::Start(start))?;
-        reader.read_exact(&mut buf)?;
-        if let Some(at) = buf.iter().rposition(|b| *b == b'\n') {
-            break start + at as u64 + 1;
+    }
+
+    /// The block of `text`'s terminated lines, or `None` if it has none.
+    /// The chain starts at the first line's claimed `prev` (genesis if it
+    /// claims none), since a retired directory starts mid-chain at its
+    /// leading checkpoint. Nothing is checked: detection belongs to
+    /// [`parse_journal`] and [`JournalSink::verify`], so a tampered journal
+    /// can still be opened and inspected. After the first, a line is
+    /// parsed for its job only when `jobs` is set.
+    fn fold(text: &str, jobs: bool) -> Result<Option<Block>, JournalError> {
+        let mut block: Option<Block> = None;
+        LineSplitter::default().feed(text, &mut |line| {
+            let chained = if jobs || block.is_none() {
+                serde_json::from_str::<ChainedLine>(line.text).ok()
+            } else {
+                None
+            };
+            let block = block.get_or_insert_with(|| {
+                let claimed = chained.as_ref().and_then(|c| Sha256::from_hex(&c.prev));
+                Block::at(claimed.unwrap_or_else(evidence::genesis))
+            });
+            let leaf = evidence::leaf_digest(line.text.as_bytes());
+            let link = evidence::link_leaf(&block.head, &leaf);
+            let job = chained.and_then(|chained| chained.entry.job());
+            block.push(leaf, block.head, link, job);
+            Ok(())
+        })?;
+        Ok(block)
+    }
+
+    /// Adds a line: its leaf, the chain values before and after it, and
+    /// the job it names. The first line's `prev` is the block's leading
+    /// bound, so a fresh sink after failover continues the chain it is
+    /// handed.
+    fn push(
+        &mut self,
+        leaf: ChainDigest,
+        prev: ChainDigest,
+        link: ChainDigest,
+        job: Option<JobId>,
+    ) {
+        if self.leaves.is_empty() {
+            self.prev = prev;
         }
-        end = start;
-    };
-    file.set_len(keep)?;
-    Ok(())
+        self.leaves.push(leaf);
+        self.head = link;
+        self.jobs = JobRange::widen(self.jobs, job);
+    }
+
+    /// The block's unsigned header as segment `segment`.
+    fn header(&self, segment: u64) -> BlockHeader {
+        BlockHeader {
+            version: BlockHeader::VERSION,
+            segment,
+            entries: self.leaves.len() as u64,
+            jobs: self.jobs,
+            chain_prev: Sha256::to_hex(&self.prev),
+            chain_head: Sha256::to_hex(&self.head),
+            merkle_root: Sha256::to_hex(&evidence::merkle_root(&self.leaves)),
+            seal: String::new(),
+        }
+    }
 }
 
 /// The file sink: segment files (`segment-00000001.jsonl`,
@@ -767,17 +837,9 @@ pub struct SegmentedFileSink {
     stats: SinkStats,
     /// The fleet's sealing key, when [`SegmentConfig::seal`] is set.
     seal_key: Option<SealKey>,
-    /// Chain head over every committed line, the last committed line's
-    /// link (maintained only when sealing).
-    chain: ChainDigest,
-    /// The chain value before the current segment's first line — the
-    /// sealed header's `chain_prev` bound.
-    segment_chain_prev: ChainDigest,
-    /// Merkle leaf digests of the current segment's lines.
-    leaves: Vec<ChainDigest>,
-    /// The range of job ids the current segment's lines name — the
-    /// sealed header's `jobs`.
-    jobs: Option<JobRange>,
+    /// The current segment's block, kept whether or not the sink seals:
+    /// its head is the chain head over every committed line.
+    block: Block,
 }
 
 impl SegmentedFileSink {
@@ -797,20 +859,20 @@ impl SegmentedFileSink {
 
     /// Opens (creating if absent) a segment directory at `dir`. Existing
     /// segments are kept — reopening after a crash continues the same
-    /// journal — and the *last* segment's torn tail, if any, is truncated
-    /// away (the same tail [`parse_journal`] would drop), so the next
-    /// entry never merges into the torn fragment. A torn tail in an
-    /// earlier segment is never repaired: sealed segments cannot legally
-    /// be torn, so that damage must surface as corruption, not be papered
-    /// over.
+    /// journal — and the *last* segment's torn tail, if any, is cut away
+    /// (the same tail [`parse_journal`] would drop), so the next entry
+    /// never merges into the torn fragment. A torn tail in an earlier
+    /// segment is never repaired: sealed segments cannot legally be torn,
+    /// so that damage must surface as corruption, not be papered over.
     ///
-    /// A sealing sink continues the chain. When the newest non-head
-    /// segment's [`BlockHeader`] parses, is [`BlockHeader::VERSION`],
-    /// names its own segment and its seal verifies under the sink's key,
-    /// it adopts that header's `chain_head` and reads only the unsealed
-    /// head segment, to rebuild the head's leaves, job range and leading
-    /// chain bound. Otherwise it folds every live segment, tolerantly.
-    /// Open never fails on tampered content; detection belongs to
+    /// The sink continues the chain from the head segment alone, sealing
+    /// or not: it reads that segment once and folds its lines into the
+    /// head's block (leaves, job range, chain bounds), starting from the
+    /// first line's claimed `prev`. When the head holds no line, the chain
+    /// continues after the last line of the newest earlier segment that
+    /// holds one (its claimed `prev` linked with its leaf), or at genesis.
+    /// No sidecar is read and nothing is checked, so open never fails on
+    /// tampered content; detection belongs to [`parse_journal`] and
     /// [`JournalSink::verify`].
     pub fn open(
         dir: impl AsRef<Path>,
@@ -837,14 +899,28 @@ impl SegmentedFileSink {
             live.push(1);
         }
         let current_index = *live.last().expect("at least one segment");
-        let file = open_repaired(&dir.join(Self::segment_name(current_index)))?;
-        let current_len = file.metadata()?.len();
-        let mut sink = SegmentedFileSink {
+        let mut file = Self::open_segment(&dir, current_index)?;
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes)?;
+        // Cut the torn tail: O_APPEND writes then land just after the last
+        // newline.
+        let kept = bytes
+            .iter()
+            .rposition(|&byte| byte == b'\n')
+            .map_or(0, |at| at + 1);
+        if kept < bytes.len() {
+            file.set_len(kept as u64)?;
+        }
+        let block = match Block::fold(&decode(&bytes[..kept]), config.seal.is_some())? {
+            Some(block) => block,
+            None => Block::at(Self::last_link(&dir, &live[..live.len() - 1])?),
+        };
+        Ok(SegmentedFileSink {
             dir,
             config,
             file,
             current_index,
-            current_len,
+            current_len: kept as u64,
             cut_due: false,
             rotation_due: false,
             live,
@@ -853,80 +929,43 @@ impl SegmentedFileSink {
             unsynced_bytes: 0,
             stats: SinkStats::default(),
             seal_key: config.seal.map(SealKey::from_seed),
-            chain: evidence::genesis(),
-            segment_chain_prev: evidence::genesis(),
-            leaves: Vec::new(),
-            jobs: None,
-        };
-        if sink.seal_key.is_some() {
-            sink.rescan_chain()?;
+            block,
+        })
+    }
+
+    /// Opens segment `index` of `dir` for appending, creating it if absent.
+    fn open_segment(dir: &Path, index: u64) -> std::io::Result<File> {
+        OpenOptions::new()
+            .create(true)
+            .read(true)
+            .append(true)
+            .open(dir.join(Self::segment_name(index)))
+    }
+
+    /// The chain value after the last line of the newest segment among
+    /// `indices` that ends a line: that line folded on its own (see
+    /// [`Block::fold`]), or genesis if no segment ends one.
+    fn last_link(dir: &Path, indices: &[u64]) -> Result<ChainDigest, JournalError> {
+        let mut buf = Vec::new();
+        for &index in indices.iter().rev() {
+            let text = read_text(&dir.join(Self::segment_name(index)), &mut buf)?;
+            let terminated = &text[..text.rfind('\n').map_or(0, |at| at + 1)];
+            let last = terminated.trim_end().rfind('\n').map_or(0, |at| at + 1);
+            if let Some(block) = Block::fold(&terminated[last..], false)? {
+                return Ok(block.head);
+            }
         }
-        Ok(sink)
+        Ok(evidence::genesis())
     }
 
     /// Reads the segments `indices`, in order, into one reused buffer and
     /// hands each to `visit` (see [`JournalSink::contents`]).
     fn read_segments(&self, indices: &[u64], visit: &mut Visit<'_>) -> Result<(), JournalError> {
-        let mut text = String::new();
+        let mut buf = Vec::new();
         for &index in indices {
-            text.clear();
-            File::open(self.dir.join(Self::segment_name(index)))?.read_to_string(&mut text)?;
+            let text = read_text(&self.dir.join(Self::segment_name(index)), &mut buf)?;
             visit(&text)?;
         }
-        Ok(())
-    }
-
-    /// The chain head the newest non-head segment's sealed header signs,
-    /// if that header parses, is [`BlockHeader::VERSION`], names its own
-    /// segment and carries a seal that verifies under this sink's key.
-    fn signed_head(&self) -> Option<ChainDigest> {
-        let key = self.seal_key.as_ref()?;
-        let index = *self.live.iter().rev().nth(1)?;
-        let header = self.read_header(index).ok()??;
-        if header.segment != index || !header.verify_seal(key) {
-            return None;
-        }
-        Sha256::from_hex(&header.chain_head)
-    }
-
-    /// Rebuilds the chain head, the current segment's leaf set, its
-    /// leading chain bound and its job-id range — reopening a sealed
-    /// journal continues its chain, it never restarts one. When the
-    /// newest sealed header verifies ([`Self::signed_head`]), its
-    /// `chain_head` is where the head segment continues the chain, so
-    /// only the head segment is read and folded. Otherwise every live
-    /// segment is folded, by the tolerant fold [`JournalSink::chain_head`]'s
-    /// default makes. On an honest directory both give the same head.
-    /// Besides the fallback fold's anchor, only the head's own lines are
-    /// parsed (for the range). A head line that does not parse names no
-    /// job: detection belongs to [`parse_journal`] and
-    /// [`JournalSink::verify`], not to open, so a tampered journal can
-    /// still be opened and inspected.
-    fn rescan_chain(&mut self) -> Result<(), JournalError> {
-        let signed = self.signed_head();
-        let head = self.live.len() - 1;
-        let from = if signed.is_some() { head } else { 0 };
-        let mut head_prev = None;
-        let mut leaves = Vec::new();
-        let mut jobs = None;
-        let chain = fold_chain(
-            signed,
-            |visit| self.read_segments(&self.live[from..], visit),
-            |line, leaf, prev| {
-                if from + line.piece == head {
-                    head_prev.get_or_insert(*prev);
-                    leaves.push(*leaf);
-                    let job = serde_json::from_str::<ChainedLine>(line.text)
-                        .ok()
-                        .and_then(|chained| chained.entry.job());
-                    jobs = JobRange::widen(jobs, job);
-                }
-            },
-        )?;
-        self.chain = chain;
-        self.segment_chain_prev = head_prev.unwrap_or(chain);
-        self.leaves = leaves;
-        self.jobs = jobs;
         Ok(())
     }
 
@@ -935,8 +974,8 @@ impl SegmentedFileSink {
     /// A header of any version but [`BlockHeader::VERSION`] is rejected
     /// here, before anything reads its other fields.
     fn read_header(&self, index: u64) -> Result<Option<BlockHeader>, JournalError> {
-        let path = self.dir.join(Self::seal_name(index));
-        let text = match std::fs::read_to_string(&path) {
+        let mut buf = Vec::new();
+        let text = match read_text(&self.dir.join(Self::seal_name(index)), &mut buf) {
             Ok(text) => text,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(e.into()),
@@ -970,23 +1009,14 @@ impl SegmentedFileSink {
     }
 
     /// Writes the signed block header for the (just-synced) current
-    /// segment when sealing is enabled. The seal state is left alone:
-    /// [`Self::rotate`] re-bases it once the successor segment is open,
-    /// so a rotation that fails here or later can simply run again.
+    /// segment when sealing is enabled. The block is left alone:
+    /// [`Self::rotate`] starts the next one once the successor segment is
+    /// open, so a rotation that fails here or later can simply run again.
     fn seal_current(&mut self) -> Result<(), JournalError> {
         let Some(key) = &self.seal_key else {
             return Ok(());
         };
-        let mut header = BlockHeader {
-            version: BlockHeader::VERSION,
-            segment: self.current_index,
-            entries: self.leaves.len() as u64,
-            jobs: self.jobs,
-            chain_prev: Sha256::to_hex(&self.segment_chain_prev),
-            chain_head: Sha256::to_hex(&self.chain),
-            merkle_root: Sha256::to_hex(&evidence::merkle_root(&self.leaves)),
-            seal: String::new(),
-        };
+        let mut header = self.block.header(self.current_index);
         header.sign(key);
         let text = serde_json::to_string(&header)
             .map_err(|e| JournalError::Io(format!("serialize block header: {e}")))?;
@@ -996,20 +1026,6 @@ impl SegmentedFileSink {
             file.sync_data()?;
         }
         Ok(())
-    }
-
-    /// The segment directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Paths of the live segments, oldest first (the last one is being
-    /// appended to).
-    pub fn segments(&self) -> Vec<PathBuf> {
-        self.live
-            .iter()
-            .map(|index| self.dir.join(Self::segment_name(*index)))
-            .collect()
     }
 
     /// Syncs the current segment to the platter and resets the unsynced
@@ -1060,7 +1076,7 @@ impl SegmentedFileSink {
         // anything can be appended elsewhere.
         self.seal_current()?;
         let next = self.current_index + 1;
-        let file = open_repaired(&self.dir.join(Self::segment_name(next)))?;
+        let file = Self::open_segment(&self.dir, next)?;
         // Make the new segment's directory entry durable too, or records
         // synced into it could vanish with the file on power loss.
         if !matches!(self.config.fsync, FsyncPolicy::Never) {
@@ -1074,8 +1090,7 @@ impl SegmentedFileSink {
         if self.seal_key.is_some() {
             self.stats.seals += 1;
         }
-        self.leaves.clear();
-        self.jobs = None;
+        self.block = Block::at(self.block.head);
         self.rotation_due = false;
         Ok(())
     }
@@ -1083,10 +1098,10 @@ impl SegmentedFileSink {
 
 impl JournalSink for SegmentedFileSink {
     /// Writes `text` at the end of the current segment in one write and
-    /// applies the fsync policy (the commit point), then records its
-    /// `lines` in the seal state and rotates if the segment is over
+    /// applies the fsync policy (the commit point), then pushes its
+    /// `lines` onto the segment's block and rotates if the segment is over
     /// budget. `Ok` means the lines are in the segment exactly once and
-    /// recorded; `Err` leaves the segment file and the seal state as they
+    /// in the block; `Err` leaves the segment file and the block as they
     /// were, so the journal's retry of the same batch cannot land it twice.
     fn append_lines(&mut self, text: &str, lines: &[Framed]) -> Result<(), JournalError> {
         if lines.is_empty() {
@@ -1125,18 +1140,8 @@ impl JournalSink for SegmentedFileSink {
             self.unsynced_entries = 0;
             self.unsynced_bytes = 0;
         }
-        if self.seal_key.is_some() {
-            if self.leaves.is_empty() {
-                // A segment's chain bound is its first line's `prev`, so a
-                // fresh sink after failover continues the chain it is
-                // handed.
-                self.segment_chain_prev = lines[0].prev;
-            }
-            for line in lines {
-                self.leaves.push(line.leaf);
-                self.jobs = JobRange::widen(self.jobs, line.job);
-                self.chain = line.link;
-            }
+        for line in lines {
+            self.block.push(line.leaf, line.prev, line.link, line.job);
         }
         // A checkpoint line larger than the segment budget must not
         // rotate mid-bracket: retirement uses its segment as the horizon.
@@ -1152,7 +1157,7 @@ impl JournalSink for SegmentedFileSink {
         // A torn fragment is *not* committed evidence: it counts toward
         // the segment length (those bytes are on disk) but never joins
         // the chain fold or the Merkle leaves — exactly as a real crash
-        // artifact would be dropped by the parse and repaired on reopen.
+        // artifact would be dropped by the parse and cut on reopen.
         self.file.write_all(fragment.as_bytes())?;
         self.current_len += fragment.len() as u64;
         Ok(())
@@ -1245,7 +1250,6 @@ impl JournalSink for SegmentedFileSink {
         let token = job.0.to_string();
         let mut proofs = Vec::new();
         for (index, header) in holding {
-            let text = std::fs::read_to_string(self.dir.join(Self::segment_name(index)))?;
             // Every line is hashed for the Merkle path. Every entry that
             // names a job writes its id as a JSON integer, so a line
             // without the id as a whole decimal token cannot belong to the
@@ -1260,7 +1264,7 @@ impl JournalSink for SegmentedFileSink {
                 Ok(())
             };
             let mut lines = LineSplitter::default();
-            lines.feed(&text, &mut take)?;
+            self.read_segments(&[index], &mut |text| lines.feed(text, &mut take))?;
             lines.finish(&mut take)?;
             for (at, line) in named {
                 let chained: ChainedLine =
@@ -1282,76 +1286,36 @@ impl JournalSink for SegmentedFileSink {
     }
 
     fn verify(&self, key: &SealKey) -> Result<LedgerVerification, JournalError> {
-        // What the seal check needs of the lines that start in one live
-        // segment; each entry is dropped once its job id is taken, and
-        // each segment's leaves once its Merkle root is.
-        struct Segment {
-            entries: u64,
-            /// The chain value before the segment's first line.
-            prev: ChainDigest,
-            /// The chain value after its last line.
-            head: ChainDigest,
-            root: ChainDigest,
-            jobs: Option<JobRange>,
-            /// A line that starts here runs on into a later segment.
-            overruns: bool,
-            /// Its last line is the torn tail the walk dropped.
-            torn: bool,
-        }
-        /// Closes the segment being summed, taking the Merkle root of its
-        /// `leaves`, and opens the next one at the chain value `chain`.
-        fn open_next(
-            segments: &mut Vec<Segment>,
-            leaves: &mut Vec<ChainDigest>,
-            chain: ChainDigest,
-        ) {
-            if let Some(segment) = segments.last_mut() {
-                segment.root = evidence::merkle_root(leaves);
-            }
-            leaves.clear();
-            segments.push(Segment {
-                entries: 0,
-                prev: chain,
-                head: chain,
-                root: ChainDigest::default(),
-                jobs: None,
-                overruns: false,
-                torn: false,
-            });
-        }
-        let mut segments: Vec<Segment> = Vec::with_capacity(self.live.len());
-        let mut leaves = Vec::new();
-        let mut chain = evidence::genesis();
+        // Per live segment, the header its lines give (its leaves are
+        // dropped once the walk leaves it, and each entry once its job id
+        // is taken), whether a line that starts there runs on into a later
+        // segment, and whether its last line is the torn tail the walk
+        // dropped.
+        let mut walked: Vec<BlockHeader> = Vec::with_capacity(self.live.len());
+        let mut overruns = vec![false; self.live.len()];
+        let mut torn = vec![false; self.live.len()];
+        let mut block = Block::at(evidence::genesis());
         let mut entries = 0u64;
         let tail = walk_journal(
             |visit| self.contents(visit),
             |line| {
-                while segments.len() <= line.piece {
-                    open_next(&mut segments, &mut leaves, chain);
+                while walked.len() < line.piece {
+                    walked.push(block.header(self.live[walked.len()]));
+                    block = Block::at(block.head);
                 }
-                let segment = segments.last_mut().expect("the line's segment is open");
-                if segment.entries == 0 {
-                    segment.prev = line.prev;
-                }
-                segment.entries += 1;
-                segment.head = line.link;
-                segment.overruns |= line.overruns;
-                segment.torn |= line.entry.is_none();
                 let job = line.entry.as_ref().and_then(JournalEntry::job);
-                segment.jobs = JobRange::widen(segment.jobs, job);
+                block.push(line.leaf, line.prev, line.link, job);
+                overruns[line.piece] |= line.overruns;
+                torn[line.piece] |= line.entry.is_none();
                 entries += u64::from(line.entry.is_some());
-                leaves.push(line.leaf);
-                chain = line.link;
             },
         )?;
-        while segments.len() < self.live.len() {
-            open_next(&mut segments, &mut leaves, chain);
-        }
-        if let Some(segment) = segments.last_mut() {
-            segment.root = evidence::merkle_root(&leaves);
+        while walked.len() < self.live.len() {
+            walked.push(block.header(self.live[walked.len()]));
+            block = Block::at(block.head);
         }
         let mut verified = 0u64;
-        for (&index, segment) in self.live.iter().zip(&segments) {
+        for (at, (&index, segment)) in self.live.iter().zip(&walked).enumerate() {
             let Some(header) = self.read_header(index)? else {
                 // The unsealed head is vouched for by the chain walk only.
                 self.unsealed(index)?;
@@ -1365,7 +1329,7 @@ impl JournalSink for SegmentedFileSink {
             // last line is never torn.
             let unterminated =
                 || violation("sealed segment ends in an unterminated line".to_string());
-            if segment.overruns {
+            if overruns[at] {
                 return Err(unterminated());
             }
             if header.segment != index {
@@ -1380,17 +1344,17 @@ impl JournalSink for SegmentedFileSink {
                     header.entries, segment.entries
                 )));
             }
-            if header.chain_prev != Sha256::to_hex(&segment.prev) {
+            if header.chain_prev != segment.chain_prev {
                 return Err(violation(
                     "segment's leading chain bound disagrees with its sealed header".to_string(),
                 ));
             }
-            if header.chain_head != Sha256::to_hex(&segment.head) {
+            if header.chain_head != segment.chain_head {
                 return Err(violation(
                     "segment's trailing chain bound disagrees with its sealed header".to_string(),
                 ));
             }
-            if header.merkle_root != Sha256::to_hex(&segment.root) {
+            if header.merkle_root != segment.merkle_root {
                 return Err(violation(
                     "segment's merkle root disagrees with its sealed header".to_string(),
                 ));
@@ -1400,7 +1364,7 @@ impl JournalSink for SegmentedFileSink {
                     "block header seal does not verify under this fleet's key".to_string(),
                 ));
             }
-            if segment.torn {
+            if torn[at] {
                 return Err(unterminated());
             }
             // A validly signed but wrong range would hide the segment's
@@ -1421,12 +1385,7 @@ impl JournalSink for SegmentedFileSink {
     }
 
     fn chain_head(&self) -> Result<ChainDigest, JournalError> {
-        if self.seal_key.is_some() {
-            // `rescan_chain` rebuilt the head at open, and every commit
-            // since advanced it.
-            return Ok(self.chain);
-        }
-        fold_chain(None, |visit| self.contents(visit), |_, _, _| {})
+        Ok(self.block.head)
     }
 
     fn sink_stats(&self) -> SinkStats {
@@ -1586,44 +1545,6 @@ impl LineSplitter {
     }
 }
 
-/// The `prev` link a line claims, if it is a well-formed chained line.
-fn claimed_prev(line: &str) -> Option<ChainDigest> {
-    let chained = serde_json::from_str::<ChainedLine>(line).ok()?;
-    Sha256::from_hex(&chained.prev)
-}
-
-/// Folds the chain *tolerantly* over the text `read` hands it, piece by
-/// piece. Without an `anchor`, the first line's claimed `prev` is adopted
-/// (a retired journal legitimately starts mid-chain at its leading
-/// checkpoint); with one, the fold continues from it. Later claims are
-/// not checked — detection belongs to [`parse_journal`], not to open, so
-/// a tampered journal can still be opened and inspected. An unterminated
-/// final line is ignored, exactly as reopen repairs it away. `visit` sees
-/// each folded line with its leaf and the chain value before it; the head
-/// is returned.
-fn fold_chain(
-    anchor: Option<ChainDigest>,
-    read: impl FnOnce(&mut Visit<'_>) -> Result<(), JournalError>,
-    mut visit: impl FnMut(&Line<'_>, &ChainDigest, &ChainDigest),
-) -> Result<ChainDigest, JournalError> {
-    let mut link = anchor.unwrap_or_else(evidence::genesis);
-    let mut anchored = anchor.is_some();
-    let mut fold = |line: Line<'_>| {
-        if !std::mem::replace(&mut anchored, true) {
-            if let Some(claimed) = claimed_prev(line.text) {
-                link = claimed;
-            }
-        }
-        let leaf = evidence::leaf_digest(line.text.as_bytes());
-        visit(&line, &leaf, &link);
-        link = evidence::link_leaf(&link, &leaf);
-        Ok(())
-    };
-    let mut lines = LineSplitter::default();
-    read(&mut |piece| lines.feed(piece, &mut fold))?;
-    Ok(link)
-}
-
 /// Serializes `entries` into the reused buffer, each chained onto the
 /// line before it and ended by a newline, and commits them as ONE
 /// sink-level group commit. Each line is hashed once, here: its leaf
@@ -1691,12 +1612,13 @@ impl fmt::Debug for Journal {
 }
 
 impl Journal {
-    /// A journal over a custom sink. The sink's existing contents are
-    /// read once to recompute the evidence chain head, so appends
-    /// continue the chain across reopens instead of restarting it.
+    /// A journal over a custom sink. Appends continue the evidence chain
+    /// from the sink's head ([`JournalSink::chain_head`]), which the sink
+    /// tracks itself, so a reopened journal continues its chain instead of
+    /// restarting it, and nothing is read here.
     ///
     /// # Errors
-    /// [`JournalError::Io`] if the sink's contents cannot be read.
+    /// Whatever the sink's [`JournalSink::chain_head`] returns.
     pub fn with_sink(sink: Box<dyn JournalSink>) -> Result<Journal, JournalError> {
         let link = sink.chain_head()?;
         Ok(Journal {
@@ -1718,7 +1640,8 @@ impl Journal {
 
     /// A journal over a [`SegmentedFileSink`] at directory `dir` (created
     /// if absent; existing segments are continued — reopening after a
-    /// crash repairs the last segment's torn tail first).
+    /// crash cuts the last segment's torn tail first; see
+    /// [`SegmentedFileSink::open`]).
     ///
     /// # Errors
     /// [`JournalError::Io`] if the directory or its segments cannot be
@@ -1817,7 +1740,9 @@ impl Journal {
     /// computed over. External verifiers (and tamper tests) operate on
     /// this representation. The one read that holds the whole journal in
     /// memory: [`Journal::entries`] and [`Journal::verify`] walk the
-    /// sink's pieces instead.
+    /// sink's pieces instead. A byte of a segment file that is not UTF-8
+    /// reads as U+FFFD, here and in every read of the journal, so the walk
+    /// locates it as it locates any other damaged byte.
     ///
     /// # Errors
     /// [`JournalError::Io`] if the sink cannot be read.
@@ -2650,10 +2575,22 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// The tolerant fold's chain head over journal text (see
-    /// [`fold_chain`]).
+    /// The reference chain head of journal text: every terminated,
+    /// non-blank line folded onto the chain, starting from the first one's
+    /// claimed `prev` (genesis if it claims none), with no claim checked.
     fn chain_head_of(text: &str) -> ChainDigest {
-        fold_chain(None, |visit| visit(text), |_, _, _| {}).unwrap()
+        let terminated = &text[..text.rfind('\n').map_or(0, |at| at + 1)];
+        let mut lines = terminated
+            .split('\n')
+            .filter(|line| !line.trim().is_empty())
+            .peekable();
+        let claimed = lines.peek().and_then(|line| {
+            let chained: ChainedLine = serde_json::from_str(line).ok()?;
+            Sha256::from_hex(&chained.prev)
+        });
+        lines.fold(claimed.unwrap_or_else(evidence::genesis), |link, line| {
+            evidence::link_leaf(&link, &evidence::leaf_digest(line.as_bytes()))
+        })
     }
 
     /// Reopens `dir` and checks that the chain head the journal adopts
@@ -2734,8 +2671,8 @@ mod tests {
     }
 
     #[test]
-    fn reopen_continues_from_the_signed_head_past_a_damaged_sealed_segment() {
-        let dir = scratch_dir("reopen-signed-head");
+    fn reopen_continues_after_the_newest_line_past_a_damaged_sealed_segment() {
+        let dir = scratch_dir("reopen-newest-line");
         let journal = sealed_accepted(&dir, 12);
         let header = journal.sealed_headers().unwrap().pop().unwrap();
         let newest = header.segment;
@@ -2753,8 +2690,10 @@ mod tests {
         damaged[at] = if damaged[at] == b'0' { b'1' } else { b'0' };
         std::fs::write(&path, &damaged).unwrap();
 
-        // Reopen adopts the signed head without reading the damaged
-        // segment; the fold over the damaged text would give another.
+        // The head is empty, so reopen continues after the newest sealed
+        // segment's last line, which gives the signed head without reading
+        // the damaged segment; the fold over the damaged text would give
+        // another.
         let journal = Journal::segmented(&dir, tiny_sealed()).unwrap();
         let text = journal.text().unwrap();
         assert_eq!(journal.lock().link, signed);
@@ -2786,9 +2725,9 @@ mod tests {
     }
 
     #[test]
-    fn reopen_folds_every_segment_when_the_newest_seal_does_not_verify() {
+    fn reopen_reads_no_sidecar_when_the_newest_seal_does_not_verify() {
         for case in ["forged", "missing", "v3"] {
-            let dir = scratch_dir(&format!("reopen-fallback-{case}"));
+            let dir = scratch_dir(&format!("reopen-no-sidecar-{case}"));
             let journal = sealed_accepted(&dir, 12);
             journal.append_batch(&[accepted(12)]).unwrap();
             let live = journal.lock().link;
@@ -2833,8 +2772,8 @@ mod tests {
                     }
                 }
             };
-            // Open falls back to the fold over every segment, which gives
-            // the honest head, and never fails on the tampered header.
+            // Open reads no sidecar: the fold over the head segment gives
+            // the honest head, and the tampered header is left for verify.
             let journal = Journal::segmented(&dir, tiny_sealed()).unwrap();
             assert_eq!(journal.lock().link, live, "{case}");
             let error = journal.verify(42).unwrap_err();
@@ -2847,6 +2786,82 @@ mod tests {
             assert_eq!((entries.len(), tail), (14, TailStatus::Clean), "{case}");
             std::fs::remove_dir_all(&dir).unwrap();
         }
+    }
+
+    #[test]
+    fn an_unsealed_reopen_reads_only_its_head() {
+        let dir = scratch_dir("unsealed-reopen-head");
+        let journal = tiny_segments(&dir);
+        for id in 0..20 {
+            journal.append_batch(&[accepted(id)]).unwrap();
+        }
+        assert!(journal.stats().rotations > 1);
+        let live = journal.lock().link;
+        drop(journal);
+
+        // Overwrite one hex digit of segment 1's first `prev`, the claim a
+        // fold over every segment would start from.
+        let path = dir.join(SegmentedFileSink::segment_name(1));
+        let honest = std::fs::read(&path).unwrap();
+        let mut damaged = honest.clone();
+        let at = br#"{"prev":""#.len();
+        damaged[at] = if damaged[at] == b'0' { b'1' } else { b'0' };
+        std::fs::write(&path, &damaged).unwrap();
+
+        // Reopen reads only the head, so it adopts the head of honest
+        // history, and the next entry chains onto it: once the byte is
+        // restored the whole directory verifies.
+        let journal = tiny_segments(&dir);
+        assert_eq!(journal.lock().link, live);
+        journal.append_batch(&[accepted(20)]).unwrap();
+        std::fs::write(&path, &honest).unwrap();
+        assert_eq!(journal.verify(42).unwrap().entries, 21);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_byte_that_is_not_utf8_is_located_like_any_other_damage() {
+        let dir = scratch_dir("not-utf8");
+        let journal = sealed_accepted(&dir, 12);
+        // Byte 40 of segment 2 is a hex digit of its first line's `prev`.
+        let path = dir.join(SegmentedFileSink::segment_name(2));
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[40] = 0xFF;
+        std::fs::write(&path, &bytes).unwrap();
+        let expected = JournalError::ChainViolation {
+            line: 4,
+            message: "accepted entry for job-3 carries an unparseable prev link".to_string(),
+        };
+        assert_eq!(
+            parse_journal(&journal.text().unwrap()),
+            Err(expected.clone())
+        );
+        assert_eq!(journal.entries(), Err(expected.clone()));
+        assert_eq!(journal.verify(42), Err(expected));
+        // The segment's leaves are no longer the sealed ones, so no proof
+        // from it verifies.
+        let key = SealKey::from_seed(42);
+        for id in 3..6 {
+            let proofs = journal.prove(JobId(id)).unwrap();
+            assert_eq!(proofs.len(), 1, "job {id}");
+            assert!(proofs[0].verify(&key).is_err(), "job {id}");
+        }
+        // In a sidecar, such a byte makes the header unparseable.
+        let sidecar = dir.join(SegmentedFileSink::seal_name(3));
+        let mut bytes = std::fs::read(&sidecar).unwrap();
+        bytes[0] = 0xFF;
+        std::fs::write(&sidecar, &bytes).unwrap();
+        match journal.sealed_headers() {
+            Err(JournalError::SealViolation {
+                segment: 3,
+                message,
+            }) => assert!(
+                message.starts_with("unparseable block header: "),
+                "{message}"
+            ),
+            other => panic!("expected a seal violation at segment 3, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -3079,11 +3094,11 @@ mod tests {
         assert!(sink.append_lines(&text[at..], &lines[2..]).is_err());
         assert_eq!(std::fs::read_to_string(&segment_path).unwrap(), text[..at]);
         assert_eq!(
-            sink.leaves.len(),
+            sink.block.leaves.len(),
             2,
             "nothing of the failed batch is sealed"
         );
-        assert_eq!(sink.chain, lines[1].link);
+        assert_eq!(sink.block.head, lines[1].link);
 
         // The journal retries the same batch, which lands once.
         sink.file = segment;

@@ -361,7 +361,7 @@ fn prop_service(journal: Journal) -> FleetService {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(proptest_cases()))]
 
     /// Any interleaving of append / rotate / checkpoint / retire / reopen
     /// leaves the ledger chain-verifiable, and every inclusion proof
@@ -487,8 +487,9 @@ proptest! {
 // The streaming JSON reader decodes journal evidence as the value tree does
 // ---------------------------------------------------------------------------
 
-/// `PROPTEST_CASES` scales the cases of the witness specification and of
-/// the reader's mutated inputs (CI runs each at 1024).
+/// `PROPTEST_CASES` scales the cases of the witness specification, of the
+/// journal lifecycles, of the reader's mutated inputs and of the segment
+/// walk (CI runs each at 1024).
 fn proptest_cases() -> u32 {
     std::env::var("PROPTEST_CASES")
         .ok()
@@ -651,7 +652,8 @@ fn segment_files(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
 /// Damages one segment file of `dir`, as `kind` says: 0 flips a byte (to
 /// another ASCII byte), 1 strips the file's final newline, 2 cuts the
 /// head segment mid-line, 3 deletes, 4 duplicates and 5 swaps lines, 6
-/// inserts a blank line and 7 a `\r`. `file` and `at` pick where.
+/// inserts a blank line, 7 a `\r`, and 8 sets a byte to 0xFF, which is
+/// not UTF-8. `file` and `at` pick where.
 fn damage_segment(dir: &std::path::Path, kind: u8, file: usize, at: usize) {
     let files = segment_files(dir);
     let path = if kind == 2 {
@@ -692,6 +694,10 @@ fn damage_segment(dir: &std::path::Path, kind: u8, file: usize, at: usize) {
             bytes = lines.concat();
         }
         7 => bytes.insert(at % (bytes.len() + 1), b'\r'),
+        8 if !bytes.is_empty() => {
+            let i = at % bytes.len();
+            bytes[i] = 0xFF;
+        }
         _ => {}
     }
     std::fs::write(path, bytes).unwrap();
@@ -709,7 +715,7 @@ proptest! {
     fn the_segment_by_segment_walk_equals_the_concatenated_walk(
         shape in (any::<bool>(), any::<bool>(), 200u64..900, 0usize..16),
         batches in prop::collection::vec(1u64..4, 1..10),
-        damages in prop::collection::vec((0u8..8, any::<usize>(), any::<usize>(), any::<bool>()), 0..4),
+        damages in prop::collection::vec((0u8..9, any::<usize>(), any::<usize>(), any::<bool>()), 0..4),
     ) {
         const SEED: u64 = 77;
         let (sealed, seal_head, segment_bytes, checkpoint_after) = shape;
