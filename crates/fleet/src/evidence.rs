@@ -98,29 +98,6 @@ fn node_digest(left: &ChainDigest, right: &ChainDigest) -> ChainDigest {
     h.finalize()
 }
 
-/// The Merkle root over a segment's leaf digests. Levels pair
-/// left-to-right; an odd node is promoted unchanged. An empty segment
-/// roots at the bare leaf domain (sealed segments are never empty, but
-/// the function is total).
-pub fn merkle_root(leaves: &[ChainDigest]) -> ChainDigest {
-    if leaves.is_empty() {
-        return Sha256::digest(LEAF_DOMAIN);
-    }
-    let mut level: Vec<ChainDigest> = leaves.to_vec();
-    while level.len() > 1 {
-        let mut next = Vec::with_capacity(level.len().div_ceil(2));
-        for pair in level.chunks(2) {
-            match pair {
-                [left, right] => next.push(node_digest(left, right)),
-                [odd] => next.push(*odd),
-                _ => unreachable!("chunks(2) yields 1- or 2-element slices"),
-            }
-        }
-        level = next;
-    }
-    level[0]
-}
-
 /// One step of a Merkle path: the sibling digest and which side it sits
 /// on.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -131,43 +108,71 @@ pub struct ProofStep {
     pub sibling_left: bool,
 }
 
-/// The Merkle path authenticating `leaves[index]` against
-/// [`merkle_root`]. Promoted odd nodes contribute no step.
-///
-/// # Panics
-/// Panics if `index` is out of bounds.
-pub fn merkle_path(leaves: &[ChainDigest], index: usize) -> Vec<ProofStep> {
-    assert!(index < leaves.len(), "proof index out of bounds");
-    let mut path = Vec::new();
-    let mut level: Vec<ChainDigest> = leaves.to_vec();
-    let mut at = index;
-    while level.len() > 1 {
-        let sibling = if at.is_multiple_of(2) { at + 1 } else { at - 1 };
-        if sibling < level.len() {
-            path.push(ProofStep {
-                sibling: Sha256::to_hex(&level[sibling]),
-                sibling_left: sibling < at,
-            });
-        }
-        let mut next = Vec::with_capacity(level.len().div_ceil(2));
-        for pair in level.chunks(2) {
-            match pair {
-                [left, right] => next.push(node_digest(left, right)),
-                [odd] => next.push(*odd),
-                _ => unreachable!("chunks(2) yields 1- or 2-element slices"),
-            }
-        }
-        level = next;
-        at /= 2;
-    }
-    path
+/// The Merkle tree over a segment's leaf digests, every level kept, so one
+/// build gives the root and every leaf's path. Levels pair left to right,
+/// and an odd last node is promoted unchanged.
+#[derive(Debug)]
+pub struct MerkleTree {
+    /// The leaves, then each level above them, up to the root.
+    levels: Vec<Vec<ChainDigest>>,
 }
 
-/// Whether `path` has the length and side flags [`merkle_path`] gives
-/// leaf `index` of a tree of `width` leaves. Under the odd-promotion rule
-/// these follow from `(index, width)` alone — each level's flag is a bit
-/// of `index`, and a promoted level has no step — so a path that folds to
-/// the root *and* fits proves the leaf sits at `index`, not merely
+impl MerkleTree {
+    /// Builds the tree over `leaves`.
+    pub fn new(leaves: &[ChainDigest]) -> MerkleTree {
+        let mut levels = vec![leaves.to_vec()];
+        while let Some(level) = levels.last().filter(|level| level.len() > 1) {
+            let next = level
+                .chunks(2)
+                .map(|pair| match pair {
+                    [left, right] => node_digest(left, right),
+                    [odd] => *odd,
+                    _ => unreachable!("chunks(2) yields 1- or 2-element slices"),
+                })
+                .collect();
+            levels.push(next);
+        }
+        MerkleTree { levels }
+    }
+
+    /// The root. A tree over no leaves roots at the bare leaf domain
+    /// (sealed segments are never empty, but the tree is total).
+    pub fn root(&self) -> ChainDigest {
+        match self.levels.last().map(Vec::as_slice) {
+            Some([root]) => *root,
+            _ => Sha256::digest(LEAF_DOMAIN),
+        }
+    }
+
+    /// The path authenticating leaf `index` against [`MerkleTree::root`]:
+    /// its sibling at each level, bottom up. A promoted odd node has no
+    /// sibling and contributes no step.
+    ///
+    /// # Panics
+    /// Panics if `index` is out of bounds.
+    pub fn path(&self, index: usize) -> Vec<ProofStep> {
+        assert!(index < self.levels[0].len(), "proof index out of bounds");
+        let mut path = Vec::new();
+        let mut at = index;
+        for level in &self.levels[..self.levels.len() - 1] {
+            let sibling = at ^ 1;
+            if let Some(digest) = level.get(sibling) {
+                path.push(ProofStep {
+                    sibling: Sha256::to_hex(digest),
+                    sibling_left: sibling < at,
+                });
+            }
+            at /= 2;
+        }
+        path
+    }
+}
+
+/// Whether `path` has the length and side flags [`MerkleTree::path`]
+/// gives leaf `index` of a tree of `width` leaves. Under the odd-promotion
+/// rule these follow from `(index, width)` alone — each level's flag is a
+/// bit of `index`, and a promoted level has no step — so a path that folds
+/// to the root *and* fits proves the leaf sits at `index`, not merely
 /// somewhere in the tree.
 fn path_fits(path: &[ProofStep], index: u64, width: u64) -> bool {
     let (mut at, mut width) = (index, width);
@@ -437,7 +442,7 @@ impl InclusionProof {
     /// # Errors
     /// [`ProofError::RootMismatch`] if `index` is not a leaf of the
     /// header's segment, the path's length and side flags are not the
-    /// ones [`merkle_path`] gives that leaf, or the path does not reach
+    /// ones [`MerkleTree::path`] gives that leaf, or the path does not reach
     /// the header's root;
     /// [`ProofError::MalformedEvidence`] if the line does not parse.
     pub fn verify_against(&self, header: &BlockHeader) -> Result<JournalEntry, ProofError> {
@@ -499,13 +504,20 @@ mod tests {
             .collect()
     }
 
+    /// SHA-256 over the root, then every leaf's path (each sibling's hex
+    /// and side), of the tree over [`leaves`]`(n)` for `n` in 1..=257,
+    /// recorded from the level-by-level root and path functions the tree
+    /// replaced.
+    const SHAPES_DIGEST: &str = "6be8b51f1dc5df2005c9985d64e92af890073115a7ddbd4ea2bb8915b5dcf5b8";
+
     #[test]
     fn merkle_paths_fold_to_the_root_for_every_width() {
         for n in 1..=33 {
             let lines = chained_lines(n);
             let leaves: Vec<ChainDigest> =
                 lines.iter().map(|l| leaf_digest(l.as_bytes())).collect();
-            let root = merkle_root(&leaves);
+            let tree = MerkleTree::new(&leaves);
+            let root = tree.root();
             let header = BlockHeader {
                 version: BlockHeader::VERSION,
                 segment: 1,
@@ -517,7 +529,7 @@ mod tests {
                 seal: String::new(),
             };
             for (i, leaf) in leaves.iter().enumerate() {
-                let path = merkle_path(&leaves, i);
+                let path = tree.path(i);
                 assert_eq!(fold_path(leaf, &path), Some(root), "n={n} i={i}");
                 let mut proof = InclusionProof {
                     line: lines[i].clone(),
@@ -540,14 +552,34 @@ mod tests {
                 }
             }
         }
+        // Wider trees, checked without the quadratic index sweep: every
+        // leaf's path fits its index and folds to the root, and the roots
+        // and paths are the ones the tree replaced.
+        let mut shapes = Sha256::new();
+        for n in 1..=257 {
+            let leaves = leaves(n);
+            let tree = MerkleTree::new(&leaves);
+            let root = tree.root();
+            shapes.update(&root);
+            for (i, leaf) in leaves.iter().enumerate() {
+                let path = tree.path(i);
+                assert_eq!(fold_path(leaf, &path), Some(root), "n={n} i={i}");
+                assert!(path_fits(&path, i as u64, n as u64), "n={n} i={i}");
+                for step in &path {
+                    shapes.update(step.sibling.as_bytes());
+                    shapes.update(&[u8::from(step.sibling_left)]);
+                }
+            }
+        }
+        assert_eq!(Sha256::to_hex(&shapes.finalize()), SHAPES_DIGEST);
     }
 
     #[test]
     fn a_path_does_not_fold_to_a_different_tree() {
         let a = leaves(5);
         let b = leaves(6);
-        let path = merkle_path(&a, 2);
-        assert_ne!(fold_path(&a[2], &path), Some(merkle_root(&b)));
+        let path = MerkleTree::new(&a).path(2);
+        assert_ne!(fold_path(&a[2], &path), Some(MerkleTree::new(&b).root()));
     }
 
     #[test]
@@ -561,7 +593,7 @@ mod tests {
             jobs: JobRange::of([Some(JobId(3)), None, Some(JobId(9))]),
             chain_prev: Sha256::to_hex(&genesis()),
             chain_head: Sha256::to_hex(&Sha256::digest(b"head")),
-            merkle_root: Sha256::to_hex(&merkle_root(&leaves(2))),
+            merkle_root: Sha256::to_hex(&MerkleTree::new(&leaves(2)).root()),
             seal: String::new(),
         };
         header.sign(&key);

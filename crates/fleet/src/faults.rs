@@ -54,7 +54,7 @@
 //! // Fail the second line twice, then let it through.
 //! let schedule = FaultSchedule::none().transient_at(1, 2);
 //! let (sink, probe) = FaultInjectingSink::wrap(Box::new(MemorySink::new()), schedule);
-//! let journal = Journal::with_sink(Box::new(sink)).unwrap();
+//! let journal = Journal::with_sink(Box::new(sink));
 //!
 //! let spec = JobSpec::clean(0, TenantId(1), Workload::LoopO, 0.001);
 //! let entry = [JournalEntry::Accepted(spec)];
@@ -501,7 +501,7 @@ impl JournalSink for FaultInjectingSink {
         self.inner.verify(key)
     }
 
-    fn chain_head(&self) -> Result<ChainDigest, JournalError> {
+    fn chain_head(&self) -> ChainDigest {
         self.inner.chain_head()
     }
 
@@ -775,7 +775,7 @@ mod tests {
     fn empty_schedule_passes_everything_through() {
         let (sink, probe) =
             FaultInjectingSink::wrap(Box::new(MemorySink::new()), FaultSchedule::none());
-        let journal = Journal::with_sink(Box::new(sink)).unwrap();
+        let journal = Journal::with_sink(Box::new(sink));
         for _ in 0..5 {
             append(&journal).unwrap();
         }
@@ -789,7 +789,7 @@ mod tests {
     fn transient_fault_fails_then_clears() {
         let schedule = FaultSchedule::none().transient_at(1, 2);
         let (sink, probe) = FaultInjectingSink::wrap(Box::new(MemorySink::new()), schedule);
-        let journal = Journal::with_sink(Box::new(sink)).unwrap();
+        let journal = Journal::with_sink(Box::new(sink));
         append(&journal).unwrap();
         assert!(append(&journal).is_err());
         assert!(append(&journal).is_err());
@@ -805,7 +805,7 @@ mod tests {
     fn disk_full_is_terminal_but_reads_pass_through() {
         let schedule = FaultSchedule::none().disk_full_at(1);
         let (sink, probe) = FaultInjectingSink::wrap(Box::new(MemorySink::new()), schedule);
-        let journal = Journal::with_sink(Box::new(sink)).unwrap();
+        let journal = Journal::with_sink(Box::new(sink));
         append(&journal).unwrap();
         let err = append(&journal).unwrap_err();
         assert!(err.to_string().contains("disk-full"), "{err}");
@@ -821,7 +821,7 @@ mod tests {
     fn torn_fault_leaves_the_canonical_crash_artifact() {
         let schedule = FaultSchedule::none().torn_at(1, 10);
         let (sink, probe) = FaultInjectingSink::wrap(Box::new(MemorySink::new()), schedule);
-        let journal = Journal::with_sink(Box::new(sink)).unwrap();
+        let journal = Journal::with_sink(Box::new(sink));
         append(&journal).unwrap();
         assert!(append(&journal).is_err());
         assert!(probe.is_dead());
@@ -837,7 +837,7 @@ mod tests {
     fn torn_fault_mid_batch_commits_the_leading_lines() {
         let schedule = FaultSchedule::none().torn_at(2, 4);
         let (sink, probe) = FaultInjectingSink::wrap(Box::new(MemorySink::new()), schedule);
-        let journal = Journal::with_sink(Box::new(sink)).unwrap();
+        let journal = Journal::with_sink(Box::new(sink));
         let batch = vec![entry(); 4];
         assert!(journal.append_batch(&batch).is_err());
         // Lines 0 and 1 committed whole; line 2 tore; line 3 never landed.
@@ -856,7 +856,7 @@ mod tests {
         let sink = sink.on_crash(move |committed| {
             *seen_in_hook.lock().unwrap() = Some(committed);
         });
-        let journal = Journal::with_sink(Box::new(sink)).unwrap();
+        let journal = Journal::with_sink(Box::new(sink));
         append(&journal).unwrap();
         append(&journal).unwrap();
         assert!(append(&journal).is_err());

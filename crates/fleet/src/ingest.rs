@@ -1800,7 +1800,7 @@ mod tests {
         // fails twice, then clears: within the default 4-attempt policy.
         let schedule = FaultSchedule::none().transient_at(1, 2);
         let (sink, probe) = FaultInjectingSink::wrap(Box::new(MemorySink::new()), schedule);
-        let journal = Journal::with_sink(Box::new(sink)).unwrap();
+        let journal = Journal::with_sink(Box::new(sink));
         let mut service = service(1, 23, Some(journal.clone()));
         let stream = service.stream(IngestConfig::new(1));
         let handle = stream.handle();
@@ -1832,7 +1832,7 @@ mod tests {
         // (line 2 onward) hits a dead disk.
         let schedule = FaultSchedule::none().disk_full_at(2);
         let (sink, _probe) = FaultInjectingSink::wrap(Box::new(MemorySink::new()), schedule);
-        let journal = Journal::with_sink(Box::new(sink)).unwrap();
+        let journal = Journal::with_sink(Box::new(sink));
         let config = IngestConfig::new(1).with_retry_policy(RetryPolicy::new(2));
         let mut service = service(1, 29, Some(journal.clone()));
         let mut stream = service.stream(config);
@@ -1869,7 +1869,7 @@ mod tests {
 
         let schedule = FaultSchedule::none().permanent_at(2);
         let (sink, _probe) = FaultInjectingSink::wrap(Box::new(MemorySink::new()), schedule);
-        let journal = Journal::with_sink(Box::new(sink)).unwrap();
+        let journal = Journal::with_sink(Box::new(sink));
         let config = IngestConfig::new(1).with_retry_policy(RetryPolicy::none());
         let mut service = service(1, 31, Some(journal.clone()));
         let mut stream = service.stream(config);
@@ -1955,7 +1955,7 @@ mod tests {
         // so the line schedule is deterministic even with the pool running.
         let schedule = FaultSchedule::none().disk_full_at(2);
         let (sink, _probe) = FaultInjectingSink::wrap(Box::new(MemorySink::new()), schedule);
-        let journal = Journal::with_sink(Box::new(sink)).unwrap();
+        let journal = Journal::with_sink(Box::new(sink));
         let config = IngestConfig::new(1)
             .with_capacity(2)
             .with_retry_policy(RetryPolicy::none());

@@ -116,7 +116,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::auditor::{AuditVerdict, AuditorState};
 use crate::evidence::{
-    self, BlockHeader, ChainDigest, ChainedLine, InclusionProof, JobRange, SealKey,
+    self, BlockHeader, ChainDigest, ChainedLine, InclusionProof, JobRange, MerkleTree, SealKey,
 };
 use crate::executor::{JobId, JobSpec, RunRecord};
 use crate::metrics::MetricsRegistry;
@@ -592,9 +592,10 @@ pub trait JournalSink: Send {
     /// — for every sealed entry belonging to `job`, without replaying the
     /// journal into service state. A segmented sink reads every live
     /// header, then reads and hashes only the segments whose signed
-    /// [`BlockHeader::jobs`] range holds `job`, and parses only their
-    /// lines that contain the id as a whole decimal token. Default: none
-    /// (unsealed sinks cannot prove inclusion).
+    /// [`BlockHeader::jobs`] range holds `job`, parses only their lines
+    /// that contain the id as a whole decimal token, and takes every path
+    /// from one [`MerkleTree`] per segment. Default: none (unsealed sinks
+    /// cannot prove inclusion).
     fn prove(&self, job: JobId) -> Result<Vec<InclusionProof>, JournalError> {
         let _ = job;
         Ok(Vec::new())
@@ -626,7 +627,7 @@ pub trait JournalSink: Send {
     /// over this sink continues. Every sink tracks it as it commits (a
     /// reopened [`SegmentedFileSink`] takes it from the directory's newest
     /// committed line at open), so this reads nothing.
-    fn chain_head(&self) -> Result<ChainDigest, JournalError>;
+    fn chain_head(&self) -> ChainDigest;
 
     /// Reads the stored text back, entries written before this sink was
     /// opened included, and hands it to `visit` one piece at a time,
@@ -672,8 +673,8 @@ impl JournalSink for MemorySink {
         Ok(())
     }
 
-    fn chain_head(&self) -> Result<ChainDigest, JournalError> {
-        Ok(self.head.unwrap_or_else(evidence::genesis))
+    fn chain_head(&self) -> ChainDigest {
+        self.head.unwrap_or_else(evidence::genesis)
     }
 
     fn contents(
@@ -786,7 +787,7 @@ impl Block {
             jobs: self.jobs,
             chain_prev: Sha256::to_hex(&self.prev),
             chain_head: Sha256::to_hex(&self.head),
-            merkle_root: Sha256::to_hex(&evidence::merkle_root(&self.leaves)),
+            merkle_root: Sha256::to_hex(&MerkleTree::new(&self.leaves).root()),
             seal: String::new(),
         }
     }
@@ -1250,10 +1251,9 @@ impl JournalSink for SegmentedFileSink {
         let token = job.0.to_string();
         let mut proofs = Vec::new();
         for (index, header) in holding {
-            // Every line is hashed for the Merkle path. Every entry that
-            // names a job writes its id as a JSON integer, so a line
-            // without the id as a whole decimal token cannot belong to the
-            // job: only the others are kept, to be parsed.
+            // One pass over the segment: every line is hashed for the
+            // Merkle tree, and the lines that may name the job are kept to
+            // be parsed (see `names_token`).
             let mut leaves = Vec::new();
             let mut named = Vec::new();
             let mut take = |line: Line<'_>| {
@@ -1266,6 +1266,8 @@ impl JournalSink for SegmentedFileSink {
             let mut lines = LineSplitter::default();
             self.read_segments(&[index], &mut |text| lines.feed(text, &mut take))?;
             lines.finish(&mut take)?;
+            // One tree per segment gives every proof's path.
+            let mut tree = None;
             for (at, line) in named {
                 let chained: ChainedLine =
                     serde_json::from_str(&line).map_err(|e| JournalError::SealViolation {
@@ -1273,10 +1275,11 @@ impl JournalSink for SegmentedFileSink {
                         message: format!("sealed segment holds an unparseable line: {e}"),
                     })?;
                 if chained.entry.job() == Some(job) {
+                    let tree = tree.get_or_insert_with(|| MerkleTree::new(&leaves));
                     proofs.push(InclusionProof {
                         line,
                         index: at as u64,
-                        path: evidence::merkle_path(&leaves, at),
+                        path: tree.path(at),
                         header: header.clone(),
                     });
                 }
@@ -1384,8 +1387,8 @@ impl JournalSink for SegmentedFileSink {
         })
     }
 
-    fn chain_head(&self) -> Result<ChainDigest, JournalError> {
-        Ok(self.block.head)
+    fn chain_head(&self) -> ChainDigest {
+        self.block.head
     }
 
     fn sink_stats(&self) -> SinkStats {
@@ -1401,8 +1404,16 @@ impl JournalSink for SegmentedFileSink {
 }
 
 /// Whether `line` holds `token` (a job id in decimal) as a whole decimal
-/// token: an occurrence with no ASCII digit on either side.
+/// token: an occurrence with no ASCII digit on either side. Every entry
+/// that names a job writes its id as a JSON integer, so a line that fails
+/// this cannot belong to the job; it is a necessary condition only, and
+/// the caller parses every line that passes.
 fn names_token(line: &str, token: &str) -> bool {
+    // `contains` is a vectorised search and rejects most lines; the
+    // occurrence-by-occurrence check runs only on the lines it passes.
+    if !line.contains(token) {
+        return false;
+    }
     let digit_at = |at: usize| line.as_bytes().get(at).is_some_and(u8::is_ascii_digit);
     line.match_indices(token)
         .any(|(at, _)| (at == 0 || !digit_at(at - 1)) && !digit_at(at + token.len()))
@@ -1616,12 +1627,9 @@ impl Journal {
     /// from the sink's head ([`JournalSink::chain_head`]), which the sink
     /// tracks itself, so a reopened journal continues its chain instead of
     /// restarting it, and nothing is read here.
-    ///
-    /// # Errors
-    /// Whatever the sink's [`JournalSink::chain_head`] returns.
-    pub fn with_sink(sink: Box<dyn JournalSink>) -> Result<Journal, JournalError> {
-        let link = sink.chain_head()?;
-        Ok(Journal {
+    pub fn with_sink(sink: Box<dyn JournalSink>) -> Journal {
+        let link = sink.chain_head();
+        Journal {
             inner: Arc::new(Mutex::new(JournalInner {
                 sink,
                 stats: JournalStats::default(),
@@ -1629,13 +1637,12 @@ impl Journal {
                 scratch: String::new(),
                 framed: Vec::new(),
             })),
-        })
+        }
     }
 
     /// An in-memory journal.
     pub fn in_memory() -> Journal {
         Journal::with_sink(Box::new(MemorySink::new()))
-            .expect("an empty in-memory journal cannot fail to open")
     }
 
     /// A journal over a [`SegmentedFileSink`] at directory `dir` (created
@@ -1650,7 +1657,8 @@ impl Journal {
         dir: impl AsRef<Path>,
         config: SegmentConfig,
     ) -> Result<Journal, JournalError> {
-        Journal::with_sink(Box::new(SegmentedFileSink::open(dir, config)?))
+        let sink = SegmentedFileSink::open(dir, config)?;
+        Ok(Journal::with_sink(Box::new(sink)))
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, JournalInner> {
@@ -1782,10 +1790,11 @@ impl Journal {
     /// Merkle path plus signed block header, checkable with
     /// [`InclusionProof::verify`] and nothing else. Entries in the
     /// unsealed head segment are not covered; call [`Journal::seal`]
-    /// first to include them. Only the segments whose signed job-id
-    /// range holds `job` are read past their header (see
-    /// [`JournalSink::prove`]), so a dispute costs the segments that hold
-    /// the job, not the journal.
+    /// first to include them. Every live header is read, but only the
+    /// segments whose signed job-id range holds `job` are read past it
+    /// (see [`JournalSink::prove`]), so a dispute costs one small read per
+    /// segment and the hashing of the segments that hold the job, not the
+    /// journal.
     ///
     /// # Errors
     /// [`JournalError::Io`] if a segment cannot be read;
@@ -2074,6 +2083,7 @@ impl std::error::Error for RecoveryError {}
 mod tests {
     use super::*;
     use crate::executor::{Fleet, FleetConfig, JobSpec};
+    use std::collections::HashMap;
     use trustmeter_workloads::Workload;
 
     fn record() -> RunRecord {
@@ -2906,11 +2916,33 @@ mod tests {
     #[test]
     fn prove_reads_only_the_segments_whose_sealed_range_holds_the_job() {
         let dir = scratch_dir("seal-ranges");
-        let journal = sealed_accepted(&dir, 12);
+        // With 120 ids, every id's digits also occur in larger ids (1 in
+        // 10–19 and 111), in `prev` digests and in the scale's float.
+        let journal = sealed_accepted(&dir, 120);
         let headers = journal.sealed_headers().unwrap();
-        for id in 0..12 {
+        // The reference: every line of every sealed segment, parsed, as
+        // (segment, index, line) triples per job.
+        let mut named: HashMap<JobId, Vec<(u64, u64, String)>> = HashMap::new();
+        for header in &headers {
+            let path = dir.join(SegmentedFileSink::segment_name(header.segment));
+            let text = std::fs::read_to_string(path).unwrap();
+            for (at, line) in text.lines().enumerate() {
+                let chained: ChainedLine = serde_json::from_str(line).unwrap();
+                let job = chained.entry.job().unwrap();
+                let proof = (header.segment, at as u64, line.to_string());
+                named.entry(job).or_default().push(proof);
+            }
+        }
+        let key = SealKey::from_seed(42);
+        for id in 0..120 {
             let proofs = journal.prove(JobId(id)).unwrap();
             assert_eq!(proofs.len(), 1, "job {id}: one Accepted line");
+            let proved: Vec<(u64, u64, String)> = proofs
+                .iter()
+                .map(|p| (p.header.segment, p.index, p.line.clone()))
+                .collect();
+            assert_eq!(named.get(&JobId(id)), Some(&proved), "job {id}");
+            assert_eq!(proofs[0].verify(&key).unwrap(), accepted(id));
             let holding: Vec<u64> = headers
                 .iter()
                 .filter(|h| h.jobs.unwrap().contains(JobId(id)))
@@ -2919,7 +2951,7 @@ mod tests {
             assert_eq!(holding, vec![proofs[0].header.segment], "job {id}");
         }
         // An id outside every range reads no segment.
-        assert!(journal.prove(JobId(111)).unwrap().is_empty());
+        assert!(journal.prove(JobId(120)).unwrap().is_empty());
         // A decimal token must be whole: 1 occurs inside 11 and 10 but
         // names neither.
         assert!(names_token(r#"{"id":1,"x":0.5}"#, "1"));

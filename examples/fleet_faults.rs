@@ -71,7 +71,7 @@ fn main() {
     // then a full disk at line 18 — the first *Run* group commit.
     let schedule = FaultSchedule::none().transient_at(7, 2).disk_full_at(JOBS);
     let (sink, probe) = FaultInjectingSink::wrap(Box::new(MemorySink::new()), schedule);
-    let journal = Journal::with_sink(Box::new(sink)).expect("fresh sink opens");
+    let journal = Journal::with_sink(Box::new(sink));
     let mut service = build_service(Some(journal.clone()));
     let retry = RetryPolicy::new(4);
     let mut stream = service.stream(IngestConfig::new(4).with_retry_policy(retry));

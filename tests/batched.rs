@@ -146,7 +146,7 @@ fn quarantined_batch_never_bills_and_drains_after_failover() {
     // retries — the release path must quarantine with nothing billed.
     let schedule = FaultSchedule::none().disk_full_at(8);
     let (sink, _probe) = FaultInjectingSink::wrap(Box::new(MemorySink::new()), schedule);
-    let journal = Journal::with_sink(Box::new(sink)).expect("wrap sink");
+    let journal = Journal::with_sink(Box::new(sink));
     let mut service = service(2).with_journal(journal);
     let mut stream = service.stream(IngestConfig::new(2).with_retry_policy(RetryPolicy::none()));
     stream.submit_all(&jobs).expect("queue sized for batch");

@@ -58,7 +58,7 @@ fn service77(workers: usize, journal: Option<Journal>) -> FleetService {
 /// An in-memory journal behind a fault-injecting wrapper.
 fn faulty_journal(schedule: FaultSchedule) -> (Journal, FaultProbe) {
     let (sink, probe) = FaultInjectingSink::wrap(Box::new(MemorySink::new()), schedule);
-    let journal = Journal::with_sink(Box::new(sink)).expect("fresh sink opens");
+    let journal = Journal::with_sink(Box::new(sink));
     (journal, probe)
 }
 
@@ -275,7 +275,7 @@ fn failover_keeps_the_dead_sinks_durability_counters() {
     // The 24 Accepted lines land first; the disk fills among the runs.
     let full = FaultSchedule::none().disk_full_at(40);
     let (sink, _) = FaultInjectingSink::wrap(Box::new(primary), full);
-    let journal = Journal::with_sink(Box::new(sink)).unwrap();
+    let journal = Journal::with_sink(Box::new(sink));
     let mut service = service77(2, Some(journal.clone()))
         .with_checkpoint_cadence(CheckpointCadence::every_n_runs(6));
     let mut stream = service.stream(IngestConfig::new(2).with_retry_policy(RetryPolicy::none()));
@@ -496,7 +496,7 @@ proptest! {
             Box::new(inner),
             FaultSchedule::random(seed, 24),
         );
-        let journal = Journal::with_sink(Box::new(sink)).expect("fresh sink opens");
+        let journal = Journal::with_sink(Box::new(sink));
 
         // A small pool of real run records to append.
         let records = service77(1, None).process(&batch(3)).records;

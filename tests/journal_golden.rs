@@ -24,6 +24,12 @@
 //! moves the other six pins and never this one; a change to what the
 //! service decides moves it.
 //!
+//! An eighth digest hashes the JSON of every inclusion proof
+//! `Journal::prove` gives for each job of the processed directory after
+//! each seal: its lines, leaf indices, Merkle paths and signed headers.
+//! A faster prover must leave it where it is; a format change moves it
+//! with the byte pins.
+//!
 //! If a digest changes on purpose, re-derive it from the failure message
 //! and say why in the commit. A deliberate format change re-derives the
 //! byte pins and the witness-blind pin and leaves the `Debug` pin where
@@ -63,6 +69,10 @@ const WITNESS_BLIND_DIGEST: &str =
 /// and MAC zeroed (both follow from the reference commitment): blind to
 /// the journal's text format.
 const DEBUG_DIGEST: &str = "70082472d33fe81684b226d157f2a045c375e611b7d7e0ce0aa2a82aec9d7b31";
+
+/// The JSON of every proof `prove` gives for jobs 0..104 after the first
+/// seal, then for jobs 0..112 after the reopened directory's seal.
+const PROOFS_DIGEST: &str = "bd46ea4866f237356ef909b4ace73384afc276c75cbe7b29d9469632ffa65302";
 
 /// A mixed batch over job ids `ids`: four tenants, all four workloads,
 /// clean runs and a mix of launch-time and runtime attacks.
@@ -167,6 +177,17 @@ fn wait_for(stream: &FleetStream<'_>, done: impl Fn(&IngestStats) -> bool) {
 /// entries it reads back as.
 type Pinned = (String, Vec<JournalEntry>);
 
+/// Feeds the JSON of every proof `journal` gives for each job of `ids`,
+/// in order, into the running digest.
+fn absorb_proofs(hasher: &mut Sha256, journal: &Journal, ids: std::ops::Range<u64>) {
+    for id in ids {
+        for proof in journal.prove(JobId(id)).expect("the sealed journal proves") {
+            let json = serde_json::to_string(&proof).expect("a proof serializes");
+            absorb(hasher, "proof", json.as_bytes());
+        }
+    }
+}
+
 /// Every entry `journal` reads back as, from a clean tail.
 fn read_back(journal: &Journal) -> Vec<JournalEntry> {
     let (entries, tail) = journal.entries().expect("the journal reads back");
@@ -175,8 +196,9 @@ fn read_back(journal: &Journal) -> Vec<JournalEntry> {
 }
 
 /// 104 jobs `process`ed into a sealed directory, then the directory
-/// reopened, recovered and 8 more jobs processed.
-fn processed_and_reopened() -> [Pinned; 2] {
+/// reopened, recovered and 8 more jobs processed; with the digest of
+/// every proof of every job after each seal (see [`absorb_proofs`]).
+fn processed_and_reopened() -> ([Pinned; 2], String) {
     let dir = scratch_dir("processed");
     let journal = Journal::segmented(&dir, sealed_config()).expect("fresh directory opens");
     let mut first = service(2)
@@ -188,8 +210,10 @@ fn processed_and_reopened() -> [Pinned; 2] {
     }
     journal.seal().expect("the head seals");
     drop(first);
-    drop(journal);
     let processed = dir_digest(&dir);
+    let mut proofs = Sha256::new();
+    absorb_proofs(&mut proofs, &journal, 0..104);
+    drop(journal);
 
     let journal = Journal::segmented(&dir, sealed_config()).expect("sealed directory reopens");
     let entries = read_back(&journal);
@@ -211,15 +235,19 @@ fn processed_and_reopened() -> [Pinned; 2] {
     );
     let reopened_entries = read_back(&journal);
     drop(second);
-    drop(journal);
     let reopened = dir_digest(&dir);
+    absorb_proofs(&mut proofs, &journal, 0..112);
+    drop(journal);
     std::fs::remove_dir_all(&dir).unwrap();
-    [(processed, entries), (reopened, reopened_entries)]
+    (
+        [(processed, entries), (reopened, reopened_entries)],
+        Sha256::to_hex(&proofs.finalize()),
+    )
 }
 
 #[test]
 fn processed_and_reopened_sealed_segments_match_the_pinned_digests() {
-    let [(processed, _), (reopened, _)] = processed_and_reopened();
+    let ([(processed, _), (reopened, _)], _) = processed_and_reopened();
     assert_eq!(
         processed, PROCESSED_DIGEST,
         "the processed directory's bytes changed"
@@ -240,7 +268,7 @@ fn disk_full_failover() -> (String, Pinned) {
     let inner = SegmentedFileSink::open(&failed_dir, sealed_config()).expect("fresh directory");
     let (sink, _probe) =
         FaultInjectingSink::wrap(Box::new(inner), FaultSchedule::none().disk_full_at(40));
-    let journal = Journal::with_sink(Box::new(sink)).expect("fresh sink opens");
+    let journal = Journal::with_sink(Box::new(sink));
     let mut service = service(2).with_journal(journal.clone());
     let config = IngestConfig::new(2)
         .paused()
@@ -276,6 +304,15 @@ fn disk_full_failover() -> (String, Pinned) {
     std::fs::remove_dir_all(&failed_dir).unwrap();
     std::fs::remove_dir_all(&fresh_dir).unwrap();
     (failed, (failed_over, failed_over_entries))
+}
+
+#[test]
+fn every_proof_of_the_processed_directory_matches_the_pinned_digest() {
+    let (_, proofs) = processed_and_reopened();
+    assert_eq!(
+        proofs, PROOFS_DIGEST,
+        "a proof's line, index, path or header changed"
+    );
 }
 
 #[test]
@@ -364,7 +401,7 @@ fn unsigned(mut entry: JournalEntry) -> JournalEntry {
 
 /// The entries the four run-carrying journals read back as, by name.
 fn run_carrying_entries() -> [(&'static str, Vec<JournalEntry>); 4] {
-    let [(_, processed), (_, reopened)] = processed_and_reopened();
+    let ([(_, processed), (_, reopened)], _) = processed_and_reopened();
     let (_, (_, failed_over)) = disk_full_failover();
     let (_, poison) = poison_stream();
     [

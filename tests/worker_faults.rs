@@ -498,10 +498,7 @@ fn disk_full_service() -> FleetService {
         Box::new(MemorySink::new()),
         FaultSchedule::none().disk_full_at(3),
     );
-    service77(
-        1,
-        Some(Journal::with_sink(Box::new(sink)).expect("fresh sink opens")),
-    )
+    service77(1, Some(Journal::with_sink(Box::new(sink))))
 }
 
 /// Brings both causes of quarantine about at once. The disk fills on the
