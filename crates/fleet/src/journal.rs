@@ -108,7 +108,7 @@
 use std::borrow::Cow;
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{Read as _, Write as _};
+use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -847,6 +847,9 @@ impl SegmentedFileSink {
     const PREFIX: &'static str = "segment-";
     const SUFFIX: &'static str = ".jsonl";
     const SEAL_SUFFIX: &'static str = ".seal";
+    /// The first tail [`Self::last_link`] reads of a segment: several
+    /// typical lines, a fraction of a segment.
+    const TAIL_BYTES: u64 = 4 * 1024;
 
     /// The file name of segment `index`.
     fn segment_name(index: u64) -> String {
@@ -946,14 +949,38 @@ impl SegmentedFileSink {
     /// The chain value after the last line of the newest segment among
     /// `indices` that ends a line: that line folded on its own (see
     /// [`Block::fold`]), or genesis if no segment ends one.
+    ///
+    /// A file is read from its end, [`Self::TAIL_BYTES`] first and twice
+    /// as many each time after, until the line the rule picks in the tail
+    /// starts after the tail's first newline, or the tail is the whole
+    /// file. Decoding restarts at every newline, so the text after the
+    /// tail's first one is the file's, and the rule picks the line it
+    /// would pick in the whole file.
     fn last_link(dir: &Path, indices: &[u64]) -> Result<ChainDigest, JournalError> {
         let mut buf = Vec::new();
         for &index in indices.iter().rev() {
-            let text = read_text(&dir.join(Self::segment_name(index)), &mut buf)?;
-            let terminated = &text[..text.rfind('\n').map_or(0, |at| at + 1)];
-            let last = terminated.trim_end().rfind('\n').map_or(0, |at| at + 1);
-            if let Some(block) = Block::fold(&terminated[last..], false)? {
-                return Ok(block.head);
+            let mut file = File::open(dir.join(Self::segment_name(index)))?;
+            let len = file.metadata()?.len();
+            let mut tail = Self::TAIL_BYTES.min(len);
+            loop {
+                buf.resize(
+                    usize::try_from(tail).expect("a read tail fits in memory"),
+                    0,
+                );
+                file.seek(SeekFrom::Start(len - tail))?;
+                file.read_exact(&mut buf)?;
+                let text = decode(&buf);
+                let terminated = &text[..text.rfind('\n').map_or(0, |at| at + 1)];
+                let last = terminated.trim_end().rfind('\n').map_or(0, |at| at + 1);
+                let whole = tail == len || text.find('\n').is_some_and(|first| last > first);
+                if !whole {
+                    tail = tail.saturating_mul(2).min(len);
+                    continue;
+                }
+                if let Some(block) = Block::fold(&terminated[last..], false)? {
+                    return Ok(block.head);
+                }
+                break;
             }
         }
         Ok(evidence::genesis())
@@ -2601,6 +2628,88 @@ mod tests {
         lines.fold(claimed.unwrap_or_else(evidence::genesis), |link, line| {
             evidence::link_leaf(&link, &evidence::leaf_digest(line.as_bytes()))
         })
+    }
+
+    /// The link [`SegmentedFileSink::last_link`] took from a segment when
+    /// it read the whole file: the decoded text's last terminated,
+    /// non-blank line, folded on its own.
+    fn whole_file_link(bytes: &[u8]) -> Option<ChainDigest> {
+        let text = decode(bytes);
+        let terminated = &text[..text.rfind('\n').map_or(0, |at| at + 1)];
+        let last = terminated.trim_end().rfind('\n').map_or(0, |at| at + 1);
+        Block::fold(&terminated[last..], false)
+            .unwrap()
+            .map(|block| block.head)
+    }
+
+    #[test]
+    fn an_empty_head_continues_after_the_line_the_whole_file_ends_with() {
+        let source = scratch_dir("tail-source");
+        let journal = Journal::segmented(&source, SegmentConfig::default()).unwrap();
+        let batch: Vec<JournalEntry> = (0..3).map(accepted).collect();
+        journal.append_batch(&batch).unwrap();
+        let honest = journal.text().unwrap();
+        drop(journal);
+        std::fs::remove_dir_all(&source).unwrap();
+        let lines: Vec<&str> = honest.lines().collect();
+        let tail = SegmentedFileSink::TAIL_BYTES as usize;
+        // The last line, with whitespace inside its object that makes it
+        // several tails long.
+        let (prev, entry) = lines[2].split_at(lines[2].find(",\"entry\"").unwrap());
+        let long = format!("{prev},{}{}", " ".repeat(3 * tail), &entry[1..]);
+        // A first line of two-byte characters, one byte longer or not,
+        // so that the first tail starts inside a character.
+        let wide = |skew: &str| format!("{skew}{}\n{honest}", "é".repeat(tail));
+        let mut invalid = wide("").into_bytes();
+        invalid[1] = 0xFF;
+        let near = invalid.len() - honest.len() - 3;
+        invalid[near] = 0xFF;
+        let mut invalid_last = honest.clone().into_bytes();
+        let at = invalid_last.len() - 10;
+        invalid_last[at] = 0xFF;
+        let cases: Vec<(&str, Vec<u8>)> = vec![
+            ("honest", honest.clone().into()),
+            (
+                "a last line longer than the first tail",
+                format!("{}\n{}\n{long}\n", lines[0], lines[1]).into(),
+            ),
+            (
+                "one line longer than the first tail",
+                format!("{long}\n").into(),
+            ),
+            ("blank lines", format!("{honest}\n \n\t\n\n").into()),
+            (
+                "blank lines longer than the first tail",
+                format!("{honest}{}", " \n".repeat(tail)).into(),
+            ),
+            (
+                "a \\r ending the last line",
+                format!("{}\r\n", honest.trim_end()).into(),
+            ),
+            ("a \\r after the last line", format!("{honest}\r").into()),
+            ("a blank line of \\r", format!("{honest}\r\n").into()),
+            ("a split character", wide("").into()),
+            ("a split character, skewed", wide("x").into()),
+            ("non-UTF-8 bytes earlier", invalid),
+            ("a non-UTF-8 byte in the last line", invalid_last),
+            ("no terminated line", lines[0].into()),
+            ("blank lines only", " \n".repeat(tail).into()),
+        ];
+        for (case, bytes) in &cases {
+            let dir = scratch_dir("tail");
+            std::fs::create_dir_all(&dir).unwrap();
+            // An earlier segment, for a newest one that ends no line.
+            std::fs::write(dir.join(SegmentedFileSink::segment_name(1)), &honest).unwrap();
+            std::fs::write(dir.join(SegmentedFileSink::segment_name(2)), bytes).unwrap();
+            std::fs::write(dir.join(SegmentedFileSink::segment_name(3)), "").unwrap();
+            let expected = whole_file_link(bytes)
+                .or_else(|| whole_file_link(honest.as_bytes()))
+                .unwrap();
+            let sink = SegmentedFileSink::open(&dir, SegmentConfig::default()).unwrap();
+            assert_eq!(sink.chain_head(), expected, "{case}");
+            drop(sink);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     /// Reopens `dir` and checks that the chain head the journal adopts

@@ -593,10 +593,12 @@ fn all_paths_agree(text: &str) -> Result<(), TestCaseError> {
     paths_agree::<InclusionProof>(text)
 }
 
-/// The characters mutations draw from: JSON's structure, number syntax
-/// and hex digits of both cases, where the two decoding paths could part
-/// ways (a digest is a hex string both paths read with one decoder).
-const MUTATION_CHARS: &str = "\"\\,:{}[]-+.eE0123456789abcdfABCDF";
+/// The characters mutations draw from: JSON's structure, number syntax,
+/// hex digits of both cases and whitespace, where the two decoding paths
+/// could part ways (a digest is a hex string both paths read with one
+/// decoder; a space or tab beside a key makes the reader match it by
+/// name).
+const MUTATION_CHARS: &str = "\"\\,:{}[]-+.eE0123456789abcdfABCDF \t";
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(proptest_cases()))]
@@ -629,6 +631,212 @@ proptest! {
                     _ => text.truncate(at),
                 }
                 all_paths_agree(&text.iter().collect::<String>())?;
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Keys written out of the writers' order decode through the name match
+// ---------------------------------------------------------------------------
+
+/// How [`reprint`] rewrites its target object.
+#[derive(Debug, Clone, Copy)]
+enum Rewrite {
+    /// The keys in reverse order.
+    Reverse,
+    /// The keys rotated left by the count.
+    Rotate(usize),
+    /// The picked key written a second time with another value, after the
+    /// first when set, before it otherwise.
+    Duplicate(usize, bool),
+    /// A key no evidence type declares, inserted at the pick.
+    Unknown(usize),
+    /// The picked key's first character written as a `\u00XX` escape.
+    Escape(usize),
+    /// The picked JSON whitespace on both sides of every `:` and `,`, and
+    /// inside the braces.
+    Spaced(usize),
+}
+
+/// The fields whose objects are maps: their keys are data, so a key
+/// inserted there changes what the object decodes to.
+const MAP_FIELDS: [&str; 5] = [
+    "accounts",
+    "summaries",
+    "anomaly_counts",
+    "families",
+    "series",
+];
+
+/// Prints `v` as compact JSON, but its object number `target` (counted
+/// in `seen`, depth first) as `how` says. `field` is the key `v` is the
+/// value of. Sets `target_is_struct` when the target object is a
+/// struct's fields: held in no map field, and keyed by lower-case names
+/// (a variant's object is keyed by its upper-case name).
+fn reprint(
+    out: &mut String,
+    v: &serde::Value,
+    field: Option<&str>,
+    seen: &mut usize,
+    target: usize,
+    how: Rewrite,
+    target_is_struct: &mut bool,
+) {
+    use serde::Value;
+    const WHITESPACE: [&str; 6] = [" ", "\t", "\n", "\r", " \t", "\r\n "];
+    let quoted = |key: &str| {
+        let mut out = String::new();
+        serde::write_escaped_str(&mut out, key);
+        out
+    };
+    let entries = match v {
+        Value::Seq(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                reprint(out, item, None, seen, target, how, target_is_struct);
+            }
+            out.push(']');
+            return;
+        }
+        Value::Map(entries) => entries,
+        other => return serde::write_compact_value(out, other),
+    };
+    let at = *seen;
+    *seen += 1;
+    let n = entries.len();
+    let extra = match how {
+        Rewrite::Duplicate(pick, _) if n > 0 => [
+            Value::Null,
+            Value::U64(7),
+            Value::Str("x".into()),
+            Value::Seq(Vec::new()),
+            Value::Map(Vec::new()),
+        ]
+        .into_iter()
+        .cycle()
+        .skip(pick % 5)
+        .find(|other| *other != entries[pick % n].1)
+        .unwrap(),
+        _ => Value::Seq(vec![Value::Map(vec![("k".into(), Value::F64(-0.5))])]),
+    };
+    // Each key as named and as written, and its value.
+    let mut keyed: Vec<(&str, String, &Value)> = entries
+        .iter()
+        .map(|(k, v)| (k.as_str(), quoted(k), v))
+        .collect();
+    let mut space = "";
+    if at == target {
+        *target_is_struct = n > 0
+            && !field.is_some_and(|field| MAP_FIELDS.contains(&field))
+            && entries
+                .iter()
+                .all(|(k, _)| k.starts_with(|c: char| c.is_ascii_lowercase()));
+        match how {
+            Rewrite::Reverse => keyed.reverse(),
+            Rewrite::Rotate(by) if n > 0 => keyed.rotate_left(by % n),
+            Rewrite::Duplicate(pick, after) if n > 0 => {
+                let (name, key, _) = keyed[pick % n].clone();
+                keyed.insert(pick % n + usize::from(after), (name, key, &extra));
+            }
+            Rewrite::Unknown(pick) => {
+                keyed.insert(pick % (n + 1), ("zz_unknown", quoted("zz_unknown"), &extra));
+            }
+            Rewrite::Escape(pick) if n > 0 => {
+                let key = &entries[pick % n].0;
+                if let Some(first) = key.chars().next().filter(char::is_ascii) {
+                    let rest = quoted(&key[first.len_utf8()..]);
+                    keyed[pick % n].1 = format!("\"\\u{:04x}{}", u32::from(first), &rest[1..]);
+                }
+            }
+            Rewrite::Spaced(pick) => space = WHITESPACE[pick % WHITESPACE.len()],
+            _ => {}
+        }
+    }
+    out.push('{');
+    out.push_str(space);
+    for (i, (name, key, value)) in keyed.into_iter().enumerate() {
+        if i > 0 {
+            out.push_str(space);
+            out.push(',');
+            out.push_str(space);
+        }
+        out.push_str(&key);
+        out.push_str(space);
+        out.push(':');
+        out.push_str(space);
+        reprint(out, value, Some(name), seen, target, how, target_is_struct);
+    }
+    out.push_str(space);
+    out.push('}');
+}
+
+/// Fails unless `text` decodes through the reader as `original` does, as
+/// each evidence type: the same value, or an error both times.
+fn decodes_as(original: &str, text: &str) -> Result<(), TestCaseError> {
+    fn same<T: serde::Deserialize + std::fmt::Debug>(
+        original: &str,
+        text: &str,
+    ) -> Result<(), TestCaseError> {
+        let before = format!("{:?}", serde_json::from_str::<T>(original).ok());
+        let after = format!("{:?}", serde_json::from_str::<T>(text).ok());
+        prop_assert!(
+            before == after,
+            "{} decodes {text:?} as {after}, but {original:?} as {before}",
+            std::any::type_name::<T>()
+        );
+        Ok(())
+    }
+    same::<evidence::ChainedLine>(original, text)?;
+    same::<JournalEntry>(original, text)?;
+    same::<BlockHeader>(original, text)?;
+    same::<InclusionProof>(original, text)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(proptest_cases()))]
+
+    /// Evidence re-printed with one object's keys reordered, duplicated,
+    /// joined by an unknown key, escaped or spaced (text whose keys the
+    /// reader's in-order literal check declines, so its name-matching
+    /// loop reads them) decodes through the reader as through the value
+    /// tree. Unless a key was duplicated or a map's or a variant's object
+    /// gained a key, it also decodes as the line itself does.
+    #[test]
+    fn rewritten_keys_fall_through_to_the_name_match_and_decode_alike(
+        pick in any::<usize>(),
+        rewrites in prop::collection::vec((0u8..6, any::<usize>(), any::<usize>(), any::<bool>()), 1..9),
+    ) {
+        let corpus = evidence_corpus();
+        let line = &corpus[pick % corpus.len()];
+        let tree: serde::Value = serde_json::from_str(line).unwrap();
+        let mut objects = 0;
+        let mut compact = String::new();
+        reprint(&mut compact, &tree, None, &mut objects, usize::MAX, Rewrite::Reverse, &mut false);
+        decodes_as(line, &compact)?;
+        for (kind, target, n, after) in rewrites {
+            let how = match kind {
+                0 => Rewrite::Reverse,
+                1 => Rewrite::Rotate(n),
+                2 => Rewrite::Duplicate(n, after),
+                3 => Rewrite::Unknown(n),
+                4 => Rewrite::Escape(n),
+                _ => Rewrite::Spaced(n),
+            };
+            let mut text = String::new();
+            let mut is_struct = false;
+            reprint(&mut text, &tree, None, &mut 0, target % objects, how, &mut is_struct);
+            all_paths_agree(&text)?;
+            let kept = match how {
+                Rewrite::Duplicate(..) => false,
+                Rewrite::Unknown(_) => is_struct,
+                _ => true,
+            };
+            if kept {
+                decodes_as(line, &text)?;
             }
         }
     }
