@@ -56,7 +56,8 @@
 //!
 //! Journal I/O is the one place this pipeline touches a device that can
 //! fail, so it never panics on it. Every journal commit (acceptance at
-//! submit, the ready prefix at release) runs under a [`RetryPolicy`]:
+//! submit, the ready prefix at release, and a failover's leading
+//! checkpoint and re-journaled accepted set) runs under a [`RetryPolicy`]:
 //! transient errors are retried back to back, up to the policy's attempt
 //! count — a failed commit writes nothing, so there is nothing to wait
 //! out. On exhaustion the pipeline enters
@@ -109,6 +110,26 @@
 //!   [`FleetStream::poisoned`] notice — while every other job keeps
 //!   flowing.
 //!
+//! ## One state machine, and the threads around it
+//!
+//! Every decision above is a transition of one private `State`, a machine
+//! with no threads and no I/O: `admit` and then `accept` (once the
+//! slice's `Accepted` entries are journaled), `pull` (pause, teardown,
+//! shrink tokens, the watermark and a fair-share batch), `complete`,
+//! `fault` (reassign or poison, then restart or retire), `ready_prefix`
+//! and then `release` (once the prefix is journaled), `commit_failed` and
+//! `failed_over` (the journal's cause of quarantine), `scale` (the pool,
+//! and its cause), `resume`, `close` and `drained`. Each takes plain
+//! inputs, timestamps included, and returns plain outputs plus the
+//! condvar wakeups it needs. The threads are glue: an entry point locks,
+//! runs one transition (or waits around one), unlocks, does the I/O (the
+//! journal commit under the retry policy, the tracer's spans,
+//! [`Fleet::run_one`] and [`Fleet::verify_record`]) and applies the
+//! wakeups. A seeded property in this module's tests drives virtual
+//! workers, a submitter and the session's owner through the machine in
+//! random interleavings against a model journal, without a thread, and
+//! checks the pipeline's invariants after every step.
+//!
 //! ```
 //! use trustmeter_fleet::{FleetConfig, FleetService, IngestConfig, JobSpec, TenantId};
 //! use trustmeter_workloads::Workload;
@@ -128,9 +149,11 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
+use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
@@ -139,7 +162,7 @@ use crate::executor::{Fleet, JobId, JobSpec, RunRecord};
 use crate::faults::{RetryPolicy, SupervisorPolicy, WorkerFaultKind, WorkerFaultSchedule};
 use crate::journal::{Journal, JournalEntry, JournalError, JournalSink, PoisonNotice};
 use crate::pool::{BufferPool, PoolStats};
-use crate::queue::FairQueue;
+use crate::queue::{FairQueue, QueuedJob};
 use crate::tenant::TenantId;
 use crate::trace::{PipelineTracer, Stage};
 use crate::{FleetReport, FleetService};
@@ -239,8 +262,9 @@ pub struct IngestConfig {
     /// [`BackpressurePolicy::Block`].
     pub completion_watermark: usize,
     /// The retry policy every journal commit (acceptance at submit, the
-    /// ready prefix at release) runs under; exhaustion quarantines the
-    /// pipeline instead of panicking. Irrelevant without a journal.
+    /// ready prefix at release, a failover's two commits) runs under;
+    /// exhaustion quarantines the pipeline instead of panicking.
+    /// Irrelevant without a journal.
     pub retry: RetryPolicy,
     /// The supervisor's bounded recovery ladder for panicked and lying
     /// workers (see [`SupervisorPolicy`]).
@@ -348,7 +372,8 @@ pub struct IngestStats {
     /// Completed records not yet posted by [`FleetStream::pump`] (what
     /// the completion watermark bounds).
     pub ready: usize,
-    /// Jobs currently executing, per tenant.
+    /// Jobs currently executing, per tenant: each worker's running job.
+    /// The batch-mates it pulled and has not started are not counted.
     pub inflight: BTreeMap<TenantId, u64>,
     /// Failed journal commit attempts that were retried (each failed
     /// attempt before exhaustion counts one).
@@ -440,17 +465,78 @@ struct Assignment {
     attempt: u32,
     /// Whether the worker has actually begun executing it. Batch-mates
     /// behind the running job sit dispatched-but-unstarted: they consume
-    /// no attempt if their worker dies.
+    /// no attempt if their worker dies, and they are not in flight.
     started: bool,
     /// Wall-clock dispatch stamp for the [`Stage::Reassign`] span;
     /// stamped only when tracing.
-    dispatched_at: Option<std::time::Instant>,
+    dispatched_at: Option<Instant>,
 }
 
-/// Mutable pipeline state behind the mutex.
-#[derive(Debug)]
+/// Where the pipeline is in its life, in lifecycle order: whether
+/// dispatch runs and whether submissions are still taken. From
+/// `Draining` on, submissions are refused with [`SubmitError::ShutDown`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
+enum Phase {
+    /// Opened with [`IngestConfig::paused`]: submissions queue, and
+    /// nothing dispatches until [`FleetStream::resume`].
+    Paused,
+    /// Submissions queue and workers dispatch.
+    #[default]
+    Running,
+    /// [`FleetStream::finish`]: submissions are refused, and every
+    /// accepted job still runs, with the pause, shrink tokens and the
+    /// completion watermark lifted. Workers exit once the queue is empty.
+    Draining,
+    /// A drop without `finish`, or a drain whose pool died: submissions
+    /// are refused, the queued backlog is abandoned, and workers exit
+    /// after the batch they hold.
+    TearingDown,
+}
+
+/// The condvar wakeups a [`State`] transition asks for, which
+/// [`Shared::wake`] applies: for `job_ready` (idle workers), `slot_free` (a
+/// submitter blocked on a full queue) and `job_done` (a drain waiting for
+/// the last job), in that order, how many jobs or slots became available.
+/// One wakes one waiter, which can take it in full; more wake every
+/// waiter, and [`EVERY`] asks for a change every waiter must see.
+#[derive(Debug, Clone, Copy, Default)]
+#[must_use]
+struct Wake(usize, usize, usize);
+
+/// A [`Wake`] count that wakes every waiter.
+const EVERY: usize = usize::MAX;
+
+/// The running job a fault requeued with its attempt advanced: its id,
+/// tenant and dispatch stamp, for the [`Stage::Reassign`] span.
+type Reassigned = (JobId, TenantId, Option<Instant>);
+
+/// What a worker does after [`State::pull`].
+enum Pull {
+    /// Run the batch just pulled.
+    Run(Wake),
+    /// Wait on `job_ready` and pull again.
+    Wait,
+    /// Leave the pool: the worker's thread ends.
+    Exit,
+}
+
+/// The pipeline's state and every decision over it: a machine with no
+/// threads and no I/O. Each method is one transition that takes plain
+/// inputs (timestamps included) and returns plain outputs plus the
+/// [`Wake`] it needs; [`Shared`] and [`FleetStream`] hold the lock around
+/// it and do the I/O.
+#[derive(Debug, Default)]
 struct State {
     queue: FairQueue,
+    phase: Phase,
+    /// What `admit` does when the queue is full.
+    policy: BackpressurePolicy,
+    /// Completion-side watermark (0 = unbounded); see
+    /// [`IngestConfig::with_completion_watermark`].
+    watermark: usize,
+    /// The supervisor's recovery ladder (restart budget, degradation,
+    /// poison threshold).
+    supervisor: SupervisorPolicy,
     /// Next submission sequence number, and so the number of jobs
     /// accepted so far.
     next_seq: u64,
@@ -466,19 +552,14 @@ struct State {
     dispatch_log: Vec<(JobId, TenantId)>,
     completed_count: u64,
     rejected: u64,
-    paused: bool,
-    shutting_down: bool,
-    /// On shutdown, drop queued jobs instead of draining them (set by
-    /// `Drop` teardown; `finish` drains).
-    discard_queued: bool,
     /// The journal error that exhausted the retry policy. While it
     /// stands the pipeline is quarantined (see [`State::quarantined`]);
     /// only a failover lifts it.
     journal_error: Option<String>,
     /// The released prefix whose journal commit exhausted the retry
     /// policy, records and poison verdicts alike, parked at the release
-    /// cursor: never released (the write-ahead invariant), drained first
-    /// by the first `take_ready` after failover.
+    /// cursor: never released (the write-ahead invariant), taken first
+    /// by the first `ready_prefix` after failover.
     stalled: Vec<JournalEntry>,
     /// Failed journal commit attempts that were retried.
     retries: u64,
@@ -513,19 +594,403 @@ struct State {
     /// the cursor passed it).
     poisoned_log: Vec<PoisonNotice>,
     /// Why the last worker retired with the restart budget spent. The
-    /// other cause of quarantine: only [`FleetStream::scale_workers`]
-    /// lifts it, never a sink failover.
+    /// other cause of quarantine: only [`State::scale`] lifts it, never a
+    /// sink failover.
     dead_pool: Option<String>,
 }
 
 impl State {
+    /// The most jobs one worker pulls per lock acquisition. Bounds the
+    /// latency skew batching can introduce (a worker never hoards more
+    /// than this while its peers idle); the fair-share cap in
+    /// [`State::pull`] usually bites first.
+    const MAX_PULL: usize = 8;
+
+    /// An empty pipeline configured by `config`, with no worker yet:
+    /// [`State::scale`] staffs it.
+    fn new(config: &IngestConfig) -> State {
+        State {
+            queue: FairQueue::new(config.capacity),
+            phase: if config.start_paused {
+                Phase::Paused
+            } else {
+                Phase::Running
+            },
+            policy: config.backpressure,
+            watermark: config.completion_watermark,
+            supervisor: config.supervisor,
+            ..State::default()
+        }
+    }
+
     /// Quarantined while either cause stands, a failing journal or a dead
     /// worker pool: releases are stopped and submits fail fast.
     fn quarantined(&self) -> bool {
         self.journal_error.is_some() || self.dead_pool.is_some()
     }
+
+    /// Admission for a submitter holding `n` more jobs: `Some(k)` takes
+    /// the first `k` (all of them if the queue is unbounded), `None` waits
+    /// for a free slot under [`BackpressurePolicy::Block`]. A full queue
+    /// under [`BackpressurePolicy::Reject`] refuses all `n`, counting
+    /// them rejected.
+    fn admit(&mut self, n: usize) -> Result<Option<usize>, SubmitError> {
+        if self.phase >= Phase::Draining {
+            return Err(SubmitError::ShutDown);
+        }
+        if self.quarantined() {
+            return Err(SubmitError::Quarantined);
+        }
+        let free = match self.queue.capacity() {
+            0 => n,
+            cap => cap.saturating_sub(self.queue.len()),
+        };
+        if free > 0 {
+            return Ok(Some(free.min(n)));
+        }
+        match self.policy {
+            BackpressurePolicy::Reject => {
+                self.rejected += n as u64;
+                Err(SubmitError::QueueFull)
+            }
+            BackpressurePolicy::Block => Ok(None),
+        }
+    }
+
+    /// Enqueues an admitted `slice` at the next sequence numbers, its
+    /// committed `Accepted` entries (empty without a journal) pending until
+    /// release, and returns those numbers. A close that raced the commit
+    /// refuses the slice: its orphan `Accepted` entries are harmless, as
+    /// recovery reports them unreleased.
+    fn accept(
+        &mut self,
+        slice: &[JobSpec],
+        accepted: Vec<JournalEntry>,
+        submitted_at: Option<Instant>,
+    ) -> Result<(Range<u64>, Wake), SubmitError> {
+        if self.phase >= Phase::Draining {
+            return Err(SubmitError::ShutDown);
+        }
+        let first = self.next_seq;
+        self.next_seq += slice.len() as u64;
+        self.accepted.extend((first..).zip(accepted));
+        // A fault may have requeued reclaimed jobs into the slots the
+        // slice was admitted to; like them, an admitted job never bounces.
+        if let Err(queued) = self.queue.push_batch_at(first, slice, submitted_at) {
+            for (seq, job) in (first + queued as u64..).zip(&slice[queued..]) {
+                self.queue.requeue(seq, job.clone(), 1);
+            }
+        }
+        Ok((first..self.next_seq, Wake(slice.len(), 0, 0)))
+    }
+
+    /// Worker `worker`'s next step, with `batch` empty. It exits on
+    /// teardown, on a shrink token, or when a drain finds the queue empty;
+    /// it waits while paused, while the completion watermark is reached,
+    /// or for work. Otherwise it fills `batch` with at most
+    /// [`State::MAX_PULL`] jobs, within the watermark's room and its fair
+    /// share of the backlog so one worker cannot strip-mine the queue
+    /// while its peers idle, and registers each as its [`Assignment`]
+    /// dispatched at `stamp`. The first starts at once; each of the rest
+    /// starts as its predecessor completes.
+    fn pull(&mut self, worker: u64, stamp: Option<Instant>, batch: &mut Vec<QueuedJob>) -> Pull {
+        if self.phase == Phase::Paused {
+            return Pull::Wait;
+        }
+        let running = self.phase == Phase::Running;
+        if self.phase == Phase::TearingDown
+            || (running && self.active_workers > self.worker_target)
+            || (!running && self.queue.is_empty())
+        {
+            self.leave(None);
+            return Pull::Exit;
+        }
+        // The watermark counts the unconsumed completion log plus what is
+        // already in flight. A drain lifts it: finish() consumes
+        // everything.
+        let mut budget = usize::MAX;
+        if self.watermark > 0 && running {
+            let used = self.completed.len() + self.assignments.len();
+            if used >= self.watermark {
+                return Pull::Wait;
+            }
+            budget = self.watermark - used;
+        }
+        if self.queue.is_empty() {
+            return Pull::Wait;
+        }
+        let share = self.queue.len().div_ceil(self.active_workers.max(1));
+        let max = Self::MAX_PULL.min(budget).min(share).max(1);
+        while batch.len() < max {
+            let Some(queued) = self.queue.pop() else {
+                break;
+            };
+            self.dispatch_log.push((queued.job.id, queued.job.tenant));
+            self.assignments.insert(
+                queued.seq,
+                Assignment {
+                    job: queued.job.clone(),
+                    worker,
+                    attempt: queued.attempt,
+                    started: batch.is_empty(),
+                    dispatched_at: stamp,
+                },
+            );
+            batch.push(queued);
+        }
+        Pull::Run(Wake(0, batch.len(), 0))
+    }
+
+    /// Logs `entry`, the record of `seq` that its worker just finished,
+    /// and starts `next`, that worker's next batch item. Only the worker
+    /// holding `seq` completes it, and nothing reclaims its assignments
+    /// while it runs, so a record is logged at most once.
+    fn complete(&mut self, seq: u64, next: Option<u64>, entry: JournalEntry) -> Wake {
+        self.assignments.remove(&seq);
+        self.completed.insert(seq, entry);
+        self.completed_count += 1;
+        if let Some(next) = next.and_then(|next| self.assignments.get_mut(&next)) {
+            next.started = true;
+        }
+        Wake(0, 0, EVERY)
+    }
+
+    /// A fault of `worker`, which has stopped running its batch: reclaims
+    /// every assignment it holds, requeueing each at its sequence number
+    /// (release order, and so every downstream byte, is unchanged, and
+    /// re-execution is safe because the kernel is deterministic from the
+    /// fleet seed and job id). The job it was running is the one it
+    /// reassigns, with the attempt advanced, or poisons once that job
+    /// has burned [`SupervisorPolicy::max_job_attempts`] workers. Then
+    /// the restart budget decides: restart in place, or retire. Returns
+    /// whether the worker restarts, and the reassigned job's id, tenant
+    /// and dispatch stamp for its span.
+    fn fault(&mut self, worker: u64, reason: &str) -> (bool, Option<Reassigned>, Wake) {
+        let mut reassigned = None;
+        for (seq, a) in self.assignments.extract_if(.., |_, a| a.worker == worker) {
+            if !a.started {
+                // Batch-mates the worker never started consumed no
+                // attempt: they requeue at their current one, so the
+                // fault schedule still addresses their first execution.
+                self.queue.requeue(seq, a.job, a.attempt);
+            } else if a.attempt >= self.supervisor.max_job_attempts {
+                // Poison: its verdict takes the record's place in the
+                // completion log and is journaled at release.
+                self.poisoned_count += 1;
+                let notice = PoisonNotice {
+                    spec: a.job,
+                    attempts: a.attempt,
+                };
+                self.completed.insert(seq, JournalEntry::poisoned(notice));
+            } else {
+                self.jobs_reassigned += 1;
+                reassigned = Some((a.job.id, a.job.tenant, a.dispatched_at));
+                self.queue.requeue(seq, a.job, a.attempt + 1);
+            }
+        }
+        // The restart ladder: a per-session count of restarts that
+        // nothing refills. Restarts continue during a drain (it needs
+        // workers) but not during teardown.
+        let teardown = self.phase == Phase::TearingDown;
+        let restart = !teardown && self.worker_restarts < u64::from(self.supervisor.max_restarts);
+        if restart {
+            self.worker_restarts += 1;
+        } else {
+            // A teardown retires the worker without charging anything.
+            self.leave((!teardown).then_some(reason));
+        }
+        (restart, reassigned, Wake(EVERY, EVERY, EVERY))
+    }
+
+    /// The one rule for a worker leaving the pool. One that retires on a
+    /// fault with the restart budget spent (`fault` names why) degrades
+    /// the pool's target to the survivors, and the last one to go that way
+    /// quarantines the fleet until [`State::scale`] revives it.
+    fn leave(&mut self, fault: Option<&str>) {
+        self.active_workers -= 1;
+        if let Some(reason) = fault {
+            self.worker_target = self.worker_target.min(self.active_workers.max(1));
+            if self.active_workers == 0 {
+                self.dead_pool = Some(format!(
+                    "last worker died with the restart budget spent: {reason}"
+                ));
+            }
+        }
+    }
+
+    /// The prefix to journal and release next: a prefix parked by
+    /// quarantine first, then the completion log's contiguous run from the
+    /// release cursor. `None` while quarantined or with nothing ready. The
+    /// cursor stays put until [`State::release`].
+    fn ready_prefix(&mut self) -> Option<Vec<JournalEntry>> {
+        if self.quarantined() {
+            return None;
+        }
+        let (first, mut prefix) = (self.released, std::mem::take(&mut self.stalled));
+        while let Some(entry) = self.completed.remove(&(first + prefix.len() as u64)) {
+            prefix.push(entry);
+        }
+        (!prefix.is_empty()).then_some(prefix)
+    }
+
+    /// Releases `prefix`, the last [`State::ready_prefix`], once it is
+    /// journaled: moves the cursor past it, retires its pending `Accepted`
+    /// entries, and hands its records to `out` and its poison verdicts to
+    /// the poisoned log.
+    fn release(&mut self, prefix: Vec<JournalEntry>, out: &mut Vec<RunRecord>) -> Wake {
+        self.released += prefix.len() as u64;
+        // A Run or Poisoned entry now vouches for each released job, so
+        // its Accepted marker is no longer pending.
+        self.accepted.retain(|&seq, _| seq >= self.released);
+        for entry in prefix {
+            match entry {
+                JournalEntry::Run(record) => out.push(*record),
+                // A poison verdict is released by journaling it; there is
+                // no record to hand out.
+                JournalEntry::Poisoned(notice) => self.poisoned_log.push(notice),
+                _ => unreachable!("the completion log holds runs and poison verdicts"),
+            }
+        }
+        // The completion log shrank: wake workers stalled on the
+        // watermark.
+        Wake(EVERY, 0, 0)
+    }
+
+    /// A journal commit exhausted its retry policy: the pipeline
+    /// quarantines with `error` standing, and `parked` (the prefix whose
+    /// commit failed, empty for a submission-side commit) waits at the
+    /// release cursor. Releases stop and submits fail fast until
+    /// [`State::failed_over`].
+    fn commit_failed(&mut self, error: &JournalError, parked: Vec<JournalEntry>) -> Wake {
+        self.journal_failures += 1;
+        self.journal_error = Some(error.to_string());
+        // A quarantined pipeline releases nothing, so at most one prefix is
+        // parked; a submission-side failure racing it must not drop it.
+        debug_assert!(parked.is_empty() || self.stalled.is_empty());
+        self.stalled.extend(parked);
+        Wake(EVERY, EVERY, EVERY)
+    }
+
+    /// A failed journal commit attempt is about to be retried.
+    fn retried(&mut self) {
+        self.retries += 1;
+    }
+
+    /// The failover's commits landed: lifts the journal's cause of
+    /// quarantine. A dead worker pool is not a journal problem and stands
+    /// until [`State::scale`] staffs the pool again.
+    fn failed_over(&mut self) -> Wake {
+        self.journal_error = None;
+        Wake(EVERY, EVERY, 0)
+    }
+
+    /// Resizes the pool to `workers` (at least one) and returns the ids of
+    /// the workers to spawn. Growing counts the spawns at once, so the
+    /// fair-share cap sees the new pool size, and revives a dead pool; a
+    /// failing journal keeps the pipeline quarantined until a failover.
+    /// Shrinking leaves surplus workers a shrink token each. A closed
+    /// pipeline ignores the target: a drain keeps every worker alive.
+    fn scale(&mut self, workers: usize) -> (Range<u64>, Wake) {
+        if self.phase >= Phase::Draining {
+            return (0..0, Wake::default());
+        }
+        self.worker_target = workers.max(1);
+        let grow = self.worker_target.saturating_sub(self.active_workers);
+        self.active_workers += grow;
+        let first = self.spawned_total;
+        self.spawned_total += grow as u64;
+        if grow == 0 {
+            return (first..first, Wake(EVERY, 0, 0));
+        }
+        self.dead_pool = None;
+        (first..self.spawned_total, Wake(EVERY, EVERY, 0))
+    }
+
+    /// Starts dispatch in a pipeline opened paused.
+    fn resume(&mut self) -> Wake {
+        self.phase = self.phase.max(Phase::Running);
+        Wake(EVERY, 0, 0)
+    }
+
+    /// Closes the pipeline to submissions: a drain runs every accepted
+    /// job, a paused pipeline's included, and a teardown abandons the
+    /// queued backlog.
+    fn close(&mut self, drain: bool) -> Wake {
+        self.phase = if drain {
+            Phase::Draining
+        } else {
+            Phase::TearingDown
+        };
+        Wake(EVERY, EVERY, 0)
+    }
+
+    /// Whether a close is over: every accepted job completed or was
+    /// poisoned. A dead pool completes nothing more, so it turns a drain
+    /// into a teardown.
+    fn drained(&mut self) -> bool {
+        if self.dead_pool.is_some() {
+            self.phase = Phase::TearingDown;
+        }
+        self.phase == Phase::TearingDown
+            || self.completed_count + self.poisoned_count >= self.next_seq
+    }
+
+    /// The pipeline counters and gauges, with the buffer pool's `pool`.
+    fn stats(&self, pool: PoolStats) -> IngestStats {
+        let mut inflight = BTreeMap::new();
+        for assignment in self.assignments.values().filter(|a| a.started) {
+            *inflight.entry(assignment.job.tenant).or_insert(0) += 1;
+        }
+        IngestStats {
+            submitted: self.next_seq,
+            completed: self.completed_count,
+            rejected: self.rejected,
+            queued: self.queue.len(),
+            ready: self.completed.len() + self.stalled.len(),
+            inflight,
+            retries: self.retries,
+            journal_failures: self.journal_failures,
+            quarantined: self.quarantined(),
+            workers: self.active_workers,
+            worker_restarts: self.worker_restarts,
+            reassigned: self.jobs_reassigned,
+            poisoned: self.poisoned_count,
+            pool,
+        }
+    }
+
+    /// The pipeline's durability health report.
+    fn health(&self) -> FleetHealth {
+        FleetHealth {
+            quarantined: self.quarantined(),
+            journal_failures: self.journal_failures,
+            retries: self.retries,
+            stalled: self.stalled.len() as u64,
+            pending_accepted: self.accepted.len() as u64,
+            last_error: self.journal_error.clone().or(self.dead_pool.clone()),
+            workers_live: self.active_workers,
+            worker_restarts: self.worker_restarts,
+            reassigned: self.jobs_reassigned,
+            poisoned: self.poisoned_count,
+            workers_dead: self.dead_pool.is_some(),
+        }
+    }
 }
 
+/// The job a commit's spans are attributed to: its first entry's. A
+/// checkpoint names no job, so a commit of one records no span.
+fn first_job(entries: &[JournalEntry]) -> Option<(JobId, TenantId)> {
+    match entries.first()? {
+        JournalEntry::Accepted(spec) => Some((spec.id, spec.tenant)),
+        JournalEntry::Run(record) => Some((record.job.id, record.job.tenant)),
+        JournalEntry::Poisoned(notice) => Some((notice.spec.id, notice.spec.tenant)),
+        _ => None,
+    }
+}
+
+/// The threads' side of the pipeline: the lock around [`State`], the
+/// condvars its transitions wake, and the I/O and execution no transition
+/// does.
 #[derive(Debug)]
 struct Shared {
     state: Mutex<State>,
@@ -535,10 +1000,6 @@ struct Shared {
     slot_free: Condvar,
     /// Signaled when a job completes (wakes `finish`).
     job_done: Condvar,
-    policy: BackpressurePolicy,
-    /// Completion-side watermark (0 = unbounded); see
-    /// [`IngestConfig::with_completion_watermark`].
-    watermark: usize,
     /// When set, every released prefix is appended to it *before*
     /// `take_ready` releases it — the write-ahead point of the
     /// durability layer.
@@ -560,9 +1021,6 @@ struct Shared {
     /// Leaf lock — only ever taken while holding nothing or the state
     /// lock, never the other way around.
     pool: BufferPool<RunRecord>,
-    /// The supervisor's recovery ladder (restart budget, degradation,
-    /// poison threshold).
-    supervisor: SupervisorPolicy,
     /// The installed worker fault schedule (empty = healthy pool).
     worker_faults: WorkerFaultSchedule,
     /// The executor every worker runs its jobs on.
@@ -581,6 +1039,19 @@ impl Shared {
         condvar.wait(guard).unwrap_or_else(PoisonError::into_inner)
     }
 
+    /// Applies the wakeups a transition returned: the one place the
+    /// pipeline notifies a condvar.
+    fn wake(&self, Wake(workers, submitters, drain): Wake) {
+        let condvars = [&self.job_ready, &self.slot_free, &self.job_done];
+        for (condvar, available) in condvars.into_iter().zip([workers, submitters, drain]) {
+            match available {
+                0 => {}
+                1 => condvar.notify_one(),
+                _ => condvar.notify_all(),
+            }
+        }
+    }
+
     /// Submits one job as a one-job slice of [`Shared::submit_all`].
     fn submit(&self, job: JobSpec) -> Result<u64, SubmitError> {
         self.submit_all(std::slice::from_ref(&job))
@@ -591,16 +1062,10 @@ impl Shared {
     /// The one submission path (a single `submit` is a one-job slice):
     /// admits `jobs` in capacity-sized slices, paying the submit guard once
     /// for the whole batch and, per slice, one grouped `Accepted` journal
-    /// commit, one state-lock hold (sequence assignment plus a bulk queue
-    /// push) and one condvar wake.
+    /// commit, two state-lock holds ([`State::admit`], then
+    /// [`State::accept`]) and one condvar wake.
     fn submit_all(&self, jobs: &[JobSpec]) -> Result<Vec<u64>, BatchSubmitError> {
-        if jobs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let fail = |seqs: Vec<u64>, error: SubmitError| BatchSubmitError {
-            accepted: seqs,
-            error,
-        };
+        let fail = |accepted, error| BatchSubmitError { accepted, error };
         let mut seqs = Vec::with_capacity(jobs.len());
         // One submitter at a time: the Accepted write-ahead append below
         // happens outside the state lock, and this guard is what keeps
@@ -612,31 +1077,13 @@ impl Shared {
             .unwrap_or_else(PoisonError::into_inner);
         let mut remaining = jobs;
         while !remaining.is_empty() {
-            // Admission: how many fit right now (everything, if unbounded).
             let admit = {
                 let mut state = self.lock();
                 loop {
-                    if state.shutting_down {
-                        return Err(fail(seqs, SubmitError::ShutDown));
-                    }
-                    if state.quarantined() {
-                        return Err(fail(seqs, SubmitError::Quarantined));
-                    }
-                    let free = match state.queue.capacity() {
-                        0 => remaining.len(),
-                        cap => cap.saturating_sub(state.queue.len()),
-                    };
-                    if free > 0 {
-                        break free.min(remaining.len());
-                    }
-                    match self.policy {
-                        BackpressurePolicy::Reject => {
-                            state.rejected += remaining.len() as u64;
-                            return Err(fail(seqs, SubmitError::QueueFull));
-                        }
-                        BackpressurePolicy::Block => {
-                            state = self.wait(&self.slot_free, state);
-                        }
+                    match state.admit(remaining.len()) {
+                        Ok(Some(admit)) => break admit,
+                        Ok(None) => state = self.wait(&self.slot_free, state),
+                        Err(error) => return Err(fail(seqs, error)),
                     }
                 }
             };
@@ -649,286 +1096,116 @@ impl Shared {
             // prefix was accepted — those jobs are journaled and will run;
             // the slice and everything after it were refused.
             let mut accepted = Vec::new();
-            if let Some(journal) = &self.journal {
+            if self.journal.is_some() {
                 accepted = slice.iter().cloned().map(JournalEntry::Accepted).collect();
-                if let Err(e) = self.commit_with_retry(slice[0].id, slice[0].tenant, || {
-                    journal.append_batch(&accepted)
-                }) {
-                    self.enter_quarantine(e, Vec::new());
+                if let Err(e) = self.commit_with_retry(&accepted) {
+                    let wake = self.lock().commit_failed(&e, Vec::new());
+                    self.wake(wake);
                     return Err(fail(seqs, SubmitError::Quarantined));
                 }
             }
-            let mut state = self.lock();
-            if state.shutting_down {
-                // Shutdown raced the acceptance append; the orphan Accepted
-                // entries are harmless (recovery reports them unreleased).
-                return Err(fail(seqs, SubmitError::ShutDown));
-            }
-            let first_seq = state.next_seq;
-            state.next_seq += admit as u64;
-            // The committed entries themselves stay pending until release.
-            state.accepted.extend((first_seq..).zip(accepted));
-            let submitted_at = self.tracer.as_ref().map(|_| std::time::Instant::now());
-            state
-                .queue
-                .push_batch_at(first_seq, slice, submitted_at)
-                .expect("slice admitted under the submit guard");
-            seqs.extend(first_seq..first_seq + admit as u64);
-            drop(state);
-            // One wake per admitted slice, not per job.
-            if admit == 1 {
-                self.job_ready.notify_one();
-            } else {
-                self.job_ready.notify_all();
-            }
+            let submitted_at = self.tracer.as_ref().map(|_| Instant::now());
+            let outcome = self.lock().accept(slice, accepted, submitted_at);
+            let (slice_seqs, wake) = match outcome {
+                Ok(outcome) => outcome,
+                Err(error) => return Err(fail(seqs, error)),
+            };
+            seqs.extend(slice_seqs);
+            self.wake(wake);
         }
         Ok(seqs)
     }
 
     fn stats(&self) -> IngestStats {
-        let state = self.lock();
-        let mut inflight = BTreeMap::new();
-        for assignment in state.assignments.values() {
-            *inflight.entry(assignment.job.tenant).or_insert(0) += 1;
-        }
-        IngestStats {
-            submitted: state.next_seq,
-            completed: state.completed_count,
-            rejected: state.rejected,
-            queued: state.queue.len(),
-            ready: state.completed.len() + state.stalled.len(),
-            inflight,
-            retries: state.retries,
-            journal_failures: state.journal_failures,
-            quarantined: state.quarantined(),
-            workers: state.active_workers,
-            worker_restarts: state.worker_restarts,
-            reassigned: state.jobs_reassigned,
-            poisoned: state.poisoned_count,
-            pool: self.pool.stats(),
-        }
+        self.lock().stats(self.pool.stats())
     }
 
-    /// The pipeline's durability health report.
-    fn health(&self) -> FleetHealth {
-        let state = self.lock();
-        FleetHealth {
-            quarantined: state.quarantined(),
-            journal_failures: state.journal_failures,
-            retries: state.retries,
-            stalled: state.stalled.len() as u64,
-            pending_accepted: state.accepted.len() as u64,
-            last_error: state
-                .journal_error
-                .clone()
-                .or_else(|| state.dead_pool.clone()),
-            workers_live: state.active_workers,
-            worker_restarts: state.worker_restarts,
-            reassigned: state.jobs_reassigned,
-            poisoned: state.poisoned_count,
-            workers_dead: state.dead_pool.is_some(),
-        }
-    }
-
-    /// Runs one journal commit under the retry policy: at most
-    /// `max_attempts` tries, back to back, and one [`Stage::JournalRetry`]
-    /// aggregate span per failed attempt when tracing. A failed commit
-    /// writes nothing and advances no chain, so the next try starts from
-    /// exactly where the first did. Returns the last error on exhaustion
-    /// — the caller quarantines; nothing here panics.
-    fn commit_with_retry(
-        &self,
-        job: JobId,
-        tenant: TenantId,
-        mut commit: impl FnMut() -> Result<(), JournalError>,
-    ) -> Result<(), JournalError> {
+    /// Runs one journal commit of `batch` under the retry policy: at
+    /// most `max_attempts` tries, back to back, each failed one but the
+    /// last counted in `retries`. When tracing, each failed attempt is one
+    /// [`Stage::JournalRetry`] aggregate span, attributed to the first job
+    /// the commit names ([`first_job`]): a checkpoint's failed attempts
+    /// are counted and not traced. A failed commit writes nothing and
+    /// advances no chain, so the next try starts from exactly where the
+    /// first did. Returns the last error on exhaustion — the caller
+    /// quarantines or reports it; nothing here panics on I/O. Only a
+    /// pipeline with a journal commits.
+    fn commit_with_retry(&self, batch: &[JournalEntry]) -> Result<(), JournalError> {
+        let journal = self.journal.as_ref().expect("commits need a journal");
         let mut attempt = 0u32;
         loop {
             attempt += 1;
-            let started = self.tracer.as_ref().map(|_| std::time::Instant::now());
-            let Err(error) = commit() else {
+            let started = self.tracer.as_ref().map(|_| Instant::now());
+            let Err(error) = journal.append_batch(batch) else {
                 return Ok(());
             };
-            if let (Some(tracer), Some(started)) = (&self.tracer, started) {
-                // A shared commit attempt is nobody's per-tenant latency:
-                // aggregate cell only, attributed to the batch's first job.
+            if let (Some(tracer), Some(started), Some((job, tenant))) =
+                (&self.tracer, started, first_job(batch))
+            {
+                // A shared commit attempt is nobody's per-tenant latency.
                 tracer.record_aggregate(Stage::JournalRetry, job, tenant, started.elapsed());
             }
             if attempt >= self.retry.max_attempts {
                 return Err(error);
             }
-            self.lock().retries += 1;
+            self.lock().retried();
         }
     }
 
-    /// Flips the pipeline into quarantine: `stalled` (the released prefix
-    /// whose commit exhausted the policy — empty for a submission-side
-    /// failure) is parked at the release cursor, releases stop, submits
-    /// fail fast, and every waiter wakes to observe the state. Lifted
-    /// only by [`Shared::resume_after_failover`].
-    fn enter_quarantine(&self, error: JournalError, stalled: Vec<JournalEntry>) {
-        let mut state = self.lock();
-        state.journal_failures += 1;
-        state.journal_error = Some(error.to_string());
-        // A quarantined pipeline releases nothing, so at most one prefix is
-        // parked; a submission-side failure racing it must not drop it.
-        debug_assert!(stalled.is_empty() || state.stalled.is_empty());
-        state.stalled.extend(stalled);
-        drop(state);
-        self.job_ready.notify_all();
-        self.slot_free.notify_all();
-        self.job_done.notify_all();
-    }
-
-    /// Completes a failover after [`Journal::fail_over`] swapped in a
-    /// fresh sink: re-journals the pending accepted set (so the new sink
-    /// is recoverable on its own, accepted-but-unreleased jobs included)
-    /// and lifts the journal's cause of quarantine. A dead worker pool is
-    /// not a journal problem: it stands until
-    /// [`FleetStream::scale_workers`] staffs the pool again. On error the
-    /// journal's cause stands too — the replacement sink is failing.
-    fn resume_after_failover(&self) -> Result<(), JournalError> {
-        let Some(journal) = &self.journal else {
-            return Ok(());
-        };
-        let accepted: Vec<JournalEntry> = self.lock().accepted.values().cloned().collect();
-        journal.append_batch(&accepted)?;
-        self.lock().journal_error = None;
-        self.job_ready.notify_all();
-        self.slot_free.notify_all();
-        Ok(())
-    }
-
-    /// The most jobs one worker pulls per lock acquisition. Bounds the
-    /// latency skew batching can introduce (a worker never hoards more
-    /// than this while its peers idle); the fair-share cap below usually
-    /// bites first.
-    const MAX_PULL: usize = 8;
-
-    /// Worker loop: pop a fair batch, execute it outside the lock, log the
-    /// completions under one lock hold. Batching amortizes the state lock
-    /// and condvar traffic without changing anything observable downstream:
-    /// pops stay round-robin (the dispatch log is identical), and the
-    /// completion log is keyed by submission sequence, so release order —
-    /// and therefore reports, ledgers and metering — is bit-identical to
-    /// one-job-at-a-time pulls.
+    /// Worker loop: pull a fair batch under one lock hold
+    /// ([`State::pull`]), execute it outside the lock, and log each
+    /// completion under one lock hold. Batching amortizes the state lock
+    /// and condvar traffic without changing anything observable
+    /// downstream: pops stay round-robin (the dispatch log is identical),
+    /// and the completion log is keyed by submission sequence, so release
+    /// order — and therefore reports, ledgers and metering — is
+    /// bit-identical to one-job-at-a-time pulls.
     ///
-    /// Every pop registers an [`Assignment`] under this worker's id, and
-    /// the fault schedule is consulted per (job, attempt) before
-    /// execution. Returns `Ok` on a normal exit (shutdown, teardown or a
-    /// shrink token) and the fault that stopped it otherwise: a record
-    /// [`Fleet::verify_record`] rejected. A panic unwinds out of here
-    /// instead; [`Shared::spawn_worker`] catches it.
-    /// Either way the assignments this worker still holds are left for
-    /// [`Shared::fault`] to reclaim.
+    /// The fault schedule is consulted per (job, attempt) before
+    /// execution. Returns `Ok` when the worker leaves the pool and the
+    /// fault that stopped it otherwise: a record [`Fleet::verify_record`]
+    /// rejected. A panic unwinds out of here instead;
+    /// [`Shared::spawn_worker`] catches it. Either way the assignments
+    /// this worker still holds are left for [`State::fault`] to reclaim.
     fn work(&self, id: u64) -> Result<(), &'static str> {
-        let mut batch: Vec<crate::queue::QueuedJob> = Vec::with_capacity(Self::MAX_PULL);
+        let mut batch: Vec<QueuedJob> = Vec::with_capacity(State::MAX_PULL);
         loop {
-            {
-                let mut state = self.lock();
-                loop {
-                    if state.paused && !state.shutting_down {
-                        state = self.wait(&self.job_ready, state);
-                        continue;
-                    }
-                    if state.shutting_down && state.discard_queued {
-                        // Teardown without finish(): abandon the backlog.
-                        state.active_workers -= 1;
-                        return Ok(());
-                    }
-                    // Scale-down: consume a shrink token and exit. Ignored
-                    // while shutting down — finish() needs every worker
-                    // still alive to drain the backlog.
-                    if !state.shutting_down && state.active_workers > state.worker_target {
-                        state.active_workers -= 1;
-                        return Ok(());
-                    }
-                    // Completion watermark: don't start new work while the
-                    // unconsumed completion log (plus what's already in
-                    // flight) is at the limit. A graceful shutdown lifts
-                    // the watermark — finish() consumes everything.
-                    let mut budget = usize::MAX;
-                    if self.watermark > 0 && !state.shutting_down {
-                        let used = state.completed.len() + state.assignments.len();
-                        if used >= self.watermark {
-                            state = self.wait(&self.job_ready, state);
-                            continue;
-                        }
-                        budget = self.watermark - used;
-                    }
-                    if state.queue.is_empty() {
-                        if state.shutting_down {
-                            state.active_workers -= 1;
-                            return Ok(());
-                        }
-                        state = self.wait(&self.job_ready, state);
-                        continue;
-                    }
-                    // Pull a batch: watermark-respecting, capped, and no
-                    // more than this worker's fair share of the backlog so
-                    // one worker cannot strip-mine the queue while its
-                    // peers idle.
-                    let share = state.queue.len().div_ceil(state.active_workers.max(1));
-                    let max = Self::MAX_PULL.min(budget).min(share).max(1);
-                    let dispatch_stamp = self.tracer.as_ref().map(|_| std::time::Instant::now());
-                    while batch.len() < max {
-                        let Some(queued) = state.queue.pop() else {
-                            break;
-                        };
-                        state.dispatch_log.push((queued.job.id, queued.job.tenant));
-                        // The first batch item starts executing right away;
-                        // the rest start as their predecessors complete.
-                        state.assignments.insert(
-                            queued.seq,
-                            Assignment {
-                                job: queued.job.clone(),
-                                worker: id,
-                                attempt: queued.attempt,
-                                started: batch.is_empty(),
-                                dispatched_at: dispatch_stamp,
-                            },
-                        );
-                        batch.push(queued);
-                    }
-                    break;
+            let mut state = self.lock();
+            let wake = loop {
+                let stamp = self.tracer.as_ref().map(|_| Instant::now());
+                match state.pull(id, stamp, &mut batch) {
+                    Pull::Run(wake) => break wake,
+                    Pull::Wait => state = self.wait(&self.job_ready, state),
+                    Pull::Exit => return Ok(()),
                 }
-            }
-            if batch.len() == 1 {
-                self.slot_free.notify_one();
-            } else {
-                self.slot_free.notify_all();
-            }
+            };
+            drop(state);
+            self.wake(wake);
 
             for (idx, queued) in batch.iter().enumerate() {
-                let next_seq = batch.get(idx + 1).map(|q| q.seq);
+                let (job, next_seq) = (&queued.job, batch.get(idx + 1).map(|q| q.seq));
                 // Dispatch closed the queue-wait window at pop; record it
                 // outside the state lock so tracing never stalls workers.
                 if let (Some(tracer), Some(submitted_at)) = (&self.tracer, queued.submitted_at) {
-                    tracer.record(
-                        Stage::QueueWait,
-                        queued.job.id,
-                        queued.job.tenant,
-                        submitted_at.elapsed(),
-                    );
+                    tracer.record(Stage::QueueWait, job.id, job.tenant, submitted_at.elapsed());
                 }
 
                 // Consult the fault schedule for this (job, attempt).
-                let fault = self.worker_faults.fault_for(queued.job.id, queued.attempt);
-                let record = match fault {
+                let record = match self.worker_faults.fault_for(job.id, queued.attempt) {
                     Some(WorkerFaultKind::Panic) => panic!(
                         "injected worker fault: panic executing job {} (attempt {})",
-                        queued.job.id.0, queued.attempt
+                        job.id.0, queued.attempt
                     ),
                     Some(WorkerFaultKind::WrongResult) => {
                         // A lying executor: bill more than was done. The
                         // completion-side quote check catches it — the
                         // quote's MAC covers the honest usage.
-                        let mut record = self.fleet.run_one(&queued.job);
+                        let mut record = self.fleet.run_one(job);
                         record.outcome.victim_billed.utime.0 =
                             record.outcome.victim_billed.utime.0.wrapping_add(1_000_000);
                         record
                     }
-                    None => self.fleet.run_one(&queued.job),
+                    None => self.fleet.run_one(job),
                 };
                 if !self.complete(queued.seq, next_seq, record) {
                     return Err("completion failed record verification (wrong-result executor)");
@@ -938,128 +1215,25 @@ impl Shared {
         }
     }
 
-    /// Logs one execution result into the completion log and starts the
-    /// next batch item under the same lock hold. Returns `false`, logging
-    /// nothing, when [`Fleet::verify_record`] rejects the record (a lying
-    /// executor). Only the worker holding `seq` calls this, and nothing
-    /// reclaims its assignments while it runs, so the record is logged at
-    /// most once.
+    /// Logs one execution result ([`State::complete`]) unless
+    /// [`Fleet::verify_record`] rejects it (a lying executor), which
+    /// returns `false` and logs nothing.
     fn complete(&self, seq: u64, next_seq: Option<u64>, record: RunRecord) -> bool {
         if self.fleet.verify_record(&record).is_err() {
             return false;
         }
-        let mut state = self.lock();
-        state.assignments.remove(&seq);
-        state.completed.insert(seq, JournalEntry::run(record));
-        state.completed_count += 1;
-        if let Some(next) = next_seq.and_then(|next| state.assignments.get_mut(&next)) {
-            next.started = true;
-        }
-        drop(state);
-        self.job_done.notify_all();
+        let entry = JournalEntry::run(record);
+        let wake = self.lock().complete(seq, next_seq, entry);
+        self.wake(wake);
         true
-    }
-
-    /// Handles a fault of worker `id`, which has stopped running its
-    /// batch: reclaims every assignment it still holds — requeueing each
-    /// at the same sequence number, with the attempt advanced for the job
-    /// it was running (the one job it reassigns), or declaring that job
-    /// poison once it has burned [`SupervisorPolicy::max_job_attempts`]
-    /// workers — then charges the restart budget. Returns whether the
-    /// worker restarts in place; with the budget spent it retires
-    /// instead, degrading the pool, and the last worker to retire
-    /// quarantines the fleet. A teardown retires the worker without
-    /// charging anything.
-    fn fault(&self, id: u64, reason: &str) -> bool {
-        let mut reassigned: Option<(JobId, TenantId, Option<std::time::Instant>)> = None;
-        let restart = {
-            let mut state = self.lock();
-            // Requeueing keeps the original sequence numbers, so release
-            // order — and every bit of downstream output — is unchanged;
-            // re-execution is safe because the kernel is deterministic
-            // from the fleet seed and job id.
-            let seqs: Vec<u64> = state
-                .assignments
-                .iter()
-                .filter(|(_, a)| a.worker == id)
-                .map(|(seq, _)| *seq)
-                .collect();
-            for seq in seqs {
-                let Some(assignment) = state.assignments.remove(&seq) else {
-                    continue;
-                };
-                if !assignment.started {
-                    // Only the assignment actually *executing* consumed an
-                    // attempt; batch-mates the worker never started requeue
-                    // at their current attempt, so the fault schedule still
-                    // addresses their first execution. They never ran, so
-                    // they are not reassigned.
-                    state.queue.requeue(seq, assignment.job, assignment.attempt);
-                } else if assignment.attempt >= self.supervisor.max_job_attempts {
-                    // Poison: this job has killed max_job_attempts workers
-                    // in a row. Its verdict takes the record's place in the
-                    // completion log and is journaled at release. The rest
-                    // of the fleet keeps flowing.
-                    state.poisoned_count += 1;
-                    state.completed.insert(
-                        seq,
-                        JournalEntry::poisoned(PoisonNotice {
-                            spec: assignment.job,
-                            attempts: assignment.attempt,
-                        }),
-                    );
-                } else {
-                    state.jobs_reassigned += 1;
-                    reassigned = Some((
-                        assignment.job.id,
-                        assignment.job.tenant,
-                        assignment.dispatched_at,
-                    ));
-                    state
-                        .queue
-                        .requeue(seq, assignment.job, assignment.attempt + 1);
-                }
-            }
-            // The restart ladder: a per-session count of restarts that
-            // nothing refills. Restarts continue during a graceful finish
-            // (the drain needs workers) but not during teardown.
-            if state.shutting_down && state.discard_queued {
-                state.active_workers -= 1;
-                false
-            } else if state.worker_restarts < u64::from(self.supervisor.max_restarts) {
-                state.worker_restarts += 1;
-                true
-            } else {
-                // Budget spent: retire, degrading to the surviving pool.
-                state.active_workers -= 1;
-                state.worker_target = state.worker_target.min(state.active_workers.max(1));
-                if state.active_workers == 0 {
-                    state.dead_pool = Some(format!(
-                        "last worker died with the restart budget spent: {reason}"
-                    ));
-                }
-                false
-            }
-        };
-        // Spans are recorded outside the state lock.
-        if let (Some(tracer), Some((job, tenant, dispatched_at))) = (&self.tracer, reassigned) {
-            // Reclaiming is nobody's per-tenant latency: aggregate cell
-            // only, one span per reassigned job.
-            let elapsed = dispatched_at.map(|at| at.elapsed()).unwrap_or_default();
-            tracer.record_aggregate(Stage::Reassign, job, tenant, elapsed);
-        }
-        self.job_ready.notify_all();
-        self.job_done.notify_all();
-        self.slot_free.notify_all();
-        restart
     }
 
     /// Spawns worker `id` (at startup and on scale-up). The thread runs
     /// [`Shared::work`] under `catch_unwind`, so a panicking job (injected
     /// or real) never escapes the pool: a panic and a rejected record are
-    /// both faults of the job, handled by
-    /// [`Shared::fault`] on this same thread, which then re-enters `work`
-    /// or, with the restart budget spent, retires.
+    /// both faults of the job, handled by [`State::fault`] on this same
+    /// thread, which then re-enters `work` or, with the restart budget
+    /// spent, retires.
     fn spawn_worker(shared: &Arc<Shared>, id: u64) -> JoinHandle<()> {
         let shared = Arc::clone(shared);
         std::thread::Builder::new()
@@ -1070,7 +1244,17 @@ impl Shared {
                     Ok(Err(reason)) => reason,
                     Err(_) => "worker panicked mid-job",
                 };
-                if !shared.fault(id, reason) {
+                let (restart, reassigned, wake) = shared.lock().fault(id, reason);
+                if let (Some(tracer), Some((job, tenant, dispatched_at))) =
+                    (&shared.tracer, reassigned)
+                {
+                    // Reclaiming is nobody's per-tenant latency: aggregate
+                    // cell only, one span per reassigned job.
+                    let elapsed = dispatched_at.map(|at| at.elapsed()).unwrap_or_default();
+                    tracer.record_aggregate(Stage::Reassign, job, tenant, elapsed);
+                }
+                shared.wake(wake);
+                if !restart {
                     return;
                 }
             })
@@ -1152,56 +1336,27 @@ impl<'a> FleetStream<'a> {
             "an ingest pipeline needs at least one worker"
         );
         let shared = Arc::new(Shared {
-            state: Mutex::new(State {
-                queue: FairQueue::new(config.capacity),
-                next_seq: 0,
-                completed: BTreeMap::new(),
-                released: 0,
-                dispatch_log: Vec::new(),
-                completed_count: 0,
-                rejected: 0,
-                paused: config.start_paused,
-                shutting_down: false,
-                discard_queued: false,
-                journal_error: None,
-                stalled: Vec::new(),
-                retries: 0,
-                journal_failures: 0,
-                accepted: BTreeMap::new(),
-                worker_target: config.workers,
-                active_workers: config.workers,
-                assignments: BTreeMap::new(),
-                spawned_total: config.workers as u64,
-                worker_restarts: 0,
-                jobs_reassigned: 0,
-                poisoned_count: 0,
-                poisoned_log: Vec::new(),
-                dead_pool: None,
-            }),
+            state: Mutex::new(State::new(&config)),
             job_ready: Condvar::new(),
             slot_free: Condvar::new(),
             job_done: Condvar::new(),
-            policy: config.backpressure,
-            watermark: config.completion_watermark,
             journal: service.journal.clone(),
             tracer: service.fleet.tracer().cloned(),
             submit_guard: Mutex::new(()),
             retry: config.retry,
             pool: BufferPool::new(),
-            supervisor: config.supervisor,
             worker_faults: config.worker_faults,
             fleet: service.fleet.clone(),
         });
-        let workers = (0..config.workers)
-            .map(|i| Shared::spawn_worker(&shared, i as u64))
-            .collect();
-        FleetStream {
+        let mut stream = FleetStream {
             service,
             shared,
-            workers,
+            workers: Vec::new(),
             records: Vec::new(),
             verdicts: Vec::new(),
-        }
+        };
+        stream.scale_workers(config.workers);
+        stream
     }
 
     /// Submits one job; returns its submission sequence number.
@@ -1241,27 +1396,7 @@ impl<'a> FleetStream<'a> {
     /// pool that died out ([`FleetHealth::workers_dead`]). During shutdown
     /// the target is ignored: `finish` keeps every worker alive to drain.
     pub fn scale_workers(&mut self, workers: usize) {
-        let target = workers.max(1);
-        let ids = {
-            let mut state = self.shared.lock();
-            if state.shutting_down {
-                return;
-            }
-            state.worker_target = target;
-            let grow = target.saturating_sub(state.active_workers);
-            // Count the spawns now, under the lock, so the fair-share
-            // batch cap sees the new pool size immediately.
-            state.active_workers += grow;
-            if grow > 0 {
-                // A fresh pool revives a fleet whose last worker retired
-                // with the restart budget spent. A failing journal keeps
-                // it quarantined until a failover.
-                state.dead_pool = None;
-            }
-            let first = state.spawned_total;
-            state.spawned_total += grow as u64;
-            first..first + grow as u64
-        };
+        let (ids, wake) = self.shared.lock().scale(workers);
         if !ids.is_empty() {
             // Join the threads that already exited (shrunk or retired)
             // before adding more, so a long-lived stream holds a handle
@@ -1272,13 +1407,8 @@ impl<'a> FleetStream<'a> {
             for id in ids {
                 self.workers.push(Shared::spawn_worker(&self.shared, id));
             }
-            // New workers (and possibly a revived pipeline) need waking
-            // submitters and consumers.
-            self.shared.slot_free.notify_all();
         }
-        // Wake idle workers: on a shrink, surplus ones consume their
-        // shrink tokens without waiting for the next submission.
-        self.shared.job_ready.notify_all();
+        self.shared.wake(wake);
     }
 
     /// Sets a tenant's fairness weight: how many jobs its lane may release
@@ -1304,8 +1434,8 @@ impl<'a> FleetStream<'a> {
 
     /// Starts dispatch in a stream opened with [`IngestConfig::paused`].
     pub fn resume(&self) {
-        self.shared.lock().paused = false;
-        self.shared.job_ready.notify_all();
+        let wake = self.shared.lock().resume();
+        self.shared.wake(wake);
     }
 
     /// Durability health: quarantine flag, retry/failure counters, the
@@ -1314,7 +1444,7 @@ impl<'a> FleetStream<'a> {
     /// (release → post) is closed — so poll this to decide when a
     /// [`FleetStream::resume_with_sink`] failover is needed.
     pub fn health(&self) -> FleetHealth {
-        self.shared.health()
+        self.shared.lock().health()
     }
 
     /// Fails the journal over to a **fresh** sink and lifts the
@@ -1332,24 +1462,38 @@ impl<'a> FleetStream<'a> {
     /// self-contained for submission-side recovery too), the stalled
     /// ready prefix is drained and posted, and normal operation resumes.
     ///
+    /// Both commits run under the session's [`RetryPolicy`], like every
+    /// other journal commit, and their failed attempts count in
+    /// [`FleetHealth::retries`]. A checkpoint names no job, so its failed
+    /// attempts leave no retry span. A retry after the checkpoint line
+    /// landed but the retirement behind it failed writes the checkpoint
+    /// again; recovery accepts repeated leading checkpoints, since only
+    /// a checkpoint after replayed runs is misplaced.
+    ///
     /// A dead worker pool is a separate cause of quarantine: the failover
     /// succeeds, and the pipeline stays quarantined, releasing nothing,
     /// until [`FleetStream::scale_workers`] revives the pool.
     ///
     /// # Errors
     /// [`JournalError`] if the session has no journal, or if the
-    /// replacement sink fails while writing the leading checkpoint or the
-    /// accepted backlog — the pipeline then *stays* quarantined.
+    /// replacement sink fails every attempt the retry policy allows while
+    /// writing the leading checkpoint or the accepted backlog — the
+    /// pipeline then *stays* quarantined.
     pub fn resume_with_sink(&mut self, sink: Box<dyn JournalSink>) -> Result<(), JournalError> {
-        let Some(journal) = &self.service.journal else {
+        let shared = &*self.shared;
+        let Some(journal) = &shared.journal else {
             return Err(JournalError::Io(
                 "stream session has no journal to fail over".to_string(),
             ));
         };
         journal.fail_over(sink);
-        journal.append_batch(&[JournalEntry::checkpoint(self.service.checkpoint())])?;
+        let checkpoint = JournalEntry::checkpoint(self.service.checkpoint());
+        shared.commit_with_retry(&[checkpoint])?;
         self.service.runs_since_checkpoint = 0;
-        self.shared.resume_after_failover()?;
+        let accepted: Vec<JournalEntry> = shared.lock().accepted.values().cloned().collect();
+        shared.commit_with_retry(&accepted)?;
+        let wake = shared.lock().failed_over();
+        shared.wake(wake);
         self.pump();
         Ok(())
     }
@@ -1416,70 +1560,43 @@ impl<'a> FleetStream<'a> {
     ///
     /// This never panics on I/O. The commit runs under the configured
     /// [`RetryPolicy`]; on exhaustion the prefix is parked and the
-    /// pipeline quarantines ([`Shared::enter_quarantine`]), so nothing is
+    /// pipeline quarantines ([`State::commit_failed`]), so nothing is
     /// ever released unjournaled, under any fault schedule. A quarantined
     /// pipeline releases nothing until a failover lifts the quarantine.
+    ///
+    /// The wakeups wait for the end of the pump, so a worker stalled on
+    /// the completion watermark starts no job that this pump releases.
+    /// Every release asks for the same one and a failed commit's wakes
+    /// every waiter, so the pump's last wake covers them all.
     fn take_ready(&mut self) -> Vec<RunRecord> {
         let shared = &*self.shared;
         let mut records: Option<Vec<RunRecord>> = None;
+        let mut wake = Wake::default();
         loop {
-            let (first, prefix) = {
-                let mut state = shared.lock();
-                if state.quarantined() {
-                    break;
-                }
-                let first = state.released;
-                let mut prefix = std::mem::take(&mut state.stalled);
-                while let Some(entry) = state.completed.remove(&(first + prefix.len() as u64)) {
-                    prefix.push(entry);
-                }
-                if prefix.is_empty() {
-                    break;
-                }
-                (first, prefix)
+            let Some(prefix) = shared.lock().ready_prefix() else {
+                break;
             };
-            if let Some(journal) = &shared.journal {
-                let (job, tenant) = match &prefix[0] {
-                    JournalEntry::Run(record) => (record.job.id, record.job.tenant),
-                    JournalEntry::Poisoned(notice) => (notice.spec.id, notice.spec.tenant),
-                    _ => unreachable!("the completion log holds runs and poison verdicts"),
-                };
-                let commit_started = shared.tracer.as_ref().map(|_| std::time::Instant::now());
-                if let Err(e) =
-                    shared.commit_with_retry(job, tenant, || journal.append_batch(&prefix))
-                {
+            if shared.journal.is_some() {
+                let commit_started = shared.tracer.as_ref().map(|_| Instant::now());
+                if let Err(e) = shared.commit_with_retry(&prefix) {
                     // Retry policy exhausted: park the prefix (unreleased,
                     // unjournaled — the cursor still points at its first
                     // entry) and close the billing boundary.
-                    shared.enter_quarantine(e, prefix);
+                    wake = shared.lock().commit_failed(&e, prefix);
                     break;
                 }
-                if let (Some(tracer), Some(started)) = (&shared.tracer, commit_started) {
+                if let (Some(tracer), Some(started), Some((job, tenant))) =
+                    (&shared.tracer, commit_started, first_job(&prefix))
+                {
                     // A shared commit is nobody's per-tenant latency:
                     // aggregate cell only, attributed to its first job.
                     tracer.record_aggregate(Stage::JournalCommit, job, tenant, started.elapsed());
                 }
             }
-            let mut state = shared.lock();
-            state.released = first + prefix.len() as u64;
-            // A Run or Poisoned entry now vouches for each released job,
-            // so its Accepted marker is no longer pending.
-            for seq in first..state.released {
-                state.accepted.remove(&seq);
-            }
             let out = records.get_or_insert_with(|| shared.pool.acquire());
-            for entry in prefix {
-                match entry {
-                    JournalEntry::Run(record) => out.push(*record),
-                    // A poison verdict is released by journaling it; there
-                    // is no record to hand out.
-                    JournalEntry::Poisoned(notice) => state.poisoned_log.push(notice),
-                    _ => unreachable!("the completion log holds runs and poison verdicts"),
-                }
-            }
+            wake = shared.lock().release(prefix, out);
         }
-        // Wake workers stalled on the completion watermark.
-        shared.job_ready.notify_all();
+        shared.wake(wake);
         records.unwrap_or_default()
     }
 
@@ -1508,7 +1625,7 @@ impl<'a> FleetStream<'a> {
             verdicts: std::mem::take(&mut self.verdicts),
             ledger: self.service.ledger.clone(),
         };
-        (report, self.shared.health())
+        (report, self.shared.lock().health())
     }
 
     /// Stops the pool and joins every worker. A drain first waits until
@@ -1520,24 +1637,12 @@ impl<'a> FleetStream<'a> {
     /// running.
     fn shut_down(&mut self, drain: bool) {
         let shared = &self.shared;
-        {
-            let mut state = shared.lock();
-            state.shutting_down = true;
-            // Draining overrides pause: a paused pipeline still finishes.
-            state.paused = false;
-            let target = state.next_seq;
-            while drain
-                && state.completed_count + state.poisoned_count < target
-                && state.dead_pool.is_none()
-            {
-                shared.job_ready.notify_all();
-                state = shared.wait(&shared.job_done, state);
-            }
-            state.discard_queued = !drain || state.dead_pool.is_some();
+        let mut state = shared.lock();
+        shared.wake(state.close(drain));
+        while !state.drained() {
+            state = shared.wait(&shared.job_done, state);
         }
-        // Wake everyone: idle workers exit, blocked submitters see ShutDown.
-        shared.job_ready.notify_all();
-        shared.slot_free.notify_all();
+        drop(state);
         for worker in self.workers.drain(..) {
             // Workers catch their jobs' panics, so a join never carries
             // one; a teardown must not panic on it either way.
@@ -1555,8 +1660,7 @@ impl Drop for FleetStream<'_> {
         if !self.workers.is_empty() {
             self.shut_down(false);
         }
-        let stats = self.shared.stats();
-        self.service.fold_session(&stats);
+        self.service.fold_session(&self.shared.stats());
     }
 }
 
@@ -2108,10 +2212,10 @@ mod tests {
         let error = || JournalError::Io("injected".to_string());
         // The release side parks its prefix; a submission-side commit that
         // exhausted its retries at the same time quarantines second.
-        stream
-            .shared
-            .enter_quarantine(error(), vec![JournalEntry::poisoned(notice)]);
-        stream.shared.enter_quarantine(error(), Vec::new());
+        let mut state = stream.shared.lock();
+        let _ = state.commit_failed(&error(), vec![JournalEntry::poisoned(notice)]);
+        let _ = state.commit_failed(&error(), Vec::new());
+        drop(state);
         let health = stream.health();
         assert_eq!(health.journal_failures, 2);
         assert_eq!(health.stalled, 1, "the parked prefix survives");
@@ -2125,5 +2229,964 @@ mod tests {
         record.outcome.victim_billed.utime.0 += 1_000_000;
         assert!(!stream.shared.complete(0, None, record));
         assert_eq!(stream.stats().completed, 0, "nothing was logged");
+    }
+
+    #[test]
+    fn inflight_counts_only_the_running_job_of_a_batch() {
+        // One worker pulls all eight staged jobs in one batch; only the one
+        // it runs is in flight, its batch-mates wait.
+        let mut service = service(1, 9, None);
+        let stream = service.stream(IngestConfig::new(1).paused());
+        let jobs: Vec<JobSpec> = (0..8)
+            .map(|id| JobSpec::clean(id, TenantId(1), Workload::Pi, 0.01))
+            .collect();
+        stream.submit_all(&jobs).unwrap();
+        stream.resume();
+        loop {
+            let stats = stream.stats();
+            assert!(stats.inflight_total() <= 1, "{:?}", stats.inflight);
+            if stats.completed == 8 {
+                break;
+            }
+            std::thread::yield_now();
+        }
+        assert_eq!(stream.finish().records.len(), 8);
+    }
+
+    #[test]
+    fn a_failover_retries_its_commits_under_the_policy() {
+        use crate::faults::{FaultInjectingSink, FaultSchedule};
+        use crate::journal::MemorySink;
+
+        let dead = FaultSchedule::none().permanent_at(2);
+        let (sink, _probe) = FaultInjectingSink::wrap(Box::new(MemorySink::new()), dead);
+        let journal = Journal::with_sink(Box::new(sink));
+        let mut service = service(1, 31, Some(journal.clone()));
+        let mut stream = service.stream(IngestConfig::new(1));
+        stream.submit_all(&[job(0, 1), job(1, 1)]).unwrap();
+        while stream.stats().completed < 2 {
+            std::thread::yield_now();
+        }
+        assert_eq!(stream.pump(), 0);
+        assert!(stream.health().quarantined);
+        let retries = stream.health().retries;
+        // The replacement's first write, the leading checkpoint, fails
+        // once; the default policy's second attempt lands it.
+        let flaky = FaultSchedule::none().transient_at(0, 1);
+        let (sink, _probe) = FaultInjectingSink::wrap(Box::new(MemorySink::new()), flaky);
+        stream.resume_with_sink(Box::new(sink)).unwrap();
+        let health = stream.health();
+        assert!(!health.quarantined);
+        assert_eq!(health.retries, retries + 1);
+        assert_eq!(stream.verdicts().len(), 2, "the failover released both");
+        assert_eq!(stream.finish().records.len(), 2);
+    }
+
+    // ---------------------------------------------------------------------
+    // The pipeline machine under seeded interleavings: virtual workers, a
+    // submitter and the session's owner drive a bare `State` against a
+    // model journal. No thread, no lock, no I/O.
+    // ---------------------------------------------------------------------
+
+    /// Cases of the interleaving property: `PROPTEST_CASES` when set (CI
+    /// runs 10,000 in release), else a count that keeps the debug run
+    /// short.
+    fn machine_cases() -> u64 {
+        std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(256)
+    }
+
+    /// The traffic shapes the pipeline serves.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Traffic {
+        /// fleetbench's closed loop: `Block`, 16-job `submit_all` chunks,
+        /// at most 64 jobs accepted and unreleased.
+        Closed,
+        /// fleetbench's open loop: `Reject` over a small queue, weighted
+        /// tenants.
+        Open,
+        /// `FleetService::process`: paused, capacity equal to the batch,
+        /// one `submit_all`, then a drain.
+        Process,
+        /// One-job submits.
+        OneByOne,
+        /// Capacity 0 (unbounded).
+        Unbounded,
+    }
+
+    /// One step of one actor: the submitter, a worker (by index) or the
+    /// session's owner.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Action {
+        Submit,
+        Accept,
+        Pull(usize),
+        Complete(usize),
+        Fault(usize),
+        Pump,
+        Commit,
+        Failover,
+        Scale,
+        Resume,
+        Close,
+        Drained,
+        Join,
+    }
+
+    /// A virtual worker thread.
+    #[derive(Debug)]
+    struct Worker {
+        id: u64,
+        /// The batch it pulled; empty between pulls.
+        batch: Vec<QueuedJob>,
+        /// The batch item it is running.
+        at: usize,
+        /// Waiting on `job_ready`.
+        parked: bool,
+    }
+
+    /// What the session's owner thread is doing.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Owner {
+        Open,
+        /// In `shut_down`, waiting on `job_done` while parked.
+        Closing {
+            drain: bool,
+            parked: bool,
+        },
+        /// Joining the workers; a drain then pumps once more.
+        Joining {
+            drain: bool,
+        },
+        Done,
+    }
+
+    struct Sim<'r> {
+        seed: u64,
+        step: usize,
+        action: Option<Action>,
+        rng: trustmeter_sim::SimRng,
+        state: State,
+        traffic: Traffic,
+        jobs: Vec<JobSpec>,
+        /// Jobs that kill every worker that runs them, by job id.
+        poison: Vec<bool>,
+        /// Jobs per `submit_all` call.
+        chunk: usize,
+        journal: bool,
+        /// Attempts per journal commit.
+        retry: u32,
+        /// The chance that one commit attempt fails.
+        flaky: f64,
+        /// The chance that a worker may fault its running job this step.
+        fault_rate: f64,
+        /// The record every completion clones with its job's spec.
+        record: &'r RunRecord,
+        workers: Vec<Worker>,
+        /// The submitter: the next job to hand over, the end of the
+        /// current `submit_all` call, a slice between `admit` and
+        /// `accept`, and whether it waits on `slot_free`.
+        next_job: usize,
+        call_end: usize,
+        admitted: Option<usize>,
+        blocked: bool,
+        owner: Owner,
+        /// The owner is inside `take_ready`: the prefix it is committing,
+        /// if any, and the wakeups it applies when the pump ends.
+        pump: Option<(Option<Vec<JournalEntry>>, Wake)>,
+        // The model journal and the counts the machine must agree with.
+        /// Each job's sequence number, once accepted.
+        seq_of: Vec<Option<u64>>,
+        /// Each sequence number's job.
+        job_at: Vec<usize>,
+        /// Whether each sequence number's `Accepted` entry was committed.
+        accepted_journaled: Vec<bool>,
+        /// Release entries committed, in sequence order.
+        journaled: u64,
+        released: u64,
+        out: Vec<RunRecord>,
+        /// Started attempts of each sequence number that faulted.
+        faults: Vec<u32>,
+        reassigned: u64,
+        rejected: u64,
+        retries: u64,
+        journal_failures: u64,
+    }
+
+    macro_rules! ensure {
+        ($sim:expr, $cond:expr, $($what:tt)+) => {
+            assert!(
+                $cond,
+                "seed {} step {} {:?}: {}",
+                $sim.seed,
+                $sim.step,
+                $sim.action,
+                format_args!($($what)+)
+            )
+        };
+    }
+
+    impl<'r> Sim<'r> {
+        fn new(seed: u64, record: &'r RunRecord) -> Sim<'r> {
+            let mut rng = trustmeter_sim::SimRng::seed_from(seed);
+            let traffic = [
+                Traffic::Closed,
+                Traffic::Open,
+                Traffic::Process,
+                Traffic::OneByOne,
+                Traffic::Unbounded,
+            ][rng.gen_range(0, 5) as usize];
+            let n = match traffic {
+                Traffic::Closed => rng.gen_range(16, 97),
+                _ => rng.gen_range(1, 41),
+            } as usize;
+            let tenants = rng.gen_range(1, 4) as u32;
+            let jobs: Vec<JobSpec> = (0..n as u64)
+                .map(|id| job(id, rng.gen_range(1, u64::from(tenants) + 1) as u32))
+                .collect();
+            let (capacity, policy, chunk) = match traffic {
+                Traffic::Closed => (n, BackpressurePolicy::Block, 16),
+                Traffic::Open => (
+                    rng.gen_range(1, 9) as usize,
+                    BackpressurePolicy::Reject,
+                    rng.gen_range(1, 9) as usize,
+                ),
+                Traffic::Process => (n, BackpressurePolicy::Block, n),
+                Traffic::OneByOne => {
+                    let policy = if rng.gen_bool(0.5) {
+                        BackpressurePolicy::Block
+                    } else {
+                        BackpressurePolicy::Reject
+                    };
+                    (rng.gen_range(0, 5) as usize, policy, 1)
+                }
+                Traffic::Unbounded => (0, BackpressurePolicy::Block, rng.gen_range(1, 17) as usize),
+            };
+            let workers = rng.gen_range(1, 5) as usize;
+            let mut config = IngestConfig::new(workers)
+                .with_capacity(capacity)
+                .with_backpressure(policy)
+                .with_supervisor(
+                    SupervisorPolicy::default()
+                        .with_max_restarts(rng.gen_range(0, 5) as u32)
+                        .with_max_job_attempts(rng.gen_range(1, 4) as u32),
+                );
+            if traffic == Traffic::Process || rng.gen_bool(0.2) {
+                config = config.paused();
+            }
+            if traffic != Traffic::Process && rng.gen_bool(0.4) {
+                config = config.with_completion_watermark(rng.gen_range(1, 7) as usize);
+            }
+            let mut state = State::new(&config);
+            if traffic == Traffic::Open {
+                for tenant in 1..=tenants {
+                    state.queue.set_weight(TenantId(tenant), tenant);
+                }
+            }
+            let fault_rate = [0.0, 0.1, 0.3][rng.gen_range(0, 3) as usize];
+            let mut sim = Sim {
+                seed,
+                step: 0,
+                action: None,
+                poison: (0..n)
+                    .map(|_| fault_rate > 0.0 && rng.gen_bool(0.05))
+                    .collect(),
+                journal: rng.gen_bool(0.85),
+                retry: rng.gen_range(1, 4) as u32,
+                flaky: [0.0, 0.05, 0.3][rng.gen_range(0, 3) as usize],
+                fault_rate,
+                rng,
+                state,
+                traffic,
+                jobs,
+                chunk,
+                record,
+                workers: Vec::new(),
+                next_job: 0,
+                call_end: 0,
+                admitted: None,
+                blocked: false,
+                owner: Owner::Open,
+                pump: None,
+                seq_of: vec![None; n],
+                job_at: Vec::new(),
+                accepted_journaled: Vec::new(),
+                journaled: 0,
+                released: 0,
+                out: Vec::new(),
+                faults: Vec::new(),
+                reassigned: 0,
+                rejected: 0,
+                retries: 0,
+                journal_failures: 0,
+            };
+            sim.scale(workers);
+            sim
+        }
+
+        /// Runs the case to its end, checking every invariant after every
+        /// step.
+        fn run(mut self) {
+            while !(self.owner == Owner::Done && self.submitter_done()) {
+                let actions = self.enabled();
+                ensure!(
+                    self,
+                    !actions.is_empty(),
+                    "no actor can move: a lost wakeup"
+                );
+                ensure!(self, self.step < 50_000, "the case never ends");
+                let action = actions[self.rng.gen_range(0, actions.len() as u64) as usize];
+                self.step += 1;
+                self.action = Some(action);
+                let causes = (
+                    self.state.journal_error.is_some(),
+                    self.state.dead_pool.is_some(),
+                );
+                self.act(action);
+                // 5. Only a failed commit raises a journal error and only a
+                // failover lifts it; only a fault kills the pool and only a
+                // scale-up revives it.
+                let now = (
+                    self.state.journal_error.is_some(),
+                    self.state.dead_pool.is_some(),
+                );
+                if causes.0 != now.0 {
+                    let by = if now.0 {
+                        matches!(action, Action::Accept | Action::Commit | Action::Join)
+                    } else {
+                        action == Action::Failover
+                    };
+                    ensure!(self, by, "the journal error changed by another step");
+                }
+                if causes.1 != now.1 {
+                    let by = if now.1 {
+                        matches!(action, Action::Fault(_))
+                    } else {
+                        action == Action::Scale
+                    };
+                    ensure!(self, by, "the dead pool changed by another step");
+                }
+                self.check();
+            }
+            // 10. A drain whose pool lived ran every accepted job, and a
+            // journal that stayed up released them all.
+            if self.state.phase == Phase::Draining {
+                let s = &self.state;
+                ensure!(
+                    self,
+                    s.completed_count + s.poisoned_count == s.next_seq,
+                    "a drain left jobs unrun"
+                );
+                ensure!(
+                    self,
+                    s.journal_error.is_some() || s.released == s.next_seq,
+                    "a drain left jobs unreleased"
+                );
+            }
+        }
+
+        fn submitter_done(&self) -> bool {
+            self.next_job == self.jobs.len() && self.admitted.is_none()
+        }
+
+        /// Every action some actor can take now. A parked actor takes none
+        /// until a wakeup reaches it.
+        fn enabled(&mut self) -> Vec<Action> {
+            let mut actions = Vec::new();
+            if self.admitted.is_some() {
+                actions.push(Action::Accept);
+            } else if !self.blocked && !self.submitter_done() && self.window_open() {
+                actions.push(Action::Submit);
+            }
+            for (i, worker) in self.workers.iter().enumerate() {
+                if worker.parked {
+                    continue;
+                }
+                let Some(running) = worker.batch.get(worker.at) else {
+                    actions.push(Action::Pull(i));
+                    continue;
+                };
+                let poison = self.poison[running.job.id.0 as usize];
+                if !poison {
+                    actions.push(Action::Complete(i));
+                }
+                if poison || self.rng.gen_bool(self.fault_rate) {
+                    actions.push(Action::Fault(i));
+                }
+            }
+            match self.owner {
+                Owner::Open => match &self.pump {
+                    Some((Some(_), _)) => actions.push(Action::Commit),
+                    Some((None, _)) => actions.push(Action::Pump),
+                    None if self.traffic == Traffic::Process => {
+                        if self.submitter_done() {
+                            actions.push(Action::Close);
+                        }
+                    }
+                    None => {
+                        actions.push(Action::Pump);
+                        if self.state.journal_error.is_some() {
+                            actions.push(Action::Failover);
+                        }
+                        if self.rng.gen_bool(0.1) {
+                            actions.push(Action::Scale);
+                        }
+                        if self.state.phase == Phase::Paused && self.rng.gen_bool(0.3) {
+                            actions.push(Action::Resume);
+                        }
+                        let close = if self.submitter_done() { 0.1 } else { 0.005 };
+                        if self.rng.gen_bool(close) {
+                            actions.push(Action::Close);
+                        }
+                    }
+                },
+                Owner::Closing { parked: false, .. } => actions.push(Action::Drained),
+                Owner::Joining { .. } if self.workers.is_empty() => actions.push(Action::Join),
+                _ => {}
+            }
+            actions
+        }
+
+        /// The closed loop submits a chunk only while its jobs fit in the
+        /// window of accepted-and-unreleased jobs, until it closes.
+        fn window_open(&self) -> bool {
+            self.traffic != Traffic::Closed
+                || self.owner != Owner::Open
+                || self.next_job < self.call_end
+                || self.job_at.len() as u64 - self.state.released + 16 <= 64
+        }
+
+        fn act(&mut self, action: Action) {
+            match action {
+                Action::Submit => self.submit(),
+                Action::Accept => self.accept(),
+                Action::Pull(i) => self.pull(i),
+                Action::Complete(i) => self.complete(i),
+                Action::Fault(i) => self.fault(i),
+                Action::Pump => self.pump_step(),
+                Action::Commit => self.commit_step(),
+                Action::Failover => self.failover(),
+                Action::Scale => {
+                    let target = self.rng.gen_range(0, 5) as usize;
+                    self.scale(target);
+                }
+                Action::Resume => {
+                    let wake = self.state.resume();
+                    self.wake(wake);
+                }
+                Action::Close => {
+                    let drain = self.traffic == Traffic::Process || self.rng.gen_bool(0.75);
+                    let wake = self.state.close(drain);
+                    self.wake(wake);
+                    self.owner = Owner::Closing {
+                        drain,
+                        parked: false,
+                    };
+                    self.drained();
+                }
+                Action::Drained => self.drained(),
+                Action::Join => {
+                    if let Owner::Joining { drain: true } = self.owner {
+                        // `drain` pumps once more after the join.
+                        self.pump = Some((None, Wake::default()));
+                        while self.pump.is_some() {
+                            match self.pump {
+                                Some((Some(_), _)) => self.commit_step(),
+                                _ => self.pump_step(),
+                            }
+                        }
+                    }
+                    self.owner = Owner::Done;
+                }
+            }
+        }
+
+        /// Applies a transition's wakeups to the parked actors: a count of
+        /// one wakes one waiter at random, more wake every waiter, and a
+        /// notify that finds no waiter is lost, as on a condvar.
+        fn wake(&mut self, Wake(workers, submitters, done): Wake) {
+            let parked: Vec<usize> = (0..self.workers.len())
+                .filter(|&i| self.workers[i].parked)
+                .collect();
+            match workers {
+                0 => {}
+                1 if parked.is_empty() => {}
+                1 => {
+                    let pick = self.rng.gen_range(0, parked.len() as u64) as usize;
+                    self.workers[parked[pick]].parked = false;
+                }
+                _ => parked.iter().for_each(|&i| self.workers[i].parked = false),
+            }
+            if submitters > 0 {
+                self.blocked = false;
+            }
+            if let (1.., Owner::Closing { drain, .. }) = (done, self.owner) {
+                self.owner = Owner::Closing {
+                    drain,
+                    parked: false,
+                };
+            }
+        }
+
+        /// One journal commit under the retry policy, against a model sink
+        /// that fails each attempt with the case's chance.
+        fn commit(&mut self) -> Result<(), JournalError> {
+            let mut attempt = 0;
+            loop {
+                attempt += 1;
+                if !self.rng.gen_bool(self.flaky) {
+                    return Ok(());
+                }
+                if attempt >= self.retry {
+                    return Err(JournalError::Io("model sink failed".to_string()));
+                }
+                self.state.retried();
+                self.retries += 1;
+            }
+        }
+
+        fn quarantine(&mut self, error: &JournalError, parked: Vec<JournalEntry>) -> Wake {
+            self.journal_failures += 1;
+            self.state.commit_failed(error, parked)
+        }
+
+        fn submit(&mut self) {
+            if self.next_job == self.call_end {
+                self.call_end = (self.next_job + self.chunk).min(self.jobs.len());
+            }
+            let n = self.call_end - self.next_job;
+            let (closed, quarantined) = (
+                self.state.phase >= Phase::Draining,
+                self.state.quarantined(),
+            );
+            let full = self.state.queue.is_full();
+            match self.state.admit(n) {
+                Ok(Some(k)) => {
+                    ensure!(
+                        self,
+                        !closed && !quarantined && 0 < k && k <= n,
+                        "admitted {k} of {n}"
+                    );
+                    self.admitted = Some(k);
+                }
+                Ok(None) => {
+                    ensure!(
+                        self,
+                        full && self.state.policy == BackpressurePolicy::Block,
+                        "waited for a free slot"
+                    );
+                    self.blocked = true;
+                }
+                Err(error) => {
+                    let expected = if closed {
+                        SubmitError::ShutDown
+                    } else if quarantined {
+                        SubmitError::Quarantined
+                    } else {
+                        SubmitError::QueueFull
+                    };
+                    ensure!(self, error == expected, "refused with {error:?}");
+                    if error == SubmitError::QueueFull {
+                        self.rejected += n as u64;
+                    }
+                    // The call returns; a closed pipeline refuses the rest.
+                    self.next_job = if closed {
+                        self.jobs.len()
+                    } else {
+                        self.call_end
+                    };
+                }
+            }
+        }
+
+        fn accept(&mut self) {
+            let k = self.admitted.take().expect("a slice awaits acceptance");
+            let slice = self.jobs[self.next_job..self.next_job + k].to_vec();
+            let mut accepted = Vec::new();
+            if self.journal {
+                accepted = slice.iter().cloned().map(JournalEntry::Accepted).collect();
+                if let Err(error) = self.commit() {
+                    let wake = self.quarantine(&error, Vec::new());
+                    self.wake(wake);
+                    self.next_job = self.call_end;
+                    return;
+                }
+            }
+            match self.state.accept(&slice, accepted, None) {
+                Ok((seqs, wake)) => {
+                    ensure!(
+                        self,
+                        seqs == (self.job_at.len() as u64..(self.job_at.len() + k) as u64),
+                        "accepted at {seqs:?}"
+                    );
+                    for (seq, spec) in seqs.zip(&slice) {
+                        self.seq_of[spec.id.0 as usize] = Some(seq);
+                    }
+                    self.job_at.extend(self.next_job..self.next_job + k);
+                    self.accepted_journaled
+                        .extend(std::iter::repeat_n(self.journal, k));
+                    self.faults.extend(std::iter::repeat_n(0, k));
+                    self.next_job += k;
+                    self.wake(wake);
+                }
+                Err(error) => {
+                    ensure!(
+                        self,
+                        error == SubmitError::ShutDown && self.state.phase >= Phase::Draining,
+                        "refused an admitted slice with {error:?}"
+                    );
+                    self.next_job = self.jobs.len();
+                }
+            }
+        }
+
+        fn pull(&mut self, i: usize) {
+            let id = self.workers[i].id;
+            let mut batch = std::mem::take(&mut self.workers[i].batch);
+            match self.state.pull(id, None, &mut batch) {
+                Pull::Run(wake) => {
+                    ensure!(
+                        self,
+                        (1..=State::MAX_PULL).contains(&batch.len()),
+                        "pulled {} jobs",
+                        batch.len()
+                    );
+                    self.workers[i].batch = batch;
+                    self.workers[i].at = 0;
+                    self.wake(wake);
+                }
+                Pull::Wait => self.workers[i].parked = true,
+                Pull::Exit => {
+                    self.workers.remove(i);
+                }
+            }
+        }
+
+        fn complete(&mut self, i: usize) {
+            let worker = &mut self.workers[i];
+            let queued = &worker.batch[worker.at];
+            let next = worker.batch.get(worker.at + 1).map(|q| q.seq);
+            let seq = queued.seq;
+            let mut record = self.record.clone();
+            record.job = queued.job.clone();
+            worker.at += 1;
+            if worker.at == worker.batch.len() {
+                worker.batch.clear();
+            }
+            let wake = self.state.complete(seq, next, JournalEntry::run(record));
+            self.wake(wake);
+        }
+
+        fn fault(&mut self, i: usize) {
+            let id = self.workers[i].id;
+            let running = self.workers[i].batch[self.workers[i].at].clone();
+            let before = self.state.assignments.clone();
+            let reason = if self.rng.gen_bool(0.5) {
+                "worker panicked mid-job"
+            } else {
+                "completion failed record verification (wrong-result executor)"
+            };
+            let (restart, reassigned, wake) = self.state.fault(id, reason);
+            // 6. The fault reclaimed exactly its own worker's assignments.
+            let after = &self.state.assignments;
+            ensure!(
+                self,
+                after.len() + before.values().filter(|a| a.worker == id).count() == before.len(),
+                "a fault took another worker's assignment"
+            );
+            for (seq, a) in after {
+                let kept = before.get(seq).is_some_and(|was| {
+                    (was.worker, was.attempt, was.started) == (a.worker, a.attempt, a.started)
+                });
+                ensure!(
+                    self,
+                    a.worker != id && kept,
+                    "a fault changed the assignment of {seq}"
+                );
+            }
+            // 4, 7. The running job used one more attempt: it is poisoned
+            // at the policy's limit and reassigned below it.
+            let seq = running.seq as usize;
+            self.faults[seq] += 1;
+            ensure!(
+                self,
+                self.faults[seq] == running.attempt,
+                "attempt {}",
+                running.attempt
+            );
+            let poisoned = running.attempt >= self.state.supervisor.max_job_attempts;
+            ensure!(
+                self,
+                reassigned.is_none() == poisoned,
+                "reassigned {reassigned:?}"
+            );
+            if !poisoned {
+                self.reassigned += 1;
+            }
+            let worker = &mut self.workers[i];
+            worker.batch.clear();
+            if !restart {
+                self.workers.remove(i);
+            }
+            self.wake(wake);
+        }
+
+        fn pump_step(&mut self) {
+            let quarantined = self.state.quarantined();
+            let before = self.state.released;
+            let taken = self.state.ready_prefix();
+            ensure!(
+                self,
+                !(quarantined && taken.is_some()),
+                "a quarantined pipeline released"
+            );
+            ensure!(
+                self,
+                self.state.released == before,
+                "the cursor moved before the commit"
+            );
+            match (taken, self.pump.take()) {
+                (Some(prefix), pump) => {
+                    let wake = pump.map_or(Wake::default(), |(_, wake)| wake);
+                    self.pump = Some((Some(prefix), wake));
+                }
+                (None, Some((_, wake))) => self.wake(wake),
+                (None, None) => {}
+            }
+        }
+
+        fn commit_step(&mut self) {
+            let Some((Some(prefix), _)) = self.pump.take() else {
+                unreachable!("a commit follows a taken prefix");
+            };
+            let seqs: Vec<u64> = prefix.iter().map(|entry| self.seq(entry)).collect();
+            ensure!(
+                self,
+                seqs.iter()
+                    .copied()
+                    .eq(self.released..self.released + seqs.len() as u64),
+                "released out of order: {seqs:?}"
+            );
+            if self.journal {
+                if let Err(error) = self.commit() {
+                    let failed = self.quarantine(&error, prefix);
+                    self.wake(failed);
+                    return;
+                }
+                // 1, 4. The model journal takes release entries in
+                // sequence order, each once; a poison verdict only after
+                // the job's last allowed attempt, and never a record.
+                for (entry, &seq) in prefix.iter().zip(&seqs) {
+                    ensure!(self, seq == self.journaled, "journaled {seq} out of order");
+                    self.journaled += 1;
+                    let limit = self.state.supervisor.max_job_attempts;
+                    match entry {
+                        JournalEntry::Poisoned(notice) => ensure!(
+                            self,
+                            notice.attempts == limit && self.faults[seq as usize] == limit,
+                            "poisoned {seq} after {} faults",
+                            self.faults[seq as usize]
+                        ),
+                        _ => ensure!(
+                            self,
+                            !self.poison[self.job_at[seq as usize]],
+                            "a poison job's record journaled"
+                        ),
+                    }
+                }
+            }
+            let (records, verdicts) = (self.out.len(), self.state.poisoned_log.len());
+            let wake = self.state.release(prefix, &mut self.out);
+            self.released += seqs.len() as u64;
+            // 2. Released as it was journaled: each record in order.
+            let runs = &self.out[records..];
+            let poisons = &self.state.poisoned_log[verdicts..];
+            ensure!(
+                self,
+                runs.len() + poisons.len() == seqs.len(),
+                "released {} of {}",
+                runs.len() + poisons.len(),
+                seqs.len()
+            );
+            for record in runs {
+                ensure!(
+                    self,
+                    !self.poison[record.job.id.0 as usize],
+                    "a poison job released as a record"
+                );
+            }
+            self.pump = Some((None, wake));
+        }
+
+        /// `resume_with_sink`: the leading checkpoint and the pending
+        /// `Accepted` set, each under the retry policy, then a pump.
+        fn failover(&mut self) {
+            if self.commit().is_err() {
+                return;
+            }
+            let pending: Vec<JournalEntry> = self.state.accepted.values().cloned().collect();
+            if self.commit().is_err() {
+                return;
+            }
+            let seqs: Vec<u64> = pending.iter().map(|entry| self.seq(entry)).collect();
+            ensure!(
+                self,
+                seqs.iter().copied().eq(self.pending()),
+                "re-journaled {seqs:?}"
+            );
+            let wake = self.state.failed_over();
+            self.wake(wake);
+            self.pump = Some((None, Wake::default()));
+        }
+
+        fn scale(&mut self, target: usize) {
+            let (ids, wake) = self.state.scale(target);
+            for id in ids {
+                self.workers.push(Worker {
+                    id,
+                    batch: Vec::new(),
+                    at: 0,
+                    parked: false,
+                });
+            }
+            self.wake(wake);
+        }
+
+        fn drained(&mut self) {
+            let Owner::Closing { drain, .. } = self.owner else {
+                unreachable!("only a closing owner waits for the drain");
+            };
+            self.owner = if self.state.drained() {
+                Owner::Joining { drain }
+            } else {
+                Owner::Closing {
+                    drain,
+                    parked: true,
+                }
+            };
+        }
+
+        /// The sequence number of a completion-log or `Accepted` entry.
+        fn seq(&self, entry: &JournalEntry) -> u64 {
+            let id = entry.job().expect("the entry names its job");
+            self.seq_of[id.0 as usize].expect("the job was accepted")
+        }
+
+        /// Sequence numbers whose `Accepted` entry is committed and that
+        /// the release cursor has not passed.
+        fn pending(&self) -> impl Iterator<Item = u64> + '_ {
+            (self.state.released..self.state.next_seq)
+                .filter(|&seq| self.accepted_journaled[seq as usize])
+        }
+
+        /// The invariants that hold between any two steps.
+        fn check(&self) {
+            let s = &self.state;
+            // 1. Released ⇒ journaled, and 2. the cursor is the model's.
+            ensure!(
+                self,
+                !self.journal || s.released <= self.journaled,
+                "released {} with {} journaled",
+                s.released,
+                self.journaled
+            );
+            ensure!(
+                self,
+                s.released == self.released,
+                "cursor at {}",
+                s.released
+            );
+            // 3. Every admitted sequence number is in exactly one place.
+            let mut places = vec![0u8; s.next_seq as usize];
+            let mut queue = s.queue.clone();
+            let committing = match &self.pump {
+                Some((Some(prefix), _)) => &prefix[..],
+                _ => &[],
+            };
+            let seqs = std::iter::from_fn(|| queue.pop().map(|queued| queued.seq))
+                .chain(s.assignments.keys().copied())
+                .chain(s.completed.keys().copied())
+                .chain(s.stalled.iter().chain(committing).map(|e| self.seq(e)))
+                .chain(0..s.released);
+            for seq in seqs {
+                ensure!(self, seq < s.next_seq, "{seq} was never admitted");
+                places[seq as usize] += 1;
+            }
+            ensure!(
+                self,
+                places.iter().all(|&n| n == 1),
+                "places by sequence number: {places:?}"
+            );
+            // 7. One reassignment per fault that poisoned nothing, within
+            // the restart budget.
+            ensure!(
+                self,
+                s.jobs_reassigned == self.reassigned,
+                "reassigned {}",
+                s.jobs_reassigned
+            );
+            ensure!(
+                self,
+                s.worker_restarts <= u64::from(s.supervisor.max_restarts),
+                "{} restarts",
+                s.worker_restarts
+            );
+            // 8. The pending Accepted set is what the journal holds for
+            // the jobs the cursor has not passed.
+            ensure!(
+                self,
+                s.accepted.keys().copied().eq(self.pending()),
+                "pending {:?}",
+                s.accepted.keys().collect::<Vec<_>>()
+            );
+            // 9. Each live worker holds exactly its batch's rest, of which
+            // it runs the first: in flight never exceeds the live workers.
+            ensure!(
+                self,
+                self.workers.len() == s.active_workers,
+                "{} live",
+                s.active_workers
+            );
+            for worker in &self.workers {
+                let held = s.assignments.iter().filter(|(_, a)| a.worker == worker.id);
+                let mut rest: Vec<(u64, bool)> = worker.batch[worker.at.min(worker.batch.len())..]
+                    .iter()
+                    .enumerate()
+                    .map(|(k, queued)| (queued.seq, k == 0))
+                    .collect();
+                rest.sort_unstable();
+                ensure!(
+                    self,
+                    held.map(|(seq, a)| (*seq, a.started)).eq(rest),
+                    "worker {} holds other than the rest of its batch",
+                    worker.id
+                );
+            }
+            let inflight = s.stats(PoolStats::default()).inflight_total();
+            ensure!(
+                self,
+                inflight <= s.active_workers as u64,
+                "{inflight} in flight"
+            );
+            // The counters the model keeps.
+            ensure!(self, s.rejected == self.rejected, "rejected {}", s.rejected);
+            ensure!(self, s.retries == self.retries, "retries {}", s.retries);
+            ensure!(
+                self,
+                s.journal_failures == self.journal_failures,
+                "journal failures {}",
+                s.journal_failures
+            );
+        }
+    }
+
+    #[test]
+    fn the_pipeline_machine_keeps_its_invariants_under_seeded_interleavings() {
+        let record = Fleet::new(FleetConfig::new(1, 7)).run_one(&job(0, 1));
+        for seed in 0..machine_cases() {
+            Sim::new(seed, &record).run();
+        }
     }
 }

@@ -138,64 +138,31 @@ impl FairQueue {
     /// Enqueues a job on its tenant's lane. Returns the job back when the
     /// queue is at capacity so callers can apply their backpressure policy.
     pub fn push(&mut self, seq: u64, job: JobSpec) -> Result<(), JobSpec> {
-        self.push_at(seq, job, None)
-    }
-
-    /// [`FairQueue::push`] with a submission timestamp for queue-wait
-    /// tracing (see [`QueuedJob::submitted_at`]).
-    pub fn push_at(
-        &mut self,
-        seq: u64,
-        job: JobSpec,
-        submitted_at: Option<Instant>,
-    ) -> Result<(), JobSpec> {
         if self.is_full() {
             return Err(job);
         }
-        let tenant = job.tenant;
-        let lane = self.lanes.entry(tenant).or_default();
-        if lane.is_empty() {
-            // Tenant (re)enters the rotation at the back: newly active
-            // tenants wait one round rather than jumping the queue.
-            self.rotation.push_back(tenant);
-        }
-        lane.push_back(QueuedJob {
-            seq,
-            job,
-            submitted_at,
-            attempt: 1,
-        });
-        self.queued += 1;
+        self.enqueue(job.tenant, [(seq, job)], None, 1);
         Ok(())
     }
 
     /// Re-enqueues a job reclaimed from a panicked or lying worker.
-    /// Unlike [`FairQueue::push_at`] this ignores capacity: the slot was
+    /// Unlike [`FairQueue::push`] this ignores capacity: the slot was
     /// already admitted when the job was first accepted, so bouncing a
     /// reclaimed job off a full queue would lose admitted work. The job
     /// keeps its original sequence number (release order is unchanged) and
     /// carries the attempt the next execution will be.
     pub fn requeue(&mut self, seq: u64, job: JobSpec, attempt: u32) {
-        let tenant = job.tenant;
-        let lane = self.lanes.entry(tenant).or_default();
-        if lane.is_empty() {
-            self.rotation.push_back(tenant);
-        }
-        lane.push_back(QueuedJob {
-            seq,
-            job,
-            submitted_at: None,
-            attempt,
-        });
-        self.queued += 1;
+        self.enqueue(job.tenant, [(seq, job)], None, attempt);
     }
 
-    /// Bulk [`FairQueue::push_at`]: enqueues `jobs` with consecutive
-    /// sequence numbers starting at `first_seq`, touching each tenant lane
-    /// once per run of equal-tenant jobs rather than once per job. Stops
-    /// and returns `Err(enqueued_count)` if capacity runs out mid-slice
-    /// (callers admit the slice under their own accounting first, so this
-    /// is defensive).
+    /// Bulk [`FairQueue::push`] with a submission timestamp for queue-wait
+    /// tracing (see [`QueuedJob::submitted_at`]): enqueues `jobs` with
+    /// consecutive sequence numbers starting at `first_seq`, touching each
+    /// tenant lane once per run of equal-tenant jobs rather than once per
+    /// job. Stops and returns `Err(enqueued_count)` if capacity runs out
+    /// mid-slice. A caller that admitted the slice under its own
+    /// accounting enqueues the rest with [`FairQueue::requeue`]: requeued
+    /// jobs may have refilled the slots it counted on.
     pub fn push_batch_at(
         &mut self,
         first_seq: u64,
@@ -215,22 +182,38 @@ impl FairQueue {
             if self.capacity != 0 {
                 end = end.min(i + (self.capacity - self.queued));
             }
-            let lane = self.lanes.entry(tenant).or_default();
-            if lane.is_empty() {
-                self.rotation.push_back(tenant);
-            }
-            for (offset, job) in jobs[i..end].iter().enumerate() {
-                lane.push_back(QueuedJob {
-                    seq: first_seq + (i + offset) as u64,
-                    job: job.clone(),
-                    submitted_at,
-                    attempt: 1,
-                });
-            }
-            self.queued += end - i;
+            let run = (first_seq + i as u64..).zip(jobs[i..end].iter().cloned());
+            self.enqueue(tenant, run, submitted_at, 1);
             i = end;
         }
         Ok(())
+    }
+
+    /// The one enqueue path: appends one or more of `tenant`'s jobs, each
+    /// with its sequence number, to its lane and counts them. Capacity is
+    /// the caller's to check.
+    fn enqueue(
+        &mut self,
+        tenant: TenantId,
+        jobs: impl IntoIterator<Item = (u64, JobSpec)>,
+        submitted_at: Option<Instant>,
+        attempt: u32,
+    ) {
+        let lane = self.lanes.entry(tenant).or_default();
+        if lane.is_empty() {
+            // Tenant (re)enters the rotation at the back: newly active
+            // tenants wait one round rather than jumping the queue.
+            self.rotation.push_back(tenant);
+        }
+        for (seq, job) in jobs {
+            lane.push_back(QueuedJob {
+                seq,
+                job,
+                submitted_at,
+                attempt,
+            });
+            self.queued += 1;
+        }
     }
 
     /// Dequeues the next job round-robin across tenants: serves the front
